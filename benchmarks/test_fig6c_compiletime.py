@@ -12,8 +12,10 @@ from conftest import write_artifact
 
 from repro.bench import benchmark_by_name
 from repro.harness import geomean
+from repro.harness.experiment import UNROLL_FACTORS
 from repro.harness.fig6 import format_figure, series
 from repro.transforms import compile_module
+from repro.transforms.pass_manager import PassStatistics
 
 
 def test_fig6c(benchmark, runner, benches, results_dir):
@@ -61,3 +63,29 @@ def test_cleanup_time_tracks_duplicated_code(benchmark):
                  cleanup_time("uu", loop_id="bezier_blend:0", factor=4)),
         iterations=1, rounds=1)
     assert uu_time > base_time
+
+
+def test_cleanup_dominates_uu_transform(benchmark, benches):
+    """Fig 6c's third shape target, over the whole per-loop ``uu`` sweep:
+    the passes that chew the duplicated code (the cleanup fixpoint and the
+    late stage) take more wall time in total than the u&u transform that
+    produced it.  Compiled directly, so the cell cache cannot hide time."""
+
+    def sweep():
+        stats = PassStatistics()
+        for bench in benches:
+            for loop_id in bench.loop_ids():
+                for factor in UNROLL_FACTORS:
+                    result = compile_module(
+                        bench.build_module(), "uu", loop_id=loop_id,
+                        factor=factor, max_instructions=8000,
+                        timeout_seconds=20.0)
+                    stats.merge(result.pass_stats)
+        return stats
+
+    stats = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    uu_time = stats.times["uu"]
+    other_time = stats.total_time - uu_time
+    print(f"\nuu cells: uu pass {uu_time:.1f} s, cleanup + late passes "
+          f"{other_time:.1f} s ({stats.times['cleanup']:.1f} s cleanup)")
+    assert other_time > uu_time

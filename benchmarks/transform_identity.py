@@ -1,0 +1,78 @@
+"""One-off check that a change to the transform stage moved no output.
+
+For every non-baseline cell of ``sweep_specs(bench, factors=(2, 4, 8))``
+over the 16 apps, run ``[SimplifyCFG] + transform_passes(...)`` (the
+pipeline up to, not including, the cleanup battery) at the CLI's
+``max_instructions=8000`` and record the sha256 of ``print_module`` plus the
+module's instruction count.  Not a test and not part of tier-1: run it once
+on each of two checkouts and compare the files.
+
+    PYTHONPATH=<parent>/src python3 benchmarks/transform_identity.py --out A.json
+    PYTHONPATH=src          python3 benchmarks/transform_identity.py --out B.json --compare A.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+
+from repro.bench import all_benchmarks
+from repro.harness.parallel import sweep_specs
+from repro.ir.printer import print_module
+from repro.transforms.pass_manager import PassManager
+from repro.transforms.pipeline import transform_passes
+from repro.transforms.simplifycfg import SimplifyCFG
+
+MAX_INSTRUCTIONS = 8000
+
+
+def transformed_module(bench, config, loop_id, factor):
+    """The module as it enters the cleanup battery."""
+    module = bench.build_module()
+    passes = [SimplifyCFG()] + transform_passes(
+        config, loop_id=loop_id, factor=factor,
+        max_instructions=MAX_INSTRUCTIONS)
+    PassManager(passes).run(module)
+    return module
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--compare", help="an earlier --out file")
+    args = parser.parse_args(argv)
+
+    cells = {}
+    transform_seconds = 0.0
+    for bench in all_benchmarks():
+        for spec in sweep_specs(bench, factors=(2, 4, 8)):
+            if spec.config == "baseline":
+                continue
+            start = time.perf_counter()
+            module = transformed_module(bench, spec.config, spec.loop_id,
+                                        spec.factor)
+            transform_seconds += time.perf_counter() - start
+            digest = hashlib.sha256(print_module(module).encode()).hexdigest()
+            key = f"{spec.app}/{spec.config}/{spec.loop_id}/{spec.factor}"
+            cells[key] = [digest, module.instruction_count()]
+    with open(args.out, "w") as fh:
+        json.dump(cells, fh, indent=0, sort_keys=True)
+    print(f"{len(cells)} cells, transform stage {transform_seconds:.1f} s")
+
+    if args.compare:
+        with open(args.compare) as fh:
+            other = json.load(fh)
+        differing = sorted(k for k in cells.keys() | other.keys()
+                           if cells.get(k) != other.get(k))
+        print(f"{len(differing)} of {len(cells)} cells differ")
+        for key in differing:
+            print(" ", key, other.get(key), "->", cells.get(key))
+        return 1 if differing else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

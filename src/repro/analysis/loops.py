@@ -27,6 +27,8 @@ class Loop:
         self._block_ids: Set[int] = {id(header)}
         self.parent: Optional["Loop"] = None
         self.children: List["Loop"] = []
+        #: Position in ``LoopInfo.loops`` (header reverse-postorder).
+        self.index: int = 0
         self.loop_id: str = ""
 
     # -- membership -----------------------------------------------------------
@@ -50,6 +52,13 @@ class Loop:
     @property
     def is_innermost(self) -> bool:
         return not self.children
+
+    def nest(self) -> List["Loop"]:
+        """This loop and every loop nested in it, in ``LoopInfo.loops`` order."""
+        found = [self]
+        for loop in found:
+            found.extend(loop.children)
+        return sorted(found, key=lambda l: l.index)
 
     # -- structure queries ----------------------------------------------------
     def latches(self) -> List[BasicBlock]:
@@ -192,6 +201,7 @@ class LoopInfo:
         header_list = sorted(headers.values(), key=lambda b: rpo_index[id(b)])
         for index, header in enumerate(header_list):
             loop = Loop(header)
+            loop.index = index
             loop.loop_id = f"{func.name}:{index}"
             work = [l for l in back_edges[id(header)]]
             visited = {id(header)}

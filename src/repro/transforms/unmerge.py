@@ -28,16 +28,35 @@ Structural rules (matching the paper's implementation notes):
   it aborts the transformation for that loop, the analogue of the paper's
   5-minute compile timeouts on ccs.
 
-The pass maintains its region (loop blocks plus clones) incrementally: loop
-analysis runs once per invocation, not once per duplication, keeping the
-pass linear in the amount of code it produces.
+One duplication costs time proportional to the tail it clones, not to the
+function, which keeps the pass linear in the amount of code it produces:
+
+* :class:`_Region` holds everything the duplication loop reads of the
+  function — region membership, inner-loop blocks and back edges, each
+  block's forward in-region predecessors and the function's instruction
+  count.  It is built once per invocation from the caller's loop analysis
+  and :func:`_duplicate_tail` updates it for exactly the blocks it clones
+  and the edges it rewires.  Predecessor lists stay in function-block
+  order, so the *keeper* (the first predecessor, which retains the original
+  tail) is the one a scan of the whole function would pick: clones are
+  appended to the function in tail order, and a clone's predecessors are
+  clones of the same batch.
+* :class:`_MergeWalk` picks the next merge block: the first one in reverse
+  postorder of the function.  Region blocks are all discovered below the
+  header, so their relative order is that of a depth-first search of the
+  region's forward edges; the walk produces that order front to back by
+  running the search backwards — a block is emitted when the *last* of its
+  forward predecessors examines it, where the search discovers it from the
+  *first*.  The walk stops at the first merge and journals its steps.
+  Duplicating merge ``M`` changes no edge examined before ``M`` was first
+  examined, so the walk is rewound to that point and resumed instead of
+  being restarted, and it selects the same block a fresh scan would.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.cfg_utils import predecessor_map, reverse_postorder
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.block import BasicBlock
 from ..ir.clone import clone_blocks, map_value
@@ -46,6 +65,7 @@ from ..ir.instructions import PhiInst
 from ..ir.values import Value
 from ..obs import session as obs
 from .lcssa import form_lcssa
+from .profitability import merge_is_profitable
 
 
 class UnmergeBudgetExceeded(Exception):
@@ -57,6 +77,9 @@ def unmerge_loop(func: Function, loop: Loop,
                  selective: bool = False) -> bool:
     """Unmerge all control-flow merges in ``loop``'s body.
 
+    ``loop`` must come from a :class:`LoopInfo` of the function as it is
+    now: its ``children`` say which blocks belong to nested loops.
+
     Returns True if the CFG changed.  Raises
     :class:`UnmergeBudgetExceeded` when duplication outgrows
     ``max_instructions`` summed over the function (the IR is left in a
@@ -67,45 +90,26 @@ def unmerge_loop(func: Function, loop: Loop,
     passes are duplicated (see :mod:`repro.transforms.profitability`).
     """
     form_lcssa(func, loop)
-    header = loop.header
-    changed = False
-
-    # Region and inner-loop bookkeeping, maintained incrementally.  Blocks
-    # of nested loops are never unmerge candidates here: their merges belong
-    # to the inner loop's own unmerge invocation (the u&u driver runs
-    # innermost-first), and duplicating across an inner back edge would tear
-    # the inner loop apart.
-    region: Set[int] = {id(b) for b in loop.blocks}
-    loop_info = LoopInfo.compute(func)
-    inner_blocks: Set[int] = set()
-    for nested in loop_info.loops:
-        if nested.header is not header and loop.contains(nested.header):
-            inner_blocks.update(id(b) for b in nested.blocks)
-
-    skipped: Set[int] = set()
+    region = _Region(func, loop)
+    walk = _MergeWalk(region)
     duplicated = 0
     while True:
-        merge = _find_merge_block(func, header, region, inner_blocks,
-                                  skipped)
+        merge = walk.next_merge()
         if merge is None:
             if duplicated and obs.active() is not None:
                 obs.remark("analysis", "unmerge", func.name,
                            "duplicated merge tails", loop_id=loop.loop_id,
                            duplicated=duplicated,
-                           skipped_unprofitable=len(skipped))
-            return changed
-        if selective:
-            from .profitability import merge_is_profitable
-
-            loop_blocks = [b for b in func.blocks if id(b) in region]
-            tail = _tail_blocks(header, merge, region)
-            if not merge_is_profitable(loop_blocks, merge, tail):
-                skipped.add(id(merge))
-                continue
-        _duplicate_tail(func, header, merge, region, inner_blocks)
-        changed = True
+                           skipped_unprofitable=len(walk.skipped))
+            return duplicated > 0
+        tail = _tail_blocks(region.header, merge, region.ids)
+        if selective and not merge_is_profitable(region.blocks, merge, tail):
+            walk.skipped.add(id(merge))
+            continue
+        walk.rewind(merge)
+        _duplicate_tail(func, region, merge, tail)
         duplicated += 1
-        if func.instruction_count() > max_instructions:
+        if region.instruction_count > max_instructions:
             obs.remark("analysis", "unmerge", func.name,
                        "unmerge budget exceeded", loop_id=loop.loop_id,
                        duplicated=duplicated, budget=max_instructions)
@@ -114,64 +118,173 @@ def unmerge_loop(func: Function, loop: Loop,
                 f"{max_instructions} instructions")
 
 
-def _find_merge_block(func: Function, header: BasicBlock, region: Set[int],
-                      inner_blocks: Set[int],
-                      skipped: Optional[Set[int]] = None
-                      ) -> Optional[BasicBlock]:
-    """Next unmergeable block: in-region, outside inner loops, >= 2
-    in-region predecessors.  Deterministic: first match in reverse
-    postorder.  Blocks in ``skipped`` (judged unprofitable by the
-    selective mode) are passed over."""
-    preds = predecessor_map(func)
-    for block in reverse_postorder(func):
-        if id(block) not in region or block is header:
-            continue
-        if id(block) in inner_blocks:
-            continue  # Belongs to a nested loop: not ours to unmerge.
-        if skipped is not None and id(block) in skipped:
-            continue
-        in_region_preds = [p for p in preds[block] if id(p) in region]
-        if len(in_region_preds) >= 2:
-            return block
-    return None
+class _Region:
+    """The loop's blocks plus their clones, and what unmerging reads of the
+    function, kept current by :func:`_duplicate_tail`.
+
+    Blocks of nested loops (``inner``) are never unmerge candidates here:
+    their merges belong to the inner loop's own unmerge invocation (the u&u
+    driver runs innermost-first), and duplicating across an inner back edge
+    would tear the inner loop apart.
+    """
+
+    def __init__(self, func: Function, loop: Loop) -> None:
+        self.header = loop.header
+        self.blocks: List[BasicBlock] = list(loop.blocks)
+        self.ids: Set[int] = {id(b) for b in self.blocks}
+        self.inner: Set[int] = {id(b) for child in loop.children
+                                for b in child.blocks}
+        #: id(latch) -> the inner-loop headers it branches back to.
+        self.back_edges: Dict[int, List[BasicBlock]] = {}
+        for nested in loop.nest():
+            if nested is not loop:
+                for latch in nested.latches():
+                    self.back_edges.setdefault(id(latch), []).append(
+                        nested.header)
+        self._forward: Dict[int, List[BasicBlock]] = {}
+        #: Forward in-region predecessors, in function-block order.
+        self.preds: Dict[int, List[BasicBlock]] = {id(b): []
+                                                   for b in self.blocks}
+        for block in func.blocks:
+            if id(block) in self.ids:
+                for succ in self.forward_successors(block):
+                    self.preds[id(succ)].append(block)
+        self.instruction_count = func.instruction_count()
+
+    def forward_successors(self, block: BasicBlock) -> List[BasicBlock]:
+        """Distinct in-region successors of ``block``, not counting back
+        edges (to the header or to an inner-loop header).  Memoized; an edge
+        rewire must call :meth:`rewired`."""
+        cached = self._forward.get(id(block))
+        if cached is None:
+            cached = []
+            barred = {id(self.header)}
+            barred.update(id(h) for h in self.back_edges.get(id(block), ()))
+            for succ in block.successors():
+                if id(succ) in self.ids and id(succ) not in barred:
+                    barred.add(id(succ))
+                    cached.append(succ)
+            self._forward[id(block)] = cached
+        return cached
+
+    def rewired(self, block: BasicBlock) -> None:
+        self._forward.pop(id(block), None)
+
+    def add_clone(self, original: BasicBlock, clone: BasicBlock,
+                  preds: List[BasicBlock], vmap: Dict[int, Value]) -> None:
+        self.blocks.append(clone)
+        self.ids.add(id(clone))
+        self.preds[id(clone)] = preds
+        if id(original) in self.inner:
+            self.inner.add(id(clone))
+        headers = self.back_edges.get(id(original))
+        if headers is not None:
+            self.back_edges[id(clone)] = [vmap[id(h)] for h in headers]
 
 
-def _duplicate_tail(func: Function, header: BasicBlock, merge: BasicBlock,
-                    region: Set[int], inner_blocks: Set[int]) -> None:
-    """Give each in-region predecessor of ``merge`` its own copy of the tail.
+class _MergeWalk:
+    """Resumable search for the next block to unmerge: in-region, outside
+    inner loops, >= 2 in-region predecessors, first in reverse postorder.
 
-    The tail is every block reachable from ``merge`` inside the region
-    without crossing the back edge into ``header``.  The first predecessor
+    Blocks in ``skipped`` (judged unprofitable by the selective mode) are
+    walked past.  See the module docstring for why the order is reverse
+    postorder and why :meth:`rewind` may stand in for a restart.
+    """
+
+    def __init__(self, region: _Region) -> None:
+        self.region = region
+        self.skipped: Set[int] = set()
+        #: Open blocks, outermost first: [block, successors examined].
+        self._stack: List[list] = [[region.header, 0]]
+        #: Forward predecessors that have not examined a block yet.
+        self._unexamined: Dict[int, int] = {}
+        #: Every step since the start — the block examined, or the frame
+        #: closed — and where each block's first examination sits in it.
+        self._journal: List[object] = []
+        self._first_examined: Dict[int, int] = {}
+
+    def next_merge(self) -> Optional[BasicBlock]:
+        region = self.region
+        while self._stack:
+            frame = self._stack[-1]
+            successors = region.forward_successors(frame[0])
+            if frame[1] == len(successors):
+                self._journal.append(self._stack.pop())
+                continue
+            # The search this walk reverses takes successors first to last.
+            succ = successors[-1 - frame[1]]
+            frame[1] += 1
+            key = id(succ)
+            if key not in self._unexamined:
+                self._unexamined[key] = len(region.preds[key])
+                self._first_examined[key] = len(self._journal)
+            self._journal.append(succ)
+            self._unexamined[key] -= 1
+            if self._unexamined[key]:
+                continue
+            self._stack.append([succ, 0])
+            if (len(region.preds[key]) >= 2 and key not in region.inner
+                    and key not in self.skipped):
+                return succ
+        return None
+
+    def rewind(self, merge: BasicBlock) -> None:
+        """Undo every step from the first examination of ``merge`` on."""
+        mark = self._first_examined[id(merge)]
+        while len(self._journal) > mark:
+            step = self._journal.pop()
+            if not isinstance(step, BasicBlock):
+                self._stack.append(step)
+                continue
+            key = id(step)
+            if not self._unexamined[key]:
+                self._stack.pop()  # This examination had opened the block.
+            self._stack[-1][1] -= 1
+            self._unexamined[key] += 1
+            if self._first_examined[key] == len(self._journal):
+                del self._first_examined[key]
+                del self._unexamined[key]
+
+
+def _duplicate_tail(func: Function, region: _Region, merge: BasicBlock,
+                    tail: List[BasicBlock]) -> None:
+    """Give each in-region predecessor of ``merge`` its own copy of ``tail``.
+
+    ``tail`` is :func:`_tail_blocks` of ``merge``.  The first predecessor
     keeps the original tail; each further predecessor gets a clone.
     """
-    preds = predecessor_map(func)
-    in_region_preds = [p for p in preds[merge] if id(p) in region]
-    assert len(in_region_preds) >= 2
-
-    tail = _tail_blocks(header, merge, region)
-    tail_ids = {id(b) for b in tail}
+    keeper, *others = region.preds[id(merge)]
+    assert others
+    tail_index = {id(b): i for i, b in enumerate(tail)}
 
     # Out-of-tail targets (the header and exit blocks) whose phis must gain
     # entries for cloned predecessors.
     boundary_edges: List[Tuple[BasicBlock, BasicBlock]] = []
     for block in tail:
         for succ in block.successors():
-            if id(succ) not in tail_ids:
+            if id(succ) not in tail_index:
                 boundary_edges.append((block, succ))
 
-    keeper, *others = in_region_preds
+    # A clone's predecessors are the clones of the original's in-tail ones;
+    # clones join the function in tail order, so that is their block order.
+    tail_preds = [sorted((p for p in region.preds[id(b)]
+                          if id(p) in tail_index),
+                         key=lambda p: tail_index[id(p)]) for b in tail]
+
+    region.instruction_count -= len(merge)
     for j, pred in enumerate(others, start=1):
         clones, vmap = clone_blocks(func, tail, f"p{j}")
-        for original, clone in zip(tail, clones):
-            region.add(id(clone))
-            if id(original) in inner_blocks:
-                inner_blocks.add(id(clone))
+        for original, clone, preds in zip(tail, clones, tail_preds):
+            region.add_clone(original, clone,
+                             [vmap[id(p)] for p in preds], vmap)
         # Rewire this predecessor into its private copy.
         term = pred.terminator
         assert term is not None
         new_merge = vmap[id(merge)]
         assert isinstance(new_merge, BasicBlock)
         term.replace_successor(merge, new_merge)
+        region.rewired(pred)
+        region.preds[id(new_merge)] = [pred]
         # Collapse the cloned merge block's phis to this predecessor's
         # incoming values.
         for original_phi in merge.phis():
@@ -188,7 +301,9 @@ def _duplicate_tail(func: Function, header: BasicBlock, merge: BasicBlock,
         for original in tail[1:]:
             clone = vmap[id(original)]
             assert isinstance(clone, BasicBlock)
-            for phi in list(clone.phis()):
+            for original_phi in original.phis():
+                phi = vmap[id(original_phi)]
+                assert isinstance(phi, PhiInst)
                 for i in reversed(range(len(phi.incoming_blocks))):
                     if id(phi.incoming_blocks[i]) not in clone_ids:
                         phi.remove_operand(i)
@@ -197,9 +312,7 @@ def _duplicate_tail(func: Function, header: BasicBlock, merge: BasicBlock,
                 if unique is not None:
                     phi.replace_all_uses_with(unique)
                     phi.erase_from_parent()
-                    original_key = _clone_source(vmap, phi)
-                    if original_key is not None:
-                        vmap[original_key] = unique
+                    vmap[id(original_phi)] = unique
         # Boundary targets (header / exits) gain phi entries per clone.
         for block, succ in boundary_edges:
             mapped_block = vmap[id(block)]
@@ -207,9 +320,11 @@ def _duplicate_tail(func: Function, header: BasicBlock, merge: BasicBlock,
             for phi in succ.phis():
                 value = phi.incoming_for(block)
                 phi.add_incoming(map_value(vmap, value), mapped_block)
+        region.instruction_count += sum(len(c) for c in clones)
 
     # The original merge keeps only the first predecessor: drop the other
     # incoming entries, then collapse now-trivial phis.
+    region.preds[id(merge)] = [keeper]
     for phi in list(merge.phis()):
         for pred in others:
             phi.remove_incoming(pred)
@@ -217,14 +332,7 @@ def _duplicate_tail(func: Function, header: BasicBlock, merge: BasicBlock,
         if unique is not None:
             phi.replace_all_uses_with(unique)
             phi.erase_from_parent()
-
-
-def _clone_source(vmap: Dict[int, Value], clone: Value) -> Optional[int]:
-    """Find the vmap key whose value is ``clone`` (reverse lookup)."""
-    for key, value in vmap.items():
-        if value is clone:
-            return key
-    return None
+    region.instruction_count += len(merge)
 
 
 def _tail_blocks(header: BasicBlock, merge: BasicBlock,

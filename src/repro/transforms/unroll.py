@@ -21,7 +21,7 @@ generate identical code for a trip-count-4 loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.tripcount import constant_trip_count

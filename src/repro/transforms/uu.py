@@ -17,7 +17,7 @@ attribute) — both rules straight from Section III-C.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..analysis.convergence import loop_is_convergent
 from ..analysis.loops import Loop, LoopInfo
@@ -81,32 +81,38 @@ def apply_uu(func: Function, loop: Loop, factor: int,
             # Optional mode: unroll every inner loop by the same factor
             # before the outer loop (paper: "the pass is capable of
             # unrolling nested loops as well").
-            for inner in _nested_loops_innermost_first(func, header):
-                if inner.header is header or not can_unroll(inner):
+            for inner in _innermost_first(loop):
+                if inner is loop or not can_unroll(inner):
                     continue
                 if loop_is_convergent(inner):
                     continue
                 unroll_loop(func, inner, factor)
                 changed = True
-        loop_info = LoopInfo.compute(func)
-        loop = _loop_by_header(loop_info, header)
-        if loop is None:
-            return changed
+            if changed:
+                loop = _loop_by_header(LoopInfo.compute(func), header)
+                if loop is None:
+                    return changed
         unroll_loop(func, loop, factor)
         changed = True
+        loop = _loop_by_header(LoopInfo.compute(func), header)
+        if loop is None:
+            return changed
 
     # Unmerge the widened outer loop and every nested loop, deepest first.
-    # Iterate by header: unmerging one loop clones blocks and invalidates
-    # previously computed Loop objects, so each target is re-discovered.
-    headers = [l.header for l in _nested_loops_innermost_first(func, header)]
-    for target_header in headers:
-        loop_info = LoopInfo.compute(func)
-        target = _loop_by_header(loop_info, target_header)
-        if target is None:
-            continue
+    # Unmerging one loop clones blocks, which invalidates the Loop objects
+    # of the loops around it: after a change the next target is
+    # re-discovered by its header.
+    stale = False
+    for target in _innermost_first(loop):
+        if stale:
+            target = _loop_by_header(LoopInfo.compute(func), target.header)
+            if target is None:
+                continue
+            stale = False
         try:
-            changed |= unmerge_loop(func, target, max_instructions,
-                                    selective=selective)
+            if unmerge_loop(func, target, max_instructions,
+                            selective=selective):
+                changed = stale = True
         except UnmergeBudgetExceeded:
             changed = True
             break
@@ -130,15 +136,6 @@ def _loop_by_header(loop_info: LoopInfo, header) -> Optional[Loop]:
     return None
 
 
-def _nested_loops_innermost_first(func: Function, header) -> List[Loop]:
-    """The loop led by ``header`` plus all loops nested in it, deepest first.
-
-    Recomputed from scratch because unrolling/unmerging clones inner loops.
-    """
-    loop_info = LoopInfo.compute(func)
-    outer = _loop_by_header(loop_info, header)
-    if outer is None:
-        return []
-    nested = [l for l in loop_info.loops
-              if l is outer or outer.contains(l.header)]
-    return sorted(nested, key=lambda l: -l.depth)
+def _innermost_first(loop: Loop) -> List[Loop]:
+    """``loop`` plus all loops nested in it, deepest first."""
+    return sorted(loop.nest(), key=lambda l: -l.depth)
