@@ -14,16 +14,16 @@ one call:
 * intermediate results live in Python locals; only *liveout* values —
   those with IR uses outside the fused segment — are stored back into
   the context's SSA slot dict, dead temporaries vanish entirely;
-* integer ``add/sub/mul/and/or/xor`` whose result width needs no
-  wrap-masking reuse a dead, fresh, same-dtype operand temporary via
-  ``out=`` instead of allocating;
-* every step keeps the engine family's value semantics *verbatim*: the
-  generated expressions call (or textually mirror) the same helpers the
-  per-step closures use — ``_wrap_int`` width masking, ``errstate``
-  guards on float ops, unsigned compares via ``uint64`` views,
-  ``semantics.INTRINSIC_IMPLS`` for math intrinsics — so fused and
-  unfused execution are bit-identical by construction
-  (tests/test_engine_equivalence.py pins it).
+* what a step *computes* is not written here: the generated source
+  inlines the expression of the step's :class:`repro.semantics.Op` — the
+  very text the interpreter's kernel was compiled from — or calls that
+  kernel, so fused and unfused execution are bit-identical by
+  construction;
+* on top of that, codegen only: an op that is a single ufunc call reuses
+  a dead, fresh, same-dtype operand temporary via ``out=`` instead of
+  allocating, the shift clamp of a constant amount is precomputed once,
+  and the per-step dtype normalisation is dropped wherever the table's
+  storage-dtype contract makes it a no-op.
 
 Fusion legality is deliberately narrow: only ``_K_VALUE`` steps of
 binop / icmp / fcmp / select / cast / gep and intrinsic-call
@@ -32,14 +32,10 @@ never allocas (context-dependent addresses), never across block
 boundaries (deopt must see every liveout slot populated).  Accounting
 is *folded, not changed*: the region compiler charges the same per-step
 cycle sequence in the same order, so ``Counters`` stay bit-identical.
-
-``REPRO_JIT_FUSE=0`` disables fusion (escape hatch + A/B lever for
-``repro bench-interp --compare``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,14 +44,9 @@ from ..ir.constants import ConstantFloat, ConstantInt, Undef
 from ..ir.function import Function
 from ..ir.instructions import (BinaryInst, CallInst, CastInst, FCmpInst,
                                GEPInst, ICmpInst, SelectInst)
-from ..ir.types import IntType
 from ..ir.values import Argument, GlobalVariable
-from ..semantics import INTRINSIC_IMPLS, storage_dtype
-from .machine import (WARP_SIZE, _K_VALUE, _binary_op, _cast_op, _fcmp_op,
-                      _wrap_int)
-
-#: Escape hatch: ``REPRO_JIT_FUSE=0`` turns the fuser off everywhere.
-FUSE_ENV = "REPRO_JIT_FUSE"
+from ..semantics import NAMESPACE, op_for, storage_dtype
+from .machine import GEOMETRY, WARP_SIZE, _K_VALUE
 
 #: A fused segment must replace at least this many value steps.  Short
 #: chains are a wash: the generated call + liveout slot stores cost about
@@ -74,67 +65,15 @@ _CODE_CACHE: Dict[Tuple[str, str], object] = {}
 
 _CODE_CACHE_LIMIT = 1024
 
-#: Launch-geometry intrinsics read precomputed read-only context arrays.
-_GEOMETRY = {
-    "tid.x": "ctx.lane_ids",
-    "ctaid.x": "ctx.ctaid",
-    "ntid.x": "ctx.ntid",
-    "nctaid.x": "ctx.nctaid",
-}
-
-_SYM = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
-        "xor": "^"}
-_UFUNC = {"add": "np.add", "sub": "np.subtract", "mul": "np.multiply",
-          "and": "np.bitwise_and", "or": "np.bitwise_or",
-          "xor": "np.bitwise_xor"}
-_ICMP_SYM = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
-             "sgt": ">", "sge": ">="}
-_UCMP_SYM = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
-
-
-def fusion_enabled() -> bool:
-    """Fusion is on unless ``REPRO_JIT_FUSE=0`` (any other value: on)."""
-    return os.environ.get(FUSE_ENV, "1") != "0"
-
-
-# -- errstate helpers (referenced from generated code) -----------------------
-# Float lattice arithmetic warns on inf/nan operands; the decode-time
-# closures run it under errstate and the generated code must match.
-
-def _fadd(lhs, rhs):
-    with np.errstate(all="ignore"):
-        return lhs + rhs
-
-
-def _fsub(lhs, rhs):
-    with np.errstate(all="ignore"):
-        return lhs - rhs
-
-
-def _fmul(lhs, rhs):
-    with np.errstate(all="ignore"):
-        return lhs * rhs
-
-
-def _intr(impl, vals):
-    with np.errstate(all="ignore"):
-        return impl(vals)
-
-
-_F_HELPER = {"fadd": "FA", "fsub": "FS", "fmul": "FM"}
-
 
 # -- chain analysis ----------------------------------------------------------
 
 def fusible(inst) -> bool:
     """Can this instruction's value step join a fused segment?"""
-    if isinstance(inst, (BinaryInst, ICmpInst, FCmpInst, SelectInst,
-                         CastInst, GEPInst)):
-        return True
     if isinstance(inst, CallInst):
-        name = inst.intrinsic.name
-        return name in _GEOMETRY or name in INTRINSIC_IMPLS
-    return False
+        return inst.intrinsic.name in GEOMETRY or op_for(inst) is not None
+    return isinstance(inst, (BinaryInst, ICmpInst, FCmpInst, SelectInst,
+                             CastInst, GEPInst))
 
 
 def use_counts(func: Function) -> Dict[int, int]:
@@ -247,10 +186,7 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
                 f"step {k} of {func_name}:{db.name} is not fusible")
         insts.append(steps[k][7][2])
 
-    ns: Dict[str, object] = {
-        "np": np, "W": _wrap_int, "B": _binary_op, "FC": _fcmp_op,
-        "CO": _cast_op, "FA": _fadd, "FS": _fsub, "FM": _fmul, "IC": _intr,
-    }
+    ns: Dict[str, object] = dict(NAMESPACE)
     hoisted: Dict[int, str] = {}
 
     def hoist(obj, tag: str) -> str:
@@ -276,20 +212,6 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
             ns[name] = vid
         return name
 
-    def static_dtype(value):
-        """Storage dtype of any operand — every producer normalizes.
-
-        Value steps astype to their meta dtype, loads astype on write,
-        phi moves astype, ``_bind_args`` builds argument arrays at
-        storage dtype, and the hoisted constant arrays above use it
-        directly — so an operand's runtime dtype *is* its IR type's
-        storage dtype, statically.
-        """
-        try:
-            return storage_dtype(value.type)
-        except (ValueError, AttributeError):
-            return None
-
     # The same read-only operand arrays _reader would materialise.
     def materialize(value) -> np.ndarray:
         if isinstance(value, (ConstantInt, ConstantFloat)):
@@ -310,8 +232,8 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
     last_read: Dict[int, int] = {}  # id(value) -> last step index reading it
     names: Dict[int, str] = {}      # values[]-read ids -> %name (diagnostics)
     for j, inst in enumerate(insts):
-        for op in inst.operands:
-            last_read[id(op)] = j
+        for value in inst.operands:
+            last_read[id(value)] = j
 
     def operand(value) -> str:
         vid = id(value)
@@ -331,26 +253,24 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
         names[vid] = value.name
         return f"values[{slot(vid)}]"
 
-    def const_clip(value, as_dtype=None) -> Optional[str]:
-        """Hoist ``np.clip(const, 0, 63)`` (the shift-amount clamp) once.
+    def const_clamp(clamp: str, value) -> Optional[str]:
+        """Precompute an op's shift-amount clamp of a constant amount.
 
         Shift amounts are almost always literals; clamping the same
         constant array on every iteration is pure loop-invariant work.
-        The precomputed array is exactly what the per-iteration clip
+        The hoisted array is exactly what evaluating ``clamp`` in place
         would produce, so values are untouched.
         """
         if not isinstance(value, (ConstantInt, Undef)):
             return None
-        arr = np.clip(materialize(value), 0, 63)
-        if as_dtype is not None:
-            arr = arr.astype(as_dtype)
+        arr = eval(clamp.format(b="b"), NAMESPACE, {"b": materialize(value)})
         arr.setflags(write=False)
         return hoist(arr, "P")
 
     def reuse_target(inst, j: int, a: str, b: str, dt) -> Optional[str]:
         # A dead (non-liveout), fresh, same-dtype operand temporary whose
         # last read is this very step can absorb the result in place.
-        for val, expr in ((inst.lhs, a), (inst.rhs, b)):
+        for val, expr in zip(inst.operands, (a, b)):
             vid = id(val)
             if (local.get(vid) == expr and fresh.get(vid)
                     and not liveflag.get(vid) and last_read.get(vid) == j
@@ -358,124 +278,43 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
                 return expr
         return None
 
-    def int_binop(inst, j: int, opc: str, a: str, b: str, dt) -> str:
-        sym = _SYM[opc]
-        tgt = reuse_target(inst, j, a, b, dt)
+    def inline(op, inst, j: int, srcs: List[str], dt) -> str:
+        subst = dict(zip("abc", srcs))
+        if op.clamp:
+            subst["s"] = (const_clamp(op.clamp, inst.operands[1])
+                          or op.clamp.format(b=srcs[1]))
+        expr = op.expr.format(**subst)
+        tgt = reuse_target(inst, j, *srcs, dt) if op.ufunc else None
         if tgt is None:
-            return f"({a} {sym} {b})"
+            return f"({expr})"
+        a, b = srcs
         other = b if tgt == a else a
         # Guard on shape: ufunc out= cannot broadcast the output.
-        return (f"({_UFUNC[opc]}({a}, {b}, out={tgt}) "
-                f"if {tgt}.shape == {other}.shape else {a} {sym} {b})")
+        return (f"({op.ufunc}({a}, {b}, out={tgt}) "
+                f"if {tgt}.shape == {other}.shape else {expr})")
 
     lines: List[str] = ["def _fused(ctx, args, values):"]
     stored: List[Tuple[int, object]] = []
     for j, inst in enumerate(insts):
         meta = steps[lo + j][7]
         iid, dt = meta[0], meta[1]
-        # ``rdt``: the expression's result dtype when statically provable
-        # from the operands' storage dtypes; the per-step runtime dtype
-        # check is emitted only when ``rdt`` is unknown or differs from
-        # the storage dtype (the check would then astype, exactly like
-        # the unfused executor's post-run normalization).
-        rdt = None
-        if isinstance(inst, BinaryInst):
-            opc = inst.opcode
-            a, b = operand(inst.lhs), operand(inst.rhs)
-            da, db_ = static_dtype(inst.lhs), static_dtype(inst.rhs)
-            bits = inst.type.bits if isinstance(inst.type, IntType) else 64
-            wrap = bits < 64
-            fresh_r = True
-            if opc in ("add", "sub", "mul"):
-                if wrap:
-                    expr = f"W({a} {_SYM[opc]} {b}, {bits})"
-                else:
-                    expr = int_binop(inst, j, opc, a, b, dt)
-                    if da is np.int64 and db_ is np.int64:
-                        rdt = np.int64
-            elif opc in ("fadd", "fsub", "fmul"):
-                expr = f"{_F_HELPER[opc]}({a}, {b})"
-                if da is db_ and da in (np.float32, np.float64):
-                    rdt = da
-            elif opc in ("and", "or", "xor"):
-                # No wrap masking, exactly like the specialized closure.
-                expr = int_binop(inst, j, opc, a, b, dt)
-                if da is db_ and da in (np.int64, np.bool_):
-                    rdt = da
-            elif opc in ("shl", "ashr"):
-                sh = "<<" if opc == "shl" else ">>"
-                shift = const_clip(inst.rhs) or f"np.clip({b}, 0, 63)"
-                core = f"{a} {sh} {shift}"
-                expr = f"W({core}, {bits})" if wrap else f"({core})"
-                if not wrap and da is np.int64 and db_ is np.int64:
-                    rdt = np.int64
-            elif opc == "lshr" and not wrap:
-                # Inlined from _binary_op's lshr branch (the bits-64
-                # case, where the operand-width mask and the final wrap
-                # are both no-ops): pure integer numpy ops never warn,
-                # so the errstate guard is dead weight here.
-                shift = (const_clip(inst.rhs, np.uint64)
-                         or f"np.clip({b}, 0, 63).astype(np.uint64)")
-                expr = (f"(({a}.astype(np.uint64) >> {shift})"
-                        f".astype(np.int64))")
-                rdt = np.int64
+        is_call = isinstance(inst, CallInst)
+        if is_call and inst.intrinsic.name in GEOMETRY:
+            expr = f"ctx.{GEOMETRY[inst.intrinsic.name]}"
+        else:
+            op = op_for(inst)
+            srcs = [operand(v) for v in inst.operands]
+            if op.expr:
+                expr = inline(op, inst, j, srcs, dt)
             else:
-                # Division family and sub-width lshr: generic path
-                # (errstate and width masking self-managed).
-                expr = f"B({opc!r}, {a}, {b}, {hoist(inst.type, 'T')})"
-        elif isinstance(inst, ICmpInst):
-            a, b = operand(inst.lhs), operand(inst.rhs)
-            pred = inst.predicate
-            fresh_r = True
-            rdt = np.bool_
-            if pred.startswith("u") and pred not in ("ueq",):
-                sym = _UCMP_SYM[pred]
-                expr = (f"({a}.astype(np.uint64) {sym} "
-                        f"{b}.astype(np.uint64))")
-            else:
-                expr = f"({a} {_ICMP_SYM[pred]} {b})"
-        elif isinstance(inst, FCmpInst):
-            a, b = operand(inst.lhs), operand(inst.rhs)
-            expr = f"FC({inst.predicate!r}, {a}, {b})"
-            fresh_r = True
-        elif isinstance(inst, SelectInst):
-            c = operand(inst.condition)
-            t, f = operand(inst.true_value), operand(inst.false_value)
-            # i1 storage is np.bool_ already; astype(bool) would copy.
-            cond = (c if static_dtype(inst.condition) is np.bool_
-                    else f"{c}.astype(bool)")
-            expr = f"np.where({cond}, {t}, {f})"
-            dtt = static_dtype(inst.true_value)
-            if dtt is static_dtype(inst.false_value):
-                rdt = dtt
-            fresh_r = True
-        elif isinstance(inst, CastInst):
-            v = operand(inst.value)
-            expr = (f"CO({inst.opcode!r}, {v}, {hoist(inst.type, 'T')}, "
-                    f"{hoist(inst.value.type, 'T')})")
-            fresh_r = False  # some casts may return views
-        elif isinstance(inst, GEPInst):
-            b_, i_ = operand(inst.pointer), operand(inst.index)
-            elem = inst.element_type.size_bytes()
-            expr = f"({b_} + {i_}.astype(np.int64) * {elem})"
-            if static_dtype(inst.pointer) is np.int64:
-                rdt = np.int64
-            fresh_r = True
-        else:  # CallInst (checked fusible above)
-            name = inst.intrinsic.name
-            geo = _GEOMETRY.get(name)
-            if geo is not None:
-                expr = geo
-                fresh_r = False  # shared read-only context array
-            else:
-                argl = ", ".join(operand(a) for a in inst.operands)
-                impl = INTRINSIC_IMPLS[name]
-                expr = f"IC({hoist(impl, 'I')}, [{argl}])"
-                fresh_r = False  # impl may pass an input through
+                expr = f"{hoist(op.kernel, 'F')}({', '.join(srcs)})"
 
         var = f"v{j}"
         lines.append(f"    {var} = {expr}")
-        if rdt is not dt:
+        # The table's kernels return the result's storage dtype; only an
+        # intrinsic call (free declared type) may need normalising, as
+        # the unfused executor does after every step.
+        if is_call:
             dn = hoist(dt, "D")
             lines.append(f"    if {var}.dtype != {dn}:")
             lines.append(f"        {var} = {var}.astype({dn})")
@@ -483,7 +322,9 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
             lines.append(f"    values[{slot(iid)}] = {var}")
             stored.append((iid, dt))
         local[iid] = var
-        fresh[iid] = fresh_r
+        # Casts may return views, geometry is a shared read-only array,
+        # an intrinsic may pass an input through: never out= targets.
+        fresh[iid] = not isinstance(inst, (CastInst, CallInst))
         liveflag[iid] = bool(live[j])
         dtypes[iid] = dt
 

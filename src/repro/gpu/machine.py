@@ -30,7 +30,10 @@ the exact same :func:`repro.gpu.timing.charge`/``issue_cost`` calls as the
 original tree-walking interpreter, so counters and cycle counts are
 bit-identical — only the Python interpreter overhead is removed.  Decoding
 assumes the module's IR is not mutated between launches of the same
-machine (fresh machines are built per compile in the harness).
+machine (fresh machines are built per compile in the harness).  What a
+value instruction *computes* is not decided here: every engine calls the
+kernel of the op-semantics table (:mod:`repro.semantics`, the written
+contract), which the constant folder and the jit's fuser share.
 
 Two execution engines consume the decoded form (``REPRO_ENGINE`` selects;
 see :func:`resolve_engine`):
@@ -54,7 +57,6 @@ this) — which is why the persistent cell cache does not key on the engine.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -65,16 +67,13 @@ from ..analysis.cfg_utils import reverse_postorder
 from ..ir.block import BasicBlock
 from ..ir.constants import ConstantFloat, ConstantInt, Undef
 from ..ir.function import Function
-from ..ir.instructions import (AllocaInst, BinaryInst, BranchInst, CallInst,
-                               CastInst, CondBranchInst, FCmpInst, GEPInst,
-                               ICmpInst, Instruction, LoadInst, PhiInst,
-                               RetInst, SelectInst, StoreInst,
-                               UnreachableInst)
+from ..ir.instructions import (AllocaInst, BranchInst, CallInst,
+                               CondBranchInst, Instruction, LoadInst, PhiInst,
+                               RetInst, StoreInst, UnreachableInst)
 from ..ir.module import Module
-from ..ir.types import FloatType, IntType, PointerType, Type
 from ..ir.values import Argument, GlobalVariable, Value
 from ..obs import session as obs_session
-from ..semantics import INTRINSIC_IMPLS, fptosi_arrays, storage_dtype
+from ..semantics import op_for, storage_dtype
 from .counters import Counters, cat_index
 from .icache import InstructionCache
 from .memory import Memory
@@ -129,30 +128,14 @@ _T_RET = 2
 _T_UNREACHABLE = 3
 _T_MISSING = 4
 
-#: numpy implementations of the math intrinsics (evaluated under
-#: ``np.errstate(all="ignore")``): the shared folder/interpreter table of
-#: :mod:`repro.semantics`, so constant folding is bit-identical to runtime.
-_INTRINSIC_IMPLS = INTRINSIC_IMPLS
+#: Launch-geometry intrinsics -> the context attribute holding their
+#: precomputed read-only array: (32,) per warp, (n, 32) on the lattice.
+GEOMETRY = {"tid.x": "lane_ids", "ctaid.x": "ctaid", "ntid.x": "ntid",
+            "nctaid.x": "nctaid"}
 
 
 class SimulationError(Exception):
     """Raised when a kernel executes an illegal operation."""
-
-
-def _storage_dtype(type_: Type):
-    try:
-        return storage_dtype(type_)
-    except ValueError as exc:
-        raise SimulationError(str(exc)) from exc
-
-
-def _wrap_int(values: np.ndarray, bits: int) -> np.ndarray:
-    if bits >= 64:
-        return values
-    mask = (np.int64(1) << bits) - 1
-    wrapped = values & mask
-    sign = np.int64(1) << (bits - 1)
-    return (wrapped ^ sign) - sign
 
 
 @dataclass
@@ -417,7 +400,7 @@ class SimtMachine:
                 db.term_kind = _T_RET
                 if inst.value is not None:
                     db.term = (self._reader(inst.value),
-                               _storage_dtype(inst.value.type))
+                               storage_dtype(inst.value.type))
                 else:
                     db.term = (None, None)
                 return
@@ -447,7 +430,7 @@ class SimtMachine:
             src_id = id(incoming) if isinstance(incoming, Instruction) \
                 else None
             moves.append((self._writer(phi), read, id(phi),
-                          _storage_dtype(phi.type), src_id))
+                          storage_dtype(phi.type), src_id))
         return _Edge(target, bump, moves)
 
     def _decode_step(self, inst: Instruction) -> Tuple:
@@ -459,7 +442,7 @@ class SimtMachine:
         if isinstance(inst, LoadInst):
             read_ptr = self._reader(inst.pointer)
             elem = inst.type.size_bytes()
-            dtype = _storage_dtype(inst.type)
+            dtype = storage_dtype(inst.type)
             write = self._writer(inst)
             memory = self.memory
 
@@ -529,79 +512,46 @@ class SimtMachine:
             # e.g. syncthreads: only the issue timing is charged.
             return (category, cat_idx, cost, _K_VOID, None, None, None, None)
 
+        # A result type without a storage dtype (label, function) cannot
+        # be executed; every other decode site sees only operand, phi,
+        # load and argument types, which the verifier keeps first-class.
+        try:
+            dtype = storage_dtype(inst.type)
+        except ValueError as exc:
+            raise SimulationError(str(exc)) from exc
         # meta carries the Instruction itself so the region fuser
         # (gpu/fuser.py) can regenerate the value expression from IR.
         return (category, cat_idx, cost, _K_VALUE, self._value_fn(inst),
-                None, self._writer(inst),
-                (id(inst), _storage_dtype(inst.type), inst))
+                None, self._writer(inst), (id(inst), dtype, inst))
 
     def _value_fn(self, inst: Instruction):
-        """Closure computing one instruction's value (operands pre-bound)."""
-        if isinstance(inst, BinaryInst):
-            fn = _binop_fn(inst.opcode, inst.type)
-            rl, rr = self._reader(inst.lhs), self._reader(inst.rhs)
-            return lambda ctx, args: fn(rl(ctx, args), rr(ctx, args))
-        if isinstance(inst, ICmpInst):
-            cmp = _icmp_fn(inst.predicate)
-            rl, rr = self._reader(inst.lhs), self._reader(inst.rhs)
-            return lambda ctx, args: cmp(rl(ctx, args), rr(ctx, args))
-        if isinstance(inst, FCmpInst):
-            pred = inst.predicate
-            rl, rr = self._reader(inst.lhs), self._reader(inst.rhs)
-            return lambda ctx, args: _fcmp_op(pred, rl(ctx, args),
-                                              rr(ctx, args))
-        if isinstance(inst, SelectInst):
-            rc = self._reader(inst.condition)
-            rt = self._reader(inst.true_value)
-            rf = self._reader(inst.false_value)
-            return lambda ctx, args: np.where(
-                rc(ctx, args).astype(bool), rt(ctx, args), rf(ctx, args))
-        if isinstance(inst, CastInst):
-            opcode, to_type = inst.opcode, inst.type
-            from_type = inst.value.type
-            rv = self._reader(inst.value)
-            return lambda ctx, args: _cast_op(opcode, rv(ctx, args),
-                                              to_type, from_type)
-        if isinstance(inst, GEPInst):
-            rb = self._reader(inst.pointer)
-            ri = self._reader(inst.index)
-            elem = inst.element_type.size_bytes()
-            return lambda ctx, args: (
-                rb(ctx, args) + ri(ctx, args).astype(np.int64) * elem)
+        """Closure computing one instruction's value (operands pre-bound).
+
+        What the value *is* comes from the op-semantics table
+        (:mod:`repro.semantics`); only allocas (context-dependent
+        addresses) and launch geometry are the machine's own.
+        """
         if isinstance(inst, AllocaInst):
             memory = self.memory
             return lambda ctx, args: ctx.alloca_addrs(memory, inst)
-        if isinstance(inst, CallInst):
-            return self._intrinsic_fn(inst)
-
-        def bad(ctx, args, _inst=inst):
-            raise SimulationError(f"cannot execute {_inst!r}")
-        return bad
-
-    def _intrinsic_fn(self, inst: CallInst):
-        name = inst.intrinsic.name
-        # Launch-geometry intrinsics read precomputed read-only context
-        # arrays: (32,) on the per-warp context, (n, 32) on the batched one.
-        if name == "tid.x":
-            return lambda ctx, args: ctx.lane_ids
-        if name == "ctaid.x":
-            return lambda ctx, args: ctx.ctaid
-        if name == "ntid.x":
-            return lambda ctx, args: ctx.ntid
-        if name == "nctaid.x":
-            return lambda ctx, args: ctx.nctaid
-        impl = _INTRINSIC_IMPLS.get(name)
-        if impl is None:
-            def unknown(ctx, args, _name=name):
-                raise SimulationError(f"unimplemented intrinsic @{_name}")
-            return unknown
-        readers = tuple(self._reader(a) for a in inst.operands)
-
-        def run(ctx, args):
-            values = [r(ctx, args) for r in readers]
-            with np.errstate(all="ignore"):
-                return impl(values)
-        return run
+        attr = GEOMETRY.get(inst.intrinsic.name) \
+            if isinstance(inst, CallInst) else None
+        if attr is not None:
+            return lambda ctx, args: getattr(ctx, attr)
+        op = op_for(inst)
+        if op is None:
+            def bad(ctx, args, _inst=inst):
+                raise SimulationError(f"cannot execute {_inst!r}")
+            return bad
+        kernel = op.kernel
+        readers = tuple(self._reader(v) for v in inst.operands)
+        if len(readers) == 2:
+            ra, rb = readers
+            return lambda ctx, args: kernel(ra(ctx, args), rb(ctx, args))
+        if len(readers) == 1:
+            ra, = readers
+            return lambda ctx, args: kernel(ra(ctx, args))
+        return lambda ctx, args: kernel(*[r(ctx, args) for r in readers])
 
     def _reader(self, value: Value):
         """Closure reading one operand's per-lane vector.
@@ -613,11 +563,11 @@ class SimtMachine:
         """
         if isinstance(value, (ConstantInt, ConstantFloat)):
             arr = np.full(WARP_SIZE, value.value,
-                          dtype=_storage_dtype(value.type))
+                          dtype=storage_dtype(value.type))
             arr.setflags(write=False)
             return lambda ctx, args: arr
         if isinstance(value, Undef):
-            arr = np.zeros(WARP_SIZE, dtype=_storage_dtype(value.type))
+            arr = np.zeros(WARP_SIZE, dtype=storage_dtype(value.type))
             arr.setflags(write=False)
             return lambda ctx, args: arr
         if isinstance(value, Argument):
@@ -646,7 +596,7 @@ class SimtMachine:
         an all-uniform-operand computation (e.g. constant + argument) are
         broadcast up to it.
         """
-        dtype = _storage_dtype(inst.type)
+        dtype = storage_dtype(inst.type)
         iid = id(inst)
 
         def write(ctx, value, mask):
@@ -823,199 +773,6 @@ class SimtMachine:
                    args: Sequence[ArgValue]) -> Dict[int, np.ndarray]:
         bound: Dict[int, np.ndarray] = {}
         for arg, value in zip(func.args, args):
-            dtype = _storage_dtype(arg.type)
+            dtype = storage_dtype(arg.type)
             bound[id(arg)] = np.full(WARP_SIZE, value, dtype=dtype)
         return bound
-
-
-# ---------------------------------------------------------------------------
-# numpy semantics helpers
-# ---------------------------------------------------------------------------
-
-def _binop_fn(opcode: str, type_: Type):
-    """Specialize one binary opcode into a two-argument closure.
-
-    Decode-time resolution of what ``_binary_op`` re-derives per call:
-    the opcode chain, the wrap width, and the ``errstate`` guard.  The
-    numpy expressions are the generic function's verbatim, so results
-    are bit-identical.  Integer lattice ops skip the errstate guard —
-    numpy int64 *array* arithmetic wraps silently, never warns — while
-    float ops keep it (inf/nan operands do warn).  Division and the
-    unsigned shift fall back to the generic path; they are branch-heavy
-    and cold.
-    """
-    bits = type_.bits if isinstance(type_, IntType) else 64
-    wrap = bits < 64
-    if opcode in ("add", "fadd"):
-        base = operator.add
-    elif opcode in ("sub", "fsub"):
-        base = operator.sub
-    elif opcode in ("mul", "fmul"):
-        base = operator.mul
-    elif opcode == "and":
-        return operator.and_
-    elif opcode == "or":
-        return operator.or_
-    elif opcode == "xor":
-        return operator.xor
-    elif opcode in ("shl", "ashr"):
-        sh = operator.lshift if opcode == "shl" else operator.rshift
-        if wrap:
-            return lambda lhs, rhs: _wrap_int(sh(lhs, np.clip(rhs, 0, 63)),
-                                              bits)
-        return lambda lhs, rhs: sh(lhs, np.clip(rhs, 0, 63))
-    else:
-        return lambda lhs, rhs: _binary_op(opcode, lhs, rhs, type_)
-    if opcode[0] == "f":
-        def fop(lhs, rhs):
-            with np.errstate(all="ignore"):
-                return base(lhs, rhs)
-        return fop
-    if wrap:
-        return lambda lhs, rhs: _wrap_int(base(lhs, rhs), bits)
-    return base
-
-
-def _icmp_fn(pred: str):
-    """Specialize one icmp predicate (same comparisons as ``_icmp_op``)."""
-    if pred.startswith("u") and pred not in ("ueq",):
-        ucmp = {"ult": operator.lt, "ule": operator.le,
-                "ugt": operator.gt, "uge": operator.ge}[pred]
-        return lambda lhs, rhs: ucmp(lhs.astype(np.uint64),
-                                     rhs.astype(np.uint64))
-    return {"eq": operator.eq, "ne": operator.ne,
-            "slt": operator.lt, "sle": operator.le,
-            "sgt": operator.gt, "sge": operator.ge}[pred]
-
-
-def _binary_op(opcode: str, lhs: np.ndarray, rhs: np.ndarray,
-               type_: Type) -> np.ndarray:
-    bits = type_.bits if isinstance(type_, IntType) else 64
-    with np.errstate(all="ignore"):
-        if opcode == "add":
-            return _wrap_int(lhs + rhs, bits)
-        if opcode == "sub":
-            return _wrap_int(lhs - rhs, bits)
-        if opcode == "mul":
-            return _wrap_int(lhs * rhs, bits)
-        if opcode in ("sdiv", "srem"):
-            # Exact C-style truncating division in int64 (a float round
-            # trip would corrupt quotients beyond 2^53, diverging from the
-            # folder's exact arithmetic).
-            safe = np.where(rhs == 0, 1, rhs)
-            quo = lhs // safe
-            rem = lhs - quo * safe
-            quo = quo + ((rem != 0) & ((lhs ^ safe) < 0))
-            quo = np.where(rhs == 0, 0, quo)
-            if opcode == "sdiv":
-                return _wrap_int(quo, bits)
-            rem = lhs - quo * np.where(rhs == 0, 0, rhs)
-            return _wrap_int(np.where(rhs == 0, 0, rem), bits)
-        if opcode in ("udiv", "urem"):
-            ul = lhs.astype(np.uint64)
-            ur = rhs.astype(np.uint64)
-            safe = np.where(ur == 0, 1, ur)
-            if opcode == "udiv":
-                out = np.where(ur == 0, 0, ul // safe)
-            else:
-                out = np.where(ur == 0, 0, ul % safe)
-            return _wrap_int(out.astype(np.int64), bits)
-        if opcode == "shl":
-            shift = np.clip(rhs, 0, 63)
-            return _wrap_int(lhs << shift, bits)
-        if opcode == "lshr":
-            # Reinterpret as unsigned at the *operand width*: an i8 -1 is
-            # 0xff, not 2^64-1 (the folder's `unsigned()` does the same).
-            shift = np.clip(rhs, 0, 63)
-            u = lhs.astype(np.uint64)
-            if bits < 64:
-                u = u & np.uint64((1 << bits) - 1)
-            return _wrap_int(
-                (u >> shift.astype(np.uint64)).astype(np.int64), bits)
-        if opcode == "ashr":
-            shift = np.clip(rhs, 0, 63)
-            return _wrap_int(lhs >> shift, bits)
-        if opcode == "and":
-            return lhs & rhs
-        if opcode == "or":
-            return lhs | rhs
-        if opcode == "xor":
-            return lhs ^ rhs
-        if opcode == "fadd":
-            return lhs + rhs
-        if opcode == "fsub":
-            return lhs - rhs
-        if opcode == "fmul":
-            return lhs * rhs
-        if opcode == "fdiv":
-            return np.divide(lhs, rhs)
-        if opcode == "frem":
-            return np.fmod(lhs, rhs)
-    raise SimulationError(f"unimplemented binary op {opcode}")
-
-
-def _icmp_op(pred: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if pred.startswith("u") and pred not in ("ueq",):
-        ul = lhs.astype(np.uint64)
-        ur = rhs.astype(np.uint64)
-        table = {"ult": ul < ur, "ule": ul <= ur,
-                 "ugt": ul > ur, "uge": ul >= ur}
-        return table[pred]
-    table = {"eq": lhs == rhs, "ne": lhs != rhs,
-             "slt": lhs < rhs, "sle": lhs <= rhs,
-             "sgt": lhs > rhs, "sge": lhs >= rhs}
-    return table[pred]
-
-
-def _fcmp_op(pred: str, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    unordered = np.isnan(lhs) | np.isnan(rhs)
-    with np.errstate(invalid="ignore"):
-        base = {"eq": lhs == rhs, "ne": lhs != rhs,
-                "lt": lhs < rhs, "le": lhs <= rhs,
-                "gt": lhs > rhs, "ge": lhs >= rhs}[pred[1:]]
-    if pred.startswith("o"):
-        return base & ~unordered
-    return base | unordered
-
-
-def _cast_op(opcode: str, value: np.ndarray, to_type: Type,
-             from_type: Type) -> np.ndarray:
-    if opcode in ("trunc",):
-        assert isinstance(to_type, IntType)
-        return _wrap_int(value.astype(np.int64), to_type.bits)
-    if opcode == "zext":
-        if value.dtype == np.bool_:
-            return value.astype(np.int64)
-        # Values are stored sign-wrapped; reinterpret as unsigned at the
-        # source width before widening.
-        assert isinstance(from_type, IntType)
-        if from_type.bits >= 64:
-            return value.astype(np.int64)
-        mask = (np.int64(1) << from_type.bits) - 1
-        return value.astype(np.int64) & mask
-    if opcode == "sext":
-        return value.astype(np.int64)
-    if opcode in ("sitofp", "uitofp"):
-        dtype = np.float32 if isinstance(to_type, FloatType) and \
-            to_type.bits == 32 else np.float64
-        if opcode == "uitofp":
-            # Reinterpret the sign-wrapped storage as unsigned at the
-            # source width before the (single-rounding) conversion.
-            assert isinstance(from_type, IntType)
-            u = value.astype(np.int64).astype(np.uint64)
-            if from_type.bits < 64:
-                u = u & np.uint64((1 << from_type.bits) - 1)
-            return u.astype(dtype)
-        return value.astype(dtype)
-    if opcode == "fptosi":
-        # Saturating contract (repro.semantics): NaN -> 0, out-of-range
-        # and ±inf clamp to the target width's signed min/max.
-        assert isinstance(to_type, IntType)
-        return fptosi_arrays(value, to_type)
-    if opcode in ("fpext", "fptrunc"):
-        dtype = np.float32 if isinstance(to_type, FloatType) and \
-            to_type.bits == 32 else np.float64
-        return value.astype(dtype)
-    if opcode in ("bitcast", "ptrtoint", "inttoptr"):
-        return value.astype(np.int64)
-    raise SimulationError(f"unimplemented cast {opcode}")

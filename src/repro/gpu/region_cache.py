@@ -2,16 +2,16 @@
 
 The trace-JIT (:mod:`repro.gpu.jit`) selects superblock regions and runs
 the expression fuser (:mod:`repro.gpu.fuser`) over every function it
-executes — work that is pure in the function's IR, the timing model, and
-the fusion flag, yet was redone on every launch: each sweep cell, tuner
+executes — work that is pure in the function's IR and the timing model,
+yet was redone on every launch: each sweep cell, tuner
 candidate, and serve request paid selection and chain analysis again.
 This module memoizes that work across launches *and processes*:
 
 * **Keying** is content-addressed: SHA-256 over the printed function IR
-  × :data:`repro.gpu.timing.TIMING_MODEL_VERSION` × the fusion flag ×
-  :data:`REGION_SCHEMA_VERSION`.  Editing a kernel, bumping the timing
-  model, or toggling ``REPRO_JIT_FUSE`` each orphan old entries
-  structurally — there is no time-based invalidation.
+  × :data:`repro.gpu.timing.TIMING_MODEL_VERSION` ×
+  :data:`REGION_SCHEMA_VERSION`.  Editing a kernel or bumping the timing
+  model orphans old entries structurally — there is no time-based
+  invalidation.
 * **What is stored** is the *plan* (:func:`repro.gpu.regions.extract_plan`),
   not compiled closures: region shapes, guard expectations, and fusion
   segment boundaries.  Replay re-validates the plan against the freshly
@@ -47,13 +47,15 @@ from typing import Dict, Optional
 from ..harness.cache import ShardedLRUStore
 from ..ir.printer import print_function
 from ..obs import session as obs_session
-from .fuser import fusion_enabled
 from .regions import RegionMap, compile_regions, extract_plan, replay_plan
 from .timing import TIMING_MODEL_VERSION
 
-#: Bump when the persisted plan layout changes; mismatched entries are
-#: discarded and recomputed.
-REGION_SCHEMA_VERSION = 1
+#: Bump when the persisted plan layout *or the meaning of the key*
+#: changes; mismatched entries are discarded and recomputed.  2: the key
+#: lost its ``fuse=`` component (fusion is unconditional), so every plan
+#: written under version 1 — fused or not — is orphaned rather than
+#: reachable under a key that now means something else.
+REGION_SCHEMA_VERSION = 2
 
 #: Set to ``0`` to disable the persistent region cache entirely.
 REGION_CACHE_ENV = "REPRO_REGION_CACHE"
@@ -94,12 +96,11 @@ def default_region_max_bytes() -> Optional[int]:
     return cap if cap > 0 else None
 
 
-def region_key(func, fuse: bool) -> str:
-    """Content key: printed IR × timing model × fusion flag × schema."""
+def region_key(func) -> str:
+    """Content key: printed IR × timing model × schema."""
     payload = "\n".join([
         f"schema={REGION_SCHEMA_VERSION}",
         f"timing={TIMING_MODEL_VERSION}",
-        f"fuse={int(bool(fuse))}",
         print_function(func),
     ])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -322,18 +323,17 @@ def load_or_compile_regions(machine, func, entry) -> RegionMap:
     selection must stay exact — or when observability is enabled, so
     cold and warm runs emit identical remark streams.
     """
-    fuse = fusion_enabled()
     sess = session()
     cache = None
     if machine.profile is None and not obs_session.enabled():
         cache = region_cache()
-    key = region_key(func, fuse) if cache is not None else None
+    key = region_key(func) if cache is not None else None
     if cache is not None:
         plan = cache.get(key)
         if plan is not None:
             sess.hits += 1
             try:
-                regions = replay_plan(machine, func, entry, plan, fuse)
+                regions = replay_plan(machine, func, entry, plan)
             except Exception:
                 # Stale/corrupt plan (edited decoder, hash collision,
                 # hand-mangled entry): fall through to a fresh compile,
@@ -353,7 +353,7 @@ def load_or_compile_regions(machine, func, entry) -> RegionMap:
         else:
             sess.misses += 1
     regions = compile_regions(machine, func, entry,
-                              profile=machine.profile, fuse=fuse)
+                              profile=machine.profile)
     sess.selections += 1
     _note_regions(sess, regions)
     if cache is not None:

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
-from .fuser import FuseContext, fusion_enabled
+from .fuser import FuseContext
 from .machine import (_BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
                       _CAT_CONTROL, _K_LOAD, _K_STORE, _K_VALUE, _K_VOID,
                       _T_BR, _T_CONDBR, _T_MISSING, _T_RET, _T_UNREACHABLE,
@@ -183,11 +183,10 @@ class RegionMap(dict):
     the improved plan can be re-persisted after the launch.
     """
 
-    __slots__ = ("fuse", "key", "dirty", "func_name")
+    __slots__ = ("key", "dirty", "func_name")
 
-    def __init__(self, fuse: bool = False, func_name: str = "") -> None:
+    def __init__(self, func_name: str = "") -> None:
         super().__init__()
-        self.fuse = fuse
         self.key: Optional[str] = None
         self.dirty = False
         self.func_name = func_name
@@ -203,7 +202,7 @@ class PlanMismatch(Exception):
 
 
 def compile_regions(machine, func, entry: Optional[_DecodedBlock] = None,
-                    profile=None, fuse: Optional[bool] = None) -> RegionMap:
+                    profile=None) -> RegionMap:
     """Select and compile all superblocks of one decoded function.
 
     Heads are seeded from the function entry and, transitively, from
@@ -211,20 +210,17 @@ def compile_regions(machine, func, entry: Optional[_DecodedBlock] = None,
     dispatcher could ever park a group at.  Emits one ``analysis``
     remark per compiled or rejected region through the obs layer.
 
-    ``fuse`` overrides the ``REPRO_JIT_FUSE`` gate (None: follow it);
-    the machine and function are needed so the expression fuser can
+    The machine and function are needed so the expression fuser can
     hoist global addresses and compute function-wide use counts.
     """
     if entry is None:
         entry = machine._decode(func)
     if profile is None:
         profile = machine.profile
-    if fuse is None:
-        fuse = fusion_enabled()
     func_name = func.name
-    fuse_ctx = FuseContext(machine, func) if fuse else None
+    fuse_ctx = FuseContext(machine, func)
     hits = profile.block_hits if profile is not None else {}
-    regions = RegionMap(fuse=bool(fuse), func_name=func_name)
+    regions = RegionMap(func_name=func_name)
     done = set()
     work = [entry]
     while work:
@@ -290,7 +286,7 @@ def _pick_side(db: _DecodedBlock, true_edge, false_edge, head_id: int,
 
 
 def _build_region(head: _DecodedBlock, hits: Dict[str, int],
-                  fuse_ctx: Optional[FuseContext] = None):
+                  fuse_ctx: FuseContext):
     """Grow one trace from ``head``; returns (region|None, succs, reason).
 
     ``succs`` collects every branch-target block encountered — the seed
@@ -460,11 +456,11 @@ def _norm_of(ops) -> Tuple:
 
 
 def _compile_op(db: _DecodedBlock, decision: Tuple,
-                fuse_ctx: Optional[FuseContext] = None) -> RegionOp:
+                fuse_ctx: FuseContext) -> RegionOp:
     """Flatten one decoded block (plus its trace decision) into a RegionOp.
 
-    With a :class:`FuseContext`, maximal memory-free chains of fusible
-    value steps collapse into single ``S_FUSED`` entries: one generated
+    Maximal memory-free chains of fusible value steps (found by the
+    :class:`FuseContext`) collapse into single ``S_FUSED`` entries: one generated
     closure computes the whole chain, and the per-step cycle charges —
     folded here in original step order — are replayed by the executor
     before the call, so ``Counters`` are bit-identical to the unfused
@@ -479,8 +475,7 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     stored: List[Tuple[int, object]] = []
     fuse_plan: List[Tuple[int, int, Tuple[int, ...]]] = []
     issues = 0
-    segments = fuse_ctx.segments_for(db) if fuse_ctx is not None else ()
-    seg_iter = iter(segments)
+    seg_iter = iter(fuse_ctx.segments_for(db))
     seg = next(seg_iter, None)
     db_steps = db.steps
     i = 0
@@ -745,24 +740,22 @@ def _block_map(entry: _DecodedBlock) -> Dict[str, _DecodedBlock]:
 
 
 def replay_plan(machine, func, entry: _DecodedBlock,
-                plan: Dict[str, object], fuse: bool) -> RegionMap:
+                plan: Dict[str, object]) -> RegionMap:
     """Rebuild a RegionMap from a persisted plan; raises PlanMismatch."""
     try:
         plan_regions = plan["regions"]
     except (TypeError, KeyError):
         raise PlanMismatch("malformed plan")
     blocks = _block_map(entry)
-    fuse_ctx = None
-    if fuse:
-        segs: Dict[str, Tuple] = {}
-        for rp in plan_regions:
-            for opp in rp.get("ops", ()):
-                if "fuse" in opp:
-                    segs[opp["name"]] = tuple(
-                        (int(lo), int(hi), tuple(int(x) for x in live))
-                        for lo, hi, live in opp["fuse"])
-        fuse_ctx = FuseContext(machine, func, plan=segs)
-    regions = RegionMap(fuse=bool(fuse), func_name=func.name)
+    segs: Dict[str, Tuple] = {}
+    for rp in plan_regions:
+        for opp in rp.get("ops", ()):
+            if "fuse" in opp:
+                segs[opp["name"]] = tuple(
+                    (int(lo), int(hi), tuple(int(x) for x in live))
+                    for lo, hi, live in opp["fuse"])
+    fuse_ctx = FuseContext(machine, func, plan=segs)
+    regions = RegionMap(func_name=func.name)
     for rp in plan_regions:
         head = blocks.get(rp.get("head"))
         if head is None:
@@ -773,7 +766,7 @@ def replay_plan(machine, func, entry: _DecodedBlock,
 
 
 def _replay_region(head: _DecodedBlock, rp: Dict[str, object],
-                   fuse_ctx: Optional[FuseContext]) -> CompiledRegion:
+                   fuse_ctx: FuseContext) -> CompiledRegion:
     """Re-derive one region's decision list from its plan entry."""
     ops_plan = rp.get("ops") or []
     if not ops_plan:

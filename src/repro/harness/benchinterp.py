@@ -27,11 +27,6 @@ pin down the launch-vectorized engine's performance envelope:
   diamond: fused segments bracket a masked R_DIAMOND, pinning the cost
   of fusion boundaries at control flow the fuser must not cross.
 
-Besides the real engines, the jit is timed twice — once as ``jit``
-(fusion on, the default) and once as ``jit-nofuse`` (``REPRO_JIT_FUSE=0``
-for the duration of those launches) — so the fuser's contribution is a
-column, not a guess.
-
 Before any timing is reported the two engines' :class:`Counters` (and
 return buffers) are asserted equal — a benchmark comparing two engines
 that computed different things would be meaningless, and the check
@@ -57,7 +52,6 @@ from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from ..gpu.counters import Counters
-from ..gpu.fuser import FUSE_ENV
 from ..gpu.machine import ENGINES, WARP_SIZE, SimtMachine
 from ..gpu.memory import Memory
 from ..ir.parser import parse_module
@@ -246,10 +240,6 @@ exit:
 #: Loop bound handed to every kernel as %n.
 DEFAULT_TRIPS = 200
 
-#: What gets timed: the real engines plus the fusion-disabled jit
-#: pseudo-engine (``REPRO_JIT_FUSE=0`` scoped to its launches).
-TIMED_ENGINES = ENGINES + ("jit-nofuse",)
-
 
 @dataclass
 class KernelTiming:
@@ -278,11 +268,6 @@ class KernelTiming:
         """Jit throughput over batched throughput."""
         return self.seconds["batched"] / self.seconds["jit"]
 
-    @property
-    def fused_speedup(self) -> float:
-        """Fused jit throughput over fusion-disabled jit throughput."""
-        return self.seconds["jit-nofuse"] / self.seconds["jit"]
-
 
 class EngineMismatch(AssertionError):
     """The two engines disagreed — the benchmark refuses to time them."""
@@ -291,18 +276,6 @@ class EngineMismatch(AssertionError):
 def _launch_once(text: str, name: str, needs_buf: bool, engine: str,
                  warps: int, trips: int):
     """One fresh launch; returns ``(counters, return_or_buffer_bytes)``."""
-    if engine == "jit-nofuse":
-        # The fusion-disabled jit is a measurement configuration, not a
-        # real engine: scope REPRO_JIT_FUSE=0 to exactly this launch.
-        prev = os.environ.get(FUSE_ENV)
-        os.environ[FUSE_ENV] = "0"
-        try:
-            return _launch_once(text, name, needs_buf, "jit", warps, trips)
-        finally:
-            if prev is None:
-                os.environ.pop(FUSE_ENV, None)
-            else:
-                os.environ[FUSE_ENV] = prev
     module = parse_module(text, name)
     memory = Memory()
     block_dim = warps * WARP_SIZE
@@ -334,7 +307,7 @@ def bench_kernel(name: str, needs_buf: bool, text: str, warps: int,
     """Time one kernel under both engines (median of ``repeats``)."""
     reference: Optional[Tuple[Counters, bytes]] = None
     seconds: Dict[str, float] = {}
-    for engine in TIMED_ENGINES:
+    for engine in ENGINES:
         samples = []
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
@@ -366,9 +339,8 @@ def format_report(rows: List[KernelTiming], warps: int) -> str:
         f"({warps} warps x {WARP_SIZE} lanes, warp-steps/sec, "
         f"median wall time; engines verified bit-identical):",
         f"{'kernel':<12} {'warp-steps':>10} {'warp':>12} "
-        f"{'batched':>12} {'jit':>12} {'batched':>8} {'jit':>8} "
-        f"{'fused':>8}",
-        "-" * 89,
+        f"{'batched':>12} {'jit':>12} {'batched':>8} {'jit':>8}",
+        "-" * 80,
     ]
     for row in rows:
         lines.append(
@@ -377,8 +349,7 @@ def format_report(rows: List[KernelTiming], warps: int) -> str:
             f"{row.throughput('batched'):>12.0f} "
             f"{row.throughput('jit'):>12.0f} "
             f"{row.speedup:>7.2f}x "
-            f"{row.jit_speedup:>7.2f}x "
-            f"{row.fused_speedup:>7.2f}x")
+            f"{row.jit_speedup:>7.2f}x")
     return "\n".join(lines)
 
 
@@ -400,8 +371,7 @@ def format_compare(rows: List[KernelTiming], warps: int) -> str:
     for row in rows:
         warp_s = row.seconds["warp"]
         batched_s = row.seconds["batched"]
-        for i, engine in enumerate(("warp", "batched", "jit",
-                                    "jit-nofuse")):
+        for i, engine in enumerate(("warp", "batched", "jit")):
             s = row.seconds[engine]
             lines.append(
                 f"{row.kernel if i == 0 else '':<12} {engine:<10} "
@@ -461,7 +431,6 @@ def bench_json_payload(rows: List[KernelTiming], warps: int, trips: int,
                 "batched_speedup": row.speedup,
                 "jit_speedup": row.jit_speedup,
                 "jit_vs_batched": row.jit_vs_batched,
-                "fused_speedup": row.fused_speedup,
             }
             for row in rows
         ],

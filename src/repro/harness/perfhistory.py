@@ -5,7 +5,7 @@ perf-smoke benchmark write are point-in-time logs; nothing watched the
 *trajectory*.  This module turns them into a gate:
 
 * ``repro perf record`` flattens a BENCH payload into one history
-  record — **ratio metrics only** (batched/jit/fused speedups per
+  record — **ratio metrics only** (batched/jit speedups per
   kernel plus their geomeans), never absolute wall-clock throughput,
   so records stay comparable across machines — and appends it to
   ``results/perf/history.jsonl``.
@@ -39,8 +39,7 @@ PERF_SCHEMA_VERSION = 1
 
 #: Per-kernel ratio metrics lifted from a BENCH payload (all
 #: higher-is-better speedups; absolute throughput is machine noise).
-RATIO_KEYS = ("batched_speedup", "jit_speedup", "jit_vs_batched",
-              "fused_speedup")
+RATIO_KEYS = ("batched_speedup", "jit_speedup", "jit_vs_batched")
 
 #: Default relative drop treated as a regression by ``repro perf check``.
 #: 0.08 sits above engine-timing jitter but below the 10% regressions
@@ -188,7 +187,9 @@ def check_regression(baseline: Dict, current: Dict,
 
     All tracked metrics are higher-is-better ratios; a metric regresses
     when ``current < baseline * (1 - threshold)``.  Metrics present in
-    only one record are ignored (kernels come and go); ``prefix``
+    only one record are ignored (kernels come and go, and a metric
+    retired from the report — ``fused_speedup`` — is not a regression
+    against the older records that carry it); ``prefix``
     restricts the comparison (e.g. ``geomean/``).
     """
     base_metrics = baseline.get("metrics", {})

@@ -81,23 +81,33 @@ def format_instruction(inst: Instruction) -> str:
     raise NotImplementedError(f"cannot print {inst!r}")
 
 
-def print_block(block: BasicBlock) -> str:
-    preds = ", ".join(p.name for p in block.predecessors())
+def _format_block(block: BasicBlock, preds: List[BasicBlock]) -> str:
     header = f"{block.name}:"
     if preds:
-        header += f"                ; preds: {preds}"
+        header += ("                ; preds: "
+                   + ", ".join(p.name for p in preds))
     lines = [header]
     for inst in block.instructions:
         lines.append(f"  {format_instruction(inst)}")
     return "\n".join(lines)
 
 
+def print_block(block: BasicBlock) -> str:
+    return _format_block(block, block.predecessors())
+
+
 def print_function(func: Function) -> str:
     args = ", ".join(
         f"{a.type!r} %{a.name}" for a in func.args)
     lines = [f"define {func.ftype.ret!r} @{func.name}({args}) {{"]
+    # One pass over the edges instead of BasicBlock.predecessors() — a
+    # scan of every block — per block; same order, each predecessor once.
+    preds: Dict[int, List[BasicBlock]] = {}
     for block in func.blocks:
-        lines.append(print_block(block))
+        for succ in dict.fromkeys(block.successors()):
+            preds.setdefault(id(succ), []).append(block)
+    for block in func.blocks:
+        lines.append(_format_block(block, preds.get(id(block), [])))
     lines.append("}")
     return "\n".join(lines)
 

@@ -52,9 +52,13 @@ class Value:
 
     def remove_use(self, use: Use) -> None:
         # Identity removal: a user may hold the same value in several slots.
-        for i, u in enumerate(self.uses):
-            if u is use:
-                del self.uses[i]
+        # Newest first: cloning and DCE mostly drop uses they just added,
+        # and a Use object is registered once, so the list left behind is
+        # the same whichever end the search starts from.
+        uses = self.uses
+        for i in range(len(uses) - 1, -1, -1):
+            if uses[i] is use:
+                del uses[i]
                 return
         raise ValueError(f"use {use!r} not registered on {self!r}")
 

@@ -1,74 +1,76 @@
-"""The folder/interpreter value-semantics contract.
+"""The value-semantics table: what every pure opcode computes.
 
-Every operation that both the compile-time constant folder
-(:mod:`repro.transforms.fold`) and the SIMT interpreter
-(:mod:`repro.gpu.machine`) can evaluate must produce *bit-identical*
-results, otherwise a pass that folds a value the baseline pipeline leaves
-to runtime manifests as a miscompile under differential testing.  This
-module is the single source of truth for the semantics where the two
-sides historically drifted; both import from here.
+This module is the **only** place that says what ``add``/``sub``/``mul``/
+``[su]div``/``[su]rem``/the shifts/``and``/``or``/``xor``, the float
+binops, the ``icmp``/``fcmp`` predicates, ``select``, the casts, ``gep``
+and the pure math intrinsics evaluate to.  :data:`TABLE` holds one entry
+per opcode (per predicate, per intrinsic); an entry specialises once per
+signature into an :class:`Op` — a numpy kernel over arrays of any shape
+plus, where it is a one-liner, the expression that kernel was compiled
+from.  Three consumers evaluate the *same* ``Op``:
 
-The documented contract:
+* the SIMT interpreter (:meth:`repro.gpu.machine.SimtMachine._value_fn`:
+  per-warp ``(32,)`` vectors, the batched ``(n, 32)`` lattice, unfused
+  jit steps) calls ``op.kernel``;
+* the jit's expression fuser (:mod:`repro.gpu.fuser`) inlines ``op.expr``
+  into generated source — or calls ``op.kernel`` when there is none;
+* the constant folder (:mod:`repro.transforms.fold`) calls ``op.kernel``
+  on 1-element arrays of the operands' storage dtype.
 
+A fold is therefore bit-invisible against runtime execution, and fused
+and unfused execution agree, by construction rather than by agreement
+tests; ``tests/test_fold_and_passes.py`` generates one oracle test from
+the table's keys and the differential fuzzer (:mod:`repro.fuzz`) covers
+whole kernels.
+
+The contract:
+
+* **Storage.**  A value lives in the numpy dtype :func:`storage_dtype`
+  names: ``bool`` for ``i1``, sign-wrapped ``int64`` for every wider
+  integer and for pointers, ``float32``/``float64`` for floats.  Given
+  operands at their storage dtype every kernel returns the *result*
+  type's storage dtype (intrinsic calls excepted: their declared type is
+  free, so consumers normalise after the call).
 * **Integer arithmetic** wraps two's-complement at the operand width.
-  ``sdiv``/``srem`` truncate toward zero and are *exact* over the full
+  ``i1`` holds 0/1 (not 0/-1): its arithmetic is the 64-bit kernel's low
+  bit.  ``sdiv``/``srem`` truncate toward zero and are exact over the full
   i64 range (no float round-trip); division by zero yields quotient 0 and
-  remainder 0 at runtime and refuses to fold.
-* **Shifts** are defined only for amounts in ``[0, width)``.  ``lshr``
-  reinterprets the value as unsigned *at its own width* before shifting.
-  Constant over-shifts are rejected by the IR verifier; the folder refuses
-  them.
-* **``fptosi``** saturates: NaN converts to 0, values beyond the target
-  range (including ±inf) clamp to the target width's signed min/max, and
-  finite in-range values truncate toward zero.  (CUDA's ``cvt.rzi`` has
-  the same saturating behaviour; LLVM's poison-on-overflow is replaced by
-  a total function so folding is always legal.)
-* **``sitofp``/``uitofp``** round via the target format in a single step
-  (numpy's correctly-rounded conversion), so folding a huge i64 constant
-  matches the runtime conversion bit-for-bit — no double rounding through
-  binary64.
-* **``fdiv``** is plain IEEE-754 division: the sign of a zero divisor is
-  honoured (``x / -0.0`` is ``-inf`` for positive finite ``x``), ``0/0``
-  and ``NaN`` operands produce NaN.  ``frem`` follows C ``fmod`` with
-  ``frem(x, 0) = frem(±inf, y) = NaN``.
-* **Pure math intrinsics** are evaluated with the *same numpy kernels at
-  the same storage dtype* on both sides (f32 values use the float32
-  routines), including the interpreter's total-function clamps:
+  remainder 0 at runtime, and the folder refuses to fold it.
+* **Unsigned operations** (``udiv``, ``urem``, ``lshr``, ``zext``,
+  ``uitofp``, the ``u*`` compares) reinterpret a value as unsigned *at
+  its own width*: an ``i8`` -1 is 255, not 2^64-1.
+* **Shifts** are defined for amounts in ``[0, width)``.  At runtime the
+  amount is clamped to ``[0, 63]`` and the result wrapped; constant
+  over-shifts are rejected by the IR verifier and refused by the folder.
+* **Casts.**  ``trunc``/``bitcast``/``ptrtoint``/``inttoptr`` keep the
+  integer payload, wrapped to an integer target's width.  ``fptosi``
+  saturates: NaN converts to 0, values beyond the target range (±inf
+  included) clamp to its signed min/max, finite in-range values truncate
+  toward zero (CUDA's ``cvt.rzi``; LLVM's poison-on-overflow is replaced
+  by a total function so folding is always legal).  ``sitofp``/``uitofp``
+  round once, straight into the target format — no double rounding of
+  huge i64 values through binary64.
+* **Float arithmetic** is IEEE-754 at the storage precision and total:
+  ``x / ±0.0`` is an infinity signed by both operands, ``0/0`` and NaN
+  operands give NaN, ``frem`` is C ``fmod`` with ``frem(x, 0) =
+  frem(±inf, y) = NaN``.  Ordered ``fcmp`` predicates are false, and
+  unordered ones true, whenever an operand is NaN.
+* **Pure math intrinsics** use numpy's routines at the storage dtype
+  (f32 values use the float32 routines) with total-function clamps:
   ``sqrt(x<0) = 0``, ``exp`` clamps its argument to ±700, ``log`` clamps
   to ``>= 1e-300``, and ``pow(a, b)`` computes ``|a| ** b``.
-
-``tests/test_fold_and_passes.py`` and the differential fuzzer
-(:mod:`repro.fuzz`) keep the two sides honest.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from functools import lru_cache, partial
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
+from .ir.instructions import (CAST_OPS, FCMP_PREDICATES, FLOAT_BINOPS,
+                              ICMP_PREDICATES, INT_BINOPS, Instruction)
 from .ir.types import FloatType, IntType, PointerType, Type
-
-#: numpy implementations of the pure math intrinsics.  The SIMT machine
-#: evaluates these over warp vectors; the constant folder evaluates them
-#: over 1-element arrays of the same storage dtype, which by construction
-#: yields the same bits.  All are run under ``np.errstate(all="ignore")``.
-INTRINSIC_IMPLS = {
-    "sqrt": lambda a: np.sqrt(np.maximum(a[0], 0.0)),
-    "fabs": lambda a: np.abs(a[0]),
-    "exp": lambda a: np.exp(np.clip(a[0], -700, 700)),
-    "log": lambda a: np.log(np.maximum(a[0], 1e-300)),
-    "sin": lambda a: np.sin(a[0]),
-    "cos": lambda a: np.cos(a[0]),
-    "atan": lambda a: np.arctan(a[0]),
-    "floor": lambda a: np.floor(a[0]),
-    "pow": lambda a: np.power(np.abs(a[0]), a[1]),
-    "fma": lambda a: a[0] * a[1] + a[2],
-    "min": lambda a: np.minimum(a[0], a[1]),
-    "fmin": lambda a: np.minimum(a[0], a[1]),
-    "max": lambda a: np.maximum(a[0], a[1]),
-    "fmax": lambda a: np.maximum(a[0], a[1]),
-}
 
 
 def storage_dtype(type_: Type):
@@ -82,24 +84,168 @@ def storage_dtype(type_: Type):
     raise ValueError(f"no storage dtype for {type_!r}")
 
 
-# ---------------------------------------------------------------------------
-# fptosi: saturating float -> signed int conversion
-# ---------------------------------------------------------------------------
+def wrap_int(values: np.ndarray, bits: int) -> np.ndarray:
+    """Sign-wrap int64 ``values`` to ``bits`` (two's complement)."""
+    if bits >= 64:
+        return values
+    mask = (np.int64(1) << bits) - 1
+    wrapped = values & mask
+    sign = np.int64(1) << (bits - 1)
+    return (wrapped ^ sign) - sign
 
-def fptosi_arrays(value: np.ndarray, to_type: IntType) -> np.ndarray:
-    """Saturating truncation of a float vector to ``to_type``'s range.
 
-    NaN -> 0; values beyond the signed range of the target width
-    (including ±inf) clamp to min/max; finite in-range values truncate
-    toward zero.  The result is returned in the int64 storage
-    representation (already within the target width's signed range, so no
-    further wrapping is needed).
+def _unsigned(values: np.ndarray, bits: int) -> np.ndarray:
+    """Sign-wrapped storage reinterpreted as unsigned at its own width."""
+    u = values.astype(np.uint64)
+    return u if bits >= 64 else u & np.uint64((1 << bits) - 1)
+
+
+#: Every name an :attr:`Op.expr` may mention; generated code that inlines
+#: expressions executes in (a copy of) this namespace.
+NAMESPACE = {"np": np, "wrap": wrap_int, "unsigned": _unsigned}
+
+
+class Op(NamedTuple):
+    """One opcode's semantics at one signature.
+
+    ``kernel(*operands)`` takes the instruction's operands in operand
+    order.  ``expr`` (when non-empty) is the numpy source the kernel was
+    compiled from, over ``{a}``/``{b}``/``{c}``; ``{s}`` stands for
+    ``clamp`` applied to ``{b}`` — the shift-amount clamp, kept apart so a
+    code generator can precompute it for a constant amount.  ``ufunc``
+    names the numpy ufunc ``expr`` is exactly one call of, so a code
+    generator may pass it ``out=``.
     """
+
+    kernel: Callable[..., np.ndarray]
+    expr: str = ""
+    clamp: str = ""
+    ufunc: str = ""
+
+
+def _op(expr: str, clamp: str = "", ufunc: str = "") -> Op:
+    """An entry whose kernel is compiled from its own expression."""
+    source = ufunc or "lambda a, b=None, c=None: " + expr.format(
+        a="a", b="b", c="c", s=clamp.format(b="b"))
+    return Op(eval(source, NAMESPACE), expr, clamp, ufunc)
+
+
+def _quiet(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``fn`` with numpy's floating-point warnings off: the kernels are
+    total, so inf/NaN operands and results are values, not events."""
+    def quiet(*operands):
+        with np.errstate(all="ignore"):
+            return fn(*operands)
+    return quiet
+
+
+def _bits(type_: Type) -> int:
+    return type_.bits if isinstance(type_, IntType) else 64
+
+
+# -- binary operators ---------------------------------------------------------
+
+def _sdiv(a, b, bits):
+    # Exact C-style truncating division in int64: floor, then step back
+    # toward zero when the signs differ and the division was inexact.
+    safe = np.where(b == 0, 1, b)
+    quo = a // safe
+    quo = quo + ((a - quo * safe != 0) & ((a ^ safe) < 0))
+    return np.where(b == 0, 0, quo)
+
+
+def _srem(a, b, bits):
+    return np.where(b == 0, 0, a - _sdiv(a, b, bits) * b)
+
+
+def _udiv(a, b, bits):
+    ua, ub = _unsigned(a, bits), _unsigned(b, bits)
+    return np.where(ub == 0, 0, ua // np.where(ub == 0, 1, ub)) \
+        .astype(np.int64)
+
+
+def _urem(a, b, bits):
+    ua, ub = _unsigned(a, bits), _unsigned(b, bits)
+    return np.where(ub == 0, 0, ua % np.where(ub == 0, 1, ub)) \
+        .astype(np.int64)
+
+
+_DIVISION = {"sdiv": _sdiv, "srem": _srem, "udiv": _udiv, "urem": _urem}
+
+#: opcode -> (expression at full int64 width, the ufunc it is).  The
+#: bitwise three are closed under every storage dtype, ``bool`` included,
+#: and so are never wrapped.
+_BITWISE = {"and": ("{a} & {b}", "np.bitwise_and"),
+            "or": ("{a} | {b}", "np.bitwise_or"),
+            "xor": ("{a} ^ {b}", "np.bitwise_xor")}
+_ARITH = {"add": ("{a} + {b}", "np.add"),
+          "sub": ("{a} - {b}", "np.subtract"),
+          "mul": ("{a} * {b}", "np.multiply")}
+_SHIFT = {"shl": "{a} << {s}", "ashr": "{a} >> {s}"}
+_CLAMP = "np.clip({b}, 0, 63)"
+
+_FLOAT = {"fadd": np.add, "fsub": np.subtract, "fmul": np.multiply,
+          "fdiv": np.divide, "frem": np.fmod}
+
+
+@lru_cache(maxsize=None)
+def _binop(opcode: str, type_: Type, _operand: Optional[Type] = None) -> Op:
+    if opcode in _FLOAT:
+        return Op(_quiet(_FLOAT[opcode]))
+    if opcode in _BITWISE:
+        expr, ufunc = _BITWISE[opcode]
+        return _op(expr, ufunc=ufunc)
+    bits = _bits(type_)
+    if bits == 1:
+        wide = _binop(opcode, IntType(64)).kernel
+        return Op(lambda a, b: (wide(a.astype(np.int64),
+                                     b.astype(np.int64)) & 1).astype(np.bool_))
+    fit = "{}" if bits >= 64 else f"wrap({{}}, {bits})"
+    if opcode in _ARITH:
+        expr, ufunc = _ARITH[opcode]
+        return _op(fit.format(expr), ufunc=ufunc if bits >= 64 else "")
+    if opcode in _SHIFT:
+        return _op(fit.format(_SHIFT[opcode]), clamp=_CLAMP)
+    if opcode == "lshr":
+        u = "{a}.astype(np.uint64)" if bits >= 64 else f"unsigned({{a}}, {bits})"
+        return _op(fit.format(f"({u} >> {{s}}).astype(np.int64)"),
+                   clamp=_CLAMP + ".astype(np.uint64)")
+    core = _quiet(_DIVISION[opcode])
+    return Op(lambda a, b: wrap_int(core(a, b, bits), bits))
+
+
+# -- comparisons --------------------------------------------------------------
+
+_ICMP = {"eq": ("==", "np.equal"), "ne": ("!=", "np.not_equal"),
+         "lt": ("<", "np.less"), "le": ("<=", "np.less_equal"),
+         "gt": (">", "np.greater"), "ge": (">=", "np.greater_equal")}
+
+
+def _icmp(pred: str) -> Op:
+    if pred[0] == "u":
+        sym = _ICMP[pred[1:]][0]
+        return _op(f"{{a}}.astype(np.uint64) {sym} {{b}}.astype(np.uint64)")
+    sym, ufunc = _ICMP[pred.lstrip("s")]
+    return _op(f"{{a}} {sym} {{b}}", ufunc=ufunc)
+
+
+#: IEEE comparisons are false on NaN except ``!=``, so every predicate is
+#: one comparison or the negation of its complement.
+_FCMP = {"oeq": "{a} == {b}", "one": "({a} < {b}) | ({a} > {b})",
+         "olt": "{a} < {b}", "ole": "{a} <= {b}",
+         "ogt": "{a} > {b}", "oge": "{a} >= {b}",
+         "ueq": "~(({a} < {b}) | ({a} > {b}))", "une": "{a} != {b}",
+         "ult": "~({a} >= {b})", "ule": "~({a} > {b})",
+         "ugt": "~({a} <= {b})", "uge": "~({a} < {b})"}
+
+
+# -- casts --------------------------------------------------------------------
+
+def _fptosi(value: np.ndarray, to_type: IntType) -> np.ndarray:
     lo, hi = to_type.min_signed, to_type.max_signed
     with np.errstate(all="ignore"):
         v = value.astype(np.float64)
-        t = np.fix(v)
-        t = np.where(np.isnan(v), 0.0, t)
+        t = np.where(np.isnan(v), 0.0, np.fix(v))
         # float(lo) is a power of two, hence exact; float(hi) may round up
         # to hi + 1 (e.g. 2^63 for i64), in which case t == float(hi)
         # already means "out of range".
@@ -108,83 +254,87 @@ def fptosi_arrays(value: np.ndarray, to_type: IntType) -> np.ndarray:
         under = t < float(lo)
         safe = np.where(over | under, 0.0, t).astype(np.int64)
         return np.where(over, np.int64(hi),
-                        np.where(under, np.int64(lo), safe))
+                        np.where(under, np.int64(lo), safe)) \
+            .astype(storage_dtype(to_type), copy=False)
 
 
-def fptosi_const(value: float, to_type: IntType) -> int:
-    """Scalar :func:`fptosi_arrays` (used by the constant folder)."""
-    out = fptosi_arrays(np.array([value], dtype=np.float64), to_type)
-    return int(out[0])
-
-
-# ---------------------------------------------------------------------------
-# int -> float conversions (single rounding step)
-# ---------------------------------------------------------------------------
-
-def int_to_float_const(value: int, unsigned_value: int, signed: bool,
-                       to_type: FloatType) -> float:
-    """``sitofp``/``uitofp`` of a constant, rounded once via numpy.
-
-    ``value`` is the signed (width-wrapped) payload, ``unsigned_value``
-    its unsigned reinterpretation.  Returning ``float(int)`` here would
-    double-round huge i64 constants through binary64 on the way to f32;
-    numpy's direct conversion matches the interpreter's ``astype``.
-    """
+@lru_cache(maxsize=None)
+def _cast(opcode: str, to_type: Type, from_type: Type) -> Op:
+    if opcode == "fptosi":
+        return Op(partial(_fptosi, to_type=to_type))
     dtype = storage_dtype(to_type)
-    if signed:
-        out = np.array([value], dtype=np.int64).astype(dtype)
-    else:
-        out = np.array([unsigned_value], dtype=np.uint64).astype(dtype)
-    return float(out[0])
+    to_storage = f".astype(np.{dtype.__name__})"
+    if opcode in ("sitofp", "fpext", "fptrunc"):
+        return _op("{a}" + to_storage)
+    if opcode == "uitofp":
+        return _op(f"unsigned({{a}}, {_bits(from_type)})" + to_storage)
+    expr = "{a}.astype(np.int64)"
+    if opcode == "zext" and 1 < _bits(from_type) < 64:
+        expr = f"{{a}} & {(1 << _bits(from_type)) - 1}"
+    if isinstance(to_type, IntType) and opcode not in ("zext", "sext"):
+        if to_type.bits == 1:
+            expr = f"({expr} & 1).astype(np.bool_)"
+        elif to_type.bits < 64:
+            expr = f"wrap({expr}, {to_type.bits})"
+    elif dtype is not np.int64:
+        expr += to_storage
+    return _op(expr)
 
 
-# ---------------------------------------------------------------------------
-# IEEE float division / remainder
-# ---------------------------------------------------------------------------
+# -- the table ----------------------------------------------------------------
 
-def fdiv_const(a: float, b: float) -> float:
-    """IEEE-754 division of two finite-or-not doubles (``np.divide``).
-
-    Unlike Python's ``/`` this is total: a zero divisor produces an
-    infinity whose sign is the XOR of the operand signs (``-0.0``
-    matters), and ``0/0`` or NaN operands produce NaN.
-    """
-    import math
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return a / b
+@lru_cache(maxsize=None)
+def _gep(type_: Type, _pointer: Type) -> Op:
+    return _op(f"{{a}} + {{b}} * {type_.pointee.size_bytes()}")
 
 
-def frem_const(a: float, b: float) -> float:
-    """C ``fmod`` semantics, total: ``frem(x, 0)`` and ``frem(±inf, y)``
-    are NaN (what ``np.fmod`` computes at runtime)."""
-    import math
-    if b == 0.0 or math.isinf(a):
-        return math.nan
-    return math.fmod(a, b)
+_INTRINSICS = {
+    "sqrt": lambda a: np.sqrt(np.maximum(a, 0.0)),
+    "fabs": np.abs,
+    "exp": lambda a: np.exp(np.clip(a, -700, 700)),
+    "log": lambda a: np.log(np.maximum(a, 1e-300)),
+    "sin": np.sin,
+    "cos": np.cos,
+    "atan": np.arctan,
+    "floor": np.floor,
+    "pow": lambda a, b: np.power(np.abs(a), b),
+    "fma": lambda a, b, c: a * b + c,
+    "min": np.minimum,
+    "fmin": np.minimum,
+    "max": np.maximum,
+    "fmax": np.maximum,
+}
 
 
-# ---------------------------------------------------------------------------
-# Pure intrinsic evaluation over constants
-# ---------------------------------------------------------------------------
+def _fixed(op: Op) -> Callable[..., Op]:
+    return lambda _type, _operand: op
 
-def eval_intrinsic_const(name: str, args: Sequence[Union[int, float]],
-                         arg_types: Sequence[Type]) -> Optional[np.generic]:
-    """Evaluate one pure math intrinsic over scalar constants.
 
-    Arguments are lifted to 1-element arrays of their storage dtype and
-    run through the exact numpy kernel the interpreter uses, so f32
-    transcendentals fold to the float32 routine's bits, not a
-    double-rounded libm value.  Returns a numpy scalar, or None when the
-    intrinsic has no pure implementation here (e.g. SIMT geometry).
-    """
-    impl = INTRINSIC_IMPLS.get(name)
-    if impl is None:
+#: key -> specialiser ``(result type, first operand's type) -> Op``.  Keys
+#: are opcodes, ``"icmp <pred>"``/``"fcmp <pred>"`` and ``"call <name>"``.
+TABLE: Dict[str, Callable[[Type, Optional[Type]], Op]] = {
+    **{opc: partial(_binop, opc) for opc in INT_BINOPS + FLOAT_BINOPS},
+    **{f"icmp {pred}": _fixed(_icmp(pred)) for pred in ICMP_PREDICATES},
+    **{f"fcmp {pred}": _fixed(_op(_FCMP[pred])) for pred in FCMP_PREDICATES},
+    "select": _fixed(_op("np.where({a}, {b}, {c})")),
+    **{opc: partial(_cast, opc) for opc in CAST_OPS},
+    "gep": _gep,
+    **{f"call {name}": _fixed(Op(_quiet(impl)))
+       for name, impl in _INTRINSICS.items()},
+}
+
+
+def op_for(inst: Instruction) -> Optional[Op]:
+    """The table entry that computes ``inst`` from its operands, or None
+    when ``inst`` is not a pure value operation of the table (memory,
+    control, SIMT geometry, an intrinsic without an implementation)."""
+    key = inst.opcode
+    if key in ("icmp", "fcmp"):
+        key = f"{key} {inst.predicate}"
+    elif key == "call":
+        key = f"call {inst.intrinsic.name}"
+    spec = TABLE.get(key)
+    if spec is None:
         return None
-    arrays = [np.array([v], dtype=storage_dtype(t))
-              for v, t in zip(args, arg_types)]
-    with np.errstate(all="ignore"):
-        out = impl(arrays)
-    return out[0]
+    operands = inst.operands
+    return spec(inst.type, operands[0].type if operands else None)

@@ -1,218 +1,85 @@
 """Compile-time evaluation of instructions over constant operands.
 
-Shared by SCCP, instcombine and the branch folder in SimplifyCFG.  Integer
-semantics wrap to the operand width (matching the simulator); float
-semantics follow IEEE doubles with binary32 rounding for ``f32``.  Every
-case the SIMT interpreter can also reach follows the shared contract in
-:mod:`repro.semantics` — folding must be invisible under differential
-execution (see :mod:`repro.fuzz`).
+Shared by SCCP, instcombine and the branch folder in SimplifyCFG.  What an
+opcode *computes* is not written here: the folder runs the kernel of
+:mod:`repro.semantics` — the one the SIMT interpreter executes — on
+1-element arrays of the operands' storage dtype, so a fold is invisible
+under differential execution by construction.  This module holds only
+what is the folder's own: which operands count as constant, the cases it
+refuses, and wrapping the result back into a :class:`Constant`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
-from ..ir.constants import (Constant, ConstantFloat, ConstantInt, Undef,
-                            bool_const, const)
-from ..ir.instructions import (BinaryInst, CallInst, CastInst, FCmpInst,
-                               ICmpInst, Instruction, SelectInst)
+import numpy as np
+
+from ..ir.constants import Constant, ConstantFloat, ConstantInt
+from ..ir.instructions import (FLOAT_BINOPS, BinaryInst, CallInst, CastInst,
+                               FCmpInst, ICmpInst, Instruction, SelectInst)
 from ..ir.types import FloatType, IntType
-from ..ir.values import Value
-from ..semantics import (eval_intrinsic_const, fdiv_const, fptosi_const,
-                         frem_const, int_to_float_const)
+from ..semantics import op_for, storage_dtype
+
+_NUMERIC = (ConstantInt, ConstantFloat)
+
+#: Casts the folder evaluates: opcode -> (operand kind, result type kind).
+#: Everything else (pointer casts, float bitcasts) is left to runtime.
+_FOLDABLE_CASTS = {
+    "trunc": (ConstantInt, IntType), "bitcast": (ConstantInt, IntType),
+    "zext": (ConstantInt, IntType), "sext": (ConstantInt, IntType),
+    "sitofp": (ConstantInt, FloatType), "uitofp": (ConstantInt, FloatType),
+    "fptosi": (ConstantFloat, IntType),
+    "fpext": (ConstantFloat, FloatType), "fptrunc": (ConstantFloat, FloatType),
+}
 
 
 def fold_instruction(inst: Instruction) -> Optional[Constant]:
     """Evaluate ``inst`` if all relevant operands are constants."""
-    if isinstance(inst, BinaryInst):
-        if isinstance(inst.lhs, ConstantInt) and isinstance(inst.rhs, ConstantInt):
-            return fold_int_binop(inst.opcode, inst.lhs, inst.rhs)
-        if isinstance(inst.lhs, ConstantFloat) and isinstance(inst.rhs, ConstantFloat):
-            return fold_float_binop(inst.opcode, inst.lhs, inst.rhs)
-        return None
-    if isinstance(inst, ICmpInst):
-        if isinstance(inst.lhs, ConstantInt) and isinstance(inst.rhs, ConstantInt):
-            return fold_icmp(inst.predicate, inst.lhs, inst.rhs)
-        return None
-    if isinstance(inst, FCmpInst):
-        if isinstance(inst.lhs, ConstantFloat) and isinstance(inst.rhs, ConstantFloat):
-            return fold_fcmp(inst.predicate, inst.lhs, inst.rhs)
-        return None
     if isinstance(inst, SelectInst):
         cond = inst.condition
         if isinstance(cond, ConstantInt):
             arm = inst.true_value if cond.value else inst.false_value
             return arm if isinstance(arm, Constant) else None
         return None
-    if isinstance(inst, CastInst):
-        if isinstance(inst.value, (ConstantInt, ConstantFloat)):
-            return fold_cast(inst.opcode, inst.value, inst.type)
+    if not isinstance(inst, (BinaryInst, ICmpInst, FCmpInst, CastInst,
+                             CallInst)):
         return None
-    if isinstance(inst, CallInst):
-        if inst.is_pure and all(isinstance(a, (ConstantInt, ConstantFloat))
-                                for a in inst.operands):
-            return fold_intrinsic(inst)
+    operands = inst.operands
+    # SIMT geometry (tid.x & co) is pure but lane-varying: no operands.
+    # Nearly every call ends here, on the first operand, before any array
+    # is built.
+    if not operands or not isinstance(operands[0], _NUMERIC) or \
+            not all(isinstance(v, _NUMERIC) for v in operands):
         return None
-    return None
-
-
-def fold_int_binop(opcode: str, lhs: ConstantInt, rhs: ConstantInt
-                   ) -> Optional[ConstantInt]:
-    type_ = lhs.type
-    assert isinstance(type_, IntType)
-    a, b = lhs.value, rhs.value
-    au, bu = lhs.unsigned(), rhs.unsigned()
-    if opcode == "add":
-        return ConstantInt(type_, a + b)
-    if opcode == "sub":
-        return ConstantInt(type_, a - b)
-    if opcode == "mul":
-        return ConstantInt(type_, a * b)
-    if opcode == "sdiv":
-        if b == 0:
-            return None
-        return ConstantInt(type_, _trunc_div(a, b))
-    if opcode == "udiv":
-        if bu == 0:
-            return None
-        return ConstantInt(type_, au // bu)
-    if opcode == "srem":
-        if b == 0:
-            return None
-        return ConstantInt(type_, a - _trunc_div(a, b) * b)
-    if opcode == "urem":
-        if bu == 0:
-            return None
-        return ConstantInt(type_, au % bu)
-    if opcode == "shl":
-        if not 0 <= bu < type_.bits:
-            return None
-        return ConstantInt(type_, au << bu)
-    if opcode == "lshr":
-        if not 0 <= bu < type_.bits:
-            return None
-        return ConstantInt(type_, au >> bu)
-    if opcode == "ashr":
-        if not 0 <= bu < type_.bits:
-            return None
-        return ConstantInt(type_, a >> bu)
-    if opcode == "and":
-        return ConstantInt(type_, au & bu)
-    if opcode == "or":
-        return ConstantInt(type_, au | bu)
-    if opcode == "xor":
-        return ConstantInt(type_, au ^ bu)
-    return None
-
-
-def _trunc_div(a: int, b: int) -> int:
-    """C-style truncating division (Python ``//`` floors)."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def fold_float_binop(opcode: str, lhs: ConstantFloat, rhs: ConstantFloat
-                     ) -> Optional[ConstantFloat]:
-    a, b = lhs.value, rhs.value
-    try:
-        if opcode == "fadd":
-            r = a + b
-        elif opcode == "fsub":
-            r = a - b
-        elif opcode == "fmul":
-            r = a * b
-        elif opcode == "fdiv":
-            # IEEE division, zero divisors included: the sign of -0.0
-            # selects the infinity's sign, 0/0 and NaN operands give NaN.
-            r = fdiv_const(a, b)
-        elif opcode == "frem":
-            r = frem_const(a, b)
-        else:
-            return None
-    except OverflowError:
+    if _refuses(inst, operands):
         return None
-    return ConstantFloat(lhs.type, r)  # type: ignore[arg-type]
-
-
-def fold_icmp(predicate: str, lhs: ConstantInt, rhs: ConstantInt
-              ) -> ConstantInt:
-    a, b = lhs.value, rhs.value
-    au, bu = lhs.unsigned(), rhs.unsigned()
-    table = {
-        "eq": a == b, "ne": a != b,
-        "slt": a < b, "sle": a <= b, "sgt": a > b, "sge": a >= b,
-        "ult": au < bu, "ule": au <= bu, "ugt": au > bu, "uge": au >= bu,
-    }
-    return bool_const(table[predicate])
-
-
-def fold_fcmp(predicate: str, lhs: ConstantFloat, rhs: ConstantFloat
-              ) -> ConstantInt:
-    a, b = lhs.value, rhs.value
-    unordered = math.isnan(a) or math.isnan(b)
-    ordered_result = {
-        "oeq": a == b, "one": a != b, "olt": a < b, "ole": a <= b,
-        "ogt": a > b, "oge": a >= b,
-    }
-    if predicate in ordered_result:
-        return bool_const(not unordered and ordered_result[predicate])
-    base = predicate[1:]
-    comp = {
-        "eq": a == b, "ne": a != b, "lt": a < b, "le": a <= b,
-        "gt": a > b, "ge": a >= b,
-    }[base]
-    return bool_const(unordered or comp)
-
-
-def fold_cast(opcode: str, value: Constant, to_type) -> Optional[Constant]:
-    if isinstance(value, ConstantInt):
-        if opcode in ("trunc", "bitcast"):
-            if isinstance(to_type, IntType):
-                return ConstantInt(to_type, value.unsigned())
-            return None
-        if opcode == "zext" and isinstance(to_type, IntType):
-            return ConstantInt(to_type, value.unsigned())
-        if opcode == "sext" and isinstance(to_type, IntType):
-            return ConstantInt(to_type, value.value)
-        if opcode in ("sitofp", "uitofp") and isinstance(to_type, FloatType):
-            return ConstantFloat(to_type, int_to_float_const(
-                value.value, value.unsigned(), opcode == "sitofp", to_type))
+    op = op_for(inst)
+    if op is None:
         return None
-    if isinstance(value, ConstantFloat):
-        if opcode == "fptosi" and isinstance(to_type, IntType):
-            # Saturating contract (repro.semantics): NaN -> 0, out-of-range
-            # and ±inf clamp to the target's signed min/max.
-            return ConstantInt(to_type, fptosi_const(value.value, to_type))
-        if opcode in ("fpext", "fptrunc") and isinstance(to_type, FloatType):
-            return ConstantFloat(to_type, value.value)
-        return None
-    return None
-
-
-def fold_intrinsic(inst: CallInst) -> Optional[Constant]:
-    """Fold a pure math intrinsic over constant operands.
-
-    Evaluation goes through :func:`repro.semantics.eval_intrinsic_const`,
-    i.e. the very numpy kernels (at the very storage dtypes) the SIMT
-    interpreter executes — including its total-function clamps
-    (``sqrt(x<0) = 0``, clamped ``exp``/``log``, ``pow(a,b) = |a|**b``) —
-    so an f32 ``sin`` folds to the float32 routine's bits, not to a
-    double-rounded libm value.
-    """
-    args = inst.operands
-    if not args:
-        return None  # SIMT geometry (tid.x & co) is pure but lane-varying.
-    if not all(isinstance(a, (ConstantInt, ConstantFloat)) for a in args):
-        return None
-    out = eval_intrinsic_const(
-        inst.intrinsic.name,
-        [a.value for a in args],  # type: ignore[union-attr]
-        [a.type for a in args])
-    if out is None:
-        return None
-    if isinstance(inst.type, FloatType):
-        return ConstantFloat(inst.type, float(out))
+    out = op.kernel(*[np.array([v.value], dtype=storage_dtype(v.type))
+                      for v in operands])[0]
     if isinstance(inst.type, IntType):
         return ConstantInt(inst.type, int(out))
+    if isinstance(inst.type, FloatType):
+        return ConstantFloat(inst.type, float(out))
     return None
+
+
+def _refuses(inst: Instruction, operands) -> bool:
+    """Constant operands the folder still leaves to runtime."""
+    if isinstance(inst, CastInst):
+        kinds = _FOLDABLE_CASTS.get(inst.opcode)
+        return kinds is None or not (isinstance(operands[0], kinds[0])
+                                     and isinstance(inst.type, kinds[1]))
+    if isinstance(inst, CallInst):
+        return False
+    lhs, rhs = operands
+    is_float = inst.opcode in FLOAT_BINOPS or isinstance(inst, FCmpInst)
+    if type(lhs) is not type(rhs) or isinstance(lhs, ConstantFloat) != is_float:
+        return True
+    if inst.opcode in ("sdiv", "udiv", "srem", "urem"):
+        return rhs.value == 0
+    if inst.opcode in ("shl", "lshr", "ashr"):
+        return not 0 <= rhs.unsigned() < lhs.type.bits
+    return False

@@ -75,10 +75,6 @@ def cleanup_passes(branch_facts: bool = True) -> List:
     ]
 
 
-# Backwards-compatible alias (pre-fuzz name).
-_cleanup_passes = cleanup_passes
-
-
 def transform_passes(config: str, *, loop_id: Optional[str] = None,
                      factor: int = 1,
                      heuristic: Optional[HeuristicParams] = None,

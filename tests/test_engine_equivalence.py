@@ -30,6 +30,9 @@ import contextlib
 import dataclasses
 import math
 import os
+import sys
+import tempfile
+from unittest import mock
 
 import pytest
 
@@ -38,8 +41,8 @@ from repro.frontend.lower import lower_kernels
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
-from repro.gpu import Counters, Memory, SimtMachine
-from repro.gpu.fuser import FUSE_ENV
+from repro.gpu import Counters, Memory, SimtMachine, fuser
+from repro.gpu.region_cache import REGION_CACHE_DIR_ENV
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.transforms.pipeline import compile_module
@@ -57,23 +60,33 @@ CORPUS = load_corpus()
 FUZZ_SEEDS = (3, 11, 27)
 
 #: The jit's expression fuser must be invisible in results: every matrix
-#: cell runs once with fusion on (the default) and once forced off.
+#: cell runs once as the jit always runs (``fuse``) and once with no chain
+#: long enough to fuse (``nofuse``), so long chains also go down the
+#: per-step path that chains under ``MIN_CHAIN`` always take.  There is
+#: no such switch in the program; this is a test seam.
 FUSE_MODES = (True, False)
 FUSE_IDS = ("fuse", "nofuse")
 
 
 @contextlib.contextmanager
-def fusion(enabled: bool):
-    """Scope ``REPRO_JIT_FUSE`` to one check (only the jit reads it)."""
-    prev = os.environ.get(FUSE_ENV)
-    os.environ[FUSE_ENV] = "1" if enabled else "0"
-    try:
+def fusion(enabled: bool, cache_dir=None):
+    """Scope the ``nofuse`` seam to one check.
+
+    Unfused plans go to a region-cache directory of their own
+    (``cache_dir``, else a throwaway): the shared cache is keyed on
+    content alone and must go on holding what the program would compile.
+    """
+    if enabled:
         yield
-    finally:
-        if prev is None:
-            os.environ.pop(FUSE_ENV, None)
-        else:
-            os.environ[FUSE_ENV] = prev
+        return
+    with contextlib.ExitStack() as stack:
+        if cache_dir is None:
+            cache_dir = stack.enter_context(tempfile.TemporaryDirectory())
+        stack.enter_context(
+            mock.patch.object(fuser, "MIN_CHAIN", sys.maxsize))
+        stack.enter_context(mock.patch.dict(
+            os.environ, {REGION_CACHE_DIR_ENV: str(cache_dir)}))
+        yield
 
 
 def assert_counters_identical(batched: Counters, warp: Counters,
@@ -387,7 +400,7 @@ def test_region_cache_cold_vs_warm_bit_identical(tmp_path, monkeypatch, fuse):
     try:
         reference = launch_engine(STORM_IR, "storm", "warp",
                                   args=[STORM_TRIPS])
-        with fusion(fuse):
+        with fusion(fuse, tmp_path):
             cold = launch_engine(STORM_IR, "storm", "jit",
                                  args=[STORM_TRIPS])
         cold_sess = take_session()
@@ -400,7 +413,7 @@ def test_region_cache_cold_vs_warm_bit_identical(tmp_path, monkeypatch, fuse):
         # New process simulation: drop the in-process instance (and its
         # plan memo) so the warm run must replay from disk.
         reset_region_cache()
-        with fusion(fuse):
+        with fusion(fuse, tmp_path):
             warm = launch_engine(STORM_IR, "storm", "jit",
                                  args=[STORM_TRIPS])
         warm_sess = take_session()
@@ -413,28 +426,3 @@ def test_region_cache_cold_vs_warm_bit_identical(tmp_path, monkeypatch, fuse):
         _compare_runs(f"storm/warm/fuse={fuse}", warm, reference)
     finally:
         reset_region_cache()  # Do not leak the tmp-rooted instance.
-
-
-def test_region_cache_fuse_flag_is_part_of_the_key(tmp_path, monkeypatch):
-    """Toggling ``REPRO_JIT_FUSE`` must never replay the other mode's plan."""
-    from repro.gpu.region_cache import reset_region_cache, take_session
-
-    monkeypatch.setenv("REPRO_REGION_CACHE_DIR", str(tmp_path))
-    reset_region_cache()
-    take_session()
-    try:
-        reference = launch_engine(STORM_IR, "storm", "warp",
-                                  args=[STORM_TRIPS])
-        with fusion(True):
-            launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
-        take_session()
-        with fusion(False):
-            nofuse = launch_engine(STORM_IR, "storm", "jit",
-                                   args=[STORM_TRIPS])
-        sess = take_session()
-        assert sess["replays"] == 0 and sess["selections"] > 0, (
-            "a fusion-enabled plan was replayed for a fusion-disabled "
-            "launch — the fuse flag fell out of the cache key")
-        _compare_runs("storm/nofuse-after-fuse", nofuse, reference)
-    finally:
-        reset_region_cache()

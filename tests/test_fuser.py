@@ -4,16 +4,15 @@ The engine-equivalence suite pins fused execution bit-identical to the
 other engines; this file pins the fuser's *decisions* and mechanics:
 which step runs become segments, where liveouts are required, that the
 generated code objects are shared across identical functions, and that
-the escape hatch really disables everything.
+fused chains compute what the unfused per-step closures compute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu import Memory, SimtMachine
-from repro.gpu.fuser import (MIN_CHAIN, _CODE_CACHE, FUSE_ENV, find_segments,
-                             use_counts)
+from repro.gpu import Memory, SimtMachine, fuser
+from repro.gpu.fuser import MIN_CHAIN, _CODE_CACHE, find_segments, use_counts
 from repro.gpu.regions import compile_regions
 from repro.ir.parser import parse_module
 
@@ -134,27 +133,22 @@ def test_min_chain_floor_is_enforced():
 
 # -- region integration -------------------------------------------------------
 
-def region_fused_counts(ir_text: str, fuse: bool):
+def region_fused_counts(ir_text: str):
     module = parse_module(ir_text, "m")
     func = next(iter(module.functions.values()))
     machine = SimtMachine(module, Memory(), engine="jit")
     entry = machine._decode(func)
-    regions = compile_regions(machine, func, entry, fuse=fuse)
+    regions = compile_regions(machine, func, entry)
     return (sum(r.fused_segments for r in regions.values()),
             sum(r.fused_steps for r in regions.values()),
             max((r.max_chain for r in regions.values()), default=0))
 
 
 def test_compiled_regions_carry_fusion_accounting():
-    segments, steps, max_chain = region_fused_counts(CHAIN_IR, fuse=True)
+    segments, steps, max_chain = region_fused_counts(CHAIN_IR)
     assert segments > 0
     assert steps >= 10          # the loop body chain at minimum
     assert max_chain >= 10
-
-
-def test_fuse_flag_disables_everything():
-    segments, steps, max_chain = region_fused_counts(CHAIN_IR, fuse=False)
-    assert (segments, steps, max_chain) == (0, 0, 0)
 
 
 def test_fused_results_match_warp_engine():
@@ -175,20 +169,28 @@ def test_generated_code_objects_are_shared_across_reparses():
     namespace), so the (filename, source) memo hits across re-parses —
     this is what amortizes codegen over repeated launches.
     """
-    region_fused_counts(CHAIN_IR, fuse=True)      # Prime the cache.
+    region_fused_counts(CHAIN_IR)      # Prime the cache.
     before = dict(_CODE_CACHE)
-    region_fused_counts(CHAIN_IR, fuse=True)      # Fresh parse, same IR.
+    region_fused_counts(CHAIN_IR)      # Fresh parse, same IR.
     assert dict(_CODE_CACHE) == before, \
         "re-parsing identical IR created new code objects"
 
 
 def test_fused_numpy_values_match_unfused(monkeypatch):
-    """Value arrays agree elementwise between fused and unfused runs."""
+    """Value arrays agree elementwise between fused and unfused runs.
+
+    With the chain floor out of reach no segment forms, and the jit runs
+    the chain as the per-step closures every short chain uses.
+    """
+    monkeypatch.setenv("REPRO_REGION_CACHE", "0")
     results = {}
-    for flag in ("1", "0"):
-        monkeypatch.setenv(FUSE_ENV, flag)
+    for floor in (MIN_CHAIN, 10**9):
+        monkeypatch.setattr(fuser, "MIN_CHAIN", floor)
         module = parse_module(CHAIN_IR, "chain")
         machine = SimtMachine(module, Memory(), engine="jit")
         result = machine.launch("chain", 2, 96, [40])
-        results[flag] = np.asarray(result.return_values)
-    np.testing.assert_array_equal(results["1"], results["0"])
+        fused = sum(r.fused_steps for r in machine._regions[
+            id(module.functions["chain"])].values())
+        assert (fused > 0) == (floor == MIN_CHAIN)
+        results[floor] = np.asarray(result.return_values)
+    np.testing.assert_array_equal(results[MIN_CHAIN], results[10**9])

@@ -1,17 +1,21 @@
 """Fuzz tooling tests: oracle, bisector, and reducer on a known miscompile.
 
-The miscompile is *injected*: ``repro.transforms.fold.fptosi_const`` is
-monkeypatched back to the pre-fix truncating behavior (C-cast wrapping
-instead of the interpreter's saturating contract).  Constant folding then
-disagrees with runtime execution on out-of-range ``fptosi`` — exactly the
-class of bug the fuzzing subsystem exists to catch — and the tools must
-(a) flag it, (b) name the folding pass, and (c) shrink the repro.
+The miscompile is *injected* at a folder-only seam: the folder and the
+interpreter evaluate the same kernels of ``repro.semantics``, so the
+folder's own binding of the table lookup (``repro.transforms.fold.op_for``)
+is monkeypatched to hand out the pre-fix truncating ``fptosi`` (C-cast
+wrapping instead of the saturating contract) while the interpreter keeps
+the real one.  Constant folding then disagrees with runtime execution on
+out-of-range ``fptosi`` — exactly the class of bug the fuzzing subsystem
+exists to catch — and the tools must (a) flag it, (b) name the folding
+pass, and (c) shrink the repro.
 """
 
-import math
+import numpy as np
 
 import pytest
 
+from repro import semantics
 from repro.frontend.ast import (Assign, BinOp, Call, Cast, Cmp, For, If,
                                 KernelDef, Lit, Param, Return, V)
 from repro.fuzz.bisect import bisect_divergence
@@ -25,11 +29,17 @@ from repro.fuzz.reduce import (block_count, first_failure, reduce_failure,
 BIG = 3.0e12
 
 
-def _broken_fptosi(value, to_type):
-    """Pre-fix fold_cast behavior: truncate and wrap, no saturation."""
-    if math.isnan(value) or math.isinf(value):
-        return 0
-    return int(value)  # ConstantInt wraps the overflow to the width
+def _broken_op_for(inst):
+    """The table lookup, except ``fptosi`` truncates and wraps."""
+    op = semantics.op_for(inst)
+    if inst.opcode != "fptosi":
+        return op
+
+    def truncating(value):
+        finite = np.where(np.isfinite(value), value, 0.0)
+        # Exact for |value| < 2^63; ConstantInt wraps it to the width.
+        return finite.astype(np.int64)
+    return op._replace(kernel=truncating)
 
 
 def _poison_kernel() -> KernelDef:
@@ -50,8 +60,7 @@ def _poison_kernel() -> KernelDef:
 
 @pytest.fixture
 def broken_fold(monkeypatch):
-    monkeypatch.setattr("repro.transforms.fold.fptosi_const",
-                        _broken_fptosi)
+    monkeypatch.setattr("repro.transforms.fold.op_for", _broken_op_for)
 
 
 class TestOracleCatchesInjectedBug:

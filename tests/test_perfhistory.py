@@ -187,6 +187,26 @@ class TestCli:
         assert main(["perf", "check", "--history", str(path)]) == 0
         assert "perf check: ok" in capsys.readouterr().out
 
+    def test_check_ignores_a_metric_retired_from_the_report(self, tmp_path,
+                                                            capsys):
+        """``fused_speedup`` left the report with the fusion fork; the
+        committed seed record still carries it and stays a valid baseline
+        for records that no longer do."""
+        seed = read_history()[0]
+        retired = [n for n in seed["metrics"] if n.endswith("/fused_speedup")]
+        assert retired, "the committed seed record lost its fused_speedup keys"
+        kernels = sorted({n.split("/")[0] for n in seed["metrics"]}
+                         - {"geomean"})
+        current = record_from_bench({"kernels": [
+            {"kernel": k, **{key: seed["metrics"][f"{k}/{key}"]
+                             for key in RATIO_KEYS}} for k in kernels]})
+        assert not set(retired) & set(current["metrics"])
+        path = tmp_path / "history.jsonl"
+        append_record(seed, path)
+        append_record(current, path)
+        assert main(["perf", "check", "--history", str(path)]) == 0
+        assert "perf check: ok" in capsys.readouterr().out
+
     def test_check_honors_escape_hatch(self, tmp_path, monkeypatch,
                                        capsys):
         monkeypatch.setenv(perfhistory.CHECK_ENV, "0")

@@ -9,6 +9,7 @@ compile-fallback paths of :func:`load_or_compile_regions`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -19,7 +20,9 @@ from repro.gpu.region_cache import (RegionCache, RegionSession,
                                     reset_region_cache, session,
                                     take_session, flush_region_feedback)
 from repro.gpu.regions import extract_plan
+from repro.gpu.timing import TIMING_MODEL_VERSION
 from repro.ir.parser import parse_module
+from repro.ir.printer import print_function
 from repro.obs import session as obs_session
 
 IR = """
@@ -68,14 +71,14 @@ def cache_dir(tmp_path, monkeypatch):
 # -- keying -------------------------------------------------------------------
 
 def test_key_covers_content_and_fuse_flag():
+    # (The fuse flag left the key when fusion became unconditional.)
     _, func_a, _ = jit_context(IR)
     _, func_b, _ = jit_context(IR_B)
-    keys = {region_key(func_a, True), region_key(func_a, False),
-            region_key(func_b, True), region_key(func_b, False)}
-    assert len(keys) == 4, "IR content and fuse flag must both key entries"
+    assert region_key(func_a) != region_key(func_b), \
+        "IR content must key entries"
     # Same content hashes the same across parses (content, not identity).
     _, func_a2, _ = jit_context(IR)
-    assert region_key(func_a2, True) == region_key(func_a, True)
+    assert region_key(func_a2) == region_key(func_a)
 
 
 # -- store mechanics ----------------------------------------------------------
@@ -84,7 +87,7 @@ def test_put_get_roundtrip_survives_a_new_instance(cache_dir):
     machine, func, entry = jit_context()
     regions = load_or_compile_regions(machine, func, entry)
     plan = extract_plan(regions)
-    key = region_key(func, True)
+    key = region_key(func)
     store = RegionCache(cache_dir)
     assert store.get(key) == plan       # Disk, not the other instance's memo.
     assert store.hits == 1
@@ -110,6 +113,44 @@ def test_stale_schema_is_deleted_and_misses(cache_dir):
     path.write_text(json.dumps({"schema": -1, "plan": {"regions": []}}))
     fresh = RegionCache(cache_dir)
     assert fresh.get(key) is None
+    assert not path.exists()
+
+
+def _schema1_key(func, fuse: int) -> str:
+    """``region_key`` as the last schema-1 commit computed it."""
+    payload = "\n".join(["schema=1", f"timing={TIMING_MODEL_VERSION}",
+                         f"fuse={fuse}", print_function(func)])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_schema1_plans_are_orphaned_never_replayed(cache_dir):
+    """Plans persisted while ``fuse=`` was part of the key — the fused
+    ones *and* the fusion-disabled ones — must not come back under
+    today's key: it no longer says which of the two a plan was."""
+    machine, func, entry = jit_context()
+    # An unfused schema-1 plan: no "fuse" spans on any op.
+    unfused = {"regions": [{"head": "loop", "loopback": True, "guards": 1,
+                            "ops": [{"name": "loop", "kind": 2, "next": 0,
+                                     "expected": False}]}]}
+    store = RegionCache(cache_dir)
+    old_keys = [_schema1_key(func, fuse) for fuse in (0, 1)]
+    for key in old_keys:
+        path = store._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"schema": 1, "plan": unfused}))
+    assert region_key(func) not in old_keys
+
+    regions = load_or_compile_regions(machine, func, entry)
+    sess = take_session()
+    assert (sess["replays"], sess["selections"]) == (0, 1), \
+        "a schema-1 plan was replayed under the schema-2 key"
+    assert sum(r.fused_steps for r in regions.values()) > 0
+
+    # Even sitting at today's path, a schema-1 record is deleted, not read.
+    path = store._path(region_key(func))
+    path.write_text(json.dumps({"schema": 1, "plan": unfused}))
+    fresh = RegionCache(cache_dir)
+    assert fresh.get(region_key(func)) is None
     assert not path.exists()
 
 
@@ -163,7 +204,7 @@ def test_cold_then_warm_counts_and_plans(cache_dir):
 def test_invalid_persisted_plan_falls_back_to_compile(cache_dir):
     machine, func, entry = jit_context()
     load_or_compile_regions(machine, func, entry)
-    key = region_key(func, True)
+    key = region_key(func)
     # Mangle the persisted plan so replay validation rejects it.
     store = RegionCache(cache_dir)
     store.put(key, {"regions": [{"head": "no-such-block", "ops": []}]})
