@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""The sweep ``jit.TIER_UP_DISPATCHES`` was chosen from (EXPERIMENTS.md).
+
+Times two passes per threshold, interleaved over ``--repeats`` rounds,
+each against an empty region store like a fresh process:
+
+* ``suite``  — all 16 applications x {baseline, uu_heuristic}, compiled
+  once up front, ``Benchmark.run`` each (the perf benchmark's
+  ``suite_exec``: small launches, nothing stays hot for long);
+* ``kernel`` — the six ``benchmarks/perf/kernels/*.ir`` microkernels at
+  16 warps x 1 000 trips (its ``kernel_exec``: one long hot loop each).
+
+There is no threshold option in the program; the sweep sets the module
+constant, as the tier-up tests do.  ``batched`` is the no-region
+reference, ``never`` the jit with a threshold no count reaches.
+
+    PYTHONPATH=src python benchmarks/tier_up_sweep.py [--repeats 7]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import statistics
+import tempfile
+import time
+
+from repro.bench import all_benchmarks
+from repro.gpu import Memory, SimtMachine, jit, region_cache
+from repro.ir.parser import parse_module
+from repro.transforms.pipeline import compile_module
+
+KERNEL_DIR = pathlib.Path(__file__).resolve().parent / "perf" / "kernels"
+THRESHOLDS = (1, 2, 4, 8, 16, 32, 64, 256, 0)   # 0: never reached.
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=7)
+    repeats = parser.parse_args().repeats
+
+    apps = []
+    for bench in all_benchmarks():
+        for config in ("baseline", "uu_heuristic"):
+            module = bench.build_module()
+            compile_module(module, config, max_instructions=8000,
+                           timeout_seconds=20.0)
+            apps.append((bench, module))
+    kernels = {p.stem: parse_module(p.read_text(), p.stem)
+               for p in sorted(KERNEL_DIR.glob("*.ir"))}
+
+    def suite(engine: str) -> None:
+        for bench, module in apps:
+            bench.run(module, engine=engine)
+
+    def kernel(engine: str) -> None:
+        for name, module in kernels.items():
+            memory, args = Memory(), [1000]
+            if len(module.get_function(name).args) == 2:
+                args.insert(0, memory.alloc("buf", "i64", 512))
+            SimtMachine(module, memory, engine=engine).launch(
+                name, 1, 512, args)
+
+    configs = [("batched", None)] + [("jit", t) for t in THRESHOLDS]
+    seconds = {c: {"suite": [], "kernel": []} for c in configs}
+    with tempfile.TemporaryDirectory() as scratch:
+        for rep in range(repeats):
+            for n, (engine, threshold) in enumerate(configs):
+                if threshold is not None:
+                    jit.TIER_UP_DISPATCHES = threshold
+                for label, run in (("suite", suite), ("kernel", kernel)):
+                    os.environ[region_cache.REGION_CACHE_DIR_ENV] = \
+                        os.path.join(scratch, f"{rep}-{n}-{label}")
+                    region_cache.reset_region_cache()
+                    start = time.perf_counter()
+                    run(engine)
+                    seconds[(engine, threshold)][label].append(
+                        time.perf_counter() - start)
+
+    print(f"{'engine':<8}{'threshold':>10}{'suite min':>11}{'median':>8}"
+          f"{'kernel min':>12}{'median':>8}   (seconds, {repeats} rounds)")
+    for (engine, threshold), got in seconds.items():
+        label = {None: "-", 0: "never"}.get(threshold, str(threshold))
+        print(f"{engine:<8}{label:>10}"
+              f"{min(got['suite']):>11.3f}"
+              f"{statistics.median(got['suite']):>8.3f}"
+              f"{min(got['kernel']):>12.3f}"
+              f"{statistics.median(got['kernel']):>8.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -37,8 +37,11 @@ provides the same operations:
 Sweeps fan out over worker processes (``--jobs/-j``, default all cores)
 and reuse cells from the persistent cache under ``results/.cellcache/``
 (``--no-cache`` bypasses it).  ``--engine {batched,warp,jit}`` (or
-``REPRO_ENGINE``) selects the SIMT execution engine; the engines are
-bit-identical, so this only affects wall-clock.
+``REPRO_ENGINE``) selects the SIMT execution engine — ``jit`` by default:
+the lattice interpreter that compiles a superblock where a launch gets
+hot; ``batched`` is that interpreter alone and ``warp`` the per-warp
+reference.  The engines are bit-identical, so this only affects
+wall-clock.
 
 Observability (see :mod:`repro.obs`): every sweep command accepts
 ``--trace-out run.trace.json`` (Chrome trace-event JSON, load in Perfetto
@@ -123,9 +126,9 @@ def _finish_sweep(runner) -> None:
     """Per-sweep cache telemetry (hits/misses/puts this session).
 
     Two lines can print: the cell-cache line (always, for cache-enabled
-    runners) and the jit region-cache line (only when the sweep actually
-    touched compiled regions — for non-jit engines it is empty and the
-    output stays byte-identical to pre-region-cache builds).  Worker
+    runners) and the jit region-cache line (only when some launch of the
+    sweep got hot enough to ask for a region plan — for the other
+    engines, and for a jit sweep that never tiered up, it is empty).  Worker
     counters were already folded in via ``_absorb_extras``, so ``-j1``
     and ``-jN`` print the same totals.
     """
@@ -1003,8 +1006,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ignore the persistent cell cache")
     common.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="SIMT execution engine (default: REPRO_ENGINE "
-                             "or 'batched'); engines are bit-identical, "
-                             "this only affects wall-clock")
+                             "or 'jit', which compiles superblocks where a "
+                             "launch gets hot; 'batched' never compiles, "
+                             "'warp' is the per-warp reference); engines "
+                             "are bit-identical, this only affects "
+                             "wall-clock")
     common.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome trace-event JSON of this run "
                              "(open in Perfetto); also writes "

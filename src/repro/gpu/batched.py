@@ -1,10 +1,14 @@
-"""Launch-vectorized batched execution engine.
+"""Launch-vectorized batched execution engine: the lattice dispatcher.
 
-Executes *all* warps of a kernel launch as one ``(n_warps, 32)`` numpy
-value lattice instead of looping over warps in Python.  Most HeCBench-style
-kernels are control-uniform across warps — every warp runs the same decoded
-block schedule, only the lane data differs — so one vectorized pass over
-the dispatch list replaces ``n_warps`` serial interpreter passes.
+The ``batched`` and ``jit`` engines share this module's dispatcher;
+``jit`` is it with tier-up on (each scheduler pop is first offered to
+:func:`repro.gpu.jit.enter_region`), ``batched`` the region-free lattice
+interpreter described here.  It executes *all* warps of a kernel launch
+as one ``(n_warps, 32)`` numpy value lattice instead of looping over
+warps in Python.  Most HeCBench-style kernels are control-uniform across
+warps — every warp runs the same decoded block schedule, only the lane
+data differs — so one vectorized pass over the dispatch list replaces
+``n_warps`` serial interpreter passes.
 
 Batching invariant
 ------------------
@@ -56,6 +60,8 @@ from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
                       _BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
                       _K_VALUE, _K_VOID, _T_BR, _T_CONDBR, _T_RET,
                       _T_UNREACHABLE, _WarpContext, _geometry_vec)
+from .region_cache import flush_region_feedback
+from .regions import RegionMap
 
 # Per-row conditional-branch classification (bit 1: any lane taken,
 # bit 0: any lane not taken).  A live mask row is never empty, so 0 cannot
@@ -65,17 +71,22 @@ _CLS_DIVERGENT = 3
 _CLS_TAKEN = 2
 _CLS_NOT_TAKEN = 1
 
-#: Demotion hysteresis: under the jit engine a warp must have diverged
-#: from its batch this many times before a singleton split hands it to
-#: the per-warp engine.  A briefly-diverging warp (one boundary branch,
-#: then reconvergence) instead continues as a one-row batch — identical
-#: lattice accounting, so observably the same — whose full-mask rows
-#: re-enter compiled regions (measured ~1.4x on ``bench-interp``'s
-#: ``briefdiv``).  Plain batched execution keeps immediate demotion:
-#: without regions a one-row lattice is *slower* than the per-warp
-#: engine's scalar accounting, which is the old ~0.91x worst case.
-#: Rows that keep splitting are genuinely chaotic and demote either way.
+#: Demotion hysteresis: when the function holds a compiled region, a
+#: warp must have diverged from its batch this many times before it is
+#: handed, as a singleton, to the per-warp engine.  A briefly-diverging
+#: warp (one boundary branch, then reconvergence) instead continues as a
+#: one-row batch — identical lattice accounting, so observably the same
+#: — whose full-mask rows re-enter compiled regions (measured ~1.4x on
+#: ``bench-interp``'s ``briefdiv``).  With no region to re-enter — the
+#: batched engine, or a jit function still cold when the singleton's
+#: turn comes — one split is enough: a one-row lattice is *slower* than
+#: the per-warp engine's scalar accounting, which is the old ~0.91x
+#: worst case.  Rows that keep splitting are genuinely chaotic and
+#: demote either way.
 DEMOTE_HYSTERESIS = 2
+
+#: What ``jit.enter_region`` returns for a block left to the interpreter.
+INTERPRET = object()
 
 
 class _BatchContext:
@@ -94,6 +105,11 @@ class _BatchContext:
     def __init__(self, lane_ids: np.ndarray, block_ids: np.ndarray,
                  block_dim: int, grid_dim: int, rows: np.ndarray) -> None:
         self.values: Dict[int, np.ndarray] = {}
+        # Region value steps rebind slots directly; freezing the geometry
+        # lattice makes any aliasing rebind (e.g. ``%t = tid.x``) detectable
+        # by the region-exit normalization pass instead of silently sharing
+        # a mutable buffer with the context.
+        lane_ids.setflags(write=False)
         self.lane_ids = lane_ids                  # (n, 32) in-block tids.
         self.block_ids = block_ids                # (n,) owning block ids.
         self.ctaid = np.broadcast_to(block_ids[:, None], lane_ids.shape)
@@ -203,12 +219,19 @@ def _issue_factor(actives: np.ndarray) -> np.ndarray:
 def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
                        args: Sequence, total: Counters
                        ) -> Tuple[List[np.ndarray], int]:
-    """Run one launch on the batched engine.
+    """Run one launch on the lattice dispatcher (batched and jit engines).
 
-    Fills ``total``'s integer counters as it goes, then reduces the float
-    accumulators in original warp order.  Returns ``(ret_all,
-    fetch_stalls)`` exactly as the serial loop in ``launch()`` would.
+    Under ``jit`` the function's :class:`RegionMap` rides along: blocks
+    tier up into compiled regions as they get hot.  Fills ``total``'s
+    integer counters as it goes, then reduces the float accumulators in
+    original warp order.  Returns ``(ret_all, fetch_stalls)`` exactly
+    as the serial loop in ``launch()`` would.
     """
+    regions = None
+    if machine.engine == "jit":
+        regions = machine._regions.get(id(func))
+        if regions is None:
+            regions = machine._regions[id(func)] = RegionMap(func.name)
     warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
     n = grid_dim * warps
     arg_values = machine._bind_args(func, args)
@@ -226,9 +249,15 @@ def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
                         [(0, entry, active)])
     results = _Results(n)
     worklist = [state]
-    while worklist:
-        _run_state(machine, func, worklist.pop(), arg_values, total,
-                   results, worklist)
+    try:
+        while worklist:
+            _run_state(machine, func, worklist.pop(), arg_values, total,
+                       results, worklist, regions)
+    finally:
+        # Guard feedback (truncations / drops) reshaped the plan: persist
+        # the improved one so the next cold process starts from it.
+        if regions is not None:
+            flush_region_feedback(regions)
 
     # Ordered float reduction: serial `total.merge(per_warp_counters)` adds
     # warp totals block-major; match that order bit-for-bit.
@@ -247,16 +276,27 @@ def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
 
 
 def _run_state(machine, func, state: _BatchState, arg_values, total,
-               results: _Results, worklist: List[_BatchState]) -> None:
+               results: _Results, worklist: List[_BatchState],
+               regions: Optional[RegionMap]) -> None:
     """Drive one batch: the serial group scheduler, lifted to the lattice.
 
     Merge groups parked at the same block (ORing the (n, 32) masks), run
     the laggard (min ``(epoch, rpo)``), and repeat — identical pop order to
     what every row's serial scheduler would produce, by the batching
-    invariant.  Splits/demotes and abandons the state on cross-warp
-    divergence; records results when the schedule drains.
+    invariant.  With ``regions`` (the jit engine) each pop is first
+    offered to the trace tier.  A singleton that has split off often
+    enough (``DEMOTE_HYSTERESIS``) goes to the per-warp engine instead.
+    Splits and abandons the state on cross-warp divergence; records
+    results when the schedule drains.
     """
     profile = machine.profile
+    if regions is not None:
+        from .jit import enter_region  # Deferred: jit builds on this module.
+    # A RegionMap is truthy once it holds a compiled region to re-enter.
+    if (state.ctx.n == 1
+            and state.splits[0] >= (DEMOTE_HYSTERESIS if regions else 1)):
+        _demote_row(machine, func, state, arg_values, total, results)
+        return
     while state.groups:
         if float(state.cycles.max()) > machine.max_cycles:
             raise SimulationError(
@@ -276,28 +316,31 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
         state.groups = groups
         if not mask.any():
             continue
-        state.cycles += state.icache.access(db.block_id, db.size)
-        if profile is None:
-            pending = _exec_block(machine, func, db, epoch, mask, state,
-                                  arg_values, total)
-        else:
-            # One sample per batched block execution: active lanes summed
-            # over all rows against the whole lattice's lane capacity,
-            # timestamped by the representative row's cycle count.
-            start_ts = float(state.cycles[0])
-            before = float(state.cycles.sum())
-            pending = _exec_block(machine, func, db, epoch, mask, state,
-                                  arg_values, total)
-            profile.note_block(db.name, float(state.cycles.sum()) - before,
-                               int(np.count_nonzero(mask)), mask.size,
-                               start_ts)
+        pending = INTERPRET if regions is None else enter_region(
+            machine, func, regions, db, epoch, mask, state, arg_values, total)
+        if pending is INTERPRET:
+            state.cycles += state.icache.access(db.block_id, db.size)
+            if profile is None:
+                pending = _exec_block(machine, func, db, epoch, mask, state,
+                                      arg_values, total)
+            else:
+                # One sample per batched block execution: active lanes
+                # summed over all rows against the whole lattice's lane
+                # capacity, timestamped by the representative row's cycles.
+                start_ts = float(state.cycles[0])
+                before = float(state.cycles.sum())
+                pending = _exec_block(machine, func, db, epoch, mask, state,
+                                      arg_values, total)
+                profile.note_block(db.name,
+                                   float(state.cycles.sum()) - before,
+                                   int(np.count_nonzero(mask)), mask.size,
+                                   start_ts)
         if pending is not None:
             if profile is not None:
                 cls = pending[5]
                 profile.note_split(db.name, len(set(cls.tolist())),
                                    int(cls.size))
-            _split_state(machine, func, state, arg_values, pending, total,
-                         results, worklist)
+            _split_state(state, arg_values, pending, total, worklist)
             return
     _finish_state(state, results)
 
@@ -409,26 +452,19 @@ def _follow_batch(edge, epoch: int, mask: np.ndarray, state: _BatchState,
     state.groups.append((epoch + edge.bump_epoch, edge.target, mask))
 
 
-def _split_state(machine, func, state: _BatchState, arg_values, pending,
-                 total: Counters, results: _Results,
+def _split_state(state: _BatchState, arg_values, pending, total: Counters,
                  worklist: List[_BatchState]) -> None:
     """Partition a diverged batch by branch class and keep going.
 
-    Classes with >= 2 rows continue as sliced sub-batches (fancy-indexed
-    copies of every lattice, cloned icache); singletons demote to the
-    per-warp engine, which resumes from the divergence point.
+    Every class continues as a sliced sub-batch (fancy-indexed copies of
+    every lattice, cloned icache) with the pending branch resolved on
+    it; whether a singleton then demotes to the per-warp engine is
+    decided when its turn comes (``_run_state``), not here.
     """
     true_edge, false_edge, epoch, t_mask, f_mask, cls = pending
-    hysteresis = DEMOTE_HYSTERESIS if machine.engine == "jit" else 1
     for value in (_CLS_DIVERGENT, _CLS_TAKEN, _CLS_NOT_TAKEN):
         idx = np.flatnonzero(cls == value)
         if idx.size == 0:
-            continue
-        if (idx.size == 1
-                and state.splits[int(idx[0])] + 1 >= hysteresis):
-            _demote_row(machine, func, state, int(idx[0]), value, true_edge,
-                        false_edge, epoch, t_mask, f_mask, arg_values,
-                        total, results)
             continue
         sub = _slice_state(state, idx)
         if value == _CLS_DIVERGENT:
@@ -461,54 +497,38 @@ def _slice_state(state: _BatchState, idx: np.ndarray) -> _BatchState:
                        state.splits[idx] + 1)
 
 
-def _demote_row(machine, func, state: _BatchState, row: int, cls: int,
-                true_edge, false_edge, epoch: int, t_mask: np.ndarray,
-                f_mask: np.ndarray, arg_values, total: Counters,
-                results: _Results) -> None:
-    """Hand one diverged warp to the per-warp engine, mid-flight.
+def _demote_row(machine, func, state: _BatchState, arg_values,
+                total: Counters, results: _Results) -> None:
+    """Hand a one-row batch to the per-warp engine, mid-flight.
 
-    Rebuilds a ``_WarpContext`` from the warp's lattice row, seeds a
-    ``Counters`` with its float accumulators so far, resolves the pending
-    conditional branch with the serial ``_follow``, and resumes the serial
-    scheduler loop on a cloned icache.
+    Rebuilds a ``_WarpContext`` over the row's lattices (the sliced
+    state owns them), seeds a ``Counters`` with its float accumulators
+    so far, and resumes the serial scheduler loop on the parked groups
+    and the state's icache.
     """
     octx = state.ctx
+    orig = int(octx.rows[0])
     if machine.profile is not None:
-        machine.profile.note_demotion(true_edge.target.name,
-                                      int(octx.rows[row]))
-    lane_ids = octx.lane_ids[row].copy()
-    wctx = _WarpContext(lane_ids, int(octx.block_ids[row]), octx.block_dim,
+        machine.profile.note_demotion(state.groups[0][1].name, orig)
+    lane_ids = octx.lane_ids[0]
+    wctx = _WarpContext(lane_ids, int(octx.block_ids[0]), octx.block_dim,
                         octx.grid_dim, lane_ids < octx.block_dim)
-    wctx.values = {vid: arr[row].copy()
-                   for vid, arr in octx.values.items()}
-    wctx.allocas = {iid: int(bases[row])
+    wctx.values = {vid: arr[0] for vid, arr in octx.values.items()}
+    wctx.allocas = {iid: int(bases[0])
                     for iid, bases in octx.allocas.items()}
     if octx.ret_values is not None:
-        wctx.ret_values = octx.ret_values[row].copy()
+        wctx.ret_values = octx.ret_values[0]
     counters = Counters()
-    counters.cycles = float(state.cycles[row])
-    counters.memory_stall_cycles = float(state.memory_stall[row])
-    counters.cat_cycles = [float(x) for x in state.cat_cycles[row]]
-    icache = state.icache.clone()
-    groups = [(e, db, m[row].copy()) for e, db, m in state.groups]
-    if cls == _CLS_DIVERGENT:
-        counters.divergent_branches += 1
-        machine._follow(true_edge, epoch, t_mask[row].copy(), wctx,
-                        arg_values, counters, groups)
-        machine._follow(false_edge, epoch, f_mask[row].copy(), wctx,
-                        arg_values, counters, groups)
-    elif cls == _CLS_TAKEN:
-        machine._follow(true_edge, epoch, t_mask[row].copy(), wctx,
-                        arg_values, counters, groups)
-    else:
-        machine._follow(false_edge, epoch, f_mask[row].copy(), wctx,
-                        arg_values, counters, groups)
-    machine._warp_loop(func, wctx, arg_values, groups, counters, icache)
-    orig = int(octx.rows[row])
+    counters.cycles = float(state.cycles[0])
+    counters.memory_stall_cycles = float(state.memory_stall[0])
+    counters.cat_cycles = [float(x) for x in state.cat_cycles[0]]
+    groups = [(e, db, m[0]) for e, db, m in state.groups]
+    machine._warp_loop(func, wctx, arg_values, groups, counters,
+                       state.icache)
     results.cycles[orig] = counters.cycles
     results.memory_stall[orig] = counters.memory_stall_cycles
     results.cat[orig] = list(counters.cat_cycles)
-    results.fetch[orig] = icache.stall_cycles
+    results.fetch[orig] = state.icache.stall_cycles
     results.ret[orig] = wctx.ret_values
     _merge_ints(total, counters)
 

@@ -134,13 +134,20 @@ def find_segments(steps, counts: Dict[int, int]
     return tuple(segments)
 
 
+def segment_ok(steps, lo: int, hi: int, live) -> bool:
+    """Is ``(lo, hi, live)`` a well-formed fused span over ``steps``?"""
+    return (0 <= lo < hi <= len(steps) and len(live) == hi - lo
+            and all(_step_fusible(steps[k]) for k in range(lo, hi)))
+
+
 class FuseContext:
     """Per-function fusion state threaded through region compilation.
 
     ``plan`` (from the region cache) short-circuits chain analysis on
     replay: it maps decoded-block *names* to the segment triples a
-    previous compile found, so warm launches skip ``use_counts`` and
-    ``find_segments`` entirely.
+    previous selection found, so warm launches skip ``use_counts`` and
+    ``find_segments`` entirely.  Without one, each block is analysed
+    once, the first time a trace through it compiles or is serialised.
     """
 
     def __init__(self, machine, func: Function,
@@ -149,16 +156,18 @@ class FuseContext:
         self.func = func
         self.plan = plan
         self._counts: Optional[Dict[int, int]] = None
-
-    def counts(self) -> Dict[int, int]:
-        if self._counts is None:
-            self._counts = use_counts(self.func)
-        return self._counts
+        self._segments: Dict[int, Tuple] = {}
 
     def segments_for(self, db) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
         if self.plan is not None:
-            return tuple(self.plan.get(db.name, ()))
-        return find_segments(db.steps, self.counts())
+            return self.plan.get(db.name, ())
+        segments = self._segments.get(db.block_id)
+        if segments is None:
+            if self._counts is None:
+                self._counts = use_counts(self.func)
+            segments = self._segments[db.block_id] = find_segments(
+                db.steps, self._counts)
+        return segments
 
     def compile_segment(self, db, lo: int, hi: int, live):
         return compile_segment(self.machine, self.func.name, db, lo, hi,
@@ -176,15 +185,10 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
     function stores into the SSA slot dict (the liveouts).
     """
     steps = db.steps
-    if not (0 <= lo < hi <= len(steps)) or len(live) != hi - lo:
+    if not segment_ok(steps, lo, hi, live):
         raise ValueError(
             f"invalid fused segment [{lo}:{hi}] for {func_name}:{db.name}")
-    insts = []
-    for k in range(lo, hi):
-        if not _step_fusible(steps[k]):
-            raise ValueError(
-                f"step {k} of {func_name}:{db.name} is not fusible")
-        insts.append(steps[k][7][2])
+    insts = [steps[k][7][2] for k in range(lo, hi)]
 
     ns: Dict[str, object] = dict(NAMESPACE)
     hoisted: Dict[int, str] = {}

@@ -1,13 +1,18 @@
-"""Trace-JIT execution engine: batched lattice + compiled superblocks.
+"""Trace-JIT execution engine: the lattice dispatcher with tier-up on.
 
-This engine is the batched engine (:mod:`repro.gpu.batched`) with a
-tier-2 fast path: when the dispatcher pops a group whose mask covers
-*every* lane of every warp and a compiled superblock
-(:mod:`repro.gpu.regions`) starts at that block, the whole trace runs as
+This engine is the batched engine's dispatcher
+(:func:`repro.gpu.batched.run_launch_batched`) with a tier-2 fast path
+that a launch earns block by block.  Every block starts interpreted; the
+dispatcher offers each pop to :func:`enter_region`, which counts it, and
+on a block's ``TIER_UP_DISPATCHES``-th dispatch loads or selects the
+function's region plan (once) and compiles the superblock
+(:mod:`repro.gpu.regions`) starting there.  From then on, when a popped
+group's mask covers *every* lane of every warp, the whole trace runs as
 one fused sequence — no per-block scheduling, no masked writes, integer
 counters folded per block, and (for memory-free regions whose per-row
 accumulators agree) float accounting replayed on two Python scalars
-instead of ``(n,)``/``(n, 7)`` lattices.
+instead of ``(n,)``/``(n, 7)`` lattices.  A function that never gets hot
+is never selected, hashed, looked up in the region store or compiled.
 
 Guards and deoptimization: each conditional branch crossed by a trace
 checks that every lane takes the compile-time expected side (one lattice
@@ -16,36 +21,44 @@ are flushed back to the per-row vectors, every slot the trace rebound is
 normalized to an owned ``(n, 32)`` array, and the branch is resolved by
 the exact interpreter logic — parking sub-groups for intra-warp
 divergence, or returning the pending cross-warp split that
-``_split_state`` partitions (demoting singletons to the per-warp
-engine).  Memory faults raised inside a region propagate from the same
+``_split_state`` partitions (singletons may then demote to the
+per-warp engine).  Memory faults raised inside a region propagate from the same
 program point they would under the interpreter, and runaway loops are
 caught at every region back edge against ``machine.max_cycles``.
 
 Bit-identicality: see the :mod:`repro.gpu.regions` module docstring for
 the argument; ``tests/test_engine_equivalence.py`` pins this engine
 byte-identical (outputs, cycles, Counters, memory transactions) to the
-warp and batched engines across benchmarks, corpus, and fuzz kernels.
+warp and batched engines across benchmarks, corpus, and fuzz kernels,
+and ``tests/test_tier_up.py`` pins it identical whenever it tiers up
+(at the first dispatch, at the real threshold, never).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
-from .batched import (_BatchContext, _BatchState, _Results, _exec_block,
-                      _finish_state, _follow_batch, _issue_factor,
-                      _split_state, _CLS_DIVERGENT, _CLS_TAKEN)
+from .batched import (INTERPRET, _BatchState, _follow_batch, _issue_factor,
+                      _CLS_DIVERGENT, _CLS_TAKEN)
 from ..obs import metrics as obs_metrics
-from .counters import Counters, N_CATEGORIES
-from .icache import InstructionCache
+from .counters import Counters
 from .machine import (WARP_SIZE, SimulationError, _BR_COST, _CAT_CONTROL,
                       _CAT_MISC, _K_VALUE, _K_VOID)
-from .region_cache import flush_region_feedback, load_or_compile_regions
+from .region_cache import load_or_select_plan, note_compiled
 from .regions import (CompiledRegion, GUARD_DEMOTE_FAILS, R_DIAMOND,
                       R_EXIT_BR, R_EXIT_CONDBR, R_GUARD, R_NEXT, R_RET,
-                      R_UNREACHABLE, S_FUSED, S_MEM, S_VALUE,
-                      demote_guard, drop_cold_region)
+                      R_UNREACHABLE, S_FUSED, S_MEM, S_VALUE, RegionMap,
+                      compile_region, demote_guard, drop_cold_region)
+
+#: Tier-up threshold: a block compiles its region on its this-many-th
+#: lattice dispatch, counted per (machine, function) so heat accumulates
+#: over the launches of one ``Benchmark.run``.  Pure scheduling policy —
+#: compiled and interpreted execution are bit-identical, so *when* a
+#: region compiles can change no output, cycle or counter.  Chosen from
+#: the sweep recorded in EXPERIMENTS.md ("Tier-up threshold").
+TIER_UP_DISPATCHES = 16
 
 
 def _raise_undef(exc: KeyError, names) -> None:
@@ -58,58 +71,14 @@ def _raise_undef(exc: KeyError, names) -> None:
     raise SimulationError(f"use of undefined value %{name}") from None
 
 
-def run_launch_jit(machine, func, entry, grid_dim: int, block_dim: int,
-                   args: Sequence, total: Counters
-                   ) -> Tuple[List[np.ndarray], int]:
-    """Run one launch on the jit engine (same contract as batched)."""
-    regions = machine._regions.get(id(func))
-    if regions is None:
-        regions = load_or_compile_regions(machine, func, entry)
-        machine._regions[id(func)] = regions
-    warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
-    n = grid_dim * warps
-    arg_values = machine._bind_args(func, args)
-    warp_lanes = (np.arange(warps, dtype=np.int64)[:, None] * WARP_SIZE
-                  + np.arange(WARP_SIZE, dtype=np.int64))
-    lane_ids = np.tile(warp_lanes, (grid_dim, 1))
-    block_ids = np.repeat(np.arange(grid_dim, dtype=np.int64), warps)
-    ctx = _BatchContext(lane_ids, block_ids, block_dim, grid_dim,
-                        np.arange(n))
-    icache = InstructionCache(machine._icache_capacity) \
-        if machine._icache_capacity else InstructionCache()
-    active = lane_ids < block_dim
-    state = _BatchState(ctx, np.zeros(n), np.zeros(n),
-                        np.zeros((n, N_CATEGORIES)), icache,
-                        [(0, entry, active)])
-    results = _Results(n)
-    worklist = [state]
-    try:
-        while worklist:
-            _run_state_jit(machine, func, worklist.pop(), arg_values, total,
-                           results, worklist, regions)
-    finally:
-        # Guard feedback (truncations / drops) reshaped the map: persist
-        # the improved plan so the next cold process starts from it.
-        flush_region_feedback(regions)
+def enter_region(machine, func, regions: RegionMap, db, epoch: int,
+                 mask: np.ndarray, state: _BatchState, arg_values, total):
+    """The dispatcher's tier-2 hook: run ``db``'s region if it has one.
 
-    ret_all: List[np.ndarray] = []
-    fetch_stalls = 0
-    for w in range(n):
-        total.cycles += results.cycles[w]
-        total.memory_stall_cycles += results.memory_stall[w]
-        cat = results.cat[w]
-        for i in range(N_CATEGORIES):
-            total.cat_cycles[i] += cat[i]
-        fetch_stalls += results.fetch[w]
-        if results.ret[w] is not None:
-            ret_all.append(results.ret[w])
-    return ret_all, fetch_stalls
-
-
-def _run_state_jit(machine, func, state: _BatchState, arg_values, total,
-                   results: _Results, worklist: List[_BatchState],
-                   regions: Dict[int, CompiledRegion]) -> None:
-    """The batched dispatcher with the superblock fast path.
+    Returns ``INTERPRET`` when the block is the interpreter's — no
+    region yet (its dispatch is counted; crossing
+    ``TIER_UP_DISPATCHES`` compiles one on the spot), or no full mask —
+    else the region run's outcome (None or a pending split).
 
     A region fires only for a group with a *full* mask: then the charge
     factor is uniform, and — since live masks partition lanes — the
@@ -117,68 +86,30 @@ def _run_state_jit(machine, func, state: _BatchState, arg_values, total,
     trace without re-entering the scheduler replays the interpreter's
     pop order exactly.
     """
-    profile = machine.profile
-    # Region value steps rebind slots directly; freezing the geometry
-    # lattice makes any aliasing rebind (e.g. ``%t = tid.x``) detectable
-    # by the exit-time normalization pass instead of silently sharing a
-    # mutable buffer with the context.
-    state.ctx.lane_ids.setflags(write=False)
-    while state.groups:
-        if float(state.cycles.max()) > machine.max_cycles:
-            raise SimulationError(
-                f"@{func.name}: exceeded {machine.max_cycles} cycles "
-                "(runaway kernel?)")
-        merged: Dict[int, Tuple] = {}
-        for epoch, db, mask in state.groups:
-            existing = merged.get(db.block_id)
-            if existing is None:
-                merged[db.block_id] = (epoch, db, mask)
-            else:
-                merged[db.block_id] = (max(existing[0], epoch), db,
-                                       existing[2] | mask)
-        groups = list(merged.values())
-        groups.sort(key=lambda g: (g[0], g[1].rpo), reverse=True)
-        epoch, db, mask = groups.pop()
-        state.groups = groups
-        if not mask.any():
-            continue
-        region = regions.get(db.block_id)
-        if region is not None and not bool(mask.all()):
-            # Regions need every lane live; one that only ever sees
-            # partial masks (e.g. one half of an if/else) is dropped so
-            # its full-mask test stops costing a lattice reduction.
-            region.entry_fails += 1
-            if (region.entry_fails >= GUARD_DEMOTE_FAILS
-                    and region.entries == 0):
-                drop_cold_region(regions, region, func.name)
-            region = None
-        if region is not None:
-            region.entries += 1
-            pending = _run_region(machine, func, region, epoch, mask, state,
-                                  arg_values, total, profile, regions)
-        else:
-            state.cycles += state.icache.access(db.block_id, db.size)
-            if profile is None:
-                pending = _exec_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total)
-            else:
-                start_ts = float(state.cycles[0])
-                before = float(state.cycles.sum())
-                pending = _exec_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total)
-                profile.note_block(db.name,
-                                   float(state.cycles.sum()) - before,
-                                   int(np.count_nonzero(mask)), mask.size,
-                                   start_ts)
-        if pending is not None:
-            if profile is not None:
-                cls = pending[5]
-                profile.note_split(db.name, len(set(cls.tolist())),
-                                   int(cls.size))
-            _split_state(machine, func, state, arg_values, pending, total,
-                         results, worklist)
-            return
-    _finish_state(state, results)
+    region = regions.get(db.block_id)
+    if region is None:
+        heat = regions.heat
+        count = heat[db.block_id] = heat.get(db.block_id, 0) + 1
+        if count != TIER_UP_DISPATCHES:
+            return INTERPRET
+        if regions.plans is None:
+            load_or_select_plan(machine, func, regions)
+        region = compile_region(regions, db.block_id)
+        if region is None:
+            return INTERPRET
+        note_compiled(region)
+    if not bool(mask.all()):
+        # Regions need every lane live; one that only ever sees
+        # partial masks (e.g. one half of an if/else) is dropped so
+        # its full-mask test stops costing a lattice reduction.
+        region.entry_fails += 1
+        if (region.entry_fails >= GUARD_DEMOTE_FAILS
+                and region.entries == 0):
+            drop_cold_region(regions, region, func.name)
+        return INTERPRET
+    region.entries += 1
+    return _run_region(machine, func, region, epoch, mask, state,
+                       arg_values, total, machine.profile, regions)
 
 
 def _run_region(machine, func, region: CompiledRegion, epoch: int,

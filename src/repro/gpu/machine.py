@@ -35,20 +35,25 @@ value instruction *computes* is not decided here: every engine calls the
 kernel of the op-semantics table (:mod:`repro.semantics`, the written
 contract), which the constant folder and the jit's fuser share.
 
-Two execution engines consume the decoded form (``REPRO_ENGINE`` selects;
-see :func:`resolve_engine`):
+Three execution engines consume the decoded form (``REPRO_ENGINE``
+selects; see :func:`resolve_engine`):
 
-* ``warp`` — the per-warp scheduler below: every warp of a launch runs the
-  decoded schedule on its own, one 32-lane numpy vector at a time;
-* ``batched`` (default) — :mod:`repro.gpu.batched`: all warps of a launch
-  execute as one ``(n_warps, 32)`` value lattice while their control
-  decisions agree across warps, and individual warps demote to this
-  module's per-warp path the moment they diverge;
-* ``jit`` — :mod:`repro.gpu.jit`: the batched lattice engine plus a
-  superblock trace layer (:mod:`repro.gpu.regions`): straight-line
-  multi-block regions compiled once per function into fused dispatch
-  sequences with guarded side exits, deoptimizing back to the batched
-  block interpreter when a guard fails.
+* ``jit`` (default) — :mod:`repro.gpu.jit`: the lattice dispatcher of
+  :mod:`repro.gpu.batched` with tier-up on.  Every launch starts
+  interpreted; a block that the dispatcher reaches
+  ``jit.TIER_UP_DISPATCHES`` times (counted per machine and function,
+  across launches) gets the superblock trace starting there
+  (:mod:`repro.gpu.regions`) compiled into a fused dispatch sequence
+  with guarded side exits, deoptimizing back to the block interpreter
+  when a guard fails.  A function that never gets hot pays nothing;
+* ``batched`` — :mod:`repro.gpu.batched`: the same dispatcher with
+  tier-up off, the region-free lattice interpreter.  All warps of a
+  launch execute as one ``(n_warps, 32)`` value lattice while their
+  control decisions agree across warps, and individual warps demote to
+  this module's per-warp path the moment they diverge;
+* ``warp`` — the per-warp scheduler below, the reference oracle: every
+  warp of a launch runs the decoded schedule on its own, one 32-lane
+  numpy vector at a time.
 
 The engines are contractually **bit-identical** — same return values, same
 counters, same cycle totals (``tests/test_engine_equivalence.py`` enforces
@@ -91,9 +96,9 @@ ENGINES = ("batched", "warp", "jit")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Explicit value > ``REPRO_ENGINE`` > ``batched``."""
+    """Explicit value > ``REPRO_ENGINE`` > ``jit``."""
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip() or "batched"
+        engine = os.environ.get(ENGINE_ENV, "").strip() or "jit"
     engine = engine.lower()
     if engine not in ENGINES:
         raise ValueError(
@@ -265,8 +270,9 @@ class SimtMachine:
         self.profile = obs_session.profile()
         self._global_addrs: Dict[str, int] = {}
         self._decoded: Dict[int, _DecodedBlock] = {}
-        #: Per-function compiled superblock regions (jit engine only):
-        #: id(func) -> {entry block_id -> CompiledRegion}.
+        #: Per-function tier-up state (jit engine only): id(func) ->
+        #: ``regions.RegionMap`` — block heat, selected plans, and
+        #: {head block_id -> CompiledRegion} for the heads that got hot.
         self._regions: Dict[int, Dict] = {}
         self._materialize_globals()
 
@@ -294,19 +300,14 @@ class SimtMachine:
         total = Counters()
         entry = self._decode(func)
         warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
-        if self.engine == "jit":
-            # Trace-JIT tier: the batched lattice engine with compiled
-            # superblock regions.  Single-warp launches still benefit
-            # (regions collapse the scheduler loop), so the jit path
-            # takes every launch.
-            from .jit import run_launch_jit
-            ret_all, fetch_stalls = run_launch_jit(
-                self, func, entry, grid_dim, block_dim, args, total)
-        elif self.engine == "batched" and grid_dim * warps > 1:
-            # Launch-vectorized engine: all warps execute as one (n, 32)
+        if self.engine == "jit" or (self.engine == "batched"
+                                    and grid_dim * warps > 1):
+            # Lattice dispatcher: all warps execute as one (n, 32)
             # lattice until their control decisions diverge (then they
-            # demote to the per-warp path below).  Single-warp launches
-            # gain nothing from batching and skip straight to it.
+            # demote to the per-warp path below).  Without tier-up a
+            # single-warp launch gains nothing from batching and skips
+            # straight to that path; with it, compiled regions collapse
+            # the scheduler loop, so the jit takes every launch.
             from .batched import run_launch_batched
             ret_all, fetch_stalls = run_launch_batched(
                 self, func, entry, grid_dim, block_dim, args, total)

@@ -1,11 +1,12 @@
 """Cross-launch persistence of compiled-region plans for the JIT tier.
 
-The trace-JIT (:mod:`repro.gpu.jit`) selects superblock regions and runs
-the expression fuser (:mod:`repro.gpu.fuser`) over every function it
-executes — work that is pure in the function's IR and the timing model,
-yet was redone on every launch: each sweep cell, tuner
-candidate, and serve request paid selection and chain analysis again.
-This module memoizes that work across launches *and processes*:
+When a function's first block gets hot the trace-JIT
+(:mod:`repro.gpu.jit`) selects its superblock regions, and the
+expression fuser (:mod:`repro.gpu.fuser`) analyses the chains of every
+trace it goes on to compile or serialise — work that is pure in the
+function's IR and the timing model, yet would be redone by every
+machine: each sweep cell, tuner candidate, and serve request that gets
+hot.  This module memoizes it across launches *and processes*:
 
 * **Keying** is content-addressed: SHA-256 over the printed function IR
   × :data:`repro.gpu.timing.TIMING_MODEL_VERSION` ×
@@ -14,9 +15,10 @@ This module memoizes that work across launches *and processes*:
   invalidation.
 * **What is stored** is the *plan* (:func:`repro.gpu.regions.extract_plan`),
   not compiled closures: region shapes, guard expectations, and fusion
-  segment boundaries.  Replay re-validates the plan against the freshly
-  decoded CFG and re-generates closures from it, so a stale or corrupt
-  plan can only ever cost a recompilation, never correctness.
+  segment boundaries, for every selected head.  Replay re-validates the
+  plan against the freshly decoded CFG; closures are generated from it
+  head by head as heads get hot, so a stale or corrupt plan can only
+  ever cost a fresh selection, never correctness.
 * **Guard feedback** (truncations / cold-region drops discovered while
   running) marks the map dirty; :func:`flush_region_feedback` re-persists
   the improved plan so the *next* process starts with the truncated
@@ -47,7 +49,7 @@ from typing import Dict, Optional
 from ..harness.cache import ShardedLRUStore
 from ..ir.printer import print_function
 from ..obs import session as obs_session
-from .regions import RegionMap, compile_regions, extract_plan, replay_plan
+from .regions import RegionMap, extract_plan, replay_plan, select_regions
 from .timing import TIMING_MODEL_VERSION
 
 #: Bump when the persisted plan layout *or the meaning of the key*
@@ -240,9 +242,9 @@ class RegionSession:
     stats``, and the serve daemon's ``/stats``.
     """
 
-    selections: int = 0      # fresh region selections (full compile)
-    replays: int = 0         # plans replayed from the cache
-    regions: int = 0         # compiled regions, both paths
+    selections: int = 0      # functions whose regions were selected fresh
+    replays: int = 0         # functions whose plan came from the cache
+    regions: int = 0         # regions compiled (hot heads), both paths
     fused_segments: int = 0  # fused SSA segments emitted
     fused_steps: int = 0     # original vsteps folded into those segments
     max_chain: int = 0       # longest fused chain seen
@@ -306,19 +308,22 @@ def take_session() -> Dict[str, int]:
 
 # -- the JIT entry points -----------------------------------------------------
 
-def _note_regions(sess: RegionSession, regions: RegionMap) -> None:
-    sess.regions += len(regions)
-    for region in regions.values():
-        sess.fused_segments += region.fused_segments
-        sess.fused_steps += region.fused_steps
-        if region.max_chain > sess.max_chain:
-            sess.max_chain = region.max_chain
+def note_compiled(region) -> None:
+    """Session telemetry follows compilation: one region, just compiled."""
+    sess = session()
+    sess.regions += 1
+    sess.fused_segments += region.fused_segments
+    sess.fused_steps += region.fused_steps
+    if region.max_chain > sess.max_chain:
+        sess.max_chain = region.max_chain
 
 
-def load_or_compile_regions(machine, func, entry) -> RegionMap:
-    """Region map for ``func``: replay a persisted plan, else compile.
+def load_or_select_plan(machine, func, regions: RegionMap) -> None:
+    """Fill ``regions.plans``: replay a persisted plan, else select.
 
-    The persistent cache is bypassed (plain :func:`compile_regions`)
+    Called once per (machine, function), when its first block gets hot —
+    a function that never does is never selected, hashed or looked up.
+    The persistent cache is bypassed (plain :func:`select_regions`)
     when the machine carries an execution profile — profile-seeded
     selection must stay exact — or when observability is enabled, so
     cold and warm runs emit identical remark streams.
@@ -327,66 +332,53 @@ def load_or_compile_regions(machine, func, entry) -> RegionMap:
     cache = None
     if machine.profile is None and not obs_session.enabled():
         cache = region_cache()
-    key = region_key(func) if cache is not None else None
     if cache is not None:
+        regions.key = key = region_key(func)
         plan = cache.get(key)
         if plan is not None:
             sess.hits += 1
             try:
-                regions = replay_plan(machine, func, entry, plan)
+                replay_plan(regions, machine, func, plan)
             except Exception:
                 # Stale/corrupt plan (edited decoder, hash collision,
-                # hand-mangled entry): fall through to a fresh compile,
+                # hand-mangled entry): fall through to a fresh selection,
                 # whose put below overwrites the bad entry.
                 sess.invalid += 1
             else:
-                regions.key = key
                 sess.replays += 1
-                _note_regions(sess, regions)
                 obs_session.remark(
                     "analysis", "jit", func.name,
-                    f"region-cache-hit: {len(regions)} regions replayed",
-                    regions=len(regions),
-                    fused=sum(r.fused_steps for r in regions.values()),
-                    key=key[:12])
-                return regions
+                    f"region-cache-hit: {len(regions.plans)} regions "
+                    "replayed", regions=len(regions.plans), key=key[:12])
+                return
         else:
             sess.misses += 1
-    regions = compile_regions(machine, func, entry,
-                              profile=machine.profile)
+    select_regions(regions, machine, func)
     sess.selections += 1
-    _note_regions(sess, regions)
     if cache is not None:
-        regions.key = key
-        before = cache.evictions
-        try:
-            cache.put(key, extract_plan(regions))
-        except OSError:
-            return regions  # Unwritable cache dir: still a valid compile.
-        sess.puts += 1
-        sess.evictions += cache.evictions - before
-    return regions
+        _put(cache, regions)
 
 
-def flush_region_feedback(regions) -> None:
+def flush_region_feedback(regions: RegionMap) -> None:
     """Re-persist a plan reshaped by guard feedback (truncation/drop).
 
-    A no-op unless ``regions`` is a cache-keyed :class:`RegionMap` whose
-    shape actually changed since it was loaded or stored.
+    A no-op unless the map is cache-keyed and its shape actually changed
+    since it was loaded or stored.
     """
-    if not isinstance(regions, RegionMap):
-        return
     if not regions.dirty or regions.key is None:
         return
     cache = region_cache()
-    if cache is None:
-        return
+    if cache is not None and _put(cache, regions):
+        regions.dirty = False
+
+
+def _put(cache: RegionCache, regions: RegionMap) -> bool:
     sess = session()
     before = cache.evictions
     try:
         cache.put(regions.key, extract_plan(regions))
     except OSError:
-        return  # Unwritable cache dir: keep dirty, retry next flush.
-    regions.dirty = False
+        return False  # Unwritable cache dir: the selection is still valid.
     sess.puts += 1
     sess.evictions += cache.evictions - before
+    return True

@@ -10,7 +10,11 @@ paper's transforms produce — unrolled loop bodies, unmerged per-path
 clones — are exactly long chains of such decided branches, so one trace
 frequently covers a whole unrolled iteration.
 
-Compilation flattens the trace once per ``(function, region)`` into a
+Selection and compilation are separate steps, because the jit pays
+only for what runs hot.  :func:`select_regions` walks the decoded CFG
+once per function — when its first block gets hot — and leaves every
+head an uncompiled *decision list*; :func:`compile_region` then flattens
+one head's trace, when that head gets hot, into a
 list of :class:`RegionOp` records the jit engine executes without the
 per-block scheduler: value steps become direct slot rebinds (a full-mask
 masked write is a rebind), phi parallel-copies on internal edges become
@@ -44,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
-from .fuser import FuseContext
+from .fuser import FuseContext, segment_ok
 from .machine import (_BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
                       _CAT_CONTROL, _K_LOAD, _K_STORE, _K_VALUE, _K_VOID,
                       _T_BR, _T_CONDBR, _T_MISSING, _T_RET, _T_UNREACHABLE,
@@ -175,90 +179,110 @@ class CompiledRegion:
 
 
 class RegionMap(dict):
-    """``{head block id -> CompiledRegion}`` plus persistence bookkeeping.
+    """One function's tier-up state: ``{head block id -> CompiledRegion}``.
 
-    ``key`` is the region-cache content key the map was loaded from or
-    stored under (None when the persistent cache is bypassed); ``dirty``
-    flips when guard feedback reshapes the map (truncation / drop) so
-    the improved plan can be re-persisted after the launch.
+    The map starts empty and cold.  ``heat`` counts lattice dispatches
+    per decoded block (``jit.enter_region``); ``plans`` is None until
+    the first block gets hot, then holds every selected head's
+    uncompiled decision list ``(decisions, n_guards, loopback)`` —
+    what :func:`extract_plan` serialises and :func:`compile_region`
+    compiles, one hot head at a time.  ``key`` is the region-cache
+    content key the plans were loaded from or stored under (None when
+    the persistent cache is bypassed); ``dirty`` flips when guard
+    feedback reshapes them (truncation / drop) so the improved plan can
+    be re-persisted after the launch.
     """
 
-    __slots__ = ("key", "dirty", "func_name")
+    __slots__ = ("key", "dirty", "func_name", "heat", "plans", "fuse_ctx")
 
     def __init__(self, func_name: str = "") -> None:
         super().__init__()
         self.key: Optional[str] = None
         self.dirty = False
         self.func_name = func_name
-
-
-def _mark_dirty(regions) -> None:
-    if isinstance(regions, RegionMap):
-        regions.dirty = True
+        self.heat: Dict[int, int] = {}
+        self.plans: Optional[Dict[int, Tuple]] = None
+        self.fuse_ctx: Optional[FuseContext] = None
 
 
 class PlanMismatch(Exception):
     """A persisted region plan no longer matches the decoded function."""
 
 
-def compile_regions(machine, func, entry: Optional[_DecodedBlock] = None,
-                    profile=None) -> RegionMap:
-    """Select and compile all superblocks of one decoded function.
+def select_regions(regions: RegionMap, machine, func) -> None:
+    """Select every superblock of one decoded function; compile none.
 
     Heads are seeded from the function entry and, transitively, from
     every branch target observed while tracing — i.e. every block the
     dispatcher could ever park a group at.  Emits one ``analysis``
-    remark per compiled or rejected region through the obs layer.
-
-    The machine and function are needed so the expression fuser can
-    hoist global addresses and compute function-wide use counts.
+    remark per rejected head through the obs layer; selected heads get
+    theirs when (if) they compile.
     """
-    if entry is None:
-        entry = machine._decode(func)
-    if profile is None:
-        profile = machine.profile
-    func_name = func.name
-    fuse_ctx = FuseContext(machine, func)
+    profile = machine.profile
     hits = profile.block_hits if profile is not None else {}
-    regions = RegionMap(func_name=func_name)
+    plans: Dict[int, Tuple] = {}
     done = set()
-    work = [entry]
+    work = [machine._decode(func)]
     while work:
         head = work.pop()
         if head.block_id in done:
             continue
         done.add(head.block_id)
-        region, succs, reason = _build_region(head, hits, fuse_ctx)
+        plan, succs, reason = _select_region(head, hits)
         for tgt in succs:
             if tgt.block_id not in done:
                 work.append(tgt)
-        if region is None:
+        if plan is None:
             obs_metrics.inc("repro_jit_regions_total", result="rejected")
             obs_session.remark(
-                "analysis", "jit", func_name,
+                "analysis", "jit", func.name,
                 f"region at {head.name} rejected: {reason}",
                 head=head.name, reason=reason)
             continue
-        regions[head.block_id] = region
-        obs_metrics.inc("repro_jit_regions_total", result="compiled")
-        if region.fused_segments:
-            obs_metrics.inc("repro_jit_fused_segments_total",
-                            region.fused_segments)
-            obs_metrics.inc("repro_jit_fused_steps_total",
-                            region.fused_steps)
-        obs_session.remark(
-            "analysis", "jit", func_name,
-            f"compiled superblock at {head.name}: "
-            f"{len(region.ops)} blocks, {region.n_guards} guards",
-            head=head.name, blocks=len(region.ops),
-            guards=region.n_guards,
-            steps=sum(len(op.steps) for op in region.ops),
-            diamonds=sum(1 for op in region.ops if op.kind == R_DIAMOND),
-            mode="scalar" if region.scalar_ok else "vector",
-            loopback=region.loopback,
-            fused=region.fused_steps,
-            fused_segments=region.fused_segments)
-    return regions
+        plans[head.block_id] = plan
+    regions.plans = plans
+    # The machine and function let the expression fuser hoist global
+    # addresses and compute function-wide use counts.
+    regions.fuse_ctx = FuseContext(machine, func)
+
+
+def compile_region(regions: RegionMap,
+                   head_id: int) -> Optional[CompiledRegion]:
+    """Compile the selected trace headed at ``head_id`` and install it.
+
+    Returns None for a head selection rejected (or feedback dropped).
+    Region telemetry — the ``repro_jit_*`` metrics and the ``compiled
+    superblock`` remark — is counted here, when a region is compiled.
+    """
+    plan = regions.plans.get(head_id)
+    if plan is None:
+        return None
+    decisions, n_guards, loopback = plan
+    ops = [_compile_op(db, decision, regions.fuse_ctx)
+           for db, decision in decisions]
+    _finalize_moves(ops)
+    head = decisions[0][0]
+    region = CompiledRegion(head_id, head.name, ops, _norm_of(ops),
+                            n_guards, loopback)
+    regions[head_id] = region
+    obs_metrics.inc("repro_jit_regions_total", result="compiled")
+    if region.fused_segments:
+        obs_metrics.inc("repro_jit_fused_segments_total",
+                        region.fused_segments)
+        obs_metrics.inc("repro_jit_fused_steps_total", region.fused_steps)
+    obs_session.remark(
+        "analysis", "jit", regions.func_name,
+        f"compiled superblock at {head.name}: "
+        f"{len(region.ops)} blocks, {region.n_guards} guards",
+        head=head.name, blocks=len(region.ops),
+        guards=region.n_guards,
+        steps=sum(len(op.steps) for op in region.ops),
+        diamonds=sum(1 for op in region.ops if op.kind == R_DIAMOND),
+        mode="scalar" if region.scalar_ok else "vector",
+        loopback=region.loopback,
+        fused=region.fused_steps,
+        fused_segments=region.fused_segments)
+    return region
 
 
 def _pick_side(db: _DecodedBlock, true_edge, false_edge, head_id: int,
@@ -285,12 +309,13 @@ def _pick_side(db: _DecodedBlock, true_edge, false_edge, head_id: int,
     return True
 
 
-def _build_region(head: _DecodedBlock, hits: Dict[str, int],
-                  fuse_ctx: FuseContext):
-    """Grow one trace from ``head``; returns (region|None, succs, reason).
+def _select_region(head: _DecodedBlock, hits: Dict[str, int]):
+    """Grow one trace from ``head``; returns (plan|None, succs, reason).
 
-    ``succs`` collects every branch-target block encountered — the seed
-    set for further heads — whether or not this region compiles.
+    The plan is ``(decisions, n_guards, loopback)``, one ``(block,
+    decision)`` pair per trace block; ``succs`` collects every
+    branch-target block encountered — the seed set for further heads —
+    whether or not this trace is worth compiling.
     """
     if head.term_kind == _T_MISSING:
         return None, [], "no terminator"
@@ -386,11 +411,7 @@ def _build_region(head: _DecodedBlock, hits: Dict[str, int],
         # A bare jump/return stub: the interpreter's single dispatch is
         # already minimal, and compiling it would only add indirection.
         return None, succs, "trivial: single empty block, no loop"
-    ops = [_compile_op(db, decision, fuse_ctx) for db, decision in decisions]
-    _finalize_moves(ops)
-    return (CompiledRegion(head.block_id, head.name, ops, _norm_of(ops),
-                           guards, loopback),
-            succs, "")
+    return (decisions, guards, loopback), succs, ""
 
 
 def _try_diamond(t_edge, f_edge, seen):
@@ -604,22 +625,23 @@ def _compile_arm(db: _DecodedBlock) -> Tuple:
             cat_counts, len(db.steps) + 1)
 
 
-def demote_guard(regions: Dict[int, "CompiledRegion"],
-                 region: CompiledRegion, op_index: int,
-                 func_name: str) -> None:
+def demote_guard(regions: RegionMap, region: CompiledRegion,
+                 op_index: int, func_name: str) -> None:
     """Truncate a region at a guard that keeps failing.
 
     The guard op becomes a condbr side exit (identical charges — only
     the resolution strategy changes), everything past it is dropped, and
-    the replacement is installed in the dispatch map.  If nothing
-    executable remains before the exit the region is dropped entirely
-    and the block returns to plain interpreted dispatch.
+    the replacement is installed in the dispatch map, its decision list
+    cut to match.  If nothing executable remains before the exit the
+    region is dropped entirely and the block returns to plain
+    interpreted dispatch.
     """
     old = region.ops[op_index]
     fails = old.fails
-    _mark_dirty(regions)
+    regions.dirty = True
     if op_index == 0 and not old.steps:
         del regions[region.head_id]
+        del regions.plans[region.head_id]
         obs_metrics.inc("repro_jit_regions_total", result="dropped")
         obs_session.remark(
             "analysis", "jit", func_name,
@@ -642,6 +664,12 @@ def demote_guard(regions: Dict[int, "CompiledRegion"],
     regions[region.head_id] = CompiledRegion(
         region.head_id, region.head_name, ops, _norm_of(ops), guards,
         loopback=False)
+    decisions = regions.plans[region.head_id][0]
+    db, guard = decisions[op_index]
+    regions.plans[region.head_id] = (
+        decisions[:op_index]
+        + [(db, (R_EXIT_CONDBR, guard[1], guard[3], guard[4]))],
+        guards, False)
     obs_metrics.inc("repro_jit_regions_total", result="truncated")
     obs_session.remark(
         "analysis", "jit", func_name,
@@ -652,8 +680,8 @@ def demote_guard(regions: Dict[int, "CompiledRegion"],
         blocks=len(ops), action="truncated")
 
 
-def drop_cold_region(regions: Dict[int, CompiledRegion],
-                     region: CompiledRegion, func_name: str) -> None:
+def drop_cold_region(regions: RegionMap, region: CompiledRegion,
+                     func_name: str) -> None:
     """Drop a region the dispatcher keeps reaching without a full mask.
 
     Such a region can never fire (regions require every lane active), so
@@ -661,8 +689,9 @@ def drop_cold_region(regions: Dict[int, CompiledRegion],
     divergent halves of an if/else, always entered under partial masks.
     Scheduling policy only; execution is unaffected.
     """
-    _mark_dirty(regions)
+    regions.dirty = True
     del regions[region.head_id]
+    del regions.plans[region.head_id]
     obs_metrics.inc("repro_jit_regions_total", result="dropped")
     obs_session.remark(
         "analysis", "jit", func_name,
@@ -677,34 +706,38 @@ def drop_cold_region(regions: Dict[int, CompiledRegion],
 # ---------------------------------------------------------------------------
 # Compiled regions close over live object ids, so what persists across
 # processes is the *plan*: which blocks each trace covers, every branch
-# decision, and the fused-segment spans.  Replaying a plan against a
-# freshly decoded function skips selection and chain analysis; every
-# structural fact is re-validated against the decoded CFG and any
-# mismatch raises PlanMismatch, which the cache treats as a miss —
-# a stale plan can only ever cost a fresh compile, never correctness.
+# decision, and the fused-segment spans — of every selected head, compiled
+# yet or not.  Replaying a plan against a freshly decoded function skips
+# selection and chain analysis; every structural fact is re-validated
+# against the decoded CFG and any mismatch raises PlanMismatch, which the
+# cache treats as a miss — a stale plan can only ever cost a fresh
+# selection, never correctness.
 
 def extract_plan(regions: RegionMap) -> Dict[str, object]:
-    """Serialize a region map into a JSON-able, order-deterministic plan."""
+    """Serialize a map's decision lists into a JSON-able, ordered plan."""
+    plans = regions.plans
     plan_regions = []
-    for head_id in sorted(regions, key=lambda h: regions[h].head_name):
-        region = regions[head_id]
+    for head_id in sorted(plans, key=lambda h: plans[h][0][0][0].name):
+        decisions, n_guards, loopback = plans[head_id]
         ops = []
-        for op in region.ops:
-            entry: Dict[str, object] = {"name": op.name, "kind": op.kind}
-            if op.kind in (R_NEXT, R_GUARD, R_DIAMOND):
-                entry["next"] = op.next_i
-            if op.kind == R_GUARD:
-                entry["expected"] = bool(op.expected)
-            if op.kind == R_DIAMOND:
-                entry["arm_t"] = op.arm_t[2]
-                entry["arm_f"] = op.arm_f[2]
-            if op.fuse_plan:
+        for db, decision in decisions:
+            kind = decision[0]
+            entry: Dict[str, object] = {"name": db.name, "kind": kind}
+            if kind in (R_NEXT, R_GUARD, R_DIAMOND):
+                entry["next"] = decision[-1]
+            if kind == R_GUARD:
+                entry["expected"] = bool(decision[2])
+            if kind == R_DIAMOND:
+                entry["arm_t"] = decision[4].name
+                entry["arm_f"] = decision[5].name
+            fuse = regions.fuse_ctx.segments_for(db)
+            if fuse:
                 entry["fuse"] = [[lo, hi, list(live)]
-                                 for lo, hi, live in op.fuse_plan]
+                                 for lo, hi, live in fuse]
             ops.append(entry)
-        plan_regions.append({"head": region.head_name,
-                             "loopback": bool(region.loopback),
-                             "guards": region.n_guards,
+        plan_regions.append({"head": decisions[0][0].name,
+                             "loopback": bool(loopback),
+                             "guards": n_guards,
                              "ops": ops})
     return {"regions": plan_regions}
 
@@ -739,14 +772,18 @@ def _block_map(entry: _DecodedBlock) -> Dict[str, _DecodedBlock]:
     return blocks
 
 
-def replay_plan(machine, func, entry: _DecodedBlock,
-                plan: Dict[str, object]) -> RegionMap:
-    """Rebuild a RegionMap from a persisted plan; raises PlanMismatch."""
+def replay_plan(regions: RegionMap, machine, func,
+                plan: Dict[str, object]) -> None:
+    """Re-derive a map's decision lists from a persisted plan.
+
+    Raises PlanMismatch (leaving ``regions`` untouched) on any
+    disagreement with the decoded function.
+    """
     try:
         plan_regions = plan["regions"]
     except (TypeError, KeyError):
         raise PlanMismatch("malformed plan")
-    blocks = _block_map(entry)
+    blocks = _block_map(machine._decode(func))
     segs: Dict[str, Tuple] = {}
     for rp in plan_regions:
         for opp in rp.get("ops", ()):
@@ -755,18 +792,18 @@ def replay_plan(machine, func, entry: _DecodedBlock,
                     (int(lo), int(hi), tuple(int(x) for x in live))
                     for lo, hi, live in opp["fuse"])
     fuse_ctx = FuseContext(machine, func, plan=segs)
-    regions = RegionMap(func_name=func.name)
+    plans: Dict[int, Tuple] = {}
     for rp in plan_regions:
         head = blocks.get(rp.get("head"))
         if head is None:
             raise PlanMismatch(f"unknown head {rp.get('head')!r}")
-        region = _replay_region(head, rp, fuse_ctx)
-        regions[head.block_id] = region
-    return regions
+        plans[head.block_id] = _replay_region(head, rp, fuse_ctx)
+    regions.plans = plans
+    regions.fuse_ctx = fuse_ctx
 
 
 def _replay_region(head: _DecodedBlock, rp: Dict[str, object],
-                   fuse_ctx: FuseContext) -> CompiledRegion:
+                   fuse_ctx: FuseContext) -> Tuple:
     """Re-derive one region's decision list from its plan entry."""
     ops_plan = rp.get("ops") or []
     if not ops_plan:
@@ -843,7 +880,8 @@ def _replay_region(head: _DecodedBlock, rp: Dict[str, object],
                     raise PlanMismatch("bad internal edge")
                 seen.add(tgt.block_id)
                 cur = tgt
-    ops = [_compile_op(db, decision, fuse_ctx) for db, decision in decisions]
-    _finalize_moves(ops)
-    return CompiledRegion(head.block_id, head.name, ops, _norm_of(ops),
-                          int(rp.get("guards", 0)), bool(rp.get("loopback")))
+    for db, _decision in decisions:
+        for lo, hi, live in fuse_ctx.segments_for(db):
+            if not segment_ok(db.steps, lo, hi, live):
+                raise PlanMismatch(f"bad fused segment in {db.name}")
+    return decisions, int(rp.get("guards", 0)), bool(rp.get("loopback"))

@@ -70,10 +70,11 @@ from .experiment import Cell
 #: simulated with phi-to-phi edge moves could hold corrupted outputs).
 #: v4: Counters gained the per-category ``cat_cycles`` breakdown.
 #:
-#: Note the execution engine (``REPRO_ENGINE``) is deliberately *not* part
-#: of the key: the batched and per-warp engines are bit-identical by
-#: contract (tests/test_engine_equivalence.py), so a cell computed under
-#: either is valid for both.
+#: Note the execution engine (``REPRO_ENGINE``, ``jit`` by default) is
+#: deliberately *not* part of the key: the jit, batched and per-warp
+#: engines are bit-identical by contract — whenever the jit tiers up —
+#: (tests/test_engine_equivalence.py, tests/test_tier_up.py), so a cell
+#: computed under any is valid for all.
 SCHEMA_VERSION = 4
 
 #: Environment override for the cache directory.

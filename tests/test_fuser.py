@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.gpu import Memory, SimtMachine, fuser
 from repro.gpu.fuser import MIN_CHAIN, _CODE_CACHE, find_segments, use_counts
-from repro.gpu.regions import compile_regions
+from repro.gpu.regions import RegionMap, compile_region, select_regions
 from repro.ir.parser import parse_module
 
 CHAIN_IR = """
@@ -137,8 +137,10 @@ def region_fused_counts(ir_text: str):
     module = parse_module(ir_text, "m")
     func = next(iter(module.functions.values()))
     machine = SimtMachine(module, Memory(), engine="jit")
-    entry = machine._decode(func)
-    regions = compile_regions(machine, func, entry)
+    regions = RegionMap(func.name)
+    select_regions(regions, machine, func)
+    for head_id in list(regions.plans):     # As if every head had got hot.
+        compile_region(regions, head_id)
     return (sum(r.fused_segments for r in regions.values()),
             sum(r.fused_steps for r in regions.values()),
             max((r.max_chain for r in regions.values()), default=0))
@@ -151,7 +153,7 @@ def test_compiled_regions_carry_fusion_accounting():
     assert max_chain >= 10
 
 
-def test_fused_results_match_warp_engine():
+def test_fused_results_match_warp_engine(tier_up_at_once):
     outs = {}
     for engine in ("warp", "jit"):
         module = parse_module(CHAIN_IR, "chain")
@@ -176,7 +178,7 @@ def test_generated_code_objects_are_shared_across_reparses():
         "re-parsing identical IR created new code objects"
 
 
-def test_fused_numpy_values_match_unfused(monkeypatch):
+def test_fused_numpy_values_match_unfused(monkeypatch, tier_up_at_once):
     """Value arrays agree elementwise between fused and unfused runs.
 
     With the chain floor out of reach no segment forms, and the jit runs

@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.gpu import Memory, SimtMachine
 from repro.gpu.batched import DEMOTE_HYSTERESIS
 from repro.gpu.regions import (GUARD_DEMOTE_FAILS, R_DIAMOND, R_EXIT_CONDBR,
-                               R_GUARD, compile_regions, demote_guard,
-                               drop_cold_region)
+                               R_GUARD, RegionMap, compile_region,
+                               demote_guard, drop_cold_region, select_regions)
 from repro.ir.parser import parse_module
 from repro.obs import session as obs_session
 
@@ -103,8 +103,11 @@ def regions_of(ir_text: str, name: str = "m"):
     module = parse_module(ir_text, name)
     func = next(iter(module.functions.values()))
     machine = SimtMachine(module, Memory(), engine="jit")
-    entry = machine._decode(func)
-    return compile_regions(machine, func, entry), entry
+    regions = RegionMap(func.name)
+    select_regions(regions, machine, func)
+    for head_id in list(regions.plans):     # As if every head had got hot.
+        compile_region(regions, head_id)
+    return regions, machine._decode(func)
 
 
 def region_at(regions, entry, block_name: str):
@@ -267,20 +270,20 @@ exit:
 """
 
 
-def _demotions(engine: str) -> int:
+def _demotions(engine: str, trips: int = 50) -> int:
     """Run briefdiv (one warp takes a prelude) and count row demotions."""
     session = obs_session.install()
     try:
         module = parse_module(BRIEFDIV_IR, "briefdiv")
         machine = SimtMachine(module, Memory(), engine=engine)
         func = next(iter(module.functions.values()))
-        machine.launch(func, 1, 128, [50])
+        machine.launch(func, 1, 128, [trips])
     finally:
         obs_session.uninstall()
     return len(session.profile.demotions)
 
 
-def test_hysteresis_is_engine_dependent():
+def test_hysteresis_is_engine_dependent(tier_up_at_once):
     """The first split demotes under batched but not under jit.
 
     briefdiv splits its 4-row lattice once (warp 0 takes the prelude).
@@ -292,3 +295,18 @@ def test_hysteresis_is_engine_dependent():
     assert DEMOTE_HYSTERESIS > 1
     assert _demotions("batched") > 0
     assert _demotions("jit") == 0
+
+
+def test_hysteresis_waits_for_a_compiled_region():
+    """A one-row lattice is only worth keeping for a region to re-enter.
+
+    At the real threshold nothing is compiled when briefdiv splits (the
+    entry block's first dispatch); what counts is whether anything is
+    when the singleton's turn comes.  In a launch too short to get hot
+    the jit demotes it exactly as batched does, instead of paying
+    lattice accounting on one row for nothing; in a long one the other
+    rows have compiled the loop by then, and it stays on the lattice to
+    enter that region.
+    """
+    assert _demotions("jit", trips=5) == _demotions("batched", trips=5) > 0
+    assert _demotions("jit", trips=50) == 0

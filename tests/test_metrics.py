@@ -219,6 +219,7 @@ def _counter_values(registry, prefix):
     return out
 
 
+@pytest.mark.usefixtures("tier_up_at_once")
 class TestDaemonMetrics:
     def test_daemon_owns_and_releases_the_slot(self):
         d = ServeDaemon(workers=1, use_cache=False)

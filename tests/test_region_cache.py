@@ -4,7 +4,9 @@ The engine-equivalence suite proves warm replays are bit-identical; this
 file pins the cache mechanics themselves: content keying, corrupt/stale
 entry handling, LRU eviction, the session counters that surface in the
 sweep line / ``repro summary --profile`` / serve ``/stats``, and the
-compile-fallback paths of :func:`load_or_compile_regions`.
+select-fallback paths of :func:`load_or_select_plan`.  Plans are loaded
+when a block gets hot, so every test here launches the kernel with the
+tier-up threshold at 1 (``tier_up_at_once``, through ``cache_dir``).
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import json
 import pytest
 
 from repro.gpu import Memory, SimtMachine
-from repro.gpu.region_cache import (RegionCache, RegionSession,
-                                    load_or_compile_regions, region_key,
+from repro.gpu.region_cache import (RegionCache, RegionSession, region_key,
                                     reset_region_cache, session,
                                     take_session, flush_region_feedback)
 from repro.gpu.regions import extract_plan
@@ -51,41 +52,39 @@ IR_B = IR.replace("mul i64 %acc, 7", "mul i64 %acc, 9")
 def jit_context(ir_text: str = IR):
     module = parse_module(ir_text, "m")
     func = next(iter(module.functions.values()))
-    machine = SimtMachine(module, Memory(), engine="jit")
-    return machine, func, machine._decode(func)
+    return SimtMachine(module, Memory(), engine="jit"), func
+
+
+def launch(machine, func):
+    """One launch of ``@k``: its plan is loaded or selected and every
+    block it reaches compiled; returns the function's region map."""
+    machine.launch(func, 1, 32, [3])
+    return machine._regions[id(func)]
 
 
 @pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """Point the process-wide cache at a temp dir; reset state around it."""
-    monkeypatch.setenv("REPRO_REGION_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_REGION_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_REGION_CACHE_MAX_BYTES", raising=False)
-    reset_region_cache()
-    take_session()
-    yield tmp_path
-    reset_region_cache()
-    take_session()
+def cache_dir(region_cache_dir, tier_up_at_once):
+    return region_cache_dir
 
 
 # -- keying -------------------------------------------------------------------
 
 def test_key_covers_content_and_fuse_flag():
     # (The fuse flag left the key when fusion became unconditional.)
-    _, func_a, _ = jit_context(IR)
-    _, func_b, _ = jit_context(IR_B)
+    _, func_a = jit_context(IR)
+    _, func_b = jit_context(IR_B)
     assert region_key(func_a) != region_key(func_b), \
         "IR content must key entries"
     # Same content hashes the same across parses (content, not identity).
-    _, func_a2, _ = jit_context(IR)
+    _, func_a2 = jit_context(IR)
     assert region_key(func_a2) == region_key(func_a)
 
 
 # -- store mechanics ----------------------------------------------------------
 
 def test_put_get_roundtrip_survives_a_new_instance(cache_dir):
-    machine, func, entry = jit_context()
-    regions = load_or_compile_regions(machine, func, entry)
+    machine, func = jit_context()
+    regions = launch(machine, func)
     plan = extract_plan(regions)
     key = region_key(func)
     store = RegionCache(cache_dir)
@@ -127,7 +126,7 @@ def test_schema1_plans_are_orphaned_never_replayed(cache_dir):
     """Plans persisted while ``fuse=`` was part of the key — the fused
     ones *and* the fusion-disabled ones — must not come back under
     today's key: it no longer says which of the two a plan was."""
-    machine, func, entry = jit_context()
+    machine, func = jit_context()
     # An unfused schema-1 plan: no "fuse" spans on any op.
     unfused = {"regions": [{"head": "loop", "loopback": True, "guards": 1,
                             "ops": [{"name": "loop", "kind": 2, "next": 0,
@@ -140,7 +139,7 @@ def test_schema1_plans_are_orphaned_never_replayed(cache_dir):
         path.write_text(json.dumps({"schema": 1, "plan": unfused}))
     assert region_key(func) not in old_keys
 
-    regions = load_or_compile_regions(machine, func, entry)
+    regions = launch(machine, func)
     sess = take_session()
     assert (sess["replays"], sess["selections"]) == (0, 1), \
         "a schema-1 plan was replayed under the schema-2 key"
@@ -180,78 +179,78 @@ def test_session_absorb_sums_and_maxes():
 
 
 def test_take_session_snapshots_and_resets(cache_dir):
-    machine, func, entry = jit_context()
-    load_or_compile_regions(machine, func, entry)
+    machine, func = jit_context()
+    launch(machine, func)
     snap = take_session()
     assert snap["selections"] == 1
     assert not session().any(), "take_session must leave a fresh session"
 
 
-# -- load_or_compile_regions --------------------------------------------------
+# -- load_or_select_plan -----------------------------------------------------
 
 def test_cold_then_warm_counts_and_plans(cache_dir):
-    machine, func, entry = jit_context()
-    cold = load_or_compile_regions(machine, func, entry)
+    machine, func = jit_context()
+    cold = launch(machine, func)
     assert session().selections == 1 and session().puts == 1
     reset_region_cache()                 # Fresh process: memo gone.
-    machine2, func2, entry2 = jit_context()
-    warm = load_or_compile_regions(machine2, func2, entry2)
+    machine2, func2 = jit_context()
+    warm = launch(machine2, func2)
     assert session().replays == 1
     assert session().selections == 1, "warm launch must not re-select"
     assert extract_plan(warm) == extract_plan(cold)
 
 
 def test_invalid_persisted_plan_falls_back_to_compile(cache_dir):
-    machine, func, entry = jit_context()
-    load_or_compile_regions(machine, func, entry)
+    machine, func = jit_context()
+    launch(machine, func)
     key = region_key(func)
     # Mangle the persisted plan so replay validation rejects it.
     store = RegionCache(cache_dir)
     store.put(key, {"regions": [{"head": "no-such-block", "ops": []}]})
     reset_region_cache()
     take_session()
-    machine2, func2, entry2 = jit_context()
-    regions = load_or_compile_regions(machine2, func2, entry2)
+    machine2, func2 = jit_context()
+    regions = launch(machine2, func2)
     assert session().invalid == 1
     assert session().selections == 1, "fallback must compile fresh"
     assert regions, "fallback produced no regions"
     # The fresh compile overwrote the bad entry: next launch replays.
     reset_region_cache()
     take_session()
-    machine3, func3, entry3 = jit_context()
-    load_or_compile_regions(machine3, func3, entry3)
+    machine3, func3 = jit_context()
+    launch(machine3, func3)
     assert session().replays == 1 and session().invalid == 0
 
 
 def test_profile_and_obs_bypass_the_cache(cache_dir, monkeypatch):
-    machine, func, entry = jit_context()
-    load_or_compile_regions(machine, func, entry)   # Populate.
+    machine, func = jit_context()
+    launch(machine, func)   # Populate.
     take_session()
     # Observability enabled: fresh selection, no cache traffic, so cold
     # and warm runs emit identical remark streams.
     monkeypatch.setenv(obs_session.ENV_VAR, "1")
-    machine2, func2, entry2 = jit_context()
-    load_or_compile_regions(machine2, func2, entry2)
+    machine2, func2 = jit_context()
+    launch(machine2, func2)
     snap = take_session()
     assert snap["selections"] == 1
     assert snap["hits"] == snap["misses"] == snap["puts"] == 0
     monkeypatch.delenv(obs_session.ENV_VAR)
     # A live execution profile must also see exact, profile-seeded
     # selection rather than a profile-free cached plan.
-    machine3, func3, entry3 = jit_context()
+    machine3, func3 = jit_context()
     machine3.profile = object()
     try:
-        load_or_compile_regions(machine3, func3, entry3)
+        launch(machine3, func3)
     except Exception:
-        pass  # Fake profile may break selection; the counters still tell.
+        pass  # The fake profile breaks selection; the counters still tell.
     snap = take_session()
     assert snap["hits"] == snap["misses"] == 0
 
 
 def test_disabled_cache_still_compiles(cache_dir, monkeypatch):
     monkeypatch.setenv("REPRO_REGION_CACHE", "0")
-    machine, func, entry = jit_context()
-    regions = load_or_compile_regions(machine, func, entry)
+    machine, func = jit_context()
+    regions = launch(machine, func)
     assert regions
     snap = take_session()
     assert snap["selections"] == 1
@@ -259,8 +258,8 @@ def test_disabled_cache_still_compiles(cache_dir, monkeypatch):
 
 
 def test_flush_region_feedback_repersists_dirty_plans(cache_dir):
-    machine, func, entry = jit_context()
-    regions = load_or_compile_regions(machine, func, entry)
+    machine, func = jit_context()
+    regions = launch(machine, func)
     puts_before = session().puts
     flush_region_feedback(regions)      # Clean map: no-op.
     assert session().puts == puts_before

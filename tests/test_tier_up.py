@@ -1,0 +1,272 @@
+"""Heat-gated tier-up of the jit engine (``jit.TIER_UP_DISPATCHES``).
+
+The jit interprets a block until the lattice dispatcher has reached it
+``TIER_UP_DISPATCHES`` times and only then loads or selects the
+function's plan and compiles the trace starting there.  Compiled and
+interpreted execution are bit-identical by contract, so *when* a region
+compiles can change no output, cycle or counter: this file pins that
+across thresholds, pins what a cold launch does not pay for, and pins
+one tier-up in the middle of a launch step by step.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+import pytest
+
+from repro.frontend.lower import lower_kernels
+from repro.fuzz.generator import generate_kernel
+from repro.fuzz.oracle import default_args
+from repro.gpu import Memory, SimtMachine, fuser, jit, region_cache, regions
+from repro.gpu.machine import resolve_engine
+from repro.gpu.regions import R_EXIT_CONDBR, extract_plan
+from repro.ir.parser import parse_module
+from repro.ir.printer import print_module
+
+KERNEL_DIR = (pathlib.Path(__file__).resolve().parent.parent
+              / "benchmarks" / "perf" / "kernels")
+KERNELS = sorted(p.stem for p in KERNEL_DIR.glob("*.ir"))
+
+#: Tier up at once, where the program does, and never (a dispatch count
+#: starts at 1, so it never equals 0).
+THRESHOLDS = {"first-dispatch": 1, "default": jit.TIER_UP_DISPATCHES,
+              "never": 0}
+
+
+def launch_all(text, name, engine, grid_dim, block_dim, args=None):
+    """Launch every function of ``text``; outputs + Counters per function.
+
+    Pointer parameters get one ``i64`` buffer, which is read back as the
+    launch's output next to the return values.
+    """
+    module = parse_module(text, name)
+    memory = Memory()
+    machine = SimtMachine(module, memory, engine=engine)
+    out = {}
+    for fname, func in module.functions.items():
+        call = list(default_args(func) if args is None else args)
+        bufs = [i for i, a in enumerate(func.args) if a.type.is_pointer]
+        for i in bufs:
+            call.insert(i, memory.alloc(f"buf{fname}{i}", "i64",
+                                        grid_dim * block_dim))
+        result = machine.launch(func, grid_dim, block_dim, call)
+        ret = result.return_values
+        out[fname] = (None if ret is None else ret.tobytes(),
+                      [memory.read_back(f"buf{fname}{i}").tobytes()
+                       for i in bufs],
+                      result.counters)
+    return out, machine
+
+
+def assert_same_at_every_threshold(monkeypatch, text, name, grid_dim,
+                                   block_dim, args=None):
+    reference, _ = launch_all(text, name, "warp", grid_dim, block_dim, args)
+    compiled = {}
+    for label, threshold in THRESHOLDS.items():
+        monkeypatch.setattr(jit, "TIER_UP_DISPATCHES", threshold)
+        got, machine = launch_all(text, name, "jit", grid_dim, block_dim,
+                                  args)
+        # Counters is a dataclass: == compares every field, the float
+        # cycle accumulators included.
+        assert got == reference, f"{name}: jit tiering up {label} differs"
+        compiled[label] = sum(len(r) for r in machine._regions.values())
+    assert compiled["never"] == 0
+    return compiled
+
+
+def test_thresholds_cover_the_real_one():
+    assert THRESHOLDS["default"] > 1, \
+        "the default is meant to be a threshold, not immediate compilation"
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_perf_kernels_identical_at_every_threshold(kernel, monkeypatch):
+    assert len(KERNELS) == 6
+    text = (KERNEL_DIR / f"{kernel}.ir").read_text()
+    # 4 warps x 40 trips: every loop block crosses the default threshold
+    # in the middle of the launch.
+    compiled = assert_same_at_every_threshold(monkeypatch, text, kernel,
+                                              1, 128, args=[40])
+    assert 0 < compiled["default"] <= compiled["first-dispatch"]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_fuzz_kernels_identical_at_every_threshold(seed, monkeypatch):
+    module = lower_kernels([generate_kernel(seed)], f"fuzz{seed}")
+    assert_same_at_every_threshold(monkeypatch, print_module(module),
+                                   f"fuzz{seed}", 2, 80)
+
+
+# -- one tier-up inside one launch, step by step ------------------------------
+
+SELF_LOOP_IR = """
+define i64 @selfloop(i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %loop ]
+  %t1 = mul i64 %acc, 7
+  %t2 = add i64 %t1, %i
+  %t3 = xor i64 %t2, 5
+  %acc.next = and i64 %t3, 1048575
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  ret i64 %acc.next
+}
+"""
+
+TRIPS = 40
+
+
+def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes():
+    """15 interpreted iterations, 25 compiled ones, one guard failure."""
+    threshold = jit.TIER_UP_DISPATCHES
+    assert 1 < threshold < TRIPS
+    reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
+    got, machine = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
+    assert got == reference
+
+    (region_map,) = machine._regions.values()
+    (loop,) = region_map.values()           # Only the loop head got hot.
+    assert loop.head_name == "loop" and loop.self_loop is not None
+    # The dispatcher reached the loop head `threshold` times — the last
+    # of them compiled the region and entered it — and never again: the
+    # region ran every remaining iteration without the scheduler.
+    assert region_map.heat[loop.head_id] == threshold
+    assert loop.entries == 1
+    guard = loop.ops[0]
+    assert guard.passes == TRIPS - threshold
+    assert guard.fails == 1                 # The loop exit: back to the
+    heat = sorted(region_map.heat.values())  # interpreter for `exit`.
+    assert heat == [1, 1, threshold]        # entry, exit, loop.
+    # Every selected head stays serialisable, compiled or not (the bare
+    # `ret` stub at `exit` is not worth a region).
+    heads = {r["head"] for r in extract_plan(region_map)["regions"]}
+    assert heads == {"entry", "loop"}
+
+
+# -- what a launch that never gets hot does not pay ---------------------------
+
+def test_cold_launch_selects_hashes_stores_and_compiles_nothing(
+        region_cache_dir, monkeypatch):
+    def forbid(name):
+        def _raise(*args, **kwargs):
+            raise AssertionError(f"{name} ran for a launch that never "
+                                 "reached the tier-up threshold")
+        return _raise
+
+    monkeypatch.setattr(region_cache, "region_key", forbid("region_key"))
+    monkeypatch.setattr(region_cache, "select_regions",
+                        forbid("select_regions"))
+    monkeypatch.setattr(regions, "_compile_op", forbid("_compile_op"))
+    monkeypatch.setattr(fuser, "compile_segment", forbid("compile_segment"))
+    trips = jit.TIER_UP_DISPATCHES - 1      # One dispatch short of hot.
+    reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 2, 96, [trips])
+    got, machine = launch_all(SELF_LOOP_IR, "m", "jit", 2, 96, [trips])
+    assert got == reference
+    (region_map,) = machine._regions.values()
+    assert not region_map and region_map.plans is None
+    assert max(region_map.heat.values()) == trips
+    assert not region_cache.session().any(), region_cache.session()
+    store = region_cache.region_cache()
+    assert (store.hits, store.misses, store.puts) == (0, 0, 0)
+    assert not list(region_cache_dir.iterdir())
+
+
+def test_heat_accumulates_over_the_launches_of_one_machine(region_cache_dir):
+    module = parse_module(SELF_LOOP_IR, "m")
+    machine = SimtMachine(module, Memory(), engine="jit")
+    trips = jit.TIER_UP_DISPATCHES // 2 + 1     # Hot on the second launch.
+    machine.launch("selfloop", 1, 64, [trips])
+    assert not region_cache.session().any()
+    machine.launch("selfloop", 1, 64, [trips])
+    sess = region_cache.take_session()
+    assert (sess["selections"], sess["puts"], sess["regions"]) == (1, 1, 1)
+    assert sess["fused_steps"] >= fuser.MIN_CHAIN
+
+
+# Lanes split on tid parity and the arms rejoin asymmetrically, so the
+# loop's trace crosses a guard that fails on every traversal and the arm
+# heads only ever see partial masks: both kinds of guard feedback.
+STORM_IR = """
+define i64 @asym(i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %bit = and i64 %tid, 1
+  %odd = icmp eq i64 %bit, 1
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %join ]
+  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %join ]
+  %pre = add i64 %acc, %i
+  br i1 %odd, label %a, label %b
+a:
+  %x = mul i64 %pre, 3
+  br label %join
+b:
+  %y0 = add i64 %pre, 7
+  br label %b2
+b2:
+  %y = mul i64 %y0, 5
+  br label %join
+join:
+  %m = phi i64 [ %x, %a ], [ %y, %b2 ]
+  %acc.next = and i64 %m, 1048575
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  ret i64 %acc.next
+}
+"""
+
+
+def test_feedback_on_lazily_compiled_regions_is_repersisted(
+        region_cache_dir):
+    """``demote_guard`` and ``drop_cold_region`` reshape regions that
+    compiled mid-launch; ``flush_region_feedback`` must still put the
+    reshaped plan, and the next process must start from it."""
+    trips = jit.TIER_UP_DISPATCHES + 3 * regions.GUARD_DEMOTE_FAILS
+    reference, _ = launch_all(STORM_IR, "m", "warp", 1, 64, [trips])
+    got, machine = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
+    assert got == reference
+    (region_map,) = machine._regions.values()
+    sess = region_cache.take_session()
+    assert sess["selections"] == 1
+    assert sess["puts"] == 2, "the selection's put, then the feedback's"
+    assert not region_map.dirty
+
+    by_head = {r["head"]: r for r in extract_plan(region_map)["regions"]}
+    assert by_head["loop"]["ops"][-1]["kind"] == R_EXIT_CONDBR, \
+        "the storming guard was not truncated to a side exit"
+    assert "a" not in by_head, "the never-full-mask arm was not dropped"
+    assert "entry" in by_head               # Selected, never hot: kept.
+
+    region_cache.reset_region_cache()       # A new process: memo gone.
+    stored = region_cache.RegionCache(region_cache_dir).get(region_map.key)
+    assert stored == extract_plan(region_map)
+    warm, machine2 = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
+    assert warm == reference
+    sess = region_cache.take_session()
+    assert (sess["replays"], sess["selections"], sess["puts"]) == (1, 0, 0)
+    (warm_map,) = machine2._regions.values()
+    assert extract_plan(warm_map) == stored
+
+
+# -- the default ---------------------------------------------------------------
+
+def test_the_jit_is_the_default_engine(monkeypatch, capsys):
+    from repro.cli import build_parser
+
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert resolve_engine(None) == "jit"
+    assert SimtMachine(parse_module(SELF_LOOP_IR, "m")).engine == "jit"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig6", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "REPRO_ENGINE or 'jit'" in help_text
