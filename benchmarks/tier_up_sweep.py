@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """The sweep ``jit.TIER_UP_DISPATCHES`` was chosen from (EXPERIMENTS.md).
 
-Times two passes per threshold, interleaved over ``--repeats`` rounds,
-each against an empty region store like a fresh process:
+Times two passes per threshold, interleaved over ``--repeats`` rounds:
 
 * ``suite``  — all 16 applications x {baseline, uu_heuristic}, compiled
   once up front, ``Benchmark.run`` each (the perf benchmark's
@@ -20,14 +19,12 @@ reference, ``never`` the jit with a threshold no count reaches.
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import statistics
-import tempfile
 import time
 
 from repro.bench import all_benchmarks
-from repro.gpu import Memory, SimtMachine, jit, region_cache
+from repro.gpu import Memory, SimtMachine, jit
 from repro.ir.parser import parse_module
 from repro.transforms.pipeline import compile_module
 
@@ -64,19 +61,15 @@ def main() -> None:
 
     configs = [("batched", None)] + [("jit", t) for t in THRESHOLDS]
     seconds = {c: {"suite": [], "kernel": []} for c in configs}
-    with tempfile.TemporaryDirectory() as scratch:
-        for rep in range(repeats):
-            for n, (engine, threshold) in enumerate(configs):
-                if threshold is not None:
-                    jit.TIER_UP_DISPATCHES = threshold
-                for label, run in (("suite", suite), ("kernel", kernel)):
-                    os.environ[region_cache.REGION_CACHE_DIR_ENV] = \
-                        os.path.join(scratch, f"{rep}-{n}-{label}")
-                    region_cache.reset_region_cache()
-                    start = time.perf_counter()
-                    run(engine)
-                    seconds[(engine, threshold)][label].append(
-                        time.perf_counter() - start)
+    for _ in range(repeats):
+        for engine, threshold in configs:
+            if threshold is not None:
+                jit.TIER_UP_DISPATCHES = threshold
+            for label, run in (("suite", suite), ("kernel", kernel)):
+                start = time.perf_counter()
+                run(engine)
+                seconds[(engine, threshold)][label].append(
+                    time.perf_counter() - start)
 
     print(f"{'engine':<8}{'threshold':>10}{'suite min':>11}{'median':>8}"
           f"{'kernel min':>12}{'median':>8}   (seconds, {repeats} rounds)")

@@ -28,7 +28,10 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import analysis, bench, codegen, frontend, gpu, harness, ir, transforms
+# Every layer below the harness loads eagerly; the harness (figures, SVG,
+# process pools) is imported by whoever uses it, so ``import repro.gpu``
+# stays a simulator import.
+from . import analysis, bench, codegen, frontend, gpu, ir, transforms
 
 __all__ = ["analysis", "bench", "codegen", "frontend", "gpu", "harness",
            "ir", "transforms", "__version__"]

@@ -126,11 +126,11 @@ def _finish_sweep(runner) -> None:
     """Per-sweep cache telemetry (hits/misses/puts this session).
 
     Two lines can print: the cell-cache line (always, for cache-enabled
-    runners) and the jit region-cache line (only when some launch of the
-    sweep got hot enough to ask for a region plan — for the other
-    engines, and for a jit sweep that never tiered up, it is empty).  Worker
-    counters were already folded in via ``_absorb_extras``, so ``-j1``
-    and ``-jN`` print the same totals.
+    runners) and the jit line (only when some launch of the sweep got
+    hot enough to select regions — for the other engines, and for a jit
+    sweep that never tiered up, it is empty).  Worker counters were
+    already folded in via ``_absorb_extras``, so ``-j1`` and ``-jN``
+    print the same totals.
     """
     cache = getattr(runner, "cache", None)
     if cache is not None:
@@ -272,15 +272,11 @@ def cmd_indepth(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .gpu.region_cache import (RegionCache, region_cache_enabled)
     cache = CellCache()
     if args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached files (entries + orphaned tmp) "
               f"from {cache.root}")
-        regions = RegionCache()
-        removed = regions.clear()
-        print(f"removed {removed} cached region plans from {regions.root}")
         return 0
     stats = cache.stats()
     sweep_entries = stats["entries"] - stats["tune_entries"]
@@ -298,18 +294,6 @@ def cmd_cache(args) -> int:
         print(f"  orphans: {stats['tmp_files']} tmp file(s) "
               f"({stats['tmp_bytes'] / 1024:.1f} KiB) from writers that "
               "died mid-put; `repro cache clear` sweeps them")
-    rstats = RegionCache().stats()
-    state = "" if region_cache_enabled() else " (disabled: REPRO_REGION_CACHE=0)"
-    print(f"region cache at {rstats['root']}{state}")
-    print(f"  entries: {rstats['entries']} "
-          f"({rstats['bytes'] / 1024:.1f} KiB)")
-    if rstats["max_bytes"] is not None:
-        print(f"  cap:     {rstats['max_bytes'] / 1024:.1f} KiB (LRU; set "
-              f"via REPRO_REGION_CACHE_MAX_BYTES)")
-    if rstats["tmp_files"]:
-        print(f"  orphans: {rstats['tmp_files']} tmp file(s) "
-              f"({rstats['tmp_bytes'] / 1024:.1f} KiB); "
-              "`repro cache clear` sweeps them")
     return 0
 
 
@@ -964,17 +948,10 @@ def cmd_serve_status(args) -> int:
               f"misses, {cache['session_evictions']} evictions")
     region = stats.get("region_cache")
     if region:
-        store = region.get("store")
         sess = region.get("session") or {}
-        if store:
-            print(f"  regions:   {store['entries']} plans, "
-                  f"{store['bytes']} bytes; this session "
-                  f"{sess.get('replays', 0)} replayed, "
-                  f"{sess.get('selections', 0)} selected, "
-                  f"{sess.get('fused_steps', 0)} steps fused")
-        else:
-            print("  regions:   persistent cache disabled "
-                  "(REPRO_REGION_CACHE=0)")
+        print(f"  regions:   {sess.get('selections', 0)} functions "
+              f"selected, {sess.get('regions', 0)} compiled, "
+              f"{sess.get('fused_steps', 0)} steps fused")
     similarity = stats.get("similarity")
     if similarity:
         index = similarity.get("index") or {}

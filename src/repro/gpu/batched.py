@@ -60,7 +60,6 @@ from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
                       _BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
                       _K_VALUE, _K_VOID, _T_BR, _T_CONDBR, _T_RET,
                       _T_UNREACHABLE, _WarpContext, _geometry_vec)
-from .region_cache import flush_region_feedback
 from .regions import RegionMap
 
 # Per-row conditional-branch classification (bit 1: any lane taken,
@@ -249,15 +248,9 @@ def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
                         [(0, entry, active)])
     results = _Results(n)
     worklist = [state]
-    try:
-        while worklist:
-            _run_state(machine, func, worklist.pop(), arg_values, total,
-                       results, worklist, regions)
-    finally:
-        # Guard feedback (truncations / drops) reshaped the plan: persist
-        # the improved one so the next cold process starts from it.
-        if regions is not None:
-            flush_region_feedback(regions)
+    while worklist:
+        _run_state(machine, func, worklist.pop(), arg_values, total,
+                   results, worklist, regions)
 
     # Ordered float reduction: serial `total.merge(per_warp_counters)` adds
     # warp totals block-major; match that order bit-for-bit.

@@ -59,8 +59,8 @@ MIN_CHAIN = 4
 #: Compiled code objects keyed by ``(filename, source)``.  The generated
 #: source is id-free (SSA slot ids are bound through the exec namespace,
 #: not embedded as literals), so re-launching the same kernel — bench
-#: repeats, sweep cells, serve requests, region-cache replays — reuses
-#: the ``compile()`` result and pays only an ``exec`` per segment.
+#: repeats, sweep cells, serve requests — reuses the ``compile()``
+#: result and pays only an ``exec`` per segment.
 _CODE_CACHE: Dict[Tuple[str, str], object] = {}
 
 _CODE_CACHE_LIMIT = 1024
@@ -134,33 +134,20 @@ def find_segments(steps, counts: Dict[int, int]
     return tuple(segments)
 
 
-def segment_ok(steps, lo: int, hi: int, live) -> bool:
-    """Is ``(lo, hi, live)`` a well-formed fused span over ``steps``?"""
-    return (0 <= lo < hi <= len(steps) and len(live) == hi - lo
-            and all(_step_fusible(steps[k]) for k in range(lo, hi)))
-
-
 class FuseContext:
     """Per-function fusion state threaded through region compilation.
 
-    ``plan`` (from the region cache) short-circuits chain analysis on
-    replay: it maps decoded-block *names* to the segment triples a
-    previous selection found, so warm launches skip ``use_counts`` and
-    ``find_segments`` entirely.  Without one, each block is analysed
-    once, the first time a trace through it compiles or is serialised.
+    Each block is analysed once, the first time a trace through it
+    compiles.
     """
 
-    def __init__(self, machine, func: Function,
-                 plan: Optional[Dict[str, Tuple]] = None) -> None:
+    def __init__(self, machine, func: Function) -> None:
         self.machine = machine
         self.func = func
-        self.plan = plan
         self._counts: Optional[Dict[int, int]] = None
         self._segments: Dict[int, Tuple] = {}
 
     def segments_for(self, db) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
-        if self.plan is not None:
-            return self.plan.get(db.name, ())
         segments = self._segments.get(db.block_id)
         if segments is None:
             if self._counts is None:
@@ -185,9 +172,6 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
     function stores into the SSA slot dict (the liveouts).
     """
     steps = db.steps
-    if not segment_ok(steps, lo, hi, live):
-        raise ValueError(
-            f"invalid fused segment [{lo}:{hi}] for {func_name}:{db.name}")
     insts = [steps[k][7][2] for k in range(lo, hi)]
 
     ns: Dict[str, object] = dict(NAMESPACE)

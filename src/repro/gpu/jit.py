@@ -4,15 +4,15 @@ This engine is the batched engine's dispatcher
 (:func:`repro.gpu.batched.run_launch_batched`) with a tier-2 fast path
 that a launch earns block by block.  Every block starts interpreted; the
 dispatcher offers each pop to :func:`enter_region`, which counts it, and
-on a block's ``TIER_UP_DISPATCHES``-th dispatch loads or selects the
-function's region plan (once) and compiles the superblock
-(:mod:`repro.gpu.regions`) starting there.  From then on, when a popped
+on a block's ``TIER_UP_DISPATCHES``-th dispatch selects the function's
+regions (once) and compiles the superblock (:mod:`repro.gpu.regions`)
+starting there.  From then on, when a popped
 group's mask covers *every* lane of every warp, the whole trace runs as
 one fused sequence — no per-block scheduling, no masked writes, integer
 counters folded per block, and (for memory-free regions whose per-row
 accumulators agree) float accounting replayed on two Python scalars
 instead of ``(n,)``/``(n, 7)`` lattices.  A function that never gets hot
-is never selected, hashed, looked up in the region store or compiled.
+is never selected or compiled.
 
 Guards and deoptimization: each conditional branch crossed by a trace
 checks that every lane takes the compile-time expected side (one lattice
@@ -46,11 +46,12 @@ from ..obs import metrics as obs_metrics
 from .counters import Counters
 from .machine import (WARP_SIZE, SimulationError, _BR_COST, _CAT_CONTROL,
                       _CAT_MISC, _K_VALUE, _K_VOID)
-from .region_cache import load_or_select_plan, note_compiled
+from .region_cache import note_compiled, session
 from .regions import (CompiledRegion, GUARD_DEMOTE_FAILS, R_DIAMOND,
                       R_EXIT_BR, R_EXIT_CONDBR, R_GUARD, R_NEXT, R_RET,
                       R_UNREACHABLE, S_FUSED, S_MEM, S_VALUE, RegionMap,
-                      compile_region, demote_guard, drop_cold_region)
+                      compile_region, demote_guard, drop_cold_region,
+                      select_regions)
 
 #: Tier-up threshold: a block compiles its region on its this-many-th
 #: lattice dispatch, counted per (machine, function) so heat accumulates
@@ -93,7 +94,8 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
         if count != TIER_UP_DISPATCHES:
             return INTERPRET
         if regions.plans is None:
-            load_or_select_plan(machine, func, regions)
+            select_regions(regions, machine, func)
+            session().selections += 1
         region = compile_region(regions, db.block_id)
         if region is None:
             return INTERPRET

@@ -48,10 +48,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
-from .fuser import FuseContext, segment_ok
+from .fuser import FuseContext
 from .machine import (_BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
                       _CAT_CONTROL, _K_LOAD, _K_STORE, _K_VALUE, _K_VOID,
-                      _T_BR, _T_CONDBR, _T_MISSING, _T_RET, _T_UNREACHABLE,
+                      _T_BR, _T_MISSING, _T_RET, _T_UNREACHABLE,
                       WARP_SIZE, _DecodedBlock)
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
 
@@ -170,7 +170,7 @@ class CompiledRegion:
         self.entries = 0
         self.entry_fails = 0
         #: Fusion telemetry (see gpu/fuser.py), folded into remarks and
-        #: the region-cache session counters.
+        #: the jit session counters (``region_cache.RegionSession``).
         self.fused_segments = sum(len(op.fuse_plan) for op in self.ops)
         self.fused_steps = sum(hi - lo for op in self.ops
                                for lo, hi, _live in op.fuse_plan)
@@ -185,28 +185,18 @@ class RegionMap(dict):
     per decoded block (``jit.enter_region``); ``plans`` is None until
     the first block gets hot, then holds every selected head's
     uncompiled decision list ``(decisions, n_guards, loopback)`` —
-    what :func:`extract_plan` serialises and :func:`compile_region`
-    compiles, one hot head at a time.  ``key`` is the region-cache
-    content key the plans were loaded from or stored under (None when
-    the persistent cache is bypassed); ``dirty`` flips when guard
-    feedback reshapes them (truncation / drop) so the improved plan can
-    be re-persisted after the launch.
+    what :func:`compile_region` compiles, one hot head at a time, and
+    guard feedback deletes when it drops a region for good.
     """
 
-    __slots__ = ("key", "dirty", "func_name", "heat", "plans", "fuse_ctx")
+    __slots__ = ("func_name", "heat", "plans", "fuse_ctx")
 
     def __init__(self, func_name: str = "") -> None:
         super().__init__()
-        self.key: Optional[str] = None
-        self.dirty = False
         self.func_name = func_name
         self.heat: Dict[int, int] = {}
         self.plans: Optional[Dict[int, Tuple]] = None
         self.fuse_ctx: Optional[FuseContext] = None
-
-
-class PlanMismatch(Exception):
-    """A persisted region plan no longer matches the decoded function."""
 
 
 def select_regions(regions: RegionMap, machine, func) -> None:
@@ -631,14 +621,12 @@ def demote_guard(regions: RegionMap, region: CompiledRegion,
 
     The guard op becomes a condbr side exit (identical charges — only
     the resolution strategy changes), everything past it is dropped, and
-    the replacement is installed in the dispatch map, its decision list
-    cut to match.  If nothing executable remains before the exit the
-    region is dropped entirely and the block returns to plain
-    interpreted dispatch.
+    the replacement is installed in the dispatch map.  If nothing
+    executable remains before the exit the region is dropped entirely
+    and the block returns to plain interpreted dispatch.
     """
     old = region.ops[op_index]
     fails = old.fails
-    regions.dirty = True
     if op_index == 0 and not old.steps:
         del regions[region.head_id]
         del regions.plans[region.head_id]
@@ -664,12 +652,6 @@ def demote_guard(regions: RegionMap, region: CompiledRegion,
     regions[region.head_id] = CompiledRegion(
         region.head_id, region.head_name, ops, _norm_of(ops), guards,
         loopback=False)
-    decisions = regions.plans[region.head_id][0]
-    db, guard = decisions[op_index]
-    regions.plans[region.head_id] = (
-        decisions[:op_index]
-        + [(db, (R_EXIT_CONDBR, guard[1], guard[3], guard[4]))],
-        guards, False)
     obs_metrics.inc("repro_jit_regions_total", result="truncated")
     obs_session.remark(
         "analysis", "jit", func_name,
@@ -689,7 +671,6 @@ def drop_cold_region(regions: RegionMap, region: CompiledRegion,
     divergent halves of an if/else, always entered under partial masks.
     Scheduling policy only; execution is unaffected.
     """
-    regions.dirty = True
     del regions[region.head_id]
     del regions.plans[region.head_id]
     obs_metrics.inc("repro_jit_regions_total", result="dropped")
@@ -699,189 +680,3 @@ def drop_cold_region(regions: RegionMap, region: CompiledRegion,
         f"{region.entry_fails} dispatches without a full mask",
         head=region.head_name, entry_fails=region.entry_fails,
         action="dropped")
-
-
-# ---------------------------------------------------------------------------
-# Region-plan persistence (see gpu/region_cache.py)
-# ---------------------------------------------------------------------------
-# Compiled regions close over live object ids, so what persists across
-# processes is the *plan*: which blocks each trace covers, every branch
-# decision, and the fused-segment spans — of every selected head, compiled
-# yet or not.  Replaying a plan against a freshly decoded function skips
-# selection and chain analysis; every structural fact is re-validated
-# against the decoded CFG and any mismatch raises PlanMismatch, which the
-# cache treats as a miss — a stale plan can only ever cost a fresh
-# selection, never correctness.
-
-def extract_plan(regions: RegionMap) -> Dict[str, object]:
-    """Serialize a map's decision lists into a JSON-able, ordered plan."""
-    plans = regions.plans
-    plan_regions = []
-    for head_id in sorted(plans, key=lambda h: plans[h][0][0][0].name):
-        decisions, n_guards, loopback = plans[head_id]
-        ops = []
-        for db, decision in decisions:
-            kind = decision[0]
-            entry: Dict[str, object] = {"name": db.name, "kind": kind}
-            if kind in (R_NEXT, R_GUARD, R_DIAMOND):
-                entry["next"] = decision[-1]
-            if kind == R_GUARD:
-                entry["expected"] = bool(decision[2])
-            if kind == R_DIAMOND:
-                entry["arm_t"] = decision[4].name
-                entry["arm_f"] = decision[5].name
-            fuse = regions.fuse_ctx.segments_for(db)
-            if fuse:
-                entry["fuse"] = [[lo, hi, list(live)]
-                                 for lo, hi, live in fuse]
-            ops.append(entry)
-        plan_regions.append({"head": decisions[0][0].name,
-                             "loopback": bool(loopback),
-                             "guards": n_guards,
-                             "ops": ops})
-    return {"regions": plan_regions}
-
-
-def _block_map(entry: _DecodedBlock) -> Dict[str, _DecodedBlock]:
-    """Name -> decoded block over everything reachable from ``entry``.
-
-    Ambiguously named blocks are removed — a plan referencing one fails
-    validation and falls back to a fresh compile.
-    """
-    blocks: Dict[str, _DecodedBlock] = {}
-    ambiguous = set()
-    stack = [entry]
-    seen = set()
-    while stack:
-        db = stack.pop()
-        if db.block_id in seen:
-            continue
-        seen.add(db.block_id)
-        if db.name in blocks and blocks[db.name] is not db:
-            ambiguous.add(db.name)
-        else:
-            blocks[db.name] = db
-        tk = db.term_kind
-        if tk == _T_BR:
-            stack.append(db.term.target)
-        elif tk == _T_CONDBR:
-            stack.append(db.term[1].target)
-            stack.append(db.term[2].target)
-    for name in ambiguous:
-        blocks.pop(name, None)
-    return blocks
-
-
-def replay_plan(regions: RegionMap, machine, func,
-                plan: Dict[str, object]) -> None:
-    """Re-derive a map's decision lists from a persisted plan.
-
-    Raises PlanMismatch (leaving ``regions`` untouched) on any
-    disagreement with the decoded function.
-    """
-    try:
-        plan_regions = plan["regions"]
-    except (TypeError, KeyError):
-        raise PlanMismatch("malformed plan")
-    blocks = _block_map(machine._decode(func))
-    segs: Dict[str, Tuple] = {}
-    for rp in plan_regions:
-        for opp in rp.get("ops", ()):
-            if "fuse" in opp:
-                segs[opp["name"]] = tuple(
-                    (int(lo), int(hi), tuple(int(x) for x in live))
-                    for lo, hi, live in opp["fuse"])
-    fuse_ctx = FuseContext(machine, func, plan=segs)
-    plans: Dict[int, Tuple] = {}
-    for rp in plan_regions:
-        head = blocks.get(rp.get("head"))
-        if head is None:
-            raise PlanMismatch(f"unknown head {rp.get('head')!r}")
-        plans[head.block_id] = _replay_region(head, rp, fuse_ctx)
-    regions.plans = plans
-    regions.fuse_ctx = fuse_ctx
-
-
-def _replay_region(head: _DecodedBlock, rp: Dict[str, object],
-                   fuse_ctx: FuseContext) -> Tuple:
-    """Re-derive one region's decision list from its plan entry."""
-    ops_plan = rp.get("ops") or []
-    if not ops_plan:
-        raise PlanMismatch("empty op list")
-    decisions: List[Tuple[_DecodedBlock, Tuple]] = []
-    seen = {head.block_id}
-    cur: Optional[_DecodedBlock] = head
-    last = len(ops_plan) - 1
-    for i, opp in enumerate(ops_plan):
-        if cur is None or cur.name != opp.get("name"):
-            raise PlanMismatch(f"block mismatch at op {i}")
-        kind = opp.get("kind")
-        tk = cur.term_kind
-        nxt: Optional[Tuple[int, _DecodedBlock]] = None
-        if kind == R_RET:
-            if tk != _T_RET:
-                raise PlanMismatch("terminator changed (ret)")
-            decisions.append((cur, (R_RET, None)))
-        elif kind == R_UNREACHABLE:
-            if tk != _T_UNREACHABLE:
-                raise PlanMismatch("terminator changed (unreachable)")
-            decisions.append((cur, (R_UNREACHABLE, None)))
-        elif kind in (R_NEXT, R_EXIT_BR):
-            if tk != _T_BR:
-                raise PlanMismatch("terminator changed (br)")
-            edge = cur.term
-            if kind == R_EXIT_BR:
-                decisions.append((cur, (R_EXIT_BR, edge)))
-            else:
-                ni = int(opp.get("next", 0))
-                decisions.append((cur, (R_NEXT, edge, ni)))
-                nxt = (ni, edge.target)
-        elif kind in (R_GUARD, R_EXIT_CONDBR, R_DIAMOND):
-            if tk != _T_CONDBR:
-                raise PlanMismatch("terminator changed (condbr)")
-            read_cond, t_edge, f_edge = cur.term
-            if kind == R_EXIT_CONDBR:
-                decisions.append((cur, (R_EXIT_CONDBR, read_cond, t_edge,
-                                        f_edge)))
-            elif kind == R_GUARD:
-                expected = bool(opp.get("expected", True))
-                chosen = t_edge if expected else f_edge
-                ni = int(opp.get("next", 0))
-                decisions.append((cur, (R_GUARD, read_cond, expected,
-                                        t_edge, f_edge, chosen, ni)))
-                nxt = (ni, chosen.target)
-            else:
-                dia = _try_diamond(t_edge, f_edge, seen)
-                if dia is None:
-                    raise PlanMismatch("diamond shape changed")
-                ta, fa, join = dia
-                if (ta.name != opp.get("arm_t")
-                        or fa.name != opp.get("arm_f")):
-                    raise PlanMismatch("diamond arms changed")
-                ni = int(opp.get("next", 0))
-                decisions.append((cur, (R_DIAMOND, read_cond, t_edge,
-                                        f_edge, ta, fa, ni)))
-                seen.update((ta.block_id, fa.block_id))
-                nxt = (ni, join)
-        else:
-            raise PlanMismatch(f"unknown op kind {kind!r}")
-        if nxt is None:
-            if i != last:
-                raise PlanMismatch("terminal op mid-plan")
-            cur = None
-        else:
-            ni, tgt = nxt
-            if ni == 0:
-                if tgt.block_id != head.block_id or i != last:
-                    raise PlanMismatch("bad loopback edge")
-                cur = None
-            else:
-                if ni != i + 1 or i == last:
-                    raise PlanMismatch("bad internal edge")
-                seen.add(tgt.block_id)
-                cur = tgt
-    for db, _decision in decisions:
-        for lo, hi, live in fuse_ctx.segments_for(db):
-            if not segment_ok(db.steps, lo, hi, live):
-                raise PlanMismatch(f"bad fused segment in {db.name}")
-    return decisions, int(rp.get("guards", 0)), bool(rp.get("loopback"))

@@ -38,9 +38,9 @@ changed since enumeration: an entry another process just wrote (or
 refreshed) is never removed, preserving the atomic-replace contract.
 
 The on-disk discipline (sharding, atomic puts, monotonic recency, safe
-eviction, orphan sweeping) lives in :class:`ShardedLRUStore` so the JIT
-tier's compiled-region cache (:mod:`repro.gpu.region_cache`) shares it
-byte-for-byte rather than reimplementing it.
+eviction, orphan sweeping) lives in :class:`ShardedLRUStore`, shared by
+the cell cache and the similarity index
+(:mod:`repro.similarity.index`).
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def outputs_from_json(data: Dict) -> Dict[str, np.ndarray]:
 
 
 class ShardedLRUStore:
-    """On-disk discipline shared by the cell and compiled-region caches.
+    """On-disk discipline shared by the cell cache and the similarity index.
 
     Provides 256 two-hex-char shard directories, atomic temp-file+rename
     puts, strictly monotonic mtime recency, re-stat-before-unlink LRU

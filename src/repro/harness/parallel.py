@@ -165,7 +165,7 @@ def _worker_extras(runner: ExperimentRunner) -> Dict:
     report the same merged per-pass breakdown the serial runner shows;
     ``obs`` carries the worker's remark/trace/profile payload (None when
     ``REPRO_TRACE`` is off); ``region_cache`` ships the worker's jit
-    region-cache session counters (snapshot-and-reset, so a pooled worker
+    session counters (snapshot-and-reset, so a pooled worker
     running many tasks never double-reports); ``metrics`` ships the
     worker's metric-registry snapshot (None when ``REPRO_METRICS`` is
     off) under the same discipline.

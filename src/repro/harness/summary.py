@@ -274,7 +274,7 @@ def format_profile(runner: ExperimentRunner) -> str:
 
 
 def _format_region_session() -> List[str]:
-    """JIT fusion / region-cache counters for this run, when the jit ran.
+    """JIT selection / fusion counters for this run, when the jit ran.
 
     Like pass stats, worker counters are folded in by
     ``ParallelRunner._absorb_extras``, so ``-j1`` and ``-jN`` report the
@@ -285,22 +285,13 @@ def _format_region_session() -> List[str]:
     if not sess.any():
         return []
     lines = ["JIT region compilation (this run):"]
-    lines.append(f"  {'selections':<14} {sess.selections:>8}   fresh region "
-                 "selections (full analysis)")
-    lines.append(f"  {'replays':<14} {sess.replays:>8}   plans replayed "
-                 "from the region cache")
+    lines.append(f"  {'selections':<14} {sess.selections:>8}   functions "
+                 "whose regions were selected")
     lines.append(f"  {'regions':<14} {sess.regions:>8}")
     if sess.fused_segments:
         lines.append(f"  {'fused':<14} {sess.fused_steps:>8}   steps in "
                      f"{sess.fused_segments} segments "
                      f"(max chain {sess.max_chain})")
-    lines.append(f"  {'cache':<14} {sess.hits:>8}   hits / "
-                 f"{sess.misses} misses / {sess.puts} puts")
-    if sess.invalid:
-        lines.append(f"  {'stale':<14} {sess.invalid:>8}   plans failed "
-                     "replay validation")
-    if sess.evictions:
-        lines.append(f"  {'evicted':<14} {sess.evictions:>8}   (LRU)")
     return lines
 
 

@@ -67,15 +67,15 @@ HELP: Dict[str, str] = {
     "repro_serve_requests_total":
         "HTTP requests by endpoint and method.",
     "repro_cache_hits_total":
-        "Cache lookups that hit (cache=cell|region|simindex).",
+        "Cache lookups that hit (cache=cell|simindex).",
     "repro_cache_misses_total":
-        "Cache lookups that missed (cache=cell|region|simindex).",
+        "Cache lookups that missed (cache=cell|simindex).",
     "repro_cache_puts_total":
-        "Cache writes (cache=cell|region|simindex).",
+        "Cache writes (cache=cell|simindex).",
     "repro_cache_evictions_total":
-        "Entries evicted by the LRU bound (cache=cell|region|simindex).",
+        "Entries evicted by the LRU bound (cache=cell|simindex).",
     "repro_cache_bytes_written_total":
-        "Payload bytes written into the cache (cache=cell|region|simindex).",
+        "Payload bytes written into the cache (cache=cell|simindex).",
     "repro_sweep_cells_total":
         "Experiment cells computed by ParallelRunner (cache misses only).",
     "repro_sweep_worker_failures_total":
@@ -351,7 +351,7 @@ def preregister(registry: MetricsRegistry) -> None:
     registry.counter("repro_serve_cancelled_total")
     for state in ("done", "failed"):
         registry.counter("repro_serve_jobs_total", state=state)
-    for cache in ("cell", "region", "simindex"):
+    for cache in ("cell", "simindex"):
         registry.counter("repro_cache_hits_total", cache=cache)
         registry.counter("repro_cache_misses_total", cache=cache)
         registry.counter("repro_cache_puts_total", cache=cache)

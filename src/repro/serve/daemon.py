@@ -297,14 +297,8 @@ class ServeDaemon:
         }
         cache = self.runner.cache
         data["cache"] = cache.stats() if cache is not None else None
-        from ..gpu.region_cache import region_cache
         from ..gpu.region_cache import session as region_session
-        regions = region_cache()
-        region_data: Dict[str, object] = {
-            "session": region_session().snapshot(),
-        }
-        region_data["store"] = regions.stats() if regions is not None else None
-        data["region_cache"] = region_data
+        data["region_cache"] = {"session": region_session().snapshot()}
         from ..similarity.index import SimilarityIndex
         index = SimilarityIndex(getattr(self.runner, "sim_index_dir", None))
         with self._similarity_lock:

@@ -8,8 +8,8 @@ the timing model charges (:data:`repro.gpu.counters.CATEGORIES`).
 Nothing is simulated and nothing depends on the execution engine, the
 worker count, or any cache state, so vectors are bit-identical across
 ``-j1``/``-jN``, across the warp/batched/jit engines, and across
-cold-versus-warm region caches (tests/test_similarity.py pins all
-three).
+cold-versus-warm in-process jit state (tests/test_similarity.py pins
+all three).
 
 Each dimension carries a fixed normalization scale — *data-independent*,
 never fitted to the corpus — so distances between two kernels do not

@@ -19,14 +19,8 @@ def tier_up_at_once(monkeypatch):
 
 
 @pytest.fixture
-def region_cache_dir(tmp_path, monkeypatch):
-    """Point the process-wide region cache at a temp dir; reset the
-    instance and the session counters around the test."""
-    monkeypatch.setenv("REPRO_REGION_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_REGION_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_REGION_CACHE_MAX_BYTES", raising=False)
-    region_cache.reset_region_cache()
+def fresh_jit_session():
+    """Reset the jit's session counters around the test."""
     region_cache.take_session()
-    yield tmp_path
-    region_cache.reset_region_cache()
+    yield
     region_cache.take_session()

@@ -29,9 +29,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
-import os
 import sys
-import tempfile
 from unittest import mock
 
 import pytest
@@ -42,7 +40,7 @@ from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
 from repro.gpu import Counters, Memory, SimtMachine, fuser
-from repro.gpu.region_cache import REGION_CACHE_DIR_ENV
+from repro.gpu.region_cache import take_session
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.transforms.pipeline import compile_module
@@ -69,23 +67,12 @@ FUSE_IDS = ("fuse", "nofuse")
 
 
 @contextlib.contextmanager
-def fusion(enabled: bool, cache_dir=None):
-    """Scope the ``nofuse`` seam to one check.
-
-    Unfused plans go to a region-cache directory of their own
-    (``cache_dir``, else a throwaway): the shared cache is keyed on
-    content alone and must go on holding what the program would compile.
-    """
+def fusion(enabled: bool):
+    """Scope the ``nofuse`` seam to one check."""
     if enabled:
         yield
         return
-    with contextlib.ExitStack() as stack:
-        if cache_dir is None:
-            cache_dir = stack.enter_context(tempfile.TemporaryDirectory())
-        stack.enter_context(
-            mock.patch.object(fuser, "MIN_CHAIN", sys.maxsize))
-        stack.enter_context(mock.patch.dict(
-            os.environ, {REGION_CACHE_DIR_ENV: str(cache_dir)}))
+    with mock.patch.object(fuser, "MIN_CHAIN", sys.maxsize):
         yield
 
 
@@ -382,47 +369,21 @@ def _compare_runs(label, got, reference):
 
 
 @pytest.mark.parametrize("fuse", FUSE_MODES, ids=FUSE_IDS)
-def test_region_cache_cold_vs_warm_bit_identical(tmp_path, monkeypatch, fuse):
-    """A warm launch replays persisted plans and must change nothing.
+def test_region_cache_cold_vs_warm_bit_identical(fresh_jit_session, fuse):
+    """A second fresh machine in the same process must change nothing.
 
-    The storm kernel is the adversarial case: its cold run truncates a
-    guard-storming region and drops a cold one, and that *reshaped* plan
-    is what guard feedback persists — so the warm run starts from the
-    truncated shape rather than rediscovering the deopts, takes different
-    internal paths to the same replay, and still has to be bit-identical
-    to both the cold run and the per-warp reference.
+    No region state outlives a machine — the storm kernel's guard
+    feedback (a truncation and a dropped cold region) included — so the
+    second one selects, compiles and reshapes the same regions as the
+    first, and both are bit-identical to the per-warp reference.
     """
-    from repro.gpu.region_cache import reset_region_cache, take_session
-
-    monkeypatch.setenv("REPRO_REGION_CACHE_DIR", str(tmp_path))
-    reset_region_cache()
-    take_session()
-    try:
-        reference = launch_engine(STORM_IR, "storm", "warp",
-                                  args=[STORM_TRIPS])
-        with fusion(fuse, tmp_path):
-            cold = launch_engine(STORM_IR, "storm", "jit",
-                                 args=[STORM_TRIPS])
+    reference = launch_engine(STORM_IR, "storm", "warp", args=[STORM_TRIPS])
+    with fusion(fuse):
+        cold = launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
         cold_sess = take_session()
-        assert cold_sess["selections"] > 0, "cold run did not select regions"
-        assert cold_sess["replays"] == 0
-        assert cold_sess["puts"] > cold_sess["selections"], (
-            "guard feedback (truncation/drop) was not re-persisted — the "
-            "warm run below would not start from the reshaped plan")
-
-        # New process simulation: drop the in-process instance (and its
-        # plan memo) so the warm run must replay from disk.
-        reset_region_cache()
-        with fusion(fuse, tmp_path):
-            warm = launch_engine(STORM_IR, "storm", "jit",
-                                 args=[STORM_TRIPS])
+        warm = launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
         warm_sess = take_session()
-        assert warm_sess["selections"] == 0, (
-            f"warm launch re-selected {warm_sess['selections']} regions "
-            "instead of replaying persisted plans")
-        assert warm_sess["replays"] > 0
-
-        _compare_runs(f"storm/cold/fuse={fuse}", cold, reference)
-        _compare_runs(f"storm/warm/fuse={fuse}", warm, reference)
-    finally:
-        reset_region_cache()  # Do not leak the tmp-rooted instance.
+    assert cold_sess["selections"] > 0, "cold run did not select regions"
+    assert warm_sess == cold_sess
+    _compare_runs(f"storm/cold/fuse={fuse}", cold, reference)
+    _compare_runs(f"storm/warm/fuse={fuse}", warm, reference)

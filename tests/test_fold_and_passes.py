@@ -365,16 +365,10 @@ def assert_agreement(key, tys, rows, to=None):
             f"{label}: folder {folded.value!r} != lane {reference[lane]!r}"
 
 
-@pytest.fixture
-def no_region_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_REGION_CACHE", "0")
-
-
 # fptrunc of 1e300 overflows to inf, as it always has at runtime.
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 @pytest.mark.parametrize("key", sorted(TABLE))
-def test_every_table_entry_agrees_across_evaluators(key, no_region_cache,
-                                                    tier_up_at_once):
+def test_every_table_entry_agrees_across_evaluators(key, tier_up_at_once):
     sigs = signatures(key)
     assert sigs, f"TABLE entry {key!r} has no operand rows in this test"
     for tys, to in sigs:
@@ -461,8 +455,7 @@ class TestShiftAgreement:
 
     @pytest.mark.parametrize("op", ["shl", "lshr", "ashr"])
     @pytest.mark.parametrize("ty", INT)
-    def test_machine_matches_folder(self, op, ty, no_region_cache,
-                                    tier_up_at_once):
+    def test_machine_matches_folder(self, op, ty, tier_up_at_once):
         bits = TYPES[ty].bits
         values = sorted({TYPES[ty].wrap(v) for v in
                          (0, 1, -1, 5, -7, (1 << (bits - 1)) - 1,

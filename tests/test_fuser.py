@@ -184,7 +184,6 @@ def test_fused_numpy_values_match_unfused(monkeypatch, tier_up_at_once):
     With the chain floor out of reach no segment forms, and the jit runs
     the chain as the per-step closures every short chain uses.
     """
-    monkeypatch.setenv("REPRO_REGION_CACHE", "0")
     results = {}
     for floor in (MIN_CHAIN, 10**9):
         monkeypatch.setattr(fuser, "MIN_CHAIN", floor)

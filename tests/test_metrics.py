@@ -168,11 +168,6 @@ BENCH = "bspline-vgh"
 
 class TestSweepFold:
     def test_j1_and_jN_registries_render_identically(self, monkeypatch):
-        # The persistent region cache is the one legitimately
-        # order-dependent source (first run would warm it for the
-        # second); metrics determinism is only promised with it off,
-        # same caveat as RegionSession.
-        monkeypatch.setenv("REPRO_REGION_CACHE", "0")
         monkeypatch.setenv(metrics.ENV_VAR, "1")
 
         def render(jobs):
@@ -244,12 +239,7 @@ class TestDaemonMetrics:
         assert "repro_serve_queue_wait_seconds_count 1" in text
         assert "repro_serve_execute_seconds_count 1" in text
 
-    def test_served_job_counts_like_direct_execution(self, monkeypatch):
-        # The persistent region cache would let whichever run goes
-        # second replay plans the first one compiled, skewing the
-        # compiled/fused counters; job-level metric parity is only
-        # promised with it off (same caveat as the -j1/-jN fold).
-        monkeypatch.setenv("REPRO_REGION_CACHE", "0")
+    def test_served_job_counts_like_direct_execution(self):
         req = ir_request(engine="jit")
         d = ServeDaemon(workers=2, use_cache=False)
         d.start()

@@ -1,8 +1,8 @@
 """Heat-gated tier-up of the jit engine (``jit.TIER_UP_DISPATCHES``).
 
 The jit interprets a block until the lattice dispatcher has reached it
-``TIER_UP_DISPATCHES`` times and only then loads or selects the
-function's plan and compiles the trace starting there.  Compiled and
+``TIER_UP_DISPATCHES`` times and only then selects the function's
+regions and compiles the trace starting there.  Compiled and
 interpreted execution are bit-identical by contract, so *when* a region
 compiles can change no output, cycle or counter: this file pins that
 across thresholds, pins what a cold launch does not pay for, and pins
@@ -11,7 +11,10 @@ one tier-up in the middle of a launch step by step.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -20,9 +23,11 @@ from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
 from repro.gpu import Memory, SimtMachine, fuser, jit, region_cache, regions
 from repro.gpu.machine import resolve_engine
-from repro.gpu.regions import R_EXIT_CONDBR, extract_plan
+from repro.gpu.regions import R_EXIT_CONDBR
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
+from repro.obs import session as obs_session
+from tests.test_region_cache import plan_shape
 
 KERNEL_DIR = (pathlib.Path(__file__).resolve().parent.parent
               / "benchmarks" / "perf" / "kernels")
@@ -144,25 +149,22 @@ def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes():
     assert guard.fails == 1                 # The loop exit: back to the
     heat = sorted(region_map.heat.values())  # interpreter for `exit`.
     assert heat == [1, 1, threshold]        # entry, exit, loop.
-    # Every selected head stays serialisable, compiled or not (the bare
+    # Every selected head keeps its plan, compiled or not (the bare
     # `ret` stub at `exit` is not worth a region).
-    heads = {r["head"] for r in extract_plan(region_map)["regions"]}
-    assert heads == {"entry", "loop"}
+    assert set(plan_shape(region_map)) == {"entry", "loop"}
 
 
 # -- what a launch that never gets hot does not pay ---------------------------
 
 def test_cold_launch_selects_hashes_stores_and_compiles_nothing(
-        region_cache_dir, monkeypatch):
+        fresh_jit_session, monkeypatch):
     def forbid(name):
         def _raise(*args, **kwargs):
             raise AssertionError(f"{name} ran for a launch that never "
                                  "reached the tier-up threshold")
         return _raise
 
-    monkeypatch.setattr(region_cache, "region_key", forbid("region_key"))
-    monkeypatch.setattr(region_cache, "select_regions",
-                        forbid("select_regions"))
+    monkeypatch.setattr(jit, "select_regions", forbid("select_regions"))
     monkeypatch.setattr(regions, "_compile_op", forbid("_compile_op"))
     monkeypatch.setattr(fuser, "compile_segment", forbid("compile_segment"))
     trips = jit.TIER_UP_DISPATCHES - 1      # One dispatch short of hot.
@@ -173,12 +175,9 @@ def test_cold_launch_selects_hashes_stores_and_compiles_nothing(
     assert not region_map and region_map.plans is None
     assert max(region_map.heat.values()) == trips
     assert not region_cache.session().any(), region_cache.session()
-    store = region_cache.region_cache()
-    assert (store.hits, store.misses, store.puts) == (0, 0, 0)
-    assert not list(region_cache_dir.iterdir())
 
 
-def test_heat_accumulates_over_the_launches_of_one_machine(region_cache_dir):
+def test_heat_accumulates_over_the_launches_of_one_machine(fresh_jit_session):
     module = parse_module(SELF_LOOP_IR, "m")
     machine = SimtMachine(module, Memory(), engine="jit")
     trips = jit.TIER_UP_DISPATCHES // 2 + 1     # Hot on the second launch.
@@ -186,7 +185,7 @@ def test_heat_accumulates_over_the_launches_of_one_machine(region_cache_dir):
     assert not region_cache.session().any()
     machine.launch("selfloop", 1, 64, [trips])
     sess = region_cache.take_session()
-    assert (sess["selections"], sess["puts"], sess["regions"]) == (1, 1, 1)
+    assert (sess["selections"], sess["regions"]) == (1, 1)
     assert sess["fused_steps"] >= fuser.MIN_CHAIN
 
 
@@ -226,36 +225,109 @@ exit:
 """
 
 
+def compiled_kinds(region_map):
+    """``{head name: [op kind, ...]}`` of a map's compiled regions."""
+    return {r.head_name: [op.kind for op in r.ops]
+            for r in region_map.values()}
+
+
 def test_feedback_on_lazily_compiled_regions_is_repersisted(
-        region_cache_dir):
+        fresh_jit_session):
     """``demote_guard`` and ``drop_cold_region`` reshape regions that
-    compiled mid-launch; ``flush_region_feedback`` must still put the
-    reshaped plan, and the next process must start from it."""
+    compiled mid-launch.  The reshaping lives in the machine's map and
+    nowhere else: the next machine selects afresh, rediscovers the same
+    feedback, and ends in the same shape."""
     trips = jit.TIER_UP_DISPATCHES + 3 * regions.GUARD_DEMOTE_FAILS
     reference, _ = launch_all(STORM_IR, "m", "warp", 1, 64, [trips])
-    got, machine = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
-    assert got == reference
-    (region_map,) = machine._regions.values()
-    sess = region_cache.take_session()
-    assert sess["selections"] == 1
-    assert sess["puts"] == 2, "the selection's put, then the feedback's"
-    assert not region_map.dirty
 
-    by_head = {r["head"]: r for r in extract_plan(region_map)["regions"]}
-    assert by_head["loop"]["ops"][-1]["kind"] == R_EXIT_CONDBR, \
-        "the storming guard was not truncated to a side exit"
-    assert "a" not in by_head, "the never-full-mask arm was not dropped"
-    assert "entry" in by_head               # Selected, never hot: kept.
+    def run():
+        got, machine = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
+        assert got == reference
+        (region_map,) = machine._regions.values()
+        by_head = {r.head_name: r for r in region_map.values()}
+        assert by_head["loop"].ops[-1].kind == R_EXIT_CONDBR, \
+            "the storming guard was not truncated to a side exit"
+        assert not by_head["loop"].loopback
+        assert "a" not in by_head, "the never-full-mask arm was not dropped"
+        planned = plan_shape(region_map)
+        assert "a" not in planned, "a dropped head must not compile again"
+        assert "entry" in planned           # Selected, never hot: kept.
+        return compiled_kinds(region_map), region_cache.take_session()
 
-    region_cache.reset_region_cache()       # A new process: memo gone.
-    stored = region_cache.RegionCache(region_cache_dir).get(region_map.key)
-    assert stored == extract_plan(region_map)
-    warm, machine2 = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
-    assert warm == reference
-    sess = region_cache.take_session()
-    assert (sess["replays"], sess["selections"], sess["puts"]) == (1, 0, 0)
-    (warm_map,) = machine2._regions.values()
-    assert extract_plan(warm_map) == stored
+    first, second = run(), run()
+    assert first == second
+    assert first[1]["selections"] == 1
+
+
+# -- observing does not change what runs --------------------------------------
+
+# STORM_IR with the exit test in the loop header.  An execution profile
+# seeds guard sides by design (``regions._pick_side``); here the hot side
+# of every branch is also the static pick, so a live session may change
+# nothing at all.  (It still re-seeds STORM_IR's latch guard.)
+HEADER_EXIT_STORM_IR = """
+define i64 @hdr(i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %bit = and i64 %tid, 1
+  %odd = icmp eq i64 %bit, 1
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %latch ]
+  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %latch ]
+  %more = icmp slt i64 %i, %n
+  br i1 %more, label %body, label %exit
+body:
+  %pre = add i64 %acc, %i
+  br i1 %odd, label %a, label %b
+a:
+  %x = mul i64 %pre, 3
+  br label %latch
+b:
+  %y0 = add i64 %pre, 7
+  br label %b2
+b2:
+  %y = mul i64 %y0, 5
+  br label %latch
+latch:
+  %m = phi i64 [ %x, %a ], [ %y, %b2 ]
+  %acc.next = and i64 %m, 1048575
+  %i.next = add i64 %i, 1
+  br label %loop
+exit:
+  ret i64 %acc
+}
+"""
+
+
+def test_observed_and_unobserved_launches_compile_the_same(
+        fresh_jit_session):
+    """Unobserved, with ``REPRO_TRACE`` set, and under a live obs session
+    the jit selects, compiles and reshapes the same regions — on a first
+    machine and on a second one, after guard feedback truncated a region
+    of the first."""
+    trips = jit.TIER_UP_DISPATCHES + 3 * regions.GUARD_DEMOTE_FAILS
+
+    scopes = {
+        "unobserved": contextlib.nullcontext,
+        "env": lambda: mock.patch.dict(os.environ,
+                                       {obs_session.ENV_VAR: "1"}),
+        "session": obs_session.capture,
+    }
+
+    def run(observe):
+        with scopes[observe]():
+            got, machine = launch_all(HEADER_EXIT_STORM_IR, "m", "jit",
+                                      1, 64, [trips])
+        (region_map,) = machine._regions.values()
+        return (compiled_kinds(region_map), got,
+                region_cache.take_session())
+
+    first = run("unobserved")
+    assert first[0]["latch"][-1] == R_EXIT_CONDBR   # Truncated by feedback.
+    assert first[2]["selections"] == 1
+    for observe in ("unobserved", "env", "env", "session", "session"):
+        assert run(observe) == first, observe
 
 
 # -- the default ---------------------------------------------------------------
