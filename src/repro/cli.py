@@ -16,16 +16,16 @@ provides the same operations:
     python -m repro ptx --app XSBench --kernel grid_search [--config uu ...]
     python -m repro cache stats|clear         # persistent cell cache
     python -m repro summary [--profile]       # headline geomeans (+profile)
-    python -m repro bench-interp [--json] [--compare]   # engine micro-bench
     python -m repro tune bspline-vgh          # empirical per-loop autotuning
     python -m repro tune --all --budget 16    # tune every benchmark, capped
     python -m repro tune show                 # tuned vs heuristic decisions
     python -m repro run-tuned                 # tuned pipeline per app
+    python -m repro similarity build|stats    # tuning-transfer index
+    python -m repro predict bspline-vgh       # predicted config, no evaluations
     python -m repro remarks --app XSBench     # optimization-remark stream
     python -m repro trace --app XSBench --out run.trace.json
     python -m repro trace --in daemon.trace.json --request <id>
     python -m repro metrics [--url URL]       # Prometheus metrics text
-    python -m repro perf record|report|check  # perf-regression sentinel
     python -m repro fuzz run --seed 0 --count 200   # differential fuzzing
     python -m repro fuzz reduce --seed 41           # shrink one failure
     python -m repro fuzz corpus                     # re-check tests/corpus/
@@ -716,123 +716,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _sweep_geomeans(args) -> dict:
-    """Sweep geomeans folded into a perf record by ``perf record --sweep``."""
-    from .harness.summary import (heuristic_summary, transfer_summary,
-                                  tuned_summary)
-
-    runner = _runner(args)
-    benches = _benches(args)
-    heur = heuristic_summary(runner, benches)
-    tuned = tuned_summary(runner, benches)
-    transfer = transfer_summary(runner, benches)
-    return {
-        "sweep/heuristic_speedup": heur.speedup,
-        "sweep/tuned_speedup": tuned.geomean_tuned,
-        "sweep/predicted_speedup": transfer.geomean_predicted,
-    }
-
-
-def cmd_perf(args) -> int:
-    """Perf-regression sentinel: record/report/check the history."""
-    from .harness import perfhistory
-
-    history = Path(args.history) if getattr(args, "history", None) else None
-    if args.perf_action == "record":
-        source = args.from_path
-        if source is None:
-            results = perfhistory.default_history_path().parent.parent
-            candidates = sorted(results.glob("BENCH_*.json"))
-            if not candidates:
-                print("repro perf record: no results/BENCH_*.json found; "
-                      "run `repro bench-interp --json` first or pass "
-                      "--from", file=sys.stderr)
-                return 2
-            source = str(candidates[-1])
-        try:
-            payload = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro perf record: cannot read {source}: {exc}",
-                  file=sys.stderr)
-            return 2
-        extra = _sweep_geomeans(args) if args.sweep else None
-        record = perfhistory.record_from_bench(
-            payload, source=Path(source).name, extra_metrics=extra)
-        target = perfhistory.append_record(record, history)
-        print(f"recorded {len(record['metrics'])} metrics "
-              f"from {source} -> {target}")
-        return 0
-
-    records = perfhistory.read_history(history)
-    prefix = getattr(args, "metrics", None)
-    if args.perf_action == "report":
-        print(perfhistory.format_report(records, last=args.last,
-                                        prefix=prefix))
-        return 0
-
-    # check
-    if os.environ.get(perfhistory.CHECK_ENV, "") == "0":
-        print(f"perf check: skipped ({perfhistory.CHECK_ENV}=0)")
-        return 0
-    if not records:
-        print("repro perf check: no history records; run "
-              "`repro perf record` first", file=sys.stderr)
-        return 2
-    current = records[-1]
-    if args.baseline == "-2" and len(records) == 1:
-        # Default baseline on a freshly-seeded history: there is no
-        # previous record yet, which is a clean slate, not a failure.
-        print("perf check: only one record in history; nothing to "
-              "compare yet")
-        return 0
-    baseline = perfhistory.load_baseline(args.baseline, history)
-    if baseline is None:
-        print(f"repro perf check: cannot resolve baseline "
-              f"{args.baseline!r}", file=sys.stderr)
-        return 2
-    if baseline == current:
-        print("perf check: baseline is the newest record; "
-              "nothing to compare")
-        return 0
-    threshold = (args.threshold if args.threshold is not None
-                 else perfhistory.DEFAULT_THRESHOLD)
-    regressions = perfhistory.check_regression(
-        baseline, current, threshold=threshold, prefix=prefix)
-    shared = [name for name in baseline.get("metrics", {})
-              if name in current.get("metrics", {})
-              and (not prefix or name.startswith(prefix))]
-    if regressions:
-        print(f"perf check: {len(regressions)} of {len(shared)} tracked "
-              f"metric(s) regressed beyond {threshold:.0%} "
-              f"(baseline {baseline.get('source', '?')} "
-              f"@ {baseline.get('recorded_at', '?')}):")
-        for reg in regressions:
-            print("  " + reg.describe())
-        return 1
-    print(f"perf check: ok — {len(shared)} metric(s) within "
-          f"{threshold:.0%} of baseline "
-          f"{baseline.get('source', '?')} "
-          f"@ {baseline.get('recorded_at', '?')}")
-    return 0
-
-
-def cmd_bench_interp(args) -> int:
-    from .harness.benchinterp import (DEFAULT_TRIPS, bench_all,
-                                      format_compare, format_report,
-                                      write_bench_json)
-
-    rows = bench_all(warps=args.warps, repeats=args.repeats)
-    if getattr(args, "compare", False):
-        print(format_compare(rows, args.warps))
-    else:
-        print(format_report(rows, args.warps))
-    if args.json or args.json_out:
-        path = write_bench_json(rows, args.warps, DEFAULT_TRIPS,
-                                args.json_out)
-        print(f"wrote {path}")
-    return 0
-
-
 def cmd_serve(args) -> int:
     from .serve import ServeDaemon
 
@@ -1088,26 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only spans stamped with this service request id")
     p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser("bench-interp",
-                       help="micro-benchmark the batched vs per-warp "
-                            "execution engines (warp-steps/sec)")
-    p.add_argument("--warps", type=int, default=8,
-                   help="warps per launch for the micro-kernels (default 8)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed repeats per engine; the median is reported "
-                        "(default 3)")
-    p.add_argument("--json", action="store_true",
-                   help="also write the machine-readable payload to "
-                        "results/BENCH_<date>.json")
-    p.add_argument("--json-out", metavar="PATH", default=None,
-                   help="write the machine-readable payload to PATH "
-                        "(implies --json)")
-    p.add_argument("--compare", action="store_true",
-                   help="print per-engine wall times side by side "
-                        "(warp/batched/jit rows per kernel) instead of "
-                        "the throughput table")
-    p.set_defaults(fn=cmd_bench_interp)
-
     p = sub.add_parser("run-tuned", parents=[common],
                        help="tuned pipeline vs static heuristic per app")
     p.set_defaults(fn=cmd_run_tuned)
@@ -1299,47 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config for the local metered sweep "
                         "(default: uu_heuristic)")
     p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("perf",
-                       help="perf-regression sentinel over "
-                            "results/perf/history.jsonl")
-    psub = p.add_subparsers(dest="perf_action", required=True)
-    pr = psub.add_parser("record", parents=[common],
-                         help="append one history record from a "
-                              "BENCH_*.json payload")
-    pr.add_argument("--from", dest="from_path", metavar="BENCH.json",
-                    default=None,
-                    help="bench payload to ingest (default: newest "
-                         "results/BENCH_*.json)")
-    pr.add_argument("--sweep", action="store_true",
-                    help="also fold the sweep geomeans "
-                         "(sweep/heuristic_speedup, sweep/tuned_speedup) "
-                         "into the record; reuses cached cells")
-    pr.add_argument("--history", metavar="PATH", default=None,
-                    help="history file "
-                         "(default: results/perf/history.jsonl)")
-    pr.set_defaults(fn=cmd_perf)
-    pp = psub.add_parser("report", help="render the per-metric trend table")
-    pp.add_argument("--history", metavar="PATH", default=None)
-    pp.add_argument("--last", type=int, default=8,
-                    help="records shown (default 8)")
-    pp.add_argument("--metrics", metavar="PREFIX", default=None,
-                    help="only metrics starting with PREFIX "
-                         "(e.g. geomean/)")
-    pp.set_defaults(fn=cmd_perf)
-    pc = psub.add_parser("check",
-                         help="exit nonzero when the newest record "
-                              "regressed beyond the noise threshold")
-    pc.add_argument("--baseline", default="-2",
-                    help="negative history index, a history JSONL, or a "
-                         "BENCH json (default: -2, the previous record)")
-    pc.add_argument("--threshold", type=float, default=None,
-                    help="relative drop treated as a regression "
-                         "(default 0.08)")
-    pc.add_argument("--history", metavar="PATH", default=None)
-    pc.add_argument("--metrics", metavar="PREFIX", default=None,
-                    help="only compare metrics starting with PREFIX")
-    pc.set_defaults(fn=cmd_perf)
 
     p = sub.add_parser("ptx", parents=[common],
                        help="print PTX-style assembly for a kernel")

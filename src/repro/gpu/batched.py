@@ -76,7 +76,8 @@ _CLS_NOT_TAKEN = 1
 #: warp (one boundary branch, then reconvergence) instead continues as a
 #: one-row batch — identical lattice accounting, so observably the same
 #: — whose full-mask rows re-enter compiled regions (measured ~1.4x on
-#: ``bench-interp``'s ``briefdiv``).  With no region to re-enter — the
+#: ``benchmarks/perf/kernels/briefdiv.ir``; pinned by count in
+#: ``tests/test_tier_up.py``).  With no region to re-enter — the
 #: batched engine, or a jit function still cold when the singleton's
 #: turn comes — one split is enough: a one-row lattice is *slower* than
 #: the per-warp engine's scalar accounting, which is the old ~0.91x

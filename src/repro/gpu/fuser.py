@@ -51,9 +51,9 @@ from .machine import GEOMETRY, WARP_SIZE, _K_VALUE
 #: A fused segment must replace at least this many value steps.  Short
 #: chains are a wash: the generated call + liveout slot stores cost about
 #: what the specialized per-step closures cost, and measured crossover on
-#: the bench-interp microkernels sits between 2 and 4 — below this the
-#: fused path can *lose* (the ``divergent`` kernel's 2-step latch), at or
-#: above it fusion wins on every shape.
+#: the ``benchmarks/perf/kernels/`` microkernels sits between 2 and 4 —
+#: below this the fused path can *lose* (the ``divergent`` kernel's
+#: 2-step latch), at or above it fusion wins on every shape.
 MIN_CHAIN = 4
 
 #: Compiled code objects keyed by ``(filename, source)``.  The generated

@@ -1,27 +1,13 @@
-"""Perf-regression sentinel: append-only history + trend gate.
+"""Perf history: append-only ratio records and a trend gate.
 
-The ``BENCH_*.json`` files that ``repro bench-interp --json`` and the
-perf-smoke benchmark write are point-in-time logs; nothing watched the
-*trajectory*.  This module turns them into a gate:
-
-* ``repro perf record`` flattens a BENCH payload into one history
-  record — **ratio metrics only** (batched/jit speedups per
-  kernel plus their geomeans), never absolute wall-clock throughput,
-  so records stay comparable across machines — and appends it to
-  ``results/perf/history.jsonl``.
-* ``repro perf report`` renders the per-metric trend table.
-* ``repro perf check --baseline <ref>`` compares the newest record
-  against a baseline (the previous record by default) and exits nonzero
-  when any tracked metric regressed beyond a noise threshold.
-
-``benchmarks/test_perf_smoke.py`` wires this in: its bench fixture
-appends a record by default and a gate test runs the check against the
-committed baseline (``REPRO_PERF_CHECK=0`` disables the gate, e.g. on
-throttled CI machines).
-
-Records are data, not registry keys, so — unlike the metrics plane —
-they do carry a wall-clock ``recorded_at`` stamp and the environment
-provenance from :func:`repro.harness.benchinterp.bench_provenance`.
+Retired: the micro-benchmark, perf-smoke fixture and ``repro perf`` verbs
+that fed and read ``results/perf/history.jsonl`` are gone, and speed is
+measured by ``benchmarks/perf/`` alone (see its README).  What is left
+here is the library the remaining ``tests/test_perfhistory.py`` ids
+check — flatten a payload of per-kernel speedup ratios into a record,
+append/read the JSONL, compare two records against a noise threshold,
+render the trend table — and it goes with those ids and the committed
+history file (ROADMAP, "One perf instrument").
 """
 
 from __future__ import annotations
@@ -41,13 +27,9 @@ PERF_SCHEMA_VERSION = 1
 #: higher-is-better speedups; absolute throughput is machine noise).
 RATIO_KEYS = ("batched_speedup", "jit_speedup", "jit_vs_batched")
 
-#: Default relative drop treated as a regression by ``repro perf check``.
-#: 0.08 sits above engine-timing jitter but below the 10% regressions
-#: the acceptance gate must catch.
+#: Default relative drop treated as a regression.  0.08 sits above
+#: engine-timing jitter but below the 10% regressions the gate must catch.
 DEFAULT_THRESHOLD = 0.08
-
-#: Escape hatch consulted by the perf-smoke gate.
-CHECK_ENV = "REPRO_PERF_CHECK"
 
 
 def default_history_path() -> Path:
@@ -127,10 +109,10 @@ def read_history(path: Optional[Path] = None) -> List[Dict]:
 
 def load_baseline(ref: str, history_path: Optional[Path] = None
                   ) -> Optional[Dict]:
-    """Resolve a ``--baseline`` reference to one record.
+    """Resolve a baseline reference to one record.
 
     ``ref`` may be a negative index into the history (``-2`` = the
-    record before the newest, the default), a path to a history JSONL
+    record before the newest), a path to a history JSONL
     (newest record wins), or a path to a raw BENCH json.
     """
     try:

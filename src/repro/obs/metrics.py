@@ -9,7 +9,7 @@ contracts keep it aligned with the rest of the observability layer:
   (:mod:`repro.obs.session`), every hook — :func:`inc`,
   :func:`set_gauge`, :func:`observe` — loads the module slot and returns
   when no registry is installed.  No metric objects are constructed, no
-  label tuples built (pinned by benchmarks/test_perf_smoke.py).
+  label tuples built (pinned by tests/test_obs.py).
 * **Deterministic registry.**  No wall-clock anywhere in the data model:
   series are keyed ``(name, sorted label items)``, histogram buckets are
   fixed at family creation, and :meth:`MetricsRegistry.render` emits

@@ -33,12 +33,10 @@ class UnrollAndUnmerge:
     name = "uu"
 
     def __init__(self, loop_id: str, factor: int,
-                 max_instructions: int = 200_000,
-                 unroll_inner: bool = False) -> None:
+                 max_instructions: int = 200_000) -> None:
         self.loop_id = loop_id
         self.factor = factor
         self.max_instructions = max_instructions
-        self.unroll_inner = unroll_inner
 
     def run(self, func: Function) -> bool:
         loop_info = LoopInfo.compute(func)
@@ -48,8 +46,7 @@ class UnrollAndUnmerge:
                        loop_id=self.loop_id)
             return False
         changed = apply_uu(func, loop, self.factor,
-                           max_instructions=self.max_instructions,
-                           unroll_inner=self.unroll_inner)
+                           max_instructions=self.max_instructions)
         if changed:
             obs.remark("applied", self.name, func.name,
                        f"unroll-and-unmerge with u'={self.factor}",
@@ -59,7 +56,6 @@ class UnrollAndUnmerge:
 
 def apply_uu(func: Function, loop: Loop, factor: int,
              max_instructions: int = 200_000,
-             unroll_inner: bool = False,
              selective: bool = False) -> bool:
     """Run u&u on ``loop``; returns True if the IR changed.
 
@@ -77,21 +73,6 @@ def apply_uu(func: Function, loop: Loop, factor: int,
 
     changed = False
     if factor >= 2 and can_unroll(loop):
-        if unroll_inner:
-            # Optional mode: unroll every inner loop by the same factor
-            # before the outer loop (paper: "the pass is capable of
-            # unrolling nested loops as well").
-            for inner in _innermost_first(loop):
-                if inner is loop or not can_unroll(inner):
-                    continue
-                if loop_is_convergent(inner):
-                    continue
-                unroll_loop(func, inner, factor)
-                changed = True
-            if changed:
-                loop = _loop_by_header(LoopInfo.compute(func), header)
-                if loop is None:
-                    return changed
         unroll_loop(func, loop, factor)
         changed = True
         loop = _loop_by_header(LoopInfo.compute(func), header)

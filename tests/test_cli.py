@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.gpu.machine import ENGINES
 
 
 class TestParser:
@@ -105,8 +104,6 @@ class TestTuneCommands:
                      ["tune", "--all", "--u-max", "4"],
                      ["tune", "show", "--app", "complex"],
                      ["run-tuned", "--app", "complex"],
-                     ["bench-interp", "--json"],
-                     ["bench-interp", "--json-out", "x.json"],
                      ["ptx", "--app", "complex", "--config", "tuned"]):
             args = parser.parse_args(argv)
             assert callable(args.fn)
@@ -161,25 +158,6 @@ class TestTuneCommands:
         out = capsys.readouterr().out
         assert "sweep: 1" in out and "tuner: 1" in out
 
-    def test_bench_interp_json_out(self, capsys, tmp_path):
-        import json
-        target = tmp_path / "bench.json"
-        assert main(["bench-interp", "--warps", "2", "--repeats", "1",
-                     "--json-out", str(target)]) == 0
-        payload = json.loads(target.read_text())
-        assert payload["schema"] == 2
-        assert payload["source"] == "bench-interp"
-        assert set(payload["provenance"]) == \
-            {"python", "platform", "timing_model"}
-        assert {k["kernel"] for k in payload["kernels"]} == \
-            {"uniform", "divergent", "staggered", "briefdiv",
-             "chain", "chaindia"}
-        for kernel in payload["kernels"]:
-            assert set(kernel["warp_steps_per_sec"]) == set(ENGINES)
-            assert kernel["warp_steps"] > 0
-            assert kernel["jit_speedup"] > 0
-            assert kernel["jit_vs_batched"] > 0
-
     def test_remarks_kind_filter(self, capsys):
         assert main(["remarks", "--app", "complex", "--engine", "jit",
                      "--kind", "jit", "-j", "1"]) == 0
@@ -191,16 +169,6 @@ class TestTuneCommands:
                 if line.startswith("[")]
         assert body, "jit engine emitted no region remarks"
         assert all(" jit " in line for line in body)
-
-    def test_bench_interp_compare(self, capsys):
-        assert main(["bench-interp", "--warps", "2", "--repeats", "1",
-                     "--compare"]) == 0
-        out = capsys.readouterr().out
-        assert "Engine comparison" in out
-        # One row per engine per kernel, wall ms plus both ratios.
-        for engine in ("warp", "batched", "jit"):
-            assert engine in out
-        assert "vs batched" in out
 
 
 class TestHeuristicReport:

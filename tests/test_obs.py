@@ -329,3 +329,54 @@ class TestCliExport:
         # The session did not leak past main().
         assert obs.active() is None
         assert not os.environ.get(obs.ENV_VAR)
+
+
+# -- the disabled path -------------------------------------------------------
+
+def test_obs_disabled_path_does_no_work():
+    """With no session installed, the obs hooks must construct nothing.
+
+    The <3% disabled-overhead contract is enforced structurally: a full
+    compile + simulate with ``REPRO_TRACE`` off may touch the obs layer
+    only through ``is None`` tests, so remark construction, session
+    emission, and trace-event recording are patched to raise.  Any code
+    path that does observable work while disabled fails loudly here,
+    independent of machine speed.
+    """
+    from unittest import mock
+
+    from repro.obs import metrics as obs_metrics
+    from repro.obs import session as obs_session
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.session import ObsSession
+    from repro.obs.trace import Tracer
+    from repro.transforms.pipeline import compile_module
+
+    assert obs_session.active() is None, "a test leaked a live session"
+    assert obs_metrics.active() is None, "a test leaked a live registry"
+
+    def forbid(name):
+        def _raise(*args, **kwargs):
+            raise AssertionError(
+                f"{name} ran with tracing disabled — the obs disabled "
+                "path must be a bare `is None` test")
+        return _raise
+
+    bench = benchmark_by_name("bspline-vgh")
+    module = bench.build_module()
+    with mock.patch.object(obs_session, "Remark",
+                           side_effect=forbid("Remark()")), \
+            mock.patch.object(ObsSession, "emit", forbid("ObsSession.emit")), \
+            mock.patch.object(Tracer, "complete", forbid("Tracer.complete")), \
+            mock.patch.object(obs_metrics, "Counter",
+                              side_effect=forbid("metrics.Counter()")), \
+            mock.patch.object(obs_metrics, "Gauge",
+                              side_effect=forbid("metrics.Gauge()")), \
+            mock.patch.object(obs_metrics, "Histogram",
+                              side_effect=forbid("metrics.Histogram()")), \
+            mock.patch.object(MetricsRegistry, "inc",
+                              forbid("MetricsRegistry.inc")), \
+            mock.patch.object(MetricsRegistry, "observe",
+                              forbid("MetricsRegistry.observe")):
+        compile_module(module, "uu_heuristic")
+        bench.run(module)

@@ -21,7 +21,8 @@ import pytest
 from repro.frontend.lower import lower_kernels
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
-from repro.gpu import Memory, SimtMachine, fuser, jit, region_cache, regions
+from repro.gpu import (Memory, SimtMachine, batched, fuser, jit, region_cache,
+                       regions)
 from repro.gpu.machine import resolve_engine
 from repro.gpu.regions import R_EXIT_CONDBR
 from repro.ir.parser import parse_module
@@ -328,6 +329,81 @@ def test_observed_and_unobserved_launches_compile_the_same(
     assert first[2]["selections"] == 1
     for observe in ("unobserved", "env", "env", "session", "session"):
         assert run(observe) == first, observe
+
+
+# -- a tier that stops working changes no output, only these counts ------------
+
+#: One block of 16 warps, the shape ``kernel_exec`` times, at a tenth of
+#: its trip count.
+LATTICE_THREADS = 16 * 32
+LATTICE_TRIPS = 100
+
+
+def spy(monkeypatch, owner, name):
+    """Record the positional arguments of every call to ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def launch_perf_kernel(kernel, engine, threads=LATTICE_THREADS):
+    text = (KERNEL_DIR / f"{kernel}.ir").read_text()
+    _, machine = launch_all(text, kernel, engine, 1, threads,
+                            [LATTICE_TRIPS])
+    return machine
+
+
+def test_a_uniform_launch_stays_one_lattice(monkeypatch):
+    """Catches the lattice splitting per warp: rows that agree on every
+    branch handed one by one to the per-warp engine, or run as sixteen
+    one-row batches.  Outputs and cycles would not move; the blocks
+    dispatched would scale with the warp count."""
+    demoted = spy(monkeypatch, batched, "_demote_row")
+    per_warp = spy(monkeypatch, SimtMachine, "_warp_loop")
+    blocks = spy(monkeypatch, batched, "_exec_block")
+    launch_perf_kernel("uniform", "batched")
+    assert not demoted and not per_warp
+    assert len(blocks) == LATTICE_TRIPS + 2     # entry, the loop, exit.
+    # The smallest launch the batched engine keeps as a lattice (a lone
+    # warp goes straight to the per-warp path) dispatches just as many.
+    del blocks[:]
+    launch_perf_kernel("uniform", "batched", threads=64)
+    assert len(blocks) == LATTICE_TRIPS + 2
+
+
+def test_a_hot_uniform_loop_leaves_the_interpreter(monkeypatch):
+    """Catches tier-up never firing: the jit would interpret every trip
+    block by block — the batched engine under another name."""
+    threshold = jit.TIER_UP_DISPATCHES
+    blocks = spy(monkeypatch, batched, "_exec_block")
+    machine = launch_perf_kernel("uniform", "jit")
+    (region_map,) = machine._regions.values()
+    entered = [r for r in region_map.values() if r.entries > 0]
+    assert entered, "no compiled region was ever entered"
+    interpreted = [db.name for _machine, _func, db, *_ in blocks]
+    for region in entered:
+        assert interpreted.count(region.head_name) == threshold - 1
+    assert len(interpreted) == threshold - 1 + 2
+
+
+def test_a_briefly_divergent_warp_stays_on_the_compiled_path(monkeypatch):
+    """Catches demotion hysteresis being removed: ``briefdiv``'s first
+    warp splits off for a three-instruction prelude and would spend the
+    whole loop on the per-warp engine instead of the compiled region."""
+    demoted = spy(monkeypatch, batched, "_demote_row")
+    runs = spy(monkeypatch, jit, "_run_region")
+    launch_perf_kernel("briefdiv", "jit")
+    assert not demoted
+    # The loop's region ran for the fifteen-row batch and the singleton.
+    rows = sorted(state.ctx.n for _machine, _func, region, _epoch, _mask,
+                  state, *_ in runs if region.head_name == "loop")
+    assert rows == [1, 15]
 
 
 # -- the default ---------------------------------------------------------------
