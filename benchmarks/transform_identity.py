@@ -1,11 +1,12 @@
 """One-off check that a change to the transform stage moved no output.
 
 For every non-baseline cell of ``sweep_specs(bench, factors=(2, 4, 8))``
-over the 16 apps, run ``[SimplifyCFG] + transform_passes(...)`` (the
-pipeline up to, not including, the cleanup battery) at the CLI's
-``max_instructions=8000`` and record the sha256 of ``print_module`` plus the
-module's instruction count.  Not a test and not part of tier-1: run it once
-on each of two checkouts and compare the files.
+over the 16 apps, plus each app's ``tuned`` replay (the multi-directive
+path; decisions read from ``results/tuned/``), run ``[SimplifyCFG] +
+transform_passes(...)`` (the pipeline up to, not including, the cleanup
+battery) at the CLI's ``max_instructions=8000`` and record the sha256 of
+``print_module`` plus the module's instruction count.  Not a test and not
+part of tier-1: run it once on each of two checkouts and compare the files.
 
     PYTHONPATH=<parent>/src python3 benchmarks/transform_identity.py --out A.json
     PYTHONPATH=src          python3 benchmarks/transform_identity.py --out B.json --compare A.json
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -25,16 +27,22 @@ from repro.ir.printer import print_module
 from repro.transforms.pass_manager import PassManager
 from repro.transforms.pipeline import transform_passes
 from repro.transforms.simplifycfg import SimplifyCFG
+from repro.tune.store import resolve_decisions
 
 MAX_INSTRUCTIONS = 8000
 
+#: What ``transform_passes`` calls its explicit-decisions argument: checkouts
+#: before the one-decision-list refactor spell it ``tuned``.
+PLAN_KWARG = ("plan" if "plan" in inspect.signature(transform_passes).parameters
+              else "tuned")
 
-def transformed_module(bench, config, loop_id, factor):
+
+def transformed_module(bench, config, loop_id, factor, plan=None):
     """The module as it enters the cleanup battery."""
     module = bench.build_module()
     passes = [SimplifyCFG()] + transform_passes(
         config, loop_id=loop_id, factor=factor,
-        max_instructions=MAX_INSTRUCTIONS)
+        max_instructions=MAX_INSTRUCTIONS, **{PLAN_KWARG: plan})
     PassManager(passes).run(module)
     return module
 
@@ -48,12 +56,15 @@ def main(argv=None) -> int:
     cells = {}
     transform_seconds = 0.0
     for bench in all_benchmarks():
-        for spec in sweep_specs(bench, factors=(2, 4, 8)):
+        for spec in (sweep_specs(bench, factors=(2, 4, 8))
+                     + sweep_specs(bench, configs=("tuned",))):
             if spec.config == "baseline":
                 continue
+            plan = (resolve_decisions(bench.name)[0]
+                    if spec.config == "tuned" else None)
             start = time.perf_counter()
             module = transformed_module(bench, spec.config, spec.loop_id,
-                                        spec.factor)
+                                        spec.factor, plan)
             transform_seconds += time.perf_counter() - start
             digest = hashlib.sha256(print_module(module).encode()).hexdigest()
             key = f"{spec.app}/{spec.config}/{spec.loop_id}/{spec.factor}"

@@ -60,6 +60,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -70,9 +71,7 @@ from .harness import ExperimentRunner
 from .harness import fig6, fig7, fig8, indepth, table1
 from .harness.cache import CellCache
 from .harness.parallel import ParallelRunner
-
-ALL_CONFIG_CHOICES = ("baseline", "uu", "unroll", "unmerge", "uu_heuristic",
-                      "tuned", "predicted")
+from .transforms.pipeline import CONFIGS
 
 
 @contextlib.contextmanager
@@ -213,10 +212,10 @@ def cmd_run_heuristic(args) -> int:
               f"{cell.compile_ratio_over(base):>7.2f}x {ok:>4}")
         if args.verbose or args.report:
             # The report *is* the remark stream: the very same
-            # heuristic_remarks() that feeds --remarks-out renders each
+            # decision_remarks() that feeds --remarks-out renders each
             # LoopDecision here, so the two can never drift apart.
-            for remark in obs.heuristic_remarks(cell.heuristic_decisions,
-                                                function=bench.name):
+            for remark in obs.decision_remarks(cell.heuristic_decisions,
+                                               function=bench.name):
                 print("    " + obs.render_remark(remark))
             skipped = [d for d in cell.heuristic_decisions
                        if d.factor is not None and d.applied is False]
@@ -303,17 +302,14 @@ def cmd_ptx(args) -> int:
 
     bench = benchmark_by_name(args.app)
     module = bench.build_module()
-    tuned = None
-    if args.config == "tuned":
-        from .tune.store import resolve_decisions
-        tuned, why = resolve_decisions(bench.name)
-        if tuned is None:
-            print(f"note: {bench.name}: no usable tuned config ({why}); "
-                  "falling back to the static heuristic", file=sys.stderr)
-    compile_module(module, args.config, loop_id=args.loop,
-                   factor=args.factor,
-                   max_instructions=args.max_instructions,
-                   tuned=tuned)
+    with warnings.catch_warnings(record=True) as fallbacks:
+        warnings.simplefilter("always")
+        plan = ExperimentRunner().resolve_plan(bench, args.config, args.loop,
+                                               args.factor)
+    for warning in fallbacks:
+        print(f"note: {warning.message}", file=sys.stderr)
+    compile_module(module, args.config,
+                   max_instructions=args.max_instructions, plan=plan)
     kernels = [args.kernel] if args.kernel else list(module.functions)
     for name in kernels:
         print(render(lower_function(module.get_function(name))))
@@ -936,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one config under tracing and print the "
                             "optimization-remark stream")
     p.add_argument("--config", default="uu_heuristic",
-                   choices=list(ALL_CONFIG_CHOICES),
+                   choices=list(CONFIGS),
                    help="pipeline configuration to trace "
                         "(default: uu_heuristic)")
     p.add_argument("--json", action="store_true",
@@ -959,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one config under tracing and write a "
                             "Chrome trace-event JSON (Perfetto-loadable)")
     p.add_argument("--config", default="uu_heuristic",
-                   choices=list(ALL_CONFIG_CHOICES),
+                   choices=list(CONFIGS),
                    help="pipeline configuration to trace "
                         "(default: uu_heuristic)")
     p.add_argument("--out", default="run.trace.json",
@@ -1111,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ir", metavar="FILE",
                    help="textual-IR module to optimize ('-' for stdin)")
     p.add_argument("--config", default="uu_heuristic",
-                   choices=list(ALL_CONFIG_CHOICES))
+                   choices=list(CONFIGS))
     p.add_argument("--loop-id", default=None,
                    help="loop id for per-loop configs (uu/unroll/unmerge)")
     p.add_argument("--factor", type=int, default=2)
@@ -1122,7 +1118,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="larger runs first (default 0)")
     p.add_argument("--directive", action="append", metavar="DIRECTIVE",
                    help="pragma-style transformation directive, e.g. "
-                        "'unroll(4)@k/L0' (schema-reserved; repeatable)")
+                        "'unroll(4)@kernel:0'; the list is compiled as "
+                        "an explicit plan in place of --config "
+                        "(repeatable, applied in order)")
     p.add_argument("--refine", action="store_true",
                    help="for --config predicted app submissions: also "
                         "enqueue a background tune refinement at idle "
@@ -1158,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scrape GET /metrics from a daemon instead of "
                         "sweeping locally")
     p.add_argument("--config", default="uu_heuristic",
-                   choices=list(ALL_CONFIG_CHOICES),
+                   choices=list(CONFIGS),
                    help="config for the local metered sweep "
                         "(default: uu_heuristic)")
     p.set_defaults(fn=cmd_metrics)
@@ -1167,8 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print PTX-style assembly for a kernel")
     p.add_argument("--kernel", help="kernel name (default: all)")
     p.add_argument("--config", default="baseline",
-                   choices=["baseline", "unroll", "unmerge", "uu",
-                            "uu_heuristic", "tuned", "predicted"])
+                   choices=list(CONFIGS))
     p.add_argument("--loop", help="loop id for per-loop configs")
     p.add_argument("--factor", type=int, default=2)
     p.set_defaults(fn=cmd_ptx)

@@ -106,7 +106,7 @@ def bisect_divergence(subject: Subject, spec: ConfigSpec,
     # Pass instances are shared across functions, as in the real pipeline.
     head = [SimplifyCFG()] + transform_passes(
         spec.config, loop_id=spec.loop_id, factor=spec.factor,
-        max_instructions=max_instructions)
+        max_instructions=max_instructions, plan=spec.plan)
     cleanup = cleanup_passes()
     late = late_passes()
 

@@ -25,7 +25,7 @@ import numpy as np
 from ..harness.parallel import resolve_jobs
 from .bisect import bisect_divergence
 from .generator import generate_kernel
-from .oracle import (LANES, MAX_INSTRUCTIONS, run_differential,
+from .oracle import (LANES, MAX_INSTRUCTIONS, ConfigSpec, run_differential,
                      subject_from_kernel)
 
 
@@ -35,27 +35,16 @@ class FailureRecord:
 
     seed: int
     name: str
-    config: str
-    loop_id: Optional[str]
-    factor: int
+    spec: ConfigSpec
     kind: str                      # mismatch | verifier | crash
     detail: str
     culprit: Optional[str] = None  # pass named by the bisector
     culprit_step: Optional[int] = None
 
-    @property
-    def label(self) -> str:
-        parts = [self.config]
-        if self.loop_id is not None:
-            parts.append(self.loop_id)
-        if self.factor != 1:
-            parts.append(f"u={self.factor}")
-        return "/".join(parts)
-
     def describe(self) -> str:
         where = f" [pass: {self.culprit}, step {self.culprit_step}]" \
             if self.culprit else ""
-        return (f"seed {self.seed} {self.label}: {self.kind} — "
+        return (f"seed {self.seed} {self.spec.label}: {self.kind} — "
                 f"{self.detail}{where}")
 
 
@@ -90,8 +79,7 @@ def fuzz_one(seed: int, lanes: int = LANES, bisect: bool = True
     report = run_differential(subject, lanes=lanes)
     failures: List[FailureRecord] = []
     for outcome in report.failures:
-        record = FailureRecord(seed, report.name, outcome.spec.config,
-                               outcome.spec.loop_id, outcome.spec.factor,
+        record = FailureRecord(seed, report.name, outcome.spec,
                                outcome.kind, outcome.detail)
         if bisect:
             found = bisect_divergence(subject, outcome.spec, lanes=lanes)

@@ -20,11 +20,12 @@ because passes mutate modules in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.loops import LoopInfo
+from ..directive import LoopDirective
 from ..frontend.ast import KernelDef
 from ..frontend.lower import lower_kernels
 from ..gpu.machine import SimtMachine
@@ -60,6 +61,8 @@ class ConfigSpec:
     config: str
     loop_id: Optional[str] = None
     factor: int = 1
+    #: An explicit multi-directive plan, replayed like ``tuned`` does.
+    plan: Optional[Tuple[LoopDirective, ...]] = None
 
     @property
     def label(self) -> str:
@@ -68,6 +71,7 @@ class ConfigSpec:
             parts.append(self.loop_id)
         if self.factor != 1:
             parts.append(f"u={self.factor}")
+        parts.extend(str(d) for d in self.plan or ())
         return "/".join(parts)
 
 
@@ -200,10 +204,14 @@ def config_specs(module: Module) -> List[ConfigSpec]:
     """Every configuration applicable to ``module``.
 
     Loop ids are discovered on the unoptimized module — the same ids
-    :meth:`repro.bench.base.Benchmark.loop_ids` reports and the per-loop
-    passes re-resolve at run time.
+    :meth:`repro.bench.base.Benchmark.loop_ids` reports and the transform
+    stage re-resolves at run time.  A multi-loop kernel also gets one
+    list-shaped spec: every loop ``unmerge``, outermost first — an order
+    the heuristic's nesting rule never produces, so it exercises
+    re-finding each later loop by header across the earlier relayouts.
     """
     specs = [ConfigSpec("baseline")]
+    outermost_first: List[LoopDirective] = []
     for func in module.functions.values():
         info = LoopInfo.compute(func)
         for loop in info.loops:
@@ -211,7 +219,12 @@ def config_specs(module: Module) -> List[ConfigSpec]:
             specs.append(ConfigSpec("unmerge", loop.loop_id, 1))
             for factor in UU_FACTORS:
                 specs.append(ConfigSpec("uu", loop.loop_id, factor))
+        outermost_first.extend(
+            LoopDirective(loop.loop_id, 1, True)
+            for loop in sorted(info.loops, key=lambda l: l.depth))
     specs.append(ConfigSpec("uu_heuristic"))
+    if len(outermost_first) > 1:
+        specs.append(ConfigSpec("tuned", plan=tuple(outermost_first)))
     return specs
 
 
@@ -224,7 +237,7 @@ def run_config(subject: Subject, spec: ConfigSpec,
     try:
         compile_module(module, spec.config, loop_id=spec.loop_id,
                        factor=spec.factor, max_instructions=max_instructions,
-                       verify_each=True)
+                       verify_each=True, plan=spec.plan)
     except AssertionError as exc:
         # PassManager's verify_each wrapper: the message names the pass.
         return ConfigOutcome(spec, False, "verifier", str(exc))
@@ -256,43 +269,3 @@ def run_differential(subject: Subject, lanes: int = LANES,
             run_config(subject, spec, reference, lanes, max_instructions,
                        engine=engine))
     return report
-
-
-def verify_tuned_config(bench, decisions,
-                        max_instructions: int = 20_000,
-                        engine: Optional[str] = None) -> ConfigOutcome:
-    """Oracle check of one benchmark's *tuned* decision set.
-
-    The autotuner calls this before persisting a winner: like
-    :func:`run_differential`, the semantic anchor is the **unoptimized**
-    lowering — a miscompile shared by every pipeline would slip past the
-    search's baseline-differential check, but not past this one.  Unlike
-    the scalar fuzz subjects, benchmarks take pointer arguments, so the
-    reference and candidate both execute the full workload
-    (:meth:`~repro.bench.base.Benchmark.run`) and compare observable
-    output buffers bitwise.
-    """
-    spec = ConfigSpec("tuned")
-    raw = bench.build_module()
-    verify_module(raw)
-    reference, _ = bench.run(raw, engine=engine)
-    module = bench.build_module()
-    try:
-        compile_module(module, "tuned", tuned=list(decisions),
-                       max_instructions=max_instructions, verify_each=True)
-    except AssertionError as exc:
-        return ConfigOutcome(spec, False, "verifier", str(exc))
-    except Exception as exc:  # noqa: BLE001 — any pipeline crash is a finding
-        return ConfigOutcome(spec, False, "crash",
-                             f"{type(exc).__name__}: {exc}")
-    try:
-        outputs, _ = bench.run(module, engine=engine)
-    except Exception as exc:  # noqa: BLE001
-        return ConfigOutcome(spec, False, "crash",
-                             f"running tuned module: "
-                             f"{type(exc).__name__}: {exc}")
-    detail = compare({k: v.reshape(-1) for k, v in reference.items()},
-                     {k: v.reshape(-1) for k, v in outputs.items()})
-    if detail is not None:
-        return ConfigOutcome(spec, False, "mismatch", detail)
-    return ConfigOutcome(spec, True)

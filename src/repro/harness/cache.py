@@ -69,13 +69,17 @@ from .experiment import Cell
 #: ``applied`` flag.  v3: interpreter phi parallel-copy fix (cells
 #: simulated with phi-to-phi edge moves could hold corrupted outputs).
 #: v4: Counters gained the per-category ``cat_cycles`` breakdown.
+#: v5: one transform pass logs one ``LoopDecision`` row per directive for
+#: every configuration, so per-loop cells now carry their one-row decision
+#: log (it was empty) and replayed rows say the directive's kind where
+#: they said "tuned".
 #:
 #: Note the execution engine (``REPRO_ENGINE``, ``jit`` by default) is
 #: deliberately *not* part of the key: the jit, batched and per-warp
 #: engines are bit-identical by contract — whenever the jit tiers up —
 #: (tests/test_engine_equivalence.py, tests/test_tier_up.py), so a cell
 #: computed under any is valid for all.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -377,10 +381,11 @@ class CellCache(ShardedLRUStore):
         """SHA-256 over every input that determines a cell's result.
 
         ``scale`` is the tuner's workload-geometry divisor (folded only
-        when != 1, so pre-tuner keys are unchanged); ``tuned`` is the
-        fingerprint of the resolved tuned decisions for ``config ==
-        "tuned"`` cells — editing ``results/tuned/<app>.json`` must
-        invalidate every cell compiled from it.
+        when != 1, so pre-tuner keys are unchanged); ``tuned`` is
+        :func:`repro.directive.fingerprint` of the resolved plan for
+        ``tuned`` / ``predicted`` / explicit-plan cells — editing
+        ``results/tuned/<app>.json`` must invalidate every cell compiled
+        from it.
         """
         heur = dataclasses.asdict(heuristic)
         heur["divergent_args"] = list(heur["divergent_args"])

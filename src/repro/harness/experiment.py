@@ -25,11 +25,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..bench.base import Benchmark
+from ..directive import LoopDirective
 from ..gpu.counters import Counters
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams
 from ..transforms.pass_manager import PassStatistics
-from ..transforms.pipeline import CompileResult, compile_module
+from ..transforms.pipeline import CompileResult, compile_module, config_plan
 
 UNROLL_FACTORS = (2, 4, 8)
 
@@ -110,7 +111,7 @@ class ExperimentRunner:
         #: given the module and the index, so one resolve serves every
         #: ``predicted`` cell of an app).
         self._predictions: Dict[str, object] = {}
-        self._cache: Dict[Tuple[str, str, Optional[str], int], Cell] = {}
+        self._cache: Dict[Tuple, Cell] = {}
         self._baseline_outputs: Dict[str, Dict[str, np.ndarray]] = {}
         #: Outputs of the *unoptimized* module, the baseline anchor's
         #: reference (cached so the raw module is built and run only once).
@@ -124,12 +125,15 @@ class ExperimentRunner:
 
     # -- cells -----------------------------------------------------------
     def cell(self, bench: Benchmark, config: str,
-             loop_id: Optional[str] = None, factor: int = 1) -> Cell:
-        key = (bench.name, config, loop_id, factor)
+             loop_id: Optional[str] = None, factor: int = 1,
+             plan: Optional[Tuple[LoopDirective, ...]] = None) -> Cell:
+        """One measured cell; ``plan`` overrides what ``config`` resolves
+        to (the autotuner races decision sets it has not persisted)."""
+        key = (bench.name, config, loop_id, factor, plan)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        result = self._run(bench, config, loop_id, factor)
+        result = self._run(bench, config, loop_id, factor, plan)
         self._cache[key] = result
         return result
 
@@ -142,65 +146,86 @@ class ExperimentRunner:
     def tuned_cell(self, bench: Benchmark) -> Cell:
         return self.cell(bench, "tuned")
 
-    def predicted_cell(self, bench: Benchmark) -> Cell:
-        return self.cell(bench, "predicted")
+    # -- config -> plan --------------------------------------------------
+    def resolve_plan(self, subject, config: str,
+                     loop_id: Optional[str] = None, factor: int = 1, *,
+                     emit: bool = True) -> Optional[List[LoopDirective]]:
+        """The plan ``config`` compiles ``subject`` with — the one resolver.
 
-    def _resolve_tuned(self, app: str):
-        """Decisions for ``config == "tuned"``, warning on fallback."""
-        # Lazy import: tune.store is stdlib-light but lives above the
-        # harness in the package layering.
-        from ..tune.store import resolve_decisions
-
-        decisions, why = resolve_decisions(app, self.tuned_dir)
-        if decisions is None:
-            warnings.warn(
-                f"{app}: no usable tuned config ({why}); "
-                "falling back to the static heuristic",
-                RuntimeWarning, stacklevel=3)
-            # A typed ``missed`` remark (not just the RuntimeWarning):
-            # the fallback is a lost optimization opportunity, stamped
-            # with the staleness reason so remark consumers can tell a
-            # never-tuned app from a schema/timing-staled one.
-            obs.remark("missed", "tuned-uu", app,
-                       f"tuned config unusable ({why}); heuristic fallback",
-                       reason=why)
-        return decisions
-
-    def _predict(self, bench: Benchmark):
-        """Memoized similarity prediction for ``bench`` (no telemetry).
-
-        Both the cache-key fingerprint and the measurement path need the
-        prediction; computing it here keeps the two trivially consistent.
-        Telemetry (remarks + metrics) is deferred to
-        :meth:`predicted_decisions` — the measurement path — so ``-j1``
-        and ``-jN`` sweeps emit it exactly once, in the worker that
+        ``subject`` is a benchmark or a bare module (the service's
+        ``ir``/``kernel`` submissions): ``tuned`` looks a benchmark up in
+        the tuned directory (tuned files are per registered app; a bare
+        module's name is client data and never a path), ``predicted``
+        votes its loops against the similarity index, anything else is
+        ``config_plan``.  A caller already holding an explicit plan has
+        nothing to resolve and does not call this.  ``None`` means the
+        heuristic decides at pass time — for ``tuned``/``predicted`` the
+        graceful fallback, announced here (``RuntimeWarning`` + typed
+        ``missed`` remark) unless ``emit`` is off.  Cache-key
+        fingerprinting resolves silently and the measurement path aloud,
+        so ``-j1`` and ``-jN`` sweeps emit once, in the worker that
         compiles the cell.
         """
-        if bench.name not in self._predictions:
-            from ..similarity.index import SimilarityIndex
-            from ..similarity.predict import predict_bench
+        if config == "tuned":
+            # Lazy import: tune.store is stdlib-light but lives above the
+            # harness in the package layering.
+            from ..tune.store import resolve_decisions
 
-            root = Path(self.sim_index_dir) if self.sim_index_dir else None
-            self._predictions[bench.name] = predict_bench(
-                bench, SimilarityIndex(root), emit=False)
-        return self._predictions[bench.name]
+            plan, why = (resolve_decisions(subject.name, self.tuned_dir)
+                         if isinstance(subject, Benchmark)
+                         else (None, "not a registered app"))
+            if plan is None and emit:
+                warnings.warn(
+                    f"{subject.name}: no usable tuned config ({why}); "
+                    "falling back to the static heuristic",
+                    RuntimeWarning, stacklevel=2)
+                # The fallback is a lost optimization opportunity, stamped
+                # with the staleness reason so remark consumers can tell a
+                # never-tuned app from a schema/timing-staled one.
+                obs.remark("missed", "tuned-uu", subject.name,
+                           f"tuned config unusable ({why}); heuristic "
+                           "fallback", reason=why)
+            return plan
+        if config == "predicted":
+            from ..similarity.predict import emit_prediction_telemetry
 
-    def predicted_decisions(self, bench: Benchmark):
-        """Decisions for ``config == "predicted"``, warning on fallback."""
-        from ..similarity.predict import emit_prediction_telemetry
+            prediction = self._predict(subject)
+            if emit:
+                emit_prediction_telemetry(prediction)
+                if prediction.fallback:
+                    warnings.warn(
+                        f"{subject.name}: no usable similarity-index "
+                        "evidence; falling back to the static heuristic",
+                        RuntimeWarning, stacklevel=2)
+            return None if prediction.fallback else list(prediction.decisions)
+        return config_plan(config, loop_id, factor)
 
-        prediction = self._predict(bench)
-        emit_prediction_telemetry(prediction)
-        if prediction.fallback:
-            warnings.warn(
-                f"{bench.name}: no usable similarity-index evidence; "
-                "falling back to the static heuristic",
-                RuntimeWarning, stacklevel=3)
-            return None
-        return list(prediction.decisions)
+    def _predict(self, subject):
+        """Similarity prediction for ``subject`` (no telemetry).
+
+        Memoized per registered benchmark: prediction is pure given the
+        module and the index, and both the cache-key fingerprint and the
+        measurement path resolve it, so one vote serves both and keeps
+        them trivially consistent.  A bare module has no identity to memo
+        under and is voted afresh.
+        """
+        from ..similarity.index import SimilarityIndex
+        from ..similarity.predict import predict_bench, predict_module
+
+        memo = isinstance(subject, Benchmark)
+        if memo and subject.name in self._predictions:
+            return self._predictions[subject.name]
+        index = SimilarityIndex(
+            Path(self.sim_index_dir) if self.sim_index_dir else None)
+        if not memo:
+            return predict_module(subject, index.load_entries())
+        prediction = predict_bench(subject, index, emit=False)
+        self._predictions[subject.name] = prediction
+        return prediction
 
     def _run(self, bench: Benchmark, config: str, loop_id: Optional[str],
-             factor: int) -> Cell:
+             factor: int,
+             plan: Optional[Tuple[LoopDirective, ...]] = None) -> Cell:
         # Remarks emitted while this cell compiles/runs carry its sweep
         # coordinates; the cell itself becomes one trace span wrapping the
         # per-pass and per-phase spans recorded underneath.
@@ -210,10 +235,10 @@ class ExperimentRunner:
         with obs.context(app=bench.name, config=config, sweep_loop=loop_id,
                          sweep_factor=factor if loop_id else None), \
                 obs.span(label, cat="cell"):
-            return self._measure(bench, config, loop_id, factor)
+            return self._measure(bench, config, loop_id, factor, plan)
 
     def _measure(self, bench: Benchmark, config: str, loop_id: Optional[str],
-                 factor: int) -> Cell:
+                 factor: int, plan) -> Cell:
         # One build serves both the anchor reference and the compiled cell:
         # the pipeline optimizes the module in place, so the unoptimized
         # reference run must happen first (its outputs are cached — later
@@ -226,19 +251,14 @@ class ExperimentRunner:
                                            scale=self.workload_scale)
             self.phase_seconds["simulate"] += time.perf_counter() - start
             self._raw_outputs[bench.name] = raw_outputs
-        tuned_decisions = None
-        if config == "tuned":
-            tuned_decisions = self._resolve_tuned(bench.name)
-        elif config == "predicted":
-            tuned_decisions = self.predicted_decisions(bench)
+        if plan is None:
+            plan = self.resolve_plan(bench, config, loop_id, factor)
         with obs.span("compile"):
             compiled: CompileResult = compile_module(
-                module, config, loop_id=loop_id, factor=factor,
-                heuristic=self.heuristic,
+                module, config, heuristic=self.heuristic,
                 max_instructions=self.max_instructions,
                 timeout_seconds=self.compile_timeout,
-                verify_each=self.verify_each,
-                tuned=tuned_decisions)
+                verify_each=self.verify_each, plan=plan)
         self.phase_seconds["compile"] += compiled.compile_seconds
         self.pass_stats.merge(compiled.pass_stats)
         if compiled.timed_out:

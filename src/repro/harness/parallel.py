@@ -7,9 +7,9 @@ one cell at a time; this module fans the same cells out over a process
 pool and backs them with the content-addressed persistent cache of
 :mod:`repro.harness.cache`:
 
-* all ``(app, config, loop_id, factor)`` cells are enumerated up front and
-  deduplicated, so shared cells (every exhibit needs the baselines) are
-  computed once;
+* all ``(app, config, loop_id, factor[, plan])`` cells are enumerated up
+  front and deduplicated, so shared cells (every exhibit needs the
+  baselines) are computed once;
 * cells are dispatched one-per-task, *costliest first* (u=8 before u=4
   before u=2, heuristic cells treated as u_max): long compilations start
   immediately instead of straggling at the tail of the sweep;
@@ -39,17 +39,21 @@ import numpy as np
 
 from ..bench import benchmark_by_name
 from ..bench.base import Benchmark
+from ..directive import LoopDirective, fingerprint
 from ..ir.printer import print_module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams
+from ..transforms.pipeline import (CONFIGS, PER_LOOP_CONFIGS,
+                                   WHOLE_FUNCTION_CONFIGS)
 from .cache import CellCache
 from .experiment import UNROLL_FACTORS, Cell, ExperimentRunner
 
 #: Environment override for the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
-ALL_CONFIGS = ("baseline", "uu", "unroll", "unmerge", "uu_heuristic")
+#: The paper's five configurations: what a default sweep enumerates.
+ALL_CONFIGS = CONFIGS[:5]
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -73,10 +77,14 @@ class CellSpec:
     config: str
     loop_id: Optional[str]
     factor: int
+    #: An explicit plan to compile instead of what ``config`` resolves to;
+    #: it travels to the worker as data and is part of the cell's identity
+    #: (in memory and, by fingerprint, in the persistent cache).
+    plan: Optional[Tuple[LoopDirective, ...]] = None
 
     @property
-    def key(self) -> Tuple[str, str, Optional[str], int]:
-        return (self.app, self.config, self.loop_id, self.factor)
+    def key(self) -> Tuple:
+        return (self.app, self.config, self.loop_id, self.factor, self.plan)
 
 
 def sweep_specs(bench: Benchmark,
@@ -93,7 +101,7 @@ def sweep_specs(bench: Benchmark,
     specs = [CellSpec(bench.name, "baseline", None, 1)]
     loop_ids = None
     for config in configs:
-        if config in ("uu", "unroll", "unmerge"):
+        if config in PER_LOOP_CONFIGS:
             if loop_ids is None:
                 loop_ids = bench.loop_ids()
             for loop_id in loop_ids:
@@ -103,9 +111,7 @@ def sweep_specs(bench: Benchmark,
                     for factor in factors:
                         specs.append(
                             CellSpec(bench.name, config, loop_id, factor))
-        elif config == "uu_heuristic":
-            specs.append(CellSpec(bench.name, "uu_heuristic", None, 1))
-        elif config in ("tuned", "predicted"):
+        elif config in WHOLE_FUNCTION_CONFIGS:
             specs.append(CellSpec(bench.name, config, None, 1))
     return specs
 
@@ -132,7 +138,7 @@ def workload_fingerprint(bench: Benchmark) -> str:
 
 def _spec_cost(spec: CellSpec, u_max: int) -> int:
     """Relative cost estimate used to schedule long cells first."""
-    if spec.config in ("uu_heuristic", "tuned", "predicted"):
+    if spec.config in WHOLE_FUNCTION_CONFIGS:
         return u_max + 1
     if spec.config == "baseline":
         return 1
@@ -195,17 +201,18 @@ def _worker_baseline(app: str, params: Tuple):
         return ("err", traceback.format_exc(), None, None)
 
 
-def _worker_cell(app: str, config: str, loop_id: Optional[str], factor: int,
-                 params: Tuple, reference: Optional[Dict[str, np.ndarray]]):
+def _worker_cell(spec: CellSpec, params: Tuple,
+                 reference: Optional[Dict[str, np.ndarray]]):
     """Compute one non-baseline cell against shipped reference outputs."""
     obs.begin_worker()
     obs_metrics.begin_worker()
     try:
-        bench = benchmark_by_name(app)
+        bench = benchmark_by_name(spec.app)
         runner = _make_runner(params)
         if reference is not None:
-            runner._baseline_outputs[app] = reference
-        cell = runner._run(bench, config, loop_id, factor)
+            runner._baseline_outputs[spec.app] = reference
+        cell = runner._run(bench, spec.config, spec.loop_id, spec.factor,
+                           spec.plan)
         return ("ok", cell, None, _worker_extras(runner))
     except Exception:
         return ("err", traceback.format_exc(), None, None)
@@ -265,21 +272,20 @@ class ParallelRunner(ExperimentRunner):
         return cached
 
     def _cache_key(self, bench: Benchmark, config: str,
-                   loop_id: Optional[str], factor: int) -> str:
+                   loop_id: Optional[str], factor: int,
+                   plan: Optional[Tuple[LoopDirective, ...]] = None) -> str:
         ir, workload = self._fingerprint(bench)
         tuned = None
-        if config == "tuned":
-            # Folding the resolved decisions in means editing/deleting/
-            # staling results/tuned/<app>.json orphans the old cells.
-            from ..tune.store import decisions_fingerprint
-            tuned = decisions_fingerprint(bench.name, self.tuned_dir)
-        elif config == "predicted":
-            # Same discipline for predictions: any index growth, schema
-            # bump, or k/threshold change that alters the resolved
-            # decision set re-keys the cell.  The config string differs
-            # from "tuned", so the shared ``tuned=`` slot cannot collide.
-            from ..similarity.predict import prediction_fingerprint
-            tuned = prediction_fingerprint(self._predict(bench))
+        # A cell compiled from stored or explicit decisions keys on the
+        # resolved plan, so editing/deleting/staling
+        # results/tuned/<app>.json — or any index growth, schema bump or
+        # k/threshold change that alters a prediction — orphans the old
+        # cells.  (Per-loop and heuristic cells are determined by the
+        # fields below and keep their historical keys.)
+        if plan is not None:
+            tuned = fingerprint(plan)
+        elif config in ("tuned", "predicted"):
+            tuned = fingerprint(self.resolve_plan(bench, config, emit=False))
         return CellCache.make_key(
             ir, workload, config, loop_id, factor, self.heuristic,
             self.max_instructions, self.compile_timeout, self.verify_each,
@@ -305,17 +311,18 @@ class ParallelRunner(ExperimentRunner):
 
     # -- serial-compatible single-cell API -----------------------------------
     def cell(self, bench: Benchmark, config: str,
-             loop_id: Optional[str] = None, factor: int = 1) -> Cell:
-        spec_key = (bench.name, config, loop_id, factor)
+             loop_id: Optional[str] = None, factor: int = 1,
+             plan: Optional[Tuple[LoopDirective, ...]] = None) -> Cell:
+        spec_key = (bench.name, config, loop_id, factor, plan)
         cached = self._cache.get(spec_key)
         if cached is not None:
             return cached
         if self.cache is not None:
-            cache_key = self._cache_key(bench, config, loop_id, factor)
+            cache_key = self._cache_key(bench, config, loop_id, factor, plan)
             hit = self._load_cached(bench, spec_key, cache_key)
             if hit is not None:
                 return hit
-        result = self._run(bench, config, loop_id, factor)
+        result = self._run(bench, config, loop_id, factor, plan)
         self._cache[spec_key] = result
         if self.cache is not None:
             self._store(bench, result, cache_key)
@@ -348,7 +355,7 @@ class ParallelRunner(ExperimentRunner):
             cache_key = None
             if bench is not None and self.cache is not None:
                 cache_key = self._cache_key(bench, spec.config, spec.loop_id,
-                                            spec.factor)
+                                            spec.factor, spec.plan)
                 if self._load_cached(bench, spec.key, cache_key) is not None:
                     continue
             missing.append((spec, cache_key))
@@ -376,7 +383,7 @@ class ParallelRunner(ExperimentRunner):
                 if bench is None:
                     bench = benchmark_by_name(spec.app)
                 cell = self._run(bench, spec.config, spec.loop_id,
-                                 spec.factor)
+                                 spec.factor, spec.plan)
             except Exception:
                 obs_metrics.inc("repro_sweep_worker_failures_total")
                 cell = _failed_cell(spec, traceback.format_exc())
@@ -448,9 +455,8 @@ class ParallelRunner(ExperimentRunner):
                         failed_baselines[spec.app])
                     continue
                 reference = self._baseline_outputs.get(spec.app)
-                futures[pool.submit(
-                    _worker_cell, spec.app, spec.config, spec.loop_id,
-                    spec.factor, params, reference)] = spec
+                futures[pool.submit(_worker_cell, spec, params,
+                                    reference)] = spec
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -501,7 +507,7 @@ class ParallelRunner(ExperimentRunner):
                 return
         if cache_key is None:
             cache_key = self._cache_key(bench, spec.config, spec.loop_id,
-                                        spec.factor)
+                                        spec.factor, spec.plan)
         self._store(bench, cell, cache_key)
 
     def _absorb_extras(self, extras: Dict) -> None:

@@ -20,7 +20,7 @@ session is installed.
 from . import metrics
 from .metrics import MetricsRegistry
 from .profile import ExecutionProfile, OCCUPANCY_CAP
-from .remarks import (KINDS, Remark, heuristic_remarks, read_jsonl,
+from .remarks import (KINDS, Remark, decision_remarks, read_jsonl,
                       render_remark, write_jsonl)
 from .session import (ENV_VAR, ObsSession, active, begin_worker, capture,
                       context, emit, enabled, end_worker, install,
@@ -32,7 +32,7 @@ __all__ = [
     "ENV_VAR", "KINDS", "MetricsRegistry", "OCCUPANCY_CAP",
     "ExecutionProfile", "ObsSession", "metrics",
     "Remark", "Tracer", "active", "begin_worker", "capture", "context",
-    "emit", "enabled", "end_worker", "heuristic_remarks", "install",
+    "decision_remarks", "emit", "enabled", "end_worker", "install",
     "maybe_install_from_env", "profile", "read_jsonl", "remark",
     "render_remark", "request_capture", "span", "tracer", "uninstall",
     "write_jsonl",

@@ -117,7 +117,7 @@ def render_remark(remark: Remark) -> str:
     return line
 
 
-# -- heuristic bridging ------------------------------------------------------
+# -- decision-log bridging ---------------------------------------------------
 
 def _unmerged_cost(paths: int, size: int, factor: int,
                    cap: int = 1 << 30) -> int:
@@ -137,41 +137,41 @@ def _unmerged_cost(paths: int, size: int, factor: int,
     return total
 
 
-def heuristic_remarks(decisions: Sequence, function: Optional[str] = None
-                      ) -> List[Remark]:
+def decision_remarks(decisions: Sequence, function: Optional[str] = None,
+                     pass_name: str = "uu") -> List[Remark]:
     """The single rendering of ``LoopDecision`` rows as remarks.
 
-    Both the ``uu`` pass's remark emission and ``run-heuristic --report``
-    go through here, so the report and the remark stream cannot drift
-    apart (they are the same objects).  ``decisions`` is duck-typed over
-    the ``LoopDecision`` fields (loop_id, paths, size, factor, reason,
-    applied) to avoid importing ``repro.transforms``.
+    The transform stage's remark emission (every configuration),
+    ``run-heuristic --report`` and the service's IR-less results all go
+    through here, so the views cannot drift apart (they are the same
+    objects).  ``decisions`` is duck-typed over the ``LoopDecision`` fields
+    (loop_id, paths, size, factor, reason, applied) to avoid importing
+    ``repro.transforms``; ``pass_name`` is what the stage reported under
+    (the heuristic's rows have always said ``uu``).
     """
     remarks = []
     for d in decisions:
-        func = function or str(d.loop_id).split(":", 1)[0]
+        args = {"p": d.paths, "s": d.size}
         if d.factor is None:
-            remarks.append(Remark(
-                kind="missed", pass_name="uu", function=func,
-                loop_id=d.loop_id,
-                message=d.reason,
-                args={"p": d.paths, "s": d.size},
-            ))
-        elif d.applied is False:
-            remarks.append(Remark(
-                kind="missed", pass_name="uu", function=func,
-                loop_id=d.loop_id,
-                message=(f"selected u'={d.factor} but not applied "
-                         "(loop vanished after relayout or transform "
-                         "declined)"),
-                args={"p": d.paths, "s": d.size, "u_prime": d.factor},
-            ))
+            kind, message = "missed", d.reason
         else:
-            remarks.append(Remark(
-                kind="applied", pass_name="uu", function=func,
-                loop_id=d.loop_id,
-                message=f"unroll-and-unmerge with u'={d.factor}",
-                args={"p": d.paths, "s": d.size, "u_prime": d.factor,
-                      "cost": _unmerged_cost(d.paths, d.size, d.factor)},
-            ))
+            args["u_prime"] = d.factor
+            # A plan's row says its directive's kind; the heuristic's
+            # rows (any other reason) are always u&u.
+            what = (d.reason if d.reason in ("unroll", "unmerge")
+                    else "unroll-and-unmerge")
+            if d.applied is False:
+                kind = "missed"
+                message = (f"{what} with u'={d.factor} selected but not "
+                           "applied (loop vanished after relayout or "
+                           "transform declined)")
+            else:
+                kind = "applied"
+                message = f"{what} with u'={d.factor}"
+                if d.reason != "unroll":
+                    args["cost"] = _unmerged_cost(d.paths, d.size, d.factor)
+        remarks.append(Remark(
+            kind=kind, pass_name=pass_name,
+            function=function or str(d.loop_id).split(":", 1)[0],
+            loop_id=d.loop_id, message=message, args=args))
     return remarks

@@ -23,12 +23,12 @@ from .daemon import ServeDaemon
 from .jobs import Job, JobQueue, JobState
 from .protocol import (SERVE_SCHEMA_VERSION, OptimizeRequest, OptimizeResult,
                        ast_from_json, ast_to_json, content_hash,
-                       parse_directive)
+                       parse_plan)
 from .service import execute_request
 
 __all__ = [
     "DEFAULT_URL", "Job", "JobQueue", "JobState", "OptimizeRequest",
     "OptimizeResult", "SERVE_SCHEMA_VERSION", "ServeClient", "ServeDaemon",
     "ast_from_json", "ast_to_json", "content_hash", "execute_request",
-    "parse_directive",
+    "parse_plan",
 ]

@@ -149,7 +149,9 @@ class ServeDaemon:
             with self._runner_lock:
                 result = execute_request(request, runner=self.runner)
         else:
-            result = execute_request(request)
+            # Lock-free: a bare module only reads the runner's tuned /
+            # similarity-index directories to resolve its plan.
+            result = execute_request(request, runner=self.runner)
         data = result.to_json()
         if request.config == "predicted" and data.get("status") == "ok":
             with self._similarity_lock:

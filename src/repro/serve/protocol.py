@@ -24,13 +24,15 @@ similarity-based tuning transfer ("A Similarity Measure for GPU Kernel
 Subgraph Matching"): the hash identifies the kernel, a future feature
 vector will identify its neighborhood.
 
-**Directives** anticipate pragma-style transformation scripts (Kruse &
-Finkel, "Loop Optimization Framework"): the schema carries an ordered
-``directives`` list like ``["unroll(4)@k/L0", "unmerge@k/L0"]`` instead
-of hardwiring one pipeline name.  :func:`parse_directive` validates the
-syntax today; execution is reserved for the transformation-script layer
-(see ROADMAP "User-directed transformation scripts") and submissions
-using directives are rejected explicitly rather than silently ignored.
+**Directives** are pragma-style transformation scripts (Kruse & Finkel,
+"Loop Optimization Framework"): an ordered ``directives`` list like
+``["unroll(4)@k:0", "unmerge@k:0"]`` is an explicit plan — the same list
+of :class:`~repro.directive.LoopDirective` every pipeline config reduces
+to — compiled in place of whatever ``config`` would have resolved.
+:func:`parse_plan` reads it with the one pragma parser; unknown names
+(``interchange``), loop-less pragmas, the identity factor 1 and loops the
+submitted app or module does not have raise :class:`ProtocolError` — fail
+closed, never silently ignored.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..directive import LoopDirective
 from ..frontend import ast as front
 from ..gpu.timing import TIMING_MODEL_VERSION
+from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 
 #: Bump when the request or result wire shape changes incompatibly.
 #: v2: requests grow ``include_profile``; results grow ``trace_events``
@@ -52,13 +55,6 @@ from ..gpu.timing import TIMING_MODEL_VERSION
 #: tuning transfer) and grow ``refine`` — opt-in background empirical
 #: refinement of a predicted app at low priority.
 SERVE_SCHEMA_VERSION = 3
-
-#: Pipeline configurations a submission may request.
-CONFIGS = ("baseline", "uu", "unroll", "unmerge", "uu_heuristic", "tuned",
-           "predicted")
-
-#: Configs that address one loop at a time and therefore need a loop_id.
-PER_LOOP_CONFIGS = ("uu", "unroll", "unmerge")
 
 
 class ProtocolError(ValueError):
@@ -125,36 +121,16 @@ def ast_from_json(data):
 
 
 # ---------------------------------------------------------------------------
-# Transformation directives (reserved schema surface)
+# Transformation directives
 # ---------------------------------------------------------------------------
 
-_DIRECTIVE_RE = re.compile(
-    r"^(?P<name>[a-z_]+)"
-    r"(?:\((?P<args>[^()]*)\))?"
-    r"(?:@(?P<loop>\S+))?$")
-
-
-def parse_directive(text: str) -> Dict[str, object]:
-    """Parse one pragma-style directive, e.g. ``unroll(4)@kernel/L0``.
-
-    Grammar: ``name[(arg,...)][@loop_id]``.  Returns ``{"name", "args",
-    "loop"}``; raises :class:`ProtocolError` on malformed input.
-    """
-    match = _DIRECTIVE_RE.match(text.strip())
-    if match is None:
-        raise ProtocolError(
-            f"malformed directive {text!r}; expected name[(args)][@loop]")
-    raw_args = match.group("args")
-    args: List[object] = []
-    if raw_args:
-        for part in raw_args.split(","):
-            part = part.strip()
-            try:
-                args.append(int(part))
-            except ValueError:
-                args.append(part)
-    return {"name": match.group("name"), "args": args,
-            "loop": match.group("loop")}
+def parse_plan(directives: Sequence[str]) -> Tuple[LoopDirective, ...]:
+    """A request's ``directives`` as a plan; malformed pragmas, unknown
+    names and loop-less pragmas raise :class:`ProtocolError`."""
+    try:
+        return tuple(LoopDirective.parse(text) for text in directives)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +162,8 @@ class OptimizeRequest:
     #: background ``repro tune`` refinement job at low priority whose
     #: verified winner upgrades the similarity index on completion.
     refine: bool = False
-    #: Reserved pragma-style transformation script (validated, not yet
-    #: executed — see module docstring).
+    #: Pragma-style transformation script: an explicit plan compiled in
+    #: place of what ``config`` resolves to (see module docstring).
     directives: Tuple[str, ...] = ()
 
     def validate(self) -> "OptimizeRequest":
@@ -206,8 +182,11 @@ class OptimizeRequest:
                 "set loop_id")
         if self.lanes < 1 or self.lanes > 32:
             raise ProtocolError(f"lanes must be in 1..32, got {self.lanes}")
-        for directive in self.directives:
-            parse_directive(directive)
+        if self.directives and self.loop_id is not None:
+            raise ProtocolError(
+                "directives name their own loops; drop loop_id (and the "
+                "per-loop config that needs it)")
+        parse_plan(self.directives)
         return self
 
     def to_json(self) -> Dict[str, object]:

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.loops import LoopInfo
 from ..bench import benchmark_by_name
 from ..frontend.lower import lower_kernels
 from ..gpu.counters import Counters
@@ -44,7 +45,7 @@ from ..ir.verifier import verify_module
 from ..obs import session as obs
 from ..transforms.pipeline import compile_module
 from .protocol import (OptimizeRequest, OptimizeResult, ProtocolError,
-                       content_hash)
+                       content_hash, parse_plan)
 
 #: Growth cap for ir/kernel subjects — the fuzz oracle's, for the same
 #: reason: submitted kernels are small and the cleanup fixpoint must stay
@@ -84,8 +85,20 @@ def _counters_json(counters: Counters) -> Dict[str, object]:
             for f in dataclasses.fields(Counters)}
 
 
+def _check_loops(request: OptimizeRequest, plan, known, name: str) -> None:
+    """Fail closed on a loop the subject does not have: a directive (or
+    per-loop coordinate) no function claims would otherwise compile to the
+    baseline without a row or a remark."""
+    named = [d.loop_id for d in plan] if plan else [request.loop_id]
+    for loop_id in named:
+        if loop_id is not None and loop_id not in known:
+            raise ProtocolError(
+                f"unknown loop {loop_id!r} for {name}; loops: {known}")
+
+
 def _execute_subject(request: OptimizeRequest, req_hash: str,
-                     result: OptimizeResult) -> None:
+                     result: OptimizeResult, runner: ExperimentRunner,
+                     plan) -> None:
     """ir/kernel submission: compile + one-warp differential measurement."""
     if request.ir is not None:
         def build() -> Module:
@@ -99,6 +112,9 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     module = build()
     verify_module(module)  # A broken submission is the client's bug.
     result.name = module.name
+    _check_loops(request, plan,
+                 [loop.loop_id for func in module.functions.values()
+                  for loop in LoopInfo.compute(func).loops], module.name)
 
     # Baseline anchor: same source through the baseline pipeline.
     base_module = build()
@@ -111,17 +127,22 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     with obs.request_capture(req_hash) as session:
         with obs.context(config=request.config), \
                 obs.span(f"serve/{request.config}", cat="cell"):
+            if plan is None:
+                # Resolved under the capture: a tuned / predicted fallback
+                # announces itself in this request's remark stream.
+                plan = runner.resolve_plan(module, request.config,
+                                           request.loop_id, request.factor)
             compiled = compile_module(
-                module, request.config, loop_id=request.loop_id,
-                factor=request.factor,
-                max_instructions=SUBJECT_MAX_INSTRUCTIONS)
+                module, request.config,
+                max_instructions=SUBJECT_MAX_INSTRUCTIONS, plan=plan)
             outputs, counters = _run_subject(module, request.lanes,
                                              request.engine)
     result.remarks = [r.to_json() for r in session.remarks]
     result.trace_events = list(session.tracer.events)
     if request.include_profile and not session.profile.is_empty():
         result.profile = session.profile.to_json()
-    result.decisions = _decision_dicts(compiled)
+    result.decisions = [dataclasses.asdict(d)
+                        for d in compiled.heuristic_decisions]
     result.cycles = counters.cycles
     result.counters = _counters_json(counters)
     result.code_size = compiled.code_size
@@ -139,27 +160,17 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
         result.optimized_ir = print_module(module)
 
 
-def _decision_dicts(compiled) -> list:
-    return [dataclasses.asdict(d) for d in compiled.heuristic_decisions]
-
-
 def _execute_app(request: OptimizeRequest, req_hash: str,
-                 result: OptimizeResult,
-                 runner: Optional[ExperimentRunner]) -> None:
+                 result: OptimizeResult, runner: ExperimentRunner,
+                 plan) -> None:
     """Benchmark submission: harness cells + one captured compile."""
     bench = benchmark_by_name(request.app)
     result.name = bench.name
-    if runner is None:
-        runner = ExperimentRunner(engine=request.engine)
-    if request.loop_id is not None and \
-            request.loop_id not in bench.loop_ids():
-        raise ProtocolError(
-            f"unknown loop {request.loop_id!r} for {bench.name}; "
-            f"loops: {bench.loop_ids()}")
+    _check_loops(request, plan, bench.loop_ids(), bench.name)
 
     base = runner.baseline(bench)
     cell = runner.cell(bench, request.config, request.loop_id,
-                       request.factor)
+                       request.factor, plan)
     result.baseline_cycles = base.cycles
     result.cycles = cell.cycles
     result.speedup = cell.speedup_over(base)
@@ -177,16 +188,12 @@ def _execute_app(request: OptimizeRequest, req_hash: str,
     # under the request's capture, with the harness's provenance context
     # so the stream matches a traced sweep's for this cell.
     if request.include_ir:
-        tuned = None
-        if request.config == "tuned":
-            from ..tune.store import resolve_decisions
-            tuned, _why = resolve_decisions(bench.name, runner.tuned_dir)
-        elif request.config == "predicted":
-            # Silent resolve: the measured cell above already emitted the
-            # prediction telemetry; this recompile only needs the decisions.
-            prediction = runner._predict(bench)
-            tuned = (None if prediction.fallback
-                     else list(prediction.decisions))
+        # Silent resolve: the measured cell above already emitted any
+        # fallback / prediction telemetry; this recompile only needs the
+        # plan.
+        resolved = plan if plan is not None else runner.resolve_plan(
+            bench, request.config, request.loop_id, request.factor,
+            emit=False)
         module = bench.build_module()
         with obs.request_capture(req_hash) as session:
             with obs.context(app=bench.name, config=request.config,
@@ -196,22 +203,20 @@ def _execute_app(request: OptimizeRequest, req_hash: str,
                     obs.span(f"serve/{bench.name}/{request.config}",
                              cat="cell"):
                 compile_module(module, request.config,
-                               loop_id=request.loop_id,
-                               factor=request.factor,
                                heuristic=runner.heuristic,
                                max_instructions=runner.max_instructions,
                                timeout_seconds=runner.compile_timeout,
-                               tuned=tuned)
+                               plan=resolved)
         result.remarks = [r.to_json() for r in session.remarks]
         result.trace_events = list(session.tracer.events)
         result.optimized_ir = print_module(module)
     else:
         # No recompile: render the decision stream the way the CLI's
         # --report does, so the result still carries typed remarks.
-        from ..obs import heuristic_remarks
+        from ..obs import decision_remarks
         result.remarks = [
-            r.to_json() for r in heuristic_remarks(cell.heuristic_decisions,
-                                                   function=bench.name)]
+            r.to_json() for r in decision_remarks(cell.heuristic_decisions,
+                                                  function=bench.name)]
 
 
 def execute_request(request: OptimizeRequest,
@@ -219,8 +224,9 @@ def execute_request(request: OptimizeRequest,
                     ) -> OptimizeResult:
     """Optimize one submission; never raises — errors become the result.
 
-    ``runner`` lets the daemon share one (cache-backed) runner across
-    requests; a direct caller can omit it for a self-contained run.
+    ``runner`` lets the daemon share one (cache-backed) runner — and its
+    tuned / similarity-index directories — across requests; a direct
+    caller can omit it for a self-contained run.
     """
     req_hash = content_hash(request)
     result = OptimizeResult(status="ok", content_hash=req_hash,
@@ -228,15 +234,15 @@ def execute_request(request: OptimizeRequest,
     try:
         request.validate()
         _resolve_engine(request.engine)
-        if request.directives:
-            raise ProtocolError(
-                "transformation directives are accepted by the schema but "
-                f"not executed yet (got {list(request.directives)}); see "
-                "ROADMAP 'User-directed transformation scripts'")
+        if runner is None:
+            runner = ExperimentRunner(engine=request.engine)
+        # An explicit plan when the request carries directives, else None
+        # (the runner resolves ``config``).
+        plan = parse_plan(request.directives) or None
         if request.app is not None:
-            _execute_app(request, req_hash, result, runner)
+            _execute_app(request, req_hash, result, runner, plan)
         else:
-            _execute_subject(request, req_hash, result)
+            _execute_subject(request, req_hash, result, runner, plan)
     except ProtocolError as exc:
         result.status = "error"
         result.error = str(exc)

@@ -29,7 +29,7 @@ from .features import (FEATURE_SCHEMA_VERSION, KernelFeatures, LoopFeatures,
 from .index import (SIMINDEX_DIR_ENV, SimilarityIndex, build_index,
                     default_index_dir, entry_from_tuned)
 from .predict import (Prediction, emit_prediction_telemetry, predict_bench,
-                      predict_module, prediction_fingerprint)
+                      predict_module)
 
 __all__ = [
     "FuzzBenchmark", "build_from_fuzz", "fuzz_corpus",
@@ -38,5 +38,5 @@ __all__ = [
     "SIMINDEX_DIR_ENV", "SimilarityIndex", "build_index",
     "default_index_dir", "entry_from_tuned",
     "Prediction", "emit_prediction_telemetry", "predict_bench",
-    "predict_module", "prediction_fingerprint",
+    "predict_module",
 ]

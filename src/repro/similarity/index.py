@@ -27,6 +27,7 @@ to identical on-disk states.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -164,9 +165,8 @@ class SimilarityIndex(ShardedLRUStore):
                   source: str = "tuned") -> str:
         """Index one tuned kernel; returns the entry key (idempotent)."""
         ir = print_module(module)
-        decisions = [{"loop_id": d.loop_id, "factor": d.factor,
-                      "unmerge": d.unmerge} for d in config.decisions]
-        key = entry_key(config.app, ir, decisions)
+        key = entry_key(config.app, ir, [dataclasses.asdict(d)
+                                         for d in config.decisions])
         self.put_entry(key, entry_from_tuned(module, config, source=source))
         return key
 

@@ -4,8 +4,9 @@ Given a query kernel, every loop is mapped to its K nearest tuned loops
 in the similarity index (normalized-distance brute force over the whole
 corpus — deterministic: ties break on ``(distance, app, loop_id)``), and
 the neighbors vote a ``(factor, unmerge)`` label with weight
-``1/(eps + distance)``.  The result is an instant decision set in the
-exact shape the ``tuned`` pipeline replays — zero empirical evaluations.
+``1/(eps + distance)``.  The result is an instant plan — the same list of
+:class:`~repro.directive.LoopDirective` the ``tuned`` pipeline replays —
+at zero empirical evaluations.
 
 Safety rails, in order:
 
@@ -31,17 +32,16 @@ histogram).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.paths import estimate_unmerged_size
+from ..directive import LoopDirective
 from ..ir.module import Module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams, choose_factor
 from ..tune.space import TuneParams
-from ..tune.store import TunedLoopDecision
 from .features import (KernelFeatures, LoopFeatures, combined_vector,
                        distance, kernel_features)
 
@@ -108,25 +108,10 @@ class Prediction:
     """
 
     app: str
-    decisions: Tuple[TunedLoopDecision, ...]
+    decisions: Tuple[LoopDirective, ...]
     loops: Tuple[LoopPrediction, ...]
     fallback: bool
     corpus_loops: int
-
-
-def prediction_fingerprint(prediction: Optional[Prediction]) -> str:
-    """Cache-key fingerprint of the resolved predicted pipeline.
-
-    Mirrors :func:`repro.tune.store.decisions_fingerprint`: the heuristic
-    fallback shares one ``fallback`` fingerprint, and any change to the
-    predicted decision set (index growth, schema bump, k/threshold
-    change) re-keys every ``predicted`` cell compiled from it.
-    """
-    if prediction is None or prediction.fallback:
-        return "fallback"
-    return json.dumps(
-        [{"loop_id": d.loop_id, "factor": d.factor, "unmerge": d.unmerge}
-         for d in prediction.decisions], sort_keys=True)
 
 
 def _corpus_loops(entries: Sequence[Dict], exclude_app: Optional[str]
@@ -256,7 +241,7 @@ def predict_module(module: Module, entries: Sequence[Dict], *,
 
     predictions.sort(key=lambda p: p.loop_id)
     decisions = tuple(
-        TunedLoopDecision(p.loop_id, max(1, p.factor), p.unmerge)
+        LoopDirective(p.loop_id, max(1, p.factor), p.unmerge)
         for p in predictions if not p.is_identity)
     return Prediction(app=name, decisions=decisions,
                       loops=tuple(predictions), fallback=False,

@@ -2,8 +2,8 @@
 
 from .dce import DeadCodeElimination, run_dce
 from .gvn import GlobalValueNumbering, run_gvn
-from .heuristic import (HeuristicParams, HeuristicUU, LoopDecision,
-                        choose_factor, select_loops)
+from .heuristic import (HeuristicParams, LoopDecision, choose_factor,
+                        select_loops)
 from .instcombine import InstCombine, run_instcombine, simplify_instruction
 from .lcssa import form_lcssa
 from .licm import LoopInvariantCodeMotion, run_licm
@@ -11,15 +11,14 @@ from .load_elim import LoadElimination, run_load_elim
 from .pass_manager import (CompileTimeout, FixpointPassManager,
                            PassManager, PassStatistics)
 from .pipeline import (CONFIGS, CompileResult, build_pipeline, compile_module)
+from .plan import ApplyPlan, apply_directive
 from .predication import Predication, run_predication
 from .profitability import merge_is_profitable
 from .sccp import SparseConditionalConstantPropagation, run_sccp
 from .simplifycfg import SimplifyCFG, run_simplifycfg
-from .tuned import TunedUU
-from .unmerge import (UnmergeBudgetExceeded, UnmergePass, unmerge_loop)
-from .unroll import (BaselineUnroll, UnrollError, UnrollPass, can_unroll,
-                     unroll_loop)
-from .uu import UnrollAndUnmerge, apply_uu, uu_applicable
+from .unmerge import UnmergeBudgetExceeded, unmerge_loop
+from .unroll import BaselineUnroll, UnrollError, can_unroll, unroll_loop
+from .uu import apply_uu, uu_applicable
 
 __all__ = [
     "PassManager", "FixpointPassManager", "PassStatistics",
@@ -34,10 +33,10 @@ __all__ = [
     "Predication", "run_predication",
     "merge_is_profitable",
     "form_lcssa",
-    "unroll_loop", "can_unroll", "UnrollError", "UnrollPass", "BaselineUnroll",
-    "unmerge_loop", "UnmergePass", "UnmergeBudgetExceeded",
-    "UnrollAndUnmerge", "apply_uu", "uu_applicable",
-    "HeuristicParams", "HeuristicUU", "LoopDecision", "choose_factor",
-    "select_loops", "TunedUU",
+    "unroll_loop", "can_unroll", "UnrollError", "BaselineUnroll",
+    "unmerge_loop", "UnmergeBudgetExceeded",
+    "apply_uu", "uu_applicable",
+    "HeuristicParams", "LoopDecision", "choose_factor", "select_loops",
+    "ApplyPlan", "apply_directive",
     "CONFIGS", "CompileResult", "build_pipeline", "compile_module",
 ]

@@ -23,9 +23,7 @@ from ..analysis.divergence import DivergenceInfo, loop_has_divergent_branch
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.paths import count_paths, estimate_unmerged_size
 from ..ir.function import Function
-from ..obs import session as obs
-from ..obs.remarks import heuristic_remarks
-from .uu import apply_uu, uu_applicable
+from .uu import uu_applicable
 
 
 @dataclass
@@ -40,17 +38,22 @@ class HeuristicParams:
 
 @dataclass
 class LoopDecision:
-    """Why a loop was or was not selected, for reporting and tests."""
+    """One row of the transform stage's decision log.
+
+    The heuristic logs every loop, with why it was or was not selected as
+    ``reason``; an explicit plan logs one row per directive, with the
+    directive's kind (``unroll`` / ``unmerge`` / ``uu``) as ``reason``.
+    """
 
     loop_id: str
     paths: int
     size: int
     factor: Optional[int]
     reason: str
-    #: Whether the selected transform actually mutated the IR: None for
-    #: unselected loops, False when the loop's header could no longer be
-    #: re-found after an earlier ``apply_uu`` relayout (or the transform
-    #: declined).  ``repro run-heuristic --report`` surfaces skips.
+    #: Whether the transform actually mutated the IR: None for unselected
+    #: loops, False when the loop's header could no longer be re-found
+    #: after an earlier directive's relayout (or the transform declined).
+    #: ``repro run-heuristic --report`` surfaces skips.
     applied: Optional[bool] = None
 
 
@@ -113,50 +116,3 @@ def _any_descendant_selected(loop: Loop, selected: Set[int]) -> bool:
             return True
         stack.extend(child.children)
     return False
-
-
-class HeuristicUU:
-    """Whole-function heuristic u&u pass (the paper's *u&u heuristic*)."""
-
-    name = "uu-heuristic"
-
-    def __init__(self, params: Optional[HeuristicParams] = None,
-                 max_instructions: int = 200_000) -> None:
-        self.params = params or HeuristicParams()
-        self.max_instructions = max_instructions
-        self.decisions: List[LoopDecision] = []
-
-    def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
-        decisions = select_loops(func, loop_info, self.params)
-        self.decisions.extend(decisions)
-        # Applying u&u to one loop relayouts the function, so re-find each
-        # selected loop by its (stable) header object.
-        header_by_id = {l.loop_id: l.header for l in loop_info.loops}
-        changed = False
-        for decision in decisions:
-            if decision.factor is None:
-                continue
-            header = header_by_id[decision.loop_id]
-            fresh_info = LoopInfo.compute(func)
-            target = None
-            for loop in fresh_info.loops:
-                if loop.header is header:
-                    target = loop
-                    break
-            if target is None:
-                # The decision log must not claim success: record the skip
-                # instead of silently continuing.
-                decision.applied = False
-                continue
-            did_apply = apply_uu(func, target, decision.factor,
-                                 max_instructions=self.max_instructions)
-            decision.applied = did_apply
-            changed |= did_apply
-        if obs.active() is not None:
-            # The remark stream and ``run-heuristic --report`` both render
-            # these same LoopDecision rows via heuristic_remarks(), so the
-            # two views cannot drift apart.
-            for remark in heuristic_remarks(decisions, function=func.name):
-                obs.emit(remark)
-        return changed

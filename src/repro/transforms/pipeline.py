@@ -6,6 +6,13 @@
 * ``uu``         — baseline + unroll-and-unmerge of one loop.
 * ``uu_heuristic`` — baseline + heuristic u&u over all loops.
 
+Below its name every configuration is the baseline pipeline plus a *plan*
+(:mod:`repro.directive`) applied by the one transform pass,
+:class:`~repro.transforms.plan.ApplyPlan`: :func:`config_plan` for the
+five above, an explicit ``plan=`` for ``tuned`` / ``predicted`` or any
+caller holding decisions (resolved from stored decisions by
+:meth:`repro.harness.experiment.ExperimentRunner.resolve_plan`).
+
 All transforms are placed *early* in the pipeline, exactly as the paper
 argues ("a late position in the pipeline is ineffective"), so that the full
 cleanup battery — GVN with branch facts, SCCP, instcombine, load
@@ -18,32 +25,41 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence
 
+from ..directive import KINDS, LoopDirective
 from ..ir.module import Module
 from .dce import DeadCodeElimination
 from .gvn import GlobalValueNumbering
-from .heuristic import HeuristicParams, HeuristicUU
+from .heuristic import HeuristicParams
 from .instcombine import InstCombine
 from .licm import LoopInvariantCodeMotion
 from .load_elim import LoadElimination
 from .pass_manager import (CompileTimeout, FixpointPassManager, PassManager,
                            PassStatistics)
+from .plan import ApplyPlan
 from .predication import Predication
 from .sccp import SparseConditionalConstantPropagation
 from .simplifycfg import SimplifyCFG
-from .tuned import TunedUU
-from .unmerge import UnmergePass
-from .unroll import BaselineUnroll, UnrollPass
-from .uu import UnrollAndUnmerge
+from .unroll import BaselineUnroll
 
+#: Every configuration name, in sweep-enumeration order — the only literal
+#: (the CLI, the service and the sweep engine import or slice it).
 #: ``tuned`` replays persisted per-loop decisions from the empirical
 #: autotuner (:mod:`repro.tune`); ``predicted`` replays decisions the
 #: similarity index transferred from the nearest tuned kernels
 #: (:mod:`repro.similarity`).  Both degrade to the static heuristic when
 #: no decisions are available, so they are usable unconditionally.
-CONFIGS = ("baseline", "unroll", "unmerge", "uu", "uu_heuristic", "tuned",
+CONFIGS = ("baseline", "uu", "unroll", "unmerge", "uu_heuristic", "tuned",
            "predicted")
+
+#: Configs that apply one directive to one loop (and so need a loop id):
+#: exactly the directive kinds.
+PER_LOOP_CONFIGS = tuple(c for c in CONFIGS if c in KINDS)
+
+#: Configs that decide over the whole function, one cell per application.
+WHOLE_FUNCTION_CONFIGS = tuple(c for c in CONFIGS[1:]
+                               if c not in PER_LOOP_CONFIGS)
 
 
 @dataclass
@@ -75,43 +91,35 @@ def cleanup_passes(branch_facts: bool = True) -> List:
     ]
 
 
+def config_plan(config: str, loop_id: Optional[str] = None,
+                factor: int = 1) -> Optional[List[LoopDirective]]:
+    """The plan ``config`` names by itself: empty for ``baseline``, one
+    directive for a per-loop config, and None where the heuristic decides
+    at pass time (``uu_heuristic``; the ``tuned`` / ``predicted``
+    fallback)."""
+    if config not in CONFIGS:
+        raise ValueError(f"unknown configuration {config!r}")
+    if config == "baseline":
+        return []
+    if config in PER_LOOP_CONFIGS:
+        if loop_id is None:
+            raise ValueError(f"{config} config requires a loop id")
+        return [LoopDirective.of(config, loop_id, factor)]
+    return None
+
+
 def transform_passes(config: str, *, loop_id: Optional[str] = None,
                      factor: int = 1,
                      heuristic: Optional[HeuristicParams] = None,
                      max_instructions: int = 200_000,
-                     tuned: Optional[List] = None) -> List:
-    """The experimental transform stage for ``config`` (possibly empty).
-
-    ``tuned`` carries the per-loop decisions of the ``tuned`` config
-    (``repro.tune.store.TunedLoopDecision`` rows); ``None`` means no
-    usable tuned file was resolved and the config falls back to the
-    static heuristic (the caller is responsible for warning).
-    """
-    if config == "baseline":
+                     plan: Optional[Sequence[LoopDirective]] = None) -> List:
+    """The experimental transform stage (possibly empty): an explicit
+    ``plan`` as given, else :func:`config_plan` of the other arguments."""
+    if plan is None:
+        plan = config_plan(config, loop_id, factor)
+    if plan is not None and not plan:
         return []
-    if config == "unroll":
-        if loop_id is None:
-            raise ValueError("unroll config requires a loop id")
-        return [UnrollPass(loop_id, factor)]
-    if config == "unmerge":
-        if loop_id is None:
-            raise ValueError("unmerge config requires a loop id")
-        return [UnmergePass(loop_id, max_instructions)]
-    if config == "uu":
-        if loop_id is None:
-            raise ValueError("uu config requires a loop id")
-        return [UnrollAndUnmerge(loop_id, factor, max_instructions)]
-    if config == "uu_heuristic":
-        return [HeuristicUU(heuristic or HeuristicParams(),
-                            max_instructions)]
-    if config in ("tuned", "predicted"):
-        if tuned is None:
-            # Graceful fallback: no (usable) tuned file for this module,
-            # or no usable similarity-index evidence for ``predicted``.
-            return [HeuristicUU(heuristic or HeuristicParams(),
-                                max_instructions)]
-        return [TunedUU(tuned, max_instructions)]
-    raise ValueError(f"unknown configuration {config!r}")
+    return [ApplyPlan(plan, heuristic, max_instructions)]
 
 
 def late_passes() -> List:
@@ -143,36 +151,26 @@ def build_pipeline(config: str, *, loop_id: Optional[str] = None,
                    max_instructions: int = 200_000,
                    branch_facts: bool = True,
                    verify_each: bool = False,
-                   tuned: Optional[List] = None) -> PassManager:
+                   plan: Optional[Sequence[LoopDirective]] = None
+                   ) -> PassManager:
     """Assemble the pass pipeline for one configuration.
 
     ``loop_id``/``factor`` select the target loop for the per-loop configs
     (``unroll``, ``unmerge``, ``uu``); ``heuristic`` parameterises
-    ``uu_heuristic``; ``tuned`` carries the per-loop decisions of the
-    ``tuned`` config.  ``branch_facts=False`` ablates GVN's
+    ``uu_heuristic``; ``plan`` is an explicit plan (see
+    :func:`transform_passes`).  ``branch_facts=False`` ablates GVN's
     provenance-fact machinery (for the ablation benchmarks).
     """
-    if config not in CONFIGS:
-        raise ValueError(f"unknown configuration {config!r}")
-
     # The experimental transform, placed early (paper Section IV-B).
-    passes: List = [SimplifyCFG()]
-    passes.extend(transform_passes(config, loop_id=loop_id, factor=factor,
-                                   heuristic=heuristic,
-                                   max_instructions=max_instructions,
-                                   tuned=tuned))
-
+    transform = transform_passes(config, loop_id=loop_id, factor=factor,
+                                 heuristic=heuristic,
+                                 max_instructions=max_instructions, plan=plan)
     # Mid-pipeline cleanup to a fixed point.
     cleanup = FixpointPassManager(cleanup_passes(branch_facts),
                                   verify_each=verify_each)
-
-    manager = PassManager(verify_each=verify_each)
-    for p in passes:
-        manager.add(p)
-    manager.add(_NestedManager("cleanup", cleanup))
-    for p in late_passes():
-        manager.add(p)
-    return manager
+    return PassManager(
+        [SimplifyCFG(), *transform, _NestedManager("cleanup", cleanup),
+         *late_passes()], verify_each=verify_each)
 
 
 class _NestedManager:
@@ -183,8 +181,7 @@ class _NestedManager:
         self.manager = manager
 
     def run(self, func) -> bool:
-        changed = self.manager.run_function(func)
-        return changed
+        return self.manager.run_function(func)
 
 
 def compile_module(module: Module, config: str, *,
@@ -194,7 +191,8 @@ def compile_module(module: Module, config: str, *,
                    timeout_seconds: Optional[float] = None,
                    branch_facts: bool = True,
                    verify_each: bool = False,
-                   tuned: Optional[List] = None) -> CompileResult:
+                   plan: Optional[Sequence[LoopDirective]] = None
+                   ) -> CompileResult:
     """Run the configured pipeline over ``module`` and measure it.
 
     The returned compile time is real wall-clock of the pass pipeline —
@@ -207,7 +205,7 @@ def compile_module(module: Module, config: str, *,
                               max_instructions=max_instructions,
                               branch_facts=branch_facts,
                               verify_each=verify_each,
-                              tuned=tuned)
+                              plan=plan)
     timed_out = False
     start = time.perf_counter()
     if timeout_seconds is not None:
@@ -224,7 +222,7 @@ def compile_module(module: Module, config: str, *,
 
     decisions = []
     for p in pipeline.passes:
-        if isinstance(p, (HeuristicUU, TunedUU)):
+        if isinstance(p, ApplyPlan):
             decisions = p.decisions
     return CompileResult(
         module=module,

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.loops import Loop
 from ..ir.block import BasicBlock
 from ..ir.clone import clone_blocks, map_value
 from ..ir.function import Function
@@ -353,32 +353,3 @@ def _tail_blocks(header: BasicBlock, merge: BasicBlock,
             seen.add(id(succ))
             stack.append(succ)
     return order
-
-
-class UnmergePass:
-    """Unmerge one specific loop (the paper's *unmerge* config)."""
-
-    name = "unmerge"
-
-    def __init__(self, loop_id: str, max_instructions: int = 60_000) -> None:
-        self.loop_id = loop_id
-        self.max_instructions = max_instructions
-
-    def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
-        loop = loop_info.by_id(self.loop_id)
-        if loop is None:
-            obs.remark("missed", self.name, func.name, "loop not found",
-                       loop_id=self.loop_id)
-            return False
-        claimed = set(func.attributes.get("uu_claimed_loops", ()))
-        claimed.add(self.loop_id)
-        func.attributes["uu_claimed_loops"] = claimed
-        try:
-            changed = unmerge_loop(func, loop, self.max_instructions)
-        except UnmergeBudgetExceeded:
-            return True
-        if changed:
-            obs.remark("applied", self.name, func.name, "unmerged loop",
-                       loop_id=self.loop_id)
-        return changed

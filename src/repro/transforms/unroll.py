@@ -223,30 +223,3 @@ class BaselineUnroll:
                 self.runtime_factor >= 2:
             return self.runtime_factor
         return None
-
-
-class UnrollPass:
-    """Plain unrolling of one specific loop (the paper's *unroll* config)."""
-
-    name = "unroll"
-
-    def __init__(self, loop_id: str, factor: int) -> None:
-        self.loop_id = loop_id
-        self.factor = factor
-
-    def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
-        loop = loop_info.by_id(self.loop_id)
-        if loop is None or not can_unroll(loop):
-            obs.remark("missed", self.name, func.name,
-                       "loop not found" if loop is None
-                       else "no single latch", loop_id=self.loop_id)
-            return False
-        claimed = set(func.attributes.get("uu_claimed_loops", ()))
-        claimed.add(self.loop_id)
-        func.attributes["uu_claimed_loops"] = claimed
-        unroll_loop(func, loop, self.factor)
-        obs.remark("applied", self.name, func.name,
-                   f"unrolled by {self.factor}", loop_id=self.loop_id,
-                   factor=self.factor)
-        return True

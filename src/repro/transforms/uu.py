@@ -27,33 +27,6 @@ from .unmerge import UnmergeBudgetExceeded, unmerge_loop
 from .unroll import can_unroll, unroll_loop
 
 
-class UnrollAndUnmerge:
-    """u&u on a single loop of a function."""
-
-    name = "uu"
-
-    def __init__(self, loop_id: str, factor: int,
-                 max_instructions: int = 200_000) -> None:
-        self.loop_id = loop_id
-        self.factor = factor
-        self.max_instructions = max_instructions
-
-    def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
-        loop = loop_info.by_id(self.loop_id)
-        if loop is None:
-            obs.remark("missed", self.name, func.name, "loop not found",
-                       loop_id=self.loop_id)
-            return False
-        changed = apply_uu(func, loop, self.factor,
-                           max_instructions=self.max_instructions)
-        if changed:
-            obs.remark("applied", self.name, func.name,
-                       f"unroll-and-unmerge with u'={self.factor}",
-                       loop_id=self.loop_id, u_prime=self.factor)
-        return changed
-
-
 def apply_uu(func: Function, loop: Loop, factor: int,
              max_instructions: int = 200_000,
              selective: bool = False) -> bool:
@@ -67,15 +40,13 @@ def apply_uu(func: Function, loop: Loop, factor: int,
                    loop_id=loop.loop_id)
         return False
     header = loop.header
-    claimed = set(func.attributes.get("uu_claimed_loops", ()))
-    claimed.add(loop.loop_id)
-    func.attributes["uu_claimed_loops"] = claimed
+    claim_loop(func, loop)
 
     changed = False
     if factor >= 2 and can_unroll(loop):
         unroll_loop(func, loop, factor)
         changed = True
-        loop = _loop_by_header(LoopInfo.compute(func), header)
+        loop = loop_by_header(LoopInfo.compute(func), header)
         if loop is None:
             return changed
 
@@ -86,7 +57,7 @@ def apply_uu(func: Function, loop: Loop, factor: int,
     stale = False
     for target in _innermost_first(loop):
         if stale:
-            target = _loop_by_header(LoopInfo.compute(func), target.header)
+            target = loop_by_header(LoopInfo.compute(func), target.header)
             if target is None:
                 continue
             stale = False
@@ -100,6 +71,13 @@ def apply_uu(func: Function, loop: Loop, factor: int,
     return changed
 
 
+def claim_loop(func: Function, loop: Loop) -> None:
+    """Record ``loop`` as taken, so the late baseline unroller skips it."""
+    claimed = set(func.attributes.get("uu_claimed_loops", ()))
+    claimed.add(loop.loop_id)
+    func.attributes["uu_claimed_loops"] = claimed
+
+
 def uu_applicable(func: Function, loop: Loop) -> bool:
     """The paper's legality filters: no convergent ops, no user pragma."""
     if loop_is_convergent(loop):
@@ -110,7 +88,7 @@ def uu_applicable(func: Function, loop: Loop) -> bool:
     return True
 
 
-def _loop_by_header(loop_info: LoopInfo, header) -> Optional[Loop]:
+def loop_by_header(loop_info: LoopInfo, header) -> Optional[Loop]:
     for loop in loop_info.loops:
         if loop.header is header:
             return loop

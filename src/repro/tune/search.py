@@ -16,20 +16,23 @@ One ``tune_benchmark`` call runs four stages:
    ``(cycles, candidate key)`` — the canonical key breaks ties, so
    ``-j1`` and ``-jN`` pick identical survivors.
 3. **Combine** — per-loop winners are composed under the paper's nesting
-   rule and raced (as ``tuned`` cells) against whole-function decision
-   sets of the static heuristic at several budgets ``c`` and against the
-   do-nothing baseline.  The default ``c = 1024`` set is always in the
-   race, so the winner is never slower than the static heuristic.
+   rule and raced against whole-function decision sets of the static
+   heuristic at several budgets ``c`` and against the do-nothing
+   baseline.  Each contender is a ``tuned`` cell carrying its plan as
+   data (``CellSpec(..., plan=...)``), so the whole race is one fan-out
+   through the final round's runner.  The default ``c = 1024`` set is
+   always in the race, so the winner is never slower than the static
+   heuristic.
 4. **Verify + persist** — the winner is re-measured as a pair of
-   ``verify_each=True`` cells (baseline + tuned replay) through the same
-   shared :class:`~repro.harness.parallel.ParallelRunner` as the search
-   rounds: the baseline cell differentially anchors on the *unoptimized*
-   lowering and the tuned cell on the baseline, so the composition gives
-   the oracle's tuned-vs-raw guarantee, with a clean IR-verifier run
-   after every pass on top.  Only then is ``results/tuned/<bench>.json``
-   written; unverifiable winners are reported, never persisted.  Because
-   verification cells land in the shared cell cache, a warm ``repro tune
-   --all`` re-verifies every app with zero fresh evaluations.
+   ``verify_each=True`` cells (baseline + tuned replay) against the same
+   cell cache as the search rounds: the baseline cell differentially
+   anchors on the *unoptimized* lowering and the tuned cell on the
+   baseline, so the composition gives the oracle's tuned-vs-raw
+   guarantee, with a clean IR-verifier run after every pass on top.
+   Only then is ``results/tuned/<bench>.json`` written; unverifiable
+   winners are reported, never persisted.  Because verification cells
+   land in the shared cell cache, a warm ``repro tune --all``
+   re-verifies every app with zero fresh evaluations.
 
 Everything measured lands in the content-addressed cell cache, so
 re-tuning is warm: a repeated search performs zero fresh evaluations
@@ -39,22 +42,20 @@ re-tuning is warm: a repeated search performs zero fresh evaluations
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.loops import LoopInfo
 from ..bench.base import Benchmark
+from ..directive import LoopDirective, fingerprint
 from ..harness.cache import TUNE_PREFIX, CellCache
 from ..harness.experiment import Cell
 from ..harness.parallel import CellSpec, ParallelRunner
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams, select_loops
-from .space import (Candidate, LoopFacts, TuneParams, enumerate_candidates,
-                    loop_facts)
-from .store import TunedConfig, TunedLoopDecision, save_tuned
+from .space import LoopFacts, TuneParams, enumerate_candidates, loop_facts
+from .store import TunedConfig, save_tuned
 
 #: Environment default for ``TuneParams.budget`` (the CLI reads it).
 BUDGET_ENV = "REPRO_TUNE_BUDGET"
@@ -98,13 +99,11 @@ def _cell_status(cell: Cell) -> str:
     return "ok"
 
 
-def _trial(candidate: Candidate, round_label: str, scale: int,
+def _trial(candidate: LoopDirective, round_label: str, scale: int,
            cell: Cell) -> Dict:
     status = _cell_status(cell)
     return {
-        "loop_id": candidate.loop_id,
-        "factor": candidate.factor,
-        "unmerge": candidate.unmerge,
+        **dataclasses.asdict(candidate),
         "round": round_label,
         "scale": scale,
         "cycles": cell.cycles if status == "ok" else None,
@@ -112,29 +111,20 @@ def _trial(candidate: Candidate, round_label: str, scale: int,
     }
 
 
-def _decisions_key(decisions: List[TunedLoopDecision]) -> str:
-    """Canonical identity of a combined decision set (the tie-breaker)."""
-    return json.dumps([dataclasses.asdict(d) for d in decisions],
-                      sort_keys=True)
-
-
 def _heuristic_decisions(bench: Benchmark, base: HeuristicParams,
-                         c: int, u_max: int) -> List[TunedLoopDecision]:
+                         c: int, u_max: int) -> List[LoopDirective]:
     """The static heuristic's whole-function decision set at budget ``c``."""
     params = dataclasses.replace(base, c=c, u_max=u_max)
-    module = bench.build_module()
-    decisions: List[TunedLoopDecision] = []
-    for func in module.functions.values():
-        info = LoopInfo.compute(func)
-        for d in select_loops(func, info, params):
-            if d.factor is not None:
-                decisions.append(TunedLoopDecision(d.loop_id, d.factor, True))
-    return sorted(decisions, key=lambda d: d.loop_id)
+    return sorted(
+        (LoopDirective(d.loop_id, d.factor, True)
+         for func in bench.build_module().functions.values()
+         for d in select_loops(func, LoopInfo.compute(func), params)
+         if d.factor is not None), key=lambda d: d.loop_id)
 
 
 def _compose_per_loop(facts: List[LoopFacts],
-                      winners: Dict[str, Candidate]
-                      ) -> List[TunedLoopDecision]:
+                      winners: Dict[str, LoopDirective]
+                      ) -> List[LoopDirective]:
     """Per-loop winners composed under the paper's nesting rule.
 
     Innermost loops first; an outer loop's winner is dropped when any of
@@ -142,7 +132,7 @@ def _compose_per_loop(facts: List[LoopFacts],
     multiply, not add, the duplication.
     """
     selected: set = set()
-    decisions: List[TunedLoopDecision] = []
+    decisions: List[LoopDirective] = []
     for fact in sorted(facts, key=lambda f: (len(f.descendants), f.loop_id)):
         winner = winners.get(fact.loop_id)
         if winner is None:
@@ -150,37 +140,30 @@ def _compose_per_loop(facts: List[LoopFacts],
         if any(d in selected for d in fact.descendants):
             continue
         selected.add(fact.loop_id)
-        decisions.append(winner.decision)
+        decisions.append(winner)
     return sorted(decisions, key=lambda d: d.loop_id)
 
 
-def _verify_winner(bench: Benchmark, decisions: List[TunedLoopDecision],
-                   source: str, make_runner) -> Tuple[bool, str]:
+def _verify_winner(bench: Benchmark, decisions: List[LoopDirective],
+                   runner: ParallelRunner) -> Tuple[bool, str]:
     """Differentially verify the winning decision set via shared cells.
 
-    The winner is replayed as a ``verify_each=True`` cell pair —
-    baseline plus tuned — through the same cached
-    :class:`~repro.harness.parallel.ParallelRunner` as the search
-    rounds.  The baseline cell checks the baseline pipeline against the
-    *unoptimized* lowering and the tuned cell checks the replay against
-    the baseline, so bitwise-equality transitivity yields exactly the
-    oracle's tuned-vs-raw guarantee; ``verify_each`` adds a clean IR
-    verifier run after every pass.  Both cells persist in the shared
-    cache (keyed on the decisions fingerprint and ``verify_each``), so a
-    warm re-tune — including ``repro tune --all`` — re-verifies without
-    a single fresh evaluation, fanned out instead of serial.
+    ``runner`` is a ``verify_each=True`` runner over the search's cell
+    cache; the winner is replayed as a cell pair — baseline plus a
+    ``tuned`` cell carrying ``decisions`` as its plan.  The baseline cell
+    checks the baseline pipeline against the *unoptimized* lowering and
+    the tuned cell checks the replay against the baseline, so
+    bitwise-equality transitivity yields exactly the oracle's
+    tuned-vs-raw guarantee; ``verify_each`` adds a clean IR verifier run
+    after every pass.  Both cells persist in the shared cache, so a warm
+    re-tune — including ``repro tune --all`` — re-verifies without a
+    single fresh evaluation.
 
     Returns ``(ok, detail)`` with ``detail == ""`` on success.
     """
-    with tempfile.TemporaryDirectory(prefix="repro-tune-verify-") as tmp:
-        save_tuned(TunedConfig(
-            app=bench.name, decisions=list(decisions), source=source,
-            baseline_cycles=0.0, heuristic_cycles=0.0, tuned_cycles=0.0),
-            Path(tmp))
-        runner = make_runner(1, run_tuned_dir=Path(tmp), verify_each=True)
-        cells = runner.prefetch([bench], specs=[
-            CellSpec(bench.name, "baseline", None, 1),
-            CellSpec(bench.name, "tuned", None, 1)])
+    cells = runner.prefetch([bench], specs=[
+        CellSpec(bench.name, "baseline", None, 1),
+        CellSpec(bench.name, "tuned", None, 1, plan=tuple(decisions))])
     for cell in cells:
         status = _cell_status(cell)
         if status == "ok":
@@ -211,22 +194,23 @@ def tune_benchmark(bench: Benchmark, *,
     """
     params = params or TuneParams()
     heuristic = heuristic or HeuristicParams()
-    caches: List[CellCache] = []
+    #: One cell cache per workload scale, shared by every runner at that
+    #: scale, so ``fresh_evaluations`` is read off one counter per scale.
+    caches: Dict[int, CellCache] = {}
 
-    def make_runner(scale: int, run_tuned_dir: Optional[Path] = None,
-                    verify_each: bool = False) -> ParallelRunner:
+    def make_runner(scale: int, verify_each: bool = False) -> ParallelRunner:
         cache = None
         if use_cache:
-            prefix = TUNE_PREFIX if scale != 1 else ""
-            cache = CellCache(root=cache_root, prefix=prefix)
-            caches.append(cache)
+            if scale not in caches:
+                caches[scale] = CellCache(
+                    root=cache_root, prefix=TUNE_PREFIX if scale != 1 else "")
+            cache = caches[scale]
         return ParallelRunner(heuristic=heuristic,
                               max_instructions=max_instructions,
                               compile_timeout=compile_timeout,
                               verify_each=verify_each,
                               jobs=jobs, cache=cache, use_cache=use_cache,
-                              engine=engine, workload_scale=scale,
-                              tuned_dir=run_tuned_dir)
+                              engine=engine, workload_scale=scale)
 
     # -- stage 1: enumerate + prune + budget ------------------------------
     facts = loop_facts(bench.build_module())
@@ -256,28 +240,26 @@ def tune_benchmark(bench: Benchmark, *,
         is_final = round_index == len(scales) - 1
         runner = make_runner(scale)
         specs = [CellSpec(bench.name, "baseline", None, 1)]
-        specs += [CellSpec(bench.name, c.config, c.loop_id, c.factor)
+        specs += [CellSpec(bench.name, c.kind, c.loop_id, c.factor)
                   for c in survivors]
         if is_final:
             specs.append(CellSpec(bench.name, "uu_heuristic", None, 1))
+        # Distinct candidates are distinct cells, so prefetch returns one
+        # cell per spec, in this order.
         cells = runner.prefetch([bench], specs=specs)
-        by_key = {spec.key: cell for spec, cell in zip(specs, cells)}
-        baseline = by_key[(bench.name, "baseline", None, 1)]
+        baseline = cells[0]
         round_label = f"screen-{round_index}"
-        measured: List[Tuple[Candidate, Cell]] = []
-        for candidate in survivors:
-            cell = by_key[(bench.name, candidate.config, candidate.loop_id,
-                           candidate.factor)]
+        measured = list(zip(survivors, cells[1:]))
+        for candidate, cell in measured:
             trials.append(_trial(candidate, round_label, scale, cell))
-            measured.append((candidate, cell))
         if is_final:
             baseline_full = baseline
-            heuristic_cell = by_key[(bench.name, "uu_heuristic", None, 1)]
+            heuristic_cell = cells[-1]
             final_cells = {c.key: cell for c, cell in measured}
             break
         # Keep the better half per loop, ranked (cycles, canonical key).
-        next_survivors: List[Candidate] = []
-        by_loop: Dict[str, List[Tuple[Candidate, Cell]]] = {}
+        next_survivors: List[LoopDirective] = []
+        by_loop: Dict[str, List[Tuple[LoopDirective, Cell]]] = {}
         for candidate, cell in measured:
             by_loop.setdefault(candidate.loop_id, []).append((candidate,
                                                               cell))
@@ -303,7 +285,7 @@ def tune_benchmark(bench: Benchmark, *,
                         else float("inf"))
 
     # -- per-loop winners --------------------------------------------------
-    winners: Dict[str, Candidate] = {}
+    winners: Dict[str, LoopDirective] = {}
     by_loop = {}
     for candidate in survivors:
         by_loop.setdefault(candidate.loop_id, []).append(candidate)
@@ -321,40 +303,30 @@ def tune_benchmark(bench: Benchmark, *,
                    f"{baseline_cycles:.0f})", loop_id=loop_id)
 
     # -- stage 3: combined round ------------------------------------------
-    combined: List[Tuple[str, List[TunedLoopDecision]]] = []
+    combined: List[Tuple[str, List[LoopDirective]]] = []
     for c in params.budgets:
         combined.append((f"heuristic:c={c}",
                          _heuristic_decisions(bench, heuristic, c,
                                               params.u_max)))
     combined.append(("per_loop", _compose_per_loop(facts, winners)))
     # Dedupe identical decision sets (e.g. per_loop == heuristic:c=1024);
-    # first name in the deterministic order above wins the label.
-    seen: Dict[str, str] = {}
-    unique: List[Tuple[str, List[TunedLoopDecision]]] = []
+    # first name in the deterministic order above wins the label.  The
+    # empty set is the baseline entry the race starts with.
+    unique: Dict[str, Tuple[str, List[LoopDirective]]] = {}
     for name, decisions in combined:
-        key = _decisions_key(decisions)
-        if key in seen:
-            continue
-        seen[key] = name
-        unique.append((name, decisions))
+        if decisions:
+            unique.setdefault(fingerprint(decisions), (name, decisions))
 
-    # (cycles, canonical decisions key, name, decisions); the do-nothing
-    # baseline races too, reusing the already-measured baseline cell.
-    race: List[Tuple[float, str, str, List[TunedLoopDecision]]] = [
-        (baseline_cycles, _decisions_key([]), "baseline", [])]
-    for name, decisions in unique:
-        if not decisions:
-            continue  # identical to the baseline entry above
-        with tempfile.TemporaryDirectory(prefix="repro-tune-") as tmp:
-            tmp_dir = Path(tmp)
-            save_tuned(TunedConfig(
-                app=bench.name, decisions=decisions, source=name,
-                baseline_cycles=0.0, heuristic_cycles=0.0, tuned_cycles=0.0),
-                tmp_dir)
-            runner = make_runner(1, run_tuned_dir=tmp_dir)
-            cell = runner.prefetch([bench], specs=[
-                CellSpec(bench.name, "baseline", None, 1),
-                CellSpec(bench.name, "tuned", None, 1)])[1]
+    # (cycles, plan fingerprint, name, decisions); the do-nothing baseline
+    # races too, reusing the already-measured baseline cell.  The
+    # contenders are distinct plans, hence distinct cells of the final
+    # round's runner: one fan-out, results in enumeration order.
+    race: List[Tuple[float, str, str, List[LoopDirective]]] = [
+        (baseline_cycles, fingerprint([]), "baseline", [])]
+    cells = runner.prefetch([bench], specs=[
+        CellSpec(bench.name, "tuned", None, 1, plan=tuple(decisions))
+        for _, decisions in unique.values()])
+    for (key, (name, decisions)), cell in zip(unique.items(), cells):
         status = _cell_status(cell)
         trials.append({
             "loop_id": None, "factor": None, "unmerge": None,
@@ -367,8 +339,7 @@ def tune_benchmark(bench: Benchmark, *,
             obs.remark("missed", _PASS, bench.name,
                        f"combined candidate {name} rejected ({status})")
             continue
-        race.append((cell.cycles, _decisions_key(decisions), name,
-                     decisions))
+        race.append((cell.cycles, key, name, decisions))
 
     race.sort(key=lambda item: (item[0], item[1]))
     tuned_cycles, _, source, decisions = race[0]
@@ -378,8 +349,8 @@ def tune_benchmark(bench: Benchmark, *,
                f"{heuristic_cycles:.0f})")
 
     # -- stage 4: oracle verification + persistence ------------------------
-    verified, verify_detail = _verify_winner(bench, decisions, source,
-                                             make_runner)
+    verified, verify_detail = _verify_winner(
+        bench, decisions, make_runner(1, verify_each=True))
     config = TunedConfig(app=bench.name, decisions=decisions, source=source,
                          baseline_cycles=baseline_cycles,
                          heuristic_cycles=heuristic_cycles,
@@ -397,4 +368,4 @@ def tune_benchmark(bench: Benchmark, *,
         verify_detail=verify_detail,
         candidates_total=total, candidates_pruned=len(pruned),
         candidates_truncated=truncated,
-        fresh_evaluations=sum(c.misses for c in caches))
+        fresh_evaluations=sum(c.misses for c in caches.values()))

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.loops import LoopInfo
 from ..bench.base import Benchmark
+from ..directive import LoopDirective
 from ..transforms.heuristic import (HeuristicParams, LoopDecision,
                                     select_loops)
 from .store import load_tuned, tuned_path
@@ -29,14 +30,13 @@ def _heuristic_by_loop(bench: Benchmark,
     return decisions
 
 
-def _describe(factor: Optional[int], unmerge: bool) -> str:
-    if factor is None:
+def _describe(directive: Optional[LoopDirective]) -> str:
+    if directive is None:
         return "-"
-    if unmerge and factor >= 2:
-        return f"u&u u={factor}"
-    if unmerge:
+    if directive.kind == "unmerge":
         return "unmerge"
-    return f"unroll u={factor}"
+    what = "u&u" if directive.kind == "uu" else "unroll"
+    return f"{what} u={directive.factor}"
 
 
 def render_tuned(bench: Benchmark, root: Optional[Path] = None,
@@ -65,9 +65,9 @@ def render_tuned(bench: Benchmark, root: Optional[Path] = None,
     for loop_id in sorted(set(static) | set(tuned_by_loop)):
         h = static.get(loop_id)
         t = tuned_by_loop.get(loop_id)
-        h_desc = _describe(h.factor if h else None, True)
-        t_desc = _describe(t.factor if t else None,
-                           t.unmerge if t else False)
+        h_desc = _describe(LoopDirective(loop_id, h.factor, True)
+                           if h and h.factor is not None else None)
+        t_desc = _describe(t)
         agree = "same" if h_desc == t_desc else "DIFFERS"
         paths = h.paths if h else 0
         size = h.size if h else 0

@@ -1,17 +1,21 @@
 """Candidate enumeration with cost-model pruning.
 
 The per-loop search space is {unroll factor u in 1..u_max} x {unmerge
-on/off} minus the identity (u=1, unmerge off).  Every candidate maps onto
-one of the paper's *existing* per-loop pipeline configurations —
+on/off} minus the identity (u=1, unmerge off).  A candidate is a
+:class:`~repro.directive.LoopDirective`, and its ``kind`` is one of the
+paper's *existing* per-loop pipeline configurations —
 
 * ``unmerge on,  u >= 2`` -> ``uu``      (unroll-and-unmerge),
-* ``unmerge on,  u == 1`` -> ``unmerge`` (pure unmerging),
+* ``unmerge on,  u == 1`` -> ``unmerge`` (the paper's single-loop
+  unmerge: that loop only, not its nest),
 * ``unmerge off, u >= 2`` -> ``unroll``  (plain unrolling)
 
 — so measuring a candidate is measuring an ordinary sweep cell: the
 fan-out goes through :class:`~repro.harness.parallel.ParallelRunner` and
 every measurement lands in (and is warm-served from) the persistent cell
-cache.
+cache.  The same directive, replayed from a ``tuned`` plan, goes through
+the same :func:`repro.transforms.plan.apply_directive` arm, so what the
+search measured is what the persisted file reproduces.
 
 Pruning reuses the paper's own cost model *as a feasibility cap*, not as
 the decision procedure: a candidate whose predicted post-transform size
@@ -29,8 +33,8 @@ from typing import List, Optional, Tuple
 from ..analysis.cost_model import loop_size
 from ..analysis.loops import LoopInfo
 from ..analysis.paths import count_paths, estimate_unmerged_size
+from ..directive import LoopDirective
 from ..ir.module import Module
-from .store import TunedLoopDecision
 
 
 @dataclasses.dataclass
@@ -57,32 +61,6 @@ class TuneParams:
 
 
 @dataclasses.dataclass(frozen=True)
-class Candidate:
-    """One per-loop search point."""
-
-    loop_id: str
-    factor: int
-    unmerge: bool
-
-    @property
-    def key(self) -> str:
-        """Canonical, sortable identity (the deterministic tie-breaker)."""
-        return (f"{self.loop_id}|u={self.factor}"
-                f"|unmerge={'on' if self.unmerge else 'off'}")
-
-    @property
-    def config(self) -> str:
-        """The existing pipeline configuration that measures this point."""
-        if self.unmerge:
-            return "uu" if self.factor >= 2 else "unmerge"
-        return "unroll"
-
-    @property
-    def decision(self) -> TunedLoopDecision:
-        return TunedLoopDecision(self.loop_id, self.factor, self.unmerge)
-
-
-@dataclasses.dataclass(frozen=True)
 class LoopFacts:
     """Static facts about one loop (inputs to the cost model)."""
 
@@ -100,20 +78,14 @@ def loop_facts(module: Module) -> List[LoopFacts]:
     for func in module.functions.values():
         info = LoopInfo.compute(func)
         for loop in info.loops:
-            stack = list(loop.children)
-            descendants: List[str] = []
-            while stack:
-                child = stack.pop()
-                descendants.append(child.loop_id)
-                stack.extend(child.children)
-            facts.append(LoopFacts(loop.loop_id,
-                                   count_paths(loop, info),
-                                   loop_size(loop),
-                                   tuple(sorted(descendants))))
+            facts.append(LoopFacts(
+                loop.loop_id, count_paths(loop, info), loop_size(loop),
+                tuple(sorted(inner.loop_id for inner in loop.nest()
+                             if inner is not loop))))
     return facts
 
 
-def predicted_size(facts: LoopFacts, candidate: Candidate) -> int:
+def predicted_size(facts: LoopFacts, candidate: LoopDirective) -> int:
     """Cost-model size estimate of the transformed loop."""
     if candidate.unmerge:
         return estimate_unmerged_size(facts.paths, facts.size,
@@ -122,22 +94,22 @@ def predicted_size(facts: LoopFacts, candidate: Candidate) -> int:
 
 
 def enumerate_candidates(facts: List[LoopFacts], params: TuneParams
-                         ) -> Tuple[List[Candidate],
-                                    List[Tuple[Candidate, int]]]:
+                         ) -> Tuple[List[LoopDirective],
+                                    List[Tuple[LoopDirective, int]]]:
     """``(admitted, pruned)`` in canonical enumeration order.
 
     ``pruned`` pairs each rejected candidate with its predicted size (for
     the audit trail); the identity point (u=1, no unmerge) is the implicit
     do-nothing alternative and is never enumerated.
     """
-    admitted: List[Candidate] = []
-    pruned: List[Tuple[Candidate, int]] = []
+    admitted: List[LoopDirective] = []
+    pruned: List[Tuple[LoopDirective, int]] = []
     for loop in facts:
         for factor in range(1, params.u_max + 1):
             for unmerge in (True, False):
                 if factor == 1 and not unmerge:
                     continue  # identity
-                candidate = Candidate(loop.loop_id, factor, unmerge)
+                candidate = LoopDirective(loop.loop_id, factor, unmerge)
                 predicted = predicted_size(loop, candidate)
                 if predicted > params.size_cap:
                     pruned.append((candidate, predicted))

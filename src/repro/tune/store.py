@@ -17,9 +17,10 @@ timestamps), so a fixed seed produces **byte-identical** files across
 ``-j1``/``-jN`` and across cold versus cache-warm runs — the determinism
 contract ``tests/test_tune.py`` pins.
 
-This module is deliberately import-light (stdlib only): the harness loads
-tuned decisions from inside :class:`~repro.harness.experiment.
-ExperimentRunner` without risking import cycles.
+This module is deliberately import-light (stdlib, the timing tag and
+:mod:`repro.directive`): the harness loads tuned decisions from inside
+:class:`~repro.harness.experiment.ExperimentRunner` without risking
+import cycles.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..directive import LoopDirective
 from ..gpu.timing import TIMING_MODEL_VERSION
 
 #: Bump when the on-disk tuned-config layout changes; stale files are
@@ -49,32 +51,12 @@ def default_tuned_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "results" / "tuned"
 
 
-@dataclasses.dataclass(frozen=True)
-class TunedLoopDecision:
-    """One loop's tuned transform: unroll factor and whether to unmerge.
-
-    ``factor == 1, unmerge == True`` is pure unmerging; ``factor >= 2,
-    unmerge == False`` is plain unrolling; both together is u&u.  Loops
-    the search left untransformed are simply absent.
-    """
-
-    loop_id: str
-    factor: int
-    unmerge: bool
-
-    @property
-    def key(self) -> str:
-        """Canonical, sortable identity (the deterministic tie-breaker)."""
-        return (f"{self.loop_id}|u={self.factor}"
-                f"|unmerge={'on' if self.unmerge else 'off'}")
-
-
 @dataclasses.dataclass
 class TunedConfig:
     """Everything ``results/tuned/<bench>.json`` records."""
 
     app: str
-    decisions: List[TunedLoopDecision]
+    decisions: List[LoopDirective]
     #: Which combined candidate won: ``per_loop``, ``heuristic:c=<c>``, or
     #: ``baseline`` (the search found no improving transform).
     source: str
@@ -161,7 +143,7 @@ def load_tuned(app: str, root: Optional[Path] = None
             return None, "unverified"
         config = TunedConfig(
             app=data["app"],
-            decisions=[TunedLoopDecision(**d) for d in data["decisions"]],
+            decisions=[LoopDirective(**d) for d in data["decisions"]],
             source=data["source"],
             baseline_cycles=float(data["baseline_cycles"]),
             heuristic_cycles=float(data["heuristic_cycles"]),
@@ -175,8 +157,8 @@ def load_tuned(app: str, root: Optional[Path] = None
 
 
 def resolve_decisions(app: str, root: Optional[Path] = None
-                      ) -> Tuple[Optional[List[TunedLoopDecision]], str]:
-    """The decisions to compile ``config == "tuned"`` with, or None.
+                      ) -> Tuple[Optional[List[LoopDirective]], str]:
+    """The plan to compile ``config == "tuned"`` with, or None.
 
     ``None`` means "fall back to the static heuristic"; the second element
     carries the reason for the caller's warning.
@@ -185,19 +167,3 @@ def resolve_decisions(app: str, root: Optional[Path] = None
     if config is None:
         return None, reason
     return config.decisions, "ok"
-
-
-def decisions_fingerprint(app: str, root: Optional[Path] = None) -> str:
-    """Stable string identifying the *resolved* tuned pipeline for ``app``.
-
-    Folded into the cell-cache key of every ``tuned`` cell: editing,
-    deleting, or staling ``results/tuned/<app>.json`` changes the
-    fingerprint and orphans cells compiled from the old decisions.  The
-    heuristic fallback fingerprints as ``fallback`` (one shared key — the
-    fallback pipeline is independent of *why* the file was unusable).
-    """
-    decisions, _ = resolve_decisions(app, root)
-    if decisions is None:
-        return "fallback"
-    return json.dumps([dataclasses.asdict(d) for d in decisions],
-                      sort_keys=True)

@@ -170,7 +170,7 @@ def test_benchmark_tuned_bit_identical(bench, fuse):
 
     def prepare():
         module = bench.build_module()
-        compile_module(module, "tuned", tuned=decisions)
+        compile_module(module, "tuned", plan=decisions)
         return module
     with fusion(fuse):
         _check_bench_engines(bench, "tuned", prepare)

@@ -45,11 +45,15 @@ class TestGeneratorDeterminism:
 
     def test_covers_all_configs(self):
         # Most kernels have at least one loop, so the spec list spans the
-        # paper's five configurations.
+        # paper's five configurations; a multi-loop kernel (seed 0 has
+        # two) adds one multi-directive plan, replayed like ``tuned``.
         module = subject_from_kernel(generate_kernel(0)).build()
-        configs = {s.config for s in config_specs(module)}
-        assert configs == {"baseline", "unroll", "unmerge", "uu",
-                           "uu_heuristic"}
+        specs = config_specs(module)
+        assert {s.config for s in specs} == {"baseline", "unroll", "unmerge",
+                                             "uu", "uu_heuristic", "tuned"}
+        (listed,) = [s for s in specs if s.plan is not None]
+        assert [str(d) for d in listed.plan] == ["unmerge@fuzz0:0",
+                                                 "unmerge@fuzz0:1"]
 
 
 class TestFuzzSmoke:

@@ -84,7 +84,7 @@ class TestHeuristicRemarks:
             LoopDecision("k:2", paths=2, size=10, factor=3,
                          reason="selected", applied=False),
         ]
-        remarks = obs.heuristic_remarks(decisions)
+        remarks = obs.decision_remarks(decisions)
         assert [r.kind for r in remarks] == ["applied", "missed", "missed"]
         applied = remarks[0]
         assert applied.args["u_prime"] == 5

@@ -19,21 +19,27 @@ from pathlib import Path
 
 import pytest
 
+from repro.directive import LoopDirective
 from repro.frontend import ast as F
 from repro.frontend.lower import lower_kernels
 from repro.harness.cache import CellCache
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import ParallelRunner
+from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.serve import (OptimizeRequest, OptimizeResult, ServeClient,
                          ServeDaemon, ast_from_json, ast_to_json,
-                         content_hash, execute_request, parse_directive)
+                         content_hash, execute_request, parse_plan)
 from repro.serve.client import ServeError
 from repro.serve.jobs import JobQueue, JobState
 from repro.serve.protocol import ProtocolError
+from repro.transforms.pipeline import compile_module
 
 CORPUS_IR = (Path(__file__).parent / "corpus"
              / "fuzz_seed7_structured.ll").read_text()
+#: One loop, ``fuzz80:0``, with two paths through its body.
+BRANCHY_IR = (Path(__file__).parent / "corpus"
+              / "phi_parallel_copy.ll").read_text()
 
 
 def ir_request(**overrides):
@@ -119,19 +125,45 @@ class TestProtocol:
             ast_from_json({"node": "EvalStmt", "expr": None})
 
     def test_parse_directive(self):
-        assert parse_directive("unroll(4)@k/L0") == \
-            {"name": "unroll", "args": [4], "loop": "k/L0"}
-        assert parse_directive("unmerge") == \
-            {"name": "unmerge", "args": [], "loop": None}
-        assert parse_directive("interchange(i,j)") == \
-            {"name": "interchange", "args": ["i", "j"], "loop": None}
-        with pytest.raises(ProtocolError):
-            parse_directive("Unroll[4]")
+        plan = parse_plan(["unroll(4)@k/L0", "unmerge@k/L0", " uu(2)@k:1 "])
+        assert plan == (LoopDirective("k/L0", 4, False),
+                        LoopDirective("k/L0", 1, True),
+                        LoopDirective("k:1", 2, True))
+        # The pragma spelling round-trips through str().
+        assert parse_plan([str(d) for d in plan]) == plan
+        for bad in ("Unroll[4]", "unmerge", "unroll(4)", "unroll@k:0",
+                    "unroll(x)@k:0", "unroll(0)@k:0", "unmerge(2)@k:0",
+                    "unroll(1)@k:0", "uu(1)@k:0",   # the identity factor
+                    "interchange(i,j)@k:0", "interchange(2)@k:0"):
+            with pytest.raises(ProtocolError):
+                parse_plan([bad])
 
     def test_directives_rejected_at_execution(self):
-        result = execute_request(ir_request(directives=("unroll(4)",)))
-        assert result.status == "error"
-        assert "not executed yet" in result.error
+        """Fail closed: a directive list the one parser cannot turn into
+        a plan is an error result, never a silently ignored field."""
+        for directives in (("unroll(4)",),              # names no loop
+                           ("interchange(2)@fuzz7:0",),  # unknown name
+                           ("unroll(4)@fuzz7:0", "Unroll[4]")):
+            result = execute_request(ir_request(directives=directives))
+            assert result.status == "error", directives
+            assert "bad directive" in result.error
+        # Directives name their own loops: a per-loop coordinate on top
+        # is ambiguous, and the loops must exist — in an app and in a
+        # submitted module alike (no function would claim the directive,
+        # so it would otherwise vanish without a row or a remark).
+        result = execute_request(ir_request(
+            config="uu", loop_id="fuzz7:0", factor=2,
+            directives=("unmerge@fuzz7:0",)))
+        assert result.status == "error" and "drop loop_id" in result.error
+        for request in (
+                OptimizeRequest(app="coordinates",
+                                directives=("unmerge@nope:9",)),
+                ir_request(directives=("unmerge@nosuch:0",)),
+                ir_request(directives=("unmerge@fuzz7:0", "uu(2)@fuzz7:9")),
+                ir_request(config="uu", loop_id="nosuch:0", factor=2)):
+            result = execute_request(request)
+            assert result.status == "error", request
+            assert "unknown loop" in result.error
 
 
 # -- job queue ----------------------------------------------------------------
@@ -233,6 +265,27 @@ class TestExecuteRequest:
         assert result.status == "ok", result.error
         assert result.outputs_match_baseline
 
+    def test_kernel_named_like_an_app_does_not_read_its_tuned_file(self):
+        """``tuned`` files are per registered app: a client's kernel name
+        is never a path into the tuned directory — the submission gets the
+        announced heuristic fallback, not the app's (unmatchable) plan."""
+        import dataclasses
+        from repro.tune.store import resolve_decisions
+
+        assert resolve_decisions("complex")[0]      # the file is there
+        kernel = ast_to_json(dataclasses.replace(sample_kernel(),
+                                                 name="complex"))
+        with pytest.warns(RuntimeWarning, match="not a registered app"):
+            tuned = execute_request(OptimizeRequest(
+                kernel=kernel, config="tuned", lanes=4))
+        assert tuned.status == "ok" and tuned.name == "complex"
+        heuristic = execute_request(OptimizeRequest(
+            kernel=kernel, config="uu_heuristic", lanes=4))
+        assert tuned.optimized_ir == heuristic.optimized_ir
+        assert tuned.decisions == heuristic.decisions
+        assert any(r["kind"] == "missed" and r["pass"] == "tuned-uu"
+                   for r in tuned.remarks)
+
     def test_app_submission_matches_harness(self, tmp_path):
         runner = ParallelRunner(cache=CellCache(tmp_path))
         req = OptimizeRequest(app="coordinates", config="uu_heuristic")
@@ -280,6 +333,37 @@ class TestDaemon:
         served = client.submit_and_wait(req, timeout=120)
         assert served.status == "ok", served.error
         assert semantic(served.to_json()) == semantic(direct.to_json())
+
+    def test_served_directives_equal_direct_plan(self, daemon):
+        """A served directive list is the direct compile of the same plan,
+        bit for bit: IR, cycles and counters."""
+        from repro.serve.service import (SUBJECT_MAX_INSTRUCTIONS,
+                                         _counters_json, _run_subject)
+        req = ir_request(ir=BRANCHY_IR, directives=("unroll(4)@fuzz80:0",
+                                                    "unmerge@fuzz80:0"))
+        served = ServeClient(daemon.url).submit_and_wait(req, timeout=120)
+        assert served.status == "ok", served.error
+
+        module = parse_module(BRANCHY_IR, "submission")
+        compiled = compile_module(
+            module, req.config, max_instructions=SUBJECT_MAX_INSTRUCTIONS,
+            plan=[LoopDirective("fuzz80:0", 4, False),
+                  LoopDirective("fuzz80:0", 1, True)])
+        _, counters = _run_subject(module, req.lanes, None)
+        assert served.optimized_ir == print_module(module)
+        assert served.cycles == counters.cycles
+        assert served.counters == json.loads(
+            json.dumps(_counters_json(counters)))
+        assert served.outputs_match_baseline
+        # Both directives ran, and a different list is different code.
+        assert [(d["reason"], d["applied"]) for d in served.decisions] == \
+            [("unroll", True), ("unmerge", True)]
+        assert [d.applied for d in compiled.heuristic_decisions] == \
+            [True, True]
+        other = execute_request(ir_request(
+            ir=BRANCHY_IR, directives=("unmerge@fuzz80:0",)))
+        assert other.status == "ok", other.error
+        assert other.optimized_ir != served.optimized_ir
 
     def test_identical_submissions_compute_once(self, daemon):
         client = ServeClient(daemon.url)

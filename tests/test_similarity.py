@@ -12,10 +12,12 @@ accompanied by a FEATURE_SCHEMA_VERSION bump.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.bench import all_benchmarks, benchmark_by_name
+from repro.directive import fingerprint
 from repro.harness.cache import CellCache
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.parallel import ParallelRunner
@@ -26,8 +28,7 @@ from repro.similarity.features import (COMBINED_SCALES, FEATURE_SCHEMA_VERSION,
                                        LOOP_FEATURE_SPECS, combined_vector,
                                        distance, kernel_features)
 from repro.similarity.index import SimilarityIndex, build_index
-from repro.similarity.predict import (Prediction, predict_bench,
-                                      prediction_fingerprint)
+from repro.similarity.predict import Prediction, predict_bench
 
 
 @pytest.fixture(autouse=True)
@@ -242,7 +243,7 @@ class TestPredict:
         bench = benchmark_by_name("bspline-vgh")
         a = predict_bench(bench, index, emit=False)
         b = predict_bench(bench, index, emit=False)
-        assert prediction_fingerprint(a) == prediction_fingerprint(b)
+        assert fingerprint(a.decisions) == fingerprint(b.decisions)
         assert a.loops == b.loops
 
     def test_divergence_clamp_on_complex(self, tuned_index):
@@ -270,7 +271,7 @@ class TestPredict:
                    r.args.get("reason") == "empty-index" for r in missed)
 
     def test_fingerprint_fallback_sentinel(self):
-        assert prediction_fingerprint(None) == "fallback"
+        assert fingerprint(None) == "fallback"
 
 
 # -- harness integration -----------------------------------------------------
@@ -289,7 +290,8 @@ class TestPredictedPipeline:
                                     configs=("baseline", "predicted"))
             observed.append((
                 [(c.config, c.cycles, c.code_size) for c in cells],
-                prediction_fingerprint(runner._predict(bench))))
+                fingerprint(runner.resolve_plan(bench, "predicted",
+                                                emit=False))))
         assert observed[0] == observed[1]
         assert observed[0][1] != "fallback"
 
@@ -301,6 +303,41 @@ class TestPredictedPipeline:
         heuristic = runner.heuristic_cell(bench)
         assert predicted.cycles == heuristic.cycles
         assert predicted.code_size == heuristic.code_size
+
+    def test_ptx_predicted_compiles_the_predicted_plan(self, tuned_index,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        """`repro ptx --config predicted` means predicted, not heuristic."""
+        from repro.cli import main
+        from repro.codegen import lower_function, render
+        from repro.transforms.pipeline import compile_module
+
+        def ptx(config, index_dir):
+            monkeypatch.setenv("REPRO_SIMINDEX_DIR", str(index_dir))
+            assert main(["ptx", "--app", "bezier-surface",
+                         "--config", config]) == 0
+            return capsys.readouterr()
+
+        index, _ = tuned_index
+        bench = benchmark_by_name("bezier-surface")
+        prediction = predict_bench(bench, index, emit=False)
+        assert prediction.decisions and not prediction.fallback
+        module = bench.build_module()
+        compile_module(module, "predicted", max_instructions=8_000,
+                       plan=prediction.decisions)
+        direct = "".join(render(lower_function(f)) + "\n\n"
+                         for f in module.functions.values())
+        predicted = ptx("predicted", index.root)
+        assert predicted.out == direct and predicted.err == ""
+        heuristic = ptx("uu_heuristic", index.root)
+        assert predicted.out != heuristic.out
+
+        # No evidence: the heuristic's code, and the fallback said aloud.
+        empty = ptx("predicted", tmp_path)
+        assert empty.out == heuristic.out
+        assert empty.err == ("note: bezier-surface: no usable "
+                             "similarity-index evidence; falling back to "
+                             "the static heuristic\n")
 
     def test_tuned_fallback_emits_missed_remark(self, tmp_path):
         # Satellite: a tuned replay that cannot resolve its decisions
@@ -319,6 +356,51 @@ class TestPredictedPipeline:
 # -- serve-daemon similarity plane -------------------------------------------
 
 class TestServeSimilarity:
+    def test_ir_submission_resolves_predicted_against_the_index(
+            self, tmp_path):
+        """``predicted`` on a bare module is a real prediction (or an
+        announced fallback), not a silent heuristic compile."""
+        from repro.directive import LoopDirective
+        from repro.ir.parser import parse_module
+        from repro.serve import OptimizeRequest, execute_request
+        from repro.similarity.predict import predict_module
+        from repro.tune.store import TunedConfig
+
+        text = (Path(__file__).parent / "corpus"
+                / "phi_parallel_copy.ll").read_text()
+        # A one-entry index whose donor is this very kernel, tuned to
+        # something the heuristic (u'=5 here) would not pick.
+        index = SimilarityIndex(tmp_path / "index")
+        index.add_tuned(parse_module(text, "donor"), TunedConfig(
+            app="donor", decisions=[LoopDirective("fuzz80:0", 2, True)],
+            source="per_loop", baseline_cycles=2.0, heuristic_cycles=2.0,
+            tuned_cycles=1.0))
+        expected = predict_module(parse_module(text, "submission"),
+                                  index.load_entries())
+        # (Unmerge survives; the factor is divergence-clamped to 1.)
+        assert expected.decisions == (LoopDirective("fuzz80:0", 1, True),)
+        request = OptimizeRequest(ir=text, config="predicted", lanes=4)
+
+        result = execute_request(
+            request, runner=ExperimentRunner(sim_index_dir=index.root))
+        assert result.status == "ok", result.error
+        assert [(d["loop_id"], d["factor"], d["reason"], d["applied"])
+                for d in result.decisions] == \
+            [("fuzz80:0", 1, "unmerge", True)]
+        assert not any(r["kind"] == "missed" and r["pass"] == "predict"
+                       for r in result.remarks)
+        heuristic = execute_request(
+            OptimizeRequest(ir=text, config="uu_heuristic", lanes=4))
+        assert result.optimized_ir != heuristic.optimized_ir
+
+        with pytest.warns(RuntimeWarning, match="similarity-index"):
+            fallback = execute_request(request, runner=ExperimentRunner(
+                sim_index_dir=tmp_path / "empty"))
+        assert fallback.optimized_ir == heuristic.optimized_ir
+        assert any(r["kind"] == "missed" and r["pass"] == "predict"
+                   and r["args"]["reason"] == "empty-index"
+                   for r in fallback.remarks)
+
     def test_refinement_counters_and_stats(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SIMINDEX_DIR", str(tmp_path))
         daemon = ServeDaemon(workers=1, use_cache=False)

@@ -12,21 +12,27 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.loops import LoopInfo
 from repro.bench import benchmark_by_name
 from repro.bench.base import scale_geometry
+from repro.directive import LoopDirective, fingerprint
 from repro.gpu.timing import TIMING_MODEL_VERSION
 from repro.harness.cache import TUNE_PREFIX, CellCache
 from repro.harness.experiment import ExperimentRunner
+from repro.harness.parallel import ParallelRunner
+from repro.ir.printer import print_module
 from repro.transforms.heuristic import HeuristicParams
-from repro.tune import (Candidate, TuneParams, enumerate_candidates,
-                        loop_facts, tune_benchmark)
-from repro.tune.search import (_compose_per_loop, _decisions_key,
-                               _heuristic_decisions)
+from repro.transforms.pass_manager import PassManager
+from repro.transforms.pipeline import transform_passes
+from repro.transforms.simplifycfg import SimplifyCFG
+from repro.transforms.uu import apply_uu
+from repro.tune import (TuneParams, enumerate_candidates, loop_facts,
+                        tune_benchmark)
+from repro.tune.search import (_compose_per_loop, _heuristic_decisions,
+                               _verify_winner)
 from repro.tune.space import LoopFacts, predicted_size
-from repro.tune.store import (TUNE_SCHEMA_VERSION, TunedConfig,
-                              TunedLoopDecision, decisions_fingerprint,
-                              load_tuned, resolve_decisions, save_tuned,
-                              tuned_path)
+from repro.tune.store import (TUNE_SCHEMA_VERSION, TunedConfig, load_tuned,
+                              resolve_decisions, save_tuned, tuned_path)
 
 #: Small, fast benchmarks used for the simulation-backed tests.
 FAST_BENCH = "bspline-vgh"      # one loop — the cheapest full search
@@ -71,9 +77,9 @@ class TestSpace:
             assert predicted_size(facts[0], candidate) <= params.size_cap
 
     def test_candidate_config_mapping(self):
-        assert Candidate("f:0", 4, True).config == "uu"
-        assert Candidate("f:0", 1, True).config == "unmerge"
-        assert Candidate("f:0", 4, False).config == "unroll"
+        assert LoopDirective("f:0", 4, True).kind == "uu"
+        assert LoopDirective("f:0", 1, True).kind == "unmerge"
+        assert LoopDirective("f:0", 4, False).kind == "unroll"
 
     def test_loop_facts_cover_benchmark_loops(self):
         bench = benchmark_by_name("coordinates")
@@ -87,23 +93,23 @@ class TestCompose:
     def test_nesting_rule_drops_outer_when_inner_won(self):
         facts = [LoopFacts("f:outer", 2, 10, descendants=("f:inner",)),
                  LoopFacts("f:inner", 2, 5, descendants=())]
-        winners = {"f:outer": Candidate("f:outer", 2, True),
-                   "f:inner": Candidate("f:inner", 4, True)}
+        winners = {"f:outer": LoopDirective("f:outer", 2, True),
+                   "f:inner": LoopDirective("f:inner", 4, True)}
         decisions = _compose_per_loop(facts, winners)
         assert [d.loop_id for d in decisions] == ["f:inner"]
 
     def test_outer_winner_kept_when_inner_lost(self):
         facts = [LoopFacts("f:outer", 2, 10, descendants=("f:inner",)),
                  LoopFacts("f:inner", 2, 5, descendants=())]
-        winners = {"f:outer": Candidate("f:outer", 2, True)}
+        winners = {"f:outer": LoopDirective("f:outer", 2, True)}
         decisions = _compose_per_loop(facts, winners)
         assert [d.loop_id for d in decisions] == ["f:outer"]
 
     def test_decisions_key_is_order_independent_canonical(self):
-        a = [TunedLoopDecision("f:0", 2, True),
-             TunedLoopDecision("f:1", 4, False)]
-        assert _decisions_key(a) == _decisions_key(list(a))
-        assert _decisions_key(a) != _decisions_key(a[:1])
+        a = [LoopDirective("f:0", 2, True),
+             LoopDirective("f:1", 4, False)]
+        assert fingerprint(a) == fingerprint(tuple(a))
+        assert fingerprint(a) != fingerprint(a[:1])
 
 
 # -- persisted store ---------------------------------------------------------
@@ -111,7 +117,7 @@ class TestCompose:
 def _config(app="bspline-vgh"):
     return TunedConfig(
         app=app,
-        decisions=[TunedLoopDecision("bspline_vgh:0", 2, True)],
+        decisions=[LoopDirective("bspline_vgh:0", 2, True)],
         source="per_loop", baseline_cycles=100.0, heuristic_cycles=90.0,
         tuned_cycles=80.0)
 
@@ -129,7 +135,8 @@ class TestStore:
     def test_missing(self, tmp_path):
         config, reason = load_tuned("nope", tmp_path)
         assert config is None and reason == "missing"
-        assert decisions_fingerprint("nope", tmp_path) == "fallback"
+        assert fingerprint(resolve_decisions("nope", tmp_path)[0]) == \
+            "fallback"
 
     def test_stale_schema(self, tmp_path):
         path = save_tuned(_config(), tmp_path)
@@ -168,13 +175,18 @@ class TestStore:
         assert path.read_bytes() == first
 
     def test_fingerprint_tracks_decisions(self, tmp_path):
+        def stored():
+            return fingerprint(resolve_decisions("bspline-vgh", tmp_path)[0])
+
         save_tuned(_config(), tmp_path)
-        fp = decisions_fingerprint("bspline-vgh", tmp_path)
-        assert fp != "fallback"
+        fp = stored()
+        # The exact string is part of every tuned/predicted cache key.
+        assert fp == ('[{"factor": 2, "loop_id": "bspline_vgh:0", '
+                      '"unmerge": true}]')
         other = _config()
-        other.decisions = [TunedLoopDecision("bspline_vgh:0", 4, True)]
+        other.decisions = [LoopDirective("bspline_vgh:0", 4, True)]
         save_tuned(other, tmp_path)
-        assert decisions_fingerprint("bspline-vgh", tmp_path) != fp
+        assert stored() != fp
 
 
 # -- workload scaling --------------------------------------------------------
@@ -296,7 +308,7 @@ class TestTunedPipeline:
             decisions = _heuristic_decisions(bench, HeuristicParams(),
                                              c=1024, u_max=8)
             if not decisions:  # ensure the transform actually fires
-                decisions = [TunedLoopDecision(bench.loop_ids()[0], 2, True)]
+                decisions = [LoopDirective(bench.loop_ids()[0], 2, True)]
             save_tuned(TunedConfig(
                 app=name, decisions=decisions, source="per_loop",
                 baseline_cycles=1.0, heuristic_cycles=1.0,
@@ -318,7 +330,7 @@ class TestTunedPipeline:
         bench = benchmark_by_name(FAST_BENCH)
         save_tuned(TunedConfig(
             app=bench.name,
-            decisions=[TunedLoopDecision(bench.loop_ids()[0], 2, False)],
+            decisions=[LoopDirective(bench.loop_ids()[0], 2, False)],
             source="per_loop", baseline_cycles=1.0, heuristic_cycles=1.0,
             tuned_cycles=1.0), tmp_path)
         runner = ExperimentRunner(max_instructions=20_000,
@@ -328,14 +340,56 @@ class TestTunedPipeline:
         assert tuned.error is None and tuned.outputs_match_baseline
         assert tuned.code_size != heur.code_size
 
+    @pytest.mark.parametrize("app,loop_id,kind,factor", [
+        # u=1 + unmerge is the paper's single-loop unmerge: these two
+        # loops have an inner loop the old whole-nest replay unmerged too.
+        ("contract", "tensor_contract:0", "unmerge", 1),
+        ("quicksort", "qs_insertion:0", "unmerge", 1),
+        ("coordinates", "coord_convert:0", "unroll", 2),
+        ("coordinates", "coord_convert:0", "uu", 2),
+    ])
+    def test_replay_is_what_the_tuner_measured(self, tmp_path, app, loop_id,
+                                               kind, factor):
+        """A candidate screened as a per-loop cell and the same decision
+        replayed from a persisted ``tuned`` file enter the cleanup battery
+        as the same module."""
+        bench = benchmark_by_name(app)
+        candidate = LoopDirective(loop_id, factor, kind != "unroll")
+        assert candidate.kind == kind
+
+        def entering_cleanup(config, **kwargs):
+            module = bench.build_module()
+            PassManager([SimplifyCFG()] + transform_passes(
+                config, max_instructions=8_000, **kwargs)).run(module)
+            return print_module(module)
+
+        save_tuned(TunedConfig(
+            app=app, decisions=[candidate], source="per_loop",
+            baseline_cycles=1.0, heuristic_cycles=1.0, tuned_cycles=1.0),
+            tmp_path)
+        replayed = ExperimentRunner(tuned_dir=tmp_path).resolve_plan(
+            bench, "tuned")
+        assert replayed == [candidate]
+        measured = entering_cleanup(kind, loop_id=loop_id, factor=factor)
+        assert entering_cleanup("tuned", plan=replayed) == measured
+        if kind == "unmerge":
+            # What `tuned` used to replay u=1 through — apply_uu, which
+            # unmerges the whole nest — is a different module here.
+            module = bench.build_module()
+            PassManager([SimplifyCFG()]).run(module)
+            func = module.get_function(loop_id.split(":")[0])
+            apply_uu(func, LoopInfo.compute(func).by_id(loop_id), 1,
+                     max_instructions=8_000)
+            assert print_module(module) != measured
+
     def test_oracle_accepts_heuristic_decision_set(self):
         bench = benchmark_by_name(FAST_BENCH)
         decisions = _heuristic_decisions(bench, HeuristicParams(),
                                          c=1024, u_max=8)
-        from repro.fuzz.oracle import verify_tuned_config
-        outcome = verify_tuned_config(bench, decisions,
-                                      max_instructions=20_000)
-        assert outcome.ok, outcome.describe()
+        ok, detail = _verify_winner(bench, decisions, ParallelRunner(
+            max_instructions=20_000, verify_each=True, jobs=1,
+            use_cache=False))
+        assert ok, detail
 
 
 # -- graceful fallback -------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import LoopInfo
 from repro.ir import Module, parse_function, verify_function
-from repro.transforms import (HeuristicParams, HeuristicUU, apply_uu,
+from repro.transforms import (ApplyPlan, HeuristicParams, apply_uu,
                               choose_factor, select_loops, uu_applicable)
 from repro.transforms.heuristic import LoopDecision
 
@@ -32,6 +32,49 @@ merge:
   br label %header
 exit:
   ret i64 %acc
+}
+"""
+
+TWO_BRANCHY_LOOPS = """
+define i64 @f(i64 %n) {
+entry:
+  br label %h1
+h1:
+  %i = phi i64 [ 0, %entry ], [ %inext, %m1 ]
+  %acc = phi i64 [ 0, %entry ], [ %nacc, %m1 ]
+  %c1 = icmp slt i64 %i, %n
+  br i1 %c1, label %b1, label %mid
+b1:
+  %ibit = and i64 %i, 1
+  %iodd = icmp eq i64 %ibit, 1
+  br i1 %iodd, label %a1, label %m1
+a1:
+  br label %m1
+m1:
+  %v = phi i64 [ 3, %a1 ], [ 5, %b1 ]
+  %nacc = add i64 %acc, %v
+  %inext = add i64 %i, 1
+  br label %h1
+mid:
+  br label %h2
+h2:
+  %j = phi i64 [ 0, %mid ], [ %jnext, %m2 ]
+  %sum = phi i64 [ %acc, %mid ], [ %nsum, %m2 ]
+  %c2 = icmp slt i64 %j, %n
+  br i1 %c2, label %b2, label %exit
+b2:
+  %jbit = and i64 %j, 1
+  %jodd = icmp eq i64 %jbit, 1
+  br i1 %jodd, label %a2, label %m2
+a2:
+  br label %m2
+m2:
+  %w = phi i64 [ 7, %a2 ], [ 11, %b2 ]
+  %nsum = add i64 %sum, %w
+  %jnext = add i64 %j, 1
+  br label %h2
+exit:
+  ret i64 %sum
 }
 """
 
@@ -173,7 +216,7 @@ class TestApplyUU:
 class TestHeuristicPass:
     def test_runs_and_records_decisions(self):
         f = parse_function(BRANCHY_LOOP)
-        pass_ = HeuristicUU(HeuristicParams())
+        pass_ = ApplyPlan(heuristic=HeuristicParams())
         assert pass_.run(f)
         verify_function(f)
         assert any(d.factor for d in pass_.decisions)
@@ -219,7 +262,7 @@ class TestAppliedFlag:
 
     def test_selected_loops_report_applied(self):
         f = parse_function(BRANCHY_LOOP)
-        pass_ = HeuristicUU(HeuristicParams())
+        pass_ = ApplyPlan(heuristic=HeuristicParams())
         assert pass_.run(f)
         selected = [d for d in pass_.decisions if d.factor is not None]
         assert selected
@@ -227,31 +270,137 @@ class TestAppliedFlag:
 
     def test_unselected_loops_stay_unmarked(self):
         f = parse_function(CONVERGENT_LOOP)
-        pass_ = HeuristicUU(HeuristicParams())
+        pass_ = ApplyPlan(heuristic=HeuristicParams())
         pass_.run(f)
         assert pass_.decisions
         assert all(d.factor is None and d.applied is None
                    for d in pass_.decisions)
 
     def test_header_not_refound_marks_skip(self, monkeypatch):
-        """If relayout loses a selected header, the decision says so."""
+        """If relayout loses a selected header, the decision says so.
+
+        The first selected loop is applied straight from the analysis the
+        selection ran on; every later one is re-found by header.
+        """
         from types import SimpleNamespace
 
-        f = parse_function(BRANCHY_LOOP)
+        f = parse_function(TWO_BRANCHY_LOOPS)
         real_compute = LoopInfo.compute
         calls = {"n": 0}
 
         def fake_compute(func):
             calls["n"] += 1
             if calls["n"] == 1:
-                return real_compute(func)   # selection sees the real loop
+                return real_compute(func)   # selection sees the real loops
             return SimpleNamespace(loops=[])  # re-find comes up empty
 
-        monkeypatch.setattr("repro.transforms.heuristic.LoopInfo",
+        monkeypatch.setattr("repro.transforms.plan.LoopInfo",
                             SimpleNamespace(compute=fake_compute))
-        pass_ = HeuristicUU(HeuristicParams())
-        assert pass_.run(f) is False        # nothing actually changed
+        pass_ = ApplyPlan(heuristic=HeuristicParams())
+        assert pass_.run(f) is True         # the first loop was transformed
         selected = [d for d in pass_.decisions if d.factor is not None]
-        assert selected
-        assert all(d.applied is False for d in selected)
-        verify_function(f)                  # and the function is untouched
+        assert [d.applied for d in selected] == [True, False]
+        assert calls["n"] == 2              # one re-find, for the second
+        verify_function(f)
+
+
+class TestApplyPlan:
+    """One pass applies every configuration's plan."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from types import SimpleNamespace
+        calls = []
+
+        def compute(func):
+            calls.append(func.name)
+            return LoopInfo.compute(func)
+
+        monkeypatch.setattr("repro.transforms.plan.LoopInfo",
+                            SimpleNamespace(compute=compute))
+        return calls
+
+    def test_reports_under_the_name_of_what_it_applies(self):
+        from repro.directive import LoopDirective as D
+        from repro.transforms.pipeline import transform_passes
+
+        def names(config, **kwargs):
+            return [p.name for p in transform_passes(config, **kwargs)]
+
+        assert names("baseline") == []
+        assert names("unroll", loop_id="f:0", factor=2) == ["unroll"]
+        assert names("unmerge", loop_id="f:0") == ["unmerge"]
+        assert names("uu", loop_id="f:0", factor=2) == ["uu"]
+        assert names("uu_heuristic") == ["uu-heuristic"]
+        assert names("tuned") == ["uu-heuristic"]           # the fallback
+        assert names("tuned", plan=[D("f:0", 2, True)]) == ["uu"]
+        assert names("tuned", plan=[D("f:0", 2, True),
+                                    D("f:1", 1, True)]) == ["tuned-uu"]
+        assert names("tuned", plan=[]) == []                # baseline won
+
+    def test_one_directive_costs_one_loop_analysis(self, monkeypatch):
+        """As the per-loop passes it replaces did; each further directive
+        costs one re-find, and other functions' directives cost none."""
+        from repro.directive import LoopDirective as D
+        calls = self._spy(monkeypatch)
+        for directive in (D("f:0", 2, False), D("f:0", 1, True),
+                          D("f:0", 2, True)):
+            del calls[:]
+            assert ApplyPlan([directive]).run(parse_function(BRANCHY_LOOP))
+            assert len(calls) == 1, directive
+        del calls[:]
+        assert ApplyPlan([D("f:0", 1, True), D("f:1", 1, True)]).run(
+            parse_function(TWO_BRANCHY_LOOPS))
+        assert len(calls) == 2
+        del calls[:]
+        assert not ApplyPlan([D("g:0", 2, True)]).run(
+            parse_function(BRANCHY_LOOP))
+        assert calls == []
+
+    def test_every_directive_is_logged_and_rendered_once(self):
+        from repro import obs
+        from repro.directive import LoopDirective as D
+        plan = [D("f:1", 2, False), D("f:0", 1, True), D("f:7", 4, True)]
+        pass_ = ApplyPlan(plan)
+        with obs.capture() as session:
+            assert pass_.run(parse_function(TWO_BRANCHY_LOOPS))
+        assert [(d.loop_id, d.factor, d.reason, d.applied)
+                for d in pass_.decisions] == [
+            ("f:1", 2, "unroll", True), ("f:0", 1, "unmerge", True),
+            ("f:7", 4, "uu", False)]
+        assert [(r.kind, r.pass_name, r.loop_id, r.args["u_prime"])
+                for r in session.remarks if r.pass_name == "tuned-uu"] == [
+            ("applied", "tuned-uu", "f:1", 2),
+            ("applied", "tuned-uu", "f:0", 1),
+            ("missed", "tuned-uu", "f:7", 4)]
+        assert all({"p", "s"} <= set(r.args) for r in session.remarks
+                   if r.pass_name == "tuned-uu")
+
+    @pytest.mark.parametrize("guard", ["convergent", "pragma"])
+    def test_unmerging_directives_keep_the_legality_filter(self, guard):
+        """No plan — replayed, predicted or served — unmerges a loop the
+        paper's filter excludes: a barrier duplicated across paths is a
+        miscompile the unverified producers would never notice."""
+        from repro.directive import LoopDirective as D
+        from repro.ir import print_function
+
+        def subject():
+            if guard == "convergent":
+                return parse_function(BRANCHY_LOOP.replace(
+                    "  %nacc =", "  call void @syncthreads()\n  %nacc ="))
+            f = parse_function(BRANCHY_LOOP)
+            f.attributes["loop_pragmas"] = {"f:0": "unroll"}
+            return f
+
+        for directive in (D("f:0", 1, True), D("f:0", 2, True)):
+            f = subject()
+            verify_function(f)
+            assert not uu_applicable(f, LoopInfo.compute(f).loops[0])
+            before = print_function(f)
+            pass_ = ApplyPlan([directive])
+            assert pass_.run(f) is False, directive
+            assert print_function(f) == before
+            assert "uu_claimed_loops" not in f.attributes
+            assert [d.applied for d in pass_.decisions] == [False]
+        # Plain unrolling duplicates no path: it stays legal, as it was.
+        assert ApplyPlan([D("f:0", 2, False)]).run(subject())
