@@ -2,9 +2,9 @@
 
 For every non-baseline cell of ``sweep_specs(bench, factors=(2, 4, 8))``
 over the 16 apps, plus each app's ``tuned`` replay (the multi-directive
-path; decisions read from ``results/tuned/``), run ``[SimplifyCFG] +
-transform_passes(...)`` (the pipeline up to, not including, the cleanup
-battery) at the CLI's ``max_instructions=8000`` and record the sha256 of
+path; decisions read from ``results/tuned/``), run the real pipeline's own
+prefix — ``build_pipeline(...).passes`` up to, not including, the pass named
+``cleanup`` — at the CLI's ``max_instructions=8000`` and record the sha256 of
 ``print_module`` plus the module's instruction count.  Not a test and not
 part of tier-1: run it once on each of two checkouts and compare the files.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 import time
@@ -24,26 +23,20 @@ import time
 from repro.bench import all_benchmarks
 from repro.harness.parallel import sweep_specs
 from repro.ir.printer import print_module
-from repro.transforms.pass_manager import PassManager
-from repro.transforms.pipeline import transform_passes
-from repro.transforms.simplifycfg import SimplifyCFG
+from repro.transforms.pipeline import build_pipeline
 from repro.tune.store import resolve_decisions
 
 MAX_INSTRUCTIONS = 8000
-
-#: What ``transform_passes`` calls its explicit-decisions argument: checkouts
-#: before the one-decision-list refactor spell it ``tuned``.
-PLAN_KWARG = ("plan" if "plan" in inspect.signature(transform_passes).parameters
-              else "tuned")
 
 
 def transformed_module(bench, config, loop_id, factor, plan=None):
     """The module as it enters the cleanup battery."""
     module = bench.build_module()
-    passes = [SimplifyCFG()] + transform_passes(
-        config, loop_id=loop_id, factor=factor,
-        max_instructions=MAX_INSTRUCTIONS, **{PLAN_KWARG: plan})
-    PassManager(passes).run(module)
+    pipeline = build_pipeline(config, loop_id=loop_id, factor=factor,
+                              max_instructions=MAX_INSTRUCTIONS, plan=plan)
+    names = [p.name for p in pipeline.passes]
+    del pipeline.passes[names.index("cleanup"):]
+    pipeline.run(module)
     return module
 
 

@@ -1,35 +1,27 @@
 """Pass-prefix bisection: name the pass application that first diverges.
 
 The oracle says *that* a configuration miscompiles; this module says
-*where*.  It mirrors :func:`repro.transforms.pipeline.build_pipeline`
-stage by stage — the early SimplifyCFG, the configuration's transform, the
-fixpoint cleanup battery (replicating
-:class:`~repro.transforms.pass_manager.FixpointPassManager`'s
-version-based skip logic exactly, so the pass application sequence is the
-one the real pipeline executes), then the late passes — and after every
-application verifies the IR and re-interprets the module against the
-unoptimized reference.  The first application whose output diverges is the
-culprit.
-
-Because every pass is a deterministic function of the IR, this replay
-produces exactly the IR states the monolithic pipeline went through; the
-bisection is exact, not probabilistic.
+*where*.  It runs the real pipeline
+(:func:`repro.transforms.pipeline.build_pipeline`) with every leaf pass —
+top level and inside the ``cleanup`` fixpoint — replaced by a stand-in that
+runs the pass and then verifies the IR and re-interprets the module against
+the unoptimized reference.  Stage order, shared pass instances, the
+fixpoint's skip logic and its iteration bound are the pipeline's own, so the
+application sequence checked is the one a plain compile executes; the first
+application whose output diverges is the culprit, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from ..ir.verifier import VerificationError, verify_module
 from ..obs import session as obs
-from ..transforms.pipeline import cleanup_passes, late_passes, transform_passes
-from ..transforms.simplifycfg import SimplifyCFG
+from ..transforms.pipeline import build_pipeline
 from .oracle import (LANES, MAX_INSTRUCTIONS, ConfigSpec, Subject, compare,
                      execute)
-
-#: Mirrors FixpointPassManager's default iteration bound.
-_FIXPOINT_MAX_ITERATIONS = 8
 
 
 @dataclass
@@ -54,11 +46,15 @@ class BisectResult:
         return text
 
 
+class _Diverged(Exception):
+    """Carries the verdict out through the pass managers."""
+
+
 def bisect_divergence(subject: Subject, spec: ConfigSpec,
                       lanes: int = LANES,
                       max_instructions: int = MAX_INSTRUCTIONS
                       ) -> Optional[BisectResult]:
-    """Replay ``spec``'s pipeline on ``subject``, checking after each pass.
+    """Run ``spec``'s pipeline on ``subject``, checking after each pass.
 
     Returns None when the full pipeline completes without diverging from
     the unoptimized reference (i.e. the failure did not reproduce).
@@ -67,93 +63,54 @@ def bisect_divergence(subject: Subject, spec: ConfigSpec,
     module = subject.build()
     trail: List[str] = []
 
-    def check(name: str) -> Optional[BisectResult]:
+    def check() -> Optional["tuple[str, str]"]:
         try:
             verify_module(module)
         except VerificationError as exc:
-            return BisectResult(name, len(trail), "verifier", str(exc),
-                                list(trail))
+            return "verifier", str(exc)
         try:
             outputs = execute(module, lanes)
         except Exception as exc:  # noqa: BLE001
-            return BisectResult(name, len(trail), "crash",
-                                f"{type(exc).__name__}: {exc}", list(trail))
+            return "crash", f"{type(exc).__name__}: {exc}"
         detail = compare(reference, outputs)
-        if detail is not None:
-            return BisectResult(name, len(trail), "mismatch", detail,
-                                list(trail))
-        return None
+        return None if detail is None else ("mismatch", detail)
 
-    def apply_and_check(pass_, func) -> Optional[BisectResult]:
-        # Each application runs under a throwaway obs session so a guilty
-        # verdict carries the remarks the culprit emitted — independent of
-        # (and invisible to) any outer REPRO_TRACE session.
-        with obs.capture() as captured:
-            try:
-                pass_.run(func)
-            except Exception as exc:  # noqa: BLE001
-                trail.append(pass_.name)
-                return BisectResult(
-                    pass_.name, len(trail), "crash",
-                    f"{type(exc).__name__}: {exc}", list(trail),
-                    remarks=[r.to_json() for r in captured.remarks])
-        trail.append(pass_.name)
-        result = check(pass_.name)
-        if result is not None:
-            result.remarks = [r.to_json() for r in captured.remarks]
-        return result
+    def checked(pass_, in_fixpoint: bool) -> SimpleNamespace:
+        """Stand-in for one leaf pass: same name, same return value."""
+        def run(func) -> bool:
+            trail.append(pass_.name)
+            # Each application runs under a throwaway obs session so a
+            # guilty verdict carries the remarks the culprit emitted —
+            # independent of (and invisible to) any outer REPRO_TRACE
+            # session.
+            with obs.capture() as captured:
+                try:
+                    changed = pass_.run(func)
+                    verdict = None
+                except Exception as exc:  # noqa: BLE001
+                    verdict = "crash", f"{type(exc).__name__}: {exc}"
+            # The fixpoint's "no change" means bit-identical IR: nothing
+            # to re-check.
+            if verdict is None and (changed or not in_fixpoint):
+                verdict = check()
+            if verdict is not None:
+                raise _Diverged(BisectResult(
+                    pass_.name, len(trail), *verdict, list(trail),
+                    [r.to_json() for r in captured.remarks]))
+            return changed
+        return SimpleNamespace(name=pass_.name, run=run)
 
-    # Pass instances are shared across functions, as in the real pipeline.
-    head = [SimplifyCFG()] + transform_passes(
-        spec.config, loop_id=spec.loop_id, factor=spec.factor,
-        max_instructions=max_instructions, plan=spec.plan)
-    cleanup = cleanup_passes()
-    late = late_passes()
-
-    for func in module.functions.values():
-        for pass_ in head:
-            result = apply_and_check(pass_, func)
-            if result is not None:
-                return result
-
-        # Fixpoint cleanup with FixpointPassManager's skip logic: a pass
-        # that reported no change is skipped until another pass mutates
-        # the function (tracked by a version counter).
-        version = 0
-        clean_at: Dict[int, int] = {}
-        for _ in range(_FIXPOINT_MAX_ITERATIONS):
-            iteration_changed = False
-            for index, pass_ in enumerate(cleanup):
-                if clean_at.get(index) == version:
-                    continue
-                with obs.capture() as captured:
-                    try:
-                        changed = pass_.run(func)
-                    except Exception as exc:  # noqa: BLE001
-                        trail.append(pass_.name)
-                        return BisectResult(
-                            pass_.name, len(trail), "crash",
-                            f"{type(exc).__name__}: {exc}", list(trail),
-                            remarks=[r.to_json()
-                                     for r in captured.remarks])
-                trail.append(pass_.name)
-                if changed:
-                    version += 1
-                    clean_at.pop(index, None)
-                    iteration_changed = True
-                    result = check(pass_.name)
-                    if result is not None:
-                        result.remarks = [r.to_json()
-                                          for r in captured.remarks]
-                        return result
-                else:
-                    # No change means bit-identical IR: nothing to re-check.
-                    clean_at[index] = version
-            if not iteration_changed:
-                break
-
-        for pass_ in late:
-            result = apply_and_check(pass_, func)
-            if result is not None:
-                return result
+    pipeline = build_pipeline(spec.config, loop_id=spec.loop_id,
+                              factor=spec.factor,
+                              max_instructions=max_instructions,
+                              plan=spec.plan)
+    cleanup = next(p for p in pipeline.passes if p.name == "cleanup")
+    for manager in (pipeline, cleanup.manager):
+        manager.passes[:] = [
+            p if p is cleanup else checked(p, manager is cleanup.manager)
+            for p in manager.passes]
+    try:
+        pipeline.run(module)
+    except _Diverged as found:
+        return found.args[0]
     return None

@@ -28,6 +28,7 @@ from ..analysis.loops import LoopInfo
 from ..directive import LoopDirective
 from ..frontend.ast import KernelDef
 from ..frontend.lower import lower_kernels
+from ..gpu.counters import Counters
 from ..gpu.machine import SimtMachine
 from ..ir.function import Function
 from ..ir.module import Module
@@ -43,10 +44,12 @@ LANES = 32
 UU_FACTORS = (2, 4, 8)
 #: Plain-unroll factor checked per loop.
 UNROLL_FACTOR = 2
-#: Growth cap passed to the transforms.  Deliberately small: fuzz kernels
-#: have tens of instructions, and a cap in the thousands already lets
-#: u&u duplicate multi-way merges across unrolled iterations while keeping
-#: the cleanup fixpoint (the cost of a config run) tractable on one core.
+#: Growth cap passed to the transforms, here and wherever else a bare
+#: module is compiled (served ir/kernel submissions, the similarity
+#: corpus).  Deliberately small: such kernels have tens of instructions,
+#: and a cap in the thousands already lets u&u duplicate multi-way merges
+#: across unrolled iterations while keeping the cleanup fixpoint (the cost
+#: of a config run) tractable on one core.
 MAX_INSTRUCTIONS = 3_000
 
 
@@ -160,9 +163,11 @@ def default_args(func: Function) -> List:
     return args
 
 
-def execute(module: Module, lanes: int = LANES,
-            engine: Optional[str] = None) -> Dict[str, np.ndarray]:
-    """Per-lane return values of every function, on one warp.
+def run_one_warp(module: Module, lanes: int = LANES,
+                 engine: Optional[str] = None
+                 ) -> Tuple[Dict[str, np.ndarray], Counters]:
+    """Run every function of a bare module on one warp with
+    :func:`default_args`: per-lane return values plus summed counters.
 
     ``engine`` selects the execution engine; the engines are bit-identical
     by contract, and single-warp subjects take the per-warp path anyway,
@@ -170,11 +175,19 @@ def execute(module: Module, lanes: int = LANES,
     """
     machine = SimtMachine(module, engine=engine)
     outputs: Dict[str, np.ndarray] = {}
+    total = Counters()
     for name, func in module.functions.items():
-        ret, _ = machine.run_function(func, default_args(func), lanes)
+        ret, counters = machine.run_function(func, default_args(func), lanes)
         outputs[name] = (np.zeros(0) if ret is None
                          else np.ascontiguousarray(ret))
-    return outputs
+        total.merge(counters)
+    return outputs, total
+
+
+def execute(module: Module, lanes: int = LANES,
+            engine: Optional[str] = None) -> Dict[str, np.ndarray]:
+    """The outputs half of :func:`run_one_warp`."""
+    return run_one_warp(module, lanes, engine)[0]
 
 
 def compare(reference: Dict[str, np.ndarray],

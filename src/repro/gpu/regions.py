@@ -3,9 +3,10 @@
 A *superblock* here is a trace: a maximal straight-line sequence of
 decoded basic blocks entered only at its head, extended across branches
 whose direction is decided at compile time — unconditional branches
-always, conditional branches along one *expected* side chosen from the
-observability layer's execution profile (per-block hit counters) when
-one is available and from static CFG shape otherwise.  The shapes the
+always, conditional branches along one *expected* side chosen from
+static CFG shape alone (never from an execution profile: observing a
+launch must not change what it compiles; guard feedback corrects a wrong
+guess at run time).  The shapes the
 paper's transforms produce — unrolled loop bodies, unmerged per-path
 clones — are exactly long chains of such decided branches, so one trace
 frequently covers a whole unrolled iteration.
@@ -208,8 +209,6 @@ def select_regions(regions: RegionMap, machine, func) -> None:
     remark per rejected head through the obs layer; selected heads get
     theirs when (if) they compile.
     """
-    profile = machine.profile
-    hits = profile.block_hits if profile is not None else {}
     plans: Dict[int, Tuple] = {}
     done = set()
     work = [machine._decode(func)]
@@ -218,7 +217,7 @@ def select_regions(regions: RegionMap, machine, func) -> None:
         if head.block_id in done:
             continue
         done.add(head.block_id)
-        plan, succs, reason = _select_region(head, hits)
+        plan, succs, reason = _select_region(head)
         for tgt in succs:
             if tgt.block_id not in done:
                 work.append(tgt)
@@ -275,23 +274,18 @@ def compile_region(regions: RegionMap,
     return region
 
 
-def _pick_side(db: _DecodedBlock, true_edge, false_edge, head_id: int,
-               hits: Dict[str, int]) -> bool:
+def _pick_side(db: _DecodedBlock, true_edge, false_edge,
+               head_id: int) -> bool:
     """Expected direction of a conditional branch inside a trace.
 
     Priority: a side closing the loop back to the trace head (the hot
-    back edge), then the side whose target the execution profile has
-    seen more often, then the static forward (non-back) edge, then the
-    true side.
+    back edge), then the static forward (non-back) edge, then the true
+    side.
     """
     if true_edge.target.block_id == head_id:
         return True
     if false_edge.target.block_id == head_id:
         return False
-    ht = hits.get(true_edge.target.name)
-    hf = hits.get(false_edge.target.name)
-    if ht is not None or hf is not None:
-        return (ht or 0) >= (hf or 0)
     t_back = true_edge.target.rpo <= db.rpo
     f_back = false_edge.target.rpo <= db.rpo
     if t_back != f_back:
@@ -299,7 +293,7 @@ def _pick_side(db: _DecodedBlock, true_edge, false_edge, head_id: int,
     return True
 
 
-def _select_region(head: _DecodedBlock, hits: Dict[str, int]):
+def _select_region(head: _DecodedBlock):
     """Grow one trace from ``head``; returns (plan|None, succs, reason).
 
     The plan is ``(decisions, n_guards, loopback)``, one ``(block,
@@ -375,7 +369,7 @@ def _select_region(head: _DecodedBlock, hits: Dict[str, int]):
                     succs.append(join)
                     cur = join
                     continue
-        expected = _pick_side(cur, t_edge, f_edge, head.block_id, hits)
+        expected = _pick_side(cur, t_edge, f_edge, head.block_id)
         chosen = t_edge if expected else f_edge
         tgt = chosen.target
         if tgt.block_id == head.block_id:

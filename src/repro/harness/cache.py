@@ -5,8 +5,7 @@ function of (a) the benchmark's unoptimized IR and workload description,
 (b) the pipeline configuration and its parameters, and (c) the simulator's
 timing model.  This module keys cells by the SHA-256 of exactly those
 inputs and stores results as JSON under ``results/.cellcache/<key[:2]>/``
-(256 two-hex-char shards; pre-sharding flat entries migrate into their
-shard on first access), so
+(256 two-hex-char shards), so
 re-running ``python -m repro.harness.table1`` or any ``benchmarks/test_fig*``
 file after an unrelated edit is near-instant: only cells whose inputs
 actually changed are recomputed.
@@ -37,9 +36,9 @@ each victim immediately before unlinking and skips any file whose mtime
 changed since enumeration: an entry another process just wrote (or
 refreshed) is never removed, preserving the atomic-replace contract.
 
-The on-disk discipline (sharding, atomic puts, monotonic recency, safe
-eviction, orphan sweeping) lives in :class:`ShardedLRUStore`, shared by
-the cell cache and the similarity index
+The on-disk discipline (sharding, the read and write sequences, monotonic
+recency, safe eviction, orphan sweeping) lives in :class:`ShardedLRUStore`,
+shared by the cell cache and the similarity index
 (:mod:`repro.similarity.index`).
 """
 
@@ -170,9 +169,9 @@ class ShardedLRUStore:
     Provides 256 two-hex-char shard directories, atomic temp-file+rename
     puts, strictly monotonic mtime recency, re-stat-before-unlink LRU
     eviction, orphan-temp enumeration, and the sweep in :meth:`clear`.
-    Subclasses own keying, (de)serialization, and their ``stats()``
-    shapes; they store entries at :meth:`shard_path` and write them with
-    :meth:`_atomic_write`.
+    Subclasses own keying, validation and (de)serialization; they keep
+    entries at :meth:`shard_path`, read them with :meth:`_load`, write
+    them with :meth:`_store`, and add their own keys to :meth:`stats`.
     """
 
     #: ``cache=`` label for the shared metric families
@@ -227,6 +226,43 @@ class ShardedLRUStore:
             except OSError:
                 pass
             raise
+
+    def _load(self, path: Path, parse):
+        """``parse(json)`` of the entry at ``path``, or None on any miss.
+
+        A hit makes the entry newest.  An entry that does not read back —
+        stale schema, corrupted, truncated: anything ``parse`` raises on —
+        is deleted and counted as a miss, so it is transparently
+        recomputed: a store must only ever cost recomputation.
+        """
+        value = None
+        try:
+            value = parse(json.loads(path.read_text()))
+        except OSError:
+            pass  # No such entry.
+        except Exception:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        if value is None:
+            self.misses += 1
+            self._metric("misses")
+            return None
+        self.hits += 1
+        self._metric("hits")
+        self._touch(path)
+        return value
+
+    def _store(self, path: Path, text: str) -> None:
+        """Write an entry atomically, make it newest, evict to the cap."""
+        self._atomic_write(path, text)
+        self.puts += 1
+        self._metric("puts")
+        self._metric("bytes_written", len(text))
+        self._touch(path)
+        if self.max_bytes is not None:
+            self.evict()
 
     # -- LRU recency and eviction --------------------------------------------
     def _touch(self, path: Path) -> None:
@@ -299,7 +335,8 @@ class ShardedLRUStore:
     def entries(self):
         if not self.root.is_dir():
             return []
-        # Both levels: sharded entries plus any not-yet-migrated flat ones.
+        # Both levels: sharded entries plus a pre-sharding cache's flat ones
+        # (unreadable under today's keys, but still swept and evicted).
         return sorted(list(self.root.glob("*.json"))
                       + list(self.root.glob("??/*.json")))
 
@@ -350,6 +387,26 @@ class ShardedLRUStore:
                 except OSError:
                     pass
         return removed
+
+    # -- reporting -----------------------------------------------------------
+    def stats(self, files=None) -> Dict[str, object]:
+        """The keys every store reports (over ``files``, by default one
+        enumeration of :meth:`entries`); subclasses add their own."""
+        n_files, files_bytes = self._sizes(
+            self.entries() if files is None else files)
+        n_tmp, tmp_bytes = self._sizes(self.tmp_files())
+        return {
+            "root": str(self.root),
+            "entries": n_files,
+            "bytes": files_bytes,
+            "tmp_files": n_tmp,
+            "tmp_bytes": tmp_bytes,
+            "max_bytes": self.max_bytes,
+            "session_hits": self.hits,
+            "session_misses": self.misses,
+            "session_puts": self.puts,
+            "session_evictions": self.evictions,
+        }
 
 
 class CellCache(ShardedLRUStore):
@@ -415,69 +472,17 @@ class CellCache(ShardedLRUStore):
         # plus tuner rounds writes thousands of cells).
         return self.shard_path(key, f"{self.prefix}{key}.json")
 
-    def _flat_path(self, key: str) -> Path:
-        """Pre-sharding location of an entry (cache root, no shard dir)."""
-        return self.root / f"{self.prefix}{key}.json"
-
-    def _migrate_flat(self, key: str, path: Path) -> Optional[str]:
-        """Move a legacy flat entry into its shard; return its text or None.
-
-        Caches written before sharding kept every entry directly under
-        ``root``.  On the first lookup of such a key the entry is renamed
-        into ``root/<key[:2]>/`` so old caches converge to the sharded
-        layout incrementally, without a migration pass.
-        """
-        flat = self._flat_path(key)
-        try:
-            raw = flat.read_text()
-        except OSError:
-            return None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, path)
-        except OSError:
-            pass  # Migration is best-effort; the read already succeeded.
-        return raw
-
     # -- storage -------------------------------------------------------------
     def get(self, key: str
             ) -> Optional[Tuple[Cell, Optional[Dict[str, np.ndarray]]]]:
-        """Load ``(cell, baseline_outputs_or_None)``; None on any miss.
-
-        Stale-schema, corrupted, or truncated entries are deleted and
-        reported as misses so they are transparently recomputed.
-        """
-        path = self._path(key)
-        try:
-            raw = path.read_text()
-        except OSError:
-            raw = self._migrate_flat(key, path)
-            if raw is None:
-                self.misses += 1
-                self._metric("misses")
-                return None
-        try:
-            data = json.loads(raw)
+        """Load ``(cell, baseline_outputs_or_None)``; None on any miss."""
+        def parse(data):
             if data.get("schema") != SCHEMA_VERSION:
                 raise ValueError("stale cache schema")
-            cell = cell_from_json(data["cell"])
             outputs = data.get("outputs")
-            decoded = outputs_from_json(outputs) if outputs else None
-        except Exception:
-            # Corrupted/truncated/stale entry: drop it, recompute.  The
-            # flat path is unlinked too in case migration's rename failed.
-            for stale in (path, self._flat_path(key)):
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-            self.misses += 1
-            self._metric("misses")
-            return None
-        self.hits += 1
-        self._metric("hits")
-        self._touch(path)  # LRU recency: a hit makes the entry newest.
-        return cell, decoded
+            return (cell_from_json(data["cell"]),
+                    outputs_from_json(outputs) if outputs else None)
+        return self._load(self._path(key), parse)
 
     def put(self, key: str, cell: Cell,
             outputs: Optional[Dict[str, np.ndarray]] = None) -> None:
@@ -485,37 +490,15 @@ class CellCache(ShardedLRUStore):
         data = {"schema": SCHEMA_VERSION, "cell": cell_to_json(cell)}
         if outputs is not None:
             data["outputs"] = outputs_to_json(outputs)
-        path = self._path(key)
-        text = json.dumps(data)
-        self._atomic_write(path, text)
-        self.puts += 1
-        self._metric("puts")
-        self._metric("bytes_written", len(text))
-        self._touch(path)
-        if self.max_bytes is not None:
-            self.evict()
+        self._store(self._path(key), json.dumps(data))
 
     # -- reporting -----------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         files = self.entries()
-        n_files, files_bytes = self._sizes(files)
-        n_tune, tune_bytes = self._sizes(
-            [f for f in files if f.name.startswith(TUNE_PREFIX)])
-        n_tmp, tmp_bytes = self._sizes(self.tmp_files())
-        return {
-            "root": str(self.root),
-            "entries": n_files,
-            "bytes": files_bytes,
-            "tune_entries": n_tune,
-            "tune_bytes": tune_bytes,
-            "tmp_files": n_tmp,
-            "tmp_bytes": tmp_bytes,
-            "max_bytes": self.max_bytes,
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-            "session_puts": self.puts,
-            "session_evictions": self.evictions,
-        }
+        stats = super().stats(files)
+        stats["tune_entries"], stats["tune_bytes"] = self._sizes(
+            f for f in files if f.name.startswith(TUNE_PREFIX))
+        return stats
 
     def session_line(self) -> str:
         """One-line session hit/miss/put summary for per-sweep reporting."""

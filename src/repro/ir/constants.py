@@ -3,6 +3,10 @@
 Constants are interned per ``(type, value)`` so that identical constants are
 one object: value numbering and the simplification passes can then compare
 constants with ``is`` and use them as dictionary keys without special cases.
+An interned constant lives as long as the process and is shared by every
+module and thread, so it keeps no use-list: a list of its users would pin
+every instruction that ever held ``i32 0`` and be mutated by concurrent
+compiles.
 """
 
 from __future__ import annotations
@@ -11,13 +15,19 @@ import struct
 from typing import Dict, Tuple, Union
 
 from .types import F32, F64, I1, FloatType, IntType, Type
-from .values import Value
+from .values import Use, Value
 
 
 class Constant(Value):
-    """Base class for constants."""
+    """Base class for constants; ``uses`` stays empty (see the module doc)."""
 
     __slots__ = ()
+
+    def add_use(self, use: Use) -> None:
+        pass
+
+    def remove_use(self, use: Use) -> None:
+        pass
 
     @property
     def is_constant(self) -> bool:

@@ -146,7 +146,8 @@ def _verify_def_use(func: Function) -> None:
                 use = inst._operand_uses[i]
                 if use.user is not inst or use.index != i:
                     _fail(func, f"corrupt use record on {inst!r} slot {i}")
-                if not any(u is use for u in op.uses):
+                if (not isinstance(op, Constant)
+                        and not any(u is use for u in op.uses)):
                     _fail(func, f"operand {op!r} of {inst!r} lacks back-edge use")
 
 

@@ -119,24 +119,6 @@ def render_remark(remark: Remark) -> str:
 
 # -- decision-log bridging ---------------------------------------------------
 
-def _unmerged_cost(paths: int, size: int, factor: int,
-                   cap: int = 1 << 30) -> int:
-    """``f(p, s, u) = sum_{i=0}^{u-1} p^i * s`` — the paper's Eq. cost.
-
-    Mirrors ``repro.analysis.paths.estimate_unmerged_size`` without
-    importing it (obs must stay import-light so transforms can depend on
-    it without cycles).
-    """
-    total = 0
-    term = size
-    for _ in range(max(factor, 0)):
-        total += term
-        if total >= cap:
-            return cap
-        term *= paths
-    return total
-
-
 def decision_remarks(decisions: Sequence, function: Optional[str] = None,
                      pass_name: str = "uu") -> List[Remark]:
     """The single rendering of ``LoopDecision`` rows as remarks.
@@ -149,6 +131,10 @@ def decision_remarks(decisions: Sequence, function: Optional[str] = None,
     ``repro.transforms``; ``pass_name`` is what the stage reported under
     (the heuristic's rows have always said ``uu``).
     """
+    # Function-level: obs stays import-light so transforms can depend on
+    # it without a cycle.
+    from ..analysis.paths import estimate_unmerged_size
+
     remarks = []
     for d in decisions:
         args = {"p": d.paths, "s": d.size}
@@ -169,7 +155,8 @@ def decision_remarks(decisions: Sequence, function: Optional[str] = None,
                 kind = "applied"
                 message = f"{what} with u'={d.factor}"
                 if d.reason != "unroll":
-                    args["cost"] = _unmerged_cost(d.paths, d.size, d.factor)
+                    args["cost"] = estimate_unmerged_size(d.paths, d.size,
+                                                          d.factor)
         remarks.append(Remark(
             kind=kind, pass_name=pass_name,
             function=function or str(d.loop_id).split(":", 1)[0],

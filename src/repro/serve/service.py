@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import dataclasses
 import traceback
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Optional
 
 from ..analysis.loops import LoopInfo
 from ..bench import benchmark_by_name
 from ..frontend.lower import lower_kernels
+from ..fuzz.oracle import MAX_INSTRUCTIONS, compare, run_one_warp
 from ..gpu.counters import Counters
-from ..gpu.machine import ENGINES, SimtMachine
+from ..gpu.machine import ENGINES
 from ..harness.cache import cell_to_json, outputs_to_json
 from ..harness.experiment import ExperimentRunner
 from ..ir.module import Module
@@ -47,37 +46,12 @@ from ..transforms.pipeline import compile_module
 from .protocol import (OptimizeRequest, OptimizeResult, ProtocolError,
                        content_hash, parse_plan)
 
-#: Growth cap for ir/kernel subjects — the fuzz oracle's, for the same
-#: reason: submitted kernels are small and the cleanup fixpoint must stay
-#: tractable per request.  App submissions use the runner's cap.
-SUBJECT_MAX_INSTRUCTIONS = 3_000
-
 
 def _resolve_engine(engine: Optional[str]) -> Optional[str]:
     if engine is not None and engine not in ENGINES:
         raise ProtocolError(
             f"unknown engine {engine!r}; expected one of {ENGINES}")
     return engine
-
-
-def _default_args(func) -> list:
-    from ..fuzz.oracle import default_args
-    return default_args(func)
-
-
-def _run_subject(module: Module, lanes: int,
-                 engine: Optional[str]) -> Tuple[Dict[str, np.ndarray],
-                                                 Counters]:
-    """Per-function return lattices plus summed counters, oracle-style."""
-    machine = SimtMachine(module, engine=engine)
-    outputs: Dict[str, np.ndarray] = {}
-    total = Counters()
-    for name, func in module.functions.items():
-        ret, counters = machine.run_function(func, _default_args(func), lanes)
-        outputs[name] = (np.zeros(0) if ret is None
-                         else np.ascontiguousarray(ret))
-        total.merge(counters)
-    return outputs, total
 
 
 def _counters_json(counters: Counters) -> Dict[str, object]:
@@ -119,8 +93,8 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     # Baseline anchor: same source through the baseline pipeline.
     base_module = build()
     compile_module(base_module, "baseline",
-                   max_instructions=SUBJECT_MAX_INSTRUCTIONS)
-    base_outputs, base_counters = _run_subject(base_module, request.lanes,
+                   max_instructions=MAX_INSTRUCTIONS)
+    base_outputs, base_counters = run_one_warp(base_module, request.lanes,
                                                request.engine)
     result.baseline_cycles = base_counters.cycles
 
@@ -134,8 +108,8 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
                                            request.loop_id, request.factor)
             compiled = compile_module(
                 module, request.config,
-                max_instructions=SUBJECT_MAX_INSTRUCTIONS, plan=plan)
-            outputs, counters = _run_subject(module, request.lanes,
+                max_instructions=MAX_INSTRUCTIONS, plan=plan)
+            outputs, counters = run_one_warp(module, request.lanes,
                                              request.engine)
     result.remarks = [r.to_json() for r in session.remarks]
     result.trace_events = list(session.tracer.events)
@@ -150,11 +124,7 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     result.timed_out = compiled.timed_out
     result.speedup = (base_counters.cycles / counters.cycles
                       if counters.cycles > 0 else 0.0)
-    result.outputs_match_baseline = all(
-        base_outputs[name].tobytes() == outputs.get(
-            name, np.zeros(0)).tobytes()
-        and base_outputs[name].dtype == outputs[name].dtype
-        for name in base_outputs)
+    result.outputs_match_baseline = compare(base_outputs, outputs) is None
     result.outputs = outputs_to_json(outputs)
     if request.include_ir:
         result.optimized_ir = print_module(module)

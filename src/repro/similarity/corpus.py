@@ -22,20 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..fuzz.generator import GeneratorConfig, generate_kernel
-from ..gpu.counters import Counters
-from ..gpu.machine import SimtMachine
+from ..fuzz.oracle import LANES, MAX_INSTRUCTIONS, run_one_warp
 from ..ir.module import Module
 from ..obs import session as obs
 from .index import SimilarityIndex
-
-#: Lanes per fuzz run (one full warp, like the differential oracle).
-LANES = 32
-
-#: Growth cap for fuzz-kernel pipelines (tens of input instructions).
-MAX_INSTRUCTIONS = 3_000
 
 
 class FuzzBenchmark:
@@ -85,18 +76,7 @@ class FuzzBenchmark:
         a single warp is already the minimal geometry, and scaling would
         change intra-warp divergence behaviour.
         """
-        from ..fuzz.oracle import default_args
-
-        machine = SimtMachine(module, engine=engine)
-        outputs: Dict[str, np.ndarray] = {}
-        total = Counters()
-        for name, func in module.functions.items():
-            ret, counters = machine.run_function(func, default_args(func),
-                                                 LANES)
-            outputs[name] = (np.zeros(0) if ret is None
-                             else np.ascontiguousarray(ret))
-            total.merge(counters)
-        return outputs, total
+        return run_one_warp(module, LANES, engine)
 
     def __repr__(self) -> str:
         return f"<FuzzBenchmark {self.name}>"

@@ -123,43 +123,17 @@ class SimilarityIndex(ShardedLRUStore):
     # -- storage -------------------------------------------------------------
     def get_entry(self, key: str) -> Optional[Dict[str, object]]:
         """Load one entry; stale/corrupt entries are deleted as misses."""
-        path = self._path(key)
-        try:
-            raw = path.read_text()
-        except OSError:
-            self.misses += 1
-            self._metric("misses")
-            return None
-        try:
-            data = json.loads(raw)
+        def parse(data):
             if data.get("schema") != _schema_stamp():
                 raise ValueError("stale index schema")
             if not isinstance(data.get("loops"), list):
                 raise ValueError("malformed entry")
-        except Exception:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            self._metric("misses")
-            return None
-        self.hits += 1
-        self._metric("hits")
-        self._touch(path)
-        return data
+            return data
+        return self._load(self._path(key), parse)
 
     def put_entry(self, key: str, entry: Dict[str, object]) -> None:
         """Store one entry (canonical JSON, atomic replace)."""
-        path = self._path(key)
-        text = json.dumps(entry, sort_keys=True)
-        self._atomic_write(path, text)
-        self.puts += 1
-        self._metric("puts")
-        self._metric("bytes_written", len(text))
-        self._touch(path)
-        if self.max_bytes is not None:
-            self.evict()
+        self._store(self._path(key), json.dumps(entry, sort_keys=True))
 
     def add_tuned(self, module: Module, config: TunedConfig,
                   source: str = "tuned") -> str:
@@ -191,22 +165,7 @@ class SimilarityIndex(ShardedLRUStore):
 
     # -- reporting -----------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        files = self.entries()
-        n_files, files_bytes = self._sizes(files)
-        n_tmp, tmp_bytes = self._sizes(self.tmp_files())
-        return {
-            "root": str(self.root),
-            "entries": n_files,
-            "bytes": files_bytes,
-            "tmp_files": n_tmp,
-            "tmp_bytes": tmp_bytes,
-            "max_bytes": self.max_bytes,
-            "schema": _schema_stamp(),
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-            "session_puts": self.puts,
-            "session_evictions": self.evictions,
-        }
+        return {**super().stats(), "schema": _schema_stamp()}
 
 
 def build_index(benches: Optional[Sequence] = None,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from ..ir.function import Function
 from ..ir.module import Module
@@ -87,42 +87,43 @@ class PassManager:
         #: Absolute perf_counter() deadline; None disables the budget.
         self.deadline: Optional[float] = None
 
-    def check_deadline(self) -> None:
+    def apply(self, pass_: FunctionPass, func: Function,
+              iteration: Optional[int] = None) -> bool:
+        """Apply one pass to one function: the only place a pass runs, so
+        the budget, the timing statistics, the trace span (with the IR
+        delta; ``iteration`` is the fixpoint's) and verify-each live here."""
         if self.deadline is not None and time.perf_counter() > self.deadline:
             raise CompileTimeout(
-                f"compile budget exhausted before finishing the pipeline")
-
-    def add(self, pass_: FunctionPass) -> "PassManager":
-        self.passes.append(pass_)
-        return self
+                "compile budget exhausted before finishing the pipeline")
+        tracer = obs.tracer()
+        if tracer is not None:
+            insts_before, blocks_before = _ir_size(func)
+            span_start = tracer.now()
+        start = time.perf_counter()
+        changed = pass_.run(func)
+        elapsed = time.perf_counter() - start
+        self.stats.record(pass_.name, elapsed, changed)
+        if tracer is not None:
+            insts_after, blocks_after = _ir_size(func)
+            args = {"function": func.name, "changed": changed}
+            if iteration is not None:
+                args["iteration"] = iteration
+            args.update(insts_before=insts_before, insts_after=insts_after,
+                        blocks_before=blocks_before,
+                        blocks_after=blocks_after)
+            tracer.complete(pass_.name, "pass", span_start, elapsed, args=args)
+        if self.verify_each:
+            try:
+                verify_function(func)
+            except Exception as exc:
+                raise AssertionError(
+                    f"pass {pass_.name} broke @{func.name}: {exc}") from exc
+        return changed
 
     def run_function(self, func: Function) -> bool:
         changed_any = False
-        tracer = obs.tracer()
         for pass_ in self.passes:
-            self.check_deadline()
-            if tracer is not None:
-                insts_before, blocks_before = _ir_size(func)
-                span_start = tracer.now()
-            start = time.perf_counter()
-            changed = pass_.run(func)
-            elapsed = time.perf_counter() - start
-            self.stats.record(pass_.name, elapsed, changed)
-            if tracer is not None:
-                insts_after, blocks_after = _ir_size(func)
-                tracer.complete(pass_.name, "pass", span_start, elapsed, args={
-                    "function": func.name, "changed": changed,
-                    "insts_before": insts_before, "insts_after": insts_after,
-                    "blocks_before": blocks_before,
-                    "blocks_after": blocks_after,
-                })
-            changed_any |= changed
-            if self.verify_each:
-                try:
-                    verify_function(func)
-                except Exception as exc:
-                    raise AssertionError(
-                        f"pass {pass_.name} broke @{func.name}: {exc}") from exc
+            changed_any |= self.apply(pass_, func)
         return changed_any
 
     def run(self, module: Module) -> bool:
@@ -155,7 +156,6 @@ class FixpointPassManager(PassManager):
 
     def run_function(self, func: Function) -> bool:
         changed_any = False
-        tracer = obs.tracer()
         # ``version`` counts IR mutations; clean_at[i] records the version
         # at which pass i last reported no change.  While the version is
         # unchanged, re-running that pass is a guaranteed no-op.
@@ -166,39 +166,12 @@ class FixpointPassManager(PassManager):
             for index, pass_ in enumerate(self.passes):
                 if clean_at.get(index) == version:
                     continue
-                self.check_deadline()
-                if tracer is not None:
-                    insts_before, blocks_before = _ir_size(func)
-                    span_start = tracer.now()
-                start = time.perf_counter()
-                changed = pass_.run(func)
-                elapsed = time.perf_counter() - start
-                self.stats.record(pass_.name, elapsed, changed)
-                if tracer is not None:
-                    insts_after, blocks_after = _ir_size(func)
-                    tracer.complete(pass_.name, "pass", span_start, elapsed,
-                                    args={
-                                        "function": func.name,
-                                        "changed": changed,
-                                        "iteration": iteration,
-                                        "insts_before": insts_before,
-                                        "insts_after": insts_after,
-                                        "blocks_before": blocks_before,
-                                        "blocks_after": blocks_after,
-                                    })
-                if changed:
+                if self.apply(pass_, func, iteration):
                     version += 1
                     clean_at.pop(index, None)
                     iteration_changed = True
                 else:
                     clean_at[index] = version
-                if self.verify_each:
-                    try:
-                        verify_function(func)
-                    except Exception as exc:
-                        raise AssertionError(
-                            f"pass {pass_.name} broke @{func.name}: "
-                            f"{exc}") from exc
             if not iteration_changed:
                 break
             changed_any = True

@@ -18,11 +18,14 @@ from repro.ir import types as T
 from repro.ir.instructions import CAST_OPS
 from repro.ir.instructions import FLOAT_BINOPS as T_FLOAT_BINOPS
 from repro.ir.instructions import INT_BINOPS as T_INT_BINOPS
+from repro.obs import session as obs
 from repro.semantics import TABLE, op_for, storage_dtype
 from repro.transforms import (CONFIGS, CompileTimeout, DeadCodeElimination,
                               FixpointPassManager, PassManager, SimplifyCFG,
                               build_pipeline, compile_module)
 from repro.transforms.fold import fold_instruction
+from repro.transforms.instcombine import InstCombine
+from repro.transforms.sccp import SparseConditionalConstantPropagation
 
 TYPES = {"i1": T.I1, "i8": T.I8, "i32": T.I32, "i64": T.I64,
          "f32": T.F32, "f64": T.F64}
@@ -112,6 +115,34 @@ entry:
 """
 
 
+BRANCHY = """
+define i64 @f(i64 %x) {
+entry:
+  %zero = sub i64 %x, %x
+  %c = icmp eq i64 %zero, 0
+  br i1 %c, label %a, label %b
+a:
+  %p = add i64 %x, 0
+  br label %join
+b:
+  %q = mul i64 %x, 2
+  br label %join
+join:
+  %m = phi i64 [ %p, %a ], [ %q, %b ]
+  %dead = add i64 %m, 1
+  ret i64 %m
+}
+"""
+
+
+class Vandal:
+    name = "vandal"
+
+    def run(self, func):
+        func.entry.instructions[-1].erase_from_parent()
+        return True
+
+
 class TestPassManager:
     def test_stats_recorded(self):
         f = parse_function(SIMPLE)
@@ -121,6 +152,55 @@ class TestPassManager:
         assert pm.stats.times["dce"] >= 0
         assert pm.stats.changes.get("dce") == 1
         assert pm.stats.dominant_pass() in ("dce", "simplifycfg")
+
+    @pytest.mark.parametrize("manager, text, runs, changes", [
+        (PassManager, SIMPLE, {"dce": 1, "simplifycfg": 1}, {"dce": 1}),
+        # Second round: dce confirms no change, simplifycfg — clean since
+        # the last mutation — is skipped and not recorded.
+        (FixpointPassManager, SIMPLE, {"dce": 2, "simplifycfg": 1},
+         {"dce": 1}),
+        (PassManager, BRANCHY,
+         {"instcombine": 1, "sccp": 1, "simplifycfg": 1, "dce": 1},
+         {"instcombine": 1, "simplifycfg": 1, "dce": 1}),
+        (FixpointPassManager, BRANCHY,
+         {"instcombine": 2, "sccp": 2, "simplifycfg": 2, "dce": 2},
+         {"instcombine": 1, "simplifycfg": 1, "dce": 1}),
+    ])
+    def test_both_loops_record_every_application(self, manager, text, runs,
+                                                 changes):
+        """The straight-line and the fixpoint loop apply a pass in one
+        place; the names, runs and changes are PR 17's, as literals."""
+        passes = ([DeadCodeElimination(), SimplifyCFG()] if text is SIMPLE
+                  else [InstCombine(), SparseConditionalConstantPropagation(),
+                        SimplifyCFG(), DeadCodeElimination()])
+        pm = manager(passes)
+        with obs.capture() as session:
+            pm.run_function(parse_function(text))
+        assert pm.stats.runs == runs
+        assert pm.stats.changes == changes
+        assert set(pm.stats.times) == set(runs)
+        # One span per recorded application, with the IR delta; only the
+        # fixpoint's say which iteration.
+        spans = [e for e in session.tracer.events if e.get("cat") == "pass"]
+        assert [e["name"] for e in spans].count("dce") == runs["dce"]
+        assert len(spans) == sum(runs.values())
+        keys = {"function", "changed", "insts_before", "insts_after",
+                "blocks_before", "blocks_after"}
+        if manager is FixpointPassManager:
+            keys.add("iteration")
+            assert [e["args"]["iteration"] for e in spans
+                    if e["name"] == "dce"] == [0, 1]
+        assert all(set(e["args"]) == keys for e in spans)
+
+    def test_fixpoint_checks_budget_and_verify_each_too(self):
+        pm = FixpointPassManager([DeadCodeElimination()])
+        pm.deadline = time.perf_counter() - 1.0
+        with pytest.raises(CompileTimeout):
+            pm.run_function(parse_function(SIMPLE))
+        assert not pm.stats.runs
+        pm = FixpointPassManager([Vandal()], verify_each=True)
+        with pytest.raises(AssertionError, match="pass vandal broke @f"):
+            pm.run_function(parse_function(SIMPLE))
 
     def test_fixpoint_stops(self):
         f = parse_function(SIMPLE)
@@ -137,13 +217,6 @@ class TestPassManager:
             pm.run_function(f)
 
     def test_verify_each_catches_breakage(self):
-        class Vandal:
-            name = "vandal"
-
-            def run(self, func):
-                func.entry.instructions[-1].erase_from_parent()
-                return True
-
         f = parse_function(SIMPLE)
         pm = PassManager([Vandal()], verify_each=True)
         with pytest.raises(AssertionError, match="vandal"):

@@ -19,10 +19,15 @@ from repro import semantics
 from repro.frontend.ast import (Assign, BinOp, Call, Cast, Cmp, For, If,
                                 KernelDef, Lit, Param, Return, V)
 from repro.fuzz.bisect import bisect_divergence
-from repro.fuzz.oracle import (ConfigSpec, run_differential,
+from repro.fuzz.oracle import (MAX_INSTRUCTIONS, ConfigSpec, run_differential,
                                subject_from_kernel)
 from repro.fuzz.reduce import (block_count, first_failure, reduce_failure,
                                statement_count)
+from repro.ir import ConstantInt
+from repro.obs import session as obs
+from repro.transforms import pipeline
+from repro.transforms.pass_manager import PassStatistics
+from repro.transforms.pipeline import compile_module
 
 #: The poisoned constant: far outside i32 range, so the saturating
 #: interpreter clamps to INT32_MAX while the buggy folder wraps.
@@ -126,3 +131,70 @@ class TestReducer:
         reduced_b = reduce_failure(_poison_kernel(), spec)
         assert statement_count(reduced_a.body) == \
             statement_count(reduced_b.body)
+
+
+class TestBisectorRunsTheRealPipeline:
+    """The bisector is ``build_pipeline`` plus checks, so what it replays
+    is what a plain compile executes — by construction, pinned here."""
+
+    @pytest.mark.parametrize("spec", [
+        ConfigSpec("baseline"), ConfigSpec("uu", "poison:0", 2),
+        ConfigSpec("uu_heuristic")], ids=lambda spec: spec.label)
+    def test_trail_is_a_prefix_of_the_compile(self, broken_fold, monkeypatch,
+                                              spec):
+        subject = subject_from_kernel(_poison_kernel())
+        found = bisect_divergence(subject, spec)
+        assert found is not None and found.step == len(found.trail)
+
+        applied = []
+        real = PassStatistics.record
+
+        def spy(stats, name, seconds, changed):
+            if name != "cleanup":       # Leaf applications only.
+                applied.append(name)
+            real(stats, name, seconds, changed)
+        monkeypatch.setattr(PassStatistics, "record", spy)
+        compile_module(subject.build(), spec.config, loop_id=spec.loop_id,
+                       factor=spec.factor, max_instructions=MAX_INSTRUCTIONS)
+        assert len(applied) > len(found.trail)
+        assert found.trail == applied[:len(found.trail)]
+
+    def test_follows_a_changed_pipeline(self, monkeypatch):
+        class Corrupt:
+            name = "corrupt"
+
+            def run(self, func):
+                ret = func.blocks[-1].instructions[-1]
+                ret.set_operand(0, ConstantInt(ret.operands[0].type, 41))
+                return True
+
+        real = pipeline.late_passes
+        monkeypatch.setattr(pipeline, "late_passes",
+                            lambda: real() + [Corrupt()])
+        found = bisect_divergence(subject_from_kernel(_poison_kernel()),
+                                  ConfigSpec("baseline"))
+        assert found is not None
+        assert (found.culprit, found.kind) == ("corrupt", "mismatch")
+        assert found.trail[-1] == "corrupt"
+        assert found.trail[-2] == "dce"     # The stock late stage's last.
+
+    def test_crash_inside_the_fixpoint(self, monkeypatch):
+        class Bomb:
+            name = "bomb"
+
+            def run(self, func):
+                obs.remark("analysis", "bomb", func.name, "lighting the fuse")
+                raise RuntimeError("boom")
+
+        real = pipeline.cleanup_passes
+        monkeypatch.setattr(
+            pipeline, "cleanup_passes",
+            lambda branch_facts=True: real(branch_facts)[:2] + [Bomb()])
+        found = bisect_divergence(subject_from_kernel(_poison_kernel()),
+                                  ConfigSpec("baseline"))
+        assert found is not None
+        assert (found.culprit, found.kind) == ("bomb", "crash")
+        assert found.detail == "RuntimeError: boom"
+        assert found.trail == ["simplifycfg", "instcombine", "gvn", "bomb"]
+        assert found.step == 4
+        assert [r["message"] for r in found.remarks] == ["lighting the fuse"]

@@ -109,6 +109,21 @@ class TestExhibits:
         text = format_table([row])
         assert "mandelbrot" in text and "TABLE I" in text
 
+    def test_table1_noise_seeds_are_the_same_in_every_process(
+            self, runner, small_benches, monkeypatch):
+        # Python salts ``hash(str)`` per process; the noise model's seeds
+        # come from a stable digest of the app name, pinned here.
+        from repro.harness import table1
+
+        seeds = []
+
+        def spy(base_ms, rsd, runs=20, seed=0):
+            seeds.append(seed)
+            return [base_ms] * runs
+        monkeypatch.setattr(table1, "simulate_runs", spy)
+        build_row(small_benches[0], runner)
+        assert seeds == [60784, 65239]
+
     def test_indepth_compare(self, runner, small_benches):
         cmp = compare("mandelbrot", "mandelbrot_escape:0", 2, runner)
         assert cmp.baseline["cycles"] > 0

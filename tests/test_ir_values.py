@@ -1,11 +1,23 @@
 """Unit tests for values, def-use chains and constants."""
 
+import gc
+import sys
+import threading
+
 import pytest
 
+from repro.bench import benchmark_by_name
+from repro.frontend.lower import lower_kernels
+from repro.fuzz.generator import generate_kernel
+from repro.fuzz.oracle import MAX_INSTRUCTIONS
 from repro.ir import (FALSE, TRUE, ConstantFloat, ConstantInt, IRBuilder,
                       Module, Undef, bool_const, const)
 from repro.ir import types as T
-from repro.ir.values import User, Value
+from repro.ir.instructions import Instruction
+from repro.ir.printer import print_module
+from repro.ir.values import Use, User, Value
+from repro.ir.verifier import verify_module
+from repro.transforms.pipeline import compile_module
 
 
 def make_func():
@@ -113,3 +125,80 @@ class TestGlobals:
         m.add_global("x", T.I64, 1)
         with pytest.raises(ValueError):
             m.add_global("x", T.I64, 1)
+
+
+class TestConstantsKeepNoUseList:
+    """Interned constants live as long as the process and are shared by
+    every module and thread: a use-list on them would pin every instruction
+    that ever held ``i32 0`` and be mutated by concurrent compiles."""
+
+    @staticmethod
+    def _interned():
+        return [c for cls in (ConstantInt, ConstantFloat, Undef)
+                for c in cls._cache.values()]
+
+    @staticmethod
+    def _alive(*classes):
+        gc.collect()
+        return sum(isinstance(o, classes) for o in gc.get_objects())
+
+    def test_uses_stay_empty(self):
+        m, f, block = make_func()
+        b = IRBuilder(block)
+        x = b.add(f.args[0], 1, "x")
+        one = x.operands[1]
+        assert one is ConstantInt(T.I64, 1)
+        assert one.uses == [] and not one.is_used
+        x.set_operand(1, ConstantInt(T.I64, 2))     # remove_use is a no-op too
+        x.erase_from_parent()
+        for bench in ("XSBench", "complex"):
+            compile_module(benchmark_by_name(bench).build_module(),
+                           "uu_heuristic", verify_each=True)
+        used = [c for c in self._interned() if c.uses]
+        assert not used, used[:5]
+
+    def test_dropped_module_is_collected(self):
+        before = self._alive(Instruction, Use)
+        module = benchmark_by_name("XSBench").build_module()
+        compile_module(module, "uu_heuristic")
+        assert self._alive(Instruction) > before
+        del module
+        assert self._alive(Instruction, Use) == before
+
+    def test_concurrent_compiles_share_no_state(self):
+        """More threads than cores, each compiling the fuzz kernels the
+        perf benchmark's ``serve_mix`` draws from, at a 10 us switch
+        interval: every compile finishes and yields the serial IR."""
+        kernels = [generate_kernel(seed) for seed in range(24)]
+
+        def compiled(kernel):
+            module = lower_kernels([kernel], kernel.name)
+            compile_module(module, "uu_heuristic",
+                           max_instructions=MAX_INSTRUCTIONS)
+            verify_module(module)
+            return print_module(module)
+
+        serial = [compiled(k) for k in kernels]
+        results = {}
+
+        def work(tid):
+            try:
+                order = kernels[8 * tid:] + kernels[:8 * tid]
+                results[tid] = sorted(compiled(k) for k in order)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                results[tid] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(tid,))
+                       for tid in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for tid in range(3):
+            assert results[tid] == sorted(serial), results[tid]

@@ -146,34 +146,6 @@ def test_cache_tune_entries_share_shard_with_plain(tmp_path):
     assert stats["entries"] == 2 and stats["tune_entries"] == 1
 
 
-def test_cache_migrates_flat_entry_on_first_access(tmp_path):
-    cache = CellCache(tmp_path)
-    key = "cd" + "2" * 62
-    # Simulate a pre-sharding cache: write the entry, then flatten it.
-    cache.put(key, make_cell())
-    flat = tmp_path / f"{key}.json"
-    cache._path(key).rename(flat)
-    (tmp_path / "cd").rmdir()
-    assert cache.entries() == [flat]
-
-    entry = cache.get(key)
-    assert entry is not None and entry[0] == make_cell()
-    # The flat entry moved into its shard during the lookup.
-    assert not flat.exists()
-    assert cache._path(key).exists()
-    assert cache.get(key) is not None       # Served from the shard now.
-    assert cache.stats()["entries"] == 1
-
-
-def test_cache_corrupt_flat_entry_discarded(tmp_path):
-    cache = CellCache(tmp_path)
-    key = "ef" + "3" * 62
-    flat = tmp_path / f"{key}.json"
-    flat.write_text("{ not json")
-    assert cache.get(key) is None
-    assert not flat.exists() and not cache._path(key).exists()
-
-
 # -- cache keys ---------------------------------------------------------------
 
 def _key(heuristic, **overrides):

@@ -337,8 +337,8 @@ class TestDaemon:
     def test_served_directives_equal_direct_plan(self, daemon):
         """A served directive list is the direct compile of the same plan,
         bit for bit: IR, cycles and counters."""
-        from repro.serve.service import (SUBJECT_MAX_INSTRUCTIONS,
-                                         _counters_json, _run_subject)
+        from repro.fuzz.oracle import MAX_INSTRUCTIONS, run_one_warp
+        from repro.serve.service import _counters_json
         req = ir_request(ir=BRANCHY_IR, directives=("unroll(4)@fuzz80:0",
                                                     "unmerge@fuzz80:0"))
         served = ServeClient(daemon.url).submit_and_wait(req, timeout=120)
@@ -346,10 +346,10 @@ class TestDaemon:
 
         module = parse_module(BRANCHY_IR, "submission")
         compiled = compile_module(
-            module, req.config, max_instructions=SUBJECT_MAX_INSTRUCTIONS,
+            module, req.config, max_instructions=MAX_INSTRUCTIONS,
             plan=[LoopDirective("fuzz80:0", 4, False),
                   LoopDirective("fuzz80:0", 1, True)])
-        _, counters = _run_subject(module, req.lanes, None)
+        _, counters = run_one_warp(module, req.lanes, None)
         assert served.optimized_ir == print_module(module)
         assert served.cycles == counters.cycles
         assert served.counters == json.loads(

@@ -262,51 +262,12 @@ def test_feedback_on_lazily_compiled_regions_is_repersisted(
 
 # -- observing does not change what runs --------------------------------------
 
-# STORM_IR with the exit test in the loop header.  An execution profile
-# seeds guard sides by design (``regions._pick_side``); here the hot side
-# of every branch is also the static pick, so a live session may change
-# nothing at all.  (It still re-seeds STORM_IR's latch guard.)
-HEADER_EXIT_STORM_IR = """
-define i64 @hdr(i64 %n) {
-entry:
-  %tid = call i64 @tid.x()
-  %bit = and i64 %tid, 1
-  %odd = icmp eq i64 %bit, 1
-  br label %loop
-loop:
-  %i = phi i64 [ 0, %entry ], [ %i.next, %latch ]
-  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %latch ]
-  %more = icmp slt i64 %i, %n
-  br i1 %more, label %body, label %exit
-body:
-  %pre = add i64 %acc, %i
-  br i1 %odd, label %a, label %b
-a:
-  %x = mul i64 %pre, 3
-  br label %latch
-b:
-  %y0 = add i64 %pre, 7
-  br label %b2
-b2:
-  %y = mul i64 %y0, 5
-  br label %latch
-latch:
-  %m = phi i64 [ %x, %a ], [ %y, %b2 ]
-  %acc.next = and i64 %m, 1048575
-  %i.next = add i64 %i, 1
-  br label %loop
-exit:
-  ret i64 %acc
-}
-"""
-
-
 def test_observed_and_unobserved_launches_compile_the_same(
         fresh_jit_session):
     """Unobserved, with ``REPRO_TRACE`` set, and under a live obs session
-    the jit selects, compiles and reshapes the same regions — on a first
-    machine and on a second one, after guard feedback truncated a region
-    of the first."""
+    the jit selects, compiles and reshapes the same regions — selection
+    reads no execution profile — on a first machine and on a second one,
+    after guard feedback truncated a region of the first."""
     trips = jit.TIER_UP_DISPATCHES + 3 * regions.GUARD_DEMOTE_FAILS
 
     scopes = {
@@ -318,14 +279,13 @@ def test_observed_and_unobserved_launches_compile_the_same(
 
     def run(observe):
         with scopes[observe]():
-            got, machine = launch_all(HEADER_EXIT_STORM_IR, "m", "jit",
-                                      1, 64, [trips])
+            got, machine = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
         (region_map,) = machine._regions.values()
         return (compiled_kinds(region_map), got,
                 region_cache.take_session())
 
     first = run("unobserved")
-    assert first[0]["latch"][-1] == R_EXIT_CONDBR   # Truncated by feedback.
+    assert first[0]["loop"][-1] == R_EXIT_CONDBR   # Truncated by feedback.
     assert first[2]["selections"] == 1
     for observe in ("unobserved", "env", "env", "session", "session"):
         assert run(observe) == first, observe
