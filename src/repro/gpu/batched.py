@@ -25,20 +25,40 @@ onto :class:`~repro.gpu.machine.SimtMachine`'s per-warp path, resuming from
 the exact divergence point with their sliced register state, seeded
 counters, and a cloned icache.
 
+Groups carry their counts.  A parked group is ``(epoch, block, mask,
+actives)``: the ``(n, 32)`` mask and, made with it, its ``(n,)`` per-row
+active-lane counts (one int per group on the per-warp path).  Nothing
+downstream recounts a mask it was handed — hardware does not either, a
+SIMT-stack entry carries its active mask with its PC.  At a conditional
+branch one count of the taken side gives both sides (the lanes of a row
+partition: ``f = actives - t``), groups merging at a block add their
+counts (their lanes are disjoint), the charge factor, the full-mask test
+for region entry and the per-row branch classification all read the
+counts, and no live row is ever empty, so nothing asks a mask ``.any()``.
+
 Bit-identicality contract
 -------------------------
 Return values, counters, and cycle totals equal the per-warp engine
 *exactly* (``tests/test_engine_equivalence.py``), which is what lets the
 persistent cell cache omit the engine from its keys and the fuzz oracle
-treat engines as interchangeable.  The two float-sensitive points:
+treat engines as interchangeable.  Accounting splits in two:
 
-* per-warp cycle/stall accumulators are kept as ``(n,)`` float64 vectors
-  updated elementwise in the *same step order* as the serial engine, with
-  the same :func:`~repro.gpu.timing.charge` expression shape — IEEE doubles
-  make the per-row sums bit-identical;
-* the final reduction into the launch :class:`~repro.gpu.counters.Counters`
-  runs in original warp order (block-major), because float addition is not
-  associative.  Integer counters commute and aggregate directly.
+* **integers, once per block** — ``inst_executed``,
+  ``thread_inst_executed``, ``active_lane_sum`` and the six ``inst_*``
+  counters commute, so decode seals each block's issue counts
+  (:meth:`_DecodedBlock.seal <repro.gpu.machine._DecodedBlock.seal>`) and
+  a dispatch applies them in one ``Counters.note_issue`` (an edge's phi
+  moves in one more), wherever in the block the steps sat;
+* **floats, once per step** — float addition does not associate, so the
+  per-warp cycle/stall accumulators are ``(n,)`` float64 vectors updated
+  elementwise in the *same step order* as the serial engine.  The charges
+  themselves are formed once per dispatch (``cost_column * factor``: each
+  element the same :func:`~repro.gpu.timing.charge` product as before —
+  IEEE doubles make the per-row sums bit-identical); only their *adds*
+  stay one per step, memory latencies interleaved where they occur.
+
+The final reduction into the launch :class:`~repro.gpu.counters.Counters`
+runs in original warp order (block-major), for the same reason.
 
 Memory transaction counting stays per-warp: loads/stores loop over the
 rows of the lattice calling :meth:`Memory.load`/:meth:`Memory.store` once
@@ -57,9 +77,9 @@ from .icache import InstructionCache
 from .memory import Memory
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
 from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
-                      _BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
-                      _K_VALUE, _K_VOID, _T_BR, _T_CONDBR, _T_RET,
-                      _T_UNREACHABLE, _WarpContext, _geometry_vec)
+                      _PHI_COST, _K_VALUE, _K_VOID, _T_BR, _T_CONDBR,
+                      _T_UNREACHABLE, _WarpContext, _bad_terminator,
+                      _geometry_vec, _merge_groups)
 from .regions import RegionMap
 
 # Per-row conditional-branch classification (bit 1: any lane taken,
@@ -160,7 +180,8 @@ class _BatchState:
         self.memory_stall = memory_stall  # (n,) float64 memory stalls.
         self.cat_cycles = cat_cycles      # (n, N_CATEGORIES) float64.
         self.icache = icache              # Representative for all rows.
-        self.groups = groups              # [(epoch, db, (n, 32) mask)].
+        #: [(epoch, db, (n, 32) mask, (n,) active lanes per row)].
+        self.groups = groups
         #: Per-row count of batch splits survived (demotion hysteresis).
         self.splits = splits if splits is not None \
             else np.zeros(ctx.n, dtype=np.int64)
@@ -177,26 +198,6 @@ class _Results:
         self.cat = [[0.0] * N_CATEGORIES for _ in range(n)]
         self.fetch = [0] * n
         self.ret: List[Optional[np.ndarray]] = [None] * n
-
-
-def _note_batch(total: Counters, category: str, n: int,
-                active_sum: int) -> None:
-    """``Counters.note_issue`` for ``n`` warps at once (ints commute)."""
-    total.inst_executed += n
-    total.thread_inst_executed += active_sum
-    total.active_lane_sum += active_sum
-    if category == "misc":
-        total.inst_misc += active_sum
-    elif category == "control":
-        total.inst_control += active_sum
-    elif category == "int":
-        total.inst_int += active_sum
-    elif category == "fp":
-        total.inst_fp += active_sum
-    elif category == "load":
-        total.inst_load += active_sum
-    elif category == "store":
-        total.inst_store += active_sum
 
 
 def _merge_ints(total: Counters, counters: Counters) -> None:
@@ -246,7 +247,7 @@ def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
     active = lane_ids < block_dim
     state = _BatchState(ctx, np.zeros(n), np.zeros(n),
                         np.zeros((n, N_CATEGORIES)), icache,
-                        [(0, entry, active)])
+                        [(0, entry, active, active.sum(axis=1))])
     results = _Results(n)
     worklist = [state]
     while worklist:
@@ -274,10 +275,10 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
                regions: Optional[RegionMap]) -> None:
     """Drive one batch: the serial group scheduler, lifted to the lattice.
 
-    Merge groups parked at the same block (ORing the (n, 32) masks), run
-    the laggard (min ``(epoch, rpo)``), and repeat — identical pop order to
-    what every row's serial scheduler would produce, by the batching
-    invariant.  With ``regions`` (the jit engine) each pop is first
+    Merge groups parked at the same block (ORing the (n, 32) masks,
+    adding their lane counts), run the laggard (min ``(epoch, rpo)``), and
+    repeat — identical pop order to what every row's serial scheduler
+    would produce, by the batching invariant.  With ``regions`` (the jit engine) each pop is first
     offered to the trace tier.  A singleton that has split off often
     enough (``DEMOTE_HYSTERESIS``) goes to the per-warp engine instead.
     Splits and abandons the state on cross-warp divergence; records
@@ -296,27 +297,20 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
             raise SimulationError(
                 f"@{func.name}: exceeded {machine.max_cycles} cycles "
                 "(runaway kernel?)")
-        merged: Dict[int, Tuple] = {}
-        for epoch, db, mask in state.groups:
-            existing = merged.get(db.block_id)
-            if existing is None:
-                merged[db.block_id] = (epoch, db, mask)
-            else:
-                merged[db.block_id] = (max(existing[0], epoch), db,
-                                       existing[2] | mask)
-        groups = list(merged.values())
-        groups.sort(key=lambda g: (g[0], g[1].rpo), reverse=True)
-        epoch, db, mask = groups.pop()
-        state.groups = groups
-        if not mask.any():
+        if len(state.groups) > 1:
+            state.groups = _merge_groups(state.groups)
+        epoch, db, mask, actives = state.groups.pop()
+        lanes = int(actives.sum())
+        if not lanes:
             continue
         pending = INTERPRET if regions is None else enter_region(
-            machine, func, regions, db, epoch, mask, state, arg_values, total)
+            machine, func, regions, db, epoch, mask, state, arg_values, total,
+            actives, lanes)
         if pending is INTERPRET:
             state.cycles += state.icache.access(db.block_id, db.size)
             if profile is None:
                 pending = _exec_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total)
+                                      arg_values, total, actives, lanes)
             else:
                 # One sample per batched block execution: active lanes
                 # summed over all rows against the whole lattice's lane
@@ -324,14 +318,13 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
                 start_ts = float(state.cycles[0])
                 before = float(state.cycles.sum())
                 pending = _exec_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total)
+                                      arg_values, total, actives, lanes)
                 profile.note_block(db.name,
                                    float(state.cycles.sum()) - before,
-                                   int(np.count_nonzero(mask)), mask.size,
-                                   start_ts)
+                                   lanes, mask.size, start_ts)
         if pending is not None:
             if profile is not None:
-                cls = pending[5]
+                cls = pending[-1]
                 profile.note_split(db.name, len(set(cls.tolist())),
                                    int(cls.size))
             _split_state(state, arg_values, pending, total, worklist)
@@ -340,23 +333,25 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
 
 
 def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
-                state: _BatchState, arg_values, total: Counters):
+                state: _BatchState, arg_values, total: Counters,
+                actives: np.ndarray, lanes: int):
     """Execute one decoded block for the whole batch.
 
-    Returns ``None`` when the batch stays together, or the pending
-    conditional-branch split ``(true_edge, false_edge, epoch, t_mask,
-    f_mask, cls)`` when warps disagree.
+    ``actives`` are the mask's per-row lane counts and ``lanes`` their
+    sum.  Returns ``None`` when the batch stays together, or the pending
+    conditional-branch split (see :func:`_resolve_condbr`) when warps
+    disagree.
     """
     ctx = state.ctx
     n = mask.shape[0]
-    actives = np.count_nonzero(mask, axis=1)
-    active_sum = int(actives.sum())
-    factor = _issue_factor(actives)
+    total.note_issue(db.issues, lanes, n)
+    # Every charge of the dispatch in one product: row k is step k's
+    # ``cost * factor``, the last row the terminator's.
+    charges = db.cost_column * _issue_factor(actives)
     cycles = state.cycles
     cat = state.cat_cycles
-    for category, cat_idx, cost, kind, run, brun, write, _meta in db.steps:
-        _note_batch(total, category, n, active_sum)
-        c = cost * factor
+    for (_category, cat_idx, _cost, kind, run, brun, write,
+         _meta), c in zip(db.steps, charges):
         cycles += c
         cat[:, cat_idx] += c
         if kind == _K_VALUE:
@@ -365,85 +360,101 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
             brun(ctx, arg_values, mask, actives, state)
 
     term_kind = db.term_kind
+    if term_kind >= _T_UNREACHABLE:
+        raise _bad_terminator(func, db)
+    c = charges[-1]
+    cycles += c
+    cat[:, _CAT_CONTROL] += c
     if term_kind == _T_BR:
-        _note_batch(total, "control", n, active_sum)
-        c = _BR_COST * factor
-        cycles += c
-        cat[:, _CAT_CONTROL] += c
         total.branches += n
-        _follow_batch(db.term, epoch, mask, state, arg_values, total)
+        _follow_batch(db.term, epoch, mask, actives, state, arg_values,
+                      total)
         return None
     if term_kind == _T_CONDBR:
-        _note_batch(total, "control", n, active_sum)
-        c = _CONDBR_COST * factor
-        cycles += c
-        cat[:, _CAT_CONTROL] += c
         total.branches += n
         read_cond, true_edge, false_edge = db.term
-        cond = read_cond(ctx, arg_values).astype(bool)
-        if cond.shape != mask.shape:
-            cond = np.broadcast_to(cond, mask.shape)
-        t_mask = mask & cond
-        f_mask = mask & ~cond
-        t_any = t_mask.any(axis=1)
-        f_any = f_mask.any(axis=1)
-        cls = (t_any.astype(np.int8) << 1) | f_any.astype(np.int8)
-        first = int(cls[0])
-        if bool((cls == first).all()):
-            if first == _CLS_DIVERGENT:
-                total.divergent_branches += n
-                _follow_batch(true_edge, epoch, t_mask, state, arg_values,
-                              total)
-                _follow_batch(false_edge, epoch, f_mask, state, arg_values,
-                              total)
-            elif first == _CLS_TAKEN:
-                _follow_batch(true_edge, epoch, t_mask, state, arg_values,
-                              total)
-            else:
-                _follow_batch(false_edge, epoch, f_mask, state, arg_values,
-                              total)
-            return None
-        return (true_edge, false_edge, epoch, t_mask, f_mask, cls)
-    if term_kind == _T_RET:
-        _note_batch(total, "control", n, active_sum)
-        c = _RET_COST * factor
-        cycles += c
-        cat[:, _CAT_CONTROL] += c
-        read_value, dtype = db.term
-        if read_value is not None:
-            value = read_value(ctx, arg_values)
-            if value.shape != mask.shape:
-                value = np.broadcast_to(value, mask.shape)
-            if ctx.ret_values is None:
-                ctx.ret_values = np.zeros(mask.shape, dtype=dtype)
-            ctx.ret_values[mask] = value[mask]
-        return None
-    if term_kind == _T_UNREACHABLE:
-        raise SimulationError(
-            f"@{func.name}: executed unreachable in {db.name}")
-    raise SimulationError(
-        f"@{func.name}: block {db.name} has no terminator")
+        return _resolve_condbr(read_cond(ctx, arg_values), mask, actives,
+                               true_edge, false_edge, epoch, state,
+                               arg_values, total)
+    _write_ret(ctx, db.term, mask, arg_values)
+    return None
 
 
-def _follow_batch(edge, epoch: int, mask: np.ndarray, state: _BatchState,
-                  arg_values, total: Counters) -> None:
+def _write_ret(ctx, ret, mask: np.ndarray, arg_values) -> None:
+    """A ``ret`` terminator: the returned value under the group's mask."""
+    read_value, dtype = ret
+    if read_value is not None:
+        if ctx.ret_values is None:
+            ctx.ret_values = np.zeros(mask.shape, dtype=dtype)
+        np.copyto(ctx.ret_values, read_value(ctx, arg_values), where=mask,
+                  casting="unsafe")
+
+
+def _classify(cond, mask: np.ndarray, actives: np.ndarray):
+    """Per-row outcome of a conditional branch over one group.
+
+    Returns ``(first, t_mask, t_actives, f_actives, cls)``: the taken
+    side's mask (the other side is ``mask & ~t_mask``), both sides'
+    per-row lane counts — the lanes of a row partition, so one count
+    gives both — the per-row class, and ``first``, the class every row
+    shares (None when rows disagree).
+    """
+    t_mask = mask & cond.astype(bool, copy=False)
+    t_actives = t_mask.sum(axis=1)
+    f_actives = actives - t_actives
+    cls = (t_actives > 0) * _CLS_TAKEN + (f_actives > 0)
+    classes = cls.tolist()
+    first = classes[0]
+    if classes.count(first) != len(classes):
+        first = None
+    return first, t_mask, t_actives, f_actives, cls
+
+
+def _resolve_condbr(cond, mask: np.ndarray, actives: np.ndarray, true_edge,
+                    false_edge, epoch: int, state: _BatchState, arg_values,
+                    total: Counters):
+    """Resolve a conditional branch for a group of the batch.
+
+    Parks the sub-groups when all rows agree, or returns the pending
+    split ``(true_edge, false_edge, epoch, t_mask, f_mask, t_actives,
+    f_actives, cls)`` for ``_split_state``.
+    """
+    first, t_mask, t_actives, f_actives, cls = _classify(cond, mask, actives)
+    if first == _CLS_TAKEN:
+        _follow_batch(true_edge, epoch, t_mask, actives, state, arg_values,
+                      total)
+    elif first == _CLS_NOT_TAKEN:
+        _follow_batch(false_edge, epoch, mask, actives, state, arg_values,
+                      total)
+    elif first == _CLS_DIVERGENT:
+        total.divergent_branches += mask.shape[0]
+        _follow_batch(true_edge, epoch, t_mask, t_actives, state, arg_values,
+                      total)
+        _follow_batch(false_edge, epoch, mask & ~t_mask, f_actives, state,
+                      arg_values, total)
+    else:
+        return (true_edge, false_edge, epoch, t_mask, mask & ~t_mask,
+                t_actives, f_actives, cls)
+    return None
+
+
+def _follow_batch(edge, epoch: int, mask: np.ndarray, actives: np.ndarray,
+                  state: _BatchState, arg_values, total: Counters) -> None:
     """Batched ``_follow``: phi edge-moves over the lattice, then park."""
     moves = edge.moves
-    ctx = state.ctx
-    if moves and mask.any():
-        actives = np.count_nonzero(mask, axis=1)
-        active_sum = int(actives.sum())
-        n = mask.shape[0]
+    if moves:
+        ctx = state.ctx
         c = _PHI_COST * _issue_factor(actives)
+        total.note_issue(edge.issues, int(actives.sum()),
+                         mask.shape[0])  # One mov per phi.
         # Parallel-copy semantics: read all incomings before writing.
         staged = [(write, read(ctx, arg_values))
                   for write, read, _pid, _dt, _sid in moves]
         for write, value in staged:
-            _note_batch(total, "misc", n, active_sum)  # One mov per phi.
             state.cycles += c
             state.cat_cycles[:, _CAT_MISC] += c
             write(ctx, value, mask)
-    state.groups.append((epoch + edge.bump_epoch, edge.target, mask))
+    state.groups.append((epoch + edge.bump_epoch, edge.target, mask, actives))
 
 
 def _split_state(state: _BatchState, arg_values, pending, total: Counters,
@@ -455,7 +466,8 @@ def _split_state(state: _BatchState, arg_values, pending, total: Counters,
     it; whether a singleton then demotes to the per-warp engine is
     decided when its turn comes (``_run_state``), not here.
     """
-    true_edge, false_edge, epoch, t_mask, f_mask, cls = pending
+    (true_edge, false_edge, epoch, t_mask, f_mask, t_actives, f_actives,
+     cls) = pending
     for value in (_CLS_DIVERGENT, _CLS_TAKEN, _CLS_NOT_TAKEN):
         idx = np.flatnonzero(cls == value)
         if idx.size == 0:
@@ -463,16 +475,12 @@ def _split_state(state: _BatchState, arg_values, pending, total: Counters,
         sub = _slice_state(state, idx)
         if value == _CLS_DIVERGENT:
             total.divergent_branches += int(idx.size)
-            _follow_batch(true_edge, epoch, t_mask[idx], sub, arg_values,
-                          total)
-            _follow_batch(false_edge, epoch, f_mask[idx], sub, arg_values,
-                          total)
-        elif value == _CLS_TAKEN:
-            _follow_batch(true_edge, epoch, t_mask[idx], sub, arg_values,
-                          total)
-        else:
-            _follow_batch(false_edge, epoch, f_mask[idx], sub, arg_values,
-                          total)
+        if value != _CLS_NOT_TAKEN:
+            _follow_batch(true_edge, epoch, t_mask[idx], t_actives[idx], sub,
+                          arg_values, total)
+        if value != _CLS_TAKEN:
+            _follow_batch(false_edge, epoch, f_mask[idx], f_actives[idx],
+                          sub, arg_values, total)
         worklist.append(sub)
 
 
@@ -487,7 +495,8 @@ def _slice_state(state: _BatchState, idx: np.ndarray) -> _BatchState:
         ctx.ret_values = octx.ret_values[idx]
     return _BatchState(ctx, state.cycles[idx], state.memory_stall[idx],
                        state.cat_cycles[idx], state.icache.clone(),
-                       [(e, db, m[idx]) for e, db, m in state.groups],
+                       [(e, db, m[idx], a[idx])
+                        for e, db, m, a in state.groups],
                        state.splits[idx] + 1)
 
 
@@ -516,7 +525,7 @@ def _demote_row(machine, func, state: _BatchState, arg_values,
     counters.cycles = float(state.cycles[0])
     counters.memory_stall_cycles = float(state.memory_stall[0])
     counters.cat_cycles = [float(x) for x in state.cat_cycles[0]]
-    groups = [(e, db, m[0]) for e, db, m in state.groups]
+    groups = [(e, db, m[0], int(a[0])) for e, db, m, a in state.groups]
     machine._warp_loop(func, wctx, arg_values, groups, counters,
                        state.icache)
     results.cycles[orig] = counters.cycles

@@ -9,7 +9,7 @@ IPC, global-load throughput and the instruction-fetch stall fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from .timing import CLOCK_HZ
 
@@ -26,6 +26,26 @@ N_CATEGORIES = len(CATEGORIES)
 def cat_index(category: str) -> int:
     """Index of ``category`` in :data:`CATEGORIES` (unknown -> misc)."""
     return CAT_INDEX.get(category, CAT_INDEX["misc"])
+
+
+#: Thread-instruction counter per category ("special" has none).
+_CAT_ATTR = {"misc": "inst_misc", "control": "inst_control",
+             "int": "inst_int", "fp": "inst_fp",
+             "load": "inst_load", "store": "inst_store"}
+
+#: ``(issues, ((Counters attribute, count), ...))`` — see :func:`seal_issues`.
+SealedIssues = Tuple[int, Tuple[Tuple[str, int], ...]]
+
+
+def seal_issues(categories: Sequence[str]) -> SealedIssues:
+    """Fold a run of warp instructions (one category each) into the
+    integer counts :meth:`Counters.note_issue` applies in one call."""
+    per_cat: Dict[str, int] = {}
+    for cat in categories:
+        per_cat[cat] = per_cat.get(cat, 0) + 1
+    return (len(categories),
+            tuple((_CAT_ATTR[cat], count) for cat, count in per_cat.items()
+                  if cat in _CAT_ATTR))
 
 
 @dataclass
@@ -57,22 +77,20 @@ class Counters:
     cat_cycles: List[float] = field(
         default_factory=lambda: [0.0] * N_CATEGORIES)
 
-    def note_issue(self, category: str, active: int) -> None:
-        self.inst_executed += 1
-        self.thread_inst_executed += active
-        self.active_lane_sum += active
-        if category == "misc":
-            self.inst_misc += active
-        elif category == "control":
-            self.inst_control += active
-        elif category == "int":
-            self.inst_int += active
-        elif category == "fp":
-            self.inst_fp += active
-        elif category == "load":
-            self.inst_load += active
-        elif category == "store":
-            self.inst_store += active
+    def note_issue(self, sealed: SealedIssues, lanes: int,
+                   warps: int = 1) -> None:
+        """Account a sealed run of instructions issued once by each of
+        ``warps`` warps with ``lanes`` active lanes between them.
+
+        Integers commute, so a whole block (or a whole region run) is one
+        call wherever in the run its steps sat.
+        """
+        issues, cat_counts = sealed
+        self.inst_executed += issues * warps
+        self.thread_inst_executed += issues * lanes
+        self.active_lane_sum += issues * lanes
+        for attr, count in cat_counts:
+            setattr(self, attr, getattr(self, attr) + count * lanes)
 
     # -- derived metrics -----------------------------------------------------
     @property

@@ -9,8 +9,8 @@ Python function compiled with :func:`compile`, so N dispatches become
 one call:
 
 * constant / undef / global-address operands are hoisted once into the
-  generated code's namespace as shared read-only arrays (exactly the
-  arrays ``SimtMachine._reader`` would materialise);
+  generated code's namespace as shared read-only arrays (the very
+  arrays ``SimtMachine._operand_vec`` hands the interpreter's readers);
 * intermediate results live in Python locals; only *liveout* values —
   those with IR uses outside the fused segment — are stored back into
   the context's SSA slot dict, dead temporaries vanish entirely;
@@ -38,15 +38,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..ir.constants import ConstantFloat, ConstantInt, Undef
 from ..ir.function import Function
 from ..ir.instructions import (BinaryInst, CallInst, CastInst, FCmpInst,
                                GEPInst, ICmpInst, SelectInst)
 from ..ir.values import Argument, GlobalVariable
-from ..semantics import NAMESPACE, op_for, storage_dtype
-from .machine import GEOMETRY, WARP_SIZE, _K_VALUE
+from ..semantics import NAMESPACE, op_for
+from .machine import GEOMETRY, _K_VALUE
 
 #: A fused segment must replace at least this many value steps.  Short
 #: chains are a wash: the generated call + liveout slot stores cost about
@@ -200,19 +198,6 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
             ns[name] = vid
         return name
 
-    # The same read-only operand arrays _reader would materialise.
-    def materialize(value) -> np.ndarray:
-        if isinstance(value, (ConstantInt, ConstantFloat)):
-            arr = np.full(WARP_SIZE, value.value,
-                          dtype=storage_dtype(value.type))
-        elif isinstance(value, Undef):
-            arr = np.zeros(WARP_SIZE, dtype=storage_dtype(value.type))
-        else:  # GlobalVariable
-            arr = np.full(WARP_SIZE, machine._global_addrs[value.name],
-                          dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
     local: Dict[int, str] = {}      # id(inst) -> segment-local var
     fresh: Dict[int, bool] = {}     # local holds a freshly-owned array
     liveflag: Dict[int, bool] = {}  # local was stored to values[]
@@ -234,7 +219,8 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
             if key is None:
                 key = f"K{len(hoisted)}"
                 hoisted[vid] = key
-                ns[key] = materialize(value)
+                # The very array the interpreter's readers hold.
+                ns[key] = machine._operand_vec(value)
             return key
         if isinstance(value, Argument):
             return f"args[{slot(vid)}]"
@@ -251,7 +237,8 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
         """
         if not isinstance(value, (ConstantInt, Undef)):
             return None
-        arr = eval(clamp.format(b="b"), NAMESPACE, {"b": materialize(value)})
+        arr = eval(clamp.format(b="b"), NAMESPACE,
+                   {"b": machine._operand_vec(value)})
         arr.setflags(write=False)
         return hoist(arr, "P")
 

@@ -40,7 +40,8 @@ from typing import Dict
 
 import numpy as np
 
-from .batched import (INTERPRET, _BatchState, _follow_batch, _issue_factor,
+from .batched import (INTERPRET, _BatchState, _classify, _follow_batch,
+                      _issue_factor, _resolve_condbr, _write_ret,
                       _CLS_DIVERGENT, _CLS_TAKEN)
 from ..obs import metrics as obs_metrics
 from .counters import Counters
@@ -73,7 +74,8 @@ def _raise_undef(exc: KeyError, names) -> None:
 
 
 def enter_region(machine, func, regions: RegionMap, db, epoch: int,
-                 mask: np.ndarray, state: _BatchState, arg_values, total):
+                 mask: np.ndarray, state: _BatchState, arg_values, total,
+                 actives: np.ndarray, lanes: int):
     """The dispatcher's tier-2 hook: run ``db``'s region if it has one.
 
     Returns ``INTERPRET`` when the block is the interpreter's — no
@@ -81,7 +83,8 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
     ``TIER_UP_DISPATCHES`` compiles one on the spot), or no full mask —
     else the region run's outcome (None or a pending split).
 
-    A region fires only for a group with a *full* mask: then the charge
+    A region fires only for a group with a *full* mask (``lanes``, the
+    group's active-lane count, covers the lattice): then the charge
     factor is uniform, and — since live masks partition lanes — the
     group is provably the only one in the state, so running the whole
     trace without re-entering the scheduler replays the interpreter's
@@ -100,10 +103,10 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
         if region is None:
             return INTERPRET
         note_compiled(region)
-    if not bool(mask.all()):
+    if lanes != mask.size:
         # Regions need every lane live; one that only ever sees
-        # partial masks (e.g. one half of an if/else) is dropped so
-        # its full-mask test stops costing a lattice reduction.
+        # partial masks (e.g. one half of an if/else) can never fire
+        # and is dropped.
         region.entry_fails += 1
         if (region.entry_fails >= GUARD_DEMOTE_FAILS
                 and region.entries == 0):
@@ -111,22 +114,27 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
         return INTERPRET
     region.entries += 1
     return _run_region(machine, func, region, epoch, mask, state,
-                       arg_values, total, machine.profile, regions)
+                       arg_values, total, machine.profile, regions, actives)
 
 
 def _run_region(machine, func, region: CompiledRegion, epoch: int,
                 mask: np.ndarray, state: _BatchState, arg_values, total,
-                profile, regions):
-    """Execute one compiled superblock; returns None or a pending split."""
+                profile, regions, actives: np.ndarray):
+    """Execute one compiled superblock; returns None or a pending split.
+
+    ``mask`` is full, so ``actives`` — its per-row lane counts, which the
+    exits hand on with it — reads ``WARP_SIZE`` in every row.
+    """
     if region.scalar_ok and _rows_uniform(state):
         if region.self_loop is not None and profile is None:
             return _region_self_scalar(machine, func, region,
                                        region.self_loop, epoch, mask,
-                                       state, arg_values, total, regions)
+                                       state, arg_values, total, regions,
+                                       actives)
         return _region_scalar(machine, func, region, epoch, mask, state,
-                              arg_values, total, profile, regions)
+                              arg_values, total, profile, regions, actives)
     return _region_vector(machine, func, region, epoch, mask, state,
-                          arg_values, total, profile, regions)
+                          arg_values, total, profile, regions, actives)
 
 
 def _rows_uniform(state: _BatchState) -> bool:
@@ -144,16 +152,10 @@ def _flush_ints(total: Counters, issues: int, branches: int,
 
     Integer counters are exact and commutative, so a region run folds
     them into plain locals per op and flushes once per exit — identical
-    totals to the interpreter's per-instruction ``note_issue`` calls.
+    totals to the interpreter's ``note_issue`` per dispatched block.
     """
-    if issues:
-        total.inst_executed += issues * n
-        total.thread_inst_executed += issues * lanes
-        total.active_lane_sum += issues * lanes
-        for attr, count in cat_acc.items():
-            setattr(total, attr, getattr(total, attr) + count * lanes)
-    if branches:
-        total.branches += branches * n
+    total.note_issue((issues, cat_acc.items()), lanes, n)
+    total.branches += branches * n
 
 
 def _bind_phis(ctx, arg_values, moves, shape) -> None:
@@ -209,39 +211,9 @@ def _normalize_slots(ctx, norm, shape) -> None:
             seen.add(aid)
 
 
-def _resolve_condbr(cond, mask, true_edge, false_edge, epoch, state,
-                    arg_values, total):
-    """The interpreter's conditional-branch resolution, verbatim.
-
-    Used on guard failure and at condbr region exits: classifies each
-    row, parks sub-groups when all rows agree, or returns the pending
-    split for ``_split_state``.
-    """
-    cond = cond.astype(bool)
-    if cond.shape != mask.shape:
-        cond = np.broadcast_to(cond, mask.shape)
-    t_mask = mask & cond
-    f_mask = mask & ~cond
-    t_any = t_mask.any(axis=1)
-    f_any = f_mask.any(axis=1)
-    cls = (t_any.astype(np.int8) << 1) | f_any.astype(np.int8)
-    first = int(cls[0])
-    if bool((cls == first).all()):
-        if first == _CLS_DIVERGENT:
-            total.divergent_branches += mask.shape[0]
-            _follow_batch(true_edge, epoch, t_mask, state, arg_values, total)
-            _follow_batch(false_edge, epoch, f_mask, state, arg_values, total)
-        elif first == _CLS_TAKEN:
-            _follow_batch(true_edge, epoch, t_mask, state, arg_values, total)
-        else:
-            _follow_batch(false_edge, epoch, f_mask, state, arg_values, total)
-        return None
-    return (true_edge, false_edge, epoch, t_mask, f_mask, cls)
-
-
 def _region_self_scalar(machine, func, region: CompiledRegion, op,
                         epoch: int, mask: np.ndarray, state: _BatchState,
-                        arg_values, total: Counters, regions):
+                        arg_values, total: Counters, regions, actives):
     """Specialized scalar executor for single-block self-loop regions.
 
     The hottest compiled shape — a loop body whose guard jumps straight
@@ -334,14 +306,14 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
     _flush_ints(total, issues, op.branch_inc * (iters + 1), cat_acc, n,
                 lanes)
     _normalize_slots(ctx, region.norm, shape)
-    return _resolve_condbr(cond, mask, op.true_edge, op.false_edge,
+    return _resolve_condbr(cond, mask, actives, op.true_edge, op.false_edge,
                            epoch + op.bump * iters, state, arg_values,
                            total)
 
 
 def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                    mask: np.ndarray, state: _BatchState, arg_values,
-                   total: Counters, profile, regions):
+                   total: Counters, profile, regions, actives):
     """Scalar-accounting region execution (memory-free, uniform rows).
 
     Float accumulation runs on two Python scalars (``cy``/``cats``) in
@@ -411,7 +383,7 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 if profile is not None:
                     profile.note_block(op.name, (cy - start) * n, lanes,
                                        lanes, start)
-                return _resolve_condbr(cond, mask, op.true_edge,
+                return _resolve_condbr(cond, mask, actives, op.true_edge,
                                        op.false_edge, epoch, state,
                                        arg_values, total)
             op.passes += 1
@@ -447,35 +419,31 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
         profile.note_block(op.name, (cy - start) * n, lanes, lanes, start)
     kind = op.kind
     if kind == R_EXIT_BR:
-        _follow_batch(op.exit_edge, epoch, mask, state, arg_values, total)
+        _follow_batch(op.exit_edge, epoch, mask, actives, state, arg_values,
+                      total)
         return None
     if kind == R_EXIT_CONDBR:
         cond = op.read_cond(ctx, arg_values)
-        return _resolve_condbr(cond, mask, op.true_edge, op.false_edge,
-                               epoch, state, arg_values, total)
+        return _resolve_condbr(cond, mask, actives, op.true_edge,
+                               op.false_edge, epoch, state, arg_values, total)
     if kind == R_RET:
-        read_value, dtype = op.ret
-        if read_value is not None:
-            value = read_value(ctx, arg_values)
-            if value.shape != shape:
-                value = np.broadcast_to(value, shape)
-            if ctx.ret_values is None:
-                ctx.ret_values = np.zeros(shape, dtype=dtype)
-            ctx.ret_values[mask] = value[mask]
+        _write_ret(ctx, op.ret, mask, arg_values)
         return None
     # R_UNREACHABLE
     raise SimulationError(
         f"@{func.name}: executed unreachable in {op.name}")
 
 
-def _exec_arm(arm, mask_a: np.ndarray, epoch: int, state: _BatchState,
-              ctx, arg_values, total: Counters, profile) -> int:
+def _exec_arm(arm, mask_a: np.ndarray, actives: np.ndarray, epoch: int,
+              state: _BatchState, ctx, arg_values, total: Counters,
+              profile) -> int:
     """Execute one diamond arm exactly as an interpreter pop would.
 
-    The arm runs under its partial mask with the interpreter's own
-    machinery — per-row ``_issue_factor`` charges, masked writers,
-    ``_follow_batch`` for the join-edge phi moves — so every float lands
-    bit-identically; only the commuting integer counters are folded.
+    The arm runs under its partial mask (``actives`` its per-row lane
+    counts) with the interpreter's own machinery — per-row
+    ``_issue_factor`` charges, masked writers, ``_follow_batch`` for the
+    join-edge phi moves — so every float lands bit-identically; only the
+    commuting integer counters are folded.
     Returns the epoch the join group was parked at (the arm's join-edge
     bump applied), popping the park since control merges in-region.
     """
@@ -484,7 +452,6 @@ def _exec_arm(arm, mask_a: np.ndarray, epoch: int, state: _BatchState,
     if profile is not None:
         start_ts = float(state.cycles[0])
         before = float(state.cycles.sum())
-    actives = np.count_nonzero(mask_a, axis=1)
     active_sum = int(actives.sum())
     n = mask_a.shape[0]
     factor = _issue_factor(actives)
@@ -503,12 +470,9 @@ def _exec_arm(arm, mask_a: np.ndarray, epoch: int, state: _BatchState,
     cycles += c
     cat[:, _CAT_CONTROL] += c
     total.branches += n
-    total.inst_executed += arm_issues * n
-    total.thread_inst_executed += arm_issues * active_sum
-    total.active_lane_sum += arm_issues * active_sum
-    for attr, count in cat_counts:
-        setattr(total, attr, getattr(total, attr) + count * active_sum)
-    _follow_batch(join_edge, epoch, mask_a, state, arg_values, total)
+    total.note_issue((arm_issues, cat_counts), active_sum, n)
+    _follow_batch(join_edge, epoch, mask_a, actives, state, arg_values,
+                  total)
     if profile is not None:
         profile.note_block(name, float(state.cycles.sum()) - before,
                            active_sum, mask_a.size, start_ts)
@@ -517,7 +481,7 @@ def _exec_arm(arm, mask_a: np.ndarray, epoch: int, state: _BatchState,
 
 def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                    mask: np.ndarray, state: _BatchState, arg_values,
-                   total: Counters, profile, regions):
+                   total: Counters, profile, regions, actives):
     """Vector-accounting region execution (general case).
 
     Keeps the per-row ``(n,)``/``(n, 7)`` accumulators (memory latency
@@ -536,7 +500,6 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     ops = region.ops
     cycles = state.cycles
     cat = state.cat_cycles
-    actives = np.full(n, WARP_SIZE, dtype=np.int64)
     acc_issues = 0
     acc_branches = 0
     acc_cats: Dict[str, int] = {}
@@ -608,7 +571,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 if profile is not None:
                     profile.note_block(op.name, float(cycles.sum()) - before,
                                        lanes, lanes, start_ts)
-                return _resolve_condbr(cond, mask, op.true_edge,
+                return _resolve_condbr(cond, mask, actives, op.true_edge,
                                        op.false_edge, epoch, state,
                                        arg_values, total)
             op.passes += 1
@@ -618,16 +581,9 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             # both arms masked (in the scheduler's rpo pop order) for
             # uniform intra-warp divergence, one arm at full mask for a
             # uniformly decided direction.
-            cond = op.read_cond(ctx, arg_values).astype(bool)
-            if cond.shape != shape:
-                cond = np.broadcast_to(cond, shape)
-            t_mask = mask & cond
-            f_mask = mask & ~cond
-            t_any = t_mask.any(axis=1)
-            f_any = f_mask.any(axis=1)
-            cls = (t_any.astype(np.int8) << 1) | f_any.astype(np.int8)
-            first = int(cls[0])
-            if not bool((cls == first).all()):
+            first, t_mask, t_actives, f_actives, cls = _classify(
+                op.read_cond(ctx, arg_values), mask, actives)
+            if first is None:
                 # Cross-warp disagreement: flush and hand the pending
                 # split to the interpreter, as a condbr exit would.
                 _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
@@ -638,26 +594,27 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                                        float(cycles.sum()) - before,
                                        lanes, lanes, start_ts)
                 return (op.true_edge, op.false_edge, epoch, t_mask,
-                        f_mask, cls)
+                        mask & ~t_mask, t_actives, f_actives, cls)
             if profile is not None:
                 profile.note_block(op.name, float(cycles.sum()) - before,
                                    lanes, lanes, start_ts)
             if first == _CLS_DIVERGENT:
                 total.divergent_branches += n
-                arms = ((op.arm_t, t_mask), (op.arm_f, f_mask))
+                arms = ((op.arm_t, t_mask, t_actives),
+                        (op.arm_f, mask & ~t_mask, f_actives))
                 if not op.arms_t_first:
                     arms = (arms[1], arms[0])
-                e1 = _exec_arm(arms[0][0], arms[0][1], epoch, state, ctx,
-                               arg_values, total, profile)
-                e2 = _exec_arm(arms[1][0], arms[1][1], epoch, state, ctx,
-                               arg_values, total, profile)
+                e1 = _exec_arm(*arms[0], epoch, state, ctx, arg_values,
+                               total, profile)
+                e2 = _exec_arm(*arms[1], epoch, state, ctx, arg_values,
+                               total, profile)
                 # The join group merges at the max parked epoch.
                 epoch = max(e1, e2)
             elif first == _CLS_TAKEN:
-                epoch = _exec_arm(op.arm_t, t_mask, epoch, state, ctx,
+                epoch = _exec_arm(op.arm_t, mask, actives, epoch, state, ctx,
                                   arg_values, total, profile)
             else:
-                epoch = _exec_arm(op.arm_f, f_mask, epoch, state, ctx,
+                epoch = _exec_arm(op.arm_f, mask, actives, epoch, state, ctx,
                                   arg_values, total, profile)
             ni = op.next_i
             if ni <= i and float(cycles.max()) > max_cycles:
@@ -696,21 +653,15 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                            lanes, start_ts)
     kind = op.kind
     if kind == R_EXIT_BR:
-        _follow_batch(op.exit_edge, epoch, mask, state, arg_values, total)
+        _follow_batch(op.exit_edge, epoch, mask, actives, state, arg_values,
+                      total)
         return None
     if kind == R_EXIT_CONDBR:
         cond = op.read_cond(ctx, arg_values)
-        return _resolve_condbr(cond, mask, op.true_edge, op.false_edge,
-                               epoch, state, arg_values, total)
+        return _resolve_condbr(cond, mask, actives, op.true_edge,
+                               op.false_edge, epoch, state, arg_values, total)
     if kind == R_RET:
-        read_value, dtype = op.ret
-        if read_value is not None:
-            value = read_value(ctx, arg_values)
-            if value.shape != shape:
-                value = np.broadcast_to(value, shape)
-            if ctx.ret_values is None:
-                ctx.ret_values = np.zeros(shape, dtype=dtype)
-            ctx.ret_values[mask] = value[mask]
+        _write_ret(ctx, op.ret, mask, arg_values)
         return None
     raise SimulationError(
         f"@{func.name}: executed unreachable in {op.name}")

@@ -28,12 +28,18 @@ the per-warp-step hot loop performs no isinstance chains, attribute
 resolution, or cost-table lookups.  The decoded form charges cycles through
 the exact same :func:`repro.gpu.timing.charge`/``issue_cost`` calls as the
 original tree-walking interpreter, so counters and cycle counts are
-bit-identical — only the Python interpreter overhead is removed.  Decoding
-assumes the module's IR is not mutated between launches of the same
-machine (fresh machines are built per compile in the harness).  What a
+bit-identical — only the Python interpreter overhead is removed.  Decode
+also *seals* each block's integer issue counts and cost vector
+(:class:`_DecodedBlock`), so one dispatch bumps the integer counters once
+and reads its charges from a memo, while the float adds stay one per step
+in program order.  Decoding assumes the module's IR is not mutated between
+launches of the same machine (fresh machines are built per compile in the
+harness).  What a
 value instruction *computes* is not decided here: every engine calls the
 kernel of the op-semantics table (:mod:`repro.semantics`, the written
-contract), which the constant folder and the jit's fuser share.
+contract), which the constant folder and the jit's fuser share;
+:meth:`SimtMachine.launch` holds the ``np.errstate`` those kernels are
+total under, once per launch.
 
 Three execution engines consume the decoded form (``REPRO_ENGINE``
 selects; see :func:`resolve_engine`):
@@ -79,7 +85,7 @@ from ..ir.module import Module
 from ..ir.values import Argument, GlobalVariable, Value
 from ..obs import session as obs_session
 from ..semantics import op_for, storage_dtype
-from .counters import Counters, cat_index
+from .counters import Counters, cat_index, seal_issues
 from .icache import InstructionCache
 from .memory import Memory
 from .timing import charge, issue_cost, load_latency, store_cost
@@ -114,6 +120,10 @@ _BR_COST = issue_cost("control", "br")
 _CONDBR_COST = issue_cost("control", "condbr")
 _RET_COST = issue_cost("control", "ret")
 
+#: ``charge(_PHI_COST, active)`` for every possible lane count.
+_PHI_CHARGES = tuple(charge(_PHI_COST, active)
+                     for active in range(WARP_SIZE + 1))
+
 #: Pre-resolved category indices for the per-category cycle breakdown.
 _CAT_CONTROL = cat_index("control")
 _CAT_MISC = cat_index("misc")
@@ -126,7 +136,7 @@ _K_LOAD = 1    # Memory load (latency charged inside the step closure).
 _K_STORE = 2   # Memory store.
 _K_VOID = 3    # Timing-only (e.g. syncthreads).
 
-# Terminator kinds.
+# Terminator kinds; those from _T_UNREACHABLE up cannot transfer control.
 _T_BR = 0
 _T_CONDBR = 1
 _T_RET = 2
@@ -141,6 +151,37 @@ GEOMETRY = {"tid.x": "lane_ids", "ctaid.x": "ctaid", "ntid.x": "ntid",
 
 class SimulationError(Exception):
     """Raised when a kernel executes an illegal operation."""
+
+
+def _bad_terminator(func: Function, db: "_DecodedBlock") -> SimulationError:
+    """The error for dispatching a block that cannot transfer control."""
+    if db.term_kind == _T_UNREACHABLE:
+        return SimulationError(
+            f"@{func.name}: executed unreachable in {db.name}")
+    return SimulationError(
+        f"@{func.name}: block {db.name} has no terminator")
+
+
+def _merge_groups(groups: List[Tuple]) -> List[Tuple]:
+    """Merge the groups parked at one block; the laggard comes last.
+
+    Shared by the per-warp scheduler and the lattice dispatcher.  Groups
+    hold disjoint lanes, so their masks OR and their counts add (ints per
+    warp, ``(n,)`` vectors on the lattice).  The laggard — smallest
+    ``(epoch, rpo)`` — is the next group to run.
+    """
+    merged: Dict[int, Tuple] = {}
+    for group in groups:
+        block_id = group[1].block_id
+        existing = merged.get(block_id)
+        if existing is not None:
+            epoch, db, mask, active = group
+            group = (max(existing[0], epoch), db, existing[2] | mask,
+                     existing[3] + active)
+        merged[block_id] = group
+    groups = list(merged.values())
+    groups.sort(key=lambda g: (g[0], g[1].rpo), reverse=True)
+    return groups
 
 
 @dataclass
@@ -201,12 +242,15 @@ class _WarpContext:
 class _Edge:
     """A decoded CFG edge: target block, epoch bump, and phi moves."""
 
-    __slots__ = ("target", "bump_epoch", "moves")
+    __slots__ = ("target", "bump_epoch", "moves", "issues")
 
     def __init__(self, target: "_DecodedBlock", bump_epoch: int,
                  moves: List) -> None:
         self.target = target
         self.bump_epoch = bump_epoch
+        #: The moves' integer issue counts (one ``misc`` mov per phi),
+        #: sealed for one ``note_issue`` per traversal.
+        self.issues = seal_issues(["misc"] * len(moves))
         #: [(writer, reader, phi_id, dtype, src_id), ...] per phi — the
         #: id/dtype pair lets the region compiler rebind phi slots
         #: directly, and ``src_id`` (``id()`` of an instruction-produced
@@ -235,10 +279,27 @@ class _DecodedBlock:
     result slots without going through the masked writer;
     ``term``/``term_kind`` describe the terminator.  All operand readers,
     result writers, and issue costs are resolved once at decode time.
+
+    Decode then *seals* the block (:meth:`seal`), so that one dispatch
+    pays for its bookkeeping once instead of once per step:
+
+    * ``issues`` — the integer issue counts of the steps plus the
+      terminator (``counters.seal_issues``), applied by one
+      ``Counters.note_issue`` per dispatch;
+    * ``costs`` — the issue cost of every step, then the terminator's
+      (absent for ``unreachable`` and a missing terminator, which raise
+      before charging): :meth:`charges` memoises the per-warp engine's
+      ``charge(cost, active)`` row per ``active``, ``cost_column`` is
+      the same vector as a ``(k, 1)`` float64 column the lattice
+      multiplies by its per-row factor once per dispatch.
+
+    Only the integers are applied per block.  The float charges are
+    still *added* one per step, in step order — float addition does not
+    associate, and that order is what keeps the engines bit-identical.
     """
 
     __slots__ = ("block_id", "name", "size", "rpo", "steps", "term_kind",
-                 "term")
+                 "term", "issues", "costs", "cost_column", "_charges")
 
     def __init__(self, block: BasicBlock, rpo: int) -> None:
         self.block_id = id(block)
@@ -248,6 +309,26 @@ class _DecodedBlock:
         self.steps: List[Tuple] = []
         self.term_kind = _T_MISSING
         self.term = None
+
+    def seal(self, term_cost: Optional[int]) -> None:
+        """Fix the per-dispatch accounting of ``steps`` + terminator."""
+        categories = [step[0] for step in self.steps]
+        costs = [step[2] for step in self.steps]
+        if term_cost is not None:
+            categories.append("control")
+            costs.append(term_cost)
+        self.issues = seal_issues(categories)
+        self.costs = tuple(costs)
+        self.cost_column = np.array(costs, dtype=np.float64)[:, None]
+        self._charges: Dict[int, Tuple[float, ...]] = {}
+
+    def charges(self, active: int) -> Tuple[float, ...]:
+        """``timing.charge(cost, active)`` per entry of ``costs``."""
+        row = self._charges.get(active)
+        if row is None:
+            row = self._charges[active] = tuple(
+                charge(cost, active) for cost in self.costs)
+        return row
 
 
 class SimtMachine:
@@ -269,6 +350,9 @@ class SimtMachine:
         #: pins runs bit-identical with profiling on vs. off).
         self.profile = obs_session.profile()
         self._global_addrs: Dict[str, int] = {}
+        #: Constant / undef / global-address operand -> its shared
+        #: read-only ``(32,)`` vector (see :meth:`_operand_vec`).
+        self._operand_vecs: Dict[Value, np.ndarray] = {}
         self._decoded: Dict[int, _DecodedBlock] = {}
         #: Per-function tier-up state (jit engine only): id(func) ->
         #: ``regions.RegionMap`` — block heat, selected plans, and
@@ -300,39 +384,43 @@ class SimtMachine:
         total = Counters()
         entry = self._decode(func)
         warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
-        if self.engine == "jit" or (self.engine == "batched"
-                                    and grid_dim * warps > 1):
-            # Lattice dispatcher: all warps execute as one (n, 32)
-            # lattice until their control decisions diverge (then they
-            # demote to the per-warp path below).  Without tier-up a
-            # single-warp launch gains nothing from batching and skips
-            # straight to that path; with it, compiled regions collapse
-            # the scheduler loop, so the jit takes every launch.
-            from .batched import run_launch_batched
-            ret_all, fetch_stalls = run_launch_batched(
-                self, func, entry, grid_dim, block_dim, args, total)
-        else:
-            ret_all = []
-            fetch_stalls = 0
-            for block_idx in range(grid_dim):
-                for warp_idx in range(warps):
-                    # Per-warp icache: warps spread across SMs, so each
-                    # warp streams the kernel's code through its own
-                    # front end.
-                    icache = InstructionCache(self._icache_capacity) \
-                        if self._icache_capacity else InstructionCache()
-                    base = warp_idx * WARP_SIZE
-                    lane_ids = np.arange(base, base + WARP_SIZE,
-                                         dtype=np.int64)
-                    active = lane_ids < block_dim
-                    ctx = _WarpContext(lane_ids, block_idx, block_dim,
-                                       grid_dim, active)
-                    counters = self._run_warp(func, entry, ctx, args,
-                                              active, icache)
-                    total.merge(counters)
-                    fetch_stalls += icache.stall_cycles
-                    if ctx.ret_values is not None:
-                        ret_all.append(ctx.ret_values)
+        # The op-semantics kernels are total under errstate-ignore (inf and
+        # NaN are values, not events); the launch holds it once for every
+        # step it runs.
+        with np.errstate(all="ignore"):
+            if self.engine == "jit" or (self.engine == "batched"
+                                        and grid_dim * warps > 1):
+                # Lattice dispatcher: all warps execute as one (n, 32)
+                # lattice until their control decisions diverge (then they
+                # demote to the per-warp path below).  Without tier-up a
+                # single-warp launch gains nothing from batching and skips
+                # straight to that path; with it, compiled regions collapse
+                # the scheduler loop, so the jit takes every launch.
+                from .batched import run_launch_batched
+                ret_all, fetch_stalls = run_launch_batched(
+                    self, func, entry, grid_dim, block_dim, args, total)
+            else:
+                ret_all = []
+                fetch_stalls = 0
+                for block_idx in range(grid_dim):
+                    for warp_idx in range(warps):
+                        # Per-warp icache: warps spread across SMs, so each
+                        # warp streams the kernel's code through its own
+                        # front end.
+                        icache = InstructionCache(self._icache_capacity) \
+                            if self._icache_capacity else InstructionCache()
+                        base = warp_idx * WARP_SIZE
+                        lane_ids = np.arange(base, base + WARP_SIZE,
+                                             dtype=np.int64)
+                        active = lane_ids < block_dim
+                        ctx = _WarpContext(lane_ids, block_idx, block_dim,
+                                           grid_dim, active)
+                        counters = self._run_warp(func, entry, ctx, args,
+                                                  active, icache)
+                        total.merge(counters)
+                        fetch_stalls += icache.stall_cycles
+                        if ctx.ret_values is not None:
+                            ret_all.append(ctx.ret_values)
         # Fetch stalls were charged into per-warp cycles as they occurred;
         # record the aggregate for the stall_inst_fetch metric.
         total.fetch_stall_cycles = fetch_stalls
@@ -383,20 +471,23 @@ class SimtMachine:
 
     def _decode_block(self, block: BasicBlock, db: _DecodedBlock,
                       dblocks: Dict[int, _DecodedBlock]) -> None:
+        term_cost = None
         for inst in block.instructions:
             if isinstance(inst, PhiInst):
                 continue  # Materialised on edges.
             if isinstance(inst, BranchInst):
                 db.term_kind = _T_BR
                 db.term = self._decode_edge(block, db, inst.target, dblocks)
-                return
+                term_cost = _BR_COST
+                break
             if isinstance(inst, CondBranchInst):
                 db.term_kind = _T_CONDBR
                 db.term = (
                     self._reader(inst.condition),
                     self._decode_edge(block, db, inst.true_target, dblocks),
                     self._decode_edge(block, db, inst.false_target, dblocks))
-                return
+                term_cost = _CONDBR_COST
+                break
             if isinstance(inst, RetInst):
                 db.term_kind = _T_RET
                 if inst.value is not None:
@@ -404,11 +495,13 @@ class SimtMachine:
                                storage_dtype(inst.value.type))
                 else:
                     db.term = (None, None)
-                return
+                term_cost = _RET_COST
+                break
             if isinstance(inst, UnreachableInst):
                 db.term_kind = _T_UNREACHABLE
-                return
+                break
             db.steps.append(self._decode_step(inst))
+        db.seal(term_cost)
 
     def _decode_edge(self, src: BasicBlock, src_db: _DecodedBlock,
                      dst: BasicBlock,
@@ -454,25 +547,31 @@ class SimtMachine:
                 counters.cycles += latency
                 counters.memory_stall_cycles += latency
                 counters.cat_cycles[_CAT_LOAD] += latency
-                write(ctx, raw.astype(dtype), mask)
+                write(ctx, raw, mask)
 
             def brun_load(ctx, arg_values, mask, actives, state):
                 # One memory.load per warp row: transaction counting (and
                 # therefore the latency charge) is a per-warp-access
                 # quantity the coalescing model defines on 32-lane
-                # accesses, so it cannot be fused across warps.
+                # accesses, so it cannot be fused across warps.  A row
+                # with no active lane touches nothing and is skipped.
                 addrs = read_ptr(ctx, arg_values)
                 if addrs.shape != mask.shape:
                     addrs = np.broadcast_to(addrs, mask.shape)
                 out = np.zeros(mask.shape, dtype=dtype)
-                for w in range(mask.shape[0]):
-                    raw, transactions = memory.load(addrs[w], mask[w], elem)
-                    latency = charge(load_latency(transactions),
-                                     int(actives[w]))
-                    state.cycles[w] += latency
-                    state.memory_stall[w] += latency
-                    state.cat_cycles[w, _CAT_LOAD] += latency
-                    out[w] = raw.astype(dtype)
+                latencies = [0.0] * mask.shape[0]
+                for w, active in enumerate(actives.tolist()):
+                    if active:
+                        out[w], transactions = memory.load(addrs[w], mask[w],
+                                                           elem)
+                        latencies[w] = charge(load_latency(transactions),
+                                              active)
+                # One elementwise add per accumulator: per row the same
+                # double added to the same double as row by row.
+                latencies = np.array(latencies)
+                state.cycles += latencies
+                state.memory_stall += latencies
+                state.cat_cycles[:, _CAT_LOAD] += latencies
                 write(ctx, out, mask)
 
             return (category, cat_idx, cost, _K_LOAD, run_load, brun_load,
@@ -499,12 +598,15 @@ class SimtMachine:
                     addrs = np.broadcast_to(addrs, mask.shape)
                 if values.shape != mask.shape:
                     values = np.broadcast_to(values, mask.shape)
-                for w in range(mask.shape[0]):
-                    transactions = memory.store(addrs[w], values[w],
-                                                mask[w], elem)
-                    c = charge(store_cost(transactions), int(actives[w]))
-                    state.cycles[w] += c
-                    state.cat_cycles[w, _CAT_STORE] += c
+                costs = [0.0] * mask.shape[0]
+                for w, active in enumerate(actives.tolist()):
+                    if active:
+                        transactions = memory.store(addrs[w], values[w],
+                                                    mask[w], elem)
+                        costs[w] = charge(store_cost(transactions), active)
+                costs = np.array(costs)
+                state.cycles += costs
+                state.cat_cycles[:, _CAT_STORE] += costs
 
             return (category, cat_idx, cost, _K_STORE, run_store, brun_store,
                     None, None)
@@ -557,28 +659,18 @@ class SimtMachine:
     def _reader(self, value: Value):
         """Closure reading one operand's per-lane vector.
 
-        Constants, undef, and global addresses materialise once at decode
-        time into shared read-only arrays (no consumer mutates operand
+        Constants, undef, and global addresses materialise once per
+        machine into shared read-only arrays (no consumer mutates operand
         vectors); arguments and SSA values resolve through the per-warp
         context exactly like the tree-walking interpreter did.
         """
-        if isinstance(value, (ConstantInt, ConstantFloat)):
-            arr = np.full(WARP_SIZE, value.value,
-                          dtype=storage_dtype(value.type))
-            arr.setflags(write=False)
-            return lambda ctx, args: arr
-        if isinstance(value, Undef):
-            arr = np.zeros(WARP_SIZE, dtype=storage_dtype(value.type))
-            arr.setflags(write=False)
+        if isinstance(value, (ConstantInt, ConstantFloat, Undef,
+                              GlobalVariable)):
+            arr = self._operand_vec(value)
             return lambda ctx, args: arr
         if isinstance(value, Argument):
             vid = id(value)
             return lambda ctx, args: args[vid]
-        if isinstance(value, GlobalVariable):
-            arr = np.full(WARP_SIZE, self._global_addrs[value.name],
-                          dtype=np.int64)
-            arr.setflags(write=False)
-            return lambda ctx, args: arr
         vid, vname = id(value), value.name
 
         def read(ctx, args):
@@ -587,6 +679,26 @@ class SimtMachine:
                 raise SimulationError(f"use of undefined value %{vname}")
             return stored
         return read
+
+    def _operand_vec(self, value: Value) -> np.ndarray:
+        """The ``(32,)`` vector of a constant, undef or global address.
+
+        Built once per machine and shared read-only by every reader and
+        fused segment that mentions the operand.
+        """
+        arr = self._operand_vecs.get(value)
+        if arr is None:
+            if isinstance(value, GlobalVariable):
+                arr = np.full(WARP_SIZE, self._global_addrs[value.name],
+                              dtype=np.int64)
+            elif isinstance(value, Undef):
+                arr = np.zeros(WARP_SIZE, dtype=storage_dtype(value.type))
+            else:
+                arr = np.full(WARP_SIZE, value.value,
+                              dtype=storage_dtype(value.type))
+            arr.setflags(write=False)
+            self._operand_vecs[value] = arr
+        return arr
 
     @staticmethod
     def _writer(inst: Value):
@@ -601,15 +713,11 @@ class SimtMachine:
         iid = id(inst)
 
         def write(ctx, value, mask):
-            if value.dtype != dtype:
-                value = value.astype(dtype)
-            if value.shape != mask.shape:
-                value = np.broadcast_to(value, mask.shape)
             slot = ctx.values.get(iid)
             if slot is None:
-                slot = np.zeros(mask.shape, dtype=dtype)
-                ctx.values[iid] = slot
-            slot[mask] = value[mask]
+                slot = ctx.values[iid] = np.zeros(mask.shape, dtype=dtype)
+            # Casts to the slot's dtype and broadcasts up to its shape.
+            np.copyto(slot, value, where=mask, casting="unsafe")
         return write
 
     # -- warp execution ------------------------------------------------------
@@ -619,16 +727,20 @@ class SimtMachine:
                   icache: InstructionCache) -> Counters:
         """Convergent group scheduler (see module docstring).
 
-        A *group* is ``(epoch, block, mask)``: lanes in lockstep at a block.
-        Each step merges all groups parked at the same block, then executes
-        the group with the smallest ``(epoch, rpo)`` key — laggards first —
-        which makes divergent paths re-merge at post-dominators and, across
-        back edges, at the next loop iteration.
+        A *group* is ``(epoch, block, mask, active)``: lanes in lockstep
+        at a block, and how many they are.  The count is taken when the
+        mask is made and travels with it — like the active mask of a
+        hardware SIMT-stack entry, it is never recounted.  Each step merges
+        all groups parked at the same block, then executes the group with
+        the smallest ``(epoch, rpo)`` key — laggards first — which makes
+        divergent paths re-merge at post-dominators and, across back
+        edges, at the next loop iteration.
         """
         counters = Counters()
         arg_values = self._bind_args(func, args)
-        groups: List[Tuple[int, _DecodedBlock, np.ndarray]] = [
-            (0, entry, initial_mask.copy())]
+        groups: List[Tuple[int, _DecodedBlock, np.ndarray, int]] = [
+            (0, entry, initial_mask.copy(),
+             int(np.count_nonzero(initial_mask)))]
         self._warp_loop(func, ctx, arg_values, groups, counters, icache)
         return counters
 
@@ -647,48 +759,36 @@ class SimtMachine:
                 raise SimulationError(
                     f"@{func.name}: exceeded {self.max_cycles} cycles "
                     "(runaway kernel?)")
-            # Merge groups standing at the same block.
-            merged: Dict[int, Tuple[int, _DecodedBlock, np.ndarray]] = {}
-            for epoch, db, mask in groups:
-                existing = merged.get(db.block_id)
-                if existing is None:
-                    merged[db.block_id] = (epoch, db, mask)
-                else:
-                    merged[db.block_id] = (max(existing[0], epoch), db,
-                                           existing[2] | mask)
-            groups = list(merged.values())
-            # Schedule the laggard: min (epoch, rpo).
-            groups.sort(key=lambda g: (g[0], g[1].rpo), reverse=True)
-            epoch, db, mask = groups.pop()
-            if not mask.any():
+            if len(groups) > 1:
+                groups = _merge_groups(groups)
+            epoch, db, mask, active = groups.pop()
+            if not active:
                 continue
             counters.cycles += icache.access(db.block_id, db.size)
             if profile is None:
-                self._exec_decoded(func, db, epoch, mask, ctx, arg_values,
-                                   counters, groups)
+                self._exec_decoded(func, db, epoch, mask, active, ctx,
+                                   arg_values, counters, groups)
             else:
                 start_cycles = counters.cycles
-                self._exec_decoded(func, db, epoch, mask, ctx, arg_values,
-                                   counters, groups)
+                self._exec_decoded(func, db, epoch, mask, active, ctx,
+                                   arg_values, counters, groups)
                 # Timestamps are warp-local cycle counts: samples from
                 # concurrent warps interleave on the timeline, which is
                 # exactly the resident-warp overlap picture an SM sees.
                 profile.note_block(db.name,
                                    counters.cycles - start_cycles,
-                                   int(np.count_nonzero(mask)), WARP_SIZE,
-                                   start_cycles)
+                                   active, WARP_SIZE, start_cycles)
 
     def _exec_decoded(self, func: Function, db: _DecodedBlock, epoch: int,
-                      mask: np.ndarray, ctx: _WarpContext,
+                      mask: np.ndarray, active: int, ctx: _WarpContext,
                       arg_values: Dict[int, np.ndarray], counters: Counters,
                       groups: List) -> None:
-        """Execute one decoded block for one group."""
-        active = int(np.count_nonzero(mask))
-        note_issue = counters.note_issue
+        """Execute one decoded block for one group of ``active`` lanes."""
+        counters.note_issue(db.issues, active)
+        charges = db.charges(active)
         cat_cycles = counters.cat_cycles
-        for category, cat_idx, cost, kind, run, _brun, write, _meta in db.steps:
-            note_issue(category, active)
-            c = charge(cost, active)
+        for (_category, cat_idx, _cost, kind, run, _brun, write,
+             _meta), c in zip(db.steps, charges):
             counters.cycles += c
             cat_cycles[cat_idx] += c
             if kind == _K_VALUE:
@@ -697,77 +797,61 @@ class SimtMachine:
                 run(ctx, arg_values, mask, active, counters)
 
         term_kind = db.term_kind
+        if term_kind >= _T_UNREACHABLE:
+            raise _bad_terminator(func, db)
+        c = charges[-1]
+        counters.cycles += c
+        cat_cycles[_CAT_CONTROL] += c
         if term_kind == _T_BR:
-            note_issue("control", active)
-            c = charge(_BR_COST, active)
-            counters.cycles += c
-            cat_cycles[_CAT_CONTROL] += c
             counters.branches += 1
-            self._follow(db.term, epoch, mask, ctx, arg_values, counters,
-                         groups)
-            return
-        if term_kind == _T_CONDBR:
-            note_issue("control", active)
-            c = charge(_CONDBR_COST, active)
-            counters.cycles += c
-            cat_cycles[_CAT_CONTROL] += c
+            self._follow(db.term, epoch, mask, active, ctx, arg_values,
+                         counters, groups)
+        elif term_kind == _T_CONDBR:
             counters.branches += 1
             read_cond, true_edge, false_edge = db.term
-            cond = read_cond(ctx, arg_values).astype(bool)
+            cond = read_cond(ctx, arg_values).astype(bool, copy=False)
             t_mask = mask & cond
-            f_mask = mask & ~cond
-            t_any = bool(t_mask.any())
-            f_any = bool(f_mask.any())
-            if t_any and f_any:
+            # The lanes partition: one count gives both sides.
+            taken = int(np.count_nonzero(t_mask))
+            if taken == active:
+                self._follow(true_edge, epoch, t_mask, active, ctx,
+                             arg_values, counters, groups)
+            elif not taken:
+                self._follow(false_edge, epoch, mask, active, ctx,
+                             arg_values, counters, groups)
+            else:
                 counters.divergent_branches += 1
-                self._follow(true_edge, epoch, t_mask, ctx, arg_values,
-                             counters, groups)
-                self._follow(false_edge, epoch, f_mask, ctx, arg_values,
-                             counters, groups)
-            elif t_any:
-                self._follow(true_edge, epoch, t_mask, ctx, arg_values,
-                             counters, groups)
-            elif f_any:
-                self._follow(false_edge, epoch, f_mask, ctx, arg_values,
-                             counters, groups)
-            return
-        if term_kind == _T_RET:
-            note_issue("control", active)
-            c = charge(_RET_COST, active)
-            counters.cycles += c
-            cat_cycles[_CAT_CONTROL] += c
+                self._follow(true_edge, epoch, t_mask, taken, ctx,
+                             arg_values, counters, groups)
+                self._follow(false_edge, epoch, mask & ~cond,
+                             active - taken, ctx, arg_values, counters,
+                             groups)
+        else:  # _T_RET
             read_value, dtype = db.term
             if read_value is not None:
-                value = read_value(ctx, arg_values)
-                if value.shape != mask.shape:
-                    value = np.broadcast_to(value, mask.shape)
                 if ctx.ret_values is None:
                     ctx.ret_values = np.zeros(mask.shape, dtype=dtype)
-                ctx.ret_values[mask] = value[mask]
-            return
-        if term_kind == _T_UNREACHABLE:
-            raise SimulationError(
-                f"@{func.name}: executed unreachable in {db.name}")
-        raise SimulationError(
-            f"@{func.name}: block {db.name} has no terminator")
+                np.copyto(ctx.ret_values, read_value(ctx, arg_values),
+                          where=mask, casting="unsafe")
 
     def _follow(self, edge: _Edge, epoch: int, mask: np.ndarray,
-                ctx: _WarpContext, arg_values: Dict[int, np.ndarray],
-                counters: Counters, groups: List) -> None:
+                active: int, ctx: _WarpContext,
+                arg_values: Dict[int, np.ndarray], counters: Counters,
+                groups: List) -> None:
         """Run the edge's phi moves and park the group at the target."""
         moves = edge.moves
-        if moves and mask.any():
-            active = int(np.count_nonzero(mask))
-            c = charge(_PHI_COST, active)
+        if moves:
+            c = _PHI_CHARGES[active]
+            cat_cycles = counters.cat_cycles
+            counters.note_issue(edge.issues, active)  # One mov per phi.
             # Parallel-copy semantics: read all incomings before writing.
             staged = [(write, read(ctx, arg_values))
                       for write, read, _pid, _dt, _sid in moves]
             for write, value in staged:
-                counters.note_issue("misc", active)  # One mov per phi.
                 counters.cycles += c
-                counters.cat_cycles[_CAT_MISC] += c
+                cat_cycles[_CAT_MISC] += c
                 write(ctx, value, mask)
-        groups.append((epoch + edge.bump_epoch, edge.target, mask))
+        groups.append((epoch + edge.bump_epoch, edge.target, mask, active))
 
     # -- value plumbing --------------------------------------------------------
     def _bind_args(self, func: Function,

@@ -8,6 +8,7 @@ which feed the memory-latency model in :mod:`repro.gpu.timing`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -34,10 +35,10 @@ class Buffer:
     start: int
     elem_size: int
     data: np.ndarray
+    end: int = field(init=False)  # One past the last mapped byte.
 
-    @property
-    def end(self) -> int:
-        return self.start + self.data.size * self.elem_size
+    def __post_init__(self) -> None:
+        self.end = self.start + self.data.size * self.elem_size
 
 
 @dataclass
@@ -56,7 +57,10 @@ class Memory:
     """Flat simulated device memory."""
 
     def __init__(self) -> None:
+        #: Allocation is address-monotonic: ``_starts[i]`` is
+        #: ``_buffers[i].start``, ascending, for ``_find`` to bisect.
         self._buffers: List[Buffer] = []
+        self._starts: List[int] = []
         self._by_name: Dict[str, Buffer] = {}
         self._next_addr = 0x1000  # Null page stays unmapped.
         self.stats = MemoryStats()
@@ -78,6 +82,7 @@ class Memory:
         buf = Buffer(name, start, elem_size, data)
         self._next_addr = buf.end
         self._buffers.append(buf)
+        self._starts.append(start)
         self._by_name[name] = buf
         return start
 
@@ -90,68 +95,79 @@ class Memory:
 
     # -- access --------------------------------------------------------------
     def _find(self, addr: int) -> Buffer:
-        for buf in self._buffers:
-            if buf.start <= addr < buf.end:
-                return buf
+        i = bisect_right(self._starts, addr) - 1
+        if i >= 0 and addr < self._buffers[i].end:
+            return self._buffers[i]
+        # The null page, a gap between aligned buffers, one past an end.
         raise MemoryError(f"simulated segfault: address {addr:#x} unmapped")
+
+    def _resolve(self, addrs: np.ndarray, mask: np.ndarray):
+        """What one warp access touches.
+
+        Returns ``(lane_addrs, lanes, buf)``: the active lanes' addresses
+        as an array and as Python ints (at most 32, so bounds and
+        segments are cheaper on ints than through numpy), and the buffer
+        that holds them all — None when they span buffers (the per-lane
+        slow path) or no lane is active.
+        """
+        lane_addrs = addrs[mask]
+        lanes = lane_addrs.tolist()
+        buf = None
+        if lanes:
+            buf = self._find(lanes[0])
+            if not (buf.start <= min(lanes) and max(lanes) < buf.end):
+                buf = None
+        return lane_addrs, lanes, buf
 
     def load(self, addrs: np.ndarray, mask: np.ndarray,
              elem_size: int) -> Tuple[np.ndarray, int]:
-        """Gather one element per active lane.
+        """Gather one element per active lane (``mask`` is boolean).
 
         Returns ``(values, transactions)`` where values for inactive lanes
         are zero and ``transactions`` is the number of 32-byte segments the
         warp access touched (the coalescing metric).
         """
-        active = np.flatnonzero(mask)
-        if active.size == 0:
-            return np.zeros(addrs.shape[0]), 0
-        first = self._find(int(addrs[active[0]]))
-        lane_addrs = addrs[active]
-        if (lane_addrs < first.start).any() or (lane_addrs >= first.end).any():
-            # Slow path: lanes hit different buffers.
-            values = np.zeros(addrs.shape[0], dtype=np.float64)
-            segments = set()
-            for lane in active:
-                buf = self._find(int(addrs[lane]))
-                idx = (int(addrs[lane]) - buf.start) // buf.elem_size
-                values[lane] = buf.data[idx]
-                segments.add(int(addrs[lane]) // SEGMENT_BYTES)
-            transactions = len(segments)
-            out = values
+        lane_addrs, lanes, buf = self._resolve(addrs, mask)
+        if not lanes:
+            # Nothing is touched; the zero fill takes the element type of
+            # the buffer lane 0 points into (float64, as on the per-lane
+            # path, when it points nowhere).
+            try:
+                dtype = self._find(int(addrs[0])).data.dtype
+            except MemoryError:
+                dtype = np.float64
+            return np.zeros(addrs.shape[0], dtype=dtype), 0
+        if buf is not None:
+            out = buf.data[(lane_addrs - buf.start) // buf.elem_size]
+            if len(lanes) != addrs.shape[0]:
+                gathered = out
+                out = np.zeros(addrs.shape[0], dtype=gathered.dtype)
+                out[mask] = gathered
         else:
-            idx = (lane_addrs - first.start) // first.elem_size
-            gathered = first.data[idx]
-            out = np.zeros(addrs.shape[0], dtype=first.data.dtype)
-            out[active] = gathered
-            transactions = int(
-                np.unique(lane_addrs // SEGMENT_BYTES).size)
+            out = np.zeros(addrs.shape[0], dtype=np.float64)
+            for lane, addr in zip(np.flatnonzero(mask).tolist(), lanes):
+                buf = self._find(addr)
+                out[lane] = buf.data[(addr - buf.start) // buf.elem_size]
+        transactions = len({addr // SEGMENT_BYTES for addr in lanes})
         self.stats.load_requests += 1
         self.stats.load_transactions += transactions
-        self.stats.bytes_loaded += int(active.size) * elem_size
+        self.stats.bytes_loaded += len(lanes) * elem_size
         return out, transactions
 
     def store(self, addrs: np.ndarray, values: np.ndarray,
               mask: np.ndarray, elem_size: int) -> int:
         """Scatter one element per active lane; returns transaction count."""
-        active = np.flatnonzero(mask)
-        if active.size == 0:
+        lane_addrs, lanes, buf = self._resolve(addrs, mask)
+        if not lanes:
             return 0
-        first = self._find(int(addrs[active[0]]))
-        lane_addrs = addrs[active]
-        if (lane_addrs < first.start).any() or (lane_addrs >= first.end).any():
-            segments = set()
-            for lane in active:
-                buf = self._find(int(addrs[lane]))
-                idx = (int(addrs[lane]) - buf.start) // buf.elem_size
-                buf.data[idx] = values[lane]
-                segments.add(int(addrs[lane]) // SEGMENT_BYTES)
-            transactions = len(segments)
+        if buf is not None:
+            buf.data[(lane_addrs - buf.start) // buf.elem_size] = values[mask]
         else:
-            idx = (lane_addrs - first.start) // first.elem_size
-            first.data[idx] = values[active]
-            transactions = int(np.unique(lane_addrs // SEGMENT_BYTES).size)
+            for lane, addr in zip(np.flatnonzero(mask).tolist(), lanes):
+                buf = self._find(addr)
+                buf.data[(addr - buf.start) // buf.elem_size] = values[lane]
+        transactions = len({addr // SEGMENT_BYTES for addr in lanes})
         self.stats.store_requests += 1
         self.stats.store_transactions += transactions
-        self.stats.bytes_stored += int(active.size) * elem_size
+        self.stats.bytes_stored += len(lanes) * elem_size
         return transactions

@@ -84,11 +84,6 @@ R_RET = 4
 R_UNREACHABLE = 5
 R_DIAMOND = 6       # Predicated if/else: both arms execute masked in-region.
 
-#: Counters attribute per category ("special" has no per-category field).
-_CAT_ATTR = {"misc": "inst_misc", "control": "inst_control",
-             "int": "inst_int", "fp": "inst_fp",
-             "load": "inst_load", "store": "inst_store"}
-
 # Step-entry tags in RegionOp.steps (vector-mode execution list).
 S_VALUE = 0
 S_MEM = 1
@@ -475,11 +470,9 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     steps: List[Tuple] = []
     vsteps: List[Tuple] = []
     acct: List[Tuple[float, int]] = []
-    cats: Dict[str, int] = {}
     load_ids: List[int] = []
     stored: List[Tuple[int, object]] = []
     fuse_plan: List[Tuple[int, int, Tuple[int, ...]]] = []
-    issues = 0
     seg_iter = iter(fuse_ctx.segments_for(db))
     seg = next(seg_iter, None)
     db_steps = db.steps
@@ -489,12 +482,9 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
             lo, hi, live = seg
             charges: List[Tuple[float, int]] = []
             for k in range(lo, hi):
-                category, cat_idx, cost = db_steps[k][0], db_steps[k][1], \
-                    db_steps[k][2]
+                cat_idx, cost = db_steps[k][1], db_steps[k][2]
                 c = cost * _FULL_FACTOR
                 acct.append((c, cat_idx))
-                issues += 1
-                cats[category] = cats.get(category, 0) + 1
                 charges.append((c, cat_idx))
             fn, names, seg_stored = fuse_ctx.compile_segment(db, lo, hi,
                                                              live)
@@ -507,12 +497,10 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
             seg = next(seg_iter, None)
             i = hi
             continue
-        category, cat_idx, cost, kind, run, brun, _write, meta = db_steps[i]
+        _category, cat_idx, cost, kind, run, brun, _write, meta = db_steps[i]
         i += 1
         c = cost * _FULL_FACTOR
         acct.append((c, cat_idx))
-        issues += 1
-        cats[category] = cats.get(category, 0) + 1
         if kind == _K_VALUE:
             iid, dt = meta[0], meta[1]
             steps.append((S_VALUE, c, cat_idx, run, iid, dt))
@@ -539,8 +527,6 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         op.ret = db.term
     if op.term_c is not None:
         acct.append((op.term_c, _CAT_CONTROL))
-        issues += 1
-        cats["control"] = cats.get("control", 0) + 1
 
     if kind0 == R_NEXT:
         edge = decision[1]
@@ -582,10 +568,9 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     op.load_ids = tuple(load_ids)
     op.stored = tuple(stored)
     op.fuse_plan = tuple(fuse_plan)
-    op.issues = issues
-    op.cat_counts = tuple(
-        (_CAT_ATTR[cat], count) for cat, count in cats.items()
-        if cat in _CAT_ATTR)
+    # The integer counts decode sealed: fusion and the trace decision
+    # change how a block runs, not what it issues.
+    op.issues, op.cat_counts = db.issues
     return op
 
 
@@ -594,19 +579,13 @@ def _compile_arm(db: _DecodedBlock) -> Tuple:
 
     Arms run under partial masks, so they keep the raw decoded steps
     (masked writers included) and replay the interpreter's per-pop
-    sequence exactly; only the integer instruction counters — which
-    commute — are folded ahead of time.  Layout:
+    sequence exactly; the integer instruction counters are the ones
+    decode sealed (steps plus the BR terminator).  Layout:
     ``(block_id, size, name, steps, join_edge, cat_counts, issues)``.
     """
-    cats: Dict[str, int] = {}
-    for category, _ci, _cost, _kind, _run, _brun, _write, _meta in db.steps:
-        cats[category] = cats.get(category, 0) + 1
-    cats["control"] = cats.get("control", 0) + 1  # The BR terminator.
-    cat_counts = tuple(
-        (_CAT_ATTR[cat], count) for cat, count in cats.items()
-        if cat in _CAT_ATTR)
+    issues, cat_counts = db.issues
     return (db.block_id, db.size, db.name, db.steps, db.term,
-            cat_counts, len(db.steps) + 1)
+            cat_counts, issues)
 
 
 def demote_guard(regions: RegionMap, region: CompiledRegion,

@@ -17,6 +17,14 @@ from.  Three consumers evaluate the *same* ``Op``:
 * the constant folder (:mod:`repro.transforms.fold`) calls ``op.kernel``
   on 1-element arrays of the operands' storage dtype.
 
+Every kernel is *total under* ``np.errstate(all="ignore")`` — an inf or
+NaN operand or result is a value, not an event — and it is the evaluator,
+not the table, that holds that state: :meth:`SimtMachine.launch
+<repro.gpu.machine.SimtMachine.launch>` enters it once per launch (fused
+segments run inside launches), the folder once per fold.  ``Op.kernel``
+is therefore the raw kernel for every consumer; calling one outside such
+a block computes the same values and may warn.
+
 A fold is therefore bit-invisible against runtime execution, and fused
 and unfused execution agree, by construction rather than by agreement
 tests; ``tests/test_fold_and_passes.py`` generates one oracle test from
@@ -130,15 +138,6 @@ def _op(expr: str, clamp: str = "", ufunc: str = "") -> Op:
     return Op(eval(source, NAMESPACE), expr, clamp, ufunc)
 
 
-def _quiet(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """``fn`` with numpy's floating-point warnings off: the kernels are
-    total, so inf/NaN operands and results are values, not events."""
-    def quiet(*operands):
-        with np.errstate(all="ignore"):
-            return fn(*operands)
-    return quiet
-
-
 def _bits(type_: Type) -> int:
     return type_.bits if isinstance(type_, IntType) else 64
 
@@ -191,7 +190,7 @@ _FLOAT = {"fadd": np.add, "fsub": np.subtract, "fmul": np.multiply,
 @lru_cache(maxsize=None)
 def _binop(opcode: str, type_: Type, _operand: Optional[Type] = None) -> Op:
     if opcode in _FLOAT:
-        return Op(_quiet(_FLOAT[opcode]))
+        return Op(_FLOAT[opcode])
     if opcode in _BITWISE:
         expr, ufunc = _BITWISE[opcode]
         return _op(expr, ufunc=ufunc)
@@ -210,7 +209,7 @@ def _binop(opcode: str, type_: Type, _operand: Optional[Type] = None) -> Op:
         u = "{a}.astype(np.uint64)" if bits >= 64 else f"unsigned({{a}}, {bits})"
         return _op(fit.format(f"({u} >> {{s}}).astype(np.int64)"),
                    clamp=_CLAMP + ".astype(np.uint64)")
-    core = _quiet(_DIVISION[opcode])
+    core = _DIVISION[opcode]
     return Op(lambda a, b: wrap_int(core(a, b, bits), bits))
 
 
@@ -243,19 +242,18 @@ _FCMP = {"oeq": "{a} == {b}", "one": "({a} < {b}) | ({a} > {b})",
 
 def _fptosi(value: np.ndarray, to_type: IntType) -> np.ndarray:
     lo, hi = to_type.min_signed, to_type.max_signed
-    with np.errstate(all="ignore"):
-        v = value.astype(np.float64)
-        t = np.where(np.isnan(v), 0.0, np.fix(v))
-        # float(lo) is a power of two, hence exact; float(hi) may round up
-        # to hi + 1 (e.g. 2^63 for i64), in which case t == float(hi)
-        # already means "out of range".
-        hi_f = float(hi)
-        over = (t > hi_f) if int(hi_f) == hi else (t >= hi_f)
-        under = t < float(lo)
-        safe = np.where(over | under, 0.0, t).astype(np.int64)
-        return np.where(over, np.int64(hi),
-                        np.where(under, np.int64(lo), safe)) \
-            .astype(storage_dtype(to_type), copy=False)
+    v = value.astype(np.float64)
+    t = np.where(np.isnan(v), 0.0, np.fix(v))
+    # float(lo) is a power of two, hence exact; float(hi) may round up
+    # to hi + 1 (e.g. 2^63 for i64), in which case t == float(hi)
+    # already means "out of range".
+    hi_f = float(hi)
+    over = (t > hi_f) if int(hi_f) == hi else (t >= hi_f)
+    under = t < float(lo)
+    safe = np.where(over | under, 0.0, t).astype(np.int64)
+    return np.where(over, np.int64(hi),
+                    np.where(under, np.int64(lo), safe)) \
+        .astype(storage_dtype(to_type), copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +317,7 @@ TABLE: Dict[str, Callable[[Type, Optional[Type]], Op]] = {
     "select": _fixed(_op("np.where({a}, {b}, {c})")),
     **{opc: partial(_cast, opc) for opc in CAST_OPS},
     "gep": _gep,
-    **{f"call {name}": _fixed(Op(_quiet(impl)))
+    **{f"call {name}": _fixed(Op(impl))
        for name, impl in _INTRINSICS.items()},
 }
 

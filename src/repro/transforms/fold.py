@@ -57,8 +57,9 @@ def fold_instruction(inst: Instruction) -> Optional[Constant]:
     op = op_for(inst)
     if op is None:
         return None
-    out = op.kernel(*[np.array([v.value], dtype=storage_dtype(v.type))
-                      for v in operands])[0]
+    with np.errstate(all="ignore"):   # Kernels are total under it.
+        out = op.kernel(*[np.array([v.value], dtype=storage_dtype(v.type))
+                          for v in operands])[0]
     if isinstance(inst.type, IntType):
         return ConstantInt(inst.type, int(out))
     if isinstance(inst.type, FloatType):

@@ -271,6 +271,51 @@ spin:
         with pytest.raises(SimulationError, match="exceeded"):
             m.run_function("f", [], lanes=1)
 
+    # The same spin, a lone warp and a two-warp lattice, on every engine:
+    # the per-warp scheduler, the lattice dispatcher, and (from the 16th
+    # trip) a compiled self-loop region each watch ``max_cycles``.
+    @pytest.mark.parametrize("lanes", [1, 64])
+    @pytest.mark.parametrize("engine", ["warp", "batched", "jit"])
+    def test_runaway_kernel_detected_on_every_path(self, engine, lanes):
+        module = parse_module("""
+define void @f() {
+entry:
+  br label %spin
+spin:
+  br label %spin
+}
+""", "m")
+        m = SimtMachine(module, engine=engine, max_cycles=2_000)
+        with pytest.raises(SimulationError, match="exceeded 2000 cycles"):
+            m.launch("f", 1, lanes, [])
+
+    @pytest.mark.parametrize("engine", ["batched", "jit"])
+    def test_runaway_after_demotion_detected(self, engine, monkeypatch):
+        """Warp 0 diverges from warp 1, is handed to the per-warp
+        scheduler mid-flight, and half of it spins there."""
+        from repro.gpu import batched
+        module = parse_module("""
+define void @f() {
+entry:
+  %tid = call i64 @tid.x()
+  %low = icmp slt i64 %tid, 16
+  br i1 %low, label %spin, label %done
+spin:
+  br label %spin
+done:
+  ret void
+}
+""", "m")
+        demoted = []
+        real = batched._demote_row
+        monkeypatch.setattr(
+            batched, "_demote_row",
+            lambda *args: (demoted.append(args), real(*args))[1])
+        m = SimtMachine(module, engine=engine, max_cycles=2_000)
+        with pytest.raises(SimulationError, match="exceeded 2000 cycles"):
+            m.launch("f", 1, 64, [])
+        assert demoted, "the diverging warp never left the lattice"
+
 
 class TestPhiParallelCopy:
     """Edge phi moves are a parallel copy: all incomings read before any
