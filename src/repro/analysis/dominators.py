@@ -9,7 +9,7 @@ post-dominator reconvergence, the hardware model the paper assumes).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
@@ -30,6 +30,9 @@ class DominatorTree:
             parent = idom.get(id(block))
             if parent is not None and parent is not block:
                 self._children.setdefault(id(parent), []).append(block)
+        #: id(block) -> (preorder number, last number in its subtree);
+        #: numbered on the first dominance query.
+        self._interval: Optional[Dict[int, Tuple[int, int]]] = None
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -45,35 +48,36 @@ class DominatorTree:
     @classmethod
     def _run(cls, rpo: List[BasicBlock], preds_fn, root: BasicBlock
              ) -> "DominatorTree":
+        # Cooper-Harvey-Kennedy over reverse-postorder numbers: ``doms[i]``
+        # is the number of block i's immediate dominator, -1 while unknown.
         order_index = {id(b): i for i, b in enumerate(rpo)}
-        idom: Dict[int, Optional[BasicBlock]] = {id(root): root}
-
-        def intersect(b1: BasicBlock, b2: BasicBlock) -> BasicBlock:
-            while b1 is not b2:
-                while order_index[id(b1)] > order_index[id(b2)]:
-                    b1 = idom[id(b1)]  # type: ignore[assignment]
-                while order_index[id(b2)] > order_index[id(b1)]:
-                    b2 = idom[id(b2)]  # type: ignore[assignment]
-            return b1
-
+        assert rpo[0] is root
+        pred_numbers = [[order_index[id(p)] for p in preds_fn(block)
+                         if id(p) in order_index]  # Skips unreachable preds.
+                        for block in rpo]
+        doms = [-1] * len(rpo)
+        doms[0] = 0
         changed = True
         while changed:
             changed = False
-            for block in rpo:
-                if block is root:
-                    continue
-                new_idom: Optional[BasicBlock] = None
-                for pred in preds_fn(block):
-                    if id(pred) not in order_index:
-                        continue  # Unreachable predecessor.
-                    if id(pred) in idom:
-                        if new_idom is None:
-                            new_idom = pred
-                        else:
-                            new_idom = intersect(pred, new_idom)
-                if new_idom is not None and idom.get(id(block)) is not new_idom:
-                    idom[id(block)] = new_idom
+            for number in range(1, len(rpo)):
+                new_idom = -1
+                for pred in pred_numbers[number]:
+                    if doms[pred] < 0:
+                        continue
+                    if new_idom < 0:
+                        new_idom = pred
+                        continue
+                    while pred != new_idom:  # Intersect the two chains.
+                        while pred > new_idom:
+                            pred = doms[pred]
+                        while new_idom > pred:
+                            new_idom = doms[new_idom]
+                if new_idom >= 0 and doms[number] != new_idom:
+                    doms[number] = new_idom
                     changed = True
+        idom: Dict[int, Optional[BasicBlock]] = {
+            id(block): rpo[dom] for block, dom in zip(rpo, doms) if dom >= 0}
         tree = cls(idom, order_index, rpo)
         tree._root = root
         return tree
@@ -102,16 +106,28 @@ class DominatorTree:
         return self._children.get(id(block), [])
 
     def dominates_block(self, a: BasicBlock, b: BasicBlock) -> bool:
-        """True if ``a`` dominates ``b`` (reflexive)."""
-        if id(a) not in self._order_index or id(b) not in self._order_index:
+        """True if ``a`` dominates ``b`` (reflexive).  False when either is
+        unreachable or was added after the tree was built."""
+        interval = self._interval
+        if interval is None:
+            interval = self._number()
+        span, inner = interval.get(id(a)), interval.get(id(b))
+        if span is None or inner is None:
             return False
-        node: Optional[BasicBlock] = b
-        while node is not None:
-            if node is a:
-                return True
-            parent = self._idom.get(id(node))
-            node = None if parent is node else parent
-        return False
+        return span[0] <= inner[0] <= span[1]
+
+    def _number(self) -> Dict[int, Tuple[int, int]]:
+        """Preorder intervals: ``a`` dominates ``b`` iff ``b``'s number lies
+        in ``a``'s subtree, which preorder makes one contiguous range."""
+        order = self.preorder()
+        size = {id(block): 1 for block in order}
+        for block in reversed(order):
+            parent = self.idom(block)
+            if parent is not None:
+                size[id(parent)] += size[id(block)]
+        self._interval = {id(block): (i, i + size[id(block)] - 1)
+                          for i, block in enumerate(order)}
+        return self._interval
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates_block(a, b)
@@ -119,7 +135,6 @@ class DominatorTree:
     def dominance_frontier(self) -> Dict[int, Set[BasicBlock]]:
         """Dominance frontiers (Cooper et al. §4), keyed by block id."""
         frontier: Dict[int, Set[BasicBlock]] = {id(b): set() for b in self._blocks}
-        preds = None
         func = self._blocks[0].parent
         assert func is not None
         preds = predecessor_map(func)

@@ -183,10 +183,13 @@ class LoopInfo:
     # -- construction -----------------------------------------------------------
     def _analyze(self) -> None:
         func = self.function
-        domtree = DominatorTree.compute(func)
         preds = predecessor_map(func)
         rpo = reverse_postorder(func)
         rpo_index = {id(b): i for i, b in enumerate(rpo)}
+        #: The dominator tree the loops were found with: current until the
+        #: CFG changes, like the loops themselves.
+        domtree = self.domtree = DominatorTree._run(
+            rpo, preds.__getitem__, rpo[0])
 
         # Collect back edges grouped by header, in deterministic RPO order.
         headers: Dict[int, BasicBlock] = {}

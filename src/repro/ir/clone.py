@@ -9,17 +9,17 @@ behaviour).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .block import BasicBlock
 from .function import Function
-from .instructions import (AllocaInst, BinaryInst, BranchInst, CallInst,
-                           CastInst, CondBranchInst, FCmpInst, GEPInst,
-                           ICmpInst, Instruction, LoadInst, PhiInst, RetInst,
-                           SelectInst, StoreInst, UnreachableInst)
-from .values import Value
+from .instructions import Instruction
+from .values import Use, Value
 
 ValueMap = Dict[int, Value]
+
+#: Instruction fields that hold a block; remapped like operands.
+_BLOCK_SLOTS = frozenset(("_target", "_true_target", "_false_target"))
 
 
 def map_value(vmap: ValueMap, value: Value) -> Value:
@@ -27,54 +27,42 @@ def map_value(vmap: ValueMap, value: Value) -> Value:
     return vmap.get(id(value), value)
 
 
-def clone_instruction(inst: Instruction, vmap: ValueMap) -> Instruction:
+def clone_instruction(inst: Instruction, vmap: ValueMap,
+                      unmapped: Optional[List[Tuple[Instruction, int]]] = None
+                      ) -> Instruction:
     """Clone one instruction, remapping operands through ``vmap``.
 
-    Phi nodes are cloned with their incoming values/blocks remapped; callers
-    that change the predecessor structure must fix them up afterwards.
-    Branch targets are remapped through ``vmap`` as well (blocks are values).
+    A copy constructor: every field of the concrete class is copied as it
+    is, so nothing is re-validated.  Phi nodes are cloned with their
+    incoming values/blocks remapped; callers that change the predecessor
+    structure must fix them up afterwards.  Branch targets are remapped
+    through ``vmap`` as well (blocks are values).  ``unmapped``, when given,
+    collects ``(clone, operand index)`` for every operand ``vmap`` had no
+    entry for.
     """
-    get = lambda v: map_value(vmap, v)
-
-    if isinstance(inst, BinaryInst):
-        new = BinaryInst(inst.opcode, get(inst.lhs), get(inst.rhs))
-    elif isinstance(inst, ICmpInst):
-        new = ICmpInst(inst.predicate, get(inst.lhs), get(inst.rhs))
-    elif isinstance(inst, FCmpInst):
-        new = FCmpInst(inst.predicate, get(inst.lhs), get(inst.rhs))
-    elif isinstance(inst, SelectInst):
-        new = SelectInst(get(inst.condition), get(inst.true_value),
-                         get(inst.false_value))
-    elif isinstance(inst, CastInst):
-        new = CastInst(inst.opcode, get(inst.value), inst.type)
-    elif isinstance(inst, PhiInst):
-        new = PhiInst(inst.type)
-        for value, block in inst.incoming():
-            new.add_incoming(get(value), map_value(vmap, block))  # type: ignore[arg-type]
-    elif isinstance(inst, LoadInst):
-        new = LoadInst(get(inst.pointer))
-    elif isinstance(inst, StoreInst):
-        new = StoreInst(get(inst.value), get(inst.pointer))
-    elif isinstance(inst, GEPInst):
-        new = GEPInst(get(inst.pointer), get(inst.index))
-    elif isinstance(inst, AllocaInst):
-        new = AllocaInst(inst.element_type, inst.count)
-    elif isinstance(inst, CallInst):
-        new = CallInst(inst.intrinsic.name, [get(a) for a in inst.operands],
-                       inst.type)
-    elif isinstance(inst, BranchInst):
-        new = BranchInst(map_value(vmap, inst.target))  # type: ignore[arg-type]
-    elif isinstance(inst, CondBranchInst):
-        new = CondBranchInst(get(inst.condition),
-                             map_value(vmap, inst.true_target),   # type: ignore[arg-type]
-                             map_value(vmap, inst.false_target))  # type: ignore[arg-type]
-    elif isinstance(inst, RetInst):
-        new = RetInst(get(inst.value) if inst.value is not None else None)
-    elif isinstance(inst, UnreachableInst):
-        new = UnreachableInst()
-    else:
-        raise NotImplementedError(f"cannot clone {inst!r}")
-    new.name = inst.name
+    cls = type(inst)
+    new = cls.__new__(cls)
+    new.type, new.name, new.uses = inst.type, inst.name, []
+    new.opcode, new.parent = inst.opcode, None
+    for slot in cls.__slots__:  # The concrete class's own fields.
+        field = getattr(inst, slot)
+        if slot in _BLOCK_SLOTS:
+            field = vmap.get(id(field), field)
+        elif slot == "incoming_blocks":
+            field = [vmap.get(id(block), block) for block in field]
+        setattr(new, slot, field)
+    operands = new.operands = []
+    uses = new._operand_uses = []
+    for index, op in enumerate(inst.operands):
+        mapped = vmap.get(id(op))
+        if mapped is None:
+            mapped = op
+            if unmapped is not None:
+                unmapped.append((new, index))
+        use = Use(new, index)
+        operands.append(mapped)
+        uses.append(use)
+        mapped.add_use(use)  # A no-op on interned constants.
     return new
 
 
@@ -85,55 +73,42 @@ def clone_blocks(func: Function, blocks: List[BasicBlock], suffix: str,
     The clones are appended to the function.  Edges and operands that point
     inside the region are redirected to the clones; everything else keeps
     pointing at the original values.  The returned ``vmap`` maps
-    ``id(original) -> clone`` for both blocks and instructions.
+    ``id(original) -> clone`` for both blocks and instructions.  An
+    instruction the caller already mapped is not cloned: its uses in the
+    region read the mapped value (it still takes the name its clone would
+    have, so the names that follow do not depend on the shortcut).
     """
     if vmap is None:
         vmap = {}
 
+    # Blocks first, so every branch target and phi predecessor inside the
+    # region is mapped by the time an instruction is cloned.
     clones: List[BasicBlock] = []
     for block in blocks:
         clone = func.add_block(f"{block.name}.{suffix}")
         vmap[id(block)] = clone
         clones.append(clone)
 
-    # Two passes: create instructions (so forward refs within the region can
-    # be remapped), then patch any operand that was defined later in the
-    # region.  Phis are the only place forward references occur; handle them
-    # by creating all clones first and remapping afterwards.
-    pending: List[Tuple[Instruction, Instruction]] = []
+    # Operands are another matter.  ``blocks`` comes in no particular order
+    # (a loop's blocks, a depth-first tail), so any instruction -- not only
+    # a phi along a back edge -- may use a region value that is cloned after
+    # it: collect the operands that had no mapping and revisit just those.
+    unmapped: List[Tuple[Instruction, int]] = []
     for block, clone in zip(blocks, clones):
         for inst in block.instructions:
-            new_inst = clone_instruction(inst, vmap)
+            if id(inst) in vmap:
+                if inst.name:
+                    func.unique_name(inst.name)
+                continue
+            new_inst = clone_instruction(inst, vmap, unmapped)
             if new_inst.name:
                 new_inst.name = func.unique_name(new_inst.name)
             vmap[id(inst)] = new_inst
             clone.append(new_inst)
-            pending.append((inst, new_inst))
 
-    # Fix operands that referenced region values cloned *after* their user
-    # (back-edges through phis, and any block-target forward references).
-    for original, new_inst in pending:
-        for i, op in enumerate(new_inst.operands):
-            mapped = vmap.get(id(op))
-            if mapped is not None and mapped is not op:
-                new_inst.set_operand(i, mapped)
-        if isinstance(new_inst, PhiInst):
-            for i, blk in enumerate(new_inst.incoming_blocks):
-                mapped_blk = vmap.get(id(blk))
-                if mapped_blk is not None and mapped_blk is not blk:
-                    new_inst.set_incoming_block(i, mapped_blk)  # type: ignore[arg-type]
-        if isinstance(new_inst, BranchInst):
-            mapped_blk = vmap.get(id(new_inst.target))
-            if mapped_blk is not None and mapped_blk is not new_inst.target:
-                new_inst.replace_successor(new_inst.target, mapped_blk)  # type: ignore[arg-type]
-        if isinstance(new_inst, CondBranchInst):
-            # replace_successor rewires every matching slot at once, so
-            # deduplicate targets before iterating.
-            unique_targets = {id(t): t for t in
-                              (new_inst.true_target, new_inst.false_target)}
-            for tgt in unique_targets.values():
-                mapped_blk = vmap.get(id(tgt))
-                if mapped_blk is not None and mapped_blk is not tgt:
-                    new_inst.replace_successor(tgt, mapped_blk)  # type: ignore[arg-type]
+    for new_inst, index in unmapped:
+        mapped = vmap.get(id(new_inst.operands[index]))
+        if mapped is not None:
+            new_inst.set_operand(index, mapped)
 
     return clones, vmap

@@ -11,7 +11,7 @@ accidental invariant-code removal.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set
 
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import Loop, LoopInfo
@@ -31,11 +31,21 @@ class LoopInvariantCodeMotion:
     def run(self, func: Function) -> bool:
         changed = False
         loop_info = LoopInfo.compute(func)
+        domtree: Optional[DominatorTree] = loop_info.domtree
         for loop in loop_info.innermost_first():
-            changed |= self._run_on_loop(func, loop)
+            if domtree is None:
+                domtree = DominatorTree.compute(func)
+            blocks = len(func.blocks)
+            if self._run_on_loop(func, loop, domtree):
+                changed = True
+                if len(func.blocks) != blocks:
+                    # ensure_preheader added a block; the next loop, if
+                    # there is one, needs a tree that knows it.
+                    domtree = None
         return changed
 
-    def _run_on_loop(self, func: Function, loop: Loop) -> bool:
+    def _run_on_loop(self, func: Function, loop: Loop,
+                     domtree: DominatorTree) -> bool:
         latches = loop.latches()
         if not latches:
             return False
@@ -46,7 +56,12 @@ class LoopInvariantCodeMotion:
         has_calls = any(
             isinstance(inst, CallInst) and not inst.is_pure
             for block in loop.blocks for inst in block.instructions)
-        domtree = DominatorTree.compute(func)
+        # Only hoist from blocks that execute every iteration: speculating
+        # conditional code would change behaviour on trapping ops and waste
+        # issue slots on the GPU.
+        always_executed = [
+            block for block in loop.blocks
+            if all(domtree.dominates_block(block, latch) for latch in latches)]
 
         loop_ids = {id(b) for b in loop.blocks}
         invariant: Set[int] = set()
@@ -63,13 +78,7 @@ class LoopInvariantCodeMotion:
         progress = True
         while progress:
             progress = False
-            for block in loop.blocks:
-                # Only hoist from blocks that execute every iteration:
-                # speculating conditional code would change behaviour on
-                # trapping ops and waste issue slots on the GPU.
-                if not all(domtree.dominates_block(block, latch)
-                           for latch in latches):
-                    continue
+            for block in always_executed:
                 for inst in block.instructions:
                     if id(inst) in invariant or isinstance(inst, PhiInst):
                         continue

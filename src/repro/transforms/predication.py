@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 
 from ..analysis.cfg_utils import predecessor_map
 from ..ir.block import BasicBlock
-from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import (BranchInst, CondBranchInst, Instruction,
                                LoadInst, PhiInst, SelectInst, StoreInst)
@@ -34,22 +33,35 @@ class Predication:
 
     def run(self, func: Function) -> bool:
         changed = False
-        progress = True
-        while progress:
-            progress = False
-            preds = predecessor_map(func)
-            for block in list(func.blocks):
-                term = block.terminator
-                if not isinstance(term, CondBranchInst):
-                    continue
-                if term.true_target is term.false_target:
-                    continue
-                if self._try_diamond(func, block, term, preds) or \
-                        self._try_triangle(func, block, term, preds):
-                    progress = True
-                    changed = True
-                    break  # CFG changed; recompute predecessors.
+        preds = predecessor_map(func)
+        index = 0
+        while index < len(func.blocks):
+            block = func.blocks[index]
+            term = block.terminator
+            if (isinstance(term, CondBranchInst)
+                    and term.true_target is not term.false_target
+                    and (self._try_diamond(func, block, term, preds) or
+                         self._try_triangle(func, block, term, preds))):
+                changed = True
+                # The conversion made ``block`` a candidate side of its
+                # predecessors and nothing else newly convertible, so the
+                # earliest of them is where a rescan from block 0 would
+                # first find work.
+                index = min(func.blocks.index(b)
+                            for b in (block, *preds[block]))
+            else:
+                index += 1
         return changed
+
+    @staticmethod
+    def _folded(preds, block: BasicBlock, merge: BasicBlock,
+                *sides: BasicBlock) -> None:
+        """Keep ``preds`` current: ``sides`` are gone and ``block`` now
+        branches straight to ``merge``."""
+        for side in sides:
+            del preds[side]
+        preds[merge] = [p for p in preds[merge]
+                        if p is not block and p not in sides] + [block]
 
     # -- shapes -----------------------------------------------------------
     def _try_diamond(self, func: Function, block: BasicBlock,
@@ -70,7 +82,6 @@ class Predication:
 
         self._hoist(t_blk, block)
         self._hoist(f_blk, block)
-        builder = IRBuilder(block)
         for phi in merge.phis():
             v_t = phi.incoming_for(t_blk)
             v_f = phi.incoming_for(f_blk)
@@ -88,6 +99,7 @@ class Predication:
         block.append(BranchInst(merge))
         self._erase_block(func, t_blk)
         self._erase_block(func, f_blk)
+        self._folded(preds, block, merge, t_blk, f_blk)
         return True
 
     def _try_triangle(self, func: Function, block: BasicBlock,
@@ -126,6 +138,7 @@ class Predication:
             term.erase_from_parent()
             block.append(BranchInst(merge))
             self._erase_block(func, side)
+            self._folded(preds, block, merge, side)
             return True
         return False
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..ir.block import BasicBlock
-from ..ir.constants import ConstantInt
+from ..ir.constants import ConstantInt, Undef
 from ..ir.function import Function
 from ..ir.instructions import (BranchInst, CondBranchInst, Instruction,
                                PhiInst, TerminatorInst)
@@ -93,15 +93,17 @@ class SimplifyCFG:
                         phi.remove_operand(i)
                         del phi.incoming_blocks[i]
         for block in dead:
-            # Erase instructions in reverse so uses inside the block go away
-            # before their definitions.
-            for inst in reversed(list(block.instructions)):
-                from ..ir.constants import Undef
-
+            # Detach instructions last to first, so uses inside the block go
+            # away before their definitions.
+            instructions = block.instructions
+            while instructions:
+                inst = instructions.pop()
                 if inst.is_used:
                     inst.replace_all_uses_with(Undef(inst.type))
-                inst.erase_from_parent()
-            func.remove_block(block)
+                inst.parent = None
+                inst.drop_all_operands()
+            block.parent = None
+        func.blocks[:] = [b for b in func.blocks if id(b) not in dead_ids]
         return True
 
     # -- merging straight-line chains ---------------------------------------------

@@ -272,8 +272,14 @@ def _duplicate_tail(func: Function, region: _Region, merge: BasicBlock,
                          key=lambda p: tail_index[id(p)]) for b in tail]
 
     region.instruction_count -= len(merge)
+    merge_phis = merge.phis()
     for j, pred in enumerate(others, start=1):
-        clones, vmap = clone_blocks(func, tail, f"p{j}")
+        # The one fact unmerging creates -- which predecessor reaches this
+        # copy -- is known before the clone: the merge's phis *are* that
+        # predecessor's incoming values, so they are never built.
+        clones, vmap = clone_blocks(
+            func, tail, f"p{j}",
+            {id(phi): phi.incoming_for(pred) for phi in merge_phis})
         for original, clone, preds in zip(tail, clones, tail_preds):
             region.add_clone(original, clone,
                              [vmap[id(p)] for p in preds], vmap)
@@ -285,15 +291,6 @@ def _duplicate_tail(func: Function, region: _Region, merge: BasicBlock,
         term.replace_successor(merge, new_merge)
         region.rewired(pred)
         region.preds[id(new_merge)] = [pred]
-        # Collapse the cloned merge block's phis to this predecessor's
-        # incoming values.
-        for original_phi in merge.phis():
-            cloned = vmap[id(original_phi)]
-            assert isinstance(cloned, PhiInst)
-            value = cloned.incoming_for(pred)
-            cloned.replace_all_uses_with(value)
-            cloned.erase_from_parent()
-            vmap[id(original_phi)] = value
         # Deeper cloned blocks may also have had predecessors outside the
         # tail; those edges still target the *original* blocks, so their
         # cloned phis must drop the stale incoming entries.
@@ -325,7 +322,7 @@ def _duplicate_tail(func: Function, region: _Region, merge: BasicBlock,
     # The original merge keeps only the first predecessor: drop the other
     # incoming entries, then collapse now-trivial phis.
     region.preds[id(merge)] = [keeper]
-    for phi in list(merge.phis()):
+    for phi in merge_phis:
         for pred in others:
             phi.remove_incoming(pred)
         unique = phi.is_trivial()

@@ -159,3 +159,105 @@ next:
         preds = predecessor_map(f)
         bb = blocks_by_name(f)
         assert preds[bb["next"]] == [bb["entry"]]
+
+
+# -- interval queries against the idom-chain walk they replaced ---------------
+
+def walks_up_to(tree, a, b):
+    """``a`` dominates ``b`` the slow way: climb ``b``'s idom chain."""
+    if not (tree.is_reachable(a) and tree.is_reachable(b)):
+        return False
+    node = b
+    while node is not None:
+        if node is a:
+            return True
+        node = tree.idom(node)
+    return False
+
+
+def reference_ipdoms(func):
+    """Immediate post-dominators from networkx on the reversed CFG."""
+    g = nx.DiGraph()
+    for block in func.blocks:
+        for succ in block.successors():
+            g.add_edge(succ.name, block.name)
+        if block.terminator is not None and not block.successors():
+            g.add_edge("__exit__", block.name)
+    if "__exit__" not in g:
+        return {}
+    reference = nx.immediate_dominators(g, "__exit__")
+    return {name: None if parent == "__exit__" else parent
+            for name, parent in reference.items() if name != "__exit__"}
+
+
+def check_tree(func):
+    tree = DominatorTree.compute(func)
+    g = nx.DiGraph([(block.name, succ.name) for block in func.blocks
+                    for succ in block.successors()])
+    g.add_node(func.entry.name)
+    reference = nx.immediate_dominators(g, func.entry.name)
+    for block in func.blocks:
+        idom = tree.idom(block)
+        if block is func.entry or block.name not in reference:
+            assert idom is None
+        else:
+            assert idom.name == reference[block.name]
+    for a in func.blocks:
+        for b in func.blocks:
+            assert tree.dominates_block(a, b) == walks_up_to(tree, a, b)
+            assert tree.strictly_dominates(a, b) == (
+                a is not b and walks_up_to(tree, a, b))
+    late = func.add_block("late")
+    for block in func.blocks:
+        assert not tree.dominates_block(late, block)
+        assert not tree.dominates_block(block, late)
+    func.remove_block(late)
+    pdt = PostDominatorTree.compute(func)
+    expected = reference_ipdoms(func)
+    for block in func.blocks:
+        ipdom = pdt.ipdom(block)
+        assert (ipdom.name if ipdom is not None else None) == \
+            expected.get(block.name)
+
+
+@pytest.mark.parametrize("first", range(0, 120, 20))
+def test_interval_dominance_equals_the_chain_walk_on_fuzz_kernels(first):
+    from repro.directive import LoopDirective
+    from repro.frontend.lower import lower_kernels
+    from repro.fuzz.generator import generate_kernel
+    from repro.transforms.plan import ApplyPlan
+    from repro.transforms.simplifycfg import run_simplifycfg
+
+    transformed = 0
+    for seed in range(first, first + 20):
+        module = lower_kernels([generate_kernel(seed)], f"fuzz{seed}")
+        for func in module.functions.values():
+            run_simplifycfg(func)
+            check_tree(func)
+            transformed += ApplyPlan(
+                [LoopDirective.of("uu", f"{func.name}:0", 2)],
+                max_instructions=8000).run(func)
+            check_tree(func)
+    assert transformed >= 10
+
+
+def test_unreachable_blocks_dominate_nothing_and_are_dominated_by_nothing():
+    f = parse_function("""
+define void @f(i1 %c) {
+entry:
+  br i1 %c, label %a, label %b
+a:
+  ret void
+b:
+  ret void
+dead:
+  br label %a
+}
+""")
+    bb = blocks_by_name(f)
+    dt = DominatorTree.compute(f)
+    assert dt.idom(bb["a"]) is bb["entry"]  # Not through the dead edge.
+    for block in f.blocks:
+        assert not dt.dominates_block(bb["dead"], block)
+        assert not dt.dominates_block(block, bb["dead"])
+    assert not dt.strictly_dominates(bb["entry"], bb["dead"])
