@@ -10,8 +10,8 @@ Times two passes per threshold, interleaved over ``--repeats`` rounds:
   16 warps x 1 000 trips (its ``kernel_exec``: one long hot loop each).
 
 There is no threshold option in the program; the sweep sets the module
-constant, as the tier-up tests do.  ``batched`` is the no-region
-reference, ``never`` the jit with a threshold no count reaches.
+constant, as the tier-up tests do.  ``never`` — a threshold no count
+reaches, the lattice interpreter alone — is the no-region reference.
 
     PYTHONPATH=src python benchmarks/tier_up_sweep.py [--repeats 7]
 """
@@ -47,35 +47,33 @@ def main() -> None:
     kernels = {p.stem: parse_module(p.read_text(), p.stem)
                for p in sorted(KERNEL_DIR.glob("*.ir"))}
 
-    def suite(engine: str) -> None:
+    def suite() -> None:
         for bench, module in apps:
-            bench.run(module, engine=engine)
+            bench.run(module, engine="jit")
 
-    def kernel(engine: str) -> None:
+    def kernel() -> None:
         for name, module in kernels.items():
             memory, args = Memory(), [1000]
             if len(module.get_function(name).args) == 2:
                 args.insert(0, memory.alloc("buf", "i64", 512))
-            SimtMachine(module, memory, engine=engine).launch(
+            SimtMachine(module, memory, engine="jit").launch(
                 name, 1, 512, args)
 
-    configs = [("batched", None)] + [("jit", t) for t in THRESHOLDS]
-    seconds = {c: {"suite": [], "kernel": []} for c in configs}
+    seconds = {t: {"suite": [], "kernel": []} for t in THRESHOLDS}
     for _ in range(repeats):
-        for engine, threshold in configs:
-            if threshold is not None:
-                jit.TIER_UP_DISPATCHES = threshold
+        for threshold in THRESHOLDS:
+            jit.TIER_UP_DISPATCHES = threshold
             for label, run in (("suite", suite), ("kernel", kernel)):
                 start = time.perf_counter()
-                run(engine)
-                seconds[(engine, threshold)][label].append(
+                run()
+                seconds[threshold][label].append(
                     time.perf_counter() - start)
 
-    print(f"{'engine':<8}{'threshold':>10}{'suite min':>11}{'median':>8}"
+    print(f"{'threshold':>10}{'suite min':>11}{'median':>8}"
           f"{'kernel min':>12}{'median':>8}   (seconds, {repeats} rounds)")
-    for (engine, threshold), got in seconds.items():
-        label = {None: "-", 0: "never"}.get(threshold, str(threshold))
-        print(f"{engine:<8}{label:>10}"
+    for threshold, got in seconds.items():
+        label = "never" if threshold == 0 else str(threshold)
+        print(f"{label:>10}"
               f"{min(got['suite']):>11.3f}"
               f"{statistics.median(got['suite']):>8.3f}"
               f"{min(got['kernel']):>12.3f}"

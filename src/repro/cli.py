@@ -36,12 +36,11 @@ provides the same operations:
 
 Sweeps fan out over worker processes (``--jobs/-j``, default all cores)
 and reuse cells from the persistent cache under ``results/.cellcache/``
-(``--no-cache`` bypasses it).  ``--engine {batched,warp,jit}`` (or
+(``--no-cache`` bypasses it).  ``--engine {warp,jit}`` (or
 ``REPRO_ENGINE``) selects the SIMT execution engine — ``jit`` by default:
 the lattice interpreter that compiles a superblock where a launch gets
-hot; ``batched`` is that interpreter alone and ``warp`` the per-warp
-reference.  The engines are bit-identical, so this only affects
-wall-clock.
+hot; ``warp`` is the per-warp reference.  The engines are bit-identical,
+so this only affects wall-clock.
 
 Observability (see :mod:`repro.obs`): every sweep command accepts
 ``--trace-out run.trace.json`` (Chrome trace-event JSON, load in Perfetto
@@ -863,8 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="SIMT execution engine (default: REPRO_ENGINE "
                              "or 'jit', which compiles superblocks where a "
-                             "launch gets hot; 'batched' never compiles, "
-                             "'warp' is the per-warp reference); engines "
+                             "launch gets hot; 'warp' is the per-warp "
+                             "reference); engines "
                              "are bit-identical, this only affects "
                              "wall-clock")
     common.add_argument("--trace-out", metavar="PATH", default=None,

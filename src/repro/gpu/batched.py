@@ -1,9 +1,11 @@
-"""Launch-vectorized batched execution engine: the lattice dispatcher.
+"""Launch-vectorized batched execution: the lattice dispatcher.
 
-The ``batched`` and ``jit`` engines share this module's dispatcher;
-``jit`` is it with tier-up on (each scheduler pop is first offered to
-:func:`repro.gpu.jit.enter_region`), ``batched`` the region-free lattice
-interpreter described here.  It executes *all* warps of a kernel launch
+This module is the ``jit`` engine's dispatcher and its block
+interpreter: each scheduler pop is first offered to the trace tier
+(:func:`repro.gpu.jit.enter_region`), and whatever that leaves — every
+block until it gets hot, every group without a full mask, the arms of
+an in-region diamond — runs through :func:`interpret_block`.  It
+executes *all* warps of a kernel launch
 as one ``(n_warps, 32)`` numpy value lattice instead of looping over
 warps in Python.  Most HeCBench-style kernels are control-uniform across
 warps — every warp runs the same decoded block schedule, only the lane
@@ -97,9 +99,9 @@ _CLS_NOT_TAKEN = 1
 #: one-row batch — identical lattice accounting, so observably the same
 #: — whose full-mask rows re-enter compiled regions (measured ~1.4x on
 #: ``benchmarks/perf/kernels/briefdiv.ir``; pinned by count in
-#: ``tests/test_tier_up.py``).  With no region to re-enter — the
-#: batched engine, or a jit function still cold when the singleton's
-#: turn comes — one split is enough: a one-row lattice is *slower* than
+#: ``tests/test_tier_up.py``).  With no region to re-enter — a
+#: function still cold when the singleton's turn comes — one split is
+#: enough: a one-row lattice is *slower* than
 #: the per-warp engine's scalar accounting, which is the old ~0.91x
 #: worst case.  Rows that keep splitting are genuinely chaotic and
 #: demote either way.
@@ -220,19 +222,17 @@ def _issue_factor(actives: np.ndarray) -> np.ndarray:
 def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
                        args: Sequence, total: Counters
                        ) -> Tuple[List[np.ndarray], int]:
-    """Run one launch on the lattice dispatcher (batched and jit engines).
+    """Run one launch on the lattice dispatcher (the ``jit`` engine).
 
-    Under ``jit`` the function's :class:`RegionMap` rides along: blocks
-    tier up into compiled regions as they get hot.  Fills ``total``'s
-    integer counters as it goes, then reduces the float accumulators in
+    The function's :class:`RegionMap` rides along: blocks tier up into
+    compiled regions as they get hot.  Fills ``total``'s integer
+    counters as it goes, then reduces the float accumulators in
     original warp order.  Returns ``(ret_all, fetch_stalls)`` exactly
     as the serial loop in ``launch()`` would.
     """
-    regions = None
-    if machine.engine == "jit":
-        regions = machine._regions.get(id(func))
-        if regions is None:
-            regions = machine._regions[id(func)] = RegionMap(func.name)
+    regions = machine._regions.get(id(func))
+    if regions is None:
+        regions = machine._regions[id(func)] = RegionMap(func.name)
     warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
     n = grid_dim * warps
     arg_values = machine._bind_args(func, args)
@@ -272,26 +272,25 @@ def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
 
 def _run_state(machine, func, state: _BatchState, arg_values, total,
                results: _Results, worklist: List[_BatchState],
-               regions: Optional[RegionMap]) -> None:
+               regions: RegionMap) -> None:
     """Drive one batch: the serial group scheduler, lifted to the lattice.
 
     Merge groups parked at the same block (ORing the (n, 32) masks,
     adding their lane counts), run the laggard (min ``(epoch, rpo)``), and
     repeat — identical pop order to what every row's serial scheduler
-    would produce, by the batching invariant.  With ``regions`` (the jit engine) each pop is first
+    would produce, by the batching invariant.  Each pop is first
     offered to the trace tier.  A singleton that has split off often
     enough (``DEMOTE_HYSTERESIS``) goes to the per-warp engine instead.
     Splits and abandons the state on cross-warp divergence; records
     results when the schedule drains.
     """
-    profile = machine.profile
-    if regions is not None:
-        from .jit import enter_region  # Deferred: jit builds on this module.
     # A RegionMap is truthy once it holds a compiled region to re-enter.
     if (state.ctx.n == 1
             and state.splits[0] >= (DEMOTE_HYSTERESIS if regions else 1)):
         _demote_row(machine, func, state, arg_values, total, results)
         return
+    from .jit import enter_region  # Deferred: jit builds on this module.
+    profile = machine.profile
     while state.groups:
         if float(state.cycles.max()) > machine.max_cycles:
             raise SimulationError(
@@ -303,25 +302,12 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
         lanes = int(actives.sum())
         if not lanes:
             continue
-        pending = INTERPRET if regions is None else enter_region(
-            machine, func, regions, db, epoch, mask, state, arg_values, total,
-            actives, lanes)
+        pending = enter_region(machine, func, regions, db, epoch, mask,
+                               state, arg_values, total, actives, lanes)
         if pending is INTERPRET:
-            state.cycles += state.icache.access(db.block_id, db.size)
-            if profile is None:
-                pending = _exec_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total, actives, lanes)
-            else:
-                # One sample per batched block execution: active lanes
-                # summed over all rows against the whole lattice's lane
-                # capacity, timestamped by the representative row's cycles.
-                start_ts = float(state.cycles[0])
-                before = float(state.cycles.sum())
-                pending = _exec_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total, actives, lanes)
-                profile.note_block(db.name,
-                                   float(state.cycles.sum()) - before,
-                                   lanes, mask.size, start_ts)
+            pending = interpret_block(machine, func, db, epoch, mask, state,
+                                      arg_values, total, actives, lanes,
+                                      profile)
         if pending is not None:
             if profile is not None:
                 cls = pending[-1]
@@ -330,6 +316,29 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
             _split_state(state, arg_values, pending, total, worklist)
             return
     _finish_state(state, results)
+
+
+def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
+                    state: _BatchState, arg_values, total: Counters,
+                    actives: np.ndarray, lanes: int, profile):
+    """One interpreted dispatch — fetch, execute, sample — of a pop the
+    trace tier declined or of a diamond arm inside a compiled region
+    (``jit._exec_arm``).  Returns :func:`_exec_block`'s outcome.
+    """
+    state.cycles += state.icache.access(db.block_id, db.size)
+    if profile is None:
+        return _exec_block(machine, func, db, epoch, mask, state, arg_values,
+                           total, actives, lanes)
+    # One sample per batched block execution: active lanes summed over
+    # all rows against the whole lattice's lane capacity, timestamped by
+    # the representative row's cycles.
+    start_ts = float(state.cycles[0])
+    before = float(state.cycles.sum())
+    pending = _exec_block(machine, func, db, epoch, mask, state, arg_values,
+                          total, actives, lanes)
+    profile.note_block(db.name, float(state.cycles.sum()) - before, lanes,
+                       mask.size, start_ts)
+    return pending
 
 
 def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,

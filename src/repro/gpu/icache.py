@@ -29,7 +29,7 @@ class InstructionCache:
     def clone(self) -> "InstructionCache":
         """Independent copy with identical residency and statistics.
 
-        The batched engine runs one representative cache for every warp of a
+        The lattice dispatcher runs one representative cache for every warp of a
         batch (their access sequences are identical by construction); when a
         warp demotes or a batch splits, each part continues from a clone.
         """

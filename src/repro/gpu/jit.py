@@ -1,18 +1,23 @@
-"""Trace-JIT execution engine: the lattice dispatcher with tier-up on.
+"""Trace-JIT execution engine: the lattice dispatcher's tier-2.
 
-This engine is the batched engine's dispatcher
-(:func:`repro.gpu.batched.run_launch_batched`) with a tier-2 fast path
-that a launch earns block by block.  Every block starts interpreted; the
-dispatcher offers each pop to :func:`enter_region`, which counts it, and
-on a block's ``TIER_UP_DISPATCHES``-th dispatch selects the function's
-regions (once) and compiles the superblock (:mod:`repro.gpu.regions`)
-starting there.  From then on, when a popped
+The ``jit`` engine is the lattice dispatcher
+(:func:`repro.gpu.batched.run_launch_batched`) plus the fast path this
+module adds, which a launch earns block by block.  Every block starts
+interpreted; the dispatcher offers each pop to :func:`enter_region`,
+which counts it, and on a block's ``TIER_UP_DISPATCHES``-th dispatch
+selects the function's regions (once) and compiles the superblock
+(:mod:`repro.gpu.regions`) starting there.  From then on, when a popped
 group's mask covers *every* lane of every warp, the whole trace runs as
 one fused sequence — no per-block scheduling, no masked writes, integer
-counters folded per block, and (for memory-free regions whose per-row
-accumulators agree) float accounting replayed on two Python scalars
-instead of ``(n,)``/``(n, 7)`` lattices.  A function that never gets hot
-is never selected or compiled.
+counters folded per block.  A function that never gets hot is never
+selected or compiled, and a compiled region never changes shape.
+
+Two executors run a region (:func:`_run_region`; EXPERIMENTS.md
+"Trace-tier traffic" has the counts behind the split):
+:func:`_region_self_scalar` replays a memory-free self-loop's float
+accounting on Python scalars instead of ``(n,)``/``(n, 7)`` lattices,
+:func:`_region_vector` runs everything else, and the arms of an
+in-region diamond go through the interpreter's own block executor.
 
 Guards and deoptimization: each conditional branch crossed by a trace
 checks that every lane takes the compile-time expected side (one lattice
@@ -29,9 +34,9 @@ caught at every region back edge against ``machine.max_cycles``.
 Bit-identicality: see the :mod:`repro.gpu.regions` module docstring for
 the argument; ``tests/test_engine_equivalence.py`` pins this engine
 byte-identical (outputs, cycles, Counters, memory transactions) to the
-warp and batched engines across benchmarks, corpus, and fuzz kernels,
-and ``tests/test_tier_up.py`` pins it identical whenever it tiers up
-(at the first dispatch, at the real threshold, never).
+warp engine across benchmarks, corpus, and fuzz kernels, and
+``tests/test_tier_up.py`` pins it identical whenever it tiers up (at
+the first dispatch, at the real threshold, never).
 """
 
 from __future__ import annotations
@@ -41,18 +46,15 @@ from typing import Dict
 import numpy as np
 
 from .batched import (INTERPRET, _BatchState, _classify, _follow_batch,
-                      _issue_factor, _resolve_condbr, _write_ret,
+                      _resolve_condbr, _write_ret, interpret_block,
                       _CLS_DIVERGENT, _CLS_TAKEN)
 from ..obs import metrics as obs_metrics
 from .counters import Counters
-from .machine import (WARP_SIZE, SimulationError, _BR_COST, _CAT_CONTROL,
-                      _CAT_MISC, _K_VALUE, _K_VOID)
+from .machine import WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC
 from .region_cache import note_compiled, session
-from .regions import (CompiledRegion, GUARD_DEMOTE_FAILS, R_DIAMOND,
-                      R_EXIT_BR, R_EXIT_CONDBR, R_GUARD, R_NEXT, R_RET,
-                      R_UNREACHABLE, S_FUSED, S_MEM, S_VALUE, RegionMap,
-                      compile_region, demote_guard, drop_cold_region,
-                      select_regions)
+from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
+                      R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
+                      RegionMap, compile_region, select_regions)
 
 #: Tier-up threshold: a block compiles its region on its this-many-th
 #: lattice dispatch, counted per (machine, function) so heat accumulates
@@ -104,37 +106,29 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
             return INTERPRET
         note_compiled(region)
     if lanes != mask.size:
-        # Regions need every lane live; one that only ever sees
-        # partial masks (e.g. one half of an if/else) can never fire
-        # and is dropped.
-        region.entry_fails += 1
-        if (region.entry_fails >= GUARD_DEMOTE_FAILS
-                and region.entries == 0):
-            drop_cold_region(regions, region, func.name)
         return INTERPRET
     region.entries += 1
     return _run_region(machine, func, region, epoch, mask, state,
-                       arg_values, total, machine.profile, regions, actives)
+                       arg_values, total, machine.profile, actives)
 
 
 def _run_region(machine, func, region: CompiledRegion, epoch: int,
                 mask: np.ndarray, state: _BatchState, arg_values, total,
-                profile, regions, actives: np.ndarray):
+                profile, actives: np.ndarray):
     """Execute one compiled superblock; returns None or a pending split.
 
     ``mask`` is full, so ``actives`` — its per-row lane counts, which the
-    exits hand on with it — reads ``WARP_SIZE`` in every row.
+    exits hand on with it — reads ``WARP_SIZE`` in every row.  The
+    ``scalar_ok`` test matters: a load or store charges per-row
+    latencies that the scalar replay does not carry.
     """
-    if region.scalar_ok and _rows_uniform(state):
-        if region.self_loop is not None and profile is None:
-            return _region_self_scalar(machine, func, region,
-                                       region.self_loop, epoch, mask,
-                                       state, arg_values, total, regions,
-                                       actives)
-        return _region_scalar(machine, func, region, epoch, mask, state,
-                              arg_values, total, profile, regions, actives)
+    if (region.scalar_ok and region.self_loop is not None
+            and profile is None and _rows_uniform(state)):
+        return _region_self_scalar(machine, func, region, region.self_loop,
+                                   epoch, mask, state, arg_values, total,
+                                   actives)
     return _region_vector(machine, func, region, epoch, mask, state,
-                          arg_values, total, profile, regions, actives)
+                          arg_values, total, profile, actives)
 
 
 def _rows_uniform(state: _BatchState) -> bool:
@@ -213,17 +207,19 @@ def _normalize_slots(ctx, norm, shape) -> None:
 
 def _region_self_scalar(machine, func, region: CompiledRegion, op,
                         epoch: int, mask: np.ndarray, state: _BatchState,
-                        arg_values, total: Counters, regions, actives):
-    """Specialized scalar executor for single-block self-loop regions.
+                        arg_values, total: Counters, actives):
+    """Scalar executor for memory-free single-block self-loop regions.
 
     The hottest compiled shape — a loop body whose guard jumps straight
     back to itself — spins here with every per-iteration attribute load
     hoisted into locals and integer counters folded as one
     multiplication by the iteration count at exit (exact: they are
-    Python ints).  The float charge sequence is statement-for-statement
-    the generic scalar loop's, so accounting stays bit-identical.  Runs
-    only with profiling off; the generic loop keeps the per-iteration
-    ``note_block`` stream otherwise.
+    Python ints).  Float accumulation runs on Python scalars
+    (``cy``/``cats``) in the exact operation order the lattice would
+    use; since every row starts equal and every charge is row-uniform,
+    broadcasting the final scalars back is bit-identical to the
+    elementwise updates.  Runs only with profiling off; the vector
+    executor keeps the per-iteration ``note_block`` stream otherwise.
     """
     ctx = state.ctx
     values = ctx.values
@@ -290,13 +286,8 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
 
     # Guard failed — the loop's only exit.  Fold the whole run's integer
     # counters, flush floats, and deoptimize to the interpreter.
-    op.passes += iters
-    op.fails += 1
     obs_metrics.inc("repro_jit_guard_failures_total", kind="loop")
     obs_metrics.inc("repro_jit_deopts_total")
-    if (op.fails >= GUARD_DEMOTE_FAILS and op.fails > op.passes
-            and regions.get(region.head_id) is region):
-        demote_guard(regions, region, 0, func.name)
     state.cycles[:] = cy
     state.cat_cycles[:] = cats
     issues = op.issues * (iters + 1) + k * iters
@@ -311,177 +302,24 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
                            total)
 
 
-def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
-                   mask: np.ndarray, state: _BatchState, arg_values,
-                   total: Counters, profile, regions, actives):
-    """Scalar-accounting region execution (memory-free, uniform rows).
-
-    Float accumulation runs on two Python scalars (``cy``/``cats``) in
-    the exact operation order the lattice would use; since every row
-    starts equal and every charge is row-uniform, broadcasting the final
-    scalars back is bit-identical to the elementwise updates.  Integer
-    counters accumulate in locals and flush once per exit.
-    """
-    ctx = state.ctx
-    values = ctx.values
-    n = ctx.n
-    lanes = n * WARP_SIZE
-    shape = mask.shape
-    iaccess = state.icache.access
-    max_cycles = machine.max_cycles
-    ops = region.ops
-    cy = float(state.cycles[0])
-    cats = [float(x) for x in state.cat_cycles[0]]
-    acc_issues = 0
-    acc_branches = 0
-    acc_cats: Dict[str, int] = {}
-    i = 0
-    while True:
-        op = ops[i]
-        cy += iaccess(op.block_id, op.size)
-        start = cy
-        acc_issues += op.issues
-        acc_branches += op.branch_inc
-        for attr, count in op.cat_counts:
-            acc_cats[attr] = acc_cats.get(attr, 0) + count
-        for c, ci in op.acct:
-            cy += c
-            cats[ci] += c
-        for run, iid, dt in op.vsteps:
-            if iid is None:  # Fused segment: one call for a whole chain.
-                try:
-                    run(ctx, arg_values, values)
-                except KeyError as exc:
-                    _raise_undef(exc, dt)
-                continue
-            arr = run(ctx, arg_values)
-            if arr.dtype != dt:
-                arr = arr.astype(dt)
-            values[iid] = arr
-        kind = op.kind
-        if kind == R_GUARD:
-            cond = op.read_cond(ctx, arg_values)
-            if op.expected:
-                ok = bool(cond.all())
-            else:
-                ok = not bool(cond.any())
-            if not ok:
-                # Guard failed: deoptimize to the interpreter.
-                op.fails += 1
-                obs_metrics.inc("repro_jit_guard_failures_total",
-                                kind="scalar")
-                obs_metrics.inc("repro_jit_deopts_total")
-                if (op.fails >= GUARD_DEMOTE_FAILS
-                        and op.fails > op.passes
-                        and regions.get(region.head_id) is region):
-                    demote_guard(regions, region, i, func.name)
-                state.cycles[:] = cy
-                state.cat_cycles[:] = cats
-                _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
-                            lanes)
-                _normalize_slots(ctx, region.norm, shape)
-                if profile is not None:
-                    profile.note_block(op.name, (cy - start) * n, lanes,
-                                       lanes, start)
-                return _resolve_condbr(cond, mask, actives, op.true_edge,
-                                       op.false_edge, epoch, state,
-                                       arg_values, total)
-            op.passes += 1
-        elif kind != R_NEXT:
-            break
-        moves = op.moves
-        if moves:
-            _bind_phis(ctx, arg_values, moves, shape)
-            k = len(moves)
-            acc_issues += k
-            acc_cats["inst_misc"] = acc_cats.get("inst_misc", 0) + k
-            pc = op.phi_c
-            for _ in range(k):
-                cy += pc
-                cats[_CAT_MISC] += pc
-        if profile is not None:
-            profile.note_block(op.name, (cy - start) * n, lanes, lanes,
-                               start)
-        epoch += op.bump
-        ni = op.next_i
-        if ni <= i and cy > max_cycles:
-            raise SimulationError(
-                f"@{func.name}: exceeded {max_cycles} cycles "
-                "(runaway kernel?)")
-        i = ni
-
-    # Region exit: flush accumulators, normalize slots, resolve the exit.
-    state.cycles[:] = cy
-    state.cat_cycles[:] = cats
-    _flush_ints(total, acc_issues, acc_branches, acc_cats, n, lanes)
-    _normalize_slots(ctx, region.norm, shape)
-    if profile is not None:
-        profile.note_block(op.name, (cy - start) * n, lanes, lanes, start)
-    kind = op.kind
-    if kind == R_EXIT_BR:
-        _follow_batch(op.exit_edge, epoch, mask, actives, state, arg_values,
-                      total)
-        return None
-    if kind == R_EXIT_CONDBR:
-        cond = op.read_cond(ctx, arg_values)
-        return _resolve_condbr(cond, mask, actives, op.true_edge,
-                               op.false_edge, epoch, state, arg_values, total)
-    if kind == R_RET:
-        _write_ret(ctx, op.ret, mask, arg_values)
-        return None
-    # R_UNREACHABLE
-    raise SimulationError(
-        f"@{func.name}: executed unreachable in {op.name}")
-
-
-def _exec_arm(arm, mask_a: np.ndarray, actives: np.ndarray, epoch: int,
-              state: _BatchState, ctx, arg_values, total: Counters,
+def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
+              epoch: int, state: _BatchState, arg_values, total: Counters,
               profile) -> int:
-    """Execute one diamond arm exactly as an interpreter pop would.
+    """Execute one diamond arm: an interpreter pop, without the scheduler.
 
-    The arm runs under its partial mask (``actives`` its per-row lane
-    counts) with the interpreter's own machinery — per-row
-    ``_issue_factor`` charges, masked writers, ``_follow_batch`` for the
-    join-edge phi moves — so every float lands bit-identically; only the
-    commuting integer counters are folded.
-    Returns the epoch the join group was parked at (the arm's join-edge
-    bump applied), popping the park since control merges in-region.
+    The arm (a decoded block ending in a ``br`` to the join) runs under
+    its partial mask, ``actives`` its per-row lane counts.  Returns the
+    epoch the join group was parked at, popping the park since control
+    merges in-region.
     """
-    bid, size, name, steps, join_edge, cat_counts, arm_issues = arm
-    state.cycles += state.icache.access(bid, size)
-    if profile is not None:
-        start_ts = float(state.cycles[0])
-        before = float(state.cycles.sum())
-    active_sum = int(actives.sum())
-    n = mask_a.shape[0]
-    factor = _issue_factor(actives)
-    cycles = state.cycles
-    cat = state.cat_cycles
-    for _category, cat_idx, cost, kind, run, brun, write, _meta in steps:
-        c = cost * factor
-        cycles += c
-        cat[:, cat_idx] += c
-        if kind == _K_VALUE:
-            write(ctx, run(ctx, arg_values), mask_a)
-        elif kind != _K_VOID:
-            brun(ctx, arg_values, mask_a, actives, state)
-    # The BR terminator, then the join edge's phi moves.
-    c = _BR_COST * factor
-    cycles += c
-    cat[:, _CAT_CONTROL] += c
-    total.branches += n
-    total.note_issue((arm_issues, cat_counts), active_sum, n)
-    _follow_batch(join_edge, epoch, mask_a, actives, state, arg_values,
-                  total)
-    if profile is not None:
-        profile.note_block(name, float(state.cycles.sum()) - before,
-                           active_sum, mask_a.size, start_ts)
+    interpret_block(machine, func, arm, epoch, mask_a, state, arg_values,
+                    total, actives, int(actives.sum()), profile)
     return state.groups.pop()[0]
 
 
 def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                    mask: np.ndarray, state: _BatchState, arg_values,
-                   total: Counters, profile, regions, actives):
+                   total: Counters, profile, actives):
     """Vector-accounting region execution (general case).
 
     Keeps the per-row ``(n,)``/``(n, 7)`` accumulators (memory latency
@@ -557,14 +395,9 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             else:
                 ok = not bool(cond.any())
             if not ok:
-                op.fails += 1
                 obs_metrics.inc("repro_jit_guard_failures_total",
                                 kind="lattice")
                 obs_metrics.inc("repro_jit_deopts_total")
-                if (op.fails >= GUARD_DEMOTE_FAILS
-                        and op.fails > op.passes
-                        and regions.get(region.head_id) is region):
-                    demote_guard(regions, region, i, func.name)
                 _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
                             lanes)
                 _normalize_slots(ctx, region.norm, shape)
@@ -574,7 +407,6 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 return _resolve_condbr(cond, mask, actives, op.true_edge,
                                        op.false_edge, epoch, state,
                                        arg_values, total)
-            op.passes += 1
         elif kind == R_DIAMOND:
             # Predicated if/else: classify rows exactly as the
             # interpreter's condbr would, then run the arm(s) in-region —
@@ -604,18 +436,18 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                         (op.arm_f, mask & ~t_mask, f_actives))
                 if not op.arms_t_first:
                     arms = (arms[1], arms[0])
-                e1 = _exec_arm(*arms[0], epoch, state, ctx, arg_values,
-                               total, profile)
-                e2 = _exec_arm(*arms[1], epoch, state, ctx, arg_values,
-                               total, profile)
+                e1 = _exec_arm(machine, func, *arms[0], epoch, state,
+                               arg_values, total, profile)
+                e2 = _exec_arm(machine, func, *arms[1], epoch, state,
+                               arg_values, total, profile)
                 # The join group merges at the max parked epoch.
                 epoch = max(e1, e2)
             elif first == _CLS_TAKEN:
-                epoch = _exec_arm(op.arm_t, mask, actives, epoch, state, ctx,
-                                  arg_values, total, profile)
+                epoch = _exec_arm(machine, func, op.arm_t, mask, actives,
+                                  epoch, state, arg_values, total, profile)
             else:
-                epoch = _exec_arm(op.arm_f, mask, actives, epoch, state, ctx,
-                                  arg_values, total, profile)
+                epoch = _exec_arm(machine, func, op.arm_f, mask, actives,
+                                  epoch, state, arg_values, total, profile)
             ni = op.next_i
             if ni <= i and float(cycles.max()) > max_cycles:
                 raise SimulationError(

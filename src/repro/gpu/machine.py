@@ -41,22 +41,20 @@ contract), which the constant folder and the jit's fuser share;
 :meth:`SimtMachine.launch` holds the ``np.errstate`` those kernels are
 total under, once per launch.
 
-Three execution engines consume the decoded form (``REPRO_ENGINE``
+Two execution engines consume the decoded form (``REPRO_ENGINE``
 selects; see :func:`resolve_engine`):
 
-* ``jit`` (default) — :mod:`repro.gpu.jit`: the lattice dispatcher of
-  :mod:`repro.gpu.batched` with tier-up on.  Every launch starts
+* ``jit`` (default) — the lattice dispatcher of :mod:`repro.gpu.batched`
+  with the trace tier of :mod:`repro.gpu.jit` on top.  All warps of a
+  launch execute as one ``(n_warps, 32)`` value lattice while their
+  control decisions agree across warps, and individual warps demote to
+  this module's per-warp path once they diverge.  Every launch starts
   interpreted; a block that the dispatcher reaches
   ``jit.TIER_UP_DISPATCHES`` times (counted per machine and function,
   across launches) gets the superblock trace starting there
   (:mod:`repro.gpu.regions`) compiled into a fused dispatch sequence
   with guarded side exits, deoptimizing back to the block interpreter
   when a guard fails.  A function that never gets hot pays nothing;
-* ``batched`` — :mod:`repro.gpu.batched`: the same dispatcher with
-  tier-up off, the region-free lattice interpreter.  All warps of a
-  launch execute as one ``(n_warps, 32)`` value lattice while their
-  control decisions agree across warps, and individual warps demote to
-  this module's per-warp path the moment they diverge;
 * ``warp`` — the per-warp scheduler below, the reference oracle: every
   warp of a launch runs the decoded schedule on its own, one 32-lane
   numpy vector at a time.
@@ -98,7 +96,7 @@ ArgValue = Union[int, float]
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Supported execution engines (see module docstring).
-ENGINES = ("batched", "warp", "jit")
+ENGINES = ("warp", "jit")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -204,7 +202,7 @@ class _WarpContext:
     The launch-geometry intrinsics (``ctaid``/``ntid``/``nctaid``) are
     materialised as read-only arrays on the context, so the decoded
     intrinsic readers work unchanged on both this context (``(32,)``
-    arrays) and the batched engine's ``(n, 32)`` lattice context.
+    arrays) and the lattice dispatcher's ``(n, 32)`` lattice context.
     """
 
     __slots__ = ("values", "lane_ids", "block_idx", "block_dim", "grid_dim",
@@ -354,7 +352,7 @@ class SimtMachine:
         #: read-only ``(32,)`` vector (see :meth:`_operand_vec`).
         self._operand_vecs: Dict[Value, np.ndarray] = {}
         self._decoded: Dict[int, _DecodedBlock] = {}
-        #: Per-function tier-up state (jit engine only): id(func) ->
+        #: Per-function tier-up state (jit engine): id(func) ->
         #: ``regions.RegionMap`` — block heat, selected plans, and
         #: {head block_id -> CompiledRegion} for the heads that got hot.
         self._regions: Dict[int, Dict] = {}
@@ -383,25 +381,23 @@ class SimtMachine:
                 f"@{func.name} expects {len(func.args)} args, got {len(args)}")
         total = Counters()
         entry = self._decode(func)
-        warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
         # The op-semantics kernels are total under errstate-ignore (inf and
         # NaN are values, not events); the launch holds it once for every
         # step it runs.
         with np.errstate(all="ignore"):
-            if self.engine == "jit" or (self.engine == "batched"
-                                        and grid_dim * warps > 1):
+            if self.engine == "jit":
                 # Lattice dispatcher: all warps execute as one (n, 32)
                 # lattice until their control decisions diverge (then they
-                # demote to the per-warp path below).  Without tier-up a
-                # single-warp launch gains nothing from batching and skips
-                # straight to that path; with it, compiled regions collapse
-                # the scheduler loop, so the jit takes every launch.
+                # demote to the per-warp path below).  Compiled regions
+                # collapse the scheduler loop, so a single-warp launch
+                # goes this way too.
                 from .batched import run_launch_batched
                 ret_all, fetch_stalls = run_launch_batched(
                     self, func, entry, grid_dim, block_dim, args, total)
             else:
                 ret_all = []
                 fetch_stalls = 0
+                warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
                 for block_idx in range(grid_dim):
                     for warp_idx in range(warps):
                         # Per-warp icache: warps spread across SMs, so each
@@ -749,7 +745,7 @@ class SimtMachine:
                    counters: Counters, icache: InstructionCache) -> None:
         """Drive ``groups`` to completion (the scheduler of ``_run_warp``).
 
-        Split out so the batched engine can *demote* a warp mid-flight:
+        Split out so the lattice dispatcher can *demote* a warp mid-flight:
         it seeds ``counters``/``groups``/``ctx`` with the warp's state at
         the divergence point and resumes here.
         """

@@ -5,11 +5,12 @@ decoded basic blocks entered only at its head, extended across branches
 whose direction is decided at compile time — unconditional branches
 always, conditional branches along one *expected* side chosen from
 static CFG shape alone (never from an execution profile: observing a
-launch must not change what it compiles; guard feedback corrects a wrong
-guess at run time).  The shapes the
-paper's transforms produce — unrolled loop bodies, unmerged per-path
-clones — are exactly long chains of such decided branches, so one trace
-frequently covers a whole unrolled iteration.
+launch must not change what it compiles, and a compiled region never
+changes shape: a wrong guess costs a deopt per traversal, and
+EXPERIMENTS.md "Trace-tier traffic" records why nothing corrects it).
+The shapes the paper's transforms produce — unrolled loop bodies,
+unmerged per-path clones — are exactly long chains of such decided
+branches, so one trace frequently covers a whole unrolled iteration.
 
 Selection and compilation are separate steps, because the jit pays
 only for what runs hot.  :func:`select_regions` walks the decoded CFG
@@ -26,12 +27,12 @@ precomputed increments.  Every conditional branch crossed becomes a
 every warp (one lattice reduction); otherwise the op deoptimizes — the
 scalar accumulators are flushed back to the per-row vectors, rebound
 slots are normalized to owned ``(n, 32)`` arrays, and the branch is
-resolved by the exact batched-interpreter logic (park sub-groups, or
+resolved by the exact lattice-interpreter logic (park sub-groups, or
 report a pending cross-warp split).
 
 Bit-identicality argument (the contract of the engine family): a region
 executes only for a group whose mask is *full* — every lane of every
-warp active.  Then the batched engine's per-issue charge factor
+warp active.  Then the lattice interpreter's per-issue charge factor
 ``ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * actives / 32`` is the same
 constant for every row, so per-row float accumulation degenerates to one
 scalar sequence that can be replayed on Python floats (same IEEE-754
@@ -67,14 +68,6 @@ _FULL_FACTOR = ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * WARP_SIZE / WARP_SIZE
 MAX_REGION_BLOCKS = 64
 MAX_REGION_GUARDS = 16
 
-#: Guard-failure feedback: once a guard has failed this many times *and*
-#: failed more often than it passed, the trace is truncated at that
-#: guard (``demote_guard``) so an intra-warp-divergent branch stops
-#: paying region-entry + deopt on every traversal.  Pure scheduling
-#: policy — region and interpreted execution are bit-identical, so the
-#: threshold cannot affect any observable result.
-GUARD_DEMOTE_FAILS = 8
-
 # RegionOp terminator kinds.
 R_NEXT = 0          # Unconditional internal edge to ops[next_i].
 R_GUARD = 1         # Conditional: expected side internal, other side exits.
@@ -98,8 +91,8 @@ class RegionOp:
                  "term_c", "issues", "cat_counts", "branch_inc", "has_mem",
                  "kind", "next_i", "bump", "moves", "phi_c", "read_cond",
                  "expected", "true_edge", "false_edge", "exit_edge", "ret",
-                 "load_ids", "fails", "passes", "arm_t", "arm_f",
-                 "arms_t_first", "stored", "fuse_plan")
+                 "load_ids", "arm_t", "arm_f", "arms_t_first", "stored",
+                 "fuse_plan")
 
     def __init__(self, db: _DecodedBlock) -> None:
         self.block_id = db.block_id
@@ -125,9 +118,7 @@ class RegionOp:
         self.exit_edge = None
         self.ret = None
         self.load_ids: Tuple = ()    # Slots mutated in place by loads.
-        self.fails = 0               # Guard-failure feedback counters.
-        self.passes = 0
-        self.arm_t = None            # R_DIAMOND compiled arms (_compile_arm).
+        self.arm_t = None            # R_DIAMOND arms: their decoded blocks.
         self.arm_f = None
         self.arms_t_first = True     # True arm has the lower rpo.
         self.stored = ()             # (iid, dtype) slots this op rebinds.
@@ -139,8 +130,7 @@ class CompiledRegion:
 
     __slots__ = ("head_id", "head_name", "ops", "scalar_ok", "norm",
                  "n_guards", "loopback", "self_loop", "entries",
-                 "entry_fails", "fused_segments", "fused_steps",
-                 "max_chain")
+                 "fused_segments", "fused_steps", "max_chain")
 
     def __init__(self, head_id: int, head_name: str, ops: List[RegionOp],
                  norm: Tuple, n_guards: int, loopback: bool) -> None:
@@ -162,9 +152,8 @@ class CompiledRegion:
         op0 = self.ops[0] if len(self.ops) == 1 else None
         self.self_loop = op0 if (op0 is not None and op0.kind == R_GUARD
                                  and op0.next_i == 0 and loopback) else None
-        #: Entry feedback: full-mask entries vs. partial-mask dispatches.
+        #: Full-mask entries (telemetry; nothing reads it to decide).
         self.entries = 0
-        self.entry_fails = 0
         #: Fusion telemetry (see gpu/fuser.py), folded into remarks and
         #: the jit session counters (``region_cache.RegionSession``).
         self.fused_segments = sum(len(op.fuse_plan) for op in self.ops)
@@ -181,8 +170,8 @@ class RegionMap(dict):
     per decoded block (``jit.enter_region``); ``plans`` is None until
     the first block gets hot, then holds every selected head's
     uncompiled decision list ``(decisions, n_guards, loopback)`` —
-    what :func:`compile_region` compiles, one hot head at a time, and
-    guard feedback deletes when it drops a region for good.
+    what :func:`compile_region` compiles, one hot head at a time.  The
+    map only grows, and a compiled region is immutable.
     """
 
     __slots__ = ("func_name", "heat", "plans", "fuse_ctx")
@@ -234,7 +223,7 @@ def compile_region(regions: RegionMap,
                    head_id: int) -> Optional[CompiledRegion]:
     """Compile the selected trace headed at ``head_id`` and install it.
 
-    Returns None for a head selection rejected (or feedback dropped).
+    Returns None for a head selection rejected.
     Region telemetry — the ``repro_jit_*`` metrics and the ``compiled
     superblock`` remark — is counted here, when a region is compiled.
     """
@@ -262,7 +251,8 @@ def compile_region(regions: RegionMap,
         guards=region.n_guards,
         steps=sum(len(op.steps) for op in region.ops),
         diamonds=sum(1 for op in region.ops if op.kind == R_DIAMOND),
-        mode="scalar" if region.scalar_ok else "vector",
+        mode=("scalar" if region.scalar_ok and region.self_loop is not None
+              else "vector"),
         loopback=region.loopback,
         fused=region.fused_steps,
         fused_segments=region.fused_segments)
@@ -441,7 +431,7 @@ def _finalize_moves(ops: List[RegionOp]) -> None:
             # Diamond join phis are masked-written in place each
             # traversal — aliasing them would corrupt the alias.
             for arm in (op.arm_t, op.arm_f):
-                safe -= {pid for _w, _read, pid, _dt, _sid in arm[4].moves}
+                safe -= {pid for _w, _read, pid, _dt, _sid in arm.term.moves}
     for op in ops:
         if op.moves:
             op.moves = tuple((pid, read, dt, sid is not None and sid in safe)
@@ -557,8 +547,8 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         op.true_edge = t_edge
         op.false_edge = f_edge
         op.next_i = next_i
-        op.arm_t = _compile_arm(ta)
-        op.arm_f = _compile_arm(fa)
+        op.arm_t = ta
+        op.arm_f = fa
         op.arms_t_first = ta.rpo <= fa.rpo
 
     op.phi_c = _PHI_COST * _FULL_FACTOR
@@ -572,84 +562,3 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     # change how a block runs, not what it issues.
     op.issues, op.cat_counts = db.issues
     return op
-
-
-def _compile_arm(db: _DecodedBlock) -> Tuple:
-    """Pack one diamond arm for masked in-region execution.
-
-    Arms run under partial masks, so they keep the raw decoded steps
-    (masked writers included) and replay the interpreter's per-pop
-    sequence exactly; the integer instruction counters are the ones
-    decode sealed (steps plus the BR terminator).  Layout:
-    ``(block_id, size, name, steps, join_edge, cat_counts, issues)``.
-    """
-    issues, cat_counts = db.issues
-    return (db.block_id, db.size, db.name, db.steps, db.term,
-            cat_counts, issues)
-
-
-def demote_guard(regions: RegionMap, region: CompiledRegion,
-                 op_index: int, func_name: str) -> None:
-    """Truncate a region at a guard that keeps failing.
-
-    The guard op becomes a condbr side exit (identical charges — only
-    the resolution strategy changes), everything past it is dropped, and
-    the replacement is installed in the dispatch map.  If nothing
-    executable remains before the exit the region is dropped entirely
-    and the block returns to plain interpreted dispatch.
-    """
-    old = region.ops[op_index]
-    fails = old.fails
-    if op_index == 0 and not old.steps:
-        del regions[region.head_id]
-        del regions.plans[region.head_id]
-        obs_metrics.inc("repro_jit_regions_total", result="dropped")
-        obs_session.remark(
-            "analysis", "jit", func_name,
-            f"region at {region.head_name} dropped: guard in {old.name} "
-            f"failed {fails}x (intra-warp divergent branch)",
-            head=region.head_name, guard=old.name, fails=fails,
-            action="dropped")
-        return
-    exit_op = RegionOp.__new__(RegionOp)
-    for slot in RegionOp.__slots__:
-        setattr(exit_op, slot, getattr(old, slot))
-    exit_op.kind = R_EXIT_CONDBR
-    exit_op.moves = ()
-    exit_op.next_i = 0
-    exit_op.bump = 0
-    exit_op.fails = 0
-    exit_op.passes = 0
-    ops = list(region.ops[:op_index]) + [exit_op]
-    guards = sum(1 for op in ops if op.kind == R_GUARD)
-    regions[region.head_id] = CompiledRegion(
-        region.head_id, region.head_name, ops, _norm_of(ops), guards,
-        loopback=False)
-    obs_metrics.inc("repro_jit_regions_total", result="truncated")
-    obs_session.remark(
-        "analysis", "jit", func_name,
-        f"region at {region.head_name} truncated to {len(ops)} blocks: "
-        f"guard in {old.name} failed {fails}x (intra-warp divergent "
-        "branch)",
-        head=region.head_name, guard=old.name, fails=fails,
-        blocks=len(ops), action="truncated")
-
-
-def drop_cold_region(regions: RegionMap, region: CompiledRegion,
-                     func_name: str) -> None:
-    """Drop a region the dispatcher keeps reaching without a full mask.
-
-    Such a region can never fire (regions require every lane active), so
-    the per-dispatch full-mask test on it is pure overhead — e.g. the
-    divergent halves of an if/else, always entered under partial masks.
-    Scheduling policy only; execution is unaffected.
-    """
-    del regions[region.head_id]
-    del regions.plans[region.head_id]
-    obs_metrics.inc("repro_jit_regions_total", result="dropped")
-    obs_session.remark(
-        "analysis", "jit", func_name,
-        f"region at {region.head_name} dropped: "
-        f"{region.entry_fails} dispatches without a full mask",
-        head=region.head_name, entry_fails=region.entry_fails,
-        action="dropped")

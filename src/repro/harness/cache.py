@@ -74,8 +74,8 @@ from .experiment import Cell
 #: they said "tuned".
 #:
 #: Note the execution engine (``REPRO_ENGINE``, ``jit`` by default) is
-#: deliberately *not* part of the key: the jit, batched and per-warp
-#: engines are bit-identical by contract — whenever the jit tiers up —
+#: deliberately *not* part of the key: the jit and per-warp engines
+#: are bit-identical by contract — whenever the jit tiers up —
 #: (tests/test_engine_equivalence.py, tests/test_tier_up.py), so a cell
 #: computed under any is valid for all.
 SCHEMA_VERSION = 5

@@ -81,10 +81,9 @@ HELP: Dict[str, str] = {
     "repro_sweep_worker_failures_total":
         "Pool worker tasks that raised instead of returning a cell.",
     "repro_jit_regions_total":
-        "JIT region compilation outcomes "
-        "(result=compiled|rejected|truncated|dropped).",
+        "JIT region compilation outcomes (result=compiled|rejected).",
     "repro_jit_guard_failures_total":
-        "JIT guard failures by site (kind=loop|scalar|lattice).",
+        "JIT guard failures by site (kind=loop|lattice).",
     "repro_jit_deopts_total":
         "Region executions that deoptimized back to the interpreter.",
     "repro_jit_fused_segments_total":
@@ -357,9 +356,9 @@ def preregister(registry: MetricsRegistry) -> None:
         registry.counter("repro_cache_puts_total", cache=cache)
         registry.counter("repro_cache_evictions_total", cache=cache)
         registry.counter("repro_cache_bytes_written_total", cache=cache)
-    for result in ("compiled", "rejected", "truncated", "dropped"):
+    for result in ("compiled", "rejected"):
         registry.counter("repro_jit_regions_total", result=result)
-    for kind in ("loop", "scalar", "lattice"):
+    for kind in ("loop", "lattice"):
         registry.counter("repro_jit_guard_failures_total", kind=kind)
     registry.counter("repro_jit_deopts_total")
     for outcome in ("transfer", "fallback"):

@@ -8,7 +8,7 @@ rather than how many there were:
 * an active-mask occupancy timeline — ``(cycle, active_lanes)`` samples
   taken at every block execution, the SIMT-efficiency-over-time view
   DARM-style divergence analyses start from;
-* batched-engine structural events: lattice splits (cross-warp control
+* lattice-dispatcher structural events: lattice splits (cross-warp control
   disagreement) and row demotions to the per-warp path.
 
 The profile is strictly observational: engines consult it only through a

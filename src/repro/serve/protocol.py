@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..directive import LoopDirective
 from ..frontend import ast as front
+from ..gpu.machine import ENGINES
 from ..gpu.timing import TIMING_MODEL_VERSION
 from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 
@@ -180,6 +181,11 @@ class OptimizeRequest:
             raise ProtocolError(
                 f"config {self.config!r} addresses one loop at a time; "
                 "set loop_id")
+        if self.engine is not None and self.engine not in ENGINES:
+            # Checked here, not where the engine runs: the content hash
+            # excludes the engine, so a memoized duplicate never runs.
+            raise ProtocolError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.lanes < 1 or self.lanes > 32:
             raise ProtocolError(f"lanes must be in 1..32, got {self.lanes}")
         if self.directives and self.loop_id is not None:

@@ -34,7 +34,6 @@ from ..bench import benchmark_by_name
 from ..frontend.lower import lower_kernels
 from ..fuzz.oracle import MAX_INSTRUCTIONS, compare, run_one_warp
 from ..gpu.counters import Counters
-from ..gpu.machine import ENGINES
 from ..harness.cache import cell_to_json, outputs_to_json
 from ..harness.experiment import ExperimentRunner
 from ..ir.module import Module
@@ -45,13 +44,6 @@ from ..obs import session as obs
 from ..transforms.pipeline import compile_module
 from .protocol import (OptimizeRequest, OptimizeResult, ProtocolError,
                        content_hash, parse_plan)
-
-
-def _resolve_engine(engine: Optional[str]) -> Optional[str]:
-    if engine is not None and engine not in ENGINES:
-        raise ProtocolError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
 
 
 def _counters_json(counters: Counters) -> Dict[str, object]:
@@ -203,7 +195,6 @@ def execute_request(request: OptimizeRequest,
                             config=request.config, engine=request.engine)
     try:
         request.validate()
-        _resolve_engine(request.engine)
         if runner is None:
             runner = ExperimentRunner(engine=request.engine)
         # An explicit plan when the request carries directives, else None

@@ -7,7 +7,7 @@ trip-count analysis, divergence, and the per-opcode-category breakdown
 the timing model charges (:data:`repro.gpu.counters.CATEGORIES`).
 Nothing is simulated and nothing depends on the execution engine, the
 worker count, or any cache state, so vectors are bit-identical across
-``-j1``/``-jN``, across the warp/batched/jit engines, and across
+``-j1``/``-jN``, across the warp and jit engines, and across
 cold-versus-warm in-process jit state (tests/test_similarity.py pins
 all three).
 

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
+from unittest import mock
+
 import pytest
 
 from repro.gpu import jit, region_cache
@@ -16,6 +19,38 @@ def tier_up_at_once(monkeypatch):
     ``fuser.MIN_CHAIN`` one of ``test_engine_equivalence.fusion``.
     """
     monkeypatch.setattr(jit, "TIER_UP_DISPATCHES", 1)
+
+
+@contextlib.contextmanager
+def engine_named(label):
+    """The engine a test's ``label`` runs on, for the ``with`` body.
+
+    ``"batched"`` — the lattice interpreter without the trace tier, once
+    an engine value of its own and still the id of the tests that pin
+    it — is the ``jit`` engine with a tier-up threshold it never
+    reaches (a dispatch count starts at 1, so it never equals 0).  Any
+    other label is an engine name.  The same kind of seam as
+    ``tier_up_at_once``.
+    """
+    if label != "batched":
+        yield label
+        return
+    with mock.patch.object(jit, "TIER_UP_DISPATCHES", 0):
+        yield "jit"
+
+
+@pytest.fixture
+def tier_up_never():
+    """Never compile a region: the lattice interpreter, block by block."""
+    with engine_named("batched"):
+        yield
+
+
+@pytest.fixture
+def engine(request):
+    """An engine label for ``parametrize("engine", ..., indirect=True)``."""
+    with engine_named(request.param) as name:
+        yield name
 
 
 @pytest.fixture

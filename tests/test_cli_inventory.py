@@ -41,3 +41,23 @@ def test_docs_name_exactly_the_verbs(source):
     assert named == real, (
         f"{source}: undocumented: {sorted(real - named)}; "
         f"documented but absent: {sorted(named - real)}")
+
+
+ENGINE_SET = re.compile(r"--engine \{([a-z,]+)\}")
+
+
+def test_engine_choices_are_exactly_the_engines():
+    """The parser offers, and both docs name, ``gpu.machine.ENGINES``."""
+    from repro.gpu.machine import ENGINES
+
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["fig6", "--engine", "batched"])
+    for engine in ENGINES:
+        args = cli.build_parser().parse_args(["fig6", "--engine", engine])
+        assert args.engine == engine
+    for source, text in (("cli.py docstring", cli.__doc__),
+                         ("README.md", (REPO / "README.md").read_text())):
+        named = ENGINE_SET.findall(text)
+        assert named, f"{source} no longer spells the --engine choices"
+        assert all(set(choice.split(",")) == set(ENGINES)
+                   for choice in named), (source, named)

@@ -1,12 +1,14 @@
 """Bit-identicality contract between the execution engines.
 
-The launch-vectorized ("batched") engine and the superblock trace-jit
-("jit") tier on top of it exist purely for wall-clock: each must produce
-byte-for-byte the same outputs and *exactly* the same Counters — cycles
-included, which are float sums and therefore sensitive to accumulation
-order — as the per-warp ("warp") engine.  That contract is what lets the
-persistent cell cache omit the engine from its keys and lets the fuzz
-oracle treat the engines as interchangeable.
+The launch-vectorized lattice dispatcher and the superblock trace tier
+on top of it (together the "jit" engine) exist purely for wall-clock:
+with the tier compiling where a launch gets hot ("jit") and with it
+never compiling ("batched", see ``conftest.engine_named``) it must
+produce byte-for-byte the same outputs and *exactly* the same Counters —
+cycles included, which are float sums and therefore sensitive to
+accumulation order — as the per-warp ("warp") engine.  That contract is
+what lets the persistent cell cache omit the engine from its keys and
+lets the fuzz oracle treat the engines as interchangeable.
 
 Coverage here is deliberately broad rather than deep:
 
@@ -18,8 +20,10 @@ Coverage here is deliberately broad rather than deep:
 * freshly fuzz-generated kernels, again multi-warp, so data-dependent
   divergence exercises the demotion path,
 * a guard-storm kernel engineered so every jit deopt kind fires (diamond
-  divergent arms, diamond mixed-class deopt, guard failure with
-  truncation to a side exit, loop-region exits, demotion splits),
+  divergent arms, diamond mixed-class deopt, a guard failing on every
+  traversal, loop-region exits, demotion splits),
+* a memory-carrying self-loop, the one shape whose executor choice the
+  fuzzer cannot reach,
 * profiling on vs. off (the execution profile must be strictly
   observational).
 """
@@ -39,18 +43,23 @@ from repro.frontend.lower import lower_kernels
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
-from repro.gpu import Counters, Memory, SimtMachine, fuser
+from repro.gpu import Counters, Memory, SimtMachine, fuser, jit
 from repro.gpu.region_cache import take_session
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
+from repro.obs import metrics as obs_metrics
+from repro.obs import session as obs_session
 from repro.transforms.pipeline import compile_module
+from tests.conftest import engine_named
+from tests.test_tier_up import assert_same_at_every_threshold, launch_all, spy
 
 #: Multi-warp geometry with a boundary warp: 2 blocks x 3 warps, the
 #: last warp of each block only 16 lanes active.
 GRID_DIM = 2
 BLOCK_DIM = 80
 
-#: Engines measured against the per-warp reference.
+#: Measured against the per-warp reference: the lattice interpreter
+#: alone (a ``conftest.engine_named`` label) and the jit as it runs.
 FAST_ENGINES = ("batched", "jit")
 
 BENCHMARKS = all_benchmarks()
@@ -97,14 +106,16 @@ def launch_engine(ir_text: str, name: str, engine: str,
                   args=None):
     """Launch every function of ``ir_text`` under one engine."""
     module = parse_module(ir_text, name)
-    machine = SimtMachine(module, Memory(), engine=engine)
     per_func = {}
-    for fname, func in module.functions.items():
-        result = machine.launch(func, grid_dim, block_dim,
-                                default_args(func) if args is None else args)
-        ret = result.return_values
-        per_func[fname] = (None if ret is None else ret.tobytes(),
-                           result.counters)
+    with engine_named(engine) as real:
+        machine = SimtMachine(module, Memory(), engine=real)
+        for fname, func in module.functions.items():
+            result = machine.launch(
+                func, grid_dim, block_dim,
+                default_args(func) if args is None else args)
+            ret = result.return_values
+            per_func[fname] = (None if ret is None else ret.tobytes(),
+                               result.counters)
     return per_func
 
 
@@ -131,7 +142,8 @@ def _check_bench_engines(bench, config, prepare):
     outs, counters = {}, {}
     for engine in ("warp",) + FAST_ENGINES:
         module = prepare()
-        outs[engine], counters[engine] = bench.run(module, engine=engine)
+        with engine_named(engine) as real:
+            outs[engine], counters[engine] = bench.run(module, engine=real)
     for engine in FAST_ENGINES:
         label = f"{bench.name}/{config}/{engine}"
         assert outs[engine].keys() == outs["warp"].keys()
@@ -204,9 +216,8 @@ def test_fuzzed_kernels_bit_identical(seed, fuse):
 #:   region deopts with both edges pending;
 #: * ``%laneodd`` asymmetric branch (ga/gb) — ``gb`` detours through
 #:   ``gc`` so the arms do NOT form a diamond; the resulting R_GUARD
-#:   fails on every entry (intra-warp divergence), crossing the
-#:   guard-demotion threshold so the region is truncated to a side exit
-#:   (R_EXIT_CONDBR) that later entries then take;
+#:   fails on every entry (intra-warp divergence) and deoptimizes each
+#:   time;
 #: * ``%trip`` depends on the warp index, so warps exit the loop on
 #:   different iterations — loop-region exits plus demotion splits.
 STORM_IR = """
@@ -268,8 +279,7 @@ exit:
 }
 """
 
-#: Enough loop trips to cross GUARD_DEMOTE_FAILS and then keep running
-#: through the truncated region's side exit.
+#: Enough loop trips to compile the loop and then fail its guard 24 times.
 STORM_TRIPS = 40
 
 
@@ -284,31 +294,75 @@ def test_guard_storm_bit_identical_single_warp():
                       args=[STORM_TRIPS])
 
 
-def test_guard_storm_exercises_every_deopt_kind():
+def test_guard_storm_exercises_every_deopt_kind(monkeypatch):
     """The storm kernel must actually hit the paths it claims to hit.
 
-    Runs under a live obs session so the jit's region remarks are
-    observable, then asserts the remark stream records diamond
-    compilation plus guard-driven truncation or dropping — without
-    those, the two bit-identicality tests above would be vacuous.
+    Runs under a live obs session and metrics registry so the jit's
+    region remarks and deopt counts are observable, then asserts that a
+    diamond compiled, that its arms ran in-region, and that the
+    asymmetric branch's guard kept failing — without those, the two
+    bit-identicality tests above would be vacuous.
     """
-    from repro.obs import session as obs_session
-
     assert obs_session.active() is None, "a test leaked a live session"
     session = obs_session.install()
+    registry = obs_metrics.install()
+    arms = spy(monkeypatch, jit, "_exec_arm")
     try:
         launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
     finally:
+        obs_metrics.uninstall()
         obs_session.uninstall()
     jit_remarks = [r for r in session.remarks if r.pass_name == "jit"]
     assert jit_remarks, "jit engine emitted no region remarks"
     diamonds = sum(int(r.args.get("diamonds", 0)) for r in jit_remarks)
     assert diamonds > 0, "no diamond was compiled — kernel shape drifted?"
-    actions = {r.args.get("action") for r in jit_remarks
-               if r.args.get("action")}
-    assert actions & {"truncated", "dropped"}, (
-        f"no guard demotion happened (actions seen: {sorted(actions)}) — "
-        f"the asymmetric divergent branch is supposed to storm its guard")
+    assert arms, "no diamond arm ran in-region"
+    failures = registry.counter("repro_jit_guard_failures_total",
+                                kind="lattice").value
+    assert failures >= 8, (
+        f"the asymmetric divergent branch is supposed to storm its guard "
+        f"({failures} guard failures seen)")
+    assert registry.counter("repro_jit_deopts_total").value >= failures
+
+
+# -- a self-loop that carries memory ------------------------------------------
+
+MEMORY_SELF_LOOP_IR = """
+define void @memloop(i64* %buf, i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %p = gep i64* %buf, i64 %tid
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %loop ]
+  %old = load i64, i64* %p
+  %new = add i64 %old, %i
+  store i64 %new, i64* %p
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  ret void
+}
+"""
+
+
+def test_memory_self_loop_identical_at_every_threshold(monkeypatch):
+    """A single-block self-loop with a load and a store: the shape the
+    jit's scalar executor must refuse (``CompiledRegion.scalar_ok``) —
+    memory latencies are charged per row, which a replay on Python
+    scalars drops: 3 510.0 cycles where every engine says 13 030.0.
+    Nothing else notices a ``_run_region`` that forgets the test: the
+    perf kernels and the suite have no such loop, and the fuzzer cannot
+    find one because fuzz kernels have no buffers.  2 warps x 100 trips;
+    outputs, the buffer and every counter equal ``warp``'s, whenever
+    the loop compiles."""
+    compiled = assert_same_at_every_threshold(
+        monkeypatch, MEMORY_SELF_LOOP_IR, "memloop", 1, 64, args=[100])
+    assert compiled["default"] > 0
+    (_ret, _bufs, counters), = launch_all(
+        MEMORY_SELF_LOOP_IR, "memloop", "jit", 1, 64, [100])[0].values()
+    assert (counters.cycles, counters.inst_executed) == (13030.0, 1408)
 
 
 # -- profiling must be strictly observational ---------------------------------
@@ -321,8 +375,6 @@ def test_profiling_on_vs_off_bit_identical():
     kernel — every deopt kind live — plus a real benchmark under a live
     session and pins the results against the unprofiled ones.
     """
-    from repro.obs import session as obs_session
-
     assert obs_session.active() is None, "a test leaked a live session"
     plain = {engine: launch_engine(STORM_IR, "storm", engine,
                                    args=[STORM_TRIPS])
@@ -372,10 +424,9 @@ def _compare_runs(label, got, reference):
 def test_region_cache_cold_vs_warm_bit_identical(fresh_jit_session, fuse):
     """A second fresh machine in the same process must change nothing.
 
-    No region state outlives a machine — the storm kernel's guard
-    feedback (a truncation and a dropped cold region) included — so the
-    second one selects, compiles and reshapes the same regions as the
-    first, and both are bit-identical to the per-warp reference.
+    No region state outlives a machine, so the second one selects and
+    compiles the same regions as the first, and both are bit-identical
+    to the per-warp reference.
     """
     reference = launch_engine(STORM_IR, "storm", "warp", args=[STORM_TRIPS])
     with fusion(fuse):

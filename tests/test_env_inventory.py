@@ -39,3 +39,13 @@ def test_readme_environment_section_names_exactly_the_inventory():
         f"undocumented: {sorted(used - documented)}; "
         f"documented but unused: {sorted(documented - used)}")
 
+
+
+def test_readme_engine_row_names_exactly_the_engines():
+    from repro.gpu.machine import ENGINE_ENV, ENGINES
+
+    section = SECTION.search((REPO / "README.md").read_text()).group(1)
+    (row,) = [line for line in section.splitlines()
+              if line.startswith(f"| `{ENGINE_ENV}`")]
+    meaning = row.split("|")[3]
+    assert set(re.findall(r"`([a-z]+)`", meaning)) == set(ENGINES), row

@@ -26,6 +26,7 @@ from repro.transforms import (CONFIGS, CompileTimeout, DeadCodeElimination,
 from repro.transforms.fold import fold_instruction
 from repro.transforms.instcombine import InstCombine
 from repro.transforms.sccp import SparseConditionalConstantPropagation
+from tests.conftest import engine_named
 
 TYPES = {"i1": T.I1, "i8": T.I8, "i32": T.I32, "i64": T.I64,
          "f32": T.F32, "f64": T.F64}
@@ -391,8 +392,9 @@ def _lanes(text, tys, result, rows, engine):
                               dtype=storage_dtype(TYPES[mem]))
         args.append(memory.alloc(f"p{n}", mem, lanes, init=column))
     args.append(memory.alloc("out", _memory_type(result), lanes))
-    machine = SimtMachine(parse_module(text, "k"), memory, engine=engine)
-    machine.launch("k", 1, lanes, args)
+    with engine_named(engine) as name:
+        machine = SimtMachine(parse_module(text, "k"), memory, engine=name)
+        machine.launch("k", 1, lanes, args)
     return memory.read_back("out")
 
 

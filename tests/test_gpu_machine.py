@@ -271,11 +271,13 @@ spin:
         with pytest.raises(SimulationError, match="exceeded"):
             m.run_function("f", [], lanes=1)
 
-    # The same spin, a lone warp and a two-warp lattice, on every engine:
-    # the per-warp scheduler, the lattice dispatcher, and (from the 16th
-    # trip) a compiled self-loop region each watch ``max_cycles``.
+    # The same spin, a lone warp and a two-warp lattice, on every path:
+    # the per-warp scheduler, the lattice dispatcher (``batched``: the jit
+    # engine never tiering up, see ``conftest.engine``), and (from the
+    # 16th trip) a compiled self-loop region each watch ``max_cycles``.
     @pytest.mark.parametrize("lanes", [1, 64])
-    @pytest.mark.parametrize("engine", ["warp", "batched", "jit"])
+    @pytest.mark.parametrize("engine", ["warp", "batched", "jit"],
+                             indirect=True)
     def test_runaway_kernel_detected_on_every_path(self, engine, lanes):
         module = parse_module("""
 define void @f() {
@@ -289,7 +291,7 @@ spin:
         with pytest.raises(SimulationError, match="exceeded 2000 cycles"):
             m.launch("f", 1, lanes, [])
 
-    @pytest.mark.parametrize("engine", ["batched", "jit"])
+    @pytest.mark.parametrize("engine", ["batched", "jit"], indirect=True)
     def test_runaway_after_demotion_detected(self, engine, monkeypatch):
         """Warp 0 diverges from warp 1, is handed to the per-warp
         scheduler mid-flight, and half of it spins there."""

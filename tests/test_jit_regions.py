@@ -2,19 +2,19 @@
 
 The engine-equivalence suite pins the jit tier's *results*; this file
 pins its *decisions*: which region shapes get selected, how diamonds are
-detected (and what disqualifies one), what guard-failure feedback does
-to a compiled region, and which remarks document all of it.
+detected (and what disqualifies one), when a diverged warp leaves the
+lattice, and which remarks document all of it.
 """
 
 from __future__ import annotations
 
 from repro.gpu import Memory, SimtMachine
 from repro.gpu.batched import DEMOTE_HYSTERESIS
-from repro.gpu.regions import (GUARD_DEMOTE_FAILS, R_DIAMOND, R_EXIT_CONDBR,
-                               R_GUARD, RegionMap, compile_region,
-                               demote_guard, drop_cold_region, select_regions)
+from repro.gpu.regions import (R_DIAMOND, R_GUARD, RegionMap, compile_region,
+                               select_regions)
 from repro.ir.parser import parse_module
 from repro.obs import session as obs_session
+from tests.conftest import engine_named
 
 SELF_LOOP_IR = """
 define i64 @selfloop(i64 %n) {
@@ -136,10 +136,10 @@ def test_diamond_selected_and_vector_only():
     dia = [op for op in loop.ops if op.kind == R_DIAMOND]
     assert len(dia) == 1
     op = dia[0]
-    # _compile_arm layout: (block_id, size, name, steps, join_edge,
-    # cat_counts, issues).
-    assert op.arm_t[2] == "a" and op.arm_f[2] == "b"
-    assert op.arm_t[6] == len(op.arm_t[3]) + 1  # steps + the arm's br.
+    # An arm is its decoded block, as the interpreter runs it.
+    assert op.arm_t.name == "a" and op.arm_f.name == "b"
+    issues, _cat_counts = op.arm_t.issues
+    assert issues == len(op.arm_t.steps) + 1    # steps + the arm's br.
     # Arms run masked with per-row accounting: no scalar replay.
     assert not loop.scalar_ok
     # The loop back-edge was still followed past the join.
@@ -159,83 +159,13 @@ def test_region_remarks_document_selection():
         regions, entry = regions_of(DIAMOND_IR)
     finally:
         obs_session.uninstall()
-    jit = [r for r in session.remarks if r.pass_name == "jit"]
-    assert jit and all(r.kind == "analysis" for r in jit)
-    compiled = [r for r in jit if "compiled superblock" in r.message]
+    remarks = [r for r in session.remarks if r.pass_name == "jit"]
+    assert remarks and all(r.kind == "analysis" for r in remarks)
+    compiled = [r for r in remarks if "compiled superblock" in r.message]
     assert any(r.args.get("diamonds", 0) > 0 for r in compiled)
     assert any(r.args.get("mode") == "vector" for r in compiled)
     # Every remark names its head block so streams are greppable.
-    assert all(r.args.get("head") for r in jit)
-
-
-# -- guard-failure feedback ---------------------------------------------------
-
-def test_demote_guard_truncates_to_side_exit():
-    regions, entry = regions_of(ASYMMETRIC_IR)
-    loop = region_at(regions, entry, "loop")
-    guard_i = next(i for i, op in enumerate(loop.ops)
-                   if op.kind == R_GUARD and op.next_i != 0)
-    assert loop.ops[guard_i].steps, \
-        "a guard with work before it truncates rather than drops"
-    loop.ops[guard_i].fails = GUARD_DEMOTE_FAILS
-    demote_guard(regions, loop, guard_i, "asym")
-    replacement = regions[loop.head_id]
-    assert replacement is not loop
-    assert len(replacement.ops) == guard_i + 1
-    assert replacement.ops[-1].kind == R_EXIT_CONDBR
-    assert not replacement.loopback
-
-
-# Region head with *no* steps before a divergent non-diamond branch: the
-# loop header carries only phis, the condition is computed in the entry
-# block, and the arms rejoin asymmetrically.  Demoting its guard leaves
-# nothing worth keeping, so the whole region is dropped.
-DROP_IR = """
-define i64 @drop(i64 %n) {
-entry:
-  %tid = call i64 @tid.x()
-  %bit = and i64 %tid, 1
-  %odd = icmp eq i64 %bit, 1
-  br label %hdr
-hdr:
-  %i = phi i64 [ 0, %entry ], [ %i.next, %join ]
-  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %join ]
-  br i1 %odd, label %a, label %b
-a:
-  %x = mul i64 %acc, 3
-  br label %join
-b:
-  %y0 = add i64 %acc, 7
-  br label %b2
-b2:
-  %y = mul i64 %y0, 5
-  br label %join
-join:
-  %m = phi i64 [ %x, %a ], [ %y, %b2 ]
-  %acc.next = and i64 %m, 1048575
-  %i.next = add i64 %i, 1
-  %done = icmp sge i64 %i.next, %n
-  br i1 %done, label %exit, label %hdr
-exit:
-  ret i64 %acc.next
-}
-"""
-
-
-def test_demote_guard_drops_leading_empty_guard():
-    regions, entry = regions_of(DROP_IR)
-    hdr = region_at(regions, entry, "hdr")
-    assert hdr.ops[0].kind == R_GUARD and not hdr.ops[0].steps
-    demote_guard(regions, hdr, 0, "drop")
-    assert hdr.head_id not in regions
-
-
-def test_drop_cold_region_removes_region():
-    regions, entry = regions_of(SELF_LOOP_IR)
-    loop = region_at(regions, entry, "loop")
-    loop.entry_fails = 10
-    drop_cold_region(regions, loop, "selfloop")
-    assert loop.head_id not in regions
+    assert all(r.args.get("head") for r in remarks)
 
 
 # -- demotion hysteresis ------------------------------------------------------
@@ -270,12 +200,12 @@ exit:
 """
 
 
-def _demotions(engine: str, trips: int = 50) -> int:
+def _demotions(trips: int = 50) -> int:
     """Run briefdiv (one warp takes a prelude) and count row demotions."""
     session = obs_session.install()
     try:
         module = parse_module(BRIEFDIV_IR, "briefdiv")
-        machine = SimtMachine(module, Memory(), engine=engine)
+        machine = SimtMachine(module, Memory(), engine="jit")
         func = next(iter(module.functions.values()))
         machine.launch(func, 1, 128, [trips])
     finally:
@@ -284,17 +214,18 @@ def _demotions(engine: str, trips: int = 50) -> int:
 
 
 def test_hysteresis_is_engine_dependent(tier_up_at_once):
-    """The first split demotes under batched but not under jit.
+    """The first split demotes without a compiled region, not with one.
 
     briefdiv splits its 4-row lattice once (warp 0 takes the prelude).
-    Plain batched demotes the singleton immediately — a 1-row lattice is
-    slower than the per-warp engine — while the jit keeps it vectorized
-    so the row re-enters compiled regions (``DEMOTE_HYSTERESIS`` splits
-    must be survived before a singleton is handed over).
+    With nothing compiled the singleton demotes immediately — a 1-row
+    lattice is slower than the per-warp engine — while with regions it
+    stays vectorized so the row re-enters them (``DEMOTE_HYSTERESIS``
+    splits must be survived before a singleton is handed over).
     """
     assert DEMOTE_HYSTERESIS > 1
-    assert _demotions("batched") > 0
-    assert _demotions("jit") == 0
+    with engine_named("batched"):           # Never tiering up.
+        assert _demotions() > 0
+    assert _demotions() == 0
 
 
 def test_hysteresis_waits_for_a_compiled_region():
@@ -303,10 +234,9 @@ def test_hysteresis_waits_for_a_compiled_region():
     At the real threshold nothing is compiled when briefdiv splits (the
     entry block's first dispatch); what counts is whether anything is
     when the singleton's turn comes.  In a launch too short to get hot
-    the jit demotes it exactly as batched does, instead of paying
-    lattice accounting on one row for nothing; in a long one the other
-    rows have compiled the loop by then, and it stays on the lattice to
-    enter that region.
+    the jit demotes it, instead of paying lattice accounting on one row
+    for nothing; in a long one the other rows have compiled the loop by
+    then, and it stays on the lattice to enter that region.
     """
-    assert _demotions("jit", trips=5) == _demotions("batched", trips=5) > 0
-    assert _demotions("jit", trips=50) == 0
+    assert _demotions(trips=5) > 0
+    assert _demotions(trips=50) == 0

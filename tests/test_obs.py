@@ -274,7 +274,7 @@ class TestTracedRuns:
 
     def test_profiling_preserves_bit_identical_execution(self):
         bench = benchmark_by_name("complex")
-        for engine in ("batched", "warp"):
+        for engine in ("jit", "warp"):
             module = bench.build_module()
             off_outputs, off_counters = bench.run(module, engine=engine)
             session = _install()

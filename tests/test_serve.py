@@ -397,6 +397,19 @@ class TestDaemon:
             client._call("/submit", {"schema": 1, "config": "nope"})
         assert err.value.code == 400
 
+    def test_retired_engine_value_fails_closed(self, daemon):
+        """``batched`` named an engine once.  The hash excludes the
+        engine, so the retired value arrives as a duplicate of a request
+        already memoized — and must still be refused, not served."""
+        client = ServeClient(daemon.url)
+        client.submit_and_wait(ir_request(lanes=3), timeout=120)
+        with pytest.raises(ServeError) as err:
+            client.submit(ir_request(lanes=3, engine="batched"))
+        assert err.value.code == 400
+        assert "unknown engine 'batched'" in str(err.value)
+        with pytest.raises(ProtocolError, match="unknown engine"):
+            ir_request(engine="batched").validate()
+
     def test_shutdown_leaves_no_threads(self):
         before = {t.ident for t in threading.enumerate()}
         d = ServeDaemon(workers=3, use_cache=False)

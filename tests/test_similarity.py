@@ -111,7 +111,8 @@ class TestFeatureVectors:
         assert tuple(lf.vector for lf in a.loops) == \
             tuple(lf.vector for lf in b.loops)
 
-    @pytest.mark.parametrize("engine", ["warp", "batched", "jit"])
+    @pytest.mark.parametrize("engine", ["warp", "batched", "jit"],
+                             indirect=True)
     def test_invariant_under_engine(self, engine):
         # Extraction is static, but this pins the operational claim:
         # running the app under any engine leaves the vectors extracted

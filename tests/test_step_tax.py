@@ -32,6 +32,7 @@ from repro.ir.types import F32, F64, I1, I64
 from repro.ir.values import Argument, GlobalVariable
 from repro.semantics import storage_dtype
 from repro.transforms.pipeline import compile_module
+from tests.conftest import engine_named
 from tests.test_tier_up import launch_perf_kernel, spy
 
 KERNEL_DIR = (pathlib.Path(__file__).resolve().parent.parent
@@ -48,8 +49,11 @@ def divergent_app():
     return lambda: bench.run(module)
 
 
-def divergent_kernel(engine):
-    return lambda: launch_perf_kernel("divergent", engine)
+def divergent_kernel(label):
+    def run():
+        with engine_named(label) as engine:
+            launch_perf_kernel("divergent", engine)
+    return run
 
 
 WORKLOADS = {"XSBench/uu_heuristic": divergent_app,
@@ -82,12 +86,12 @@ def test_errstate_is_entered_once_per_launch(workload, monkeypatch):
 def test_integer_counters_are_bumped_per_block_not_per_step(workload,
                                                             monkeypatch):
     """Catches ``note_issue`` going back inside the step loops: it may run
-    once per dispatched block (interpreted, diamond arm, or the flush of
-    a region run) and once per traversed edge that carries phi moves."""
+    once per dispatched block (interpreted — diamond arms included — or
+    the flush of a region run) and once per traversed edge that carries
+    phi moves."""
     noted = spy(monkeypatch, Counters, "note_issue")
     blocks = [spy(monkeypatch, SimtMachine, "_exec_decoded"),
               spy(monkeypatch, batched, "_exec_block"),
-              spy(monkeypatch, jit, "_exec_arm"),
               spy(monkeypatch, jit, "_flush_ints")]
     edges = [spy(monkeypatch, SimtMachine, "_follow"),
              spy(monkeypatch, batched, "_follow_batch"),

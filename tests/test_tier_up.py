@@ -24,9 +24,10 @@ from repro.fuzz.oracle import default_args
 from repro.gpu import (Memory, SimtMachine, batched, fuser, jit, region_cache,
                        regions)
 from repro.gpu.machine import resolve_engine
-from repro.gpu.regions import R_EXIT_CONDBR
+from repro.gpu.regions import R_GUARD
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
+from repro.obs import metrics as obs_metrics
 from repro.obs import session as obs_session
 from tests.test_region_cache import plan_shape
 
@@ -129,11 +130,14 @@ exit:
 TRIPS = 40
 
 
-def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes():
+def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes(monkeypatch):
     """15 interpreted iterations, 25 compiled ones, one guard failure."""
     threshold = jit.TIER_UP_DISPATCHES
     assert 1 < threshold < TRIPS
     reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
+    interpreted = spy(monkeypatch, batched, "_exec_block")
+    spins = spy(monkeypatch, jit, "_region_self_scalar")
+    deopts = spy(monkeypatch, jit, "_resolve_condbr")
     got, machine = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
     assert got == reference
 
@@ -145,10 +149,15 @@ def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes():
     # region ran every remaining iteration without the scheduler.
     assert region_map.heat[loop.head_id] == threshold
     assert loop.entries == 1
-    guard = loop.ops[0]
-    assert guard.passes == TRIPS - threshold
-    assert guard.fails == 1                 # The loop exit: back to the
-    heat = sorted(region_map.heat.values())  # interpreter for `exit`.
+    names = [db.name for _machine, _func, db, *_ in interpreted]
+    assert names.count("loop") == threshold - 1
+    # One run of the compiled loop, which the guard left once (the loop
+    # exit: back to the interpreter for `exit`) after passing on every
+    # other iteration — each pass bumps the back edge's epoch.
+    ((*_, entry_epoch, _mask, _state, _args, _total, _actives),) = spins
+    ((*_, exit_epoch, _state, _args, _total),) = deopts
+    assert exit_epoch - entry_epoch == TRIPS - threshold
+    heat = sorted(region_map.heat.values())
     assert heat == [1, 1, threshold]        # entry, exit, loop.
     # Every selected head keeps its plan, compiled or not (the bare
     # `ret` stub at `exit` is not worth a region).
@@ -192,7 +201,7 @@ def test_heat_accumulates_over_the_launches_of_one_machine(fresh_jit_session):
 
 # Lanes split on tid parity and the arms rejoin asymmetrically, so the
 # loop's trace crosses a guard that fails on every traversal and the arm
-# heads only ever see partial masks: both kinds of guard feedback.
+# heads only ever see partial masks.
 STORM_IR = """
 define i64 @asym(i64 %n) {
 entry:
@@ -232,32 +241,30 @@ def compiled_kinds(region_map):
             for r in region_map.values()}
 
 
-def test_feedback_on_lazily_compiled_regions_is_repersisted(
-        fresh_jit_session):
-    """``demote_guard`` and ``drop_cold_region`` reshape regions that
-    compiled mid-launch.  The reshaping lives in the machine's map and
-    nowhere else: the next machine selects afresh, rediscovers the same
-    feedback, and ends in the same shape."""
-    trips = jit.TIER_UP_DISPATCHES + 3 * regions.GUARD_DEMOTE_FAILS
-    reference, _ = launch_all(STORM_IR, "m", "warp", 1, 64, [trips])
-
-    def run():
-        got, machine = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
-        assert got == reference
-        (region_map,) = machine._regions.values()
-        by_head = {r.head_name: r for r in region_map.values()}
-        assert by_head["loop"].ops[-1].kind == R_EXIT_CONDBR, \
-            "the storming guard was not truncated to a side exit"
-        assert not by_head["loop"].loopback
-        assert "a" not in by_head, "the never-full-mask arm was not dropped"
-        planned = plan_shape(region_map)
-        assert "a" not in planned, "a dropped head must not compile again"
-        assert "entry" in planned           # Selected, never hot: kept.
-        return compiled_kinds(region_map), region_cache.take_session()
-
-    first, second = run(), run()
-    assert first == second
-    assert first[1]["selections"] == 1
+def test_guard_failures_reshape_no_compiled_region():
+    """A ``RegionMap`` only grows and a compiled region is immutable: a
+    guard that fails on every traversal, and arm heads that never see a
+    full mask, leave every compiled region the object it was."""
+    storm = 3 * 8
+    module = parse_module(STORM_IR, "m")
+    machine = SimtMachine(module, Memory(), engine="jit")
+    machine.launch("asym", 1, 64, [jit.TIER_UP_DISPATCHES + 1])
+    (region_map,) = machine._regions.values()
+    before = {head: (region, region.ops)
+              for head, region in region_map.items()}
+    assert "loop" in compiled_kinds(region_map)
+    registry = obs_metrics.install()
+    try:
+        machine.launch("asym", 1, 64, [storm])
+    finally:
+        obs_metrics.uninstall()
+    failures = registry.counter("repro_jit_guard_failures_total",
+                                kind="lattice").value
+    assert failures >= storm
+    assert set(before) <= set(region_map)
+    for head, (region, ops) in before.items():
+        assert region_map[head] is region and region.ops is ops
+    assert set(plan_shape(region_map)) >= {"entry", "loop", "a", "b"}
 
 
 # -- observing does not change what runs --------------------------------------
@@ -265,10 +272,10 @@ def test_feedback_on_lazily_compiled_regions_is_repersisted(
 def test_observed_and_unobserved_launches_compile_the_same(
         fresh_jit_session):
     """Unobserved, with ``REPRO_TRACE`` set, and under a live obs session
-    the jit selects, compiles and reshapes the same regions — selection
-    reads no execution profile — on a first machine and on a second one,
-    after guard feedback truncated a region of the first."""
-    trips = jit.TIER_UP_DISPATCHES + 3 * regions.GUARD_DEMOTE_FAILS
+    the jit selects and compiles the same regions — selection reads no
+    execution profile — on a first machine and on a second one, after a
+    guard of the first failed on every traversal."""
+    trips = jit.TIER_UP_DISPATCHES + 3 * 8
 
     scopes = {
         "unobserved": contextlib.nullcontext,
@@ -285,7 +292,7 @@ def test_observed_and_unobserved_launches_compile_the_same(
                 region_cache.take_session())
 
     first = run("unobserved")
-    assert first[0]["loop"][-1] == R_EXIT_CONDBR   # Truncated by feedback.
+    assert R_GUARD in first[0]["loop"]      # The storming guard: kept.
     assert first[2]["selections"] == 1
     for observe in ("unobserved", "env", "env", "session", "session"):
         assert run(observe) == first, observe
@@ -319,7 +326,7 @@ def launch_perf_kernel(kernel, engine, threads=LATTICE_THREADS):
     return machine
 
 
-def test_a_uniform_launch_stays_one_lattice(monkeypatch):
+def test_a_uniform_launch_stays_one_lattice(monkeypatch, tier_up_never):
     """Catches the lattice splitting per warp: rows that agree on every
     branch handed one by one to the per-warp engine, or run as sixteen
     one-row batches.  Outputs and cycles would not move; the blocks
@@ -327,19 +334,19 @@ def test_a_uniform_launch_stays_one_lattice(monkeypatch):
     demoted = spy(monkeypatch, batched, "_demote_row")
     per_warp = spy(monkeypatch, SimtMachine, "_warp_loop")
     blocks = spy(monkeypatch, batched, "_exec_block")
-    launch_perf_kernel("uniform", "batched")
+    launch_perf_kernel("uniform", "jit")
     assert not demoted and not per_warp
     assert len(blocks) == LATTICE_TRIPS + 2     # entry, the loop, exit.
-    # The smallest launch the batched engine keeps as a lattice (a lone
-    # warp goes straight to the per-warp path) dispatches just as many.
+    # A lone warp is a one-row lattice and dispatches just as many.
     del blocks[:]
-    launch_perf_kernel("uniform", "batched", threads=64)
+    launch_perf_kernel("uniform", "jit", threads=32)
+    assert not demoted and not per_warp
     assert len(blocks) == LATTICE_TRIPS + 2
 
 
 def test_a_hot_uniform_loop_leaves_the_interpreter(monkeypatch):
     """Catches tier-up never firing: the jit would interpret every trip
-    block by block — the batched engine under another name."""
+    block by block."""
     threshold = jit.TIER_UP_DISPATCHES
     blocks = spy(monkeypatch, batched, "_exec_block")
     machine = launch_perf_kernel("uniform", "jit")
@@ -350,6 +357,54 @@ def test_a_hot_uniform_loop_leaves_the_interpreter(monkeypatch):
     for region in entered:
         assert interpreted.count(region.head_name) == threshold - 1
     assert len(interpreted) == threshold - 1 + 2
+
+
+def test_diamond_arms_run_through_the_block_interpreter(monkeypatch):
+    """Catches a second copy of the block interpreter for the arms of an
+    in-region diamond: every ``_exec_block`` call is a pop the trace tier
+    declined or an arm run, and every arm run is one."""
+    declined = []
+    real = jit.enter_region
+
+    def enter_region(*args):
+        outcome = real(*args)
+        declined.append(outcome is batched.INTERPRET)
+        return outcome
+
+    monkeypatch.setattr(jit, "enter_region", enter_region)
+    arms = spy(monkeypatch, jit, "_exec_arm")
+    blocks = spy(monkeypatch, batched, "_exec_block")
+    launch_perf_kernel("divergent", "jit")
+    assert arms, "no diamond arm ran in-region"
+    assert len(blocks) == sum(declined) + len(arms)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_every_region_entry_lands_in_one_of_two_executors(kernel,
+                                                          monkeypatch):
+    executors = sorted(name for name in vars(jit)
+                       if name.startswith("_region_"))
+    assert executors == ["_region_self_scalar", "_region_vector"]
+    ran = [spy(monkeypatch, jit, name) for name in executors]
+    entries = spy(monkeypatch, jit, "_run_region")
+    launch_perf_kernel(kernel, "jit")
+    assert entries and len(entries) == sum(len(calls) for calls in ran)
+
+
+def test_a_profiled_self_loop_takes_the_vector_executor(monkeypatch):
+    """The scalar spin keeps no per-iteration ``note_block`` stream, so a
+    live profile sends the self-loop down the general executor — and
+    observing must not change what is computed."""
+    reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
+    scalar = spy(monkeypatch, jit, "_region_self_scalar")
+    vector = spy(monkeypatch, jit, "_region_vector")
+    with obs_session.capture() as session:
+        got, _ = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
+    assert got == reference
+    assert not scalar
+    assert [region.head_name for _machine, _func, region, *_ in vector] == \
+        ["loop"]
+    assert session.profile.block_hits["loop"] == TRIPS
 
 
 def test_a_briefly_divergent_warp_stays_on_the_compiled_path(monkeypatch):

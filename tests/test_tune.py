@@ -314,15 +314,15 @@ class TestTunedPipeline:
                 baseline_cycles=1.0, heuristic_cycles=1.0,
                 tuned_cycles=1.0), tmp_path)
             cells = {}
-            for engine in ("batched", "warp"):
+            for engine in ("jit", "warp"):
                 runner = ExperimentRunner(max_instructions=20_000,
                                           engine=engine, tuned_dir=tmp_path)
                 cell = runner.tuned_cell(bench)
                 assert cell.error is None, (name, engine, cell.error)
                 assert cell.outputs_match_baseline, (name, engine)
                 cells[engine] = cell
-            assert cells["batched"].cycles == cells["warp"].cycles, name
-            assert cells["batched"].counters == cells["warp"].counters, name
+            assert cells["jit"].cycles == cells["warp"].cycles, name
+            assert cells["jit"].counters == cells["warp"].counters, name
 
     def test_tuned_decisions_are_replayed_not_recomputed(self, tmp_path):
         # A deliberately non-heuristic decision (plain unroll by 2, no
