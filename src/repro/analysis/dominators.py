@@ -42,10 +42,6 @@ class DominatorTree:
         return cls._run(rpo, lambda b: preds[b], rpo[0])
 
     @classmethod
-    def compute_post(cls, func: Function) -> "PostDominatorTree":
-        return PostDominatorTree.compute(func)
-
-    @classmethod
     def _run(cls, rpo: List[BasicBlock], preds_fn, root: BasicBlock
              ) -> "DominatorTree":
         # Cooper-Harvey-Kennedy over reverse-postorder numbers: ``doms[i]``

@@ -136,10 +136,6 @@ class Loop:
                 phi.add_incoming(pre_phi, new_pre)
         return new_pre
 
-    def body_blocks(self) -> List[BasicBlock]:
-        """Loop blocks except the header."""
-        return [b for b in self.blocks if b is not self.header]
-
     def contains_convergent(self) -> bool:
         return any(b.contains_convergent() for b in self.blocks)
 

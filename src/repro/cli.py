@@ -77,15 +77,13 @@ from .transforms.pipeline import CONFIGS
 def _obs_session():
     """Install an observability session for the duration of a command.
 
-    Sets ``REPRO_TRACE`` in the environment *before* yielding so pool
-    workers forked during the command opt in and ship their remarks,
-    trace events, and profiles home.  Nested use (e.g. ``repro remarks
-    --trace-out t.json``) folds the inner session into the outer one on
-    exit, so both consumers see the full stream.
+    The installed session is the whole switch: a ``ParallelRunner``
+    fan-out during the command sees it and tells its workers to ship
+    their remarks, trace events, and profiles home.  Nested use (e.g.
+    ``repro remarks --trace-out t.json``) folds the inner session into
+    the outer one on exit, so both consumers see the full stream.
     """
-    prior_env = os.environ.get(obs.ENV_VAR)
     prior = obs.active()
-    os.environ[obs.ENV_VAR] = "1"
     session = obs.install()
     try:
         yield session
@@ -95,10 +93,6 @@ def _obs_session():
             prior.merge_payload(session.export_payload())
         else:
             obs.uninstall()
-        if prior_env is None:
-            os.environ.pop(obs.ENV_VAR, None)
-        else:
-            os.environ[obs.ENV_VAR] = prior_env
 
 
 def _default_remarks_path(trace_out: str) -> str:
@@ -126,8 +120,9 @@ def _finish_sweep(runner) -> None:
     Two lines can print: the cell-cache line (always, for cache-enabled
     runners) and the jit line (only when some launch of the sweep got
     hot enough to select regions — for the other engines, and for a jit
-    sweep that never tiered up, it is empty).  Worker counters were
-    already folded in via ``_absorb_extras``, so ``-j1`` and ``-jN``
+    sweep that never tiered up, it is empty).  A pool worker ships only
+    what its own task counted (it discards the session it inherited by
+    fork) and ``_absorb_extras`` folds that in, so ``-j1`` and ``-jN``
     print the same totals.
     """
     cache = getattr(runner, "cache", None)
@@ -689,11 +684,9 @@ def cmd_metrics(args) -> int:
             return 1
         sys.stdout.write(text)
         return 0
-    # Local mode: install a registry (and set REPRO_METRICS so forked
-    # pool workers ship their snapshots home), run one sweep, render.
-    prior_env = os.environ.get(obs_metrics.ENV_VAR)
+    # Local mode: install a registry (pool workers of the sweep ship
+    # their snapshots home because it is installed), run one sweep, render.
     prior = obs_metrics.active()
-    os.environ[obs_metrics.ENV_VAR] = "1"
     registry = obs_metrics.install()
     try:
         runner = _runner(args)
@@ -703,10 +696,6 @@ def cmd_metrics(args) -> int:
             obs_metrics.install(prior)
         else:
             obs_metrics.uninstall()
-        if prior_env is None:
-            os.environ.pop(obs_metrics.ENV_VAR, None)
-        else:
-            os.environ[obs_metrics.ENV_VAR] = prior_env
     sys.stdout.write(registry.render())
     return 0
 

@@ -78,13 +78,6 @@ class AsmFunction:
                     total += 1
         return total
 
-    def category_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for block in self.blocks:
-            for inst in block.instructions:
-                counts[inst.category] = counts.get(inst.category, 0) + 1
-        return counts
-
 
 def _suffix(type_: Type, signed: bool = True) -> str:
     """PTX type suffix (``.s64``, ``.f64``, ``.b64``, ...)."""

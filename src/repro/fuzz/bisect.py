@@ -81,8 +81,7 @@ def bisect_divergence(subject: Subject, spec: ConfigSpec,
             trail.append(pass_.name)
             # Each application runs under a throwaway obs session so a
             # guilty verdict carries the remarks the culprit emitted —
-            # independent of (and invisible to) any outer REPRO_TRACE
-            # session.
+            # independent of (and invisible to) any outer session.
             with obs.capture() as captured:
                 try:
                     changed = pass_.run(func)

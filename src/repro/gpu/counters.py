@@ -141,10 +141,6 @@ class Counters:
         for i, value in enumerate(other.cat_cycles):
             self.cat_cycles[i] += value
 
-    def category_cycles(self) -> Dict[str, float]:
-        """Cycle charges by opcode category (see :data:`CATEGORIES`)."""
-        return dict(zip(CATEGORIES, self.cat_cycles))
-
     def summary(self) -> Dict[str, float]:
         return {
             "cycles": float(self.cycles),

@@ -17,11 +17,13 @@ from typing import Dict, Optional
 class RegionSession:
     """Per-session selection/fusion telemetry.
 
-    Folded across parallel workers by :mod:`repro.harness.parallel` (sums
-    except ``max_chain``, which takes the max — both order-independent,
-    so ``-j1`` and ``-jN`` report identical lines) and surfaced by the
-    per-sweep jit line, ``repro summary --profile`` and the serve
-    daemon's ``/stats``.
+    Folded across parallel workers by :mod:`repro.harness.parallel`: a
+    worker discards the session it inherited by fork at task start and
+    ships what the task itself counted (:func:`take_session` both times),
+    and the parent sums — except ``max_chain``, which takes the max; both
+    order-independent — so ``-j1`` and ``-jN`` report identical lines
+    however many fan-outs a process runs.  Surfaced by the per-sweep jit
+    line, ``repro summary --profile`` and the serve daemon's ``/stats``.
     """
 
     selections: int = 0      # functions whose regions were selected

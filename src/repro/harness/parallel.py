@@ -19,7 +19,14 @@ pool and backs them with the content-addressed persistent cache of
 * results are returned in deterministic enumeration order regardless of
   completion order, and are bit-identical (cycles, code size, counters) to
   the serial runner's, because workers run the very same
-  ``ExperimentRunner._run``.
+  ``ExperimentRunner._run``;
+* what a worker observes travels with its task, not in the environment:
+  each fan-out tells its workers how to build the runner and whether the
+  parent has an obs session / a metrics registry installed (installing
+  one *is* the switch).  :func:`_worker` resets every holder a fork
+  inherits at task start and ships its telemetry home with the cell; the
+  parent folds it in enumeration order, so ``-j1`` and ``-jN`` yield the
+  same remark stream, pass statistics, metric registry and jit line.
 
 Worker count defaults to ``os.cpu_count()``, overridable with the
 ``REPRO_JOBS`` environment variable or ``--jobs/-j`` on the CLI.
@@ -40,6 +47,7 @@ import numpy as np
 from ..bench import benchmark_by_name
 from ..bench.base import Benchmark
 from ..directive import LoopDirective, fingerprint
+from ..gpu import region_cache
 from ..ir.printer import print_module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
@@ -148,20 +156,20 @@ def _spec_cost(spec: CellSpec, u_max: int) -> int:
 # -- worker side -------------------------------------------------------------
 # Workers rebuild the benchmark from the registry by name and run the very
 # same serial ``ExperimentRunner._run``; everything crossing the process
-# boundary (names, params, Cell, numpy outputs) pickles cleanly.
+# boundary (names, settings, Cell, numpy outputs) pickles cleanly.
 
-def _make_runner(params: Tuple) -> ExperimentRunner:
-    (heuristic, max_instructions, compile_timeout, verify_each, engine,
-     workload_scale, tuned_dir, sim_index_dir) = params
-    return ExperimentRunner(
-        heuristic=heuristic,
-        max_instructions=max_instructions,
-        compile_timeout=compile_timeout,
-        verify_each=verify_each,
-        engine=engine,
-        workload_scale=workload_scale,
-        tuned_dir=Path(tuned_dir) if tuned_dir else None,
-        sim_index_dir=Path(sim_index_dir) if sim_index_dir else None)
+@dataclass(frozen=True)
+class _Task:
+    """What one fan-out tells every worker: how to build the runner, and
+    what to collect.  Built once per fan-out from the parent's own state —
+    a worker consults neither the environment nor what it inherited."""
+
+    #: ``ExperimentRunner(**settings)``.
+    settings: Dict[str, object]
+    #: The parent has an obs session installed: ship remarks/spans/profile.
+    trace: bool
+    #: The parent has a metrics registry installed: ship a snapshot.
+    metrics: bool
 
 
 def _worker_extras(runner: ExperimentRunner) -> Dict:
@@ -170,50 +178,42 @@ def _worker_extras(runner: ExperimentRunner) -> Dict:
     ``pass_stats``/``phase_seconds`` let a parallel ``summary --profile``
     report the same merged per-pass breakdown the serial runner shows;
     ``obs`` carries the worker's remark/trace/profile payload (None when
-    ``REPRO_TRACE`` is off); ``region_cache`` ships the worker's jit
+    the task did not ask for it); ``region_cache`` ships the worker's jit
     session counters (snapshot-and-reset, so a pooled worker
     running many tasks never double-reports); ``metrics`` ships the
-    worker's metric-registry snapshot (None when ``REPRO_METRICS`` is
-    off) under the same discipline.
+    worker's metric-registry snapshot (None when the task did not ask
+    for it) under the same discipline.
     """
-    from ..gpu.region_cache import take_session
     return {"pass_stats": runner.pass_stats,
             "phase_seconds": dict(runner.phase_seconds),
             "obs": obs.end_worker(),
-            "region_cache": take_session(),
+            "region_cache": region_cache.take_session(),
             "metrics": obs_metrics.end_worker()}
 
 
-def _worker_baseline(app: str, params: Tuple):
-    """Compute one application's baseline cell plus reference outputs."""
-    # Reset the obs slot first: fork()ed workers inherit the parent's
-    # session object, and exporting it would re-ship every remark the
-    # parent had already collected.
-    obs.begin_worker()
-    obs_metrics.begin_worker()
-    try:
-        bench = benchmark_by_name(app)
-        runner = _make_runner(params)
-        cell = runner.cell(bench, "baseline")
-        return ("ok", cell, runner._baseline_outputs.get(app),
-                _worker_extras(runner))
-    except Exception:
-        return ("err", traceback.format_exc(), None, None)
+def _worker(spec: CellSpec, task: _Task,
+            reference: Optional[Dict[str, np.ndarray]] = None):
+    """Compute one cell; a baseline also returns its reference outputs.
 
-
-def _worker_cell(spec: CellSpec, params: Tuple,
-                 reference: Optional[Dict[str, np.ndarray]]):
-    """Compute one non-baseline cell against shipped reference outputs."""
-    obs.begin_worker()
-    obs_metrics.begin_worker()
+    The one place a pool worker's lifecycle lives.  It begins by resetting
+    *every* holder a fork()ed child inherits from the parent — the obs
+    session, the metrics registry, the jit's region session — because
+    shipping an inherited holder home would re-count everything the parent
+    had already collected; it ends with :func:`_worker_extras`.
+    """
+    obs.begin_worker(task.trace)
+    obs_metrics.begin_worker(task.metrics)
+    region_cache.take_session()
     try:
         bench = benchmark_by_name(spec.app)
-        runner = _make_runner(params)
+        runner = ExperimentRunner(**task.settings)
         if reference is not None:
             runner._baseline_outputs[spec.app] = reference
         cell = runner._run(bench, spec.config, spec.loop_id, spec.factor,
                            spec.plan)
-        return ("ok", cell, None, _worker_extras(runner))
+        outputs = (runner._baseline_outputs.get(spec.app)
+                   if spec.config == "baseline" else None)
+        return ("ok", cell, outputs, _worker_extras(runner))
     except Exception:
         return ("err", traceback.format_exc(), None, None)
 
@@ -392,11 +392,16 @@ class ParallelRunner(ExperimentRunner):
                 self._store(bench, cell, cache_key)
 
     def _compute_parallel(self, missing, by_name) -> None:
-        params = (self.heuristic, self.max_instructions,
-                  self.compile_timeout, self.verify_each, self.engine,
-                  self.workload_scale,
-                  str(self.tuned_dir) if self.tuned_dir else None,
-                  str(self.sim_index_dir) if self.sim_index_dir else None)
+        task = _Task(
+            settings=dict(heuristic=self.heuristic,
+                          max_instructions=self.max_instructions,
+                          compile_timeout=self.compile_timeout,
+                          verify_each=self.verify_each, engine=self.engine,
+                          workload_scale=self.workload_scale,
+                          tuned_dir=self.tuned_dir,
+                          sim_index_dir=self.sim_index_dir),
+            trace=obs.active() is not None,
+            metrics=obs_metrics.active() is not None)
         baseline_specs = [(s, k) for s, k in missing
                           if s.config == "baseline"]
         other_specs = [(s, k) for s, k in missing if s.config != "baseline"]
@@ -421,17 +426,16 @@ class ParallelRunner(ExperimentRunner):
             # Stage 1: baselines (reference outputs feed every other cell).
             futures = {}
             for app in needed_apps:
-                futures[pool.submit(_worker_baseline, app, params)] = app
-            for future in list(futures):
-                app = futures[future]
+                spec = CellSpec(app, "baseline", None, 1)
+                futures[pool.submit(_worker, spec, task)] = spec
+            for future, spec in futures.items():
                 status, payload, outputs, extras = future.result()
                 if status == "err":
                     obs_metrics.inc("repro_sweep_worker_failures_total")
-                    failed_baselines[app] = payload
+                    failed_baselines[spec.app] = payload
                     continue
                 if outputs is not None:
-                    self._baseline_outputs[app] = outputs
-                spec = CellSpec(app, "baseline", None, 1)
+                    self._baseline_outputs[spec.app] = outputs
                 self._cache[spec.key] = payload
                 computed[spec] = payload
                 extras_by_spec[spec] = extras
@@ -455,8 +459,7 @@ class ParallelRunner(ExperimentRunner):
                         failed_baselines[spec.app])
                     continue
                 reference = self._baseline_outputs.get(spec.app)
-                futures[pool.submit(_worker_cell, spec, params,
-                                    reference)] = spec
+                futures[pool.submit(_worker, spec, task, reference)] = spec
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -523,10 +526,7 @@ class ParallelRunner(ExperimentRunner):
             session = obs.active()
             if session is not None:
                 session.merge_payload(payload)
-        region = extras.get("region_cache")
-        if region:
-            from ..gpu.region_cache import session as region_session
-            region_session().absorb(region)
+        region_cache.session().absorb(extras.get("region_cache"))
         obs_metrics.absorb(extras.get("metrics"))
 
 def prefetch_if_parallel(runner, benches,

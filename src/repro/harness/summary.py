@@ -276,7 +276,8 @@ def format_profile(runner: ExperimentRunner) -> str:
 def _format_region_session() -> List[str]:
     """JIT selection / fusion counters for this run, when the jit ran.
 
-    Like pass stats, worker counters are folded in by
+    Like pass stats, what each pool task counted (and only that: a
+    worker drops the session it inherited by fork) is folded in by
     ``ParallelRunner._absorb_extras``, so ``-j1`` and ``-jN`` report the
     same totals.  Empty (no lines at all) under non-jit engines.
     """

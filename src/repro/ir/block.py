@@ -62,11 +62,6 @@ class BasicBlock(Value):
                 break
         return result
 
-    def non_phi_instructions(self) -> Iterator[Instruction]:
-        for inst in self.instructions:
-            if not isinstance(inst, PhiInst):
-                yield inst
-
     def first_non_phi_index(self) -> int:
         for i, inst in enumerate(self.instructions):
             if not isinstance(inst, PhiInst):
@@ -101,12 +96,6 @@ class BasicBlock(Value):
                 inst.parent = None
                 return
         raise ValueError(f"{inst!r} not in block {self.name}")
-
-    def replace_terminator(self, new_term: TerminatorInst) -> None:
-        old = self.terminator
-        if old is not None:
-            old.erase_from_parent()
-        self.append(new_term)
 
     # -- queries ---------------------------------------------------------------
     def contains_convergent(self) -> bool:

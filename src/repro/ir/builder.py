@@ -193,15 +193,6 @@ class IRBuilder:
              type_: Optional[Type] = None, name: str = "") -> Value:
         return self._insert(CallInst(intrinsic, list(args), type_), name)
 
-    def tid_x(self, name: str = "tid") -> Value:
-        return self.call("tid.x", name=name)
-
-    def ctaid_x(self, name: str = "ctaid") -> Value:
-        return self.call("ctaid.x", name=name)
-
-    def ntid_x(self, name: str = "ntid") -> Value:
-        return self.call("ntid.x", name=name)
-
     def syncthreads(self) -> Value:
         return self.call("syncthreads")
 

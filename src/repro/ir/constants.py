@@ -29,10 +29,6 @@ class Constant(Value):
     def remove_use(self, use: Use) -> None:
         pass
 
-    @property
-    def is_constant(self) -> bool:
-        return True
-
 
 class ConstantInt(Constant):
     """Integer constant, stored signed-wrapped to its width."""

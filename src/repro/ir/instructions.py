@@ -207,10 +207,6 @@ class Instruction(User):
         return isinstance(self, CallInst) and self.intrinsic.convergent
 
     @property
-    def may_have_side_effects(self) -> bool:
-        return not self.is_pure and not self.is_terminator
-
-    @property
     def category(self) -> str:
         if isinstance(self, CallInst):
             return self.intrinsic.category

@@ -27,13 +27,6 @@ class Module:
         self.functions[name] = func
         return func
 
-    def adopt_function(self, func: Function) -> Function:
-        if func.name in self.functions:
-            raise ValueError(f"duplicate function @{func.name}")
-        func.parent = self
-        self.functions[func.name] = func
-        return func
-
     def get_function(self, name: str) -> Function:
         func = self.functions.get(name)
         if func is None:

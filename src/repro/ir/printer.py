@@ -122,10 +122,3 @@ def print_module(module: Module) -> str:
         lines.append(print_function(func))
         lines.append("")
     return "\n".join(lines)
-
-
-def ensure_names(func: Function) -> None:
-    """Assign names to any unnamed instructions (printer precondition)."""
-    for inst in func.instructions():
-        if not inst.type.is_void and not inst.name:
-            inst.name = func.unique_name("v")

@@ -25,19 +25,16 @@ contracts keep it aligned with the rest of the observability layer:
 
 The slot is process-global (not thread-local like the trace slot): the
 daemon's queue workers must aggregate into one registry, and every
-metric mutation takes the registry lock.  ``REPRO_METRICS=1`` opts a
-process in from the environment; the CLI sets it before fanning out so
-forked pool workers inherit the flag (see :func:`begin_worker`).
+metric mutation takes the registry lock.  Installing a registry
+(:func:`install`) *is* the switch; a ``ParallelRunner`` fan-out tells
+its workers whether the parent had one (see :func:`begin_worker`), and
+nothing here reads the process environment.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
-
-#: Environment opt-in; checked by :func:`enabled` and :func:`begin_worker`.
-ENV_VAR = "REPRO_METRICS"
 
 #: Default buckets for service latency histograms, in seconds.  Fixed —
 #: never derived from observed data — so folds and renders are stable.
@@ -380,11 +377,6 @@ def active() -> Optional[MetricsRegistry]:
     return _registry
 
 
-def enabled() -> bool:
-    """Are metrics requested by the environment?"""
-    return bool(os.environ.get(ENV_VAR))
-
-
 def install(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
     global _registry
     registry = registry if registry is not None else MetricsRegistry()
@@ -397,13 +389,6 @@ def uninstall() -> Optional[MetricsRegistry]:
     registry = _registry
     _registry = None
     return registry
-
-
-def maybe_install_from_env() -> Optional[MetricsRegistry]:
-    """Install a registry iff ``REPRO_METRICS`` asks for one."""
-    if _registry is None and enabled():
-        return install()
-    return _registry
 
 
 # -- fast-path hooks (the only calls on instrumented code paths) -------------
@@ -432,20 +417,21 @@ def observe(name: str, value: float,
 
 # -- pool-worker lifecycle (mirrors obs.session.begin/end_worker) ------------
 
-def begin_worker() -> Optional[MetricsRegistry]:
+def begin_worker(collect: bool) -> Optional[MetricsRegistry]:
     """Reset the slot at worker-task start.
 
     fork()-based pools hand children a copy of the parent's registry;
     exporting that would double-count everything the parent already
-    holds.  Drop it and start fresh (or empty, if metrics are off).
+    holds.  Drop it and start fresh if the task says the parent is
+    metering (``collect``), or leave the slot empty if it is not.
     """
     global _registry
-    _registry = MetricsRegistry() if enabled() else None
+    _registry = MetricsRegistry() if collect else None
     return _registry
 
 
 def end_worker() -> Optional[Dict[str, object]]:
-    """Snapshot and clear the worker's registry; None when metrics off."""
+    """Snapshot and clear the worker's registry; None when none was begun."""
     global _registry
     registry = _registry
     _registry = None

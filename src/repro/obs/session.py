@@ -11,15 +11,17 @@ contract that keeps the disabled path near-free:
   reduces to one thread-local load + ``is None`` test — no objects are
   constructed, no strings formatted.  Hot engine loops hoist even that check out by
   grabbing :func:`profile` once per launch.
-* ``REPRO_TRACE=1`` (or any non-empty value) opts a process in; the CLI
-  sets it before fanning out so forked pool workers inherit the flag.
+* Installing a session *is* the switch — :func:`install`, or a
+  :func:`capture` block — for the CLI, the daemon and a library caller
+  alike; nothing here reads the process environment.
 
-Cross-process aggregation: ``ParallelRunner`` workers call
-:func:`begin_worker` at task start — which *unconditionally* resets the
-slot, because fork()ed children inherit the parent's session object and
-would otherwise re-export every remark the parent had already collected —
-then ship :func:`export_payload` back with their result tuple.  The
-parent folds payloads in deterministic (task-enumeration) order via
+Cross-process aggregation: a ``ParallelRunner`` fan-out tells each task
+whether the parent had a session installed, and the worker passes that
+flag to :func:`begin_worker` — which *unconditionally* resets the slot,
+because fork()ed children inherit the parent's session object and would
+otherwise re-export every remark the parent had already collected — then
+ships :func:`export_payload` back with its result tuple.  The parent
+folds payloads in deterministic (task-enumeration) order via
 :func:`merge_payload`.
 """
 
@@ -34,9 +36,6 @@ from typing import Dict, List, Optional
 from .profile import ExecutionProfile
 from .remarks import Remark
 from .trace import Tracer
-
-#: Environment opt-in; checked by :func:`enabled` and :func:`begin_worker`.
-ENV_VAR = "REPRO_TRACE"
 
 #: The slot.  One session per thread; fork() preserves the forking thread
 #: as the child's main thread, so pool workers inherit (and immediately
@@ -96,11 +95,6 @@ def active() -> Optional[ObsSession]:
     return _get()
 
 
-def enabled() -> bool:
-    """Is tracing requested by the environment?"""
-    return bool(os.environ.get(ENV_VAR))
-
-
 def install(session: Optional[ObsSession] = None) -> ObsSession:
     session = session if session is not None else ObsSession()
     _set(session)
@@ -111,13 +105,6 @@ def uninstall() -> Optional[ObsSession]:
     session = _get()
     _set(None)
     return session
-
-
-def maybe_install_from_env() -> Optional[ObsSession]:
-    """Install a session iff ``REPRO_TRACE`` asks for one."""
-    if _get() is None and enabled():
-        return install()
-    return _get()
 
 
 # -- fast-path hooks (the only calls on instrumented code paths) -------------
@@ -235,21 +222,22 @@ def request_capture(request_id: str, **ctx):
 
 # -- pool-worker lifecycle ---------------------------------------------------
 
-def begin_worker() -> Optional[ObsSession]:
+def begin_worker(collect: bool) -> Optional[ObsSession]:
     """Reset the slot at worker-task start.
 
     fork()-based pools hand children a *copy of the parent's session*,
     remarks and all; exporting that would double-count everything the
     parent already holds.  So: unconditionally drop whatever is
-    installed and start fresh (or empty, if tracing is off).
+    installed and start fresh if the task says the parent is collecting
+    (``collect``), or leave the slot empty if it is not.
     """
-    session = ObsSession() if enabled() else None
+    session = ObsSession() if collect else None
     _set(session)
     return session
 
 
 def end_worker() -> Optional[Dict[str, object]]:
-    """Export and clear the worker's session; None when tracing is off."""
+    """Export and clear the worker's session; None when none was begun."""
     session = _get()
     _set(None)
     return session.export_payload() if session is not None else None

@@ -15,6 +15,7 @@ The load-bearing assertions:
 """
 
 import json
+import os
 import urllib.error
 import urllib.request
 
@@ -132,13 +133,17 @@ class TestRegistry:
         metrics.absorb({"families": []})
         assert metrics.active() is None
 
-    def test_worker_lifecycle_respects_env(self, monkeypatch):
-        monkeypatch.delenv(metrics.ENV_VAR, raising=False)
-        assert metrics.begin_worker() is None
-        assert metrics.end_worker() is None
-        monkeypatch.setenv(metrics.ENV_VAR, "1")
-        reg = metrics.begin_worker()
-        assert reg is not None
+    def test_worker_lifecycle_respects_env(self):
+        """The task's flag decides, not what the fork inherited (the id
+        predates the flag: it used to be an environment variable)."""
+        inherited = metrics.install()
+        metrics.inc("c_total", 40)
+        assert metrics.begin_worker(False) is None
+        assert metrics.active() is None and metrics.end_worker() is None
+        metrics.install(inherited)
+        reg = metrics.begin_worker(True)
+        assert reg is metrics.active() and reg is not inherited
+        assert reg.render() == ""
         metrics.inc("c_total", 2)
         snap = metrics.end_worker()
         assert snap is not None
@@ -167,9 +172,7 @@ BENCH = "bspline-vgh"
 
 
 class TestSweepFold:
-    def test_j1_and_jN_registries_render_identically(self, monkeypatch):
-        monkeypatch.setenv(metrics.ENV_VAR, "1")
-
+    def test_j1_and_jN_registries_render_identically(self):
         def render(jobs):
             registry = metrics.install()
             runner = ParallelRunner(jobs=jobs, use_cache=False,
@@ -185,6 +188,21 @@ class TestSweepFold:
         assert serial == pooled
         assert "repro_sweep_cells_total 2" in serial
         assert "repro_jit_regions_total" in serial
+
+    def test_cli_meters_pool_workers_and_leaves_the_environment_alone(
+            self, capsys):
+        """``repro metrics --app`` at ``-j2``: the installed registry is
+        the whole switch — worker-side counters arrive, and ``main()``
+        neither writes the process environment nor leaks the registry."""
+        from repro.cli import main
+        environ = dict(os.environ)
+        assert main(["metrics", "--app", BENCH, "-j", "2", "--no-cache",
+                     "--engine", "jit"]) == 0
+        out = capsys.readouterr().out
+        assert "repro_sweep_cells_total 2" in out
+        assert 'repro_jit_regions_total{result="compiled"} 1' in out
+        assert dict(os.environ) == environ
+        assert metrics.active() is None
 
 
 # -- the daemon's metrics surface ---------------------------------------------

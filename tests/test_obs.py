@@ -26,15 +26,9 @@ from repro.transforms.heuristic import LoopDecision
 
 @pytest.fixture(autouse=True)
 def _clean_slot():
-    """Never leak a session or the env opt-in into other tests."""
+    """Never leak a session into other tests."""
     yield
     obs.uninstall()
-    os.environ.pop(obs.ENV_VAR, None)
-
-
-def _install():
-    os.environ[obs.ENV_VAR] = "1"
-    return obs.install()
 
 
 # -- remark schema -----------------------------------------------------------
@@ -127,7 +121,7 @@ class TestChromeTrace:
                    if e["ph"] == "X")
 
     def test_write_and_span(self, tmp_path):
-        session = _install()
+        session = obs.install()
         with obs.span("phase-x", cat="phase", note=1):
             pass
         path = tmp_path / "t.json"
@@ -192,7 +186,7 @@ class TestSession:
             pass
 
     def test_context_stamps_remarks(self):
-        session = _install()
+        session = obs.install()
         with obs.context(app="bench", config="uu", sweep_factor=None):
             obs.remark("applied", "uu", "k", "msg", loop_id="k:0", p=2)
         (remark,) = session.remarks
@@ -200,7 +194,7 @@ class TestSession:
         assert remark.args == {"p": 2}
 
     def test_capture_is_isolated(self):
-        outer = _install()
+        outer = obs.install()
         with obs.capture() as inner:
             obs.remark("analysis", "gvn", "k", "inner")
         obs.remark("analysis", "gvn", "k", "outer")
@@ -208,11 +202,11 @@ class TestSession:
         assert [r.message for r in outer.remarks] == ["outer"]
 
     def test_worker_lifecycle_round_trip(self):
-        parent = _install()
+        parent = obs.install()
         obs.remark("analysis", "gvn", "k", "parent-only")
         # A fork()ed worker inherits the parent session: begin_worker must
         # discard it so the export contains only the worker's own remarks.
-        worker = obs.begin_worker()
+        worker = obs.begin_worker(True)
         assert worker is not parent and not worker.remarks
         obs.remark("applied", "uu", "k", "from-worker", loop_id="k:0")
         payload = obs.end_worker()
@@ -223,9 +217,17 @@ class TestSession:
             ["parent-only", "from-worker"]
 
     def test_begin_worker_respects_env(self):
-        os.environ.pop(obs.ENV_VAR, None)
-        assert obs.begin_worker() is None
-        assert obs.end_worker() is None
+        """The task's flag decides, not what the fork inherited (the id
+        predates the flag: it used to be an environment variable)."""
+        parent = obs.install()
+        obs.remark("analysis", "gvn", "k", "parent-only")
+        assert obs.begin_worker(False) is None
+        assert obs.active() is None and obs.end_worker() is None
+        obs.install(parent)
+        worker = obs.begin_worker(True)
+        assert worker is obs.active() and worker is not parent
+        assert not worker.remarks and not worker.tracer.events
+        assert obs.end_worker()["remarks"] == []
 
 
 # -- cell cache counters -----------------------------------------------------
@@ -256,7 +258,7 @@ BENCH = "bspline-vgh"
 
 class TestTracedRuns:
     def test_traced_uu_run_emits_applied_remark(self):
-        session = _install()
+        session = obs.install()
         runner = ParallelRunner(jobs=1, use_cache=False)
         runner.prefetch([benchmark_by_name(BENCH)],
                         configs=("baseline", "uu_heuristic"))
@@ -277,7 +279,7 @@ class TestTracedRuns:
         for engine in ("jit", "warp"):
             module = bench.build_module()
             off_outputs, off_counters = bench.run(module, engine=engine)
-            session = _install()
+            session = obs.install()
             on_outputs, on_counters = bench.run(module, engine=engine)
             obs.uninstall()
             assert on_counters.cycles == off_counters.cycles, engine
@@ -289,7 +291,7 @@ class TestTracedRuns:
 
     def test_parallel_aggregation_is_deterministic(self):
         def stream(jobs):
-            session = _install()
+            session = obs.install()
             runner = ParallelRunner(jobs=jobs, use_cache=False)
             cells = runner.prefetch([benchmark_by_name(BENCH)],
                                     configs=("baseline", "uu_heuristic"))
@@ -318,6 +320,7 @@ class TestCliExport:
     def test_trace_out_produces_perfetto_and_remarks(self, tmp_path, capsys):
         from repro.cli import main
         trace_path = tmp_path / "run.trace.json"
+        environ = dict(os.environ)
         assert main(["run-heuristic", "--app", BENCH,
                      "--trace-out", str(trace_path)]) == 0
         data = json.loads(trace_path.read_text())
@@ -326,9 +329,9 @@ class TestCliExport:
                    for e in data["traceEvents"])
         remarks = obs.read_jsonl(tmp_path / "run.trace.remarks.jsonl")
         assert any(r.kind == "applied" for r in remarks)
-        # The session did not leak past main().
+        # Neither a session nor an environment write leaks past main().
         assert obs.active() is None
-        assert not os.environ.get(obs.ENV_VAR)
+        assert dict(os.environ) == environ
 
 
 # -- the disabled path -------------------------------------------------------
@@ -337,7 +340,7 @@ def test_obs_disabled_path_does_no_work():
     """With no session installed, the obs hooks must construct nothing.
 
     The <3% disabled-overhead contract is enforced structurally: a full
-    compile + simulate with ``REPRO_TRACE`` off may touch the obs layer
+    compile + simulate with no session installed may touch the obs layer
     only through ``is None`` tests, so remark construction, session
     emission, and trace-event recording are patched to raise.  Any code
     path that does observable work while disabled fails loudly here,

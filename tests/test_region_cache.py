@@ -95,6 +95,31 @@ def test_take_session_snapshots_and_resets(fresh_jit_session, tier_up_at_once):
     assert not session().any(), "take_session must leave a fresh session"
 
 
+def test_successive_fanouts_fold_like_a_serial_run(fresh_jit_session):
+    """A pool forked after the parent has absorbed counts must not ship
+    them home again: after each of three successive fan-outs of one
+    runner the session reads at ``jobs=2`` what it reads at ``jobs=1``
+    (a worker that keeps the session it inherited by fork reads
+    4 / 10 / 13 / 55 after the third)."""
+    from repro.harness.parallel import ParallelRunner
+
+    def snapshots(jobs):
+        runner = ParallelRunner(jobs=jobs, use_cache=False)
+        seen = []
+        for app in ("XSBench", "bezier-surface", "complex"):
+            runner.prefetch([benchmark_by_name(app)],
+                            configs=("baseline", "uu_heuristic"))
+            seen.append(session().snapshot())
+        take_session()
+        return seen
+
+    serial = snapshots(1)
+    assert serial[-1] == RegionSession(
+        selections=2, regions=6, fused_segments=7, fused_steps=29,
+        max_chain=5).snapshot()
+    assert snapshots(2) == serial
+
+
 # -- one selection path -------------------------------------------------------
 
 def test_cold_then_warm_counts_and_plans(fresh_jit_session, tier_up_at_once):

@@ -11,7 +11,6 @@ accompanied by a FEATURE_SCHEMA_VERSION bump.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -35,12 +34,6 @@ from repro.similarity.predict import Prediction, predict_bench
 def _clean_obs_slot():
     yield
     obs.uninstall()
-    os.environ.pop(obs.ENV_VAR, None)
-
-
-def _install_obs():
-    os.environ[obs.ENV_VAR] = "1"
-    return obs.install()
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +255,7 @@ class TestPredict:
         assert lp.unmerge is True
 
     def test_empty_index_falls_back_with_missed_remark(self, tmp_path):
-        session = _install_obs()
+        session = obs.install()
         prediction = predict_bench(benchmark_by_name("haccmk"),
                                    SimilarityIndex(tmp_path))
         assert prediction.fallback
@@ -343,7 +336,7 @@ class TestPredictedPipeline:
     def test_tuned_fallback_emits_missed_remark(self, tmp_path):
         # Satellite: a tuned replay that cannot resolve its decisions
         # surfaces a typed `missed` remark with the staleness reason.
-        session = _install_obs()
+        session = obs.install()
         runner = ExperimentRunner(tuned_dir=tmp_path)
         bench = benchmark_by_name("haccmk")
         with pytest.warns(RuntimeWarning):

@@ -12,9 +12,7 @@ one tier-up in the middle of a launch step by step.
 from __future__ import annotations
 
 import contextlib
-import os
 import pathlib
-from unittest import mock
 
 import pytest
 
@@ -271,16 +269,14 @@ def test_guard_failures_reshape_no_compiled_region():
 
 def test_observed_and_unobserved_launches_compile_the_same(
         fresh_jit_session):
-    """Unobserved, with ``REPRO_TRACE`` set, and under a live obs session
-    the jit selects and compiles the same regions — selection reads no
-    execution profile — on a first machine and on a second one, after a
-    guard of the first failed on every traversal."""
+    """Unobserved and under a live obs session the jit selects and
+    compiles the same regions — selection reads no execution profile — on
+    a first machine and on a second one, after a guard of the first
+    failed on every traversal."""
     trips = jit.TIER_UP_DISPATCHES + 3 * 8
 
     scopes = {
         "unobserved": contextlib.nullcontext,
-        "env": lambda: mock.patch.dict(os.environ,
-                                       {obs_session.ENV_VAR: "1"}),
         "session": obs_session.capture,
     }
 
@@ -294,7 +290,7 @@ def test_observed_and_unobserved_launches_compile_the_same(
     first = run("unobserved")
     assert R_GUARD in first[0]["loop"]      # The storming guard: kept.
     assert first[2]["selections"] == 1
-    for observe in ("unobserved", "env", "env", "session", "session"):
+    for observe in ("unobserved", "session", "session"):
         assert run(observe) == first, observe
 
 
