@@ -14,13 +14,16 @@ import pytest
 
 from repro.bench import all_benchmarks
 from repro.harness import ParallelRunner
+from repro.transforms.pass_manager import COMPILE_TIMEOUT
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
 def runner():
-    return ParallelRunner(max_instructions=8000, compile_timeout=20.0)
+    return ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
+                          compile_timeout=COMPILE_TIMEOUT)
 
 
 @pytest.fixture(scope="session")

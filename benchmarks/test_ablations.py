@@ -21,12 +21,13 @@ from repro.bench import benchmark_by_name
 from repro.harness import ExperimentRunner
 from repro.transforms import HeuristicParams, compile_module
 from repro.transforms.heuristic import select_loops
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 from repro.analysis import LoopInfo
 
 
 def _run_config(bench, config, branch_facts=True, **kw):
     module = bench.build_module()
-    compile_module(module, config, max_instructions=8000,
+    compile_module(module, config, max_instructions=MAX_INSTRUCTIONS,
                    branch_facts=branch_facts, **kw)
     outputs, counters = bench.run(module)
     return outputs, counters
@@ -105,10 +106,10 @@ def test_divergence_filter_ablation(benchmark, runner, results_dir):
     def run():
         bench = benchmark_by_name("complex")
         plain_runner = ExperimentRunner(
-            heuristic=HeuristicParams(), max_instructions=8000)
+            heuristic=HeuristicParams(), max_instructions=MAX_INSTRUCTIONS)
         aware_runner = ExperimentRunner(
             heuristic=HeuristicParams(avoid_divergent=True),
-            max_instructions=8000)
+            max_instructions=MAX_INSTRUCTIONS)
         base = plain_runner.baseline(bench)
         plain = plain_runner.heuristic_cell(bench)
         base2 = aware_runner.baseline(bench)
@@ -145,7 +146,8 @@ def test_partial_unmerging_extension(benchmark, results_dir):
             info = LoopInfo.compute(func)
             target = info.by_id(loop_id)
             if target is not None:
-                apply_uu(func, target, factor, max_instructions=8000,
+                apply_uu(func, target, factor,
+                         max_instructions=MAX_INSTRUCTIONS,
                          selective=selective)
         outputs, counters = bench.run(module)
         return outputs, counters, module.instruction_count()

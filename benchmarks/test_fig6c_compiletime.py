@@ -15,7 +15,8 @@ from repro.harness import geomean
 from repro.harness.experiment import UNROLL_FACTORS
 from repro.harness.fig6 import format_figure, series
 from repro.transforms import compile_module
-from repro.transforms.pass_manager import PassStatistics
+from repro.transforms.pass_manager import COMPILE_TIMEOUT, PassStatistics
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 
 def test_fig6c(benchmark, runner, benches, results_dir):
@@ -51,7 +52,8 @@ def test_cleanup_time_tracks_duplicated_code(benchmark):
     def cleanup_time(config, **kw):
         bench = benchmark_by_name("bezier-surface")
         module = bench.build_module()
-        result = compile_module(module, config, max_instructions=8000, **kw)
+        result = compile_module(module, config,
+                                max_instructions=MAX_INSTRUCTIONS, **kw)
         times = result.pass_stats.times
         return sum(t for name, t in times.items()
                    if name in ("cleanup", "gvn", "sccp", "instcombine",
@@ -78,8 +80,8 @@ def test_cleanup_dominates_uu_transform(benchmark, benches):
                 for factor in UNROLL_FACTORS:
                     result = compile_module(
                         bench.build_module(), "uu", loop_id=loop_id,
-                        factor=factor, max_instructions=8000,
-                        timeout_seconds=20.0)
+                        factor=factor, max_instructions=MAX_INSTRUCTIONS,
+                        timeout_seconds=COMPILE_TIMEOUT)
                     stats.merge(result.pass_stats)
         return stats
 

@@ -16,6 +16,8 @@ import pytest
 from repro.bench import benchmark_by_name
 from repro.gpu.counters import Counters
 from repro.harness import CellCache, ExperimentRunner, ParallelRunner
+from repro.transforms.pass_manager import COMPILE_TIMEOUT
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 APPS = ("complex", "coordinates", "XSBench")
 
@@ -37,14 +39,16 @@ def sweep_signature(sweep):
 
 @pytest.fixture(scope="module")
 def serial_sweeps():
-    runner = ExperimentRunner(max_instructions=8000, compile_timeout=20.0)
+    runner = ExperimentRunner(max_instructions=MAX_INSTRUCTIONS,
+                              compile_timeout=COMPILE_TIMEOUT)
     return {app: sweep_signature(runner.full_sweep(benchmark_by_name(app)))
             for app in APPS}
 
 
 def test_parallel_cold_matches_serial(serial_sweeps, tmp_path_factory):
     cache = CellCache(tmp_path_factory.mktemp("cellcache"))
-    runner = ParallelRunner(max_instructions=8000, compile_timeout=20.0,
+    runner = ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
+                            compile_timeout=COMPILE_TIMEOUT,
                             jobs=2, cache=cache)
     for app in APPS:
         sweep = runner.full_sweep(benchmark_by_name(app))
@@ -53,7 +57,8 @@ def test_parallel_cold_matches_serial(serial_sweeps, tmp_path_factory):
 
     # A second runner over the same cache must reproduce everything from
     # disk alone — bit-identical again, with zero recomputation.
-    warm = ParallelRunner(max_instructions=8000, compile_timeout=20.0,
+    warm = ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
+                          compile_timeout=COMPILE_TIMEOUT,
                           jobs=2, cache=CellCache(cache.root))
     for app in APPS:
         sweep = warm.full_sweep(benchmark_by_name(app))
@@ -63,7 +68,8 @@ def test_parallel_cold_matches_serial(serial_sweeps, tmp_path_factory):
 
 def test_serial_jobs1_path_matches_serial(serial_sweeps, tmp_path_factory):
     # jobs=1 takes the in-process path (no pool); must agree as well.
-    runner = ParallelRunner(max_instructions=8000, compile_timeout=20.0,
+    runner = ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
+                            compile_timeout=COMPILE_TIMEOUT,
                             jobs=1,
                             cache=CellCache(tmp_path_factory.mktemp("cc")))
     app = APPS[0]

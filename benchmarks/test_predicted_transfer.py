@@ -31,6 +31,8 @@ from repro.harness.cache import CellCache
 from repro.harness.summary import transfer_summary
 from repro.similarity.index import SimilarityIndex, build_index
 from repro.similarity.predict import predict_bench
+from repro.transforms.pass_manager import COMPILE_TIMEOUT
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 #: Minimum per-app speedup over baseline a prediction may produce.
 PER_APP_FLOOR = 0.95
@@ -54,7 +56,8 @@ def transfer_runner(tuned_index):
     # Shares the repo-level cell cache with the session runner (cells key
     # on the prediction fingerprint, so reuse across sessions is safe);
     # only the similarity index is redirected to the fresh build.
-    return ParallelRunner(max_instructions=8000, compile_timeout=20.0,
+    return ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
+                          compile_timeout=COMPILE_TIMEOUT,
                           sim_index_dir=tuned_index.root)
 
 

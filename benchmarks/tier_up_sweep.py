@@ -26,7 +26,9 @@ import time
 from repro.bench import all_benchmarks
 from repro.gpu import Memory, SimtMachine, jit
 from repro.ir.parser import parse_module
+from repro.transforms.pass_manager import COMPILE_TIMEOUT
 from repro.transforms.pipeline import compile_module
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 KERNEL_DIR = pathlib.Path(__file__).resolve().parent / "perf" / "kernels"
 THRESHOLDS = (1, 2, 4, 8, 16, 32, 64, 256, 0)   # 0: never reached.
@@ -41,8 +43,8 @@ def main() -> None:
     for bench in all_benchmarks():
         for config in ("baseline", "uu_heuristic"):
             module = bench.build_module()
-            compile_module(module, config, max_instructions=8000,
-                           timeout_seconds=20.0)
+            compile_module(module, config, max_instructions=MAX_INSTRUCTIONS,
+                           timeout_seconds=COMPILE_TIMEOUT)
             apps.append((bench, module))
     kernels = {p.stem: parse_module(p.read_text(), p.stem)
                for p in sorted(KERNEL_DIR.glob("*.ir"))}

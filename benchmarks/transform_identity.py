@@ -4,9 +4,10 @@ For every non-baseline cell of ``sweep_specs(bench, factors=(2, 4, 8))``
 over the 16 apps, plus each app's ``tuned`` replay (the multi-directive
 path; decisions read from ``results/tuned/``), run the real pipeline's own
 prefix — ``build_pipeline(...).passes`` up to, not including, the pass named
-``cleanup`` — at the CLI's ``max_instructions=8000`` and record the sha256 of
+``cleanup`` — at the growth cap every app is compiled under
+(``repro.transforms.unmerge.MAX_INSTRUCTIONS``) and record the sha256 of
 ``print_module`` plus the module's instruction count.  ``--full`` hashes
-the module after the *whole* ``compile_module(..., max_instructions=8000)``
+the module after the *whole* ``compile_module`` at the same cap
 instead and adds code size and ``timed_out`` — the check for a change to an
 analysis or a cleanup / late-stage pass, which the prefix never runs.  Not a
 test and not part of tier-1: run it once on each of two checkouts and
@@ -28,9 +29,8 @@ from repro.bench import all_benchmarks
 from repro.harness.parallel import sweep_specs
 from repro.ir.printer import print_module
 from repro.transforms.pipeline import build_pipeline, compile_module
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 from repro.tune.store import resolve_decisions
-
-MAX_INSTRUCTIONS = 8000
 
 
 def transformed_module(bench, config, loop_id, factor, plan=None):

@@ -19,6 +19,7 @@ from repro.frontend import (Assign, GlobalTid, If, Index, KernelDef, Lit,
 from repro.frontend.lower import lower_kernels
 from repro.gpu import Memory, SimtMachine
 from repro.transforms import HeuristicParams, compile_module, select_loops
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 kernel = KernelDef(
     "smooth",
@@ -54,7 +55,7 @@ kernel = KernelDef(
 def run(config, loop_id=None, factor=1):
     module = lower_kernels([kernel], "tuning")
     compiled = compile_module(module, config, loop_id=loop_id, factor=factor,
-                              max_instructions=8000)
+                              max_instructions=MAX_INSTRUCTIONS)
     rng = np.random.default_rng(3)
     n, threads = 48, 64
     mem = Memory()

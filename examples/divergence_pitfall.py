@@ -17,10 +17,11 @@ from repro.analysis import DivergenceInfo, LoopInfo, loop_has_divergent_branch
 from repro.bench import benchmark_by_name
 from repro.harness import ExperimentRunner
 from repro.transforms import HeuristicParams, select_loops
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 
 def main():
-    runner = ExperimentRunner(max_instructions=8000)
+    runner = ExperimentRunner(max_instructions=MAX_INSTRUCTIONS)
     bench = benchmark_by_name("complex")
     base = runner.baseline(bench)
 

@@ -12,12 +12,13 @@ Run:  python examples/ptx_listings.py
 from repro.bench import benchmark_by_name
 from repro.codegen import lower_function, render
 from repro.transforms import compile_module
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 
 def build(config, **kw):
     bench = benchmark_by_name("XSBench")
     module = bench.build_module()
-    compile_module(module, config, max_instructions=8000, **kw)
+    compile_module(module, config, max_instructions=MAX_INSTRUCTIONS, **kw)
     return lower_function(module.get_function("grid_search"))
 
 

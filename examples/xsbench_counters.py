@@ -10,10 +10,11 @@ Run:  python examples/xsbench_counters.py
 
 from repro.bench import benchmark_by_name
 from repro.harness import ExperimentRunner
+from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
 
 def main():
-    runner = ExperimentRunner(max_instructions=8000)
+    runner = ExperimentRunner(max_instructions=MAX_INSTRUCTIONS)
     bench = benchmark_by_name("XSBench")
     base = runner.baseline(bench)
 

@@ -55,6 +55,7 @@ then isolates one service request's story.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import os
@@ -135,9 +136,7 @@ def _finish_sweep(runner) -> None:
 
 
 def _runner(args) -> ExperimentRunner:
-    return ParallelRunner(max_instructions=args.max_instructions,
-                          compile_timeout=args.timeout,
-                          jobs=getattr(args, "jobs", None),
+    return ParallelRunner(jobs=getattr(args, "jobs", None),
                           use_cache=not getattr(args, "no_cache", False),
                           engine=getattr(args, "engine", None))
 
@@ -302,8 +301,7 @@ def cmd_ptx(args) -> int:
                                                args.factor)
     for warning in fallbacks:
         print(f"note: {warning.message}", file=sys.stderr)
-    compile_module(module, args.config,
-                   max_instructions=args.max_instructions, plan=plan)
+    compile_module(module, args.config, plan=plan)
     kernels = [args.kernel] if args.kernel else list(module.functions)
     for name in kernels:
         print(render(lower_function(module.get_function(name))))
@@ -411,14 +409,8 @@ def cmd_summary(args) -> int:
         # its cell would contribute nothing to the timing breakdown) but
         # keeps the parallel fan-out: workers ship their pass statistics
         # and phase timings home with every result.
-        runner: ExperimentRunner = ParallelRunner(
-            max_instructions=args.max_instructions,
-            compile_timeout=args.timeout,
-            jobs=getattr(args, "jobs", None),
-            use_cache=False,
-            engine=getattr(args, "engine", None))
-    else:
-        runner = _runner(args)
+        args.no_cache = True
+    runner = _runner(args)
     print(heuristic_summary(runner, _benches(args)).format())
     print()
     print(tuned_summary(runner, _benches(args)).format())
@@ -470,8 +462,6 @@ def cmd_tune(args) -> int:
     for bench in benches:
         result = tune_benchmark(
             bench, params=params,
-            max_instructions=args.max_instructions,
-            compile_timeout=args.timeout,
             jobs=getattr(args, "jobs", None),
             engine=getattr(args, "engine", None),
             use_cache=not getattr(args, "no_cache", False),
@@ -556,24 +546,18 @@ def cmd_similarity(args) -> int:
     # stats
     stats = index.stats()
     entries = index.load_entries()
+    by_source = collections.Counter(str(e.get("source", "?"))
+                                    for e in entries)
+    loops = sum(len(e.get("loops", [])) for e in entries)
     if args.json:
-        by_source: dict = {}
-        for entry in entries:
-            source = str(entry.get("source", "?"))
-            by_source[source] = by_source.get(source, 0) + 1
-        stats["by_source"] = by_source
-        stats["loops"] = sum(len(e.get("loops", [])) for e in entries)
+        stats["by_source"] = dict(by_source)
+        stats["loops"] = loops
         print(json.dumps(stats, sort_keys=True))
         return 0
     schema = stats["schema"]
     print(f"similarity index at {stats['root']}")
-    print(f"  entries:  {stats['entries']} kernels, "
-          f"{sum(len(e.get('loops', [])) for e in entries)} loops, "
+    print(f"  entries:  {stats['entries']} kernels, {loops} loops, "
           f"{stats['bytes']} bytes")
-    by_source: dict = {}
-    for entry in entries:
-        source = str(entry.get("source", "?"))
-        by_source[source] = by_source.get(source, 0) + 1
     for source in sorted(by_source):
         print(f"    {source:<10} {by_source[source]}")
     print(f"  schema:   feature v{schema['feature']} x timing "
@@ -838,10 +822,6 @@ def cmd_serve_status(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-instructions", type=int, default=8000,
-                        help="unmerge growth cap (compile 'timeout' proxy)")
-    common.add_argument("--timeout", type=float, default=20.0,
-                        help="per-compilation wall-clock budget in seconds")
     common.add_argument("--app", help="restrict to one benchmark")
     common.add_argument("-j", "--jobs", type=int, default=None,
                         help="worker processes for sweeps "
@@ -912,8 +892,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="headline heuristic geomeans (paper Section IV)")
     p.add_argument("--profile", action="store_true",
                    help="also print phase/per-pass timing and the simulated "
-                        "cycle breakdown by opcode category (runs serially "
-                        "so the timings are honest wall clock)")
+                        "cycle breakdown by opcode category; implies "
+                        "--no-cache, and with more than one job (-j) the "
+                        "times are CPU seconds summed across workers — "
+                        "pass -j 1 for wall clock")
     p.set_defaults(fn=cmd_summary)
 
     p = sub.add_parser("remarks", parents=[common],

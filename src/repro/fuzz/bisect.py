@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 from ..ir.verifier import VerificationError, verify_module
 from ..obs import session as obs
 from ..transforms.pipeline import build_pipeline
-from .oracle import (LANES, MAX_INSTRUCTIONS, ConfigSpec, Subject, compare,
-                     execute)
+from .oracle import (BARE_MAX_INSTRUCTIONS, LANES, ConfigSpec, Subject,
+                     compare, execute)
 
 
 @dataclass
@@ -52,7 +52,7 @@ class _Diverged(Exception):
 
 def bisect_divergence(subject: Subject, spec: ConfigSpec,
                       lanes: int = LANES,
-                      max_instructions: int = MAX_INSTRUCTIONS
+                      max_instructions: int = BARE_MAX_INSTRUCTIONS
                       ) -> Optional[BisectResult]:
     """Run ``spec``'s pipeline on ``subject``, checking after each pass.
 

@@ -25,7 +25,7 @@ import numpy as np
 from ..harness.parallel import resolve_jobs
 from .bisect import bisect_divergence
 from .generator import generate_kernel
-from .oracle import (LANES, MAX_INSTRUCTIONS, ConfigSpec, run_differential,
+from .oracle import (LANES, ConfigSpec, run_differential,
                      subject_from_kernel)
 
 

@@ -49,8 +49,9 @@ UNROLL_FACTOR = 2
 #: corpus).  Deliberately small: such kernels have tens of instructions,
 #: and a cap in the thousands already lets u&u duplicate multi-way merges
 #: across unrolled iterations while keeping the cleanup fixpoint (the cost
-#: of a config run) tractable on one core.
-MAX_INSTRUCTIONS = 3_000
+#: of a config run) tractable on one core.  Registered apps compile at
+#: :data:`repro.transforms.unmerge.MAX_INSTRUCTIONS` instead.
+BARE_MAX_INSTRUCTIONS = 3_000
 
 
 class OracleError(Exception):
@@ -243,7 +244,7 @@ def config_specs(module: Module) -> List[ConfigSpec]:
 
 def run_config(subject: Subject, spec: ConfigSpec,
                reference: Dict[str, np.ndarray], lanes: int = LANES,
-               max_instructions: int = MAX_INSTRUCTIONS,
+               max_instructions: int = BARE_MAX_INSTRUCTIONS,
                engine: Optional[str] = None) -> ConfigOutcome:
     """Compile one configuration and compare its outputs to the reference."""
     module = subject.build()
@@ -270,7 +271,7 @@ def run_config(subject: Subject, spec: ConfigSpec,
 
 
 def run_differential(subject: Subject, lanes: int = LANES,
-                     max_instructions: int = MAX_INSTRUCTIONS,
+                     max_instructions: int = BARE_MAX_INSTRUCTIONS,
                      engine: Optional[str] = None) -> KernelReport:
     """Check ``subject`` under every applicable configuration."""
     module = subject.build()

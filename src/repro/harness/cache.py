@@ -6,7 +6,7 @@ function of (a) the benchmark's unoptimized IR and workload description,
 timing model.  This module keys cells by the SHA-256 of exactly those
 inputs and stores results as JSON under ``results/.cellcache/<key[:2]>/``
 (256 two-hex-char shards), so
-re-running ``python -m repro.harness.table1`` or any ``benchmarks/test_fig*``
+re-running ``python -m repro table1`` or any ``benchmarks/test_fig*``
 file after an unrelated edit is near-instant: only cells whose inputs
 actually changed are recomputed.
 
@@ -17,6 +17,9 @@ Invalidation is structural, not temporal:
   launch geometry changes the key;
 * the key folds in :data:`repro.gpu.timing.TIMING_MODEL_VERSION` — bumping
   the tag after a timing-model change orphans every old entry;
+* the key folds in the growth cap and the compile budget, whose one
+  default (``MAX_INSTRUCTIONS`` / ``COMPILE_TIMEOUT``) every runner uses,
+  so the CLI, the tuner and the daemon share cells;
 * every entry records :data:`SCHEMA_VERSION`; bumping it (when the stored
   shape of a ``Cell`` changes) makes old entries self-invalidate on read.
 

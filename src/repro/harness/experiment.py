@@ -15,6 +15,7 @@ Table I comes from the seeded noise model in :mod:`repro.harness.stats`.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 import warnings
@@ -29,8 +30,9 @@ from ..directive import LoopDirective
 from ..gpu.counters import Counters
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams
-from ..transforms.pass_manager import PassStatistics
+from ..transforms.pass_manager import COMPILE_TIMEOUT, PassStatistics
 from ..transforms.pipeline import CompileResult, compile_module, config_plan
+from ..transforms.unmerge import MAX_INSTRUCTIONS
 
 UNROLL_FACTORS = (2, 4, 8)
 
@@ -81,8 +83,8 @@ class ExperimentRunner:
     """Runs and caches experiment cells for one or more benchmarks."""
 
     def __init__(self, heuristic: Optional[HeuristicParams] = None,
-                 max_instructions: int = 20_000,
-                 compile_timeout: Optional[float] = 20.0,
+                 max_instructions: int = MAX_INSTRUCTIONS,
+                 compile_timeout: Optional[float] = COMPILE_TIMEOUT,
                  verify_each: bool = False,
                  engine: Optional[str] = None,
                  workload_scale: int = 1,
@@ -117,11 +119,19 @@ class ExperimentRunner:
         #: reference (cached so the raw module is built and run only once).
         self._raw_outputs: Dict[str, Dict[str, np.ndarray]] = {}
         #: Wall-clock per phase across every cell this runner computed
-        #: (``python -m repro.harness.summary --profile`` reports these).
+        #: (``python -m repro summary --profile`` reports these).
         self.phase_seconds: Dict[str, float] = {
             "compile": 0.0, "simulate": 0.0, "verify": 0.0}
         #: Per-pass compile-time statistics aggregated over all cells.
         self.pass_stats = PassStatistics()
+
+    def settings(self) -> Dict[str, object]:
+        """The constructor arguments, by name, that build a runner
+        measuring exactly like this one (a pool worker's
+        ``ExperimentRunner(**settings)``).  The signature above is the one
+        list of them; each is kept under its own name."""
+        names = list(inspect.signature(ExperimentRunner.__init__).parameters)
+        return {name: getattr(self, name) for name in names[1:]}
 
     # -- cells -----------------------------------------------------------
     def cell(self, bench: Benchmark, config: str,

@@ -76,14 +76,3 @@ def format_figure(points: List[Fig6Point], metric: str) -> str:
         value = getattr(p, metric)
         lines.append(f"{p.app:<16} {loop:<20} {factor:>4} {value:>8.3f}x")
     return "\n".join(lines)
-
-
-def main() -> None:
-    points = series()
-    for metric in ("speedup", "size_ratio", "compile_ratio"):
-        print(format_figure(points, metric))
-        print()
-
-
-if __name__ == "__main__":
-    main()

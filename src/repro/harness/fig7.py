@@ -68,11 +68,3 @@ def format_figure(rows: List[Fig7Row]) -> str:
                      f"{r.unroll_speedup:>7.3f}x {r.unmerge_speedup:>7.3f}x "
                      f"{r.tuned_speedup:>7.3f}x")
     return "\n".join(lines)
-
-
-def main() -> None:
-    print(format_figure(series()))
-
-
-if __name__ == "__main__":
-    main()

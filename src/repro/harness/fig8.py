@@ -73,14 +73,3 @@ def format_figure(points: List[ScatterPoint], comparator: str) -> str:
                      f"{p.uu_speedup:>7.3f}x {p.other_speedup:>7.3f}x  "
                      f"{winner}")
     return "\n".join(lines)
-
-
-def main() -> None:
-    runner = ExperimentRunner()
-    for comparator in ("unroll", "unmerge"):
-        print(format_figure(series(comparator, runner), comparator))
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -95,15 +95,3 @@ def format_comparison(cmp: InDepthComparison) -> str:
         change = f"{cmp.ratio(metric):>9.2f}x" if before else "       n/a"
         lines.append(f"{metric:<28} {before:>12.2f} {after:>12.2f} {change}")
     return "\n".join(lines)
-
-
-def main() -> None:
-    runner = ExperimentRunner()
-    for fn in (xsbench_analysis, rainflow_analysis, complex_analysis,
-               bezier_analysis):
-        print(format_comparison(fn(runner)))
-        print()
-
-
-if __name__ == "__main__":
-    main()

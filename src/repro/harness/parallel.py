@@ -39,7 +39,6 @@ import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +50,6 @@ from ..gpu import region_cache
 from ..ir.printer import print_module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
-from ..transforms.heuristic import HeuristicParams
 from ..transforms.pipeline import (CONFIGS, PER_LOOP_CONFIGS,
                                    WHOLE_FUNCTION_CONFIGS)
 from .cache import CellCache
@@ -164,7 +162,7 @@ class _Task:
     what to collect.  Built once per fan-out from the parent's own state —
     a worker consults neither the environment nor what it inherited."""
 
-    #: ``ExperimentRunner(**settings)``.
+    #: ``ExperimentRunner(**settings)`` (:meth:`ExperimentRunner.settings`).
     settings: Dict[str, object]
     #: The parent has an obs session installed: ship remarks/spans/profile.
     trace: bool
@@ -236,30 +234,19 @@ class ParallelRunner(ExperimentRunner):
     and compute the misses on a process pool.
     """
 
-    def __init__(self, heuristic: Optional[HeuristicParams] = None,
-                 max_instructions: int = 20_000,
-                 compile_timeout: Optional[float] = 20.0,
-                 verify_each: bool = False,
-                 jobs: Optional[int] = None,
+    def __init__(self, *, jobs: Optional[int] = None,
                  cache: Optional[CellCache] = None,
-                 use_cache: bool = True,
-                 engine: Optional[str] = None,
-                 workload_scale: int = 1,
-                 tuned_dir: Optional[Path] = None,
-                 sim_index_dir: Optional[Path] = None) -> None:
-        super().__init__(heuristic=heuristic,
-                         max_instructions=max_instructions,
-                         compile_timeout=compile_timeout,
-                         verify_each=verify_each,
-                         engine=engine,
-                         workload_scale=workload_scale,
-                         tuned_dir=tuned_dir,
-                         sim_index_dir=sim_index_dir)
+                 use_cache: bool = True, **settings) -> None:
+        """``settings`` are :class:`ExperimentRunner`'s arguments."""
+        super().__init__(**settings)
         self.jobs = resolve_jobs(jobs)
         self.cache: Optional[CellCache] = (
             cache if cache is not None else (CellCache() if use_cache
                                              else None))
         self._fingerprints: Dict[str, Tuple[str, str]] = {}
+        #: Cells this runner computed (in process or on the pool) instead
+        #: of finding them in memory or in the persistent cache.
+        self.computed = 0
 
     # -- cache plumbing ------------------------------------------------------
     def _fingerprint(self, bench: Benchmark) -> Tuple[str, str]:
@@ -323,6 +310,7 @@ class ParallelRunner(ExperimentRunner):
             if hit is not None:
                 return hit
         result = self._run(bench, config, loop_id, factor, plan)
+        self.computed += 1
         self._cache[spec_key] = result
         if self.cache is not None:
             self._store(bench, result, cache_key)
@@ -379,6 +367,7 @@ class ParallelRunner(ExperimentRunner):
     def _compute_serial(self, missing, by_name) -> None:
         for spec, cache_key in missing:
             bench = by_name.get(spec.app)
+            self.computed += 1
             try:
                 if bench is None:
                     bench = benchmark_by_name(spec.app)
@@ -392,16 +381,9 @@ class ParallelRunner(ExperimentRunner):
                 self._store(bench, cell, cache_key)
 
     def _compute_parallel(self, missing, by_name) -> None:
-        task = _Task(
-            settings=dict(heuristic=self.heuristic,
-                          max_instructions=self.max_instructions,
-                          compile_timeout=self.compile_timeout,
-                          verify_each=self.verify_each, engine=self.engine,
-                          workload_scale=self.workload_scale,
-                          tuned_dir=self.tuned_dir,
-                          sim_index_dir=self.sim_index_dir),
-            trace=obs.active() is not None,
-            metrics=obs_metrics.active() is not None)
+        task = _Task(settings=self.settings(),
+                     trace=obs.active() is not None,
+                     metrics=obs_metrics.active() is not None)
         baseline_specs = [(s, k) for s, k in missing
                           if s.config == "baseline"]
         other_specs = [(s, k) for s, k in missing if s.config != "baseline"]
@@ -428,6 +410,7 @@ class ParallelRunner(ExperimentRunner):
             for app in needed_apps:
                 spec = CellSpec(app, "baseline", None, 1)
                 futures[pool.submit(_worker, spec, task)] = spec
+            self.computed += len(futures)
             for future, spec in futures.items():
                 status, payload, outputs, extras = future.result()
                 if status == "err":
@@ -460,6 +443,7 @@ class ParallelRunner(ExperimentRunner):
                     continue
                 reference = self._baseline_outputs.get(spec.app)
                 futures[pool.submit(_worker, spec, task, reference)] = spec
+            self.computed += len(futures)
             pending = set(futures)
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)

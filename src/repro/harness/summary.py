@@ -7,7 +7,6 @@ compile time increase over all applications for the heuristic are 1.05x,
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -16,7 +15,7 @@ from ..bench import all_benchmarks
 from ..bench.base import Benchmark
 from ..gpu.counters import CATEGORIES, N_CATEGORIES
 from .experiment import ExperimentRunner
-from .parallel import ParallelRunner, prefetch_if_parallel
+from .parallel import prefetch_if_parallel
 from .stats import geomean
 
 
@@ -324,34 +323,3 @@ def _format_category_cycles(runner: ExperimentRunner) -> List[str]:
         lines.append(f"  {name:<12} {value:>14.1f}  {share:>5.1f}%")
     lines.append(f"  {'total':<12} {grand:>14.1f}")
     return lines
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.summary",
-        description="Headline heuristic geomeans (paper Section IV).")
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also print compile/simulate/verify and per-pass timing")
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS or all cores)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore the persistent cell cache")
-    args = parser.parse_args(argv)
-
-    # --profile disables the cache (a cache hit skips compilation, so its
-    # cell would contribute nothing to the timing breakdown) but keeps the
-    # parallel fan-out: workers ship their pass statistics home.
-    runner = ParallelRunner(jobs=args.jobs,
-                            use_cache=not args.no_cache and
-                            not args.profile)
-    print(heuristic_summary(runner).format())
-    if args.profile:
-        print()
-        print(format_profile(runner))
-
-
-if __name__ == "__main__":
-    main()

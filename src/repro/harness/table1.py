@@ -101,12 +101,3 @@ def format_table(rows: List[Table1Row]) -> str:
             f"{row.heuristic_mean_ms:>12.2f} ±{row.heuristic_rsd:>5.2f}% "
             f"{row.speedup:>7.2f}x {row.paper_speedup:>7.2f}x")
     return "\n".join(lines)
-
-
-def main() -> None:
-    rows = build_table()
-    print(format_table(rows))
-
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,7 @@ from typing import Dict, Optional
 from ..analysis.loops import LoopInfo
 from ..bench import benchmark_by_name
 from ..frontend.lower import lower_kernels
-from ..fuzz.oracle import MAX_INSTRUCTIONS, compare, run_one_warp
+from ..fuzz.oracle import BARE_MAX_INSTRUCTIONS, compare, run_one_warp
 from ..gpu.counters import Counters
 from ..harness.cache import cell_to_json, outputs_to_json
 from ..harness.experiment import ExperimentRunner
@@ -85,7 +85,7 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     # Baseline anchor: same source through the baseline pipeline.
     base_module = build()
     compile_module(base_module, "baseline",
-                   max_instructions=MAX_INSTRUCTIONS)
+                   max_instructions=BARE_MAX_INSTRUCTIONS)
     base_outputs, base_counters = run_one_warp(base_module, request.lanes,
                                                request.engine)
     result.baseline_cycles = base_counters.cycles
@@ -100,7 +100,7 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
                                            request.loop_id, request.factor)
             compiled = compile_module(
                 module, request.config,
-                max_instructions=MAX_INSTRUCTIONS, plan=plan)
+                max_instructions=BARE_MAX_INSTRUCTIONS, plan=plan)
             outputs, counters = run_one_warp(module, request.lanes,
                                              request.engine)
     result.remarks = [r.to_json() for r in session.remarks]

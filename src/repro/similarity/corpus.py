@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..fuzz.generator import GeneratorConfig, generate_kernel
-from ..fuzz.oracle import LANES, MAX_INSTRUCTIONS, run_one_warp
+from ..fuzz.oracle import BARE_MAX_INSTRUCTIONS, LANES, run_one_warp
 from ..ir.module import Module
 from ..obs import session as obs
 from .index import SimilarityIndex
@@ -122,7 +122,7 @@ def build_from_fuzz(count: int, *,
     unverified: List[str] = []
     for bench in fuzz_corpus(count, start_seed):
         result = tune_benchmark(
-            bench, params=params, max_instructions=MAX_INSTRUCTIONS,
+            bench, params=params, max_instructions=BARE_MAX_INSTRUCTIONS,
             jobs=1, use_cache=use_cache, persist=False)
         if not result.verified:
             unverified.append(bench.name)

@@ -24,6 +24,12 @@ def _ir_size(func: Function) -> "tuple[int, int]":
     return sum(len(b.instructions) for b in func.blocks), len(func.blocks)
 
 
+#: The wall-clock budget, in seconds, of one measured compilation: the
+#: default of every runner and of the tuner (the paper's 5-minute timeout,
+#: scaled to the harness).
+COMPILE_TIMEOUT = 20.0
+
+
 class CompileTimeout(Exception):
     """Raised when a pipeline exceeds its compile-time budget.
 

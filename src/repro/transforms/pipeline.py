@@ -41,6 +41,7 @@ from .plan import ApplyPlan
 from .predication import Predication
 from .sccp import SparseConditionalConstantPropagation
 from .simplifycfg import SimplifyCFG
+from .unmerge import MAX_INSTRUCTIONS
 from .unroll import BaselineUnroll
 
 #: Every configuration name, in sweep-enumeration order — the only literal
@@ -111,7 +112,7 @@ def config_plan(config: str, loop_id: Optional[str] = None,
 def transform_passes(config: str, *, loop_id: Optional[str] = None,
                      factor: int = 1,
                      heuristic: Optional[HeuristicParams] = None,
-                     max_instructions: int = 200_000,
+                     max_instructions: int = MAX_INSTRUCTIONS,
                      plan: Optional[Sequence[LoopDirective]] = None) -> List:
     """The experimental transform stage (possibly empty): an explicit
     ``plan`` as given, else :func:`config_plan` of the other arguments."""
@@ -148,7 +149,7 @@ def late_passes() -> List:
 def build_pipeline(config: str, *, loop_id: Optional[str] = None,
                    factor: int = 1,
                    heuristic: Optional[HeuristicParams] = None,
-                   max_instructions: int = 200_000,
+                   max_instructions: int = MAX_INSTRUCTIONS,
                    branch_facts: bool = True,
                    verify_each: bool = False,
                    plan: Optional[Sequence[LoopDirective]] = None
@@ -187,7 +188,7 @@ class _NestedManager:
 def compile_module(module: Module, config: str, *,
                    loop_id: Optional[str] = None, factor: int = 1,
                    heuristic: Optional[HeuristicParams] = None,
-                   max_instructions: int = 60_000,
+                   max_instructions: int = MAX_INSTRUCTIONS,
                    timeout_seconds: Optional[float] = None,
                    branch_facts: bool = True,
                    verify_each: bool = False,

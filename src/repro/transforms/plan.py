@@ -34,13 +34,13 @@ from ..ir.function import Function
 from ..obs import session as obs
 from ..obs.remarks import decision_remarks
 from .heuristic import HeuristicParams, LoopDecision, select_loops
-from .unmerge import UnmergeBudgetExceeded, unmerge_loop
+from .unmerge import MAX_INSTRUCTIONS, UnmergeBudgetExceeded, unmerge_loop
 from .unroll import can_unroll, unroll_loop
 from .uu import apply_uu, claim_loop, loop_by_header, uu_applicable
 
 
 def apply_directive(func: Function, loop: Loop, directive: LoopDirective,
-                    max_instructions: int = 200_000) -> bool:
+                    max_instructions: int = MAX_INSTRUCTIONS) -> bool:
     """Apply ``directive`` to ``loop``; returns True if the IR changed."""
     kind = directive.kind
     if kind == "uu":
@@ -69,7 +69,7 @@ class ApplyPlan:
 
     def __init__(self, plan: Optional[Sequence[LoopDirective]] = None,
                  heuristic: Optional[HeuristicParams] = None,
-                 max_instructions: int = 200_000) -> None:
+                 max_instructions: int = MAX_INSTRUCTIONS) -> None:
         self.plan = None if plan is None else list(plan)
         self.params = heuristic or HeuristicParams()
         self.max_instructions = max_instructions

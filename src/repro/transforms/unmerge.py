@@ -68,12 +68,19 @@ from .lcssa import form_lcssa
 from .profitability import merge_is_profitable
 
 
+#: The growth cap (instructions summed over the function) every registered
+#: app is compiled under: the default of the CLI, the runners, the tuner,
+#: the daemon and the functions below, and the cap of every committed
+#: exhibit.  Bare modules use the fuzz oracle's ``BARE_MAX_INSTRUCTIONS``.
+MAX_INSTRUCTIONS = 8_000
+
+
 class UnmergeBudgetExceeded(Exception):
     """The duplication grew past the instruction cap (compile "timeout")."""
 
 
 def unmerge_loop(func: Function, loop: Loop,
-                 max_instructions: int = 60_000,
+                 max_instructions: int = MAX_INSTRUCTIONS,
                  selective: bool = False) -> bool:
     """Unmerge all control-flow merges in ``loop``'s body.
 

@@ -23,12 +23,12 @@ from ..analysis.convergence import loop_is_convergent
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.function import Function
 from ..obs import session as obs
-from .unmerge import UnmergeBudgetExceeded, unmerge_loop
+from .unmerge import MAX_INSTRUCTIONS, UnmergeBudgetExceeded, unmerge_loop
 from .unroll import can_unroll, unroll_loop
 
 
 def apply_uu(func: Function, loop: Loop, factor: int,
-             max_instructions: int = 200_000,
+             max_instructions: int = MAX_INSTRUCTIONS,
              selective: bool = False) -> bool:
     """Run u&u on ``loop``; returns True if the IR changed.
 

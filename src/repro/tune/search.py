@@ -54,6 +54,8 @@ from ..harness.experiment import Cell
 from ..harness.parallel import CellSpec, ParallelRunner
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams, select_loops
+from ..transforms.pass_manager import COMPILE_TIMEOUT
+from ..transforms.unmerge import MAX_INSTRUCTIONS
 from .space import LoopFacts, TuneParams, enumerate_candidates, loop_facts
 from .store import TunedConfig, save_tuned
 
@@ -78,8 +80,9 @@ class TuneResult:
     candidates_total: int
     candidates_pruned: int
     candidates_truncated: int
-    #: Persistent-cache misses across the whole search — 0 on a warm
-    #: re-tune (the cache-effectiveness contract the smoke test pins).
+    #: Cells the search's runners computed rather than read from the
+    #: cell cache — 0 on a warm re-tune (the cache-effectiveness contract
+    #: the smoke test pins), every measured cell without a cache.
     fresh_evaluations: int
 
     @property
@@ -178,8 +181,8 @@ def _verify_winner(bench: Benchmark, decisions: List[LoopDirective],
 def tune_benchmark(bench: Benchmark, *,
                    params: Optional[TuneParams] = None,
                    heuristic: Optional[HeuristicParams] = None,
-                   max_instructions: int = 8_000,
-                   compile_timeout: Optional[float] = 20.0,
+                   max_instructions: int = MAX_INSTRUCTIONS,
+                   compile_timeout: Optional[float] = COMPILE_TIMEOUT,
                    jobs: Optional[int] = None,
                    engine: Optional[str] = None,
                    cache_root: Optional[Path] = None,
@@ -195,8 +198,9 @@ def tune_benchmark(bench: Benchmark, *,
     params = params or TuneParams()
     heuristic = heuristic or HeuristicParams()
     #: One cell cache per workload scale, shared by every runner at that
-    #: scale, so ``fresh_evaluations`` is read off one counter per scale.
+    #: scale; ``fresh_evaluations`` sums what each runner computed.
     caches: Dict[int, CellCache] = {}
+    runners: List[ParallelRunner] = []
 
     def make_runner(scale: int, verify_each: bool = False) -> ParallelRunner:
         cache = None
@@ -205,12 +209,12 @@ def tune_benchmark(bench: Benchmark, *,
                 caches[scale] = CellCache(
                     root=cache_root, prefix=TUNE_PREFIX if scale != 1 else "")
             cache = caches[scale]
-        return ParallelRunner(heuristic=heuristic,
-                              max_instructions=max_instructions,
-                              compile_timeout=compile_timeout,
-                              verify_each=verify_each,
-                              jobs=jobs, cache=cache, use_cache=use_cache,
-                              engine=engine, workload_scale=scale)
+        runners.append(ParallelRunner(
+            heuristic=heuristic, max_instructions=max_instructions,
+            compile_timeout=compile_timeout, verify_each=verify_each,
+            jobs=jobs, cache=cache, use_cache=use_cache, engine=engine,
+            workload_scale=scale))
+        return runners[-1]
 
     # -- stage 1: enumerate + prune + budget ------------------------------
     facts = loop_facts(bench.build_module())
@@ -368,4 +372,4 @@ def tune_benchmark(bench: Benchmark, *,
         verify_detail=verify_detail,
         candidates_total=total, candidates_pruned=len(pruned),
         candidates_truncated=truncated,
-        fresh_evaluations=sum(c.misses for c in caches.values()))
+        fresh_evaluations=sum(r.computed for r in runners))

@@ -195,6 +195,17 @@ class TestServeCommands:
                      ["serve-status", "--json"]):
             args = parser.parse_args(argv)
             assert callable(args.fn)
+        # A served app cell is measured exactly as a sweep's.
+        from repro.cli import _runner
+        from repro.serve import ServeDaemon
+        daemon = ServeDaemon()
+        try:
+            served = daemon.runner
+            swept = _runner(parser.parse_args(["run-uu"]))
+            assert (served.max_instructions, served.compile_timeout) == \
+                (swept.max_instructions, swept.compile_timeout)
+        finally:
+            daemon.shutdown()
 
     def test_submit_rejects_malformed_request(self, capsys):
         # No source at all: fails client-side before touching the network.

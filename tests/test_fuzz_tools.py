@@ -19,8 +19,8 @@ from repro import semantics
 from repro.frontend.ast import (Assign, BinOp, Call, Cast, Cmp, For, If,
                                 KernelDef, Lit, Param, Return, V)
 from repro.fuzz.bisect import bisect_divergence
-from repro.fuzz.oracle import (MAX_INSTRUCTIONS, ConfigSpec, run_differential,
-                               subject_from_kernel)
+from repro.fuzz.oracle import (BARE_MAX_INSTRUCTIONS, ConfigSpec,
+                               run_differential, subject_from_kernel)
 from repro.fuzz.reduce import (block_count, first_failure, reduce_failure,
                                statement_count)
 from repro.ir import ConstantInt
@@ -155,7 +155,8 @@ class TestBisectorRunsTheRealPipeline:
             real(stats, name, seconds, changed)
         monkeypatch.setattr(PassStatistics, "record", spy)
         compile_module(subject.build(), spec.config, loop_id=spec.loop_id,
-                       factor=spec.factor, max_instructions=MAX_INSTRUCTIONS)
+                       factor=spec.factor,
+                       max_instructions=BARE_MAX_INSTRUCTIONS)
         assert len(applied) > len(found.trail)
         assert found.trail == applied[:len(found.trail)]
 

@@ -9,7 +9,7 @@ import pytest
 from repro.bench import benchmark_by_name
 from repro.frontend.lower import lower_kernels
 from repro.fuzz.generator import generate_kernel
-from repro.fuzz.oracle import MAX_INSTRUCTIONS
+from repro.fuzz.oracle import BARE_MAX_INSTRUCTIONS
 from repro.ir import (FALSE, TRUE, ConstantFloat, ConstantInt, IRBuilder,
                       Module, Undef, bool_const, const)
 from repro.ir import types as T
@@ -174,7 +174,7 @@ class TestConstantsKeepNoUseList:
         def compiled(kernel):
             module = lower_kernels([kernel], kernel.name)
             compile_module(module, "uu_heuristic",
-                           max_instructions=MAX_INSTRUCTIONS)
+                           max_instructions=BARE_MAX_INSTRUCTIONS)
             verify_module(module)
             return print_module(module)
 

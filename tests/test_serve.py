@@ -299,6 +299,21 @@ class TestExecuteRequest:
         assert result.speedup > 0 and result.decisions
         assert result.optimized_ir
 
+    def test_app_cell_is_the_committed_exhibit(self):
+        """Without a runner an app cell compiles under the growth cap of
+        the CLI and of every committed exhibit.  This cell compiles to
+        different code under a larger cap, so it reads Fig 6a's value
+        only if the caps agree."""
+        fig6a = (Path(__file__).parent.parent / "results"
+                 / "fig6a.txt").read_text().splitlines()
+        (row,) = [line.split() for line in fig6a if line.split()[:3]
+                  == ["mandelbrot", "mandelbrot_escape:0", "4"]]
+        result = execute_request(OptimizeRequest(
+            app="mandelbrot", config="uu", loop_id="mandelbrot_escape:0",
+            factor=4, include_ir=False))
+        assert result.status == "ok", result.error
+        assert f"{result.speedup:.3f}x" == row[3] == "1.453x"
+
     def test_unknown_loop_id_is_protocol_error(self):
         result = execute_request(
             OptimizeRequest(app="coordinates", config="uu",
@@ -337,7 +352,7 @@ class TestDaemon:
     def test_served_directives_equal_direct_plan(self, daemon):
         """A served directive list is the direct compile of the same plan,
         bit for bit: IR, cycles and counters."""
-        from repro.fuzz.oracle import MAX_INSTRUCTIONS, run_one_warp
+        from repro.fuzz.oracle import BARE_MAX_INSTRUCTIONS, run_one_warp
         from repro.serve.service import _counters_json
         req = ir_request(ir=BRANCHY_IR, directives=("unroll(4)@fuzz80:0",
                                                     "unmerge@fuzz80:0"))
@@ -346,7 +361,7 @@ class TestDaemon:
 
         module = parse_module(BRANCHY_IR, "submission")
         compiled = compile_module(
-            module, req.config, max_instructions=MAX_INSTRUCTIONS,
+            module, req.config, max_instructions=BARE_MAX_INSTRUCTIONS,
             plan=[LoopDirective("fuzz80:0", 4, False),
                   LoopDirective("fuzz80:0", 1, True)])
         _, counters = run_one_warp(module, req.lanes, None)
@@ -436,6 +451,28 @@ class TestDaemon:
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
+            d.shutdown()
+
+    def test_daemon_serves_the_cells_the_cli_computed(self, tmp_path,
+                                                      monkeypatch):
+        """A default daemon keys its cells as the CLI does: after `repro
+        run-uu` warmed the cache, the same cell is served without a
+        single miss."""
+        from repro import cli
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        args = cli.build_parser().parse_args(
+            ["run-uu", "--app", "mandelbrot", "--factor", "4"])
+        cli.cmd_run_uu(args)
+        d = ServeDaemon(workers=1)
+        d.start()
+        try:
+            served = ServeClient(d.url).submit_and_wait(OptimizeRequest(
+                app="mandelbrot", config="uu", loop_id="mandelbrot_escape:0",
+                factor=4), timeout=300)
+            assert served.status == "ok", served.error
+            assert d.runner.cache.misses == 0
+            assert d.runner.cache.hits >= 2      # baseline + the uu cell.
+        finally:
             d.shutdown()
 
     def test_app_request_uses_shared_cache(self, tmp_path):

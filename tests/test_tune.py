@@ -276,6 +276,14 @@ class TestSearch:
         assert 0 < result.fresh_evaluations <= 4 * len(TuneParams().scales) \
             + len(TuneParams().budgets) + 8
 
+    def test_uncached_search_counts_what_it_computed(self, cold):
+        """Without a cell cache there are no misses to count: the count is
+        the cells the search's runners computed, as many as a cold cache
+        misses."""
+        tmp, result = cold
+        uncached = _tune(tmp, "nocache", jobs=1, use_cache=False)
+        assert uncached.fresh_evaluations == result.fresh_evaluations > 0
+
     def test_warm_retune_is_free_and_byte_identical(self, cold):
         tmp, result = cold
         first = result.path.read_bytes()
