@@ -1,6 +1,6 @@
 """Shared fixtures for the exhibit-regeneration benchmarks.
 
-One :class:`ParallelRunner` is shared across the whole session so each
+One :class:`ExperimentRunner` is shared across the whole session so each
 (app, config, loop, factor) cell is compiled and simulated exactly once no
 matter how many exhibits consume it; cells persist in the cache under
 ``results/.cellcache/`` so later sessions reuse them (``REPRO_JOBS`` and
@@ -13,7 +13,8 @@ import pathlib
 import pytest
 
 from repro.bench import all_benchmarks
-from repro.harness import ParallelRunner
+from repro.harness import CellCache, ExperimentRunner
+from repro.harness.experiment import resolve_jobs
 from repro.transforms.pass_manager import COMPILE_TIMEOUT
 from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
@@ -22,8 +23,9 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 @pytest.fixture(scope="session")
 def runner():
-    return ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
-                          compile_timeout=COMPILE_TIMEOUT)
+    return ExperimentRunner(max_instructions=MAX_INSTRUCTIONS,
+                            compile_timeout=COMPILE_TIMEOUT,
+                            jobs=resolve_jobs(), cache=CellCache())
 
 
 @pytest.fixture(scope="session")

@@ -4,14 +4,13 @@ bezier-surface) and checks the counter-level shape the paper reports.
 
 from conftest import write_artifact
 
-from repro.harness.indepth import (bezier_analysis, complex_analysis,
-                                   format_comparison, rainflow_analysis,
-                                   xsbench_analysis)
+from repro.harness.indepth import compare, format_comparison
 
 
 def test_indepth_xsbench(benchmark, runner, results_dir):
     """Paper: selp -> branches; inst_misc -55%; IPC x1.88; WEE 62.9 -> 18.9."""
-    cmp = benchmark.pedantic(lambda: xsbench_analysis(runner, factor=4),
+    cmp = benchmark.pedantic(lambda: compare("XSBench", "grid_search:0", 4,
+                                             runner),
                              iterations=1, rounds=1)
     text = format_comparison(cmp)
     write_artifact(results_dir, "indepth_xsbench.txt", text)
@@ -26,7 +25,8 @@ def test_indepth_xsbench(benchmark, runner, results_dir):
 
 def test_indepth_rainflow(benchmark, runner, results_dir):
     """Paper: inst_misc -77%, inst_control -45%, gld -17%, IPC x2.04 @ u4."""
-    cmp = benchmark.pedantic(lambda: rainflow_analysis(runner, factor=4),
+    cmp = benchmark.pedantic(lambda: compare("rainflow", "rainflow_count:0", 4,
+                                             runner),
                              iterations=1, rounds=1)
     text = format_comparison(cmp)
     write_artifact(results_dir, "indepth_rainflow.txt", text)
@@ -40,7 +40,8 @@ def test_indepth_rainflow(benchmark, runner, results_dir):
 
 def test_indepth_complex(benchmark, runner, results_dir):
     """Paper: WEE 100 -> 19.4, stall_inst_fetch 3.7 -> 79.6, slowdown 0.11x."""
-    cmp = benchmark.pedantic(lambda: complex_analysis(runner, factor=8),
+    cmp = benchmark.pedantic(lambda: compare("complex", "complex_pow:0", 8,
+                                             runner),
                              iterations=1, rounds=1)
     text = format_comparison(cmp)
     write_artifact(results_dir, "indepth_complex.txt", text)
@@ -55,7 +56,8 @@ def test_indepth_complex(benchmark, runner, results_dir):
 
 def test_indepth_bezier(benchmark, runner, results_dir):
     """Paper Section III-B: ~30% faster on the blend loop at factor 2."""
-    cmp = benchmark.pedantic(lambda: bezier_analysis(runner, factor=2),
+    cmp = benchmark.pedantic(lambda: compare("bezier-surface",
+                                             "bezier_blend:0", 2, runner),
                              iterations=1, rounds=1)
     text = format_comparison(cmp)
     write_artifact(results_dir, "indepth_bezier.txt", text)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench import benchmark_by_name
 from repro.gpu.counters import Counters
-from repro.harness import CellCache, ExperimentRunner, ParallelRunner
+from repro.harness import CellCache, ExperimentRunner
 from repro.transforms.pass_manager import COMPILE_TIMEOUT
 from repro.transforms.unmerge import MAX_INSTRUCTIONS
 
@@ -47,9 +47,9 @@ def serial_sweeps():
 
 def test_parallel_cold_matches_serial(serial_sweeps, tmp_path_factory):
     cache = CellCache(tmp_path_factory.mktemp("cellcache"))
-    runner = ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
-                            compile_timeout=COMPILE_TIMEOUT,
-                            jobs=2, cache=cache)
+    runner = ExperimentRunner(max_instructions=MAX_INSTRUCTIONS,
+                              compile_timeout=COMPILE_TIMEOUT,
+                              jobs=2, cache=cache)
     for app in APPS:
         sweep = runner.full_sweep(benchmark_by_name(app))
         assert sweep_signature(sweep) == serial_sweeps[app], app
@@ -57,9 +57,9 @@ def test_parallel_cold_matches_serial(serial_sweeps, tmp_path_factory):
 
     # A second runner over the same cache must reproduce everything from
     # disk alone — bit-identical again, with zero recomputation.
-    warm = ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
-                          compile_timeout=COMPILE_TIMEOUT,
-                          jobs=2, cache=CellCache(cache.root))
+    warm = ExperimentRunner(max_instructions=MAX_INSTRUCTIONS,
+                            compile_timeout=COMPILE_TIMEOUT,
+                            jobs=2, cache=CellCache(cache.root))
     for app in APPS:
         sweep = warm.full_sweep(benchmark_by_name(app))
         assert sweep_signature(sweep) == serial_sweeps[app], app
@@ -67,11 +67,11 @@ def test_parallel_cold_matches_serial(serial_sweeps, tmp_path_factory):
 
 
 def test_serial_jobs1_path_matches_serial(serial_sweeps, tmp_path_factory):
-    # jobs=1 takes the in-process path (no pool); must agree as well.
-    runner = ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
-                            compile_timeout=COMPILE_TIMEOUT,
-                            jobs=1,
-                            cache=CellCache(tmp_path_factory.mktemp("cc")))
+    # The default jobs=1 computes in process (no pool), here writing
+    # through a cache; must agree as well.
+    runner = ExperimentRunner(max_instructions=MAX_INSTRUCTIONS,
+                              compile_timeout=COMPILE_TIMEOUT,
+                              cache=CellCache(tmp_path_factory.mktemp("cc")))
     app = APPS[0]
     sweep = runner.full_sweep(benchmark_by_name(app))
     assert sweep_signature(sweep) == serial_sweeps[app]

@@ -26,8 +26,9 @@ import time
 import pytest
 
 from conftest import write_artifact
-from repro.harness import ParallelRunner
+from repro.harness import ExperimentRunner
 from repro.harness.cache import CellCache
+from repro.harness.experiment import resolve_jobs
 from repro.harness.summary import transfer_summary
 from repro.similarity.index import SimilarityIndex, build_index
 from repro.similarity.predict import predict_bench
@@ -56,9 +57,10 @@ def transfer_runner(tuned_index):
     # Shares the repo-level cell cache with the session runner (cells key
     # on the prediction fingerprint, so reuse across sessions is safe);
     # only the similarity index is redirected to the fresh build.
-    return ParallelRunner(max_instructions=MAX_INSTRUCTIONS,
-                          compile_timeout=COMPILE_TIMEOUT,
-                          sim_index_dir=tuned_index.root)
+    return ExperimentRunner(max_instructions=MAX_INSTRUCTIONS,
+                            compile_timeout=COMPILE_TIMEOUT,
+                            sim_index_dir=tuned_index.root,
+                            jobs=resolve_jobs(), cache=CellCache())
 
 
 def test_predicted_beats_heuristic_leave_one_out(transfer_runner, benches,

@@ -26,7 +26,7 @@ import sys
 import time
 
 from repro.bench import all_benchmarks
-from repro.harness.parallel import sweep_specs
+from repro.harness.experiment import sweep_specs
 from repro.ir.printer import print_module
 from repro.transforms.pipeline import build_pipeline, compile_module
 from repro.transforms.unmerge import MAX_INSTRUCTIONS

@@ -67,10 +67,9 @@ from typing import List, Optional
 from . import obs
 from .bench import all_benchmarks, benchmark_by_name
 from .gpu.machine import ENGINES
-from .harness import ExperimentRunner
 from .harness import fig6, fig7, fig8, indepth, table1
 from .harness.cache import CellCache
-from .harness.parallel import ParallelRunner
+from .harness.experiment import ExperimentRunner, resolve_jobs
 from .transforms.pipeline import CONFIGS
 
 
@@ -78,7 +77,7 @@ from .transforms.pipeline import CONFIGS
 def _obs_session():
     """Install an observability session for the duration of a command.
 
-    The installed session is the whole switch: a ``ParallelRunner``
+    The installed session is the whole switch: a runner's pool
     fan-out during the command sees it and tells its workers to ship
     their remarks, trace events, and profiles home.  Nested use (e.g.
     ``repro remarks --trace-out t.json``) folds the inner session into
@@ -115,7 +114,7 @@ def _export_session(session, trace_out: Optional[str],
         print(session.profile.format())
 
 
-def _finish_sweep(runner) -> None:
+def _finish_sweep(runner: ExperimentRunner) -> None:
     """Per-sweep cache telemetry (hits/misses/puts this session).
 
     Two lines can print: the cell-cache line (always, for cache-enabled
@@ -126,9 +125,8 @@ def _finish_sweep(runner) -> None:
     fork) and ``_absorb_extras`` folds that in, so ``-j1`` and ``-jN``
     print the same totals.
     """
-    cache = getattr(runner, "cache", None)
-    if cache is not None:
-        print(cache.session_line())
+    if runner.cache is not None:
+        print(runner.cache.session_line())
     from .gpu.region_cache import session as region_session
     line = region_session().line()
     if line:
@@ -136,9 +134,9 @@ def _finish_sweep(runner) -> None:
 
 
 def _runner(args) -> ExperimentRunner:
-    return ParallelRunner(jobs=getattr(args, "jobs", None),
-                          use_cache=not getattr(args, "no_cache", False),
-                          engine=getattr(args, "engine", None))
+    cache = None if getattr(args, "no_cache", False) else CellCache()
+    return ExperimentRunner(jobs=resolve_jobs(getattr(args, "jobs", None)),
+                            cache=cache, engine=getattr(args, "engine", None))
 
 
 def _benches(args) -> List:
@@ -256,10 +254,10 @@ def cmd_fig8(args) -> int:
 
 def cmd_indepth(args) -> int:
     runner = _runner(args)
-    for fn in (indepth.xsbench_analysis, indepth.rainflow_analysis,
-               indepth.complex_analysis, indepth.bezier_analysis):
-        print(indepth.format_comparison(fn(runner)))
+    for comparison in indepth.case_studies(runner):
+        print(indepth.format_comparison(comparison))
         print()
+    _finish_sweep(runner)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Campaign driver: fan fuzz kernels out over a process pool.
 
 Reuses the sweep engine's worker-count plumbing
-(:func:`repro.harness.parallel.resolve_jobs`: ``--jobs`` > ``REPRO_JOBS``
-> all cores) and its failure-isolation pattern: a crashing seed is
-recorded as a harness error, never kills the campaign.  Results are
+(:func:`repro.harness.experiment.resolve_jobs`: ``--jobs`` >
+``REPRO_JOBS`` > all cores) and its failure-isolation pattern: a crashing
+seed is recorded as a harness error, never kills the campaign.  Results are
 deterministic — seeds map to kernels purely, and outcomes are collected
 in seed order regardless of completion order.
 
@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..harness.parallel import resolve_jobs
+from ..harness.experiment import resolve_jobs
 from .bisect import bisect_divergence
 from .generator import generate_kernel
 from .oracle import (LANES, ConfigSpec, run_differential,

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 class RegionSession:
     """Per-session selection/fusion telemetry.
 
-    Folded across parallel workers by :mod:`repro.harness.parallel`: a
+    Folded across pool workers by :mod:`repro.harness.experiment`: a
     worker discards the session it inherited by fork at task start and
     ships what the task itself counted (:func:`take_session` both times),
     and the parent sums — except ``max_chain``, which takes the max; both

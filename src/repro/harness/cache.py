@@ -33,7 +33,7 @@ cap.  Recency is the entry's mtime — a :meth:`get` hit and a :meth:`put`
 both bump it with a strictly monotonic timestamp, so within one session
 eviction order follows the logical access order exactly (deterministic
 across ``-j1``/``-jN``, whose store order is pinned by
-:mod:`repro.harness.parallel`), while entries from other
+:mod:`repro.harness.experiment`), while entries from other
 sessions/processes still order sensibly by wall clock.  Eviction re-stats
 each victim immediately before unlinking and skips any file whose mtime
 changed since enumeration: an entry another process just wrote (or

@@ -11,30 +11,98 @@ Per the paper, the per-loop configs apply the transform to *one loop at a
 time*; the heuristic config transforms whatever the heuristic selects.
 Simulated kernel cycles are deterministic; the 20-run mean +- RSD of
 Table I comes from the seeded noise model in :mod:`repro.harness.stats`.
+
+The evaluation is a large Cartesian sweep — every discoverable loop x u in
+{2,4,8} x five pipeline configurations x 16 applications — and
+:class:`ExperimentRunner` is the one runner that measures it.  Two
+constructor arguments say how, and neither changes a result:
+
+* ``cache`` backs cells with the content-addressed persistent cache of
+  :mod:`repro.harness.cache` (``None``, the default, keeps them in memory);
+* ``jobs`` is how many processes :meth:`ExperimentRunner.prefetch` computes
+  its misses on (``1``, the default, computes them in this process).
+
+:meth:`ExperimentRunner.prefetch` materialises a cell set:
+
+* all ``(app, config, loop_id, factor[, plan])`` cells are enumerated up
+  front and deduplicated, so shared cells (every exhibit needs the
+  baselines) are computed once;
+* on the pool, cells are dispatched one-per-task, *costliest first* (u=8
+  before u=4 before u=2, heuristic cells treated as u_max): long
+  compilations start immediately instead of straggling at the tail;
+* a crashing cell is isolated, in process and on the pool alike — the
+  sweep records a failed :class:`Cell` (``error`` set, ``cycles == inf``)
+  instead of dying;
+* results are returned in deterministic enumeration order regardless of
+  completion order, and are bit-identical (cycles, code size, counters)
+  whatever ``jobs`` is, because workers run the very same
+  ``ExperimentRunner._run``;
+* what a worker observes travels with its task, not in the environment:
+  each fan-out tells its workers how to build the runner and whether the
+  parent has an obs session / a metrics registry installed (installing
+  one *is* the switch).  :func:`_worker` resets every holder a fork
+  inherits at task start and ships its telemetry home with the cell; the
+  parent folds it in enumeration order, so ``-j1`` and ``-jN`` yield the
+  same remark stream, pass statistics, metric registry and jit line.
+
+The CLI picks the worker count with :func:`resolve_jobs` (``--jobs/-j`` >
+``REPRO_JOBS`` > ``os.cpu_count()``).
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 import math
+import os
 import time
+import traceback
 import warnings
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..bench import benchmark_by_name
 from ..bench.base import Benchmark
-from ..directive import LoopDirective
+from ..directive import LoopDirective, fingerprint
+from ..gpu import region_cache
 from ..gpu.counters import Counters
+from ..ir.printer import print_module
+from ..obs import metrics as obs_metrics
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams
 from ..transforms.pass_manager import COMPILE_TIMEOUT, PassStatistics
-from ..transforms.pipeline import CompileResult, compile_module, config_plan
+from ..transforms.pipeline import (CONFIGS, PER_LOOP_CONFIGS,
+                                   WHOLE_FUNCTION_CONFIGS, CompileResult,
+                                   compile_module, config_plan)
 from ..transforms.unmerge import MAX_INSTRUCTIONS
 
+if TYPE_CHECKING:
+    from .cache import CellCache
+
 UNROLL_FACTORS = (2, 4, 8)
+
+#: Environment override for the default worker count.
+JOBS_ENV = "REPRO_JOBS"
+
+#: The paper's five configurations: what a default sweep enumerates.
+ALL_CONFIGS = CONFIGS[:5]
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """CLI value > ``REPRO_JOBS`` > ``os.cpu_count()``."""
+    if jobs is not None:
+        return max(1, int(jobs))
+    env = os.environ.get(JOBS_ENV)
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -54,8 +122,8 @@ class Cell:
     #: Compilation hit its time budget (paper: ccs compile timeouts).
     #: Timed-out cells are excluded from the figures, as in the paper.
     timed_out: bool = False
-    #: Traceback text when the cell crashed instead of completing (parallel
-    #: sweeps isolate per-cell failures rather than killing the sweep).
+    #: Traceback text when the cell crashed instead of completing (sweeps
+    #: isolate per-cell failures rather than dying).
     error: Optional[str] = None
 
     def speedup_over(self, baseline: "Cell") -> float:
@@ -79,8 +147,75 @@ class Cell:
         return self.compile_seconds / baseline.compile_seconds
 
 
+@dataclass(frozen=True)
+class CellSpec:
+    """One enumerated sweep cell."""
+
+    app: str
+    config: str
+    loop_id: Optional[str]
+    factor: int
+    #: An explicit plan to compile instead of what ``config`` resolves to;
+    #: it travels to the worker as data and is part of the cell's identity
+    #: (in memory and, by fingerprint, in the persistent cache).
+    plan: Optional[Tuple[LoopDirective, ...]] = None
+
+    @property
+    def key(self) -> Tuple:
+        return (self.app, self.config, self.loop_id, self.factor, self.plan)
+
+
+def sweep_specs(bench: Benchmark,
+                configs: Optional[Sequence[str]] = None,
+                factors: Sequence[int] = UNROLL_FACTORS) -> List[CellSpec]:
+    """Enumerate one application's cells for the requested configs.
+
+    With the default arguments this is exactly the cell set of
+    :meth:`ExperimentRunner.full_sweep` (everything Figures 6-8 and
+    Table I need).  The baseline is always included: every other cell's
+    differential check and every ratio needs it.
+    """
+    configs = tuple(configs) if configs is not None else ALL_CONFIGS
+    specs = [CellSpec(bench.name, "baseline", None, 1)]
+    loop_ids = None
+    for config in configs:
+        if config in PER_LOOP_CONFIGS:
+            if loop_ids is None:
+                loop_ids = bench.loop_ids()
+            for loop_id in loop_ids:
+                if config == "unmerge":
+                    specs.append(CellSpec(bench.name, "unmerge", loop_id, 1))
+                else:
+                    for factor in factors:
+                        specs.append(
+                            CellSpec(bench.name, config, loop_id, factor))
+        elif config in WHOLE_FUNCTION_CONFIGS:
+            specs.append(CellSpec(bench.name, config, None, 1))
+    return specs
+
+
+def workload_fingerprint(bench: Benchmark) -> str:
+    """Stable description of the benchmark's measured workload.
+
+    The printed IR covers the kernels; this covers the launch geometry,
+    workload seed, and observable buffers, so editing e.g. a grid size
+    invalidates cached cells even though the kernels are unchanged.  (The
+    contents of ``setup()`` buffers are derived from the seed; a change to
+    the setup code itself warrants a ``SCHEMA_VERSION`` bump.)
+    """
+    return json.dumps({
+        "name": bench.name,
+        "seed": bench.seed,
+        "launches": [[l.kernel, l.grid_dim, l.block_dim,
+                      [list(a) if isinstance(a, tuple) else a
+                       for a in l.args]]
+                     for l in bench.launches()],
+        "outputs": bench.output_buffers(),
+    }, sort_keys=True)
+
+
 class ExperimentRunner:
-    """Runs and caches experiment cells for one or more benchmarks."""
+    """Measures, memoizes and (with a ``cache``) persists cells."""
 
     def __init__(self, heuristic: Optional[HeuristicParams] = None,
                  max_instructions: int = MAX_INSTRUCTIONS,
@@ -89,7 +224,9 @@ class ExperimentRunner:
                  engine: Optional[str] = None,
                  workload_scale: int = 1,
                  tuned_dir: Optional[Path] = None,
-                 sim_index_dir: Optional[Path] = None) -> None:
+                 sim_index_dir: Optional[Path] = None, *,
+                 jobs: int = 1,
+                 cache: Optional[CellCache] = None) -> None:
         self.heuristic = heuristic or HeuristicParams()
         self.max_instructions = max_instructions
         self.compile_timeout = compile_timeout
@@ -109,6 +246,11 @@ class ExperimentRunner:
         #: Where ``config == "predicted"`` reads the similarity index
         #: (None = the repo-level ``results/.simindex`` directory).
         self.sim_index_dir = sim_index_dir
+        #: Processes :meth:`prefetch` computes its misses on (1 = this one).
+        self.jobs = jobs
+        #: Persistent cell cache every lookup reads and every computed cell
+        #: is written to (None = this runner's memory only).
+        self.cache = cache
         #: Memoized per-app similarity predictions (prediction is pure
         #: given the module and the index, so one resolve serves every
         #: ``predicted`` cell of an app).
@@ -118,6 +260,12 @@ class ExperimentRunner:
         #: Outputs of the *unoptimized* module, the baseline anchor's
         #: reference (cached so the raw module is built and run only once).
         self._raw_outputs: Dict[str, Dict[str, np.ndarray]] = {}
+        #: Per app: (printed baseline IR, workload fingerprint), the inputs
+        #: of every cache key.
+        self._fingerprints: Dict[str, Tuple[str, str]] = {}
+        #: Cells this runner computed (in process or on the pool) instead
+        #: of finding them in memory or in the persistent cache.
+        self.computed = 0
         #: Wall-clock per phase across every cell this runner computed
         #: (``python -m repro summary --profile`` reports these).
         self.phase_seconds: Dict[str, float] = {
@@ -129,23 +277,29 @@ class ExperimentRunner:
         """The constructor arguments, by name, that build a runner
         measuring exactly like this one (a pool worker's
         ``ExperimentRunner(**settings)``).  The signature above is the one
-        list of them; each is kept under its own name."""
-        names = list(inspect.signature(ExperimentRunner.__init__).parameters)
-        return {name: getattr(self, name) for name in names[1:]}
+        list of them; each is kept under its own name.  The keyword-only
+        ``jobs`` and ``cache`` say how cells are computed and kept, not
+        what they measure, so a worker's runner is serial and cache-less.
+        """
+        params = list(inspect.signature(
+            ExperimentRunner.__init__).parameters.values())[1:]
+        return {p.name: getattr(self, p.name) for p in params
+                if p.kind is not p.KEYWORD_ONLY}
 
     # -- cells -----------------------------------------------------------
     def cell(self, bench: Benchmark, config: str,
              loop_id: Optional[str] = None, factor: int = 1,
              plan: Optional[Tuple[LoopDirective, ...]] = None) -> Cell:
-        """One measured cell; ``plan`` overrides what ``config`` resolves
-        to (the autotuner races decision sets it has not persisted)."""
-        key = (bench.name, config, loop_id, factor, plan)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._run(bench, config, loop_id, factor, plan)
-        self._cache[key] = result
-        return result
+        """One cell — from memory, from the persistent cache, or measured
+        here; ``plan`` overrides what ``config`` resolves to (the
+        autotuner races decision sets it has not persisted)."""
+        spec = CellSpec(bench.name, config, loop_id, factor, plan)
+        cell = self._cache.get(spec.key)
+        if cell is None:
+            cell, cache_key = self._recall(bench, spec)
+            if cell is None:
+                cell = self._compute(bench, spec, cache_key)
+        return cell
 
     def baseline(self, bench: Benchmark) -> Cell:
         return self.cell(bench, "baseline")
@@ -155,6 +309,69 @@ class ExperimentRunner:
 
     def tuned_cell(self, bench: Benchmark) -> Cell:
         return self.cell(bench, "tuned")
+
+    def _compute(self, bench: Benchmark, spec: CellSpec,
+                 cache_key: Optional[str]) -> Cell:
+        """Measure ``spec`` in this process, keep it, write it through."""
+        self.computed += 1
+        cell = self._run(bench, spec.config, spec.loop_id, spec.factor,
+                         spec.plan)
+        self._cache[spec.key] = cell
+        self._store(bench, cell, cache_key)
+        return cell
+
+    # -- persistent cache ------------------------------------------------
+    def _fingerprint(self, bench: Benchmark) -> Tuple[str, str]:
+        """(printed baseline IR, workload fingerprint), computed once."""
+        cached = self._fingerprints.get(bench.name)
+        if cached is None:
+            cached = (print_module(bench.build_module()),
+                      workload_fingerprint(bench))
+            self._fingerprints[bench.name] = cached
+        return cached
+
+    def _cache_key(self, bench: Benchmark, spec: CellSpec) -> str:
+        ir, workload = self._fingerprint(bench)
+        tuned = None
+        # A cell compiled from stored or explicit decisions keys on the
+        # resolved plan, so editing/deleting/staling
+        # results/tuned/<app>.json — or any index growth, schema bump or
+        # k/threshold change that alters a prediction — orphans the old
+        # cells.  (Per-loop and heuristic cells are determined by the
+        # fields below and keep their historical keys.)
+        if spec.plan is not None:
+            tuned = fingerprint(spec.plan)
+        elif spec.config in ("tuned", "predicted"):
+            tuned = fingerprint(
+                self.resolve_plan(bench, spec.config, emit=False))
+        return self.cache.make_key(
+            ir, workload, spec.config, spec.loop_id, spec.factor,
+            self.heuristic, self.max_instructions, self.compile_timeout,
+            self.verify_each, scale=self.workload_scale, tuned=tuned)
+
+    def _recall(self, bench: Benchmark, spec: CellSpec
+                ) -> Tuple[Optional[Cell], Optional[str]]:
+        """``spec``'s cell from the persistent cache (resident once read)
+        and its key there; ``(None, None)`` for a runner without one."""
+        if self.cache is None:
+            return None, None
+        cache_key = self._cache_key(bench, spec)
+        entry = self.cache.get(cache_key)
+        if entry is None:
+            return None, cache_key
+        cell, outputs = entry
+        if outputs is not None and bench.name not in self._baseline_outputs:
+            self._baseline_outputs[bench.name] = outputs
+        self._cache[spec.key] = cell
+        return cell, cache_key
+
+    def _store(self, bench: Benchmark, cell: Cell,
+               cache_key: Optional[str]) -> None:
+        if cache_key is None or cell.error is not None:
+            return
+        outputs = (self._baseline_outputs.get(bench.name)
+                   if cell.config == "baseline" else None)
+        self.cache.put(cache_key, cell, outputs)
 
     # -- config -> plan --------------------------------------------------
     def resolve_plan(self, subject, config: str,
@@ -320,25 +537,274 @@ class ExperimentRunner:
         )
 
     # -- sweeps -----------------------------------------------------------
-    def per_loop_cells(self, bench: Benchmark, config: str,
-                       factors: Tuple[int, ...] = UNROLL_FACTORS
-                       ) -> List[Cell]:
-        """The paper's one-loop-at-a-time sweep for one config."""
-        cells = []
-        for loop_id in bench.loop_ids():
-            if config == "unmerge":
-                cells.append(self.cell(bench, "unmerge", loop_id, 1))
+    def prefetch(self, benches: Sequence[Benchmark],
+                 configs: Optional[Sequence[str]] = None,
+                 factors: Sequence[int] = UNROLL_FACTORS,
+                 specs: Optional[Sequence[CellSpec]] = None) -> List[Cell]:
+        """Materialise a cell set, deterministically ordered.
+
+        Every cell not already in memory is looked up in the persistent
+        cache first; the misses are then computed in this process
+        (``jobs == 1``) or on a pool of ``jobs`` processes, a crashing
+        cell isolated either way.  Returns cells in enumeration order;
+        afterwards every enumerated cell is resident in memory, so
+        :meth:`cell` (and every figure/table generator) hits without
+        recomputation.
+        """
+        benches = list(benches)
+        by_name = {b.name: b for b in benches}
+        if specs is None:
+            specs = [s for b in benches
+                     for s in sweep_specs(b, configs, factors)]
+        # Deduplicate while preserving enumeration order.
+        specs = list(dict.fromkeys(specs))
+
+        missing: List[Tuple[CellSpec, Optional[str]]] = []
+        for spec in specs:
+            if spec.key in self._cache:
+                continue
+            bench = by_name.get(spec.app)
+            cell, cache_key = (self._recall(bench, spec) if bench is not None
+                               else (None, None))
+            if cell is None:
+                missing.append((spec, cache_key))
+
+        if missing:
+            # One count, no serial/pool label: the -j1 and -jN registries
+            # must fold byte-identically for the same cell set.
+            obs_metrics.inc("repro_sweep_cells_total", len(missing))
+            if self.jobs <= 1:
+                for spec, cache_key in missing:
+                    try:
+                        bench = by_name.get(spec.app)
+                        if bench is None:
+                            bench = benchmark_by_name(spec.app)
+                        self._compute(bench, spec, cache_key)
+                    except Exception:
+                        obs_metrics.inc("repro_sweep_worker_failures_total")
+                        self._cache[spec.key] = _failed_cell(
+                            spec, traceback.format_exc())
             else:
-                for factor in factors:
-                    cells.append(self.cell(bench, config, loop_id, factor))
-        return cells
+                self._compute_parallel(missing, by_name)
+        return [self._cache[spec.key] for spec in specs]
 
     def full_sweep(self, bench: Benchmark) -> Dict[str, List[Cell]]:
-        """Everything Figures 6-8 need for one application."""
-        return {
-            "baseline": [self.baseline(bench)],
-            "uu": self.per_loop_cells(bench, "uu"),
-            "unroll": self.per_loop_cells(bench, "unroll"),
-            "unmerge": self.per_loop_cells(bench, "unmerge"),
-            "uu_heuristic": [self.heuristic_cell(bench)],
-        }
+        """Everything Figures 6-8 need for one application, by config."""
+        sweep: Dict[str, List[Cell]] = {}
+        for cell in self.prefetch([bench]):
+            sweep.setdefault(cell.config, []).append(cell)
+        return sweep
+
+    # -- the pool ---------------------------------------------------------
+    def _compute_parallel(self, missing, by_name) -> None:
+        task = _Task(settings=self.settings(),
+                     trace=obs.active() is not None,
+                     metrics=obs_metrics.active() is not None)
+        baseline_specs = [(s, k) for s, k in missing
+                          if s.config == "baseline"]
+        other_specs = [(s, k) for s, k in missing if s.config != "baseline"]
+        # Apps whose reference outputs stage-2 workers will need.
+        needed_apps = list(dict.fromkeys(
+            [s.app for s, _ in baseline_specs] +
+            [s.app for s, _ in other_specs
+             if s.app not in self._baseline_outputs]))
+        failed_baselines: Dict[str, str] = {}
+
+        # Telemetry and persistent-cache writes are buffered per spec and
+        # folded in *enumeration* order after the pool drains: futures
+        # complete in nondeterministic order, and neither the merged
+        # remark stream / pass statistics (tests/test_obs.py pins jobs=1
+        # vs jobs=N streams equal) nor the cache's LRU recency order
+        # (which decides what an LRU-bounded cache evicts) may depend on
+        # pool scheduling.
+        extras_by_spec: Dict[CellSpec, Dict] = {}
+        computed: Dict[CellSpec, Cell] = {}
+
+        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            # Stage 1: baselines (reference outputs feed every other cell).
+            futures = {}
+            for app in needed_apps:
+                spec = CellSpec(app, "baseline", None, 1)
+                futures[pool.submit(_worker, spec, task)] = spec
+            self.computed += len(futures)
+            for future, spec in futures.items():
+                status, payload, outputs, extras = future.result()
+                if status == "err":
+                    obs_metrics.inc("repro_sweep_worker_failures_total")
+                    failed_baselines[spec.app] = payload
+                    continue
+                if outputs is not None:
+                    self._baseline_outputs[spec.app] = outputs
+                self._cache[spec.key] = payload
+                computed[spec] = payload
+                extras_by_spec[spec] = extras
+
+            for spec, cache_key in baseline_specs:
+                if spec.app in failed_baselines:
+                    self._cache[spec.key] = _failed_cell(
+                        spec, failed_baselines[spec.app])
+
+            # Stage 2: everything else, costliest first so u=8 and
+            # heuristic compilations never straggle at the tail.
+            u_max = self.heuristic.u_max
+            ordered = sorted(other_specs,
+                             key=lambda item: _spec_cost(item[0], u_max),
+                             reverse=True)
+            futures = {}
+            for spec, cache_key in ordered:
+                if spec.app in failed_baselines:
+                    self._cache[spec.key] = _failed_cell(
+                        spec, "baseline failed:\n" +
+                        failed_baselines[spec.app])
+                    continue
+                reference = self._baseline_outputs.get(spec.app)
+                futures[pool.submit(_worker, spec, task, reference)] = spec
+            self.computed += len(futures)
+            pending = set(futures)
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    spec = futures[future]
+                    status, payload, _, extras = future.result()
+                    if status == "err":
+                        obs_metrics.inc("repro_sweep_worker_failures_total")
+                        self._cache[spec.key] = _failed_cell(spec, payload)
+                    else:
+                        self._cache[spec.key] = payload
+                        computed[spec] = payload
+                        extras_by_spec[spec] = extras
+
+        # Deterministic fold: the enumerated order of ``missing`` (what the
+        # serial path would have computed in), then any stage-1 baselines
+        # that were computed only for their reference outputs.  Persisting
+        # here rather than at completion time makes the cache's put order
+        # — and with it LRU eviction under a bytes cap — independent of
+        # worker scheduling.
+        for spec, cache_key in missing:
+            cell = computed.get(spec)
+            if cell is not None:
+                self._persist(spec, cell, cache_key, by_name)
+            extras = extras_by_spec.pop(spec, None)
+            if extras:
+                self._absorb_extras(extras)
+        in_missing = {spec for spec, _ in missing}
+        for app in needed_apps:
+            spec = CellSpec(app, "baseline", None, 1)
+            cell = computed.get(spec)
+            if cell is not None and spec not in in_missing:
+                self._persist(spec, cell, None, by_name)
+            extras = extras_by_spec.pop(spec, None)
+            if extras:
+                self._absorb_extras(extras)
+
+    def _persist(self, spec: CellSpec, cell: Cell,
+                 cache_key: Optional[str], by_name) -> None:
+        """Write one pool-computed cell through to the persistent cache."""
+        if self.cache is None:
+            return
+        bench = by_name.get(spec.app)
+        if bench is None:
+            try:
+                bench = benchmark_by_name(spec.app)
+            except KeyError:
+                return
+        if cache_key is None:
+            cache_key = self._cache_key(bench, spec)
+        self._store(bench, cell, cache_key)
+
+    def _absorb_extras(self, extras: Dict) -> None:
+        """Fold one worker's telemetry into this runner (and its session)."""
+        stats = extras.get("pass_stats")
+        if stats is not None:
+            self.pass_stats.merge(stats)
+        for phase, seconds in (extras.get("phase_seconds") or {}).items():
+            self.phase_seconds[phase] = (
+                self.phase_seconds.get(phase, 0.0) + seconds)
+        payload = extras.get("obs")
+        if payload:
+            session = obs.active()
+            if session is not None:
+                session.merge_payload(payload)
+        region_cache.session().absorb(extras.get("region_cache"))
+        obs_metrics.absorb(extras.get("metrics"))
+
+
+def _spec_cost(spec: CellSpec, u_max: int) -> int:
+    """Relative cost estimate used to schedule long cells first."""
+    if spec.config in WHOLE_FUNCTION_CONFIGS:
+        return u_max + 1
+    if spec.config == "baseline":
+        return 1
+    return spec.factor
+
+
+def _failed_cell(spec: CellSpec, message: str) -> Cell:
+    return Cell(app=spec.app, config=spec.config, loop_id=spec.loop_id,
+                factor=spec.factor, cycles=float("inf"), code_size=0,
+                compile_seconds=0.0, counters=Counters(),
+                outputs_match_baseline=False, error=message)
+
+
+# -- worker side -------------------------------------------------------------
+# Workers rebuild the benchmark from the registry by name and run the very
+# same ``ExperimentRunner._run``; everything crossing the process boundary
+# (names, settings, Cell, numpy outputs) pickles cleanly.
+
+@dataclass(frozen=True)
+class _Task:
+    """What one fan-out tells every worker: how to build the runner, and
+    what to collect.  Built once per fan-out from the parent's own state —
+    a worker consults neither the environment nor what it inherited."""
+
+    #: ``ExperimentRunner(**settings)`` (:meth:`ExperimentRunner.settings`).
+    settings: Dict[str, object]
+    #: The parent has an obs session installed: ship remarks/spans/profile.
+    trace: bool
+    #: The parent has a metrics registry installed: ship a snapshot.
+    metrics: bool
+
+
+def _worker_extras(runner: ExperimentRunner) -> Dict:
+    """Telemetry a worker ships home alongside its cell.
+
+    ``pass_stats``/``phase_seconds`` let a parallel ``summary --profile``
+    report the same merged per-pass breakdown the serial runner shows;
+    ``obs`` carries the worker's remark/trace/profile payload (None when
+    the task did not ask for it); ``region_cache`` ships the worker's jit
+    session counters (snapshot-and-reset, so a pooled worker
+    running many tasks never double-reports); ``metrics`` ships the
+    worker's metric-registry snapshot (None when the task did not ask
+    for it) under the same discipline.
+    """
+    return {"pass_stats": runner.pass_stats,
+            "phase_seconds": dict(runner.phase_seconds),
+            "obs": obs.end_worker(),
+            "region_cache": region_cache.take_session(),
+            "metrics": obs_metrics.end_worker()}
+
+
+def _worker(spec: CellSpec, task: _Task,
+            reference: Optional[Dict[str, np.ndarray]] = None):
+    """Compute one cell; a baseline also returns its reference outputs.
+
+    The one place a pool worker's lifecycle lives.  It begins by resetting
+    *every* holder a fork()ed child inherits from the parent — the obs
+    session, the metrics registry, the jit's region session — because
+    shipping an inherited holder home would re-count everything the parent
+    had already collected; it ends with :func:`_worker_extras`.
+    """
+    obs.begin_worker(task.trace)
+    obs_metrics.begin_worker(task.metrics)
+    region_cache.take_session()
+    try:
+        bench = benchmark_by_name(spec.app)
+        runner = ExperimentRunner(**task.settings)
+        if reference is not None:
+            runner._baseline_outputs[spec.app] = reference
+        cell = runner._run(bench, spec.config, spec.loop_id, spec.factor,
+                           spec.plan)
+        outputs = (runner._baseline_outputs.get(spec.app)
+                   if spec.config == "baseline" else None)
+        return ("ok", cell, outputs, _worker_extras(runner))
+    except Exception:
+        return ("err", traceback.format_exc(), None, None)

@@ -9,12 +9,10 @@ returns the structured data for the pytest-benchmark harness and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..bench import all_benchmarks
 from ..bench.base import Benchmark
-from .experiment import UNROLL_FACTORS, Cell, ExperimentRunner
-from .parallel import prefetch_if_parallel
+from .experiment import UNROLL_FACTORS, ExperimentRunner
 
 
 @dataclass
@@ -28,12 +26,9 @@ class Fig6Point:
     outputs_ok: bool
 
 
-def series(runner: Optional[ExperimentRunner] = None,
-           benches: Optional[List[Benchmark]] = None) -> List[Fig6Point]:
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu", "uu_heuristic"))
+def series(runner: ExperimentRunner,
+           benches: List[Benchmark]) -> List[Fig6Point]:
+    runner.prefetch(benches, configs=("baseline", "uu", "uu_heuristic"))
     points: List[Fig6Point] = []
     for bench in benches:
         base = runner.baseline(bench)

@@ -8,12 +8,10 @@ application).  ``unmerge`` has no factor (it is u&u with factor 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
-from ..bench import all_benchmarks
 from ..bench.base import Benchmark
 from .experiment import UNROLL_FACTORS, ExperimentRunner
-from .parallel import prefetch_if_parallel
 
 
 @dataclass
@@ -29,13 +27,10 @@ class Fig7Row:
     tuned_speedup: float = 1.0
 
 
-def series(runner: Optional[ExperimentRunner] = None,
-           benches: Optional[List[Benchmark]] = None) -> List[Fig7Row]:
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu", "unroll", "unmerge",
-                                  "tuned"))
+def series(runner: ExperimentRunner,
+           benches: List[Benchmark]) -> List[Fig7Row]:
+    runner.prefetch(benches, configs=("baseline", "uu", "unroll", "unmerge",
+                                      "tuned"))
     rows: List[Fig7Row] = []
     for bench in benches:
         base = runner.baseline(bench)

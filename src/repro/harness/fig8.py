@@ -10,12 +10,10 @@ ineffective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from ..bench import all_benchmarks
 from ..bench.base import Benchmark
 from .experiment import UNROLL_FACTORS, ExperimentRunner
-from .parallel import prefetch_if_parallel
 
 
 @dataclass
@@ -32,16 +30,12 @@ class ScatterPoint:
         return self.uu_speedup > self.other_speedup
 
 
-def series(comparator: str,
-           runner: Optional[ExperimentRunner] = None,
-           benches: Optional[List[Benchmark]] = None) -> List[ScatterPoint]:
+def series(comparator: str, runner: ExperimentRunner,
+           benches: List[Benchmark]) -> List[ScatterPoint]:
     """``comparator`` is ``"unroll"`` (Fig 8a) or ``"unmerge"`` (Fig 8b)."""
     if comparator not in ("unroll", "unmerge"):
         raise ValueError("comparator must be 'unroll' or 'unmerge'")
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu", comparator))
+    runner.prefetch(benches, configs=("baseline", "uu", comparator))
     points: List[ScatterPoint] = []
     for bench in benches:
         base = runner.baseline(bench)

@@ -1,17 +1,30 @@
 """Section V in-depth analyses: counter-level comparisons for the four
 case-study applications (XSBench, rainflow, complex, bezier-surface).
 
-Each function returns a dictionary of the nvprof-style metrics the paper
-quotes, for the baseline and the transformed build of the named loop.
+Each comparison holds the nvprof-style metrics the paper quotes, for the
+baseline and the transformed build of the named loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List
 
 from ..bench import benchmark_by_name
-from .experiment import Cell, ExperimentRunner
+from .experiment import CellSpec, ExperimentRunner
+
+#: Section V's case studies, in the order ``repro indepth`` prints them:
+#: (app, loop, the unroll factor the paper quotes its counters at).
+CASE_STUDIES = (
+    # inst_misc -55%, IPC x1.88, WEE 62.9% -> 18.9%.
+    ("XSBench", "grid_search:0", 8),
+    # inst_misc -77%, inst_control -45%, gld -17%, IPC x2.04.
+    ("rainflow", "rainflow_count:0", 4),
+    # WEE 100% -> 19.4%, stall_inst_fetch 3.7% -> 79.6%, 0.11x.
+    ("complex", "complex_pow:0", 8),
+    # Section III-B: ~30% faster loop.
+    ("bezier-surface", "bezier_blend:0", 2),
+)
 
 
 @dataclass
@@ -45,40 +58,26 @@ class InDepthComparison:
 
 
 def compare(app: str, loop_id: str, factor: int,
-            runner: Optional[ExperimentRunner] = None,
-            config: str = "uu") -> InDepthComparison:
-    runner = runner or ExperimentRunner()
+            runner: ExperimentRunner) -> InDepthComparison:
     bench = benchmark_by_name(app)
     base = runner.baseline(bench)
-    cell = runner.cell(bench, config, loop_id, factor)
+    cell = runner.cell(bench, "uu", loop_id, factor)
     return InDepthComparison(
         app=app, loop_id=loop_id, factor=factor,
         baseline=base.counters.summary(),
         transformed=cell.counters.summary())
 
 
-def xsbench_analysis(runner: Optional[ExperimentRunner] = None,
-                     factor: int = 8) -> InDepthComparison:
-    """Paper: inst_misc -55%, IPC x1.88, WEE 62.9% -> 18.9% at factor 8."""
-    return compare("XSBench", "grid_search:0", factor, runner)
-
-
-def rainflow_analysis(runner: Optional[ExperimentRunner] = None,
-                      factor: int = 4) -> InDepthComparison:
-    """Paper: inst_misc -77%, inst_control -45%, gld -17%, IPC x2.04."""
-    return compare("rainflow", "rainflow_count:0", factor, runner)
-
-
-def complex_analysis(runner: Optional[ExperimentRunner] = None,
-                     factor: int = 8) -> InDepthComparison:
-    """Paper: WEE 100% -> 19.4%, stall_inst_fetch 3.7% -> 79.6%, 0.11x."""
-    return compare("complex", "complex_pow:0", factor, runner)
-
-
-def bezier_analysis(runner: Optional[ExperimentRunner] = None,
-                    factor: int = 2) -> InDepthComparison:
-    """Paper Section III-B: ~30% faster loop at factor 2."""
-    return compare("bezier-surface", "bezier_blend:0", factor, runner)
+def case_studies(runner: ExperimentRunner) -> List[InDepthComparison]:
+    """The four Section V comparisons, their cells computed in one
+    fan-out (each app's baseline and its transformed loop)."""
+    runner.prefetch(
+        [benchmark_by_name(app) for app, _, _ in CASE_STUDIES],
+        specs=[spec for app, loop_id, factor in CASE_STUDIES
+               for spec in (CellSpec(app, "baseline", None, 1),
+                            CellSpec(app, "uu", loop_id, factor))])
+    return [compare(app, loop_id, factor, runner)
+            for app, loop_id, factor in CASE_STUDIES]
 
 
 def format_comparison(cmp: InDepthComparison) -> str:

@@ -8,14 +8,11 @@ compile time increase over all applications for the heuristic are 1.05x,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional
 
-from ..bench import all_benchmarks
 from ..bench.base import Benchmark
 from ..gpu.counters import CATEGORIES, N_CATEGORIES
 from .experiment import ExperimentRunner
-from .parallel import prefetch_if_parallel
 from .stats import geomean
 
 
@@ -48,13 +45,9 @@ class HeuristicSummary:
             f"(paper: 13/16)")
 
 
-def heuristic_summary(runner: Optional[ExperimentRunner] = None,
-                      benches: Optional[List[Benchmark]] = None
-                      ) -> HeuristicSummary:
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu_heuristic"))
+def heuristic_summary(runner: ExperimentRunner,
+                      benches: List[Benchmark]) -> HeuristicSummary:
+    runner.prefetch(benches, configs=("baseline", "uu_heuristic"))
     speedups, sizes, compiles = [], [], []
     improved = 0
     for bench in benches:
@@ -118,29 +111,23 @@ class TunedSummary:
         return "\n".join(lines)
 
 
-def tuned_summary(runner: Optional[ExperimentRunner] = None,
-                  benches: Optional[List[Benchmark]] = None,
-                  tuned_root: Optional[Path] = None) -> TunedSummary:
+def tuned_summary(runner: ExperimentRunner,
+                  benches: List[Benchmark]) -> TunedSummary:
     """Compare the persisted-tuned pipeline against the static heuristic.
 
-    ``tuned_root`` should match the runner's ``tuned_dir`` (both default
-    to ``results/tuned``); apps without a usable tuned file are reported
-    with their fallback reason rather than skipped or crashed on.
+    Tuned files are read from the runner's ``tuned_dir``; apps without a
+    usable one are reported with their fallback reason rather than
+    skipped or crashed on.
     """
     from ..tune.store import load_tuned
 
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    root = tuned_root if tuned_root is not None else \
-        getattr(runner, "tuned_dir", None)
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu_heuristic", "tuned"))
+    runner.prefetch(benches, configs=("baseline", "uu_heuristic", "tuned"))
     rows: List[TunedAppRow] = []
     for bench in benches:
         base = runner.baseline(bench)
         heur = runner.heuristic_cell(bench)
         tuned = runner.cell(bench, "tuned")
-        _, reason = load_tuned(bench.name, root)
+        _, reason = load_tuned(bench.name, runner.tuned_dir)
         rows.append(TunedAppRow(
             app=bench.name,
             heuristic_speedup=heur.speedup_over(base),
@@ -200,15 +187,11 @@ class TransferSummary:
         return "\n".join(lines)
 
 
-def transfer_summary(runner: Optional[ExperimentRunner] = None,
-                     benches: Optional[List[Benchmark]] = None
-                     ) -> TransferSummary:
+def transfer_summary(runner: ExperimentRunner,
+                     benches: List[Benchmark]) -> TransferSummary:
     """Compare the predicted pipeline against tuned and the heuristic."""
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu_heuristic", "tuned",
-                                  "predicted"))
+    runner.prefetch(benches, configs=("baseline", "uu_heuristic", "tuned",
+                                      "predicted"))
     rows: List[TransferAppRow] = []
     for bench in benches:
         base = runner.baseline(bench)
@@ -237,14 +220,13 @@ def format_profile(runner: ExperimentRunner) -> str:
     """Phase and per-pass timing breakdown of this runner's cells.
 
     Phase and pass statistics accumulate inside whichever process ran each
-    cell; parallel runners ship them home with every worker result and
-    merge them (``ParallelRunner._absorb_extras``), so the breakdown is
+    cell; pool workers ship them home with every result and the runner
+    merges them (``ExperimentRunner._absorb_extras``), so the breakdown is
     complete for ``--jobs N`` sweeps too — the times are then summed
     worker CPU seconds rather than wall clock, and are labelled as such.
     """
-    jobs = getattr(runner, "jobs", 1)
-    if jobs > 1:
-        lines = [f"Harness profile (CPU seconds summed across {jobs} "
+    if runner.jobs > 1:
+        lines = [f"Harness profile (CPU seconds summed across {runner.jobs} "
                  "workers, this run's cells only):"]
     else:
         lines = ["Harness profile (wall-clock seconds, this run's cells "
@@ -277,7 +259,7 @@ def _format_region_session() -> List[str]:
 
     Like pass stats, what each pool task counted (and only that: a
     worker drops the session it inherited by fork) is folded in by
-    ``ParallelRunner._absorb_extras``, so ``-j1`` and ``-jN`` report the
+    ``ExperimentRunner._absorb_extras``, so ``-j1`` and ``-jN`` report the
     same totals.  Empty (no lines at all) under non-jit engines.
     """
     from ..gpu.region_cache import session as region_session

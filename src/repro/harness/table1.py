@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from ..bench import all_benchmarks
 from ..bench.base import Benchmark
 from .experiment import ExperimentRunner
-from .parallel import prefetch_if_parallel
 from .stats import mean_and_rsd, simulate_runs
 
 
@@ -78,12 +76,9 @@ def build_row(bench: Benchmark, runner: ExperimentRunner,
     )
 
 
-def build_table(runner: Optional[ExperimentRunner] = None,
-                benches: Optional[List[Benchmark]] = None) -> List[Table1Row]:
-    runner = runner or ExperimentRunner()
-    benches = benches if benches is not None else all_benchmarks()
-    prefetch_if_parallel(runner, benches,
-                         configs=("baseline", "uu_heuristic"))
+def build_table(runner: ExperimentRunner,
+                benches: List[Benchmark]) -> List[Table1Row]:
+    runner.prefetch(benches, configs=("baseline", "uu_heuristic"))
     return [build_row(b, runner) for b in benches]
 
 

@@ -14,7 +14,7 @@ One instrumentation layer for the whole reproduction:
 
 Everything is a no-op (one ``is None`` test per hook) until a session or
 a registry is installed; installing one is the only switch, and a
-``ParallelRunner`` fan-out carries it to its workers in the task.
+runner's pool fan-out carries it to its workers in the task.
 """
 
 from . import metrics

@@ -26,8 +26,8 @@ contracts keep it aligned with the rest of the observability layer:
 The slot is process-global (not thread-local like the trace slot): the
 daemon's queue workers must aggregate into one registry, and every
 metric mutation takes the registry lock.  Installing a registry
-(:func:`install`) *is* the switch; a ``ParallelRunner`` fan-out tells
-its workers whether the parent had one (see :func:`begin_worker`), and
+(:func:`install`) *is* the switch; a runner's pool fan-out tells its
+workers whether the parent had one (see :func:`begin_worker`), and
 nothing here reads the process environment.
 """
 
@@ -74,7 +74,7 @@ HELP: Dict[str, str] = {
     "repro_cache_bytes_written_total":
         "Payload bytes written into the cache (cache=cell|simindex).",
     "repro_sweep_cells_total":
-        "Experiment cells computed by ParallelRunner (cache misses only).",
+        "Experiment cells a runner's prefetch computed (cache misses only).",
     "repro_sweep_worker_failures_total":
         "Pool worker tasks that raised instead of returning a cell.",
     "repro_jit_regions_total":

@@ -15,7 +15,7 @@ contract that keeps the disabled path near-free:
   :func:`capture` block — for the CLI, the daemon and a library caller
   alike; nothing here reads the process environment.
 
-Cross-process aggregation: a ``ParallelRunner`` fan-out tells each task
+Cross-process aggregation: a runner's pool fan-out tells each task
 whether the parent had a session installed, and the worker passes that
 flag to :func:`begin_worker` — which *unconditionally* resets the slot,
 because fork()ed children inherit the parent's session object and would

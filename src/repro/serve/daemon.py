@@ -2,8 +2,8 @@
 
 Stdlib only: a :class:`http.server.ThreadingHTTPServer` bound to
 localhost fronting a :class:`~repro.serve.jobs.JobQueue`.  App
-submissions share one cache-backed :class:`ParallelRunner` (guarded by a
-lock — the runner's memo dicts are not thread-safe), so repeated
+submissions share one cache-backed :class:`ExperimentRunner` (guarded by
+a lock — the runner's memo dicts are not thread-safe), so repeated
 requests hit the persistent cell cache exactly like repeated CLI runs;
 ir/kernel subjects are self-contained and run fully concurrently on the
 queue workers.
@@ -41,7 +41,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..harness.cache import CellCache
-from ..harness.parallel import ParallelRunner
+from ..harness.experiment import ExperimentRunner, resolve_jobs
 from ..obs import ObsSession
 from ..obs import metrics as obs_metrics
 from .jobs import JobQueue, JobState
@@ -94,7 +94,7 @@ class ServeDaemon:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  workers: int = 2,
-                 runner: Optional[ParallelRunner] = None,
+                 runner: Optional[ExperimentRunner] = None,
                  cache_max_bytes: Optional[int] = None,
                  use_cache: bool = True) -> None:
         self.host = host
@@ -102,7 +102,7 @@ class ServeDaemon:
         if runner is None:
             cache = (CellCache(max_bytes=cache_max_bytes) if use_cache
                      else None)
-            runner = ParallelRunner(cache=cache, use_cache=use_cache)
+            runner = ExperimentRunner(jobs=resolve_jobs(), cache=cache)
         self.runner = runner
         #: Serializes app jobs on the shared runner; ir/kernel jobs
         #: never take it.
@@ -166,9 +166,7 @@ class ServeDaemon:
         # interactive app jobs for the shared cell cache and the CPU.
         with self._runner_lock:
             try:
-                data = self.refine_fn(app,
-                                      getattr(self.runner, "sim_index_dir",
-                                              None))
+                data = self.refine_fn(app, self.runner.sim_index_dir)
             except Exception as exc:  # noqa: BLE001 — job must terminate
                 data = {"status": "error", "app": app, "indexed": False,
                         "error": f"{type(exc).__name__}: {exc}"}
@@ -302,7 +300,7 @@ class ServeDaemon:
         from ..gpu.region_cache import session as region_session
         data["region_cache"] = {"session": region_session().snapshot()}
         from ..similarity.index import SimilarityIndex
-        index = SimilarityIndex(getattr(self.runner, "sim_index_dir", None))
+        index = SimilarityIndex(self.runner.sim_index_dir)
         with self._similarity_lock:
             counters = dict(self._similarity)
         counters["refinements_pending"] = max(

@@ -6,11 +6,11 @@ queue workers and by any direct in-process caller — which is what makes
 than a hope (tests/test_serve.py pins it end to end anyway).
 
 * **app** submissions reuse the harness: cycles/speedup/decisions come
-  from :class:`ExperimentRunner` cells (a shared
-  :class:`~repro.harness.parallel.ParallelRunner` gives the daemon
-  persistent-cache reuse across requests), and the optimized IR plus the
-  typed remark stream come from one fresh compile of the same module
-  under a request-scoped observability capture.
+  from :class:`ExperimentRunner` cells (the daemon shares one runner
+  with a persistent cell cache, so cells are reused across requests),
+  and the optimized IR plus the typed remark stream come from one fresh
+  compile of the same module under a request-scoped observability
+  capture.
 * **ir**/**kernel** submissions are measured the way the fuzz oracle
   measures subjects: every function runs one warp of ``lanes`` threads
   with deterministic scalar arguments; the baseline anchor is the

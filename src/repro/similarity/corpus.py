@@ -35,7 +35,7 @@ class FuzzBenchmark:
     Satisfies everything the tuner and the feature extractor touch:
     ``name``/``seed``, ``build_module()``, ``loop_ids()``, ``run()``,
     plus empty ``launches()``/``output_buffers()`` so
-    :func:`repro.harness.parallel.workload_fingerprint` still produces a
+    :func:`repro.harness.experiment.workload_fingerprint` still produces a
     stable cache identity.
     """
 

@@ -11,7 +11,7 @@ the ``tuned`` pipeline configuration everywhere a config name is accepted.
 * :mod:`repro.tune.space`  — candidate enumeration with cost-model pruning;
 * :mod:`repro.tune.search` — the measurement-driven search (successive
   halving over launch geometries, fan-out through
-  :class:`~repro.harness.parallel.ParallelRunner`, deterministic
+  :class:`~repro.harness.experiment.ExperimentRunner`, deterministic
   tie-breaking, oracle verification before persisting);
 * :mod:`repro.tune.store`  — the versioned on-disk tuned-config format and
   its staleness rules;

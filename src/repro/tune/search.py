@@ -8,7 +8,7 @@ One ``tune_benchmark`` call runs four stages:
    canonical enumeration order (never completion order).
 2. **Screen with successive halving** — each round measures the surviving
    candidates as ordinary sweep cells through
-   :class:`~repro.harness.parallel.ParallelRunner`; early rounds run a
+   :class:`~repro.harness.experiment.ExperimentRunner`; early rounds run a
    reduced launch geometry (``workload_scale``) against a
    tuner-prefixed region of the persistent cell cache, the final round
    runs full size against the shared cache.  Between rounds each loop
@@ -50,8 +50,8 @@ from ..analysis.loops import LoopInfo
 from ..bench.base import Benchmark
 from ..directive import LoopDirective, fingerprint
 from ..harness.cache import TUNE_PREFIX, CellCache
-from ..harness.experiment import Cell
-from ..harness.parallel import CellSpec, ParallelRunner
+from ..harness.experiment import (Cell, CellSpec, ExperimentRunner,
+                                  resolve_jobs)
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams, select_loops
 from ..transforms.pass_manager import COMPILE_TIMEOUT
@@ -148,7 +148,7 @@ def _compose_per_loop(facts: List[LoopFacts],
 
 
 def _verify_winner(bench: Benchmark, decisions: List[LoopDirective],
-                   runner: ParallelRunner) -> Tuple[bool, str]:
+                   runner: ExperimentRunner) -> Tuple[bool, str]:
     """Differentially verify the winning decision set via shared cells.
 
     ``runner`` is a ``verify_each=True`` runner over the search's cell
@@ -200,19 +200,20 @@ def tune_benchmark(bench: Benchmark, *,
     #: One cell cache per workload scale, shared by every runner at that
     #: scale; ``fresh_evaluations`` sums what each runner computed.
     caches: Dict[int, CellCache] = {}
-    runners: List[ParallelRunner] = []
+    runners: List[ExperimentRunner] = []
 
-    def make_runner(scale: int, verify_each: bool = False) -> ParallelRunner:
+    def make_runner(scale: int,
+                    verify_each: bool = False) -> ExperimentRunner:
         cache = None
         if use_cache:
             if scale not in caches:
                 caches[scale] = CellCache(
                     root=cache_root, prefix=TUNE_PREFIX if scale != 1 else "")
             cache = caches[scale]
-        runners.append(ParallelRunner(
+        runners.append(ExperimentRunner(
             heuristic=heuristic, max_instructions=max_instructions,
             compile_timeout=compile_timeout, verify_each=verify_each,
-            jobs=jobs, cache=cache, use_cache=use_cache, engine=engine,
+            jobs=resolve_jobs(jobs), cache=cache, engine=engine,
             workload_scale=scale))
         return runners[-1]
 

@@ -11,7 +11,7 @@ paper's *existing* per-loop pipeline configurations —
 * ``unmerge off, u >= 2`` -> ``unroll``  (plain unrolling)
 
 — so measuring a candidate is measuring an ordinary sweep cell: the
-fan-out goes through :class:`~repro.harness.parallel.ParallelRunner` and
+fan-out goes through :class:`~repro.harness.experiment.ExperimentRunner` and
 every measurement lands in (and is warm-served from) the persistent cell
 cache.  The same directive, replayed from a ``tuned`` plan, goes through
 the same :func:`repro.transforms.plan.apply_directive` arm, so what the

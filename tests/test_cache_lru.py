@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench import benchmark_by_name
 from repro.harness.cache import CellCache, default_max_bytes
-from repro.harness.parallel import CellSpec, ParallelRunner
+from repro.harness.experiment import CellSpec, ExperimentRunner
 from tests.test_parallel_cache import make_cell
 
 
@@ -193,7 +193,7 @@ def _survivors(tmp_path, jobs: int, cap_entries: int):
     root = tmp_path / f"j{jobs}"
     size = entry_size(tmp_path / f"probe-j{jobs}")
     cache = CellCache(root, max_bytes=cap_entries * size + size // 2)
-    runner = ParallelRunner(jobs=jobs, cache=cache)
+    runner = ExperimentRunner(jobs=jobs, cache=cache)
     specs = [CellSpec("coordinates", "baseline", None, 1),
              CellSpec("coordinates", "uu_heuristic", None, 1),
              CellSpec("coordinates", "uu", loop, 2),

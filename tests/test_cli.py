@@ -59,6 +59,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "TABLE I" in out and "complex" in out
 
+    def test_indepth_prefetches_its_cells_in_one_fan_out(
+            self, capsys, monkeypatch, tmp_path):
+        """``repro indepth -j 8`` hands the four case studies' eight cells
+        to one prefetch of the CLI's runner (a spy: nothing compiles),
+        then prints the sweep's cache line."""
+        from repro.gpu.counters import Counters
+        from repro.harness.experiment import Cell, ExperimentRunner
+
+        calls = []
+
+        def spy(runner, benches, configs=None, factors=None, specs=None):
+            calls.append((runner.jobs, [spec.key for spec in specs]))
+            for spec in specs:
+                runner._cache[spec.key] = Cell(
+                    spec.app, spec.config, spec.loop_id, spec.factor,
+                    cycles=100.0, code_size=1, compile_seconds=0.0,
+                    counters=Counters(cycles=100.0),
+                    outputs_match_baseline=True)
+
+        monkeypatch.setattr(ExperimentRunner, "prefetch", spy)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["indepth", "-j", "8"]) == 0
+        out = capsys.readouterr().out
+        cells = []
+        for app, loop_id, factor in (("XSBench", "grid_search:0", 8),
+                                     ("rainflow", "rainflow_count:0", 4),
+                                     ("complex", "complex_pow:0", 8),
+                                     ("bezier-surface", "bezier_blend:0",
+                                      2)):
+            cells += [(app, "baseline", None, 1, None),
+                      (app, "uu", loop_id, factor, None)]
+        assert calls == [(8, cells)]
+        assert out.count("In-depth: ") == 4
+        assert "cache: 0 hits / 0 misses" in out
+
 
 class TestFuzzCommands:
     def test_fuzz_commands_parse(self):

@@ -22,7 +22,7 @@ import urllib.request
 import pytest
 
 from repro.bench import benchmark_by_name
-from repro.harness.parallel import ParallelRunner
+from repro.harness.experiment import ExperimentRunner
 from repro.obs import metrics
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.serve import (OptimizeRequest, ServeClient, ServeDaemon,
@@ -175,8 +175,7 @@ class TestSweepFold:
     def test_j1_and_jN_registries_render_identically(self):
         def render(jobs):
             registry = metrics.install()
-            runner = ParallelRunner(jobs=jobs, use_cache=False,
-                                    engine="jit")
+            runner = ExperimentRunner(jobs=jobs, engine="jit")
             cells = runner.prefetch([benchmark_by_name(BENCH)],
                                     configs=("baseline", "uu_heuristic"))
             metrics.uninstall()

@@ -18,8 +18,7 @@ from repro import obs
 from repro.bench import benchmark_by_name
 from repro.gpu.counters import Counters
 from repro.harness.cache import CellCache
-from repro.harness.experiment import Cell
-from repro.harness.parallel import ParallelRunner
+from repro.harness.experiment import Cell, ExperimentRunner
 from repro.obs import ExecutionProfile, Remark, Tracer
 from repro.transforms.heuristic import LoopDecision
 
@@ -259,7 +258,7 @@ BENCH = "bspline-vgh"
 class TestTracedRuns:
     def test_traced_uu_run_emits_applied_remark(self):
         session = obs.install()
-        runner = ParallelRunner(jobs=1, use_cache=False)
+        runner = ExperimentRunner()
         runner.prefetch([benchmark_by_name(BENCH)],
                         configs=("baseline", "uu_heuristic"))
         applied = [r for r in session.remarks if r.kind == "applied"
@@ -292,7 +291,7 @@ class TestTracedRuns:
     def test_parallel_aggregation_is_deterministic(self):
         def stream(jobs):
             session = obs.install()
-            runner = ParallelRunner(jobs=jobs, use_cache=False)
+            runner = ExperimentRunner(jobs=jobs)
             cells = runner.prefetch([benchmark_by_name(BENCH)],
                                     configs=("baseline", "uu_heuristic"))
             obs.uninstall()

@@ -10,9 +10,8 @@ from repro.gpu.counters import Counters
 from repro.harness.cache import (SCHEMA_VERSION, CellCache, cell_from_json,
                                  cell_to_json, outputs_from_json,
                                  outputs_to_json)
-from repro.harness.experiment import Cell, ExperimentRunner
-from repro.harness.parallel import (CellSpec, ParallelRunner, resolve_jobs,
-                                    sweep_specs)
+from repro.harness.experiment import (Cell, CellSpec, ExperimentRunner,
+                                      resolve_jobs, sweep_specs)
 from repro.transforms.heuristic import HeuristicParams
 
 
@@ -212,12 +211,12 @@ def test_parallel_runner_matches_serial_and_persists(tmp_path):
                 _cell_tuple(serial.cell(bench, "uu_heuristic"))]
 
     cache = CellCache(tmp_path)
-    cold = ParallelRunner(jobs=2, cache=cache)
+    cold = ExperimentRunner(jobs=2, cache=cache)
     got = cold.prefetch([bench], configs=("baseline", "uu_heuristic"))
     assert [_cell_tuple(c) for c in got] == expected
     assert cache.stats()["entries"] == 2
 
-    warm = ParallelRunner(jobs=2, cache=CellCache(tmp_path))
+    warm = ExperimentRunner(jobs=2, cache=CellCache(tmp_path))
     rerun = warm.prefetch([bench], configs=("baseline", "uu_heuristic"))
     assert [_cell_tuple(c) for c in rerun] == expected
     assert warm.cache.hits == 2
@@ -225,9 +224,10 @@ def test_parallel_runner_matches_serial_and_persists(tmp_path):
     assert _cell_tuple(warm.heuristic_cell(bench)) == expected[1]
 
 
-def test_parallel_runner_isolates_worker_failure(tmp_path, monkeypatch):
+def _isolates_failure(tmp_path, jobs):
     bench = benchmark_by_name("coordinates")
-    runner = ParallelRunner(jobs=2, cache=CellCache(tmp_path))
+    runner = ExperimentRunner(jobs=jobs,
+                              cache=CellCache(tmp_path / f"j{jobs}"))
     specs = [CellSpec("coordinates", "baseline", None, 1),
              CellSpec("no-such-app", "baseline", None, 1),
              CellSpec("no-such-app", "uu", "k/L0", 2)]
@@ -239,3 +239,11 @@ def test_parallel_runner_isolates_worker_failure(tmp_path, monkeypatch):
     # Failed cells never pollute the persistent cache.
     assert runner.cache.stats()["entries"] == 1
     assert cells[1].speedup_over(cells[0]) == 0.0
+    return [cell.error is not None for cell in cells]
+
+
+def test_parallel_runner_isolates_worker_failure(tmp_path):
+    """On the pool and in process alike: the same cells fail, the sweep
+    survives, and only the good cell is persisted."""
+    assert _isolates_failure(tmp_path, jobs=2) == \
+        _isolates_failure(tmp_path, jobs=1) == [False, True, True]

@@ -101,10 +101,10 @@ def test_successive_fanouts_fold_like_a_serial_run(fresh_jit_session):
     runner the session reads at ``jobs=2`` what it reads at ``jobs=1``
     (a worker that keeps the session it inherited by fork reads
     4 / 10 / 13 / 55 after the third)."""
-    from repro.harness.parallel import ParallelRunner
+    from repro.harness.experiment import ExperimentRunner
 
     def snapshots(jobs):
-        runner = ParallelRunner(jobs=jobs, use_cache=False)
+        runner = ExperimentRunner(jobs=jobs)
         seen = []
         for app in ("XSBench", "bezier-surface", "complex"):
             runner.prefetch([benchmark_by_name(app)],

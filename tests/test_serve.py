@@ -24,7 +24,6 @@ from repro.frontend import ast as F
 from repro.frontend.lower import lower_kernels
 from repro.harness.cache import CellCache
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import ParallelRunner
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.serve import (OptimizeRequest, OptimizeResult, ServeClient,
@@ -287,7 +286,7 @@ class TestExecuteRequest:
                    for r in tuned.remarks)
 
     def test_app_submission_matches_harness(self, tmp_path):
-        runner = ParallelRunner(cache=CellCache(tmp_path))
+        runner = ExperimentRunner(cache=CellCache(tmp_path))
         req = OptimizeRequest(app="coordinates", config="uu_heuristic")
         result = execute_request(req, runner=runner)
         assert result.status == "ok", result.error
@@ -477,7 +476,7 @@ class TestDaemon:
 
     def test_app_request_uses_shared_cache(self, tmp_path):
         cache = CellCache(tmp_path)
-        runner = ParallelRunner(cache=cache)
+        runner = ExperimentRunner(cache=cache)
         d = ServeDaemon(workers=2, runner=runner)
         d.start()
         try:
@@ -490,7 +489,8 @@ class TestDaemon:
             # Same coordinates via a second daemon on the same cache dir:
             # the cells are read back, not recomputed.
             d2 = ServeDaemon(workers=1,
-                             runner=ParallelRunner(cache=CellCache(tmp_path)))
+                             runner=ExperimentRunner(
+                                 cache=CellCache(tmp_path)))
             d2.start()
             try:
                 again = ServeClient(d2.url).submit_and_wait(req, timeout=300)

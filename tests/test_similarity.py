@@ -19,7 +19,6 @@ from repro.bench import all_benchmarks, benchmark_by_name
 from repro.directive import fingerprint
 from repro.harness.cache import CellCache
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import ParallelRunner
 from repro.obs import session as obs
 from repro.serve.daemon import ServeDaemon
 from repro.similarity.features import (COMBINED_SCALES, FEATURE_SCHEMA_VERSION,
@@ -277,7 +276,7 @@ class TestPredictedPipeline:
         bench = benchmark_by_name("haccmk")
         observed = []
         for jobs in (1, 2):
-            runner = ParallelRunner(
+            runner = ExperimentRunner(
                 jobs=jobs, cache=CellCache(tmp_path / f"cache{jobs}"),
                 sim_index_dir=index.root)
             cells = runner.prefetch([bench],

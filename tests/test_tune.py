@@ -19,7 +19,6 @@ from repro.directive import LoopDirective, fingerprint
 from repro.gpu.timing import TIMING_MODEL_VERSION
 from repro.harness.cache import TUNE_PREFIX, CellCache
 from repro.harness.experiment import ExperimentRunner
-from repro.harness.parallel import ParallelRunner
 from repro.ir.printer import print_module
 from repro.transforms.heuristic import HeuristicParams
 from repro.transforms.pass_manager import PassManager
@@ -394,9 +393,8 @@ class TestTunedPipeline:
         bench = benchmark_by_name(FAST_BENCH)
         decisions = _heuristic_decisions(bench, HeuristicParams(),
                                          c=1024, u_max=8)
-        ok, detail = _verify_winner(bench, decisions, ParallelRunner(
-            max_instructions=20_000, verify_each=True, jobs=1,
-            use_cache=False))
+        ok, detail = _verify_winner(bench, decisions, ExperimentRunner(
+            max_instructions=20_000, verify_each=True))
         assert ok, detail
 
 
