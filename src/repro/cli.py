@@ -70,6 +70,7 @@ from .gpu.machine import ENGINES
 from .harness import fig6, fig7, fig8, indepth, table1
 from .harness.cache import CellCache
 from .harness.experiment import ExperimentRunner, resolve_jobs
+from .obs import metrics as obs_metrics
 from .transforms.pipeline import CONFIGS
 
 
@@ -95,6 +96,27 @@ def _obs_session():
             obs.uninstall()
 
 
+@contextlib.contextmanager
+def _metrics_registry():
+    """Install a fresh metrics registry for the duration of a command.
+
+    Every count a command makes — the jit's among them — lands in it, so
+    a command reports what it did and nothing an earlier command in the
+    same process did.  Nested use folds the inner registry into the one
+    installed before on exit, as :func:`_obs_session` does for traces.
+    """
+    prior = obs_metrics.active()
+    registry = obs_metrics.install()
+    try:
+        yield registry
+    finally:
+        if prior is not None:
+            obs_metrics.install(prior)
+            prior.absorb(registry.snapshot())
+        else:
+            obs_metrics.uninstall()
+
+
 def _default_remarks_path(trace_out: str) -> str:
     """``run.trace.json`` -> ``run.trace.remarks.jsonl``."""
     return str(Path(trace_out).with_suffix(".remarks.jsonl"))
@@ -118,19 +140,18 @@ def _finish_sweep(runner: ExperimentRunner) -> None:
     """Per-sweep cache telemetry (hits/misses/puts this session).
 
     Two lines can print: the cell-cache line (always, for cache-enabled
-    runners) and the jit line (only when some launch of the sweep got
-    hot enough to select regions — for the other engines, and for a jit
-    sweep that never tiered up, it is empty).  A pool worker ships only
-    what its own task counted (it discards the session it inherited by
-    fork) and ``_absorb_extras`` folds that in, so ``-j1`` and ``-jN``
-    print the same totals.
+    runners) and the jit line, read from the command's registry (only
+    when some launch of the sweep got hot enough to select regions — for
+    the other engines, and for a jit sweep that never tiered up, it is
+    empty).  A pool worker ships only what its own task counted and the
+    runner folds that in, so ``-j1`` and ``-jN`` print the same totals.
     """
     if runner.cache is not None:
         print(runner.cache.session_line())
-    from .gpu.region_cache import session as region_session
-    line = region_session().line()
-    if line:
-        print(line)
+    summary = obs_metrics.jit_summary(
+        obs_metrics.jit_counts(obs_metrics.active()))
+    if summary:
+        print(f"jit: {summary}")
 
 
 def _runner(args) -> ExperimentRunner:
@@ -654,8 +675,6 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Prometheus text: scrape a daemon, or meter a local sweep."""
-    from .obs import metrics as obs_metrics
-
     if args.url:
         from .serve import ServeClient
         from .serve.client import ServeError
@@ -666,19 +685,11 @@ def cmd_metrics(args) -> int:
             return 1
         sys.stdout.write(text)
         return 0
-    # Local mode: install a registry (pool workers of the sweep ship
-    # their snapshots home because it is installed), run one sweep, render.
-    prior = obs_metrics.active()
-    registry = obs_metrics.install()
-    try:
-        runner = _runner(args)
-        runner.prefetch(_benches(args), configs=("baseline", args.config))
-    finally:
-        if prior is not None:
-            obs_metrics.install(prior)
-        else:
-            obs_metrics.uninstall()
-    sys.stdout.write(registry.render())
+    # Local mode: run one sweep and render the command's registry (pool
+    # workers of the sweep ship their snapshots home because it is
+    # installed).
+    _runner(args).prefetch(_benches(args), configs=("baseline", args.config))
+    sys.stdout.write(obs_metrics.active().render())
     return 0
 
 
@@ -795,12 +806,8 @@ def cmd_serve_status(args) -> int:
               f"{cache['bytes']} bytes{cap}; this session "
               f"{cache['session_hits']} hits, {cache['session_misses']} "
               f"misses, {cache['session_evictions']} evictions")
-    region = stats.get("region_cache")
-    if region:
-        sess = region.get("session") or {}
-        print(f"  regions:   {sess.get('selections', 0)} functions "
-              f"selected, {sess.get('regions', 0)} compiled, "
-              f"{sess.get('fused_steps', 0)} steps fused")
+    jit = obs_metrics.jit_summary(stats["region_cache"]["session"])
+    print(f"  jit:       {jit or 'no region selected'}")
     similarity = stats.get("similarity")
     if similarity:
         index = similarity.get("index") or {}
@@ -1149,15 +1156,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--loop only applies to the ptx command")
     trace_out = getattr(args, "trace_out", None)
     remarks_out = getattr(args, "remarks_out", None)
-    if not (trace_out or remarks_out):
-        return args.fn(args)
-    # Tracing observes compilation; a cache hit skips compilation
-    # entirely, so traced runs bypass the persistent cache.
-    args.no_cache = True
-    with _obs_session() as session:
-        rc = args.fn(args)
-    _export_session(session, trace_out, remarks_out)
-    return rc
+    with _metrics_registry():
+        if not (trace_out or remarks_out):
+            return args.fn(args)
+        # Tracing observes compilation; a cache hit skips compilation
+        # entirely, so traced runs bypass the persistent cache.
+        args.no_cache = True
+        with _obs_session() as session:
+            rc = args.fn(args)
+        _export_session(session, trace_out, remarks_out)
+        return rc
 
 
 if __name__ == "__main__":

@@ -51,7 +51,6 @@ from .batched import (INTERPRET, _BatchState, _classify, _follow_batch,
 from ..obs import metrics as obs_metrics
 from .counters import Counters
 from .machine import WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC
-from .region_cache import note_compiled, session
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
                       RegionMap, compile_region, select_regions)
@@ -100,11 +99,9 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
             return INTERPRET
         if regions.plans is None:
             select_regions(regions, machine, func)
-            session().selections += 1
         region = compile_region(regions, db.block_id)
         if region is None:
             return INTERPRET
-        note_compiled(region)
     if lanes != mask.size:
         return INTERPRET
     region.entries += 1

@@ -154,8 +154,8 @@ class CompiledRegion:
                                  and op0.next_i == 0 and loopback) else None
         #: Full-mask entries (telemetry; nothing reads it to decide).
         self.entries = 0
-        #: Fusion telemetry (see gpu/fuser.py), folded into remarks and
-        #: the jit session counters (``region_cache.RegionSession``).
+        #: Fusion telemetry (see gpu/fuser.py), counted in remarks and
+        #: the ``repro_jit_fused_*`` / ``repro_jit_max_chain`` metrics.
         self.fused_segments = sum(len(op.fuse_plan) for op in self.ops)
         self.fused_steps = sum(hi - lo for op in self.ops
                                for lo, hi, _live in op.fuse_plan)
@@ -189,9 +189,9 @@ def select_regions(regions: RegionMap, machine, func) -> None:
 
     Heads are seeded from the function entry and, transitively, from
     every branch target observed while tracing — i.e. every block the
-    dispatcher could ever park a group at.  Emits one ``analysis``
-    remark per rejected head through the obs layer; selected heads get
-    theirs when (if) they compile.
+    dispatcher could ever park a group at.  Counts one selection, and
+    emits one ``analysis`` remark per rejected head through the obs
+    layer; selected heads get theirs when (if) they compile.
     """
     plans: Dict[int, Tuple] = {}
     done = set()
@@ -214,6 +214,7 @@ def select_regions(regions: RegionMap, machine, func) -> None:
             continue
         plans[head.block_id] = plan
     regions.plans = plans
+    obs_metrics.inc("repro_jit_selections_total")
     # The machine and function let the expression fuser hoist global
     # addresses and compute function-wide use counts.
     regions.fuse_ctx = FuseContext(machine, func)
@@ -243,6 +244,7 @@ def compile_region(regions: RegionMap,
         obs_metrics.inc("repro_jit_fused_segments_total",
                         region.fused_segments)
         obs_metrics.inc("repro_jit_fused_steps_total", region.fused_steps)
+        obs_metrics.raise_gauge("repro_jit_max_chain", region.max_chain)
     obs_session.remark(
         "analysis", "jit", regions.func_name,
         f"compiled superblock at {head.name}: "

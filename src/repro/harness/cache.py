@@ -129,10 +129,14 @@ def default_max_bytes() -> Optional[int]:
 
 # -- (de)serialization -------------------------------------------------------
 
+def counters_to_json(counters: Counters) -> Dict:
+    return {f.name: getattr(counters, f.name)
+            for f in dataclasses.fields(Counters)}
+
+
 def cell_to_json(cell: Cell) -> Dict:
     data = {name: getattr(cell, name) for name in _CELL_FIELDS}
-    data["counters"] = {f.name: getattr(cell.counters, f.name)
-                        for f in dataclasses.fields(Counters)}
+    data["counters"] = counters_to_json(cell.counters)
     data["heuristic_decisions"] = [dataclasses.asdict(d)
                                    for d in cell.heuristic_decisions]
     return data

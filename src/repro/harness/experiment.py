@@ -40,7 +40,7 @@ constructor arguments say how, and neither changes a result:
 * what a worker observes travels with its task, not in the environment:
   each fan-out tells its workers how to build the runner and whether the
   parent has an obs session / a metrics registry installed (installing
-  one *is* the switch).  :func:`_worker` resets every holder a fork
+  one *is* the switch).  :func:`_worker` resets both slots a fork
   inherits at task start and ships its telemetry home with the cell; the
   parent folds it in enumeration order, so ``-j1`` and ``-jN`` yield the
   same remark stream, pass statistics, metric registry and jit line.
@@ -68,7 +68,6 @@ import numpy as np
 from ..bench import benchmark_by_name
 from ..bench.base import Benchmark
 from ..directive import LoopDirective, fingerprint
-from ..gpu import region_cache
 from ..gpu.counters import Counters
 from ..ir.printer import print_module
 from ..obs import metrics as obs_metrics
@@ -713,20 +712,11 @@ class ExperimentRunner:
         self._store(bench, cell, cache_key)
 
     def _absorb_extras(self, extras: Dict) -> None:
-        """Fold one worker's telemetry into this runner (and its session)."""
-        stats = extras.get("pass_stats")
-        if stats is not None:
-            self.pass_stats.merge(stats)
-        for phase, seconds in (extras.get("phase_seconds") or {}).items():
-            self.phase_seconds[phase] = (
-                self.phase_seconds.get(phase, 0.0) + seconds)
-        payload = extras.get("obs")
-        if payload:
-            session = obs.active()
-            if session is not None:
-                session.merge_payload(payload)
-        region_cache.session().absorb(extras.get("region_cache"))
-        obs_metrics.absorb(extras.get("metrics"))
+        """Fold one worker's telemetry into this runner and the slots."""
+        self.pass_stats.merge(extras["pass_stats"])
+        for phase, seconds in extras["phase_seconds"].items():
+            self.phase_seconds[phase] += seconds
+        obs.absorb(extras["obs"])
 
 
 def _spec_cost(spec: CellSpec, u_max: int) -> int:
@@ -769,18 +759,14 @@ def _worker_extras(runner: ExperimentRunner) -> Dict:
 
     ``pass_stats``/``phase_seconds`` let a parallel ``summary --profile``
     report the same merged per-pass breakdown the serial runner shows;
-    ``obs`` carries the worker's remark/trace/profile payload (None when
-    the task did not ask for it); ``region_cache`` ships the worker's jit
-    session counters (snapshot-and-reset, so a pooled worker
-    running many tasks never double-reports); ``metrics`` ships the
-    worker's metric-registry snapshot (None when the task did not ask
-    for it) under the same discipline.
+    ``obs`` is the one :func:`repro.obs.session.end_worker` payload — the
+    worker's remarks/trace/profile and its metric-registry snapshot, the
+    jit's counts among them (each part None when the task did not ask for
+    it).
     """
     return {"pass_stats": runner.pass_stats,
             "phase_seconds": dict(runner.phase_seconds),
-            "obs": obs.end_worker(),
-            "region_cache": region_cache.take_session(),
-            "metrics": obs_metrics.end_worker()}
+            "obs": obs.end_worker()}
 
 
 def _worker(spec: CellSpec, task: _Task,
@@ -788,14 +774,12 @@ def _worker(spec: CellSpec, task: _Task,
     """Compute one cell; a baseline also returns its reference outputs.
 
     The one place a pool worker's lifecycle lives.  It begins by resetting
-    *every* holder a fork()ed child inherits from the parent — the obs
-    session, the metrics registry, the jit's region session — because
-    shipping an inherited holder home would re-count everything the parent
-    had already collected; it ends with :func:`_worker_extras`.
+    both holders a fork()ed child inherits from the parent — the obs
+    session and the metrics registry — because shipping an inherited
+    holder home would re-count everything the parent had already
+    collected; it ends with :func:`_worker_extras`.
     """
-    obs.begin_worker(task.trace)
-    obs_metrics.begin_worker(task.metrics)
-    region_cache.take_session()
+    obs.begin_worker(task.trace, task.metrics)
     try:
         bench = benchmark_by_name(spec.app)
         runner = ExperimentRunner(**task.settings)

@@ -245,36 +245,8 @@ def format_profile(runner: ExperimentRunner) -> str:
                 f"  {name:<24} {stats.times[name]:>8.3f}s  "
                 f"{stats.runs.get(name, 0):>5} runs  "
                 f"{stats.changes.get(name, 0):>5} changed")
-    category_lines = _format_category_cycles(runner)
-    if category_lines:
-        lines.extend(category_lines)
-    region_lines = _format_region_session()
-    if region_lines:
-        lines.extend(region_lines)
+    lines.extend(_format_category_cycles(runner))
     return "\n".join(lines)
-
-
-def _format_region_session() -> List[str]:
-    """JIT selection / fusion counters for this run, when the jit ran.
-
-    Like pass stats, what each pool task counted (and only that: a
-    worker drops the session it inherited by fork) is folded in by
-    ``ExperimentRunner._absorb_extras``, so ``-j1`` and ``-jN`` report the
-    same totals.  Empty (no lines at all) under non-jit engines.
-    """
-    from ..gpu.region_cache import session as region_session
-    sess = region_session()
-    if not sess.any():
-        return []
-    lines = ["JIT region compilation (this run):"]
-    lines.append(f"  {'selections':<14} {sess.selections:>8}   functions "
-                 "whose regions were selected")
-    lines.append(f"  {'regions':<14} {sess.regions:>8}")
-    if sess.fused_segments:
-        lines.append(f"  {'fused':<14} {sess.fused_steps:>8}   steps in "
-                     f"{sess.fused_segments} segments "
-                     f"(max chain {sess.max_chain})")
-    return lines
 
 
 def _format_category_cycles(runner: ExperimentRunner) -> List[str]:

@@ -7,28 +7,31 @@ contracts keep it aligned with the rest of the observability layer:
 
 * **Disabled path is one ``is None`` test.**  Like the trace slot
   (:mod:`repro.obs.session`), every hook — :func:`inc`,
-  :func:`set_gauge`, :func:`observe` — loads the module slot and returns
-  when no registry is installed.  No metric objects are constructed, no
-  label tuples built (pinned by tests/test_obs.py).
+  :func:`set_gauge`, :func:`raise_gauge`, :func:`observe` — loads the
+  module slot and returns when no registry is installed.  No metric
+  objects are constructed, no label tuples built (pinned by
+  tests/test_obs.py).
 * **Deterministic registry.**  No wall-clock anywhere in the data model:
   series are keyed ``(name, sorted label items)``, histogram buckets are
   fixed at family creation, and :meth:`MetricsRegistry.render` emits
   families and series in sorted order.  Two registries that absorbed the
   same observations render byte-identically.
-* **take/absorb fold.**  Pool workers ship a :func:`end_worker` snapshot
-  home with their result tuple; the parent folds snapshots with
-  :meth:`MetricsRegistry.absorb` in task-enumeration order — the same
-  discipline as :class:`~repro.gpu.region_cache.RegionSession`.  Folds
-  are order-independent (counters and histograms sum, gauges fold by
-  max), so ``-j1`` and ``-jN`` sweeps of the same cells render the same
-  bytes.
+* **take/absorb fold.**  Pool workers ship a snapshot home inside the
+  one payload of :func:`repro.obs.session.end_worker`; the parent folds
+  payloads with :func:`repro.obs.session.absorb` in task-enumeration
+  order.  Folds are order-independent (counters and histograms sum,
+  gauges fold by max), so ``-j1`` and ``-jN`` sweeps of the same cells
+  render the same bytes.
 
 The slot is process-global (not thread-local like the trace slot): the
 daemon's queue workers must aggregate into one registry, and every
 metric mutation takes the registry lock.  Installing a registry
 (:func:`install`) *is* the switch; a runner's pool fan-out tells its
-workers whether the parent had one (see :func:`begin_worker`), and
-nothing here reads the process environment.
+workers whether the parent had one (see
+:func:`repro.obs.session.begin_worker`), and nothing here reads the
+process environment.  The jit's counts live here and nowhere else:
+:func:`jit_counts` reads them back as one row for the sweep's jit line,
+``/stats`` and ``repro serve-status``.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ HELP: Dict[str, str] = {
         "Experiment cells a runner's prefetch computed (cache misses only).",
     "repro_sweep_worker_failures_total":
         "Pool worker tasks that raised instead of returning a cell.",
+    "repro_jit_selections_total":
+        "Functions whose JIT regions were selected (first block got hot).",
     "repro_jit_regions_total":
         "JIT region compilation outcomes (result=compiled|rejected).",
     "repro_jit_guard_failures_total":
@@ -87,6 +92,8 @@ HELP: Dict[str, str] = {
         "Fused multi-expression segments baked into compiled regions.",
     "repro_jit_fused_steps_total":
         "Expression steps covered by fused segments.",
+    "repro_jit_max_chain":
+        "Longest fused expression chain baked into a compiled region.",
     "repro_similarity_predictions_total":
         "Similarity predictions resolved (outcome=transfer|fallback).",
     "repro_similarity_neighbor_distance":
@@ -136,6 +143,10 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
+
+    def raise_to(self, value: float) -> None:
+        if value > self.value:
+            self.value = float(value)
 
 
 class Histogram:
@@ -235,11 +246,24 @@ class MetricsRegistry:
         with self._lock:
             self._series(name, "gauge", labels).set(value)
 
+    def raise_gauge(self, name: str, value: float, **labels) -> None:
+        with self._lock:
+            self._series(name, "gauge", labels).raise_to(value)
+
     def observe(self, name: str, value: float,
                 buckets: Sequence[float] = LATENCY_BUCKETS_S,
                 **labels) -> None:
         with self._lock:
             self._series(name, "histogram", labels, buckets).observe(value)
+
+    def value(self, name: str, **labels) -> float:
+        """A counter's or gauge's value; 0 for a series never touched
+        (reading creates nothing, so a render is not changed by it)."""
+        with self._lock:
+            family = self._families.get(name)
+            metric = (family.series.get(_labels_key(labels))
+                      if family is not None else None)
+            return metric.value if metric is not None else 0.0
 
     # -- fold ----------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -280,7 +304,7 @@ class MetricsRegistry:
                     if kind == "counter":
                         metric.inc(entry["value"])
                     elif kind == "gauge":
-                        metric.value = max(metric.value, entry["value"])
+                        metric.raise_to(entry["value"])
                     else:
                         for i, n in enumerate(entry["counts"]):
                             metric.counts[i] += n
@@ -353,11 +377,13 @@ def preregister(registry: MetricsRegistry) -> None:
         registry.counter("repro_cache_puts_total", cache=cache)
         registry.counter("repro_cache_evictions_total", cache=cache)
         registry.counter("repro_cache_bytes_written_total", cache=cache)
+    registry.counter("repro_jit_selections_total")
     for result in ("compiled", "rejected"):
         registry.counter("repro_jit_regions_total", result=result)
     for kind in ("loop", "lattice"):
         registry.counter("repro_jit_guard_failures_total", kind=kind)
     registry.counter("repro_jit_deopts_total")
+    registry.gauge("repro_jit_max_chain")
     for outcome in ("transfer", "fallback"):
         registry.counter("repro_similarity_predictions_total",
                          outcome=outcome)
@@ -407,6 +433,13 @@ def set_gauge(name: str, value: float, **labels) -> None:
     registry.set(name, value, **labels)
 
 
+def raise_gauge(name: str, value: float, **labels) -> None:
+    registry = _registry
+    if registry is None:
+        return
+    registry.raise_gauge(name, value, **labels)
+
+
 def observe(name: str, value: float,
             buckets: Sequence[float] = LATENCY_BUCKETS_S, **labels) -> None:
     registry = _registry
@@ -415,32 +448,34 @@ def observe(name: str, value: float,
     registry.observe(name, value, buckets, **labels)
 
 
-# -- pool-worker lifecycle (mirrors obs.session.begin/end_worker) ------------
+# -- the jit's counts as one row ----------------------------------------------
 
-def begin_worker(collect: bool) -> Optional[MetricsRegistry]:
-    """Reset the slot at worker-task start.
-
-    fork()-based pools hand children a copy of the parent's registry;
-    exporting that would double-count everything the parent already
-    holds.  Drop it and start fresh if the task says the parent is
-    metering (``collect``), or leave the slot empty if it is not.
-    """
-    global _registry
-    _registry = MetricsRegistry() if collect else None
-    return _registry
+#: ``(key, family, labels)`` of every count :func:`jit_counts` reports.
+_JIT_SERIES: Tuple[Tuple[str, str, Dict[str, str]], ...] = (
+    ("selections", "repro_jit_selections_total", {}),
+    ("regions", "repro_jit_regions_total", {"result": "compiled"}),
+    ("fused_segments", "repro_jit_fused_segments_total", {}),
+    ("fused_steps", "repro_jit_fused_steps_total", {}),
+    ("max_chain", "repro_jit_max_chain", {}),
+)
 
 
-def end_worker() -> Optional[Dict[str, object]]:
-    """Snapshot and clear the worker's registry; None when none was begun."""
-    global _registry
-    registry = _registry
-    _registry = None
-    return registry.snapshot() if registry is not None else None
+def jit_counts(registry: Optional[MetricsRegistry]) -> Dict[str, int]:
+    """What the jit did, as far as ``registry`` saw (zeros without one)."""
+    if registry is None:
+        return {key: 0 for key, _, _ in _JIT_SERIES}
+    return {key: int(registry.value(name, **labels))
+            for key, name, labels in _JIT_SERIES}
 
 
-def absorb(snap: Optional[Dict[str, object]]) -> None:
-    """Fold a worker snapshot into the live registry (no-op when off)."""
-    registry = _registry
-    if registry is None or not snap:
-        return
-    registry.absorb(snap)
+def jit_summary(counts: Dict[str, int]) -> str:
+    """A :func:`jit_counts` row in words; empty when the jit never ran."""
+    if not any(counts[key] for key, _, _ in _JIT_SERIES):
+        return ""
+    text = (f"{counts['selections']} functions selected, "
+            f"{counts['regions']} regions compiled")
+    if counts["fused_segments"]:
+        text += (f", {counts['fused_steps']} steps fused in "
+                 f"{counts['fused_segments']} segments "
+                 f"(max chain {counts['max_chain']})")
+    return text

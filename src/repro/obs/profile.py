@@ -142,6 +142,6 @@ class ExecutionProfile:
             lines.append(f"  occupancy: {100.0 * occ:.1f}% mean active lanes "
                          f"over {len(self.occupancy)} samples{dropped}")
         if self.splits or self.demotions:
-            lines.append(f"  batched: {len(self.splits)} splits, "
+            lines.append(f"  lattice: {len(self.splits)} splits, "
                          f"{len(self.demotions)} demotions")
         return "\n".join(lines)

@@ -16,13 +16,13 @@ contract that keeps the disabled path near-free:
   alike; nothing here reads the process environment.
 
 Cross-process aggregation: a runner's pool fan-out tells each task
-whether the parent had a session installed, and the worker passes that
-flag to :func:`begin_worker` — which *unconditionally* resets the slot,
-because fork()ed children inherit the parent's session object and would
-otherwise re-export every remark the parent had already collected — then
-ships :func:`export_payload` back with its result tuple.  The parent
-folds payloads in deterministic (task-enumeration) order via
-:func:`merge_payload`.
+whether the parent had a session and a metrics registry installed, and
+the worker passes both flags to :func:`begin_worker` — which
+*unconditionally* resets both slots, because fork()ed children inherit
+the parent's session and registry and would otherwise re-export
+everything the parent had already collected — then ships the one
+:func:`end_worker` payload back with its result tuple.  The parent folds
+payloads in deterministic (task-enumeration) order via :func:`absorb`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from . import metrics as obs_metrics
 from .profile import ExecutionProfile
 from .remarks import Remark
 from .trace import Tracer
@@ -222,22 +223,41 @@ def request_capture(request_id: str, **ctx):
 
 # -- pool-worker lifecycle ---------------------------------------------------
 
-def begin_worker(collect: bool) -> Optional[ObsSession]:
-    """Reset the slot at worker-task start.
+def begin_worker(trace: bool, metrics: bool) -> None:
+    """Reset both slots at worker-task start.
 
-    fork()-based pools hand children a *copy of the parent's session*,
-    remarks and all; exporting that would double-count everything the
-    parent already holds.  So: unconditionally drop whatever is
-    installed and start fresh if the task says the parent is collecting
-    (``collect``), or leave the slot empty if it is not.
+    fork()-based pools hand children a *copy of the parent's* session and
+    registry, remarks and counts and all; exporting either would
+    double-count everything the parent already holds.  So: unconditionally
+    drop whatever is installed, and start fresh where the task says the
+    parent is collecting (``trace`` for the session, ``metrics`` for the
+    registry) or leave the slot empty where it is not.
     """
-    session = ObsSession() if collect else None
-    _set(session)
-    return session
+    _set(ObsSession() if trace else None)
+    if metrics:
+        obs_metrics.install()
+    else:
+        obs_metrics.uninstall()
 
 
-def end_worker() -> Optional[Dict[str, object]]:
-    """Export and clear the worker's session; None when none was begun."""
+def end_worker() -> Dict[str, object]:
+    """Clear both slots; one payload of what they collected (a part is
+    None for a slot :func:`begin_worker` left empty)."""
     session = _get()
     _set(None)
-    return session.export_payload() if session is not None else None
+    registry = obs_metrics.uninstall()
+    return {"session": (session.export_payload()
+                        if session is not None else None),
+            "metrics": registry.snapshot() if registry is not None else None}
+
+
+def absorb(payload: Dict[str, object]) -> None:
+    """Fold an :func:`end_worker` payload into whatever is installed here:
+    the session part into this thread's session, the snapshot into the
+    registry; a part with no slot to take it is dropped."""
+    session = _get()
+    if session is not None and payload["session"]:
+        session.merge_payload(payload["session"])
+    registry = obs_metrics.active()
+    if registry is not None and payload["metrics"]:
+        registry.absorb(payload["metrics"])

@@ -297,8 +297,11 @@ class ServeDaemon:
         }
         cache = self.runner.cache
         data["cache"] = cache.stats() if cache is not None else None
-        from ..gpu.region_cache import session as region_session
-        data["region_cache"] = {"session": region_session().snapshot()}
+        # What the jit did for this daemon's registry; hits/misses/puts
+        # have read 0 since region plans stopped outliving a machine and
+        # stay only so the reply keeps its shape.
+        data["region_cache"] = {"session": dict(
+            obs_metrics.jit_counts(self.metrics), hits=0, misses=0, puts=0)}
         from ..similarity.index import SimilarityIndex
         index = SimilarityIndex(self.runner.sim_index_dir)
         with self._similarity_lock:

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import traceback
-from typing import Dict, Optional
+from typing import Optional
 
 from ..analysis.loops import LoopInfo
 from ..bench import benchmark_by_name
 from ..frontend.lower import lower_kernels
 from ..fuzz.oracle import BARE_MAX_INSTRUCTIONS, compare, run_one_warp
-from ..gpu.counters import Counters
-from ..harness.cache import cell_to_json, outputs_to_json
+from ..harness.cache import counters_to_json, outputs_to_json
 from ..harness.experiment import ExperimentRunner
 from ..ir.module import Module
 from ..ir.parser import parse_module
@@ -44,11 +43,6 @@ from ..obs import session as obs
 from ..transforms.pipeline import compile_module
 from .protocol import (OptimizeRequest, OptimizeResult, ProtocolError,
                        content_hash, parse_plan)
-
-
-def _counters_json(counters: Counters) -> Dict[str, object]:
-    return {f.name: getattr(counters, f.name)
-            for f in dataclasses.fields(Counters)}
 
 
 def _check_loops(request: OptimizeRequest, plan, known, name: str) -> None:
@@ -110,7 +104,7 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     result.decisions = [dataclasses.asdict(d)
                         for d in compiled.heuristic_decisions]
     result.cycles = counters.cycles
-    result.counters = _counters_json(counters)
+    result.counters = counters_to_json(counters)
     result.code_size = compiled.code_size
     result.compile_seconds = compiled.compile_seconds
     result.timed_out = compiled.timed_out
@@ -140,7 +134,7 @@ def _execute_app(request: OptimizeRequest, req_hash: str,
     result.compile_seconds = cell.compile_seconds
     result.timed_out = cell.timed_out
     result.outputs_match_baseline = cell.outputs_match_baseline
-    result.counters = cell_to_json(cell)["counters"]
+    result.counters = counters_to_json(cell.counters)
     result.decisions = [dataclasses.asdict(d)
                         for d in cell.heuristic_decisions]
     if cell.error is not None:

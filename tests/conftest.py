@@ -5,7 +5,8 @@ from unittest import mock
 
 import pytest
 
-from repro.gpu import jit, region_cache
+from repro.gpu import jit
+from repro.obs import metrics
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ def engine(request):
 
 @pytest.fixture
 def fresh_jit_session():
-    """Reset the jit's session counters around the test."""
-    region_cache.take_session()
-    yield
-    region_cache.take_session()
+    """A fresh metrics registry for the test, which is where the jit
+    counts (``metrics.jit_counts``); uninstalled afterwards."""
+    yield metrics.install()
+    metrics.uninstall()

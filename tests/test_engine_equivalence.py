@@ -44,7 +44,6 @@ from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
 from repro.gpu import Counters, Memory, SimtMachine, fuser, jit
-from repro.gpu.region_cache import take_session
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs import metrics as obs_metrics
@@ -431,9 +430,10 @@ def test_region_cache_cold_vs_warm_bit_identical(fresh_jit_session, fuse):
     reference = launch_engine(STORM_IR, "storm", "warp", args=[STORM_TRIPS])
     with fusion(fuse):
         cold = launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
-        cold_sess = take_session()
+        cold_sess = obs_metrics.jit_counts(fresh_jit_session)
+        warm_registry = obs_metrics.install()
         warm = launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
-        warm_sess = take_session()
+        warm_sess = obs_metrics.jit_counts(warm_registry)
     assert cold_sess["selections"] > 0, "cold run did not select regions"
     assert warm_sess == cold_sess
     _compare_runs(f"storm/cold/fuse={fuse}", cold, reference)

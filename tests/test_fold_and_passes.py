@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import Memory, SimtMachine
-from repro.gpu.region_cache import take_session
+from repro.obs import metrics
 from repro.ir import (Argument, BinaryInst, CallInst, CastInst,
                       ConstantFloat, ConstantInt, FCmpInst, GEPInst, ICmpInst,
                       SelectInst, Undef, format_instruction, parse_function,
@@ -417,10 +417,13 @@ def _bits_of(value, dtype):
 def assert_agreement(key, tys, rows, to=None):
     """Folder == warp lane == batched lane == fused-segment lane."""
     text, result = _kernel(key, tys, to)
-    take_session()
-    columns = {engine: _lanes(text, tys, result, rows, engine)
-               for engine in ("warp", "batched", "jit")}
-    assert take_session()["fused_steps"] >= 4, \
+    registry = metrics.install()
+    try:
+        columns = {engine: _lanes(text, tys, result, rows, engine)
+                   for engine in ("warp", "batched", "jit")}
+    finally:
+        metrics.uninstall()
+    assert metrics.jit_counts(registry)["fused_steps"] >= 4, \
         f"{key} {tys}: the jit did not fuse the entry under test"
     reference = columns["warp"]
     for engine in ("batched", "jit"):

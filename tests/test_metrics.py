@@ -21,6 +21,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.bench import benchmark_by_name
 from repro.harness.experiment import ExperimentRunner
 from repro.obs import metrics
@@ -129,8 +130,9 @@ class TestRegistry:
     def test_hooks_are_noops_without_registry(self):
         metrics.inc("c_total")
         metrics.set_gauge("g", 1)
+        metrics.raise_gauge("g", 2)
         metrics.observe("h_seconds", 0.1)
-        metrics.absorb({"families": []})
+        obs.absorb({"session": None, "metrics": {"families": []}})
         assert metrics.active() is None
 
     def test_worker_lifecycle_respects_env(self):
@@ -138,18 +140,20 @@ class TestRegistry:
         predates the flag: it used to be an environment variable)."""
         inherited = metrics.install()
         metrics.inc("c_total", 40)
-        assert metrics.begin_worker(False) is None
-        assert metrics.active() is None and metrics.end_worker() is None
+        obs.begin_worker(False, False)
+        assert metrics.active() is None
+        assert obs.end_worker()["metrics"] is None
         metrics.install(inherited)
-        reg = metrics.begin_worker(True)
-        assert reg is metrics.active() and reg is not inherited
+        obs.begin_worker(False, True)
+        reg = metrics.active()
+        assert reg is not None and reg is not inherited
         assert reg.render() == ""
         metrics.inc("c_total", 2)
-        snap = metrics.end_worker()
-        assert snap is not None
+        payload = obs.end_worker()
+        assert payload["metrics"] is not None
         assert metrics.active() is None           # Snapshot clears the slot.
         parent = metrics.install()
-        metrics.absorb(snap)
+        obs.absorb(payload)
         assert parent.counter("c_total").value == 2
 
     def test_preregister_covers_core_families(self):
@@ -159,8 +163,10 @@ class TestRegistry:
         for family in ("repro_serve_queue_depth",
                        "repro_serve_queue_wait_seconds",
                        "repro_cache_hits_total",
+                       "repro_jit_selections_total",
                        "repro_jit_regions_total",
-                       "repro_jit_guard_failures_total"):
+                       "repro_jit_guard_failures_total",
+                       "repro_jit_max_chain"):
             assert f"# TYPE {family} " in text
         assert 'repro_cache_hits_total{cache="cell"} 0' in text
         assert reg.summary()["families"] >= 10

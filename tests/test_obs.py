@@ -202,31 +202,46 @@ class TestSession:
 
     def test_worker_lifecycle_round_trip(self):
         parent = obs.install()
+        registry = obs.metrics.install()
         obs.remark("analysis", "gvn", "k", "parent-only")
-        # A fork()ed worker inherits the parent session: begin_worker must
-        # discard it so the export contains only the worker's own remarks.
-        worker = obs.begin_worker(True)
+        obs.metrics.inc("c_total", 40)
+        # A fork()ed worker inherits the parent session and registry:
+        # begin_worker must discard both so the payload holds only what
+        # the worker itself collected.
+        obs.begin_worker(True, True)
+        worker = obs.active()
         assert worker is not parent and not worker.remarks
+        assert obs.metrics.active() is not registry
         obs.remark("applied", "uu", "k", "from-worker", loop_id="k:0")
+        obs.metrics.inc("c_total", 2)
         payload = obs.end_worker()
-        assert obs.active() is None
+        assert obs.active() is None and obs.metrics.active() is None
         obs.install(parent)
-        parent.merge_payload(payload)
+        obs.metrics.install(registry)
+        try:
+            obs.absorb(payload)
+        finally:
+            obs.metrics.uninstall()
         assert [r.message for r in parent.remarks] == \
             ["parent-only", "from-worker"]
+        assert registry.counter("c_total").value == 42
 
     def test_begin_worker_respects_env(self):
-        """The task's flag decides, not what the fork inherited (the id
-        predates the flag: it used to be an environment variable)."""
+        """The task's flags decide, not what the fork inherited (the id
+        predates the flags: they used to be environment variables)."""
         parent = obs.install()
         obs.remark("analysis", "gvn", "k", "parent-only")
-        assert obs.begin_worker(False) is None
-        assert obs.active() is None and obs.end_worker() is None
+        obs.begin_worker(False, False)
+        assert obs.active() is None and obs.metrics.active() is None
+        assert obs.end_worker() == {"session": None, "metrics": None}
         obs.install(parent)
-        worker = obs.begin_worker(True)
-        assert worker is obs.active() and worker is not parent
+        obs.begin_worker(True, False)
+        worker = obs.active()
+        assert worker is not parent
         assert not worker.remarks and not worker.tracer.events
-        assert obs.end_worker()["remarks"] == []
+        payload = obs.end_worker()
+        assert payload["session"]["remarks"] == []
+        assert payload["metrics"] is None
 
 
 # -- cell cache counters -----------------------------------------------------

@@ -352,7 +352,7 @@ class TestDaemon:
         """A served directive list is the direct compile of the same plan,
         bit for bit: IR, cycles and counters."""
         from repro.fuzz.oracle import BARE_MAX_INSTRUCTIONS, run_one_warp
-        from repro.serve.service import _counters_json
+        from repro.harness.cache import counters_to_json
         req = ir_request(ir=BRANCHY_IR, directives=("unroll(4)@fuzz80:0",
                                                     "unmerge@fuzz80:0"))
         served = ServeClient(daemon.url).submit_and_wait(req, timeout=120)
@@ -367,7 +367,7 @@ class TestDaemon:
         assert served.optimized_ir == print_module(module)
         assert served.cycles == counters.cycles
         assert served.counters == json.loads(
-            json.dumps(_counters_json(counters)))
+            json.dumps(counters_to_json(counters)))
         assert served.outputs_match_baseline
         # Both directives ran, and a different list is different code.
         assert [(d["reason"], d["applied"]) for d in served.decisions] == \

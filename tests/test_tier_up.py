@@ -19,8 +19,7 @@ import pytest
 from repro.frontend.lower import lower_kernels
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
-from repro.gpu import (Memory, SimtMachine, batched, fuser, jit, region_cache,
-                       regions)
+from repro.gpu import Memory, SimtMachine, batched, fuser, jit, regions
 from repro.gpu.machine import resolve_engine
 from repro.gpu.regions import R_GUARD
 from repro.ir.parser import parse_module
@@ -182,7 +181,8 @@ def test_cold_launch_selects_hashes_stores_and_compiles_nothing(
     (region_map,) = machine._regions.values()
     assert not region_map and region_map.plans is None
     assert max(region_map.heat.values()) == trips
-    assert not region_cache.session().any(), region_cache.session()
+    counts = obs_metrics.jit_counts(fresh_jit_session)
+    assert not any(counts.values()), counts
 
 
 def test_heat_accumulates_over_the_launches_of_one_machine(fresh_jit_session):
@@ -190,9 +190,9 @@ def test_heat_accumulates_over_the_launches_of_one_machine(fresh_jit_session):
     machine = SimtMachine(module, Memory(), engine="jit")
     trips = jit.TIER_UP_DISPATCHES // 2 + 1     # Hot on the second launch.
     machine.launch("selfloop", 1, 64, [trips])
-    assert not region_cache.session().any()
+    assert not any(obs_metrics.jit_counts(fresh_jit_session).values())
     machine.launch("selfloop", 1, 64, [trips])
-    sess = region_cache.take_session()
+    sess = obs_metrics.jit_counts(fresh_jit_session)
     assert (sess["selections"], sess["regions"]) == (1, 1)
     assert sess["fused_steps"] >= fuser.MIN_CHAIN
 
@@ -281,11 +281,12 @@ def test_observed_and_unobserved_launches_compile_the_same(
     }
 
     def run(observe):
+        registry = obs_metrics.install()
         with scopes[observe]():
             got, machine = launch_all(STORM_IR, "m", "jit", 1, 64, [trips])
         (region_map,) = machine._regions.values()
         return (compiled_kinds(region_map), got,
-                region_cache.take_session())
+                obs_metrics.jit_counts(registry))
 
     first = run("unobserved")
     assert R_GUARD in first[0]["loop"]      # The storming guard: kept.
