@@ -66,11 +66,16 @@ Memory transaction counting stays per-warp: loads/stores loop over the
 rows of the lattice calling :meth:`Memory.load`/:meth:`Memory.store` once
 per warp access, so coalescing statistics and latency charges match the
 serial engine per warp.
+
+The lattice reads and writes the same value table as the per-warp engine
+(:class:`~repro.gpu.machine._Frame`): a context's values are one list,
+its own slots ``(n, 32)`` lattices, and a split or a demotion slices or
+copies only those — never the shared read-only prefix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,10 +83,12 @@ from .counters import Counters, N_CATEGORIES
 from .icache import InstructionCache
 from .memory import Memory
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
-from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
-                      _PHI_COST, _K_VALUE, _K_VOID, _T_BR, _T_CONDBR,
+from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_LOAD,
+                      _CAT_MISC, _CAT_STORE, _PHI_COST, _K_ALLOCA, _K_LOAD,
+                      _K_STORE, _K_TERNARY, _K_VOID, _T_BR, _T_CONDBR,
                       _T_UNREACHABLE, _WarpContext, _bad_terminator,
-                      _geometry_vec, _merge_groups)
+                      _geometry_vec, _merge_groups, _run_alloca, charge,
+                      evaluate, load_latency, store_cost, write_masked)
 from .regions import RegionMap
 
 # Per-row conditional-branch classification (bit 1: any lane taken,
@@ -114,37 +121,36 @@ INTERPRET = object()
 class _BatchContext:
     """Register state for a batch of warps: ``(n, 32)`` value lattices.
 
-    Mirrors :class:`~repro.gpu.machine._WarpContext` field-for-field so the
-    decoded readers/writers/intrinsics work on either; ``rows`` maps each
-    lattice row back to its original (block-major) warp index for the final
-    ordered reduction.
+    Holds the frame's value table like a
+    :class:`~repro.gpu.machine._WarpContext`, with lattice rows where a
+    warp holds vectors: ``tid`` and ``ctaid`` are ``(n, 32)``, the launch
+    values ``ntid``/``nctaid``/arguments ``(32,)`` vectors that broadcast
+    up.  ``rows`` maps each lattice row back to its original
+    (block-major) warp index for the final ordered reduction.
     """
 
-    __slots__ = ("values", "lane_ids", "block_ids", "ctaid", "ntid",
-                 "nctaid", "block_dim", "grid_dim", "rows", "n", "allocas",
+    __slots__ = ("frame", "values", "block_ids", "rows", "n", "allocas",
                  "ret_values")
 
-    def __init__(self, lane_ids: np.ndarray, block_ids: np.ndarray,
-                 block_dim: int, grid_dim: int, rows: np.ndarray) -> None:
-        self.values: Dict[int, np.ndarray] = {}
+    def __init__(self, frame, lane_ids: np.ndarray, block_ids: np.ndarray,
+                 rows: np.ndarray, launch: List,
+                 slots: Optional[List] = None) -> None:
         # Region value steps rebind slots directly; freezing the geometry
         # lattice makes any aliasing rebind (e.g. ``%t = tid.x``) detectable
         # by the region-exit normalization pass instead of silently sharing
         # a mutable buffer with the context.
         lane_ids.setflags(write=False)
-        self.lane_ids = lane_ids                  # (n, 32) in-block tids.
+        self.frame = frame
+        self.values = frame.values(
+            lane_ids, np.broadcast_to(block_ids[:, None], lane_ids.shape),
+            launch, slots)
         self.block_ids = block_ids                # (n,) owning block ids.
-        self.ctaid = np.broadcast_to(block_ids[:, None], lane_ids.shape)
-        self.ntid = _geometry_vec(block_dim)      # (32,) broadcasts up.
-        self.nctaid = _geometry_vec(grid_dim)
-        self.block_dim = block_dim
-        self.grid_dim = grid_dim
         self.rows = rows                          # (n,) original warp rows.
         self.n = lane_ids.shape[0]
-        self.allocas: Dict[int, np.ndarray] = {}  # inst id -> (n,) bases.
+        self.allocas: Dict[int, np.ndarray] = {}  # slot -> (n,) bases.
         self.ret_values: Optional[np.ndarray] = None
 
-    def alloca_addrs(self, memory: Memory, inst) -> np.ndarray:
+    def alloca_addrs(self, memory: Memory, step) -> np.ndarray:
         """Per-lane alloca base addresses, one buffer per warp row.
 
         Allocation *order* differs from the serial engine (which allocates
@@ -152,19 +158,78 @@ class _BatchContext:
         256-byte aligned, so 32-byte-segment transaction counts — the only
         address-derived quantity in the timing model — are unaffected.
         """
-        bases = self.allocas.get(id(inst))
+        name, dtype, count, elem = step.aux
+        bases = self.allocas.get(step.dst)
         if bases is None:
-            dtype = repr(inst.element_type)
-            count = inst.count * WARP_SIZE
             bases = np.empty(self.n, dtype=np.int64)
             for pos in range(self.n):
                 bases[pos] = memory.alloc(
-                    f"__alloca_{inst.name}_{id(self):x}_{int(self.rows[pos])}",
-                    dtype, count)
-            self.allocas[id(inst)] = bases
-        elem = inst.element_type.size_bytes()
-        stride = inst.count * elem
-        return bases[:, None] + np.arange(WARP_SIZE, dtype=np.int64) * stride
+                    f"__alloca_{name}_{id(self):x}_{int(self.rows[pos])}",
+                    dtype, count * WARP_SIZE)
+            self.allocas[step.dst] = bases
+        return bases[:, None] + np.arange(WARP_SIZE,
+                                          dtype=np.int64) * (count * elem)
+
+    def take(self, rows) -> Tuple[List, List]:
+        """What a context made of some rows of this one starts from: the
+        launch slots (``ntid``, ``nctaid``, arguments), shared as they
+        are, and the instruction slots, every lattice passed through
+        ``rows`` (a fancy index copies, ``0`` views one warp's row)."""
+        values, frame = self.values, self.frame
+        return (values[frame.base + 2:frame.inst],
+                [v[rows] if v.__class__ is np.ndarray else v
+                 for v in values[frame.inst:]])
+
+
+def _load_rows(memory, ctx, step, mask, actives, state) -> None:
+    """A load, one ``memory.load`` per warp row.
+
+    Transaction counting (and therefore the latency charge) is a
+    per-warp-access quantity the coalescing model defines on 32-lane
+    accesses, so it cannot be fused across warps.  A row with no active
+    lane touches nothing and is skipped.
+    """
+    addrs = ctx.values[step.srcs[0]]
+    if addrs.shape != mask.shape:
+        addrs = np.broadcast_to(addrs, mask.shape)
+    out = np.zeros(mask.shape, dtype=step.dtype)
+    elem = step.aux
+    latencies = [0.0] * mask.shape[0]
+    for w, active in enumerate(actives.tolist()):
+        if active:
+            out[w], transactions = memory.load(addrs[w], mask[w], elem)
+            latencies[w] = charge(load_latency(transactions), active)
+    # One elementwise add per accumulator: per row the same double added
+    # to the same double as row by row.
+    latencies = np.array(latencies)
+    state.cycles += latencies
+    state.memory_stall += latencies
+    state.cat_cycles[:, _CAT_LOAD] += latencies
+    write_masked(ctx.values, step.dst, out, mask)
+
+
+def _store_rows(memory, ctx, step, mask, actives, state) -> None:
+    """A store, one ``memory.store`` per warp row (see :func:`_load_rows`)."""
+    ptr, value = step.srcs
+    addrs, values = ctx.values[ptr], ctx.values[value]
+    if addrs.shape != mask.shape:
+        addrs = np.broadcast_to(addrs, mask.shape)
+    if values.shape != mask.shape:
+        values = np.broadcast_to(values, mask.shape)
+    costs = [0.0] * mask.shape[0]
+    for w, active in enumerate(actives.tolist()):
+        if active:
+            transactions = memory.store(addrs[w], values[w], mask[w],
+                                        step.aux)
+            costs[w] = charge(store_cost(transactions), active)
+    costs = np.array(costs)
+    state.cycles += costs
+    state.cat_cycles[:, _CAT_STORE] += costs
+
+
+#: The lattice's runners, by step kind (the interpreter's and the jit's).
+ROW_RUNNERS = {_K_ALLOCA: _run_alloca, _K_LOAD: _load_rows,
+               _K_STORE: _store_rows}
 
 
 class _BatchState:
@@ -219,40 +284,39 @@ def _issue_factor(actives: np.ndarray) -> np.ndarray:
     return ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * actives / WARP_SIZE
 
 
-def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
-                       args: Sequence, total: Counters
+def run_launch_batched(machine, func, frame, grid_dim: int, block_dim: int,
+                       launch: List, total: Counters
                        ) -> Tuple[List[np.ndarray], int]:
     """Run one launch on the lattice dispatcher (the ``jit`` engine).
 
     The function's :class:`RegionMap` rides along: blocks tier up into
     compiled regions as they get hot.  Fills ``total``'s integer
     counters as it goes, then reduces the float accumulators in
-    original warp order.  Returns ``(ret_all, fetch_stalls)`` exactly
-    as the serial loop in ``launch()`` would.
+    original warp order.  ``launch`` holds the values every context of
+    the launch shares (``_Frame.values``).  Returns ``(ret_all,
+    fetch_stalls)`` exactly as the serial loop in ``launch()`` would.
     """
     regions = machine._regions.get(id(func))
     if regions is None:
         regions = machine._regions[id(func)] = RegionMap(func.name)
     warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
     n = grid_dim * warps
-    arg_values = machine._bind_args(func, args)
     warp_lanes = (np.arange(warps, dtype=np.int64)[:, None] * WARP_SIZE
                   + np.arange(WARP_SIZE, dtype=np.int64))
     lane_ids = np.tile(warp_lanes, (grid_dim, 1))
     block_ids = np.repeat(np.arange(grid_dim, dtype=np.int64), warps)
-    ctx = _BatchContext(lane_ids, block_ids, block_dim, grid_dim,
-                        np.arange(n))
+    ctx = _BatchContext(frame, lane_ids, block_ids, np.arange(n), launch)
     icache = InstructionCache(machine._icache_capacity) \
         if machine._icache_capacity else InstructionCache()
     active = lane_ids < block_dim
     state = _BatchState(ctx, np.zeros(n), np.zeros(n),
                         np.zeros((n, N_CATEGORIES)), icache,
-                        [(0, entry, active, active.sum(axis=1))])
+                        [(0, frame.entry, active, active.sum(axis=1))])
     results = _Results(n)
     worklist = [state]
     while worklist:
-        _run_state(machine, func, worklist.pop(), arg_values, total,
-                   results, worklist, regions)
+        _run_state(machine, func, worklist.pop(), total, results, worklist,
+                   regions)
 
     # Ordered float reduction: serial `total.merge(per_warp_counters)` adds
     # warp totals block-major; match that order bit-for-bit.
@@ -270,9 +334,8 @@ def run_launch_batched(machine, func, entry, grid_dim: int, block_dim: int,
     return ret_all, fetch_stalls
 
 
-def _run_state(machine, func, state: _BatchState, arg_values, total,
-               results: _Results, worklist: List[_BatchState],
-               regions: RegionMap) -> None:
+def _run_state(machine, func, state: _BatchState, total, results: _Results,
+               worklist: List[_BatchState], regions: RegionMap) -> None:
     """Drive one batch: the serial group scheduler, lifted to the lattice.
 
     Merge groups parked at the same block (ORing the (n, 32) masks,
@@ -287,7 +350,7 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
     # A RegionMap is truthy once it holds a compiled region to re-enter.
     if (state.ctx.n == 1
             and state.splits[0] >= (DEMOTE_HYSTERESIS if regions else 1)):
-        _demote_row(machine, func, state, arg_values, total, results)
+        _demote_row(machine, func, state, total, results)
         return
     from .jit import enter_region  # Deferred: jit builds on this module.
     profile = machine.profile
@@ -303,23 +366,22 @@ def _run_state(machine, func, state: _BatchState, arg_values, total,
         if not lanes:
             continue
         pending = enter_region(machine, func, regions, db, epoch, mask,
-                               state, arg_values, total, actives, lanes)
+                               state, total, actives, lanes)
         if pending is INTERPRET:
             pending = interpret_block(machine, func, db, epoch, mask, state,
-                                      arg_values, total, actives, lanes,
-                                      profile)
+                                      total, actives, lanes, profile)
         if pending is not None:
             if profile is not None:
                 cls = pending[-1]
                 profile.note_split(db.name, len(set(cls.tolist())),
                                    int(cls.size))
-            _split_state(state, arg_values, pending, total, worklist)
+            _split_state(state, pending, total, worklist)
             return
     _finish_state(state, results)
 
 
 def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
-                    state: _BatchState, arg_values, total: Counters,
+                    state: _BatchState, total: Counters,
                     actives: np.ndarray, lanes: int, profile):
     """One interpreted dispatch — fetch, execute, sample — of a pop the
     trace tier declined or of a diamond arm inside a compiled region
@@ -327,22 +389,22 @@ def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
     """
     state.cycles += state.icache.access(db.block_id, db.size)
     if profile is None:
-        return _exec_block(machine, func, db, epoch, mask, state, arg_values,
-                           total, actives, lanes)
+        return _exec_block(machine, func, db, epoch, mask, state, total,
+                           actives, lanes)
     # One sample per batched block execution: active lanes summed over
     # all rows against the whole lattice's lane capacity, timestamped by
     # the representative row's cycles.
     start_ts = float(state.cycles[0])
     before = float(state.cycles.sum())
-    pending = _exec_block(machine, func, db, epoch, mask, state, arg_values,
-                          total, actives, lanes)
+    pending = _exec_block(machine, func, db, epoch, mask, state, total,
+                          actives, lanes)
     profile.note_block(db.name, float(state.cycles.sum()) - before, lanes,
                        mask.size, start_ts)
     return pending
 
 
 def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
-                state: _BatchState, arg_values, total: Counters,
+                state: _BatchState, total: Counters,
                 actives: np.ndarray, lanes: int):
     """Execute one decoded block for the whole batch.
 
@@ -359,14 +421,16 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
     charges = db.cost_column * _issue_factor(actives)
     cycles = state.cycles
     cat = state.cat_cycles
-    for (_category, cat_idx, _cost, kind, run, brun, write,
-         _meta), c in zip(db.steps, charges):
+    values = ctx.values
+    for step, c in zip(db.steps, charges):
+        cat_idx, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
         cycles += c
         cat[:, cat_idx] += c
-        if kind == _K_VALUE:
-            write(ctx, run(ctx, arg_values), mask)
+        if kind <= _K_TERNARY:
+            write_masked(values, dst, evaluate(values, kind, srcs, kernel),
+                         mask)
         elif kind != _K_VOID:
-            brun(ctx, arg_values, mask, actives, state)
+            ROW_RUNNERS[kind](machine.memory, ctx, step, mask, actives, state)
 
     term_kind = db.term_kind
     if term_kind >= _T_UNREACHABLE:
@@ -376,26 +440,24 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
     cat[:, _CAT_CONTROL] += c
     if term_kind == _T_BR:
         total.branches += n
-        _follow_batch(db.term, epoch, mask, actives, state, arg_values,
-                      total)
+        _follow_batch(db.term, epoch, mask, actives, state, total)
         return None
     if term_kind == _T_CONDBR:
         total.branches += n
-        read_cond, true_edge, false_edge = db.term
-        return _resolve_condbr(read_cond(ctx, arg_values), mask, actives,
-                               true_edge, false_edge, epoch, state,
-                               arg_values, total)
-    _write_ret(ctx, db.term, mask, arg_values)
+        cond, true_edge, false_edge = db.term
+        return _resolve_condbr(values[cond], mask, actives, true_edge,
+                               false_edge, epoch, state, total)
+    _write_ret(ctx, db.term, mask)
     return None
 
 
-def _write_ret(ctx, ret, mask: np.ndarray, arg_values) -> None:
+def _write_ret(ctx, ret, mask: np.ndarray) -> None:
     """A ``ret`` terminator: the returned value under the group's mask."""
-    read_value, dtype = ret
-    if read_value is not None:
+    slot, dtype = ret
+    if slot is not None:
         if ctx.ret_values is None:
             ctx.ret_values = np.zeros(mask.shape, dtype=dtype)
-        np.copyto(ctx.ret_values, read_value(ctx, arg_values), where=mask,
+        np.copyto(ctx.ret_values, ctx.values[slot], where=mask,
                   casting="unsafe")
 
 
@@ -420,7 +482,7 @@ def _classify(cond, mask: np.ndarray, actives: np.ndarray):
 
 
 def _resolve_condbr(cond, mask: np.ndarray, actives: np.ndarray, true_edge,
-                    false_edge, epoch: int, state: _BatchState, arg_values,
+                    false_edge, epoch: int, state: _BatchState,
                     total: Counters):
     """Resolve a conditional branch for a group of the batch.
 
@@ -430,17 +492,14 @@ def _resolve_condbr(cond, mask: np.ndarray, actives: np.ndarray, true_edge,
     """
     first, t_mask, t_actives, f_actives, cls = _classify(cond, mask, actives)
     if first == _CLS_TAKEN:
-        _follow_batch(true_edge, epoch, t_mask, actives, state, arg_values,
-                      total)
+        _follow_batch(true_edge, epoch, t_mask, actives, state, total)
     elif first == _CLS_NOT_TAKEN:
-        _follow_batch(false_edge, epoch, mask, actives, state, arg_values,
-                      total)
+        _follow_batch(false_edge, epoch, mask, actives, state, total)
     elif first == _CLS_DIVERGENT:
         total.divergent_branches += mask.shape[0]
-        _follow_batch(true_edge, epoch, t_mask, t_actives, state, arg_values,
-                      total)
+        _follow_batch(true_edge, epoch, t_mask, t_actives, state, total)
         _follow_batch(false_edge, epoch, mask & ~t_mask, f_actives, state,
-                      arg_values, total)
+                      total)
     else:
         return (true_edge, false_edge, epoch, t_mask, mask & ~t_mask,
                 t_actives, f_actives, cls)
@@ -448,25 +507,25 @@ def _resolve_condbr(cond, mask: np.ndarray, actives: np.ndarray, true_edge,
 
 
 def _follow_batch(edge, epoch: int, mask: np.ndarray, actives: np.ndarray,
-                  state: _BatchState, arg_values, total: Counters) -> None:
+                  state: _BatchState, total: Counters) -> None:
     """Batched ``_follow``: phi edge-moves over the lattice, then park."""
     moves = edge.moves
     if moves:
-        ctx = state.ctx
+        values = state.ctx.values
         c = _PHI_COST * _issue_factor(actives)
         total.note_issue(edge.issues, int(actives.sum()),
                          mask.shape[0])  # One mov per phi.
         # Parallel-copy semantics: read all incomings before writing.
-        staged = [(write, read(ctx, arg_values))
-                  for write, read, _pid, _dt, _sid in moves]
-        for write, value in staged:
+        staged = [values[src].copy() if snapshot else values[src]
+                  for _dst, src, snapshot in moves]
+        for (dst, _src, _snapshot), value in zip(moves, staged):
             state.cycles += c
             state.cat_cycles[:, _CAT_MISC] += c
-            write(ctx, value, mask)
+            write_masked(values, dst, value, mask)
     state.groups.append((epoch + edge.bump_epoch, edge.target, mask, actives))
 
 
-def _split_state(state: _BatchState, arg_values, pending, total: Counters,
+def _split_state(state: _BatchState, pending, total: Counters,
                  worklist: List[_BatchState]) -> None:
     """Partition a diverged batch by branch class and keep going.
 
@@ -486,19 +545,20 @@ def _split_state(state: _BatchState, arg_values, pending, total: Counters,
             total.divergent_branches += int(idx.size)
         if value != _CLS_NOT_TAKEN:
             _follow_batch(true_edge, epoch, t_mask[idx], t_actives[idx], sub,
-                          arg_values, total)
+                          total)
         if value != _CLS_TAKEN:
             _follow_batch(false_edge, epoch, f_mask[idx], f_actives[idx],
-                          sub, arg_values, total)
+                          sub, total)
         worklist.append(sub)
 
 
 def _slice_state(state: _BatchState, idx: np.ndarray) -> _BatchState:
-    """Sub-batch of ``state`` holding the rows in ``idx`` (copies)."""
+    """Sub-batch of ``state`` holding the rows in ``idx`` (copies of the
+    context's own lattices; the prefix and launch values are shared)."""
     octx = state.ctx
-    ctx = _BatchContext(octx.lane_ids[idx], octx.block_ids[idx],
-                        octx.block_dim, octx.grid_dim, octx.rows[idx])
-    ctx.values = {vid: arr[idx] for vid, arr in octx.values.items()}
+    frame = octx.frame
+    ctx = _BatchContext(frame, octx.values[frame.base][idx],
+                        octx.block_ids[idx], octx.rows[idx], *octx.take(idx))
     ctx.allocas = {iid: bases[idx] for iid, bases in octx.allocas.items()}
     if octx.ret_values is not None:
         ctx.ret_values = octx.ret_values[idx]
@@ -509,8 +569,8 @@ def _slice_state(state: _BatchState, idx: np.ndarray) -> _BatchState:
                        state.splits[idx] + 1)
 
 
-def _demote_row(machine, func, state: _BatchState, arg_values,
-                total: Counters, results: _Results) -> None:
+def _demote_row(machine, func, state: _BatchState, total: Counters,
+                results: _Results) -> None:
     """Hand a one-row batch to the per-warp engine, mid-flight.
 
     Rebuilds a ``_WarpContext`` over the row's lattices (the sliced
@@ -522,10 +582,10 @@ def _demote_row(machine, func, state: _BatchState, arg_values,
     orig = int(octx.rows[0])
     if machine.profile is not None:
         machine.profile.note_demotion(state.groups[0][1].name, orig)
-    lane_ids = octx.lane_ids[0]
-    wctx = _WarpContext(lane_ids, int(octx.block_ids[0]), octx.block_dim,
-                        octx.grid_dim, lane_ids < octx.block_dim)
-    wctx.values = {vid: arr[0] for vid, arr in octx.values.items()}
+    frame = octx.frame
+    wctx = _WarpContext(frame.values(
+        octx.values[frame.base][0], _geometry_vec(int(octx.block_ids[0])),
+        *octx.take(0)))
     wctx.allocas = {iid: int(bases[0])
                     for iid, bases in octx.allocas.items()}
     if octx.ret_values is not None:
@@ -535,8 +595,7 @@ def _demote_row(machine, func, state: _BatchState, arg_values,
     counters.memory_stall_cycles = float(state.memory_stall[0])
     counters.cat_cycles = [float(x) for x in state.cat_cycles[0]]
     groups = [(e, db, m[0], int(a[0])) for e, db, m, a in state.groups]
-    machine._warp_loop(func, wctx, arg_values, groups, counters,
-                       state.icache)
+    machine._warp_loop(func, wctx, groups, counters, state.icache)
     results.cycles[orig] = counters.cycles
     results.memory_stall[orig] = counters.memory_stall_cycles
     results.cat[orig] = list(counters.cat_cycles)

@@ -2,18 +2,19 @@
 
 The jit engine's compiled regions (``regions.py``) removed the per-block
 scheduler but still issue **one numpy dispatch per instruction**: each
-value step is a decode-time closure chain (reader -> op -> dtype check ->
-slot store).  This module collapses maximal *memory-free SSA chains* of
-fusible value steps inside one decoded block into a single generated
-Python function compiled with :func:`compile`, so N dispatches become
-one call:
+value step reads its source slots, applies its kernel, checks the dtype
+and rebinds its slot.  This module collapses maximal *memory-free SSA
+chains* of fusible value steps inside one decoded block into a single
+generated Python function ``_fused(values)`` compiled with
+:func:`compile`, so N dispatches become one call:
 
 * constant / undef / global-address operands are hoisted once into the
   generated code's namespace as shared read-only arrays (the very
-  arrays ``SimtMachine._operand_vec`` hands the interpreter's readers);
-* intermediate results live in Python locals; only *liveout* values —
-  those with IR uses outside the fused segment — are stored back into
-  the context's SSA slot dict, dead temporaries vanish entirely;
+  arrays of the frame's prefix the interpreter reads);
+* every other operand is a literal read of its value-table slot
+  (``values[7]``); intermediate results live in Python locals, and only
+  *liveout* values — those with IR uses outside the fused segment — are
+  stored back into their slots, dead temporaries vanish entirely;
 * what a step *computes* is not written here: the generated source
   inlines the expression of the step's :class:`repro.semantics.Op` — the
   very text the interpreter's kernel was compiled from — or calls that
@@ -38,27 +39,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..ir.constants import ConstantFloat, ConstantInt, Undef
 from ..ir.function import Function
 from ..ir.instructions import (BinaryInst, CallInst, CastInst, FCmpInst,
                                GEPInst, ICmpInst, SelectInst)
-from ..ir.values import Argument, GlobalVariable
 from ..semantics import NAMESPACE, op_for
-from .machine import GEOMETRY, _K_VALUE
+from .machine import GEOMETRY, _K_MOVE, _K_TERNARY
 
 #: A fused segment must replace at least this many value steps.  Short
 #: chains are a wash: the generated call + liveout slot stores cost about
-#: what the specialized per-step closures cost, and measured crossover on
+#: what the unfused steps cost, and measured crossover on
 #: the ``benchmarks/perf/kernels/`` microkernels sits between 2 and 4 —
 #: below this the fused path can *lose* (the ``divergent`` kernel's
 #: 2-step latch), at or above it fusion wins on every shape.
 MIN_CHAIN = 4
 
 #: Compiled code objects keyed by ``(filename, source)``.  The generated
-#: source is id-free (SSA slot ids are bound through the exec namespace,
-#: not embedded as literals), so re-launching the same kernel — bench
-#: repeats, sweep cells, serve requests — reuses the ``compile()``
-#: result and pays only an ``exec`` per segment.
+#: source names value-table slots, which decode numbers from the
+#: function's text alone, so re-launching the same kernel — bench
+#: repeats, sweep cells, serve requests, a re-parse — reuses the
+#: ``compile()`` result and pays only an ``exec`` per segment.
 _CODE_CACHE: Dict[Tuple[str, str], object] = {}
 
 _CODE_CACHE_LIMIT = 1024
@@ -89,46 +88,38 @@ def use_counts(func: Function) -> Dict[int, int]:
     return counts
 
 
-def _step_fusible(step) -> bool:
-    meta = step[7]
-    return (step[3] == _K_VALUE and meta is not None and len(meta) == 3
-            and fusible(meta[2]))
-
-
-def _liveouts(steps, lo: int, hi: int,
+def _liveouts(insts, lo: int, hi: int,
               counts: Dict[int, int]) -> Tuple[int, ...]:
-    """1 per step whose value has any IR use outside ``steps[lo:hi]``."""
+    """1 per step whose value has any IR use outside ``insts[lo:hi]``."""
     inner: Dict[int, int] = {}
-    for k in range(lo, hi):
-        for op in steps[k][7][2].operands:
+    for inst in insts[lo:hi]:
+        for op in inst.operands:
             oid = id(op)
             inner[oid] = inner.get(oid, 0) + 1
-    return tuple(
-        1 if counts.get(steps[k][7][0], 0) > inner.get(steps[k][7][0], 0)
-        else 0
-        for k in range(lo, hi))
+    return tuple(1 if counts.get(id(inst), 0) > inner.get(id(inst), 0)
+                 else 0 for inst in insts[lo:hi])
 
 
-def find_segments(steps, counts: Dict[int, int]
+def find_segments(db, counts: Dict[int, int]
                   ) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
     """Maximal runs of >= MIN_CHAIN consecutive fusible value steps.
 
-    Returns ``(lo, hi, liveouts)`` triples over ``steps`` indices; any
+    Returns ``(lo, hi, liveouts)`` triples over ``db.steps`` indices; any
     memory / void / non-fusible step breaks the run.
     """
     segments: List[Tuple[int, int, Tuple[int, ...]]] = []
     start: Optional[int] = None
-    for i, step in enumerate(steps):
-        if _step_fusible(step):
+    end = len(db.steps)
+    for i, (step, inst) in enumerate(zip(db.steps, db.insts)):
+        if step.kind <= _K_TERNARY and fusible(inst):
             if start is None:
                 start = i
             continue
         if start is not None and i - start >= MIN_CHAIN:
-            segments.append((start, i, _liveouts(steps, start, i, counts)))
+            segments.append((start, i, _liveouts(db.insts, start, i, counts)))
         start = None
-    if start is not None and len(steps) - start >= MIN_CHAIN:
-        segments.append((start, len(steps),
-                         _liveouts(steps, start, len(steps), counts)))
+    if start is not None and end - start >= MIN_CHAIN:
+        segments.append((start, end, _liveouts(db.insts, start, end, counts)))
     return tuple(segments)
 
 
@@ -139,8 +130,8 @@ class FuseContext:
     compiles.
     """
 
-    def __init__(self, machine, func: Function) -> None:
-        self.machine = machine
+    def __init__(self, frame, func: Function) -> None:
+        self.frame = frame
         self.func = func
         self._counts: Optional[Dict[int, int]] = None
         self._segments: Dict[int, Tuple] = {}
@@ -151,26 +142,24 @@ class FuseContext:
             if self._counts is None:
                 self._counts = use_counts(self.func)
             segments = self._segments[db.block_id] = find_segments(
-                db.steps, self._counts)
+                db, self._counts)
         return segments
 
     def compile_segment(self, db, lo: int, hi: int, live):
-        return compile_segment(self.machine, self.func.name, db, lo, hi,
-                               live)
+        return compile_segment(self.frame, self.func.name, db, lo, hi, live)
 
 
 # -- code generation ---------------------------------------------------------
 
-def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
+def compile_segment(frame, func_name: str, db, lo: int, hi: int, live):
     """Generate + compile one fused segment over ``db.steps[lo:hi]``.
 
-    Returns ``(fn, names, stored)``: the generated
-    ``fn(ctx, args, values)`` callable, an ``id -> %name`` map for
-    undefined-value diagnostics, and the ``(iid, dtype)`` pairs the
-    function stores into the SSA slot dict (the liveouts).
+    Returns ``(fn, stored)``: the generated ``fn(values)`` callable and
+    the ``(slot, dtype)`` pairs it stores into the value table (the
+    liveouts).
     """
-    steps = db.steps
-    insts = [steps[k][7][2] for k in range(lo, hi)]
+    steps = db.steps[lo:hi]
+    insts = db.insts[lo:hi]
 
     ns: Dict[str, object] = dict(NAMESPACE)
     hoisted: Dict[int, str] = {}
@@ -184,50 +173,25 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
             ns[name] = obj
         return name
 
-    # SSA slot ids are bound through the namespace (``values[s0]``), not
-    # embedded as int literals, so the generated source is identical
-    # across re-parses of the same kernel and _CODE_CACHE can reuse the
-    # compiled code object.
-    slots: Dict[int, str] = {}
-
-    def slot(vid: int) -> str:
-        name = slots.get(vid)
-        if name is None:
-            name = f"s{len(slots)}"
-            slots[vid] = name
-            ns[name] = vid
-        return name
-
-    local: Dict[int, str] = {}      # id(inst) -> segment-local var
+    local: Dict[int, str] = {}      # slot -> segment-local var
     fresh: Dict[int, bool] = {}     # local holds a freshly-owned array
     liveflag: Dict[int, bool] = {}  # local was stored to values[]
     dtypes: Dict[int, object] = {}
-    last_read: Dict[int, int] = {}  # id(value) -> last step index reading it
-    names: Dict[int, str] = {}      # values[]-read ids -> %name (diagnostics)
-    for j, inst in enumerate(insts):
-        for value in inst.operands:
-            last_read[id(value)] = j
+    last_read: Dict[int, int] = {}  # slot -> last step index reading it
+    for j, step in enumerate(steps):
+        for src in step.srcs:
+            last_read[src] = j
 
-    def operand(value) -> str:
-        vid = id(value)
-        name = local.get(vid)
+    def operand(src: int) -> str:
+        name = local.get(src)
         if name is not None:
             return name
-        if isinstance(value, (ConstantInt, ConstantFloat, Undef,
-                              GlobalVariable)):
-            key = hoisted.get(vid)
-            if key is None:
-                key = f"K{len(hoisted)}"
-                hoisted[vid] = key
-                # The very array the interpreter's readers hold.
-                ns[key] = machine._operand_vec(value)
-            return key
-        if isinstance(value, Argument):
-            return f"args[{slot(vid)}]"
-        names[vid] = value.name
-        return f"values[{slot(vid)}]"
+        if src < frame.base:
+            # The very array the interpreter reads from the prefix.
+            return hoist(frame.prefix[src], "K")
+        return f"values[{src}]"
 
-    def const_clamp(clamp: str, value) -> Optional[str]:
+    def const_clamp(clamp: str, src: int) -> Optional[str]:
         """Precompute an op's shift-amount clamp of a constant amount.
 
         Shift amounts are almost always literals; clamping the same
@@ -235,73 +199,71 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
         The hoisted array is exactly what evaluating ``clamp`` in place
         would produce, so values are untouched.
         """
-        if not isinstance(value, (ConstantInt, Undef)):
+        if src >= frame.base:
             return None
-        arr = eval(clamp.format(b="b"), NAMESPACE,
-                   {"b": machine._operand_vec(value)})
+        arr = eval(clamp.format(b="b"), NAMESPACE, {"b": frame.prefix[src]})
         arr.setflags(write=False)
         return hoist(arr, "P")
 
-    def reuse_target(inst, j: int, a: str, b: str, dt) -> Optional[str]:
+    def reuse_target(srcs, j: int, exprs, dt) -> Optional[str]:
         # A dead (non-liveout), fresh, same-dtype operand temporary whose
         # last read is this very step can absorb the result in place.
-        for val, expr in zip(inst.operands, (a, b)):
-            vid = id(val)
-            if (local.get(vid) == expr and fresh.get(vid)
-                    and not liveflag.get(vid) and last_read.get(vid) == j
-                    and dtypes.get(vid) == dt):
+        for src, expr in zip(srcs, exprs):
+            if (local.get(src) == expr and fresh.get(src)
+                    and not liveflag.get(src) and last_read.get(src) == j
+                    and dtypes.get(src) == dt):
                 return expr
         return None
 
-    def inline(op, inst, j: int, srcs: List[str], dt) -> str:
-        subst = dict(zip("abc", srcs))
+    def inline(op, step, j: int, exprs: List[str]) -> str:
+        subst = dict(zip("abc", exprs))
         if op.clamp:
-            subst["s"] = (const_clamp(op.clamp, inst.operands[1])
-                          or op.clamp.format(b=srcs[1]))
+            subst["s"] = (const_clamp(op.clamp, step.srcs[1])
+                          or op.clamp.format(b=exprs[1]))
         expr = op.expr.format(**subst)
-        tgt = reuse_target(inst, j, *srcs, dt) if op.ufunc else None
+        tgt = reuse_target(step.srcs, j, exprs, step.dtype) \
+            if op.ufunc else None
         if tgt is None:
             return f"({expr})"
-        a, b = srcs
+        a, b = exprs
         other = b if tgt == a else a
         # Guard on shape: ufunc out= cannot broadcast the output.
         return (f"({op.ufunc}({a}, {b}, out={tgt}) "
                 f"if {tgt}.shape == {other}.shape else {expr})")
 
-    lines: List[str] = ["def _fused(ctx, args, values):"]
+    lines: List[str] = ["def _fused(values):"]
     stored: List[Tuple[int, object]] = []
-    for j, inst in enumerate(insts):
-        meta = steps[lo + j][7]
-        iid, dt = meta[0], meta[1]
-        is_call = isinstance(inst, CallInst)
-        if is_call and inst.intrinsic.name in GEOMETRY:
-            expr = f"ctx.{GEOMETRY[inst.intrinsic.name]}"
+    for j, (step, inst) in enumerate(zip(steps, insts)):
+        dst, dt = step.dst, step.dtype
+        if step.kind == _K_MOVE:    # A launch-geometry read.
+            expr = f"values[{step.srcs[0]}]"
         else:
             op = op_for(inst)
-            srcs = [operand(v) for v in inst.operands]
+            exprs = [operand(src) for src in step.srcs]
             if op.expr:
-                expr = inline(op, inst, j, srcs, dt)
+                expr = inline(op, step, j, exprs)
             else:
-                expr = f"{hoist(op.kernel, 'F')}({', '.join(srcs)})"
+                expr = f"{hoist(op.kernel, 'F')}({', '.join(exprs)})"
 
         var = f"v{j}"
         lines.append(f"    {var} = {expr}")
         # The table's kernels return the result's storage dtype; only an
         # intrinsic call (free declared type) may need normalising, as
         # the unfused executor does after every step.
+        is_call = isinstance(inst, CallInst)
         if is_call:
             dn = hoist(dt, "D")
             lines.append(f"    if {var}.dtype != {dn}:")
             lines.append(f"        {var} = {var}.astype({dn})")
         if live[j]:
-            lines.append(f"    values[{slot(iid)}] = {var}")
-            stored.append((iid, dt))
-        local[iid] = var
+            lines.append(f"    values[{dst}] = {var}")
+            stored.append((dst, dt))
+        local[dst] = var
         # Casts may return views, geometry is a shared read-only array,
         # an intrinsic may pass an input through: never out= targets.
-        fresh[iid] = not isinstance(inst, (CastInst, CallInst))
-        liveflag[iid] = bool(live[j])
-        dtypes[iid] = dt
+        fresh[dst] = not isinstance(inst, CastInst) and not is_call
+        liveflag[dst] = bool(live[j])
+        dtypes[dst] = dt
 
     src = "\n".join(lines) + "\n"
     filename = f"<fused:{func_name}:{db.name}:{lo}>"
@@ -312,4 +274,4 @@ def compile_segment(machine, func_name: str, db, lo: int, hi: int, live):
         code = compile(src, filename, "exec")
         _CODE_CACHE[(filename, src)] = code
     exec(code, ns)
-    return ns["_fused"], names, tuple(stored)
+    return ns["_fused"], tuple(stored)

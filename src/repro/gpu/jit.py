@@ -45,12 +45,13 @@ from typing import Dict
 
 import numpy as np
 
-from .batched import (INTERPRET, _BatchState, _classify, _follow_batch,
-                      _resolve_condbr, _write_ret, interpret_block,
-                      _CLS_DIVERGENT, _CLS_TAKEN)
+from .batched import (INTERPRET, ROW_RUNNERS, _BatchState, _classify,
+                      _follow_batch, _resolve_condbr, _write_ret,
+                      interpret_block, _CLS_DIVERGENT, _CLS_TAKEN)
 from ..obs import metrics as obs_metrics
 from .counters import Counters
-from .machine import WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC
+from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
+                      evaluate)
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
                       RegionMap, compile_region, select_regions)
@@ -64,18 +65,8 @@ from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
 TIER_UP_DISPATCHES = 16
 
 
-def _raise_undef(exc: KeyError, names) -> None:
-    """Map a fused closure's missing-slot KeyError to the interpreter's
-    undefined-value diagnostic; anything else re-raises unchanged."""
-    key = exc.args[0] if exc.args else None
-    name = names.get(key) if isinstance(names, dict) else None
-    if name is None:
-        raise
-    raise SimulationError(f"use of undefined value %{name}") from None
-
-
 def enter_region(machine, func, regions: RegionMap, db, epoch: int,
-                 mask: np.ndarray, state: _BatchState, arg_values, total,
+                 mask: np.ndarray, state: _BatchState, total,
                  actives: np.ndarray, lanes: int):
     """The dispatcher's tier-2 hook: run ``db``'s region if it has one.
 
@@ -105,13 +96,13 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
     if lanes != mask.size:
         return INTERPRET
     region.entries += 1
-    return _run_region(machine, func, region, epoch, mask, state,
-                       arg_values, total, machine.profile, actives)
+    return _run_region(machine, func, region, epoch, mask, state, total,
+                       machine.profile, actives)
 
 
 def _run_region(machine, func, region: CompiledRegion, epoch: int,
-                mask: np.ndarray, state: _BatchState, arg_values, total,
-                profile, actives: np.ndarray):
+                mask: np.ndarray, state: _BatchState, total, profile,
+                actives: np.ndarray):
     """Execute one compiled superblock; returns None or a pending split.
 
     ``mask`` is full, so ``actives`` — its per-row lane counts, which the
@@ -122,10 +113,9 @@ def _run_region(machine, func, region: CompiledRegion, epoch: int,
     if (region.scalar_ok and region.self_loop is not None
             and profile is None and _rows_uniform(state)):
         return _region_self_scalar(machine, func, region, region.self_loop,
-                                   epoch, mask, state, arg_values, total,
-                                   actives)
-    return _region_vector(machine, func, region, epoch, mask, state,
-                          arg_values, total, profile, actives)
+                                   epoch, mask, state, total, actives)
+    return _region_vector(machine, func, region, epoch, mask, state, total,
+                          profile, actives)
 
 
 def _rows_uniform(state: _BatchState) -> bool:
@@ -149,7 +139,7 @@ def _flush_ints(total: Counters, issues: int, branches: int,
     total.branches += branches * n
 
 
-def _bind_phis(ctx, arg_values, moves, shape) -> None:
+def _bind_phis(values, moves, shape) -> None:
     """Compile-time-resolved phi parallel copy: stage all, then rebind.
 
     Moves proven alias-safe at compile time (``regions._finalize_moves``:
@@ -161,19 +151,18 @@ def _bind_phis(ctx, arg_values, moves, shape) -> None:
     semantics either way.
     """
     staged = []
-    for _pid, read, dt, nocopy in moves:
-        arr = read(ctx, arg_values)
+    for _dst, src, dt, nocopy in moves:
+        arr = values[src]
         if not nocopy:
             arr = np.broadcast_to(arr, shape).astype(dt)
         elif arr.dtype != dt:
             arr = arr.astype(dt)
         staged.append(arr)
-    values = ctx.values
-    for (pid, _read, _dt, _nc), arr in zip(moves, staged):
-        values[pid] = arr
+    for (dst, _src, _dt, _nc), arr in zip(moves, staged):
+        values[dst] = arr
 
 
-def _normalize_slots(ctx, norm, shape) -> None:
+def _normalize_slots(values, norm, shape) -> None:
     """Materialize trace-rebound slots as owned writable (n, 32) arrays.
 
     Value steps and phi binds rebind raw results: possibly ``(32,)``
@@ -183,20 +172,20 @@ def _normalize_slots(ctx, norm, shape) -> None:
     slots in place, so before control returns to it every rebound slot
     must be an owned full-shape array that shares no buffer with any
     other slot.  Anything already owned, writable, full-shape, and
-    unaliased (the common case) is left untouched.
+    unaliased (the common case) is left untouched, and so is a slot not
+    yet written (it still holds its dtype).
     """
-    values = ctx.values
     seen = set()
-    for iid, dt in norm:
-        arr = values.get(iid)
-        if arr is None:
+    for slot, dt in norm:
+        arr = values[slot]
+        if arr.__class__ is not np.ndarray:
             continue
         aid = id(arr)
         if (arr.shape != shape or not arr.flags.writeable
                 or arr.base is not None or aid in seen):
             out = np.empty(shape, dtype=dt)
             out[...] = arr
-            values[iid] = out
+            values[slot] = out
             seen.add(id(out))
         else:
             seen.add(aid)
@@ -204,7 +193,7 @@ def _normalize_slots(ctx, norm, shape) -> None:
 
 def _region_self_scalar(machine, func, region: CompiledRegion, op,
                         epoch: int, mask: np.ndarray, state: _BatchState,
-                        arg_values, total: Counters, actives):
+                        total: Counters, actives):
     """Scalar executor for memory-free single-block self-loop regions.
 
     The hottest compiled shape — a loop body whose guard jumps straight
@@ -228,7 +217,7 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
     cats = [float(x) for x in state.cat_cycles[0]]
     acct = op.acct
     vsteps = op.vsteps
-    read_cond = op.read_cond
+    cond_slot = op.cond
     expected = op.expected
     moves = op.moves
     phi_c = op.phi_c
@@ -243,18 +232,15 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
         for c, ci in acct:
             cy += c
             cats[ci] += c
-        for run, iid, dt in vsteps:
-            if iid is None:  # Fused segment: one call for a whole chain.
-                try:
-                    run(ctx, arg_values, values)
-                except KeyError as exc:
-                    _raise_undef(exc, dt)
+        for kind, dst, srcs, kernel, dt in vsteps:
+            if kind is None:  # Fused segment: one call for a whole chain.
+                kernel(values)
                 continue
-            arr = run(ctx, arg_values)
+            arr = evaluate(values, kind, srcs, kernel)
             if arr.dtype != dt:
                 arr = arr.astype(dt)
-            values[iid] = arr
-        cond = read_cond(ctx, arg_values)
+            values[dst] = arr
+        cond = values[cond_slot]
         if expected:
             ok = bool(cond.all())
         else:
@@ -262,16 +248,7 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
         if not ok:
             break
         if k:
-            staged = []
-            for _pid, read, dt, nocopy in moves:
-                arr = read(ctx, arg_values)
-                if not nocopy:
-                    arr = np.broadcast_to(arr, shape).astype(dt)
-                elif arr.dtype != dt:
-                    arr = arr.astype(dt)
-                staged.append(arr)
-            for (pid, _read, _dt, _nc), arr in zip(moves, staged):
-                values[pid] = arr
+            _bind_phis(values, moves, shape)
             for _ in range(k):
                 cy += phi_c
                 cats[cmisc] += phi_c
@@ -293,14 +270,13 @@ def _region_self_scalar(machine, func, region: CompiledRegion, op,
         cat_acc["inst_misc"] = cat_acc.get("inst_misc", 0) + k * iters
     _flush_ints(total, issues, op.branch_inc * (iters + 1), cat_acc, n,
                 lanes)
-    _normalize_slots(ctx, region.norm, shape)
+    _normalize_slots(values, region.norm, shape)
     return _resolve_condbr(cond, mask, actives, op.true_edge, op.false_edge,
-                           epoch + op.bump * iters, state, arg_values,
-                           total)
+                           epoch + op.bump * iters, state, total)
 
 
 def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
-              epoch: int, state: _BatchState, arg_values, total: Counters,
+              epoch: int, state: _BatchState, total: Counters,
               profile) -> int:
     """Execute one diamond arm: an interpreter pop, without the scheduler.
 
@@ -309,14 +285,14 @@ def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
     epoch the join group was parked at, popping the park since control
     merges in-region.
     """
-    interpret_block(machine, func, arm, epoch, mask_a, state, arg_values,
-                    total, actives, int(actives.sum()), profile)
+    interpret_block(machine, func, arm, epoch, mask_a, state, total, actives,
+                    int(actives.sum()), profile)
     return state.groups.pop()[0]
 
 
 def _region_vector(machine, func, region: CompiledRegion, epoch: int,
-                   mask: np.ndarray, state: _BatchState, arg_values,
-                   total: Counters, profile, actives):
+                   mask: np.ndarray, state: _BatchState, total: Counters,
+                   profile, actives):
     """Vector-accounting region execution (general case).
 
     Keeps the per-row ``(n,)``/``(n, 7)`` accumulators (memory latency
@@ -331,6 +307,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     lanes = n * WARP_SIZE
     shape = mask.shape
     iaccess = state.icache.access
+    memory = machine.memory
     max_cycles = machine.max_cycles
     ops = region.ops
     cycles = state.cycles
@@ -352,30 +329,28 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
         for entry in op.steps:
             tag = entry[0]
             if tag == S_VALUE:
-                _t, c, ci, run, iid, dt = entry
+                _t, c, ci, kind, dst, srcs, kernel, dt = entry
                 cycles += c
                 cat[:, ci] += c
-                arr = run(ctx, arg_values)
+                arr = evaluate(values, kind, srcs, kernel)
                 if arr.dtype != dt:
                     arr = arr.astype(dt)
-                values[iid] = arr
+                values[dst] = arr
             elif tag == S_FUSED:
                 # Replay the folded per-step charges in original order
                 # (float accumulation is order-sensitive), then compute
                 # the whole chain in one generated call.
-                _t, charges, run, names = entry
+                _t, charges, fused = entry
                 for c, ci in charges:
                     cycles += c
                     cat[:, ci] += c
-                try:
-                    run(ctx, arg_values, values)
-                except KeyError as exc:
-                    _raise_undef(exc, names)
+                fused(values)
             elif tag == S_MEM:
-                _t, c, ci, brun = entry
+                _t, c, ci, step = entry
                 cycles += c
                 cat[:, ci] += c
-                brun(ctx, arg_values, mask, actives, state)
+                ROW_RUNNERS[step.kind](memory, ctx, step, mask, actives,
+                                       state)
             else:
                 _t, c, ci = entry
                 cycles += c
@@ -386,7 +361,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             cat[:, _CAT_CONTROL] += tc
         kind = op.kind
         if kind == R_GUARD:
-            cond = op.read_cond(ctx, arg_values)
+            cond = values[op.cond]
             if op.expected:
                 ok = bool(cond.all())
             else:
@@ -397,13 +372,12 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 obs_metrics.inc("repro_jit_deopts_total")
                 _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
                             lanes)
-                _normalize_slots(ctx, region.norm, shape)
+                _normalize_slots(values, region.norm, shape)
                 if profile is not None:
                     profile.note_block(op.name, float(cycles.sum()) - before,
                                        lanes, lanes, start_ts)
                 return _resolve_condbr(cond, mask, actives, op.true_edge,
-                                       op.false_edge, epoch, state,
-                                       arg_values, total)
+                                       op.false_edge, epoch, state, total)
         elif kind == R_DIAMOND:
             # Predicated if/else: classify rows exactly as the
             # interpreter's condbr would, then run the arm(s) in-region —
@@ -411,13 +385,13 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             # uniform intra-warp divergence, one arm at full mask for a
             # uniformly decided direction.
             first, t_mask, t_actives, f_actives, cls = _classify(
-                op.read_cond(ctx, arg_values), mask, actives)
+                values[op.cond], mask, actives)
             if first is None:
                 # Cross-warp disagreement: flush and hand the pending
                 # split to the interpreter, as a condbr exit would.
                 _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
                             lanes)
-                _normalize_slots(ctx, region.norm, shape)
+                _normalize_slots(values, region.norm, shape)
                 if profile is not None:
                     profile.note_block(op.name,
                                        float(cycles.sum()) - before,
@@ -433,18 +407,18 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                         (op.arm_f, mask & ~t_mask, f_actives))
                 if not op.arms_t_first:
                     arms = (arms[1], arms[0])
-                e1 = _exec_arm(machine, func, *arms[0], epoch, state,
-                               arg_values, total, profile)
-                e2 = _exec_arm(machine, func, *arms[1], epoch, state,
-                               arg_values, total, profile)
+                e1 = _exec_arm(machine, func, *arms[0], epoch, state, total,
+                               profile)
+                e2 = _exec_arm(machine, func, *arms[1], epoch, state, total,
+                               profile)
                 # The join group merges at the max parked epoch.
                 epoch = max(e1, e2)
             elif first == _CLS_TAKEN:
                 epoch = _exec_arm(machine, func, op.arm_t, mask, actives,
-                                  epoch, state, arg_values, total, profile)
+                                  epoch, state, total, profile)
             else:
                 epoch = _exec_arm(machine, func, op.arm_f, mask, actives,
-                                  epoch, state, arg_values, total, profile)
+                                  epoch, state, total, profile)
             ni = op.next_i
             if ni <= i and float(cycles.max()) > max_cycles:
                 raise SimulationError(
@@ -456,7 +430,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             break
         moves = op.moves
         if moves:
-            _bind_phis(ctx, arg_values, moves, shape)
+            _bind_phis(values, moves, shape)
             k = len(moves)
             acc_issues += k
             acc_cats["inst_misc"] = acc_cats.get("inst_misc", 0) + k
@@ -476,21 +450,19 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
         i = ni
 
     _flush_ints(total, acc_issues, acc_branches, acc_cats, n, lanes)
-    _normalize_slots(ctx, region.norm, shape)
+    _normalize_slots(values, region.norm, shape)
     if profile is not None:
         profile.note_block(op.name, float(cycles.sum()) - before, lanes,
                            lanes, start_ts)
     kind = op.kind
     if kind == R_EXIT_BR:
-        _follow_batch(op.exit_edge, epoch, mask, actives, state, arg_values,
-                      total)
+        _follow_batch(op.exit_edge, epoch, mask, actives, state, total)
         return None
     if kind == R_EXIT_CONDBR:
-        cond = op.read_cond(ctx, arg_values)
-        return _resolve_condbr(cond, mask, actives, op.true_edge,
-                               op.false_edge, epoch, state, arg_values, total)
+        return _resolve_condbr(values[op.cond], mask, actives, op.true_edge,
+                               op.false_edge, epoch, state, total)
     if kind == R_RET:
-        _write_ret(ctx, op.ret, mask, arg_values)
+        _write_ret(ctx, op.ret, mask)
         return None
     raise SimulationError(
         f"@{func.name}: executed unreachable in {op.name}")

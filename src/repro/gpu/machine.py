@@ -21,22 +21,34 @@ Executes IR functions the way a V100-class GPU would at warp granularity:
 * loads pay a latency that grows with uncoalesced transactions, and
   entering a non-resident basic block pays instruction-fetch stalls.
 
-Execution is driven by a *pre-decoded* program: the first launch of a
-function decodes every basic block once into a flat dispatch list (operand
-readers, result writers, precomputed issue costs, per-edge phi moves), so
-the per-warp-step hot loop performs no isinstance chains, attribute
-resolution, or cost-table lookups.  The decoded form charges cycles through
-the exact same :func:`repro.gpu.timing.charge`/``issue_cost`` calls as the
-original tree-walking interpreter, so counters and cycle counts are
-bit-identical — only the Python interpreter overhead is removed.  Decode
-also *seals* each block's integer issue counts and cost vector
-(:class:`_DecodedBlock`), so one dispatch bumps the integer counters once
-and reads its charges from a memo, while the float adds stay one per step
-in program order.  Decoding assumes the module's IR is not mutated between
-launches of the same machine (fresh machines are built per compile in the
-harness).  What a
-value instruction *computes* is not decided here: every engine calls the
-kernel of the op-semantics table (:mod:`repro.semantics`, the written
+Execution is driven by a *pre-decoded* program.  Values live at a
+number, the way a register file holds them: the first launch of a
+function gives every value it reads one dense slot index
+(:class:`_Frame`), and a context's values are one list — the read-only
+prefix of constant, undef and global-address vectors (built once per
+machine, shared by every context), then the context's own slots: the
+four launch-geometry values and the arguments, filled in when it is
+made, and one slot per value-producing instruction and phi, which holds
+its storage dtype until :func:`write_masked` first writes it.  Every
+basic block decodes once into a flat list of :class:`Step` records —
+plain data: slot numbers, issue cost, and for a value step the op-table
+kernel it applies to its source slots, so no function object is made per
+operand and the hot loop performs no isinstance chains, attribute
+resolution or cost-table lookups.  Reading a slot no definition wrote is
+what the verifier's dominance check rules out; every entry point that
+takes IR from outside verifies it first.
+
+The decoded form charges cycles through the exact same
+:func:`repro.gpu.timing.charge`/``issue_cost`` calls as the original
+tree-walking interpreter, so counters and cycle counts are bit-identical —
+only the Python interpreter overhead is removed.  Decode also *seals*
+each block's integer issue counts and cost vector (:class:`_DecodedBlock`),
+so one dispatch bumps the integer counters once and reads its charges
+from a memo, while the float adds stay one per step in program order.
+Decoding assumes the module's IR is not mutated between launches of the
+same machine (fresh machines are built per compile in the harness).  What
+a value instruction *computes* is not decided here: every engine calls
+the kernel of the op-semantics table (:mod:`repro.semantics`, the written
 contract), which the constant folder and the jit's fuser share;
 :meth:`SimtMachine.launch` holds the ``np.errstate`` those kernels are
 total under, once per launch.
@@ -67,8 +79,8 @@ this) — which is why the persistent cell cache does not key on the engine.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,10 +92,10 @@ from ..ir.instructions import (AllocaInst, BranchInst, CallInst,
                                CondBranchInst, Instruction, LoadInst, PhiInst,
                                RetInst, StoreInst, UnreachableInst)
 from ..ir.module import Module
-from ..ir.values import Argument, GlobalVariable, Value
+from ..ir.values import GlobalVariable, Value
 from ..obs import session as obs_session
 from ..semantics import op_for, storage_dtype
-from .counters import Counters, cat_index, seal_issues
+from .counters import CATEGORIES, Counters, cat_index, seal_issues
 from .icache import InstructionCache
 from .memory import Memory
 from .timing import charge, issue_cost, load_latency, store_cost
@@ -128,11 +140,16 @@ _CAT_MISC = cat_index("misc")
 _CAT_LOAD = cat_index("load")
 _CAT_STORE = cat_index("store")
 
-# Step kinds in a decoded block's dispatch list.
-_K_VALUE = 0   # Computes a value and writes it to the destination slot.
-_K_LOAD = 1    # Memory load (latency charged inside the step closure).
-_K_STORE = 2   # Memory store.
-_K_VOID = 3    # Timing-only (e.g. syncthreads).
+# Step kinds.  Kinds up to _K_TERNARY compute a value from their source
+# slots (see evaluate): a kernel step's kind is its operand count.
+_K_MOVE = 0      # The source slot itself (a launch-geometry read).
+_K_UNARY = 1
+_K_BINARY = 2
+_K_TERNARY = 3
+_K_ALLOCA = 4    # These three run through the engine's runner table.
+_K_LOAD = 5
+_K_STORE = 6
+_K_VOID = 7      # Timing-only (e.g. syncthreads).
 
 # Terminator kinds; those from _T_UNREACHABLE up cannot transfer control.
 _T_BR = 0
@@ -141,14 +158,61 @@ _T_RET = 2
 _T_UNREACHABLE = 3
 _T_MISSING = 4
 
-#: Launch-geometry intrinsics -> the context attribute holding their
-#: precomputed read-only array: (32,) per warp, (n, 32) on the lattice.
-GEOMETRY = {"tid.x": "lane_ids", "ctaid.x": "ctaid", "ntid.x": "ntid",
-            "nctaid.x": "nctaid"}
+#: Launch-geometry intrinsics, in the order of their context slots.
+GEOMETRY = ("tid.x", "ctaid.x", "ntid.x", "nctaid.x")
 
 
 class SimulationError(Exception):
     """Raised when a kernel executes an illegal operation."""
+
+
+class Step(NamedTuple):
+    """One decoded non-phi, non-terminator instruction: plain data.
+
+    ``cat`` is the index of its category in :data:`CATEGORIES`, ``cost``
+    its issue cost, ``dst`` its result slot (None for a store or a void
+    step), ``srcs`` the slots it reads in operand order (a store's are
+    ``(pointer, value)``), ``kernel`` the op-table kernel of a unary,
+    binary or ternary step, ``dtype`` the result's storage dtype, and
+    ``aux`` what a memory step needs besides: the element size of a load
+    or store, ``(name, memory dtype, count, element size)`` of an alloca.
+    """
+
+    cat: int
+    cost: int
+    kind: int
+    dst: Optional[int]
+    srcs: Tuple[int, ...]
+    kernel: object = None
+    dtype: object = None
+    aux: object = None
+
+
+def evaluate(values: List, kind: int, srcs: Tuple[int, ...], kernel):
+    """The result of a value step (kind up to ``_K_TERNARY``)."""
+    if kind == _K_BINARY:
+        return kernel(values[srcs[0]], values[srcs[1]])
+    if kind == _K_UNARY:
+        return kernel(values[srcs[0]])
+    if kind == _K_MOVE:
+        return values[srcs[0]]
+    return kernel(values[srcs[0]], values[srcs[1]], values[srcs[2]])
+
+
+def write_masked(values: List, dst: int, value: np.ndarray,
+                 mask: np.ndarray) -> None:
+    """Write ``value`` into slot ``dst`` under ``mask``.
+
+    Shape-generic: a slot takes the mask's shape — ``(32,)`` per warp,
+    ``(n, 32)`` on the batched lattice — on its first write, when it
+    still holds its storage dtype; values that come out of an
+    all-uniform-operand computation (e.g. constant + argument) are
+    broadcast up to it and cast to its dtype.
+    """
+    slot = values[dst]
+    if slot.__class__ is not np.ndarray:
+        slot = values[dst] = np.zeros(mask.shape, dtype=slot)
+    np.copyto(slot, value, where=mask, casting="unsafe")
 
 
 def _bad_terminator(func: Function, db: "_DecodedBlock") -> SimulationError:
@@ -196,45 +260,101 @@ def _geometry_vec(value: int) -> np.ndarray:
     return arr
 
 
-class _WarpContext:
-    """Per-warp register state.
+class _Frame:
+    """One function's value table layout (see the module docstring).
 
-    The launch-geometry intrinsics (``ctaid``/``ntid``/``nctaid``) are
-    materialised as read-only arrays on the context, so the decoded
-    intrinsic readers work unchanged on both this context (``(32,)``
-    arrays) and the lattice dispatcher's ``(n, 32)`` lattice context.
+    ``prefix`` holds the shared read-only operand vectors; a context's own
+    slots start at ``base``: ``tid``, ``ctaid``, ``ntid``, ``nctaid`` (in
+    :data:`GEOMETRY` order), then the arguments, then from ``inst`` on one
+    slot per value-producing instruction and phi, which start out holding
+    their storage dtypes (``fresh``).  Numbering follows the function's
+    text, so identical IR gets identical slots.
     """
 
-    __slots__ = ("values", "lane_ids", "block_idx", "block_dim", "grid_dim",
-                 "ctaid", "ntid", "nctaid", "active_init", "allocas",
-                 "ret_values")
+    __slots__ = ("entry", "prefix", "base", "inst", "arg_dtypes", "fresh")
 
-    def __init__(self, lane_ids: np.ndarray, block_idx: int, block_dim: int,
-                 grid_dim: int, active_init: np.ndarray) -> None:
-        self.values: Dict[int, np.ndarray] = {}
-        self.lane_ids = lane_ids          # Thread ids within the block.
-        self.block_idx = block_idx
-        self.block_dim = block_dim
-        self.grid_dim = grid_dim
-        self.ctaid = _geometry_vec(block_idx)
-        self.ntid = _geometry_vec(block_dim)
-        self.nctaid = _geometry_vec(grid_dim)
-        self.active_init = active_init
-        self.allocas: Dict[int, int] = {}
+    def __init__(self, prefix: List[np.ndarray], arg_dtypes: Tuple,
+                 fresh: List) -> None:
+        self.entry: Optional[_DecodedBlock] = None
+        self.prefix = prefix
+        self.base = len(prefix)
+        self.arg_dtypes = arg_dtypes
+        self.inst = self.base + len(GEOMETRY) + len(arg_dtypes)
+        self.fresh = fresh
+
+    def bind(self, args: Sequence[ArgValue]) -> List[np.ndarray]:
+        """One launch's argument slots: a read-only ``(32,)`` vector each."""
+        bound = []
+        for value, dtype in zip(args, self.arg_dtypes):
+            arr = np.full(WARP_SIZE, value, dtype=dtype)
+            arr.setflags(write=False)
+            bound.append(arr)
+        return bound
+
+    def values(self, tid: np.ndarray, ctaid: np.ndarray, launch: List,
+               slots: Optional[List] = None) -> List:
+        """A context's value table: the shared prefix, then its own slots.
+
+        ``launch`` is what every context of a launch shares — ``ntid``,
+        ``nctaid`` and the bound arguments; ``slots`` the instruction
+        slots (fresh when None).
+        """
+        return self.prefix + [tid, ctaid] + launch + (
+            self.fresh if slots is None else slots)
+
+    def dtype(self, slot: int):
+        """Storage dtype of an instruction slot."""
+        return self.fresh[slot - self.inst]
+
+
+class _WarpContext:
+    """Per-warp register state: one ``(32,)`` vector per value slot."""
+
+    __slots__ = ("values", "allocas", "ret_values")
+
+    def __init__(self, values: List) -> None:
+        self.values = values
+        self.allocas: Dict[int, int] = {}   # alloca slot -> base address.
         self.ret_values: Optional[np.ndarray] = None
 
-    def alloca_addrs(self, memory: Memory, inst: AllocaInst) -> np.ndarray:
-        """Per-lane base addresses of this warp's buffer for ``inst``."""
-        base = self.allocas.get(id(inst))
+    def alloca_addrs(self, memory: Memory, step: Step) -> np.ndarray:
+        """Per-lane base addresses of this warp's buffer for ``step``."""
+        name, dtype, count, elem = step.aux
+        base = self.allocas.get(step.dst)
         if base is None:
-            dtype = repr(inst.element_type)
-            count = inst.count * WARP_SIZE
-            base = memory.alloc(
-                f"__alloca_{inst.name}_{id(self):x}", dtype, count)
-            self.allocas[id(inst)] = base
-        elem = inst.element_type.size_bytes()
-        stride = inst.count * elem
-        return base + np.arange(WARP_SIZE, dtype=np.int64) * stride
+            base = memory.alloc(f"__alloca_{name}_{id(self):x}", dtype,
+                                count * WARP_SIZE)
+            self.allocas[step.dst] = base
+        return base + np.arange(WARP_SIZE, dtype=np.int64) * (count * elem)
+
+
+def _run_alloca(memory, ctx, step, mask, _active, _accounts) -> None:
+    """Both engines' alloca runner: the context knows its own shape."""
+    write_masked(ctx.values, step.dst, ctx.alloca_addrs(memory, step), mask)
+
+
+def _run_load(memory, ctx, step, mask, active, counters) -> None:
+    values = ctx.values
+    raw, transactions = memory.load(values[step.srcs[0]], mask, step.aux)
+    latency = charge(load_latency(transactions), active)
+    counters.cycles += latency
+    counters.memory_stall_cycles += latency
+    counters.cat_cycles[_CAT_LOAD] += latency
+    write_masked(values, step.dst, raw, mask)
+
+
+def _run_store(memory, ctx, step, mask, active, counters) -> None:
+    values = ctx.values
+    ptr, value = step.srcs
+    transactions = memory.store(values[ptr], values[value], mask, step.aux)
+    c = charge(store_cost(transactions), active)
+    counters.cycles += c
+    counters.cat_cycles[_CAT_STORE] += c
+
+
+#: The per-warp engine's runners, by step kind.
+_RUNNERS = {_K_ALLOCA: _run_alloca, _K_LOAD: _run_load,
+            _K_STORE: _run_store}
 
 
 class _Edge:
@@ -243,40 +363,28 @@ class _Edge:
     __slots__ = ("target", "bump_epoch", "moves", "issues")
 
     def __init__(self, target: "_DecodedBlock", bump_epoch: int,
-                 moves: List) -> None:
+                 moves: Tuple[Tuple[int, int, bool], ...]) -> None:
         self.target = target
         self.bump_epoch = bump_epoch
         #: The moves' integer issue counts (one ``misc`` mov per phi),
         #: sealed for one ``note_issue`` per traversal.
         self.issues = seal_issues(["misc"] * len(moves))
-        #: [(writer, reader, phi_id, dtype, src_id), ...] per phi — the
-        #: id/dtype pair lets the region compiler rebind phi slots
-        #: directly, and ``src_id`` (``id()`` of an instruction-produced
-        #: incoming value, else None) lets it prove when the incoming
-        #: slot is only ever rebound inside a region so the parallel
-        #: copy can alias instead of copying.
+        #: ``(dst, src, snapshot)`` per phi: the phi's slot, its incoming
+        #: value's slot, and whether that incoming value is a sibling phi
+        #: of the target — then the staged read must copy the slot, or
+        #: the masked write to the sibling corrupts it mid-copy.
         self.moves = moves
-
-
-def _snapshot_reader(read):
-    """Wrap a reader to copy its result, detaching it from the live slot."""
-    def snapshot(ctx, args):
-        return read(ctx, args).copy()
-    return snapshot
 
 
 class _DecodedBlock:
     """One basic block, pre-decoded into a flat dispatch list.
 
-    ``steps`` holds ``(category, cat_idx, cost, kind, run, brun, write,
-    meta)`` tuples for the non-phi, non-terminator instructions — ``run``
-    is the per-warp runner, ``brun`` the batched ``(n, 32)`` lattice
-    runner for memory steps (None for value/void steps, which are
-    shape-generic); ``meta`` is ``(inst_id, dtype)`` for value-producing
-    steps (None otherwise), consumed by the region compiler to rebind
-    result slots without going through the masked writer;
-    ``term``/``term_kind`` describe the terminator.  All operand readers,
-    result writers, and issue costs are resolved once at decode time.
+    ``steps`` holds one :class:`Step` per non-phi, non-terminator
+    instruction and ``insts`` those instructions (the region fuser
+    regenerates value expressions from them); ``term``/``term_kind``
+    describe the terminator: an :class:`_Edge` for ``br``, ``(cond slot,
+    true edge, false edge)`` for a conditional branch, ``(value slot,
+    dtype)`` for ``ret`` (``(None, None)`` returning void).
 
     Decode then *seals* the block (:meth:`seal`), so that one dispatch
     pays for its bookkeeping once instead of once per step:
@@ -296,22 +404,24 @@ class _DecodedBlock:
     associate, and that order is what keeps the engines bit-identical.
     """
 
-    __slots__ = ("block_id", "name", "size", "rpo", "steps", "term_kind",
-                 "term", "issues", "costs", "cost_column", "_charges")
+    __slots__ = ("block_id", "name", "size", "rpo", "steps", "insts",
+                 "term_kind", "term", "issues", "costs", "cost_column",
+                 "_charges")
 
     def __init__(self, block: BasicBlock, rpo: int) -> None:
         self.block_id = id(block)
         self.name = block.name
         self.size = len(block.instructions)
         self.rpo = rpo
-        self.steps: List[Tuple] = []
+        self.steps: List[Step] = []
+        self.insts: List[Instruction] = []
         self.term_kind = _T_MISSING
         self.term = None
 
     def seal(self, term_cost: Optional[int]) -> None:
         """Fix the per-dispatch accounting of ``steps`` + terminator."""
-        categories = [step[0] for step in self.steps]
-        costs = [step[2] for step in self.steps]
+        categories = [CATEGORIES[step.cat] for step in self.steps]
+        costs = [step.cost for step in self.steps]
         if term_cost is not None:
             categories.append("control")
             costs.append(term_cost)
@@ -349,9 +459,10 @@ class SimtMachine:
         self.profile = obs_session.profile()
         self._global_addrs: Dict[str, int] = {}
         #: Constant / undef / global-address operand -> its shared
-        #: read-only ``(32,)`` vector (see :meth:`_operand_vec`).
-        self._operand_vecs: Dict[Value, np.ndarray] = {}
-        self._decoded: Dict[int, _DecodedBlock] = {}
+        #: read-only ``(32,)`` vector, the entries of every frame prefix.
+        self._constants: Dict[Value, np.ndarray] = {}
+        #: id(func) -> its decoded :class:`_Frame`.
+        self._decoded: Dict[int, _Frame] = {}
         #: Per-function tier-up state (jit engine): id(func) ->
         #: ``regions.RegionMap`` — block heat, selected plans, and
         #: {head block_id -> CompiledRegion} for the heads that got hot.
@@ -381,6 +492,9 @@ class SimtMachine:
                 f"@{func.name} expects {len(func.args)} args, got {len(args)}")
         total = Counters()
         entry = self._decode(func)
+        frame = self._decoded[id(func)]
+        launch = [_geometry_vec(block_dim), _geometry_vec(grid_dim)] \
+            + frame.bind(args)
         # The op-semantics kernels are total under errstate-ignore (inf and
         # NaN are values, not events); the launch holds it once for every
         # step it runs.
@@ -393,12 +507,13 @@ class SimtMachine:
                 # goes this way too.
                 from .batched import run_launch_batched
                 ret_all, fetch_stalls = run_launch_batched(
-                    self, func, entry, grid_dim, block_dim, args, total)
+                    self, func, frame, grid_dim, block_dim, launch, total)
             else:
                 ret_all = []
                 fetch_stalls = 0
                 warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
                 for block_idx in range(grid_dim):
+                    ctaid = _geometry_vec(block_idx)
                     for warp_idx in range(warps):
                         # Per-warp icache: warps spread across SMs, so each
                         # warp streams the kernel's code through its own
@@ -409,10 +524,10 @@ class SimtMachine:
                         lane_ids = np.arange(base, base + WARP_SIZE,
                                              dtype=np.int64)
                         active = lane_ids < block_dim
-                        ctx = _WarpContext(lane_ids, block_idx, block_dim,
-                                           grid_dim, active)
-                        counters = self._run_warp(func, entry, ctx, args,
-                                                  active, icache)
+                        ctx = _WarpContext(frame.values(lane_ids, ctaid,
+                                                        launch))
+                        counters = self._run_warp(func, entry, ctx, active,
+                                                  icache)
                         total.merge(counters)
                         fetch_stalls += icache.stall_cycles
                         if ctx.ret_values is not None:
@@ -447,12 +562,14 @@ class SimtMachine:
     def _decode(self, func: Function) -> _DecodedBlock:
         """Pre-decode ``func`` into dispatch lists; returns the entry block.
 
-        Cached per function: the first launch decodes, later launches (and
-        every warp/group step) reuse the flat form.
+        Cached per function: the first launch numbers the function's
+        values and decodes, later launches (and every warp/group step)
+        reuse the flat form from ``self._decoded``.
         """
         cached = self._decoded.get(id(func))
         if cached is not None:
-            return cached
+            return cached.entry
+        frame, slots = self._number(func)
         rpo_index = {id(b): i
                      for i, b in enumerate(reverse_postorder(func))}
         dblocks: Dict[int, _DecodedBlock] = {
@@ -460,229 +577,49 @@ class SimtMachine:
                                      rpo_index.get(id(block), _UNKNOWN_RPO))
             for block in func.blocks}
         for block in func.blocks:
-            self._decode_block(block, dblocks[id(block)], dblocks)
-        entry = dblocks[id(func.entry)]
-        self._decoded[id(func)] = entry
-        return entry
+            self._decode_block(block, dblocks[id(block)], dblocks, slots,
+                               frame.base)
+        frame.entry = dblocks[id(func.entry)]
+        self._decoded[id(func)] = frame
+        return frame.entry
 
-    def _decode_block(self, block: BasicBlock, db: _DecodedBlock,
-                      dblocks: Dict[int, _DecodedBlock]) -> None:
-        term_cost = None
-        for inst in block.instructions:
-            if isinstance(inst, PhiInst):
-                continue  # Materialised on edges.
-            if isinstance(inst, BranchInst):
-                db.term_kind = _T_BR
-                db.term = self._decode_edge(block, db, inst.target, dblocks)
-                term_cost = _BR_COST
-                break
-            if isinstance(inst, CondBranchInst):
-                db.term_kind = _T_CONDBR
-                db.term = (
-                    self._reader(inst.condition),
-                    self._decode_edge(block, db, inst.true_target, dblocks),
-                    self._decode_edge(block, db, inst.false_target, dblocks))
-                term_cost = _CONDBR_COST
-                break
-            if isinstance(inst, RetInst):
-                db.term_kind = _T_RET
-                if inst.value is not None:
-                    db.term = (self._reader(inst.value),
-                               storage_dtype(inst.value.type))
-                else:
-                    db.term = (None, None)
-                term_cost = _RET_COST
-                break
-            if isinstance(inst, UnreachableInst):
-                db.term_kind = _T_UNREACHABLE
-                break
-            db.steps.append(self._decode_step(inst))
-        db.seal(term_cost)
-
-    def _decode_edge(self, src: BasicBlock, src_db: _DecodedBlock,
-                     dst: BasicBlock,
-                     dblocks: Dict[int, _DecodedBlock]) -> _Edge:
-        target = dblocks[id(dst)]
-        bump = 1 if target.rpo <= src_db.rpo else 0  # Back edge.
-        # Parallel-copy phi moves: one (writer, incoming reader) per phi.
-        # Readers return the live value slot by reference, so when an
-        # incoming value is itself a phi of ``dst`` (e.g. unmerge resolving
-        # a clone's phi straight to a header phi: v1 <- v3 while the same
-        # edge writes v3), the staged read must snapshot the slot or the
-        # masked write to the sibling phi corrupts it mid-copy.
-        dst_phis = {id(phi) for phi in dst.phis()}
-        moves = []
-        for phi in dst.phis():
-            incoming = phi.incoming_for(src)
-            read = self._reader(incoming)
-            if id(incoming) in dst_phis:
-                read = _snapshot_reader(read)
-            src_id = id(incoming) if isinstance(incoming, Instruction) \
-                else None
-            moves.append((self._writer(phi), read, id(phi),
-                          storage_dtype(phi.type), src_id))
-        return _Edge(target, bump, moves)
-
-    def _decode_step(self, inst: Instruction) -> Tuple:
-        category = inst.category
-        cat_idx = cat_index(category)
-        intrinsic = inst.intrinsic.name if isinstance(inst, CallInst) else ""
-        cost = issue_cost(category, inst.opcode, intrinsic)
-
-        if isinstance(inst, LoadInst):
-            read_ptr = self._reader(inst.pointer)
-            elem = inst.type.size_bytes()
-            dtype = storage_dtype(inst.type)
-            write = self._writer(inst)
-            memory = self.memory
-
-            def run_load(ctx, arg_values, mask, active, counters):
-                addrs = read_ptr(ctx, arg_values)
-                raw, transactions = memory.load(addrs, mask, elem)
-                latency = charge(load_latency(transactions), active)
-                counters.cycles += latency
-                counters.memory_stall_cycles += latency
-                counters.cat_cycles[_CAT_LOAD] += latency
-                write(ctx, raw, mask)
-
-            def brun_load(ctx, arg_values, mask, actives, state):
-                # One memory.load per warp row: transaction counting (and
-                # therefore the latency charge) is a per-warp-access
-                # quantity the coalescing model defines on 32-lane
-                # accesses, so it cannot be fused across warps.  A row
-                # with no active lane touches nothing and is skipped.
-                addrs = read_ptr(ctx, arg_values)
-                if addrs.shape != mask.shape:
-                    addrs = np.broadcast_to(addrs, mask.shape)
-                out = np.zeros(mask.shape, dtype=dtype)
-                latencies = [0.0] * mask.shape[0]
-                for w, active in enumerate(actives.tolist()):
-                    if active:
-                        out[w], transactions = memory.load(addrs[w], mask[w],
-                                                           elem)
-                        latencies[w] = charge(load_latency(transactions),
-                                              active)
-                # One elementwise add per accumulator: per row the same
-                # double added to the same double as row by row.
-                latencies = np.array(latencies)
-                state.cycles += latencies
-                state.memory_stall += latencies
-                state.cat_cycles[:, _CAT_LOAD] += latencies
-                write(ctx, out, mask)
-
-            return (category, cat_idx, cost, _K_LOAD, run_load, brun_load,
-                    None, (id(inst), dtype))
-
-        if isinstance(inst, StoreInst):
-            read_ptr = self._reader(inst.pointer)
-            read_val = self._reader(inst.value)
-            elem = inst.value.type.size_bytes()
-            memory = self.memory
-
-            def run_store(ctx, arg_values, mask, active, counters):
-                addrs = read_ptr(ctx, arg_values)
-                values = read_val(ctx, arg_values)
-                transactions = memory.store(addrs, values, mask, elem)
-                c = charge(store_cost(transactions), active)
-                counters.cycles += c
-                counters.cat_cycles[_CAT_STORE] += c
-
-            def brun_store(ctx, arg_values, mask, actives, state):
-                addrs = read_ptr(ctx, arg_values)
-                values = read_val(ctx, arg_values)
-                if addrs.shape != mask.shape:
-                    addrs = np.broadcast_to(addrs, mask.shape)
-                if values.shape != mask.shape:
-                    values = np.broadcast_to(values, mask.shape)
-                costs = [0.0] * mask.shape[0]
-                for w, active in enumerate(actives.tolist()):
-                    if active:
-                        transactions = memory.store(addrs[w], values[w],
-                                                    mask[w], elem)
-                        costs[w] = charge(store_cost(transactions), active)
-                costs = np.array(costs)
-                state.cycles += costs
-                state.cat_cycles[:, _CAT_STORE] += costs
-
-            return (category, cat_idx, cost, _K_STORE, run_store, brun_store,
-                    None, None)
-
-        if inst.type.is_void:
-            # e.g. syncthreads: only the issue timing is charged.
-            return (category, cat_idx, cost, _K_VOID, None, None, None, None)
-
+    def _number(self, func: Function) -> Tuple[_Frame, Dict[int, int]]:
+        """Give every value ``func`` reads its slot (``id`` -> index)."""
+        prefix: Dict[int, Value] = {}
+        made: List[Instruction] = []
+        for inst in func.instructions():
+            if not inst.type.is_void:
+                made.append(inst)
+            for value in inst.operands:
+                if isinstance(value, (ConstantInt, ConstantFloat, Undef,
+                                      GlobalVariable)):
+                    prefix.setdefault(id(value), value)
+        slots = {vid: i for i, vid in enumerate(prefix)}
+        base = len(prefix) + len(GEOMETRY)
+        for i, arg in enumerate(func.args):
+            slots[id(arg)] = base + i
+        base += len(func.args)
         # A result type without a storage dtype (label, function) cannot
-        # be executed; every other decode site sees only operand, phi,
-        # load and argument types, which the verifier keeps first-class.
+        # be executed; the verifier keeps operand, phi, load and argument
+        # types first-class.
         try:
-            dtype = storage_dtype(inst.type)
+            fresh = [storage_dtype(inst.type) for inst in made]
         except ValueError as exc:
             raise SimulationError(str(exc)) from exc
-        # meta carries the Instruction itself so the region fuser
-        # (gpu/fuser.py) can regenerate the value expression from IR.
-        return (category, cat_idx, cost, _K_VALUE, self._value_fn(inst),
-                None, self._writer(inst), (id(inst), dtype, inst))
+        for i, inst in enumerate(made):
+            slots[id(inst)] = base + i
+        frame = _Frame([self._constant(v) for v in prefix.values()],
+                       tuple(storage_dtype(a.type) for a in func.args),
+                       fresh)
+        return frame, slots
 
-    def _value_fn(self, inst: Instruction):
-        """Closure computing one instruction's value (operands pre-bound).
-
-        What the value *is* comes from the op-semantics table
-        (:mod:`repro.semantics`); only allocas (context-dependent
-        addresses) and launch geometry are the machine's own.
-        """
-        if isinstance(inst, AllocaInst):
-            memory = self.memory
-            return lambda ctx, args: ctx.alloca_addrs(memory, inst)
-        attr = GEOMETRY.get(inst.intrinsic.name) \
-            if isinstance(inst, CallInst) else None
-        if attr is not None:
-            return lambda ctx, args: getattr(ctx, attr)
-        op = op_for(inst)
-        if op is None:
-            def bad(ctx, args, _inst=inst):
-                raise SimulationError(f"cannot execute {_inst!r}")
-            return bad
-        kernel = op.kernel
-        readers = tuple(self._reader(v) for v in inst.operands)
-        if len(readers) == 2:
-            ra, rb = readers
-            return lambda ctx, args: kernel(ra(ctx, args), rb(ctx, args))
-        if len(readers) == 1:
-            ra, = readers
-            return lambda ctx, args: kernel(ra(ctx, args))
-        return lambda ctx, args: kernel(*[r(ctx, args) for r in readers])
-
-    def _reader(self, value: Value):
-        """Closure reading one operand's per-lane vector.
-
-        Constants, undef, and global addresses materialise once per
-        machine into shared read-only arrays (no consumer mutates operand
-        vectors); arguments and SSA values resolve through the per-warp
-        context exactly like the tree-walking interpreter did.
-        """
-        if isinstance(value, (ConstantInt, ConstantFloat, Undef,
-                              GlobalVariable)):
-            arr = self._operand_vec(value)
-            return lambda ctx, args: arr
-        if isinstance(value, Argument):
-            vid = id(value)
-            return lambda ctx, args: args[vid]
-        vid, vname = id(value), value.name
-
-        def read(ctx, args):
-            stored = ctx.values.get(vid)
-            if stored is None:
-                raise SimulationError(f"use of undefined value %{vname}")
-            return stored
-        return read
-
-    def _operand_vec(self, value: Value) -> np.ndarray:
+    def _constant(self, value: Value) -> np.ndarray:
         """The ``(32,)`` vector of a constant, undef or global address.
 
-        Built once per machine and shared read-only by every reader and
-        fused segment that mentions the operand.
+        Built once per machine and shared read-only by every frame,
+        context and fused segment that mentions the operand.
         """
-        arr = self._operand_vecs.get(value)
+        arr = self._constants.get(value)
         if arr is None:
             if isinstance(value, GlobalVariable):
                 arr = np.full(WARP_SIZE, self._global_addrs[value.name],
@@ -693,33 +630,105 @@ class SimtMachine:
                 arr = np.full(WARP_SIZE, value.value,
                               dtype=storage_dtype(value.type))
             arr.setflags(write=False)
-            self._operand_vecs[value] = arr
+            self._constants[value] = arr
         return arr
 
+    def _decode_block(self, block: BasicBlock, db: _DecodedBlock,
+                      dblocks: Dict[int, _DecodedBlock],
+                      slots: Dict[int, int], geometry: int) -> None:
+        term_cost = None
+        for inst in block.instructions:
+            if isinstance(inst, PhiInst):
+                continue  # Materialised on edges.
+            if isinstance(inst, BranchInst):
+                db.term_kind = _T_BR
+                db.term = self._decode_edge(block, db, inst.target, dblocks,
+                                            slots)
+                term_cost = _BR_COST
+                break
+            if isinstance(inst, CondBranchInst):
+                db.term_kind = _T_CONDBR
+                db.term = (
+                    slots[id(inst.condition)],
+                    self._decode_edge(block, db, inst.true_target, dblocks,
+                                      slots),
+                    self._decode_edge(block, db, inst.false_target, dblocks,
+                                      slots))
+                term_cost = _CONDBR_COST
+                break
+            if isinstance(inst, RetInst):
+                db.term_kind = _T_RET
+                if inst.value is not None:
+                    db.term = (slots[id(inst.value)],
+                               storage_dtype(inst.value.type))
+                else:
+                    db.term = (None, None)
+                term_cost = _RET_COST
+                break
+            if isinstance(inst, UnreachableInst):
+                db.term_kind = _T_UNREACHABLE
+                break
+            db.steps.append(self._decode_step(inst, slots, geometry))
+            db.insts.append(inst)
+        db.seal(term_cost)
+
     @staticmethod
-    def _writer(inst: Value):
-        """Closure writing an instruction's result under the active mask.
+    def _decode_edge(src: BasicBlock, src_db: _DecodedBlock,
+                     dst: BasicBlock, dblocks: Dict[int, _DecodedBlock],
+                     slots: Dict[int, int]) -> _Edge:
+        target = dblocks[id(dst)]
+        bump = 1 if target.rpo <= src_db.rpo else 0  # Back edge.
+        # Parallel-copy phi moves, one per phi.  An incoming value that is
+        # itself a phi of ``dst`` (e.g. unmerge resolving a clone's phi
+        # straight to a header phi: v1 <- v3 while the same edge writes
+        # v3) is snapshotted when staged.
+        phis = dst.phis()
+        siblings = {id(phi) for phi in phis}
+        moves = []
+        for phi in phis:
+            incoming = phi.incoming_for(src)
+            moves.append((slots[id(phi)], slots[id(incoming)],
+                          id(incoming) in siblings))
+        return _Edge(target, bump, tuple(moves))
 
-        Shape-generic: slots take the mask's shape — ``(32,)`` per warp,
-        ``(n, 32)`` on the batched lattice — and values that come out of
-        an all-uniform-operand computation (e.g. constant + argument) are
-        broadcast up to it.
-        """
+    @staticmethod
+    def _decode_step(inst: Instruction, slots: Dict[int, int],
+                     geometry: int) -> Step:
+        """One :class:`Step`; ``geometry`` is the slot of ``tid.x``."""
+        cat = cat_index(inst.category)
+        intrinsic = inst.intrinsic.name if isinstance(inst, CallInst) else ""
+        cost = issue_cost(inst.category, inst.opcode, intrinsic)
+        if isinstance(inst, StoreInst):
+            return Step(cat, cost, _K_STORE, None,
+                        (slots[id(inst.pointer)], slots[id(inst.value)]),
+                        aux=inst.value.type.size_bytes())
+        if inst.type.is_void:
+            # e.g. syncthreads: only the issue timing is charged.
+            return Step(cat, cost, _K_VOID, None, ())
+        dst = slots[id(inst)]
         dtype = storage_dtype(inst.type)
-        iid = id(inst)
-
-        def write(ctx, value, mask):
-            slot = ctx.values.get(iid)
-            if slot is None:
-                slot = ctx.values[iid] = np.zeros(mask.shape, dtype=dtype)
-            # Casts to the slot's dtype and broadcasts up to its shape.
-            np.copyto(slot, value, where=mask, casting="unsafe")
-        return write
+        if isinstance(inst, LoadInst):
+            return Step(cat, cost, _K_LOAD, dst, (slots[id(inst.pointer)],),
+                        dtype=dtype, aux=inst.type.size_bytes())
+        if isinstance(inst, AllocaInst):
+            elem = inst.element_type
+            return Step(cat, cost, _K_ALLOCA, dst, (), dtype=dtype,
+                        aux=(inst.name, repr(elem), inst.count,
+                             elem.size_bytes()))
+        if intrinsic in GEOMETRY:
+            return Step(cat, cost, _K_MOVE, dst,
+                        (geometry + GEOMETRY.index(intrinsic),), dtype=dtype)
+        # What the value *is* comes from the op-semantics table
+        # (repro.semantics); a kernel step's kind is its operand count.
+        op = op_for(inst)
+        srcs = tuple(slots[id(v)] for v in inst.operands)
+        if op is None or not _K_UNARY <= len(srcs) <= _K_TERNARY:
+            raise SimulationError(f"cannot execute {inst!r}")
+        return Step(cat, cost, len(srcs), dst, srcs, op.kernel, dtype)
 
     # -- warp execution ------------------------------------------------------
     def _run_warp(self, func: Function, entry: _DecodedBlock,
-                  ctx: _WarpContext, args: Sequence[ArgValue],
-                  initial_mask: np.ndarray,
+                  ctx: _WarpContext, initial_mask: np.ndarray,
                   icache: InstructionCache) -> Counters:
         """Convergent group scheduler (see module docstring).
 
@@ -733,15 +742,13 @@ class SimtMachine:
         edges, at the next loop iteration.
         """
         counters = Counters()
-        arg_values = self._bind_args(func, args)
         groups: List[Tuple[int, _DecodedBlock, np.ndarray, int]] = [
             (0, entry, initial_mask.copy(),
              int(np.count_nonzero(initial_mask)))]
-        self._warp_loop(func, ctx, arg_values, groups, counters, icache)
+        self._warp_loop(func, ctx, groups, counters, icache)
         return counters
 
-    def _warp_loop(self, func: Function, ctx: _WarpContext,
-                   arg_values: Dict[int, np.ndarray], groups: List,
+    def _warp_loop(self, func: Function, ctx: _WarpContext, groups: List,
                    counters: Counters, icache: InstructionCache) -> None:
         """Drive ``groups`` to completion (the scheduler of ``_run_warp``).
 
@@ -763,11 +770,11 @@ class SimtMachine:
             counters.cycles += icache.access(db.block_id, db.size)
             if profile is None:
                 self._exec_decoded(func, db, epoch, mask, active, ctx,
-                                   arg_values, counters, groups)
+                                   counters, groups)
             else:
                 start_cycles = counters.cycles
                 self._exec_decoded(func, db, epoch, mask, active, ctx,
-                                   arg_values, counters, groups)
+                                   counters, groups)
                 # Timestamps are warp-local cycle counts: samples from
                 # concurrent warps interleave on the timeline, which is
                 # exactly the resident-warp overlap picture an SM sees.
@@ -777,20 +784,21 @@ class SimtMachine:
 
     def _exec_decoded(self, func: Function, db: _DecodedBlock, epoch: int,
                       mask: np.ndarray, active: int, ctx: _WarpContext,
-                      arg_values: Dict[int, np.ndarray], counters: Counters,
-                      groups: List) -> None:
+                      counters: Counters, groups: List) -> None:
         """Execute one decoded block for one group of ``active`` lanes."""
         counters.note_issue(db.issues, active)
         charges = db.charges(active)
         cat_cycles = counters.cat_cycles
-        for (_category, cat_idx, _cost, kind, run, _brun, write,
-             _meta), c in zip(db.steps, charges):
+        values = ctx.values
+        for step, c in zip(db.steps, charges):
+            cat, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
             counters.cycles += c
-            cat_cycles[cat_idx] += c
-            if kind == _K_VALUE:
-                write(ctx, run(ctx, arg_values), mask)
+            cat_cycles[cat] += c
+            if kind <= _K_TERNARY:
+                write_masked(values, dst, evaluate(values, kind, srcs, kernel),
+                             mask)
             elif kind != _K_VOID:
-                run(ctx, arg_values, mask, active, counters)
+                _RUNNERS[kind](self.memory, ctx, step, mask, active, counters)
 
         term_kind = db.term_kind
         if term_kind >= _T_UNREACHABLE:
@@ -800,39 +808,36 @@ class SimtMachine:
         cat_cycles[_CAT_CONTROL] += c
         if term_kind == _T_BR:
             counters.branches += 1
-            self._follow(db.term, epoch, mask, active, ctx, arg_values,
-                         counters, groups)
+            self._follow(db.term, epoch, mask, active, ctx, counters, groups)
         elif term_kind == _T_CONDBR:
             counters.branches += 1
-            read_cond, true_edge, false_edge = db.term
-            cond = read_cond(ctx, arg_values).astype(bool, copy=False)
+            cond, true_edge, false_edge = db.term
+            cond = values[cond].astype(bool, copy=False)
             t_mask = mask & cond
             # The lanes partition: one count gives both sides.
             taken = int(np.count_nonzero(t_mask))
             if taken == active:
                 self._follow(true_edge, epoch, t_mask, active, ctx,
-                             arg_values, counters, groups)
+                             counters, groups)
             elif not taken:
-                self._follow(false_edge, epoch, mask, active, ctx,
-                             arg_values, counters, groups)
+                self._follow(false_edge, epoch, mask, active, ctx, counters,
+                             groups)
             else:
                 counters.divergent_branches += 1
-                self._follow(true_edge, epoch, t_mask, taken, ctx,
-                             arg_values, counters, groups)
-                self._follow(false_edge, epoch, mask & ~cond,
-                             active - taken, ctx, arg_values, counters,
+                self._follow(true_edge, epoch, t_mask, taken, ctx, counters,
                              groups)
+                self._follow(false_edge, epoch, mask & ~cond,
+                             active - taken, ctx, counters, groups)
         else:  # _T_RET
-            read_value, dtype = db.term
-            if read_value is not None:
+            slot, dtype = db.term
+            if slot is not None:
                 if ctx.ret_values is None:
                     ctx.ret_values = np.zeros(mask.shape, dtype=dtype)
-                np.copyto(ctx.ret_values, read_value(ctx, arg_values),
-                          where=mask, casting="unsafe")
+                np.copyto(ctx.ret_values, values[slot], where=mask,
+                          casting="unsafe")
 
     def _follow(self, edge: _Edge, epoch: int, mask: np.ndarray,
-                active: int, ctx: _WarpContext,
-                arg_values: Dict[int, np.ndarray], counters: Counters,
+                active: int, ctx: _WarpContext, counters: Counters,
                 groups: List) -> None:
         """Run the edge's phi moves and park the group at the target."""
         moves = edge.moves
@@ -840,20 +845,12 @@ class SimtMachine:
             c = _PHI_CHARGES[active]
             cat_cycles = counters.cat_cycles
             counters.note_issue(edge.issues, active)  # One mov per phi.
+            values = ctx.values
             # Parallel-copy semantics: read all incomings before writing.
-            staged = [(write, read(ctx, arg_values))
-                      for write, read, _pid, _dt, _sid in moves]
-            for write, value in staged:
+            staged = [values[src].copy() if snapshot else values[src]
+                      for _dst, src, snapshot in moves]
+            for (dst, _src, _snapshot), value in zip(moves, staged):
                 counters.cycles += c
                 cat_cycles[_CAT_MISC] += c
-                write(ctx, value, mask)
+                write_masked(values, dst, value, mask)
         groups.append((epoch + edge.bump_epoch, edge.target, mask, active))
-
-    # -- value plumbing --------------------------------------------------------
-    def _bind_args(self, func: Function,
-                   args: Sequence[ArgValue]) -> Dict[int, np.ndarray]:
-        bound: Dict[int, np.ndarray] = {}
-        for arg, value in zip(func.args, args):
-            dtype = storage_dtype(arg.type)
-            bound[id(arg)] = np.full(WARP_SIZE, value, dtype=dtype)
-        return bound

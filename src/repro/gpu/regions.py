@@ -18,8 +18,9 @@ once per function — when its first block gets hot — and leaves every
 head an uncompiled *decision list*; :func:`compile_region` then flattens
 one head's trace, when that head gets hot, into a
 list of :class:`RegionOp` records the jit engine executes without the
-per-block scheduler: value steps become direct slot rebinds (a full-mask
-masked write is a rebind), phi parallel-copies on internal edges become
+per-block scheduler: value steps become direct rebinds of their value
+table slots (a full-mask masked write is a rebind), phi parallel-copies
+on internal edges become
 staged copy-and-rebind sequences resolved at compile time, and all
 integer instruction counters of an op fold into a handful of
 precomputed increments.  Every conditional branch crossed becomes a
@@ -52,9 +53,9 @@ from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
 from .fuser import FuseContext
 from .machine import (_BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
-                      _CAT_CONTROL, _K_LOAD, _K_STORE, _K_VALUE, _K_VOID,
-                      _T_BR, _T_MISSING, _T_RET, _T_UNREACHABLE,
-                      WARP_SIZE, _DecodedBlock)
+                      _CAT_CONTROL, _K_STORE, _K_TERNARY, _K_VOID, _T_BR,
+                      _T_MISSING, _T_RET, _T_UNREACHABLE, WARP_SIZE,
+                      _DecodedBlock)
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
 
 #: Per-issue charge factor at a full 32-lane mask — the same IEEE-754
@@ -89,7 +90,7 @@ class RegionOp:
 
     __slots__ = ("block_id", "name", "size", "steps", "vsteps", "acct",
                  "term_c", "issues", "cat_counts", "branch_inc", "has_mem",
-                 "kind", "next_i", "bump", "moves", "phi_c", "read_cond",
+                 "kind", "next_i", "bump", "moves", "phi_c", "cond",
                  "expected", "true_edge", "false_edge", "exit_edge", "ret",
                  "load_ids", "arm_t", "arm_f", "arms_t_first", "stored",
                  "fuse_plan")
@@ -99,7 +100,7 @@ class RegionOp:
         self.name = db.name
         self.size = db.size
         self.steps: Tuple = ()       # ((tag, charge, cat_idx, ...), ...)
-        self.vsteps: Tuple = ()      # ((run, inst_id, dtype), ...)
+        self.vsteps: Tuple = ()      # ((kind, dst, srcs, kernel, dtype), ...)
         self.acct: Tuple = ()        # ((charge, cat_idx), ...) scalar replay
         self.term_c: Optional[float] = None
         self.issues = 0              # note_issue count (steps + terminator)
@@ -109,19 +110,19 @@ class RegionOp:
         self.kind = R_UNREACHABLE
         self.next_i = 0              # Internal successor op index.
         self.bump = 0                # Epoch bump of the internal edge.
-        self.moves: Tuple = ()       # ((phi_id, reader, dtype, nocopy), ...)
+        self.moves: Tuple = ()       # ((dst, src, dtype, nocopy), ...)
         self.phi_c = 0.0             # Charge per phi move on that edge.
-        self.read_cond = None
+        self.cond: Optional[int] = None   # The branch condition's slot.
         self.expected = True
         self.true_edge = None
         self.false_edge = None
         self.exit_edge = None
         self.ret = None
-        self.load_ids: Tuple = ()    # Slots mutated in place by loads.
+        self.load_ids: Tuple = ()    # Slots loads and allocas write in place.
         self.arm_t = None            # R_DIAMOND arms: their decoded blocks.
         self.arm_f = None
         self.arms_t_first = True     # True arm has the lower rpo.
-        self.stored = ()             # (iid, dtype) slots this op rebinds.
+        self.stored = ()             # (slot, dtype) pairs this op rebinds.
         self.fuse_plan = ()          # ((lo, hi, liveouts), ...) fused spans.
 
 
@@ -215,9 +216,9 @@ def select_regions(regions: RegionMap, machine, func) -> None:
         plans[head.block_id] = plan
     regions.plans = plans
     obs_metrics.inc("repro_jit_selections_total")
-    # The machine and function let the expression fuser hoist global
-    # addresses and compute function-wide use counts.
-    regions.fuse_ctx = FuseContext(machine, func)
+    # The frame and function let the expression fuser hoist constant
+    # operands and compute function-wide use counts.
+    regions.fuse_ctx = FuseContext(machine._decoded[id(func)], func)
 
 
 def compile_region(regions: RegionMap,
@@ -322,12 +323,11 @@ def _select_region(head: _DecodedBlock):
             cur = tgt
             continue
         # Conditional branch.
-        read_cond, t_edge, f_edge = cur.term
+        cond, t_edge, f_edge = cur.term
         succs.append(t_edge.target)
         succs.append(f_edge.target)
         if guards >= MAX_REGION_GUARDS:
-            decisions.append((cur, (R_EXIT_CONDBR, read_cond, t_edge,
-                                    f_edge)))
+            decisions.append((cur, (R_EXIT_CONDBR, cond, t_edge, f_edge)))
             break
         # An if/else diamond is folded into the trace whole: both arms
         # execute masked in-region (paper-style predication), so an
@@ -339,8 +339,8 @@ def _select_region(head: _DecodedBlock):
             if dia is not None:
                 ta, fa, join = dia
                 if join.block_id == head.block_id:
-                    decisions.append((cur, (R_DIAMOND, read_cond, t_edge,
-                                            f_edge, ta, fa, 0)))
+                    decisions.append((cur, (R_DIAMOND, cond, t_edge, f_edge,
+                                            ta, fa, 0)))
                     guards += 1
                     seen.update((ta.block_id, fa.block_id))
                     loopback = True
@@ -348,9 +348,8 @@ def _select_region(head: _DecodedBlock):
                 if (join.block_id not in seen
                         and len(decisions) + 3 < MAX_REGION_BLOCKS
                         and join.term_kind != _T_MISSING):
-                    decisions.append((cur, (R_DIAMOND, read_cond, t_edge,
-                                            f_edge, ta, fa,
-                                            len(decisions) + 1)))
+                    decisions.append((cur, (R_DIAMOND, cond, t_edge, f_edge,
+                                            ta, fa, len(decisions) + 1)))
                     guards += 1
                     seen.update((ta.block_id, fa.block_id, join.block_id))
                     succs.append(join)
@@ -360,7 +359,7 @@ def _select_region(head: _DecodedBlock):
         chosen = t_edge if expected else f_edge
         tgt = chosen.target
         if tgt.block_id == head.block_id:
-            decisions.append((cur, (R_GUARD, read_cond, expected, t_edge,
+            decisions.append((cur, (R_GUARD, cond, expected, t_edge,
                                     f_edge, chosen, 0)))
             guards += 1
             loopback = True
@@ -368,10 +367,9 @@ def _select_region(head: _DecodedBlock):
         if (tgt.block_id in seen
                 or len(decisions) + 1 >= MAX_REGION_BLOCKS
                 or tgt.term_kind == _T_MISSING):
-            decisions.append((cur, (R_EXIT_CONDBR, read_cond, t_edge,
-                                    f_edge)))
+            decisions.append((cur, (R_EXIT_CONDBR, cond, t_edge, f_edge)))
             break
-        decisions.append((cur, (R_GUARD, read_cond, expected, t_edge,
+        decisions.append((cur, (R_GUARD, cond, expected, t_edge,
                                 f_edge, chosen, len(decisions) + 1)))
         guards += 1
         seen.add(tgt.block_id)
@@ -418,33 +416,34 @@ def _finalize_moves(ops: List[RegionOp]) -> None:
     A phi bind may alias its source array (skip ``broadcast_to/astype``)
     only when the source slot is *rebound, never mutated* for as long as
     the alias can live: a value-step result of this region or another
-    phi bound by this region — and not a load destination, since loads
-    masked-write their slot in place.  Everything else (constants,
-    arguments, slots owned by the interpreter, load results) is copied
-    at bind time, exactly as the interpreter's masked phi write would.
+    phi bound by this region — and not a load or alloca destination,
+    since those masked-write their slot in place.  Everything else
+    (constants, arguments, geometry, slots owned by the interpreter, load
+    results) is copied at bind time, exactly as the interpreter's masked
+    phi write would.
     Exit-time normalization breaks any surviving alias between two
     region slots before the interpreter regains masked-write access.
     """
-    safe = {iid for op in ops for iid, _dt in op.stored}
-    safe |= {pid for op in ops for pid, _read, _dt, _sid in op.moves}
-    safe -= {iid for op in ops for iid in op.load_ids}
+    safe = {slot for op in ops for slot, _dt in op.stored}
+    safe |= {dst for op in ops for dst, _src, _dt in op.moves}
+    safe -= {slot for op in ops for slot in op.load_ids}
     for op in ops:
         if op.kind == R_DIAMOND:
             # Diamond join phis are masked-written in place each
             # traversal — aliasing them would corrupt the alias.
             for arm in (op.arm_t, op.arm_f):
-                safe -= {pid for _w, _read, pid, _dt, _sid in arm.term.moves}
+                safe -= {dst for dst, _src, _snap in arm.term.moves}
     for op in ops:
         if op.moves:
-            op.moves = tuple((pid, read, dt, sid is not None and sid in safe)
-                             for pid, read, dt, sid in op.moves)
+            op.moves = tuple((dst, src, dt, src in safe)
+                             for dst, src, dt in op.moves)
 
 
 def _norm_of(ops) -> Tuple:
     """Slots a region can rebind: value steps plus phi destinations."""
     return tuple(dict.fromkeys(  # Preserve order, drop duplicates.
-        [(iid, dt) for op in ops for iid, dt in op.stored]
-        + [(pid, dt) for op in ops for pid, _read, dt, _nc in op.moves]))
+        [(slot, dt) for op in ops for slot, dt in op.stored]
+        + [(dst, dt) for op in ops for dst, _src, dt, _nc in op.moves]))
 
 
 def _compile_op(db: _DecodedBlock, decision: Tuple,
@@ -452,8 +451,9 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     """Flatten one decoded block (plus its trace decision) into a RegionOp.
 
     Maximal memory-free chains of fusible value steps (found by the
-    :class:`FuseContext`) collapse into single ``S_FUSED`` entries: one generated
-    closure computes the whole chain, and the per-step cycle charges —
+    :class:`FuseContext`) collapse into single ``S_FUSED`` entries: one
+    generated function computes the whole chain, and the per-step cycle
+    charges —
     folded here in original step order — are replayed by the executor
     before the call, so ``Counters`` are bit-identical to the unfused
     path (charge accumulation is independent of value computation).
@@ -465,6 +465,7 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     load_ids: List[int] = []
     stored: List[Tuple[int, object]] = []
     fuse_plan: List[Tuple[int, int, Tuple[int, ...]]] = []
+    dtype_of = fuse_ctx.frame.dtype
     seg_iter = iter(fuse_ctx.segments_for(db))
     seg = next(seg_iter, None)
     db_steps = db.steps
@@ -473,38 +474,35 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         if seg is not None and i == seg[0]:
             lo, hi, live = seg
             charges: List[Tuple[float, int]] = []
-            for k in range(lo, hi):
-                cat_idx, cost = db_steps[k][1], db_steps[k][2]
-                c = cost * _FULL_FACTOR
-                acct.append((c, cat_idx))
-                charges.append((c, cat_idx))
-            fn, names, seg_stored = fuse_ctx.compile_segment(db, lo, hi,
-                                                             live)
-            steps.append((S_FUSED, tuple(charges), fn, names))
-            # Scalar executors key on iid=None; the dtype slot carries
-            # the diagnostics name map instead.
-            vsteps.append((fn, None, names))
+            for step in db_steps[lo:hi]:
+                c = step.cost * _FULL_FACTOR
+                acct.append((c, step.cat))
+                charges.append((c, step.cat))
+            fn, seg_stored = fuse_ctx.compile_segment(db, lo, hi, live)
+            steps.append((S_FUSED, tuple(charges), fn))
+            # The scalar executor tells a fused segment by kind None.
+            vsteps.append((None, None, None, fn, None))
             stored.extend(seg_stored)
             fuse_plan.append((lo, hi, tuple(live)))
             seg = next(seg_iter, None)
             i = hi
             continue
-        _category, cat_idx, cost, kind, run, brun, _write, meta = db_steps[i]
+        step = db_steps[i]
         i += 1
-        c = cost * _FULL_FACTOR
+        cat_idx, _cost, kind, dst, srcs, kernel, dt, _aux = step
+        c = step.cost * _FULL_FACTOR
         acct.append((c, cat_idx))
-        if kind == _K_VALUE:
-            iid, dt = meta[0], meta[1]
-            steps.append((S_VALUE, c, cat_idx, run, iid, dt))
-            vsteps.append((run, iid, dt))
-            stored.append((iid, dt))
-        elif kind in (_K_LOAD, _K_STORE):
-            op.has_mem = True
-            steps.append((S_MEM, c, cat_idx, brun))
-            if kind == _K_LOAD:
-                load_ids.append(meta[0])
-        else:  # _K_VOID
+        if kind <= _K_TERNARY:
+            steps.append((S_VALUE, c, cat_idx, kind, dst, srcs, kernel, dt))
+            vsteps.append((kind, dst, srcs, kernel, dt))
+            stored.append((dst, dt))
+        elif kind == _K_VOID:
             steps.append((S_VOID, c, cat_idx))
+        else:   # Load, store, alloca: the lattice's own runners.
+            op.has_mem = True
+            steps.append((S_MEM, c, cat_idx, step))
+            if kind != _K_STORE:
+                load_ids.append(dst)
 
     kind0 = decision[0]
     op.kind = kind0
@@ -524,28 +522,28 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         edge = decision[1]
         op.next_i = decision[2]
         op.bump = edge.bump_epoch
-        op.moves = tuple((pid, read, dt, sid)
-                         for _write, read, pid, dt, sid in edge.moves)
+        op.moves = tuple((dst, src, dtype_of(dst))
+                         for dst, src, _snapshot in edge.moves)
     elif kind0 == R_EXIT_BR:
         op.exit_edge = decision[1]
     elif kind0 == R_GUARD:
-        _k, read_cond, expected, t_edge, f_edge, chosen, next_i = decision
-        op.read_cond = read_cond
+        _k, cond, expected, t_edge, f_edge, chosen, next_i = decision
+        op.cond = cond
         op.expected = expected
         op.true_edge = t_edge
         op.false_edge = f_edge
         op.next_i = next_i
         op.bump = chosen.bump_epoch
-        op.moves = tuple((pid, read, dt, sid)
-                         for _write, read, pid, dt, sid in chosen.moves)
+        op.moves = tuple((dst, src, dtype_of(dst))
+                         for dst, src, _snapshot in chosen.moves)
     elif kind0 == R_EXIT_CONDBR:
-        _k, read_cond, t_edge, f_edge = decision
-        op.read_cond = read_cond
+        _k, cond, t_edge, f_edge = decision
+        op.cond = cond
         op.true_edge = t_edge
         op.false_edge = f_edge
     elif kind0 == R_DIAMOND:
-        _k, read_cond, t_edge, f_edge, ta, fa, next_i = decision
-        op.read_cond = read_cond
+        _k, cond, t_edge, f_edge, ta, fa, next_i = decision
+        op.cond = cond
         op.true_edge = t_edge
         op.false_edge = f_edge
         op.next_i = next_i

@@ -9,7 +9,7 @@ signature into an :class:`Op` — a numpy kernel over arrays of any shape
 plus, where it is a one-liner, the expression that kernel was compiled
 from.  Three consumers evaluate the *same* ``Op``:
 
-* the SIMT interpreter (:meth:`repro.gpu.machine.SimtMachine._value_fn`:
+* the SIMT interpreter (:func:`repro.gpu.machine.evaluate`:
   per-warp ``(32,)`` vectors, the batched ``(n, 32)`` lattice, unfused
   jit steps) calls ``op.kernel``;
 * the jit's expression fuser (:mod:`repro.gpu.fuser`) inlines ``op.expr``

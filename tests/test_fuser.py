@@ -4,7 +4,7 @@ The engine-equivalence suite pins fused execution bit-identical to the
 other engines; this file pins the fuser's *decisions* and mechanics:
 which step runs become segments, where liveouts are required, that the
 generated code objects are shared across identical functions, and that
-fused chains compute what the unfused per-step closures compute.
+fused chains compute what the unfused per-step kernels compute.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def decoded_block(ir_text: str, block: str, name: str = "m"):
 
 def test_whole_block_chain_is_one_segment():
     machine, func, loop = decoded_block(CHAIN_IR, "loop")
-    segments = find_segments(loop.steps, use_counts(func))
+    segments = find_segments(loop, use_counts(func))
     assert len(segments) == 1
     lo, hi, live = segments[0]
     # Every step in the loop body (10 binops/icmps/selects) joins.
@@ -100,8 +100,8 @@ def test_whole_block_chain_is_one_segment():
 
 def test_liveouts_mark_exactly_the_externally_used_values():
     machine, func, loop = decoded_block(CHAIN_IR, "loop")
-    (lo, hi, live), = find_segments(loop.steps, use_counts(func))
-    by_name = {loop.steps[k][7][2].name: live[k - lo] for k in range(lo, hi)}
+    (lo, hi, live), = find_segments(loop, use_counts(func))
+    by_name = {loop.insts[k].name: live[k - lo] for k in range(lo, hi)}
     # Used by phis (next iteration), the terminator, or the exit block:
     assert by_name["acc.next"] == 1
     assert by_name["i.next"] == 1   # phi incoming (done's use is internal)
@@ -113,20 +113,19 @@ def test_liveouts_mark_exactly_the_externally_used_values():
 
 def test_memory_step_breaks_the_chain():
     machine, func, loop = decoded_block(SPLIT_IR, "loop")
-    segments = find_segments(loop.steps, use_counts(func))
+    segments = find_segments(loop, use_counts(func))
     # Front: t1..t4 + the gep (5 fusible steps).  The store is a barrier;
     # the tail (acc.next, i.next, done) is below MIN_CHAIN and stays
-    # on the specialized per-step closures.
+    # step by step.
     assert len(segments) == 1
     lo, hi, _ = segments[0]
     assert lo == 0
-    assert loop.steps[hi][3] != 0 or loop.steps[hi][7] is None \
-        or loop.steps[hi][7][2].name != "t4"
+    assert loop.insts[hi].name != "t4"
 
 
 def test_min_chain_floor_is_enforced():
     machine, func, loop = decoded_block(SPLIT_IR, "loop")
-    segments = find_segments(loop.steps, use_counts(func))
+    segments = find_segments(loop, use_counts(func))
     for lo, hi, _ in segments:
         assert hi - lo >= MIN_CHAIN
 
@@ -167,9 +166,10 @@ def test_fused_results_match_warp_engine(tier_up_at_once):
 def test_generated_code_objects_are_shared_across_reparses():
     """Identical IR in a fresh machine must not recompile its segments.
 
-    The generated source is id-free (SSA slots bind through the closure
-    namespace), so the (filename, source) memo hits across re-parses —
-    this is what amortizes codegen over repeated launches.
+    The generated source names value-table slots, which decode numbers
+    from the function's text alone, so the (filename, source) memo hits
+    across re-parses — this is what amortizes codegen over repeated
+    launches.
     """
     region_fused_counts(CHAIN_IR)      # Prime the cache.
     before = dict(_CODE_CACHE)
@@ -182,7 +182,7 @@ def test_fused_numpy_values_match_unfused(monkeypatch, tier_up_at_once):
     """Value arrays agree elementwise between fused and unfused runs.
 
     With the chain floor out of reach no segment forms, and the jit runs
-    the chain as the per-step closures every short chain uses.
+    the chain step by step, as every short chain runs.
     """
     results = {}
     for floor in (MIN_CHAIN, 10**9):

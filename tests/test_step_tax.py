@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import pathlib
-import types
 
 import numpy as np
 import pytest
@@ -24,13 +23,14 @@ from repro.fuzz.generator import generate_kernel
 from repro.gpu import Memory, SimtMachine, batched, jit
 from repro.gpu import machine as machine_mod
 from repro.gpu.counters import CATEGORIES, Counters
-from repro.gpu.machine import WARP_SIZE, _PHI_COST
+from repro.gpu.machine import WARP_SIZE, _PHI_COST, _geometry_vec
+from repro.gpu.regions import RegionMap, compile_region, select_regions
 from repro.gpu.timing import charge
 from repro.ir.constants import ConstantFloat, ConstantInt
 from repro.ir.parser import parse_module
 from repro.ir.types import F32, F64, I1, I64
-from repro.ir.values import Argument, GlobalVariable
-from repro.semantics import storage_dtype
+from repro.ir.values import GlobalVariable
+from repro.semantics import op_for, storage_dtype
 from repro.transforms.pipeline import compile_module
 from tests.conftest import engine_named
 from tests.test_tier_up import launch_perf_kernel, spy
@@ -141,28 +141,28 @@ entry:
     base = memory.alloc("p", "i64", 1, np.array([41]))
     machine = SimtMachine(module, memory)
     func = module.get_function("k")
-    entry = machine._decode(func)
-    (_, _, _, _, _, brun_load, _, (vid, _)), \
-        (_, _, _, _, _, brun_store, _, _) = entry.steps
+    load, store = machine._decode(func).steps
+    # Row 0 addresses the buffer, row 1 the null page.
+    addrs = np.zeros((2, WARP_SIZE), dtype=np.int64)
+    addrs[0] = base
     lanes = np.zeros((2, WARP_SIZE), dtype=np.int64)
-    ctx = batched._BatchContext(lanes.copy(), np.zeros(2, dtype=np.int64),
-                                WARP_SIZE, 1, np.arange(2))
+    ctx = batched._BatchContext(
+        machine._decoded[id(func)], lanes.copy(),
+        np.zeros(2, dtype=np.int64), np.arange(2),
+        [_geometry_vec(WARP_SIZE), _geometry_vec(1), addrs])
     mask = np.zeros((2, WARP_SIZE), dtype=bool)
     mask[0, :3] = True
     actives = mask.sum(axis=1)
     state = batched._BatchState(ctx, np.zeros(2), np.zeros(2),
                                 np.zeros((2, len(CATEGORIES))), None, [])
-    # Row 0 addresses the buffer, row 1 the null page.
-    addrs = np.zeros((2, WARP_SIZE), dtype=np.int64)
-    addrs[0] = base
-    args = {id(func.args[0]): addrs}
     loads = spy(monkeypatch, Memory, "load")
     stores = spy(monkeypatch, Memory, "store")
-    brun_load(ctx, args, mask, actives, state)
-    brun_store(ctx, args, mask, actives, state)
+    for step in (load, store):
+        batched.ROW_RUNNERS[step.kind](memory, ctx, step, mask, actives,
+                                       state)
     assert len(loads) == len(stores) == 1
-    assert ctx.values[vid][0, :3].tolist() == [41, 41, 41]
-    assert not ctx.values[vid][1].any()
+    assert ctx.values[load.dst][0, :3].tolist() == [41, 41, 41]
+    assert not ctx.values[load.dst][1].any()
     assert state.cycles[0] > 0 and state.cycles[1] == 0
 
 
@@ -214,7 +214,7 @@ def test_sealed_issue_counts_equal_a_step_by_step_replay(blocks):
     for (db, edges), active in itertools.product(blocks, (1, 7, 32)):
         replay = Counters()
         for step in db.steps:
-            note_issue_per_step(replay, step[0], active)
+            note_issue_per_step(replay, CATEGORIES[step.cat], active)
         if db.term_kind <= machine_mod._T_RET:
             note_issue_per_step(replay, "control", active)
         sealed = Counters()
@@ -242,7 +242,7 @@ def test_charge_memo_is_bit_identical_to_timing_charge(blocks):
             charge(_PHI_COST, active).hex()
         factor = batched._issue_factor(np.array([active, WARP_SIZE]))
         for db, _edges in blocks:
-            costs = [step[2] for step in db.steps]
+            costs = [step.cost for step in db.steps]
             if db.term_kind <= machine_mod._T_RET:
                 costs.append(1)     # Every control terminator issues in 1.
             assert list(db.costs) == costs
@@ -256,6 +256,66 @@ def test_charge_memo_is_bit_identical_to_timing_charge(blocks):
             for row, cost in zip(column, costs):
                 assert row.tobytes() == (cost * factor).tobytes()
                 assert float(row[0]).hex() == charge(cost, active).hex()
+
+
+def test_decode_holds_slots_not_closures(blocks, monkeypatch):
+    """Catches decode going back to function objects per operand (the
+    reader and writer closures every operand had) or to an ``id()``-keyed
+    value dict.  A decoded step, terminator and edge move holds plain
+    data — slot numbers, costs, dtypes, an alloca's names — and at most
+    the step's own op-table kernel; a compiled region adds floats and its
+    generated fused-segment functions; a launched context keeps its
+    values in one list."""
+    def leaves(x):
+        if isinstance(x, tuple):
+            for y in x:
+                yield from leaves(y)
+        else:
+            yield x
+
+    def plain(x):
+        return (x is None or isinstance(x, (int, float, str, np.ndarray,
+                                            np.dtype))
+                or isinstance(x, type) and issubclass(x, np.generic))
+
+    kernels = set()
+    for db, edges in blocks:
+        assert len(db.steps) == len(db.insts)
+        for step, inst in zip(db.steps, db.insts):
+            if step.kernel is not None:
+                assert step.kernel is op_for(inst).kernel, inst
+                kernels.add(id(step.kernel))
+            assert all(map(plain, leaves(step._replace(kernel=None)))), step
+        term = db.term if db.term_kind != machine_mod._T_BR else ()
+        assert all(plain(x) for x in term
+                   if not isinstance(x, machine_mod._Edge)), db.name
+        for edge in edges:
+            assert all(isinstance(x, int) for x in leaves(edge.moves))
+    assert kernels
+
+    for kernel in KERNELS:
+        module = parse_module((KERNEL_DIR / f"{kernel}.ir").read_text(),
+                              kernel)
+        machine = SimtMachine(module, Memory())
+        func = module.get_function(kernel)
+        regions = RegionMap(func.name)
+        select_regions(regions, machine, func)
+        for head in list(regions.plans):
+            compile_region(regions, head)
+        for op in (op for region in regions.values() for op in region.ops):
+            for x in leaves((op.steps, op.vsteps, op.moves, op.stored)):
+                assert plain(x) or id(x) in kernels or \
+                    x.__code__.co_filename.startswith("<fused:"), (kernel, x)
+
+    warp = spy(monkeypatch, SimtMachine, "_exec_decoded")
+    lattice = spy(monkeypatch, batched, "_exec_block")
+    for engine in ("warp", "jit"):
+        divergent_kernel(engine)()
+    assert warp and lattice
+    # (machine, func, db, epoch, mask, active, ctx, ...) per warp and
+    # (machine, func, db, epoch, mask, state, ...) on the lattice.
+    assert all(type(call[6].values) is list for call in warp)
+    assert all(type(call[5].ctx.values) is list for call in lattice)
 
 
 def old_write(slot, value, mask):
@@ -285,7 +345,6 @@ SOURCES = {
 @pytest.mark.parametrize("type_", [I1, I64, F32, F64], ids=repr)
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_copyto_writer_equals_the_old_writer(type_, source):
-    write = SimtMachine._writer(Argument(type_, "r", 0))
     value = SOURCES[source]
     rng = np.random.default_rng(7)
     even = np.arange(WARP_SIZE) % 2 == 0
@@ -296,13 +355,14 @@ def test_copyto_writer_equals_the_old_writer(type_, source):
              np.ones((3, WARP_SIZE), dtype=bool)]
     with np.errstate(all="ignore"):
         for mask in masks:
-            ctx = types.SimpleNamespace(values={})
+            # A slot not yet written holds its storage dtype.
+            values = [storage_dtype(type_)]
             want = np.zeros(mask.shape, dtype=storage_dtype(type_))
             # The first write allocates the slot, the second lands on
             # one that already holds values.
             for val, m in ((value, mask), (value[::-1], mask & even)):
-                write(ctx, val, m)
+                machine_mod.write_masked(values, 0, val, m)
                 old_write(want, val, m)
-                (slot,) = ctx.values.values()
+                (slot,) = values
                 assert slot.dtype == want.dtype
                 assert slot.tobytes() == want.tobytes(), (source, mask.shape)

@@ -151,8 +151,8 @@ def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes(monkeypatch):
     # One run of the compiled loop, which the guard left once (the loop
     # exit: back to the interpreter for `exit`) after passing on every
     # other iteration — each pass bumps the back edge's epoch.
-    ((*_, entry_epoch, _mask, _state, _args, _total, _actives),) = spins
-    ((*_, exit_epoch, _state, _args, _total),) = deopts
+    ((*_, entry_epoch, _mask, _state, _total, _actives),) = spins
+    ((*_, exit_epoch, _state, _total),) = deopts
     assert exit_epoch - entry_epoch == TRIPS - threshold
     heat = sorted(region_map.heat.values())
     assert heat == [1, 1, threshold]        # entry, exit, loop.
