@@ -14,10 +14,13 @@ selected or compiled, and a compiled region never changes shape.
 
 Two executors run a region (:func:`_run_region`; EXPERIMENTS.md
 "Trace-tier traffic" has the counts behind the split):
-:func:`_region_self_scalar` replays a memory-free self-loop's float
-accounting on Python scalars instead of ``(n,)``/``(n, 7)`` lattices,
-:func:`_region_vector` runs everything else, and the arms of an
-in-region diamond go through the interpreter's own block executor.
+:func:`_region_scalar` replays a memory-free region's float accounting
+on Python scalars instead of ``(n,)``/``(n, 7)`` lattices — the arms of
+an in-region diamond included, as long as every warp splits on the same
+number of lanes — and :func:`_region_vector` runs everything else, the
+arms of its diamonds through the interpreter's own block executor.  A
+scalar run whose warps split unalike at a diamond hands the rest of the
+run to the vector executor there; that is not a deopt.
 
 Guards and deoptimization: each conditional branch crossed by a trace
 checks that every lane takes the compile-time expected side (one lattice
@@ -51,7 +54,7 @@ from .batched import (INTERPRET, ROW_RUNNERS, _BatchState, _classify,
 from ..obs import metrics as obs_metrics
 from .counters import Counters
 from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
-                      evaluate)
+                      _K_TERNARY, _PHI_CHARGES, evaluate, write_masked)
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
                       RegionMap, compile_region, select_regions)
@@ -110,10 +113,9 @@ def _run_region(machine, func, region: CompiledRegion, epoch: int,
     ``scalar_ok`` test matters: a load or store charges per-row
     latencies that the scalar replay does not carry.
     """
-    if (region.scalar_ok and region.self_loop is not None
-            and profile is None and _rows_uniform(state)):
-        return _region_self_scalar(machine, func, region, region.self_loop,
-                                   epoch, mask, state, total, actives)
+    if region.scalar_ok and profile is None and _rows_uniform(state):
+        return _region_scalar(machine, func, region, epoch, mask, state,
+                              total, actives)
     return _region_vector(machine, func, region, epoch, mask, state, total,
                           profile, actives)
 
@@ -127,16 +129,64 @@ def _rows_uniform(state: _BatchState) -> bool:
     return bool((cc == cc[0]).all())
 
 
+def _runaway(func, max_cycles) -> SimulationError:
+    """The error a region back edge raises past ``machine.max_cycles``."""
+    return SimulationError(
+        f"@{func.name}: exceeded {max_cycles} cycles (runaway kernel?)")
+
+
 def _flush_ints(total: Counters, issues: int, branches: int,
-                cat_acc: Dict[str, int], n: int, lanes: int) -> None:
+                cat_acc: Dict[str, int], n: int, arm_runs=None) -> None:
     """Apply locally accumulated integer counters to ``total``.
 
     Integer counters are exact and commutative, so a region run folds
     them into plain locals per op and flushes once per exit — identical
     totals to the interpreter's ``note_issue`` per dispatched block.
+    ``issues``, ``branches`` and ``cat_acc`` count per warp at a full
+    mask.  ``arm_runs`` — ``{(arm block, lanes per row): runs}`` of the
+    scalar executor's diamond arms — adds each arm and its join edge's
+    phi moves at the lanes it ran with: its thread-level counts scale by
+    ``lanes per row * n``, not by the full lane count.
     """
-    total.note_issue((issues, cat_acc.items()), lanes, n)
+    lanes = n * WARP_SIZE
+    thread = issues * lanes
+    cats = {attr: count * lanes for attr, count in cat_acc.items()}
+    if arm_runs:
+        for (arm, active), ran in arm_runs.items():
+            for count, cat_counts in (arm.issues, arm.term.issues):
+                issues += count * ran
+                thread += count * ran * active * n
+                for attr, c in cat_counts:
+                    cats[attr] = cats.get(attr, 0) + c * ran * active * n
+            branches += ran
+    total.inst_executed += issues * n
+    total.thread_inst_executed += thread
+    total.active_lane_sum += thread
+    for attr, count in cats.items():
+        setattr(total, attr, getattr(total, attr) + count)
     total.branches += branches * n
+
+
+def _tally(ops, runs, crossed):
+    """A scalar run's full-mask counts in :func:`_flush_ints`'s form.
+
+    Op ``i`` ran ``runs[i]`` times and took its internal edge — one
+    ``misc`` mov per phi move — ``crossed[i]`` times.
+    """
+    issues = 0
+    branches = 0
+    cat_acc: Dict[str, int] = {}
+    for op, ran, took in zip(ops, runs, crossed):
+        if not ran:
+            continue
+        moved = len(op.moves) * took
+        issues += op.issues * ran + moved
+        branches += op.branch_inc * ran
+        for attr, count in op.cat_counts:
+            cat_acc[attr] = cat_acc.get(attr, 0) + count * ran
+        if moved:
+            cat_acc["inst_misc"] = cat_acc.get("inst_misc", 0) + moved
+    return issues, branches, cat_acc
 
 
 def _bind_phis(values, moves, shape) -> None:
@@ -191,88 +241,208 @@ def _normalize_slots(values, norm, shape) -> None:
             seen.add(aid)
 
 
-def _region_self_scalar(machine, func, region: CompiledRegion, op,
-                        epoch: int, mask: np.ndarray, state: _BatchState,
-                        total: Counters, actives):
-    """Scalar executor for memory-free single-block self-loop regions.
+def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
+                   mask: np.ndarray, state: _BatchState, total: Counters,
+                   actives):
+    """Scalar executor for memory-free regions, diamonds included.
 
-    The hottest compiled shape — a loop body whose guard jumps straight
-    back to itself — spins here with every per-iteration attribute load
-    hoisted into locals and integer counters folded as one
-    multiplication by the iteration count at exit (exact: they are
-    Python ints).  Float accumulation runs on Python scalars
-    (``cy``/``cats``) in the exact operation order the lattice would
-    use; since every row starts equal and every charge is row-uniform,
+    Every row starts with equal float accumulators and every charge is
+    row-uniform, so the accumulation runs on Python scalars (``cy`` /
+    ``cats``) in the exact operation order the lattice would use, and
     broadcasting the final scalars back is bit-identical to the
-    elementwise updates.  Runs only with profiling off; the vector
-    executor keeps the per-iteration ``note_block`` stream otherwise.
+    elementwise updates.  Full-mask ops charge ``cost * _FULL_FACTOR``.
+    An in-region diamond whose rows all take their true side on the same
+    number of lanes ``a`` runs its arm or arms here, masked, in rpo
+    order: each charges the per-warp engine's ``charge(cost, a)``
+    (``arm.charges``, ``_PHI_CHARGES``), which every row's
+    ``cost_column * _issue_factor(actives)`` equals.  Rows that split
+    unalike hand the rest of the run to :func:`_region_vector`.
+    Integer counters are counted per op and folded once at exit
+    (:func:`_flush_ints`).  The single-block self-loop — the hottest
+    shape — spins with every per-iteration attribute load hoisted.
+    Runs only with profiling off; the vector executor keeps the
+    per-block ``note_block`` stream otherwise.
     """
     ctx = state.ctx
     values = ctx.values
     n = ctx.n
-    lanes = n * WARP_SIZE
     shape = mask.shape
+    icache = state.icache
     max_cycles = machine.max_cycles
+    ops = region.ops
     cy = float(state.cycles[0])
     cats = [float(x) for x in state.cat_cycles[0]]
-    acct = op.acct
-    vsteps = op.vsteps
-    cond_slot = op.cond
-    expected = op.expected
-    moves = op.moves
-    phi_c = op.phi_c
-    k = len(moves)
     cmisc = _CAT_MISC
-    # The first fetch may miss; every later one re-touches the block
-    # just accessed — a guaranteed hit with zero stall and a no-op LRU
-    # reorder — so the loop skips the call entirely.
-    cy += state.icache.access(op.block_id, op.size)
-    iters = 0
-    while True:
-        for c, ci in acct:
-            cy += c
-            cats[ci] += c
-        for kind, dst, srcs, kernel, dt in vsteps:
-            if kind is None:  # Fused segment: one call for a whole chain.
-                kernel(values)
+    runs = [0] * len(ops)       # Times op i ran ...
+    crossed = [0] * len(ops)    # ... and took its internal edge.
+    arm_runs: Dict = {}         # (arm block, lanes per row) -> runs.
+    op = region.self_loop
+    if op is not None:
+        acct = op.acct
+        vsteps = op.vsteps
+        cond_slot = op.cond
+        expected = op.expected
+        moves = op.moves
+        phi_c = op.phi_c
+        k = len(moves)
+        # The first fetch may miss; every later one re-touches the block
+        # just accessed — a guaranteed hit with zero stall and a no-op
+        # LRU reorder — so the loop skips the call and counts the hits.
+        cy += icache.access(op.block_id, op.size)
+        iters = 0
+        while True:
+            for c, ci in acct:
+                cy += c
+                cats[ci] += c
+            for kind, dst, srcs, kernel, dt in vsteps:
+                if kind is None:  # Fused segment: one call for a chain.
+                    kernel(values)
+                    continue
+                arr = evaluate(values, kind, srcs, kernel)
+                if arr.dtype != dt:
+                    arr = arr.astype(dt)
+                values[dst] = arr
+            cond = values[cond_slot]
+            if expected:
+                ok = bool(cond.all())
+            else:
+                ok = not bool(cond.any())
+            if not ok:
+                break
+            if k:
+                _bind_phis(values, moves, shape)
+                for _ in range(k):
+                    cy += phi_c
+                    cats[cmisc] += phi_c
+            iters += 1
+            if cy > max_cycles:
+                raise _runaway(func, max_cycles)
+        icache.hits += iters
+        runs[0] = iters + 1
+        crossed[0] = iters
+        epoch += op.bump * iters
+    else:
+        i = 0
+        while True:
+            op = ops[i]
+            cy += icache.access(op.block_id, op.size)
+            runs[i] += 1
+            for c, ci in op.acct:
+                cy += c
+                cats[ci] += c
+            for kind, dst, srcs, kernel, dt in op.vsteps:
+                if kind is None:
+                    kernel(values)
+                    continue
+                arr = evaluate(values, kind, srcs, kernel)
+                if arr.dtype != dt:
+                    arr = arr.astype(dt)
+                values[dst] = arr
+            kind = op.kind
+            if kind == R_GUARD:
+                cond = values[op.cond]
+                if op.expected:
+                    ok = bool(cond.all())
+                else:
+                    ok = not bool(cond.any())
+                if not ok:
+                    break
+            elif kind == R_DIAMOND:
+                t_mask = mask & values[op.cond].astype(bool, copy=False)
+                taken = t_mask.sum(axis=1).tolist()
+                a = taken[0]
+                if taken.count(a) != n:
+                    # Rows split unalike: per-row accounting from here on.
+                    state.cycles[:] = cy
+                    state.cat_cycles[:] = cats
+                    _flush_ints(total, *_tally(ops, runs, crossed), n,
+                                arm_runs)
+                    epoch, pending = _diamond(machine, func, op, epoch,
+                                              mask, state, total, None,
+                                              actives)
+                    if pending is not None:
+                        _normalize_slots(values, region.norm, shape)
+                        return pending
+                    if (op.next_i <= i
+                            and float(state.cycles.max()) > max_cycles):
+                        raise _runaway(func, max_cycles)
+                    return _region_vector(machine, func, region, epoch,
+                                          mask, state, total, None, actives,
+                                          op.next_i)
+                if a == WARP_SIZE:
+                    arms = ((op.arm_t, mask, a),)
+                elif not a:
+                    arms = ((op.arm_f, mask, WARP_SIZE),)
+                else:
+                    total.divergent_branches += n
+                    arms = ((op.arm_t, t_mask, a),
+                            (op.arm_f, mask & ~t_mask, WARP_SIZE - a))
+                    if not op.arms_t_first:
+                        arms = (arms[1], arms[0])
+                join = epoch
+                for arm, arm_mask, active in arms:
+                    # The arm as the interpreter dispatches it (fetch,
+                    # steps, br, the join edge's phi moves), on scalars.
+                    cy += icache.access(arm.block_id, arm.size)
+                    charges = arm.charges(active)
+                    for step, c in zip(arm.steps, charges):
+                        ci, _cost, skind, dst, srcs, kernel, _dt, _aux = step
+                        cy += c
+                        cats[ci] += c
+                        if skind <= _K_TERNARY:
+                            write_masked(values, dst,
+                                         evaluate(values, skind, srcs,
+                                                  kernel), arm_mask)
+                    c = charges[-1]
+                    cy += c
+                    cats[_CAT_CONTROL] += c
+                    edge = arm.term
+                    if edge.moves:
+                        pc = _PHI_CHARGES[active]
+                        staged = [values[src].copy() if snapshot
+                                  else values[src]
+                                  for _dst, src, snapshot in edge.moves]
+                        for (dst, _src, _snapshot), value in zip(edge.moves,
+                                                                 staged):
+                            cy += pc
+                            cats[cmisc] += pc
+                            write_masked(values, dst, value, arm_mask)
+                    key = (arm, active)
+                    arm_runs[key] = arm_runs.get(key, 0) + 1
+                    # The join group merges at the max parked epoch.
+                    join = max(join, epoch + edge.bump_epoch)
+                epoch = join
+                ni = op.next_i
+                if ni <= i and cy > max_cycles:
+                    raise _runaway(func, max_cycles)
+                i = ni
                 continue
-            arr = evaluate(values, kind, srcs, kernel)
-            if arr.dtype != dt:
-                arr = arr.astype(dt)
-            values[dst] = arr
-        cond = values[cond_slot]
-        if expected:
-            ok = bool(cond.all())
-        else:
-            ok = not bool(cond.any())
-        if not ok:
-            break
-        if k:
-            _bind_phis(values, moves, shape)
-            for _ in range(k):
-                cy += phi_c
-                cats[cmisc] += phi_c
-        iters += 1
-        if cy > max_cycles:
-            raise SimulationError(
-                f"@{func.name}: exceeded {max_cycles} cycles "
-                "(runaway kernel?)")
+            elif kind != R_NEXT:
+                break
+            if op.moves:
+                _bind_phis(values, op.moves, shape)
+                crossed[i] += 1
+                pc = op.phi_c
+                for _ in op.moves:
+                    cy += pc
+                    cats[cmisc] += pc
+            epoch += op.bump
+            ni = op.next_i
+            if ni <= i and cy > max_cycles:
+                raise _runaway(func, max_cycles)
+            i = ni
 
-    # Guard failed — the loop's only exit.  Fold the whole run's integer
-    # counters, flush floats, and deoptimize to the interpreter.
-    obs_metrics.inc("repro_jit_guard_failures_total", kind="loop")
-    obs_metrics.inc("repro_jit_deopts_total")
+    # A failed guard or an exit: flush floats and integers, deoptimize.
     state.cycles[:] = cy
     state.cat_cycles[:] = cats
-    issues = op.issues * (iters + 1) + k * iters
-    cat_acc = {attr: count * (iters + 1) for attr, count in op.cat_counts}
-    if k and iters:
-        cat_acc["inst_misc"] = cat_acc.get("inst_misc", 0) + k * iters
-    _flush_ints(total, issues, op.branch_inc * (iters + 1), cat_acc, n,
-                lanes)
+    _flush_ints(total, *_tally(ops, runs, crossed), n, arm_runs)
     _normalize_slots(values, region.norm, shape)
-    return _resolve_condbr(cond, mask, actives, op.true_edge, op.false_edge,
-                           epoch + op.bump * iters, state, total)
+    if op.kind == R_GUARD:
+        obs_metrics.inc("repro_jit_guard_failures_total",
+                        kind="loop" if region.self_loop is not None
+                        else "lattice")
+        obs_metrics.inc("repro_jit_deopts_total")
+    return _leave(func, op, epoch, mask, actives, state, total)
 
 
 def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
@@ -290,9 +460,40 @@ def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
     return state.groups.pop()[0]
 
 
+def _diamond(machine, func, op, epoch: int, mask: np.ndarray,
+             state: _BatchState, total: Counters, profile, actives):
+    """An in-region diamond the vector way: arms through the interpreter.
+
+    Classifies rows exactly as the interpreter's condbr would, then runs
+    the arm(s) in-region — both arms masked (in the scheduler's rpo pop
+    order) for uniform intra-warp divergence, one arm at full mask for a
+    uniformly decided direction.  Returns ``(join epoch, None)``, or
+    ``(epoch, pending split)`` for a cross-warp disagreement, which the
+    caller hands to the interpreter as a condbr exit would.
+    """
+    first, t_mask, t_actives, f_actives, cls = _classify(
+        state.ctx.values[op.cond], mask, actives)
+    if first is None:
+        return epoch, (op.true_edge, op.false_edge, epoch, t_mask,
+                       mask & ~t_mask, t_actives, f_actives, cls)
+    if first == _CLS_DIVERGENT:
+        total.divergent_branches += mask.shape[0]
+        arms = ((op.arm_t, t_mask, t_actives),
+                (op.arm_f, mask & ~t_mask, f_actives))
+        if not op.arms_t_first:
+            arms = (arms[1], arms[0])
+        e1 = _exec_arm(machine, func, *arms[0], epoch, state, total, profile)
+        e2 = _exec_arm(machine, func, *arms[1], epoch, state, total, profile)
+        # The join group merges at the max parked epoch.
+        return max(e1, e2), None
+    arm = op.arm_t if first == _CLS_TAKEN else op.arm_f
+    return _exec_arm(machine, func, arm, mask, actives, epoch, state, total,
+                     profile), None
+
+
 def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                    mask: np.ndarray, state: _BatchState, total: Counters,
-                   profile, actives):
+                   profile, actives, start: int = 0):
     """Vector-accounting region execution (general case).
 
     Keeps the per-row ``(n,)``/``(n, 7)`` accumulators (memory latency
@@ -300,6 +501,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     counters, and rebinds slots instead of masked-writing them.  Charges
     are the scalar ``cost * _FULL_FACTOR`` broadcast over rows — the
     same IEEE value the lattice's per-row factor yields at a full mask.
+    ``start`` is the op a run the scalar executor handed over resumes at.
     """
     ctx = state.ctx
     values = ctx.values
@@ -315,7 +517,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     acc_issues = 0
     acc_branches = 0
     acc_cats: Dict[str, int] = {}
-    i = 0
+    i = start
     while True:
         op = ops[i]
         cycles += iaccess(op.block_id, op.size)
@@ -370,60 +572,20 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 obs_metrics.inc("repro_jit_guard_failures_total",
                                 kind="lattice")
                 obs_metrics.inc("repro_jit_deopts_total")
-                _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
-                            lanes)
-                _normalize_slots(values, region.norm, shape)
-                if profile is not None:
-                    profile.note_block(op.name, float(cycles.sum()) - before,
-                                       lanes, lanes, start_ts)
-                return _resolve_condbr(cond, mask, actives, op.true_edge,
-                                       op.false_edge, epoch, state, total)
+                break
         elif kind == R_DIAMOND:
-            # Predicated if/else: classify rows exactly as the
-            # interpreter's condbr would, then run the arm(s) in-region —
-            # both arms masked (in the scheduler's rpo pop order) for
-            # uniform intra-warp divergence, one arm at full mask for a
-            # uniformly decided direction.
-            first, t_mask, t_actives, f_actives, cls = _classify(
-                values[op.cond], mask, actives)
-            if first is None:
-                # Cross-warp disagreement: flush and hand the pending
-                # split to the interpreter, as a condbr exit would.
-                _flush_ints(total, acc_issues, acc_branches, acc_cats, n,
-                            lanes)
-                _normalize_slots(values, region.norm, shape)
-                if profile is not None:
-                    profile.note_block(op.name,
-                                       float(cycles.sum()) - before,
-                                       lanes, lanes, start_ts)
-                return (op.true_edge, op.false_edge, epoch, t_mask,
-                        mask & ~t_mask, t_actives, f_actives, cls)
             if profile is not None:
                 profile.note_block(op.name, float(cycles.sum()) - before,
                                    lanes, lanes, start_ts)
-            if first == _CLS_DIVERGENT:
-                total.divergent_branches += n
-                arms = ((op.arm_t, t_mask, t_actives),
-                        (op.arm_f, mask & ~t_mask, f_actives))
-                if not op.arms_t_first:
-                    arms = (arms[1], arms[0])
-                e1 = _exec_arm(machine, func, *arms[0], epoch, state, total,
-                               profile)
-                e2 = _exec_arm(machine, func, *arms[1], epoch, state, total,
-                               profile)
-                # The join group merges at the max parked epoch.
-                epoch = max(e1, e2)
-            elif first == _CLS_TAKEN:
-                epoch = _exec_arm(machine, func, op.arm_t, mask, actives,
-                                  epoch, state, total, profile)
-            else:
-                epoch = _exec_arm(machine, func, op.arm_f, mask, actives,
-                                  epoch, state, total, profile)
+            epoch, pending = _diamond(machine, func, op, epoch, mask, state,
+                                      total, profile, actives)
+            if pending is not None:
+                _flush_ints(total, acc_issues, acc_branches, acc_cats, n)
+                _normalize_slots(values, region.norm, shape)
+                return pending
             ni = op.next_i
             if ni <= i and float(cycles.max()) > max_cycles:
-                raise SimulationError(
-                    f"@{func.name}: exceeded {max_cycles} cycles "
-                    "(runaway kernel?)")
+                raise _runaway(func, max_cycles)
             i = ni
             continue
         elif kind != R_NEXT:
@@ -444,25 +606,35 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
         epoch += op.bump
         ni = op.next_i
         if ni <= i and float(cycles.max()) > max_cycles:
-            raise SimulationError(
-                f"@{func.name}: exceeded {max_cycles} cycles "
-                "(runaway kernel?)")
+            raise _runaway(func, max_cycles)
         i = ni
 
-    _flush_ints(total, acc_issues, acc_branches, acc_cats, n, lanes)
+    # A failed guard or an exit.
+    _flush_ints(total, acc_issues, acc_branches, acc_cats, n)
     _normalize_slots(values, region.norm, shape)
     if profile is not None:
         profile.note_block(op.name, float(cycles.sum()) - before, lanes,
                            lanes, start_ts)
+    return _leave(func, op, epoch, mask, actives, state, total)
+
+
+def _leave(func, op, epoch: int, mask: np.ndarray, actives,
+           state: _BatchState, total: Counters):
+    """Hand control back to the interpreter at the region's last op.
+
+    A failed guard resolves its branch as an exit condbr does: park the
+    sub-groups, or return the pending cross-warp split.
+    """
     kind = op.kind
     if kind == R_EXIT_BR:
         _follow_batch(op.exit_edge, epoch, mask, actives, state, total)
         return None
-    if kind == R_EXIT_CONDBR:
-        return _resolve_condbr(values[op.cond], mask, actives, op.true_edge,
-                               op.false_edge, epoch, state, total)
+    if kind in (R_GUARD, R_EXIT_CONDBR):
+        return _resolve_condbr(state.ctx.values[op.cond], mask, actives,
+                               op.true_edge, op.false_edge, epoch, state,
+                               total)
     if kind == R_RET:
-        _write_ret(ctx, op.ret, mask)
+        _write_ret(state.ctx, op.ret, mask)
         return None
     raise SimulationError(
         f"@{func.name}: executed unreachable in {op.name}")

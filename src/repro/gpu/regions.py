@@ -40,9 +40,15 @@ scalar sequence that can be replayed on Python floats (same IEEE-754
 doubles, same operation order) and broadcast back.  A full mask also
 implies the group is the *only* live group of its batch (masks partition
 lanes), so running the whole trace without re-entering the scheduler
-reproduces the interpreter's merge/sort/pop order exactly.  Regions
-containing memory steps keep the per-row vector accumulators (transaction
-latencies differ per row) but still skip scheduling and masked writes.
+reproduces the interpreter's merge/sort/pop order exactly.  An in-region
+diamond's arms run under partial masks, where the factor follows the
+arm's lane count: when every row takes the true side on the same number
+of lanes, each arm's charges are again one scalar per step — the
+per-warp engine's own ``timing.charge`` values — so the replay carries
+on through the arms; rows that split unalike need per-row accounting.
+Regions containing memory steps, in an op or in an arm, keep the per-row
+vector accumulators (transaction latencies differ per row) but still
+skip scheduling and masked writes.
 """
 
 from __future__ import annotations
@@ -139,17 +145,21 @@ class CompiledRegion:
         self.head_name = head_name
         self.ops = tuple(ops)
         #: Scalar accumulator replay is valid only for memory-free regions
-        #: without diamonds (arms run masked: per-row accounting).
-        self.scalar_ok = not any(op.has_mem or op.kind == R_DIAMOND
-                                 for op in ops)
+        #: (a load or store charges per-row latencies), a diamond's arms
+        #: included: they run on the scalars whenever every row splits
+        #: alike (``jit._region_scalar``).
+        self.scalar_ok = not any(
+            op.has_mem or (op.kind == R_DIAMOND
+                           and (_has_mem(op.arm_t) or _has_mem(op.arm_f)))
+            for op in ops)
         #: Slots rebound by value steps or phi binds; normalized to owned
         #: (n, 32) arrays at every region exit (``jit._normalize_slots``).
         self.norm = norm
         self.n_guards = n_guards
         self.loopback = loopback
         #: A single-block region whose guard loops straight back to
-        #: itself — the hot-loop shape the jit's specialized scalar
-        #: executor handles with all per-iteration bookkeeping hoisted.
+        #: itself — the hot-loop shape the jit's scalar executor spins
+        #: with all per-iteration bookkeeping hoisted.
         op0 = self.ops[0] if len(self.ops) == 1 else None
         self.self_loop = op0 if (op0 is not None and op0.kind == R_GUARD
                                  and op0.next_i == 0 and loopback) else None
@@ -254,8 +264,7 @@ def compile_region(regions: RegionMap,
         guards=region.n_guards,
         steps=sum(len(op.steps) for op in region.ops),
         diamonds=sum(1 for op in region.ops if op.kind == R_DIAMOND),
-        mode=("scalar" if region.scalar_ok and region.self_loop is not None
-              else "vector"),
+        mode="scalar" if region.scalar_ok else "vector",
         loopback=region.loopback,
         fused=region.fused_steps,
         fused_segments=region.fused_segments)
@@ -408,6 +417,11 @@ def _try_diamond(t_edge, f_edge, seen):
     if join.block_id in (ta.block_id, fa.block_id):
         return None
     return ta, fa, join
+
+
+def _has_mem(db: _DecodedBlock) -> bool:
+    """True when a decoded block holds a load, a store or an alloca."""
+    return any(_K_TERNARY < step.kind < _K_VOID for step in db.steps)
 
 
 def _finalize_moves(ops: List[RegionOp]) -> None:

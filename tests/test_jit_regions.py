@@ -15,6 +15,7 @@ from repro.gpu.regions import (R_DIAMOND, R_GUARD, RegionMap, compile_region,
 from repro.ir.parser import parse_module
 from repro.obs import session as obs_session
 from tests.conftest import engine_named
+from tests.test_tier_up import assert_same_at_every_threshold
 
 SELF_LOOP_IR = """
 define i64 @selfloop(i64 %n) {
@@ -99,6 +100,38 @@ exit:
 """
 
 
+# The canonical diamond, with a load in its true arm.
+LOAD_ARM_IR = """
+define i64 @loadarm(i64* %buf, i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %bit = and i64 %tid, 1
+  %odd = icmp eq i64 %bit, 1
+  %p = gep i64* %buf, i64 %tid
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %join ]
+  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %join ]
+  br i1 %odd, label %a, label %b
+a:
+  %v = load i64, i64* %p
+  %x = add i64 %v, %acc
+  br label %join
+b:
+  %y = add i64 %acc, 7
+  br label %join
+join:
+  %m = phi i64 [ %x, %a ], [ %y, %b ]
+  %acc.next = and i64 %m, 1048575
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  ret i64 %acc.next
+}
+"""
+
+
 def regions_of(ir_text: str, name: str = "m"):
     module = parse_module(ir_text, name)
     func = next(iter(module.functions.values()))
@@ -130,7 +163,7 @@ def test_self_loop_region_selected():
     assert loop.scalar_ok
 
 
-def test_diamond_selected_and_vector_only():
+def test_diamond_selected_and_scalar_replayable():
     regions, entry = regions_of(DIAMOND_IR)
     loop = region_at(regions, entry, "loop")
     dia = [op for op in loop.ops if op.kind == R_DIAMOND]
@@ -140,10 +173,31 @@ def test_diamond_selected_and_vector_only():
     assert op.arm_t.name == "a" and op.arm_f.name == "b"
     issues, _cat_counts = op.arm_t.issues
     assert issues == len(op.arm_t.steps) + 1    # steps + the arm's br.
-    # Arms run masked with per-row accounting: no scalar replay.
-    assert not loop.scalar_ok
+    # Memory-free arms: rows that split alike replay on scalars.
+    assert loop.scalar_ok
     # The loop back-edge was still followed past the join.
     assert loop.loopback
+
+
+def test_a_load_in_an_arm_rules_out_scalar_replay(monkeypatch):
+    """Only the arm touches memory — every op of the trace is
+    memory-free — yet its per-row load latency keeps the whole region on
+    the vector executor, and the run still equals ``warp``'s."""
+    session = obs_session.install()
+    try:
+        regions, entry = regions_of(LOAD_ARM_IR)
+    finally:
+        obs_session.uninstall()
+    loop = region_at(regions, entry, "loop")
+    (dia,) = [op for op in loop.ops if op.kind == R_DIAMOND]
+    assert not any(op.has_mem for op in loop.ops)
+    assert not loop.scalar_ok
+    modes = {r.args["head"]: r.args["mode"] for r in session.remarks
+             if "compiled superblock" in r.message}
+    assert modes["loop"] == "vector"
+    compiled = assert_same_at_every_threshold(
+        monkeypatch, LOAD_ARM_IR, "loadarm", 1, 64, args=[40])
+    assert compiled["default"] > 0
 
 
 def test_asymmetric_arms_fall_back_to_guard():
@@ -163,7 +217,7 @@ def test_region_remarks_document_selection():
     assert remarks and all(r.kind == "analysis" for r in remarks)
     compiled = [r for r in remarks if "compiled superblock" in r.message]
     assert any(r.args.get("diamonds", 0) > 0 for r in compiled)
-    assert any(r.args.get("mode") == "vector" for r in compiled)
+    assert any(r.args.get("mode") == "scalar" for r in compiled)
     # Every remark names its head block so streams are greppable.
     assert all(r.args.get("head") for r in remarks)
 

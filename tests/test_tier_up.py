@@ -133,7 +133,7 @@ def test_mid_launch_tier_up_interprets_compiles_then_deoptimizes(monkeypatch):
     assert 1 < threshold < TRIPS
     reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
     interpreted = spy(monkeypatch, batched, "_exec_block")
-    spins = spy(monkeypatch, jit, "_region_self_scalar")
+    spins = spy(monkeypatch, jit, "_region_scalar")
     deopts = spy(monkeypatch, jit, "_resolve_condbr")
     got, machine = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
     assert got == reference
@@ -356,10 +356,41 @@ def test_a_hot_uniform_loop_leaves_the_interpreter(monkeypatch):
     assert len(interpreted) == threshold - 1 + 2
 
 
-def test_diamond_arms_run_through_the_block_interpreter(monkeypatch):
-    """Catches a second copy of the block interpreter for the arms of an
-    in-region diamond: every ``_exec_block`` call is a pop the trace tier
-    declined or an arm run, and every arm run is one."""
+# Every warp diverges at the in-loop diamond, each on a different number
+# of lanes (warp w takes its true side on w + 1 of them): the arms' charges
+# differ per row, so no scalar account can carry them.
+UNEQUAL_IR = """
+define i64 @unequal(i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %lane = and i64 %tid, 31
+  %warp = lshr i64 %tid, 5
+  %low = icmp sle i64 %lane, %warp
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %join ]
+  %acc = phi i64 [ %tid, %entry ], [ %acc.next, %join ]
+  br i1 %low, label %a, label %b
+a:
+  %x = mul i64 %acc, 3
+  br label %join
+b:
+  %y = add i64 %acc, 7
+  br label %join
+join:
+  %m = phi i64 [ %x, %a ], [ %y, %b ]
+  %acc.next = and i64 %m, 1048575
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  ret i64 %acc.next
+}
+"""
+
+
+def count_declined(monkeypatch):
+    """One entry per ``enter_region`` call: True when it declined the pop."""
     declined = []
     real = jit.enter_region
 
@@ -369,11 +400,85 @@ def test_diamond_arms_run_through_the_block_interpreter(monkeypatch):
         return outcome
 
     monkeypatch.setattr(jit, "enter_region", enter_region)
+    return declined
+
+
+def test_diamond_arms_run_through_the_block_interpreter(monkeypatch):
+    """Catches a second copy of the block interpreter for the arms of an
+    in-region diamond on the vector path: every ``_exec_block`` call is a
+    pop the trace tier declined or an arm run, and every arm run is one.
+    Warps that split unalike keep the vector path."""
+    declined = count_declined(monkeypatch)
     arms = spy(monkeypatch, jit, "_exec_arm")
     blocks = spy(monkeypatch, batched, "_exec_block")
-    launch_perf_kernel("divergent", "jit")
+    launch_all(UNEQUAL_IR, "m", "jit", 1, LATTICE_THREADS, [LATTICE_TRIPS])
     assert arms, "no diamond arm ran in-region"
     assert len(blocks) == sum(declined) + len(arms)
+
+
+@pytest.mark.parametrize("kernel", ["divergent", "chaindia"])
+def test_alike_divergent_diamonds_replay_on_scalars(kernel, monkeypatch):
+    """Catches the arms of a hot in-loop diamond going back through the
+    block interpreter when every warp splits alike: at 16 warps every
+    region entry lands in the scalar executor and no block runs from
+    inside a region.  Outputs, cycles and every counter equal
+    ``warp``'s."""
+    text = (KERNEL_DIR / f"{kernel}.ir").read_text()
+    reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
+                              [LATTICE_TRIPS])
+    declined = count_declined(monkeypatch)
+    entries = spy(monkeypatch, jit, "_run_region")
+    scalar = spy(monkeypatch, jit, "_region_scalar")
+    vector = spy(monkeypatch, jit, "_region_vector")
+    arms = spy(monkeypatch, jit, "_exec_arm")
+    blocks = spy(monkeypatch, batched, "_exec_block")
+    got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
+                        [LATTICE_TRIPS])
+    assert got == reference
+    assert entries and len(scalar) == len(entries)
+    assert not vector and not arms
+    assert len(blocks) == sum(declined)
+
+
+def test_unalike_divergent_diamond_hands_over_to_the_vector_executor(
+        monkeypatch):
+    """Warps that diverge at an in-region diamond on different lane
+    counts: the scalar executor flushes and hands the run to the vector
+    one at that diamond (a ``_region_vector`` call with a start op) —
+    never a deopt, never a batch split — and the result equals
+    ``warp``'s at every threshold."""
+    handed = []
+    real = jit._region_vector
+
+    def region_vector(*args):
+        if len(args) > 9:           # Called with a start op.
+            handed.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(jit, "_region_vector", region_vector)
+    splits = spy(monkeypatch, batched, "_split_state")
+    compiled = assert_same_at_every_threshold(
+        monkeypatch, UNEQUAL_IR, "unequal", 1, LATTICE_THREADS,
+        args=[LATTICE_TRIPS])
+    assert compiled["default"] > 0
+    assert handed, "no scalar run handed over"
+    assert not splits
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "chain"])
+def test_icache_statistics_equal_a_warps(kernel, monkeypatch):
+    """Catches the scalar spin's skipped re-touches going uncounted: the
+    lattice's representative instruction cache must read the hits and
+    misses of any one warp's cache on the warp engine (2 warps x 200
+    trips: a warp reads 199 hits)."""
+    text = (KERNEL_DIR / f"{kernel}.ir").read_text()
+    loops = spy(monkeypatch, SimtMachine, "_warp_loop")
+    launch_all(text, kernel, "warp", 1, 64, [200])
+    caches = {(icache.hits, icache.misses) for *_, icache in loops}
+    finished = spy(monkeypatch, batched, "_finish_state")
+    launch_all(text, kernel, "jit", 1, 64, [200])
+    (state, _results), = finished
+    assert caches == {(state.icache.hits, state.icache.misses)}
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -381,7 +486,7 @@ def test_every_region_entry_lands_in_one_of_two_executors(kernel,
                                                           monkeypatch):
     executors = sorted(name for name in vars(jit)
                        if name.startswith("_region_"))
-    assert executors == ["_region_self_scalar", "_region_vector"]
+    assert executors == ["_region_scalar", "_region_vector"]
     ran = [spy(monkeypatch, jit, name) for name in executors]
     entries = spy(monkeypatch, jit, "_run_region")
     launch_perf_kernel(kernel, "jit")
@@ -393,7 +498,7 @@ def test_a_profiled_self_loop_takes_the_vector_executor(monkeypatch):
     live profile sends the self-loop down the general executor — and
     observing must not change what is computed."""
     reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
-    scalar = spy(monkeypatch, jit, "_region_self_scalar")
+    scalar = spy(monkeypatch, jit, "_region_scalar")
     vector = spy(monkeypatch, jit, "_region_vector")
     with obs_session.capture() as session:
         got, _ = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
