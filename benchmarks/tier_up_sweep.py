@@ -11,7 +11,9 @@ Times two passes per threshold, interleaved over ``--repeats`` rounds:
 
 There is no threshold option in the program; the sweep sets the module
 constant, as the tier-up tests do.  ``never`` — a threshold no count
-reaches, the lattice interpreter alone — is the no-region reference.
+reaches, the lattice interpreter alone — is the no-region reference,
+and ``warp`` — the per-warp oracle engine, timed in the same rounds —
+the reference the jit has to beat.
 
     PYTHONPATH=src python benchmarks/tier_up_sweep.py [--repeats 7]
 """
@@ -49,32 +51,34 @@ def main() -> None:
     kernels = {p.stem: parse_module(p.read_text(), p.stem)
                for p in sorted(KERNEL_DIR.glob("*.ir"))}
 
-    def suite() -> None:
+    def suite(engine: str) -> None:
         for bench, module in apps:
-            bench.run(module, engine="jit")
+            bench.run(module, engine=engine)
 
-    def kernel() -> None:
+    def kernel(engine: str) -> None:
         for name, module in kernels.items():
             memory, args = Memory(), [1000]
             if len(module.get_function(name).args) == 2:
                 args.insert(0, memory.alloc("buf", "i64", 512))
-            SimtMachine(module, memory, engine="jit").launch(
+            SimtMachine(module, memory, engine=engine).launch(
                 name, 1, 512, args)
 
-    seconds = {t: {"suite": [], "kernel": []} for t in THRESHOLDS}
+    rows = THRESHOLDS + ("warp",)
+    seconds = {row: {"suite": [], "kernel": []} for row in rows}
     for _ in range(repeats):
-        for threshold in THRESHOLDS:
-            jit.TIER_UP_DISPATCHES = threshold
+        for row in rows:
+            engine = "warp" if row == "warp" else "jit"
+            if engine == "jit":
+                jit.TIER_UP_DISPATCHES = row
             for label, run in (("suite", suite), ("kernel", kernel)):
                 start = time.perf_counter()
-                run()
-                seconds[threshold][label].append(
-                    time.perf_counter() - start)
+                run(engine)
+                seconds[row][label].append(time.perf_counter() - start)
 
     print(f"{'threshold':>10}{'suite min':>11}{'median':>8}"
           f"{'kernel min':>12}{'median':>8}   (seconds, {repeats} rounds)")
-    for threshold, got in seconds.items():
-        label = "never" if threshold == 0 else str(threshold)
+    for row, got in seconds.items():
+        label = "never" if row == 0 else str(row)
         print(f"{label:>10}"
               f"{min(got['suite']):>11.3f}"
               f"{statistics.median(got['suite']):>8.3f}"

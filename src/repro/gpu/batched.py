@@ -4,7 +4,8 @@ This module is the ``jit`` engine's dispatcher and its block
 interpreter: each scheduler pop is first offered to the trace tier
 (:func:`repro.gpu.jit.enter_region`), and whatever that leaves — every
 block until it gets hot, every group without a full mask, the arms of
-an in-region diamond — runs through :func:`interpret_block`.  It
+an in-region diamond on the vector executor's path (the scalar one
+predicates them) — runs through :func:`interpret_block`.  It
 executes *all* warps of a kernel launch
 as one ``(n_warps, 32)`` numpy value lattice instead of looping over
 warps in Python.  Most HeCBench-style kernels are control-uniform across
@@ -108,10 +109,10 @@ _CLS_NOT_TAKEN = 1
 #: ``benchmarks/perf/kernels/briefdiv.ir``; pinned by count in
 #: ``tests/test_tier_up.py``).  With no region to re-enter — a
 #: function still cold when the singleton's turn comes — one split is
-#: enough: a one-row lattice is *slower* than
-#: the per-warp engine's scalar accounting, which is the old ~0.91x
-#: worst case.  Rows that keep splitting are genuinely chaotic and
-#: demote either way.
+#: enough: a one-row lattice is *slower* than the per-warp engine's
+#: scalar accounting — never demoting makes a ``suite_exec`` pass 1.9x
+#: as long (EXPERIMENTS.md, "Partial masks, measured").  Rows that keep
+#: splitting are genuinely chaotic and demote either way.
 DEMOTE_HYSTERESIS = 2
 
 #: What ``jit.enter_region`` returns for a block left to the interpreter.
@@ -384,8 +385,9 @@ def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
                     state: _BatchState, total: Counters,
                     actives: np.ndarray, lanes: int, profile):
     """One interpreted dispatch — fetch, execute, sample — of a pop the
-    trace tier declined or of a diamond arm inside a compiled region
-    (``jit._exec_arm``).  Returns :func:`_exec_block`'s outcome.
+    trace tier declined or of a diamond arm the vector executor runs
+    inside a compiled region (``jit._exec_arm``).  Returns
+    :func:`_exec_block`'s outcome.
     """
     state.cycles += state.icache.access(db.block_id, db.size)
     if profile is None:

@@ -8,8 +8,9 @@ which counts it, and on a block's ``TIER_UP_DISPATCHES``-th dispatch
 selects the function's regions (once) and compiles the superblock
 (:mod:`repro.gpu.regions`) starting there.  From then on, when a popped
 group's mask covers *every* lane of every warp, the whole trace runs as
-one fused sequence — no per-block scheduling, no masked writes, integer
-counters folded per block.  A function that never gets hot is never
+one fused sequence — no per-block scheduling, integer counters folded
+per block, and no masked writes outside the arms the vector executor
+hands to the interpreter.  A function that never gets hot is never
 selected or compiled, and a compiled region never changes shape.
 
 Two executors run a region (:func:`_run_region`; EXPERIMENTS.md
@@ -17,10 +18,12 @@ Two executors run a region (:func:`_run_region`; EXPERIMENTS.md
 :func:`_region_scalar` replays a memory-free region's float accounting
 on Python scalars instead of ``(n,)``/``(n, 7)`` lattices — the arms of
 an in-region diamond included, as long as every warp splits on the same
-number of lanes — and :func:`_region_vector` runs everything else, the
-arms of its diamonds through the interpreter's own block executor.  A
-scalar run whose warps split unalike at a diamond hands the rest of the
-run to the vector executor there; that is not a deopt.
+number of lanes: it charges them as the interpreter would and computes
+them *predicated*, on every lane in one generated call that joins with
+a select — and :func:`_region_vector` runs everything else, the arms of
+its diamonds through the interpreter's own block executor.  A scalar
+run whose warps split unalike at a diamond hands the rest of the run to
+the vector executor there; that is not a deopt.
 
 Guards and deoptimization: each conditional branch crossed by a trace
 checks that every lane takes the compile-time expected side (one lattice
@@ -54,7 +57,7 @@ from .batched import (INTERPRET, ROW_RUNNERS, _BatchState, _classify,
 from ..obs import metrics as obs_metrics
 from .counters import Counters
 from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
-                      _K_TERNARY, _PHI_CHARGES, evaluate, write_masked)
+                      evaluate)
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
                       RegionMap, compile_region, select_regions)
@@ -192,9 +195,10 @@ def _tally(ops, runs, crossed):
 def _bind_phis(values, moves, shape) -> None:
     """Compile-time-resolved phi parallel copy: stage all, then rebind.
 
-    Moves proven alias-safe at compile time (``regions._finalize_moves``:
+    Moves proven alias-safe at compile time (``regions._safe_slots``:
     the source slot is only ever rebound, never mutated, while the alias
-    can live) bind the source array by reference.  The rest go through
+    can live — a predicated diamond's join phi included) bind the source
+    array by reference.  The rest go through
     ``broadcast_to(...).astype`` — always a copy, so the staged arrays
     are owned buffers detached from the source slots.  Staging every
     read before any rebind preserves parallel-copy (phi-reads-phi)
@@ -252,11 +256,15 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
     broadcasting the final scalars back is bit-identical to the
     elementwise updates.  Full-mask ops charge ``cost * _FULL_FACTOR``.
     An in-region diamond whose rows all take their true side on the same
-    number of lanes ``a`` runs its arm or arms here, masked, in rpo
-    order: each charges the per-warp engine's ``charge(cost, a)``
-    (``arm.charges``, ``_PHI_CHARGES``), which every row's
-    ``cost_column * _issue_factor(actives)`` equals.  Rows that split
-    unalike hand the rest of the run to :func:`_region_vector`.
+    number of lanes ``a`` runs its arm or arms here: each charges, in
+    rpo order, the per-warp engine's ``charge(cost, a)``
+    (``op.arm_acct``: ``arm.charges``, ``_PHI_CHARGES``), which every
+    row's ``cost_column * _issue_factor(actives)`` equals, and one call
+    of ``op.pred`` computes the arms on every lane, rebinds each join
+    phi to a select of the two (or to the lone arm's value) and runs the
+    join's leading chain — no masked write.  Rows that split unalike
+    hand the rest of the run to :func:`_region_vector`, after breaking
+    the aliases its arms' masked writes must not see.
     Integer counters are counted per op and folded once at exit
     (:func:`_flush_ints`).  The single-block self-loop — the hottest
     shape — spins with every per-iteration attribute load hoisted.
@@ -352,16 +360,17 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 taken = t_mask.sum(axis=1).tolist()
                 a = taken[0]
                 if taken.count(a) != n:
-                    # Rows split unalike: per-row accounting from here on.
+                    # Rows split unalike: per-row accounting from here on,
+                    # and the arms masked-write slots a phi may alias.
                     state.cycles[:] = cy
                     state.cat_cycles[:] = cats
                     _flush_ints(total, *_tally(ops, runs, crossed), n,
                                 arm_runs)
+                    _normalize_slots(values, region.norm, shape)
                     epoch, pending = _diamond(machine, func, op, epoch,
                                               mask, state, total, None,
                                               actives)
                     if pending is not None:
-                        _normalize_slots(values, region.norm, shape)
                         return pending
                     if (op.next_i <= i
                             and float(state.cycles.max()) > max_cycles):
@@ -370,47 +379,31 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                                           mask, state, total, None, actives,
                                           op.next_i)
                 if a == WARP_SIZE:
-                    arms = ((op.arm_t, mask, a),)
+                    arms = ((op.arm_t, a),)
+                    t_mask = True
                 elif not a:
-                    arms = ((op.arm_f, mask, WARP_SIZE),)
+                    arms = ((op.arm_f, WARP_SIZE),)
+                    t_mask = False
                 else:
                     total.divergent_branches += n
-                    arms = ((op.arm_t, t_mask, a),
-                            (op.arm_f, mask & ~t_mask, WARP_SIZE - a))
+                    arms = ((op.arm_t, a), (op.arm_f, WARP_SIZE - a))
                     if not op.arms_t_first:
                         arms = (arms[1], arms[0])
                 join = epoch
-                for arm, arm_mask, active in arms:
-                    # The arm as the interpreter dispatches it (fetch,
-                    # steps, br, the join edge's phi moves), on scalars.
+                for arm, active in arms:
+                    # The arm's charges as the interpreter dispatches it
+                    # (fetch, steps, br, the join edge's phi moves).
                     cy += icache.access(arm.block_id, arm.size)
-                    charges = arm.charges(active)
-                    for step, c in zip(arm.steps, charges):
-                        ci, _cost, skind, dst, srcs, kernel, _dt, _aux = step
+                    for c, ci in op.arm_acct(arm, active):
                         cy += c
                         cats[ci] += c
-                        if skind <= _K_TERNARY:
-                            write_masked(values, dst,
-                                         evaluate(values, skind, srcs,
-                                                  kernel), arm_mask)
-                    c = charges[-1]
-                    cy += c
-                    cats[_CAT_CONTROL] += c
-                    edge = arm.term
-                    if edge.moves:
-                        pc = _PHI_CHARGES[active]
-                        staged = [values[src].copy() if snapshot
-                                  else values[src]
-                                  for _dst, src, snapshot in edge.moves]
-                        for (dst, _src, _snapshot), value in zip(edge.moves,
-                                                                 staged):
-                            cy += pc
-                            cats[cmisc] += pc
-                            write_masked(values, dst, value, arm_mask)
                     key = (arm, active)
                     arm_runs[key] = arm_runs.get(key, 0) + 1
                     # The join group merges at the max parked epoch.
-                    join = max(join, epoch + edge.bump_epoch)
+                    join = max(join, epoch + arm.term.bump_epoch)
+                # Its values: the arms on every lane, the join phis
+                # selected, the join's leading chain — one call.
+                op.pred(values, t_mask)
                 epoch = join
                 ni = op.next_i
                 if ni <= i and cy > max_cycles:
@@ -577,6 +570,9 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             if profile is not None:
                 profile.note_block(op.name, float(cycles.sum()) - before,
                                    lanes, lanes, start_ts)
+            if op.pred is not None:
+                # The arms masked-write join phis a back edge may alias.
+                _normalize_slots(values, region.norm, shape)
             epoch, pending = _diamond(machine, func, op, epoch, mask, state,
                                       total, profile, actives)
             if pending is not None:

@@ -40,15 +40,35 @@ scalar sequence that can be replayed on Python floats (same IEEE-754
 doubles, same operation order) and broadcast back.  A full mask also
 implies the group is the *only* live group of its batch (masks partition
 lanes), so running the whole trace without re-entering the scheduler
-reproduces the interpreter's merge/sort/pop order exactly.  An in-region
-diamond's arms run under partial masks, where the factor follows the
-arm's lane count: when every row takes the true side on the same number
-of lanes, each arm's charges are again one scalar per step — the
-per-warp engine's own ``timing.charge`` values — so the replay carries
-on through the arms; rows that split unalike need per-row accounting.
-Regions containing memory steps, in an op or in an arm, keep the per-row
-vector accumulators (transaction latencies differ per row) but still
-skip scheduling and masked writes.
+reproduces the interpreter's merge/sort/pop order exactly.
+
+An in-region diamond's arms run under partial masks, where the factor
+follows the arm's lane count: when every row takes the true side on the
+same number of lanes, each arm's charges are again one scalar per step
+— the per-warp engine's own ``timing.charge`` values — so the replay
+carries on through the arms; rows that split unalike need per-row
+accounting.  In a memory-free trace the arms' *values* are predicated
+(:func:`_predicate`): one generated call computes the arm or arms on
+every lane and rebinds each join phi to ``np.where(t_mask, from_t,
+from_f)``, instead of masked-writing every step and phi.  That is exact
+because an arm dominates no block but itself — its only successor is
+the join, which the other arm also reaches — so its values leave it
+only through the join phis, and the lanes of an arm-local slot outside
+its mask are never read.
+
+Aliases: a phi bind may share its source's array only while nothing
+masked-writes either slot in place.  A predicated join phi is rebound,
+never written in place, on the scalar path, so back edges may alias it
+(``acc <- acc.next``); the vector executor's arms do masked-write it,
+so before it runs a predicated diamond's arms it normalizes every slot
+the trace rebinds (``jit._normalize_slots``), breaking those aliases.
+A lone arm's value is bound by reference only when it is an array the
+call made or a slot the trace only rebinds; anything the interpreter
+owns is copied.  Regions containing memory steps, in an op or in an
+arm, keep the per-row vector accumulators (transaction latencies differ
+per row), run their diamond arms masked through the interpreter, and
+never alias a join phi; they still skip scheduling and every other
+masked write.
 """
 
 from __future__ import annotations
@@ -57,11 +77,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
-from .fuser import FuseContext
-from .machine import (_BR_COST, _CONDBR_COST, _PHI_COST, _RET_COST,
-                      _CAT_CONTROL, _K_STORE, _K_TERNARY, _K_VOID, _T_BR,
-                      _T_MISSING, _T_RET, _T_UNREACHABLE, WARP_SIZE,
-                      _DecodedBlock)
+from .fuser import FuseContext, chain_length
+from .machine import (_BR_COST, _CONDBR_COST, _PHI_CHARGES, _PHI_COST,
+                      _RET_COST, _CAT_CONTROL, _CAT_MISC, _K_STORE,
+                      _K_TERNARY, _K_VOID, _T_BR, _T_MISSING, _T_RET,
+                      _T_UNREACHABLE, WARP_SIZE, _DecodedBlock)
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
 
 #: Per-issue charge factor at a full 32-lane mask — the same IEEE-754
@@ -82,7 +102,7 @@ R_EXIT_BR = 2       # Unconditional edge leaving the region.
 R_EXIT_CONDBR = 3   # Conditional branch resolved by the interpreter.
 R_RET = 4
 R_UNREACHABLE = 5
-R_DIAMOND = 6       # Predicated if/else: both arms execute masked in-region.
+R_DIAMOND = 6       # If/else diamond: its arms execute in-region.
 
 # Step-entry tags in RegionOp.steps (vector-mode execution list).
 S_VALUE = 0
@@ -99,7 +119,7 @@ class RegionOp:
                  "kind", "next_i", "bump", "moves", "phi_c", "cond",
                  "expected", "true_edge", "false_edge", "exit_edge", "ret",
                  "load_ids", "arm_t", "arm_f", "arms_t_first", "stored",
-                 "fuse_plan")
+                 "fuse_plan", "pred", "_accts")
 
     def __init__(self, db: _DecodedBlock) -> None:
         self.block_id = db.block_id
@@ -130,6 +150,24 @@ class RegionOp:
         self.arms_t_first = True     # True arm has the lower rpo.
         self.stored = ()             # (slot, dtype) pairs this op rebinds.
         self.fuse_plan = ()          # ((lo, hi, liveouts), ...) fused spans.
+        #: A predicated diamond's generated ``fn(values, t)``
+        #: (``fuser.compile_diamond``); None on the vector-only path.
+        self.pred = None
+        self._accts: Dict[Tuple[int, int], Tuple] = {}
+
+    def arm_acct(self, arm: _DecodedBlock, active: int) -> Tuple:
+        """``((charge, cat_idx), ...)`` of one arm run on ``active`` lanes
+        per row: its steps, its ``br``, its join edge's phi moves — the
+        per-warp engine's ``charge(cost, active)`` in dispatch order."""
+        key = (arm.block_id, active)
+        acct = self._accts.get(key)
+        if acct is None:
+            charges = arm.charges(active)
+            pairs = [(c, step.cat) for step, c in zip(arm.steps, charges)]
+            pairs.append((charges[-1], _CAT_CONTROL))
+            pairs += [(_PHI_CHARGES[active], _CAT_MISC)] * len(arm.term.moves)
+            acct = self._accts[key] = tuple(pairs)
+        return acct
 
 
 class CompiledRegion:
@@ -148,10 +186,7 @@ class CompiledRegion:
         #: (a load or store charges per-row latencies), a diamond's arms
         #: included: they run on the scalars whenever every row splits
         #: alike (``jit._region_scalar``).
-        self.scalar_ok = not any(
-            op.has_mem or (op.kind == R_DIAMOND
-                           and (_has_mem(op.arm_t) or _has_mem(op.arm_f)))
-            for op in ops)
+        self.scalar_ok = _memory_free(ops)
         #: Slots rebound by value steps or phi binds; normalized to owned
         #: (n, 32) arrays at every region exit (``jit._normalize_slots``).
         self.norm = norm
@@ -243,9 +278,13 @@ def compile_region(regions: RegionMap,
     if plan is None:
         return None
     decisions, n_guards, loopback = plan
-    ops = [_compile_op(db, decision, regions.fuse_ctx)
-           for db, decision in decisions]
-    _finalize_moves(ops)
+    fuse_ctx = regions.fuse_ctx
+    ops = [_compile_op(db, decision, fuse_ctx) for db, decision in decisions]
+    predicated = _memory_free(ops)
+    safe = _safe_slots(ops, predicated)
+    if predicated:
+        _predicate(ops, safe, fuse_ctx)
+    _finalize_moves(ops, safe)
     head = decisions[0][0]
     region = CompiledRegion(head_id, head.name, ops, _norm_of(ops),
                             n_guards, loopback)
@@ -424,29 +463,74 @@ def _has_mem(db: _DecodedBlock) -> bool:
     return any(_K_TERNARY < step.kind < _K_VOID for step in db.steps)
 
 
-def _finalize_moves(ops: List[RegionOp]) -> None:
-    """Resolve each phi move's copy-vs-alias decision.
+def _memory_free(ops: List[RegionOp]) -> bool:
+    """No load, store or alloca in any op or diamond arm of a trace."""
+    return not any(
+        op.has_mem or (op.kind == R_DIAMOND
+                       and (_has_mem(op.arm_t) or _has_mem(op.arm_f)))
+        for op in ops)
 
-    A phi bind may alias its source array (skip ``broadcast_to/astype``)
-    only when the source slot is *rebound, never mutated* for as long as
-    the alias can live: a value-step result of this region or another
-    phi bound by this region — and not a load or alloca destination,
-    since those masked-write their slot in place.  Everything else
-    (constants, arguments, geometry, slots owned by the interpreter, load
-    results) is copied at bind time, exactly as the interpreter's masked
-    phi write would.
-    Exit-time normalization breaks any surviving alias between two
-    region slots before the interpreter regains masked-write access.
+
+def _join_phis(op: RegionOp) -> List[int]:
+    """The slots of a diamond's join phis."""
+    return [dst for dst, _src, _snapshot in op.arm_t.term.moves]
+
+
+def _safe_slots(ops: List[RegionOp], predicated: bool) -> set:
+    """Slots a phi may alias: *rebound, never mutated* while it can live.
+
+    That is a value-step result of this region or a phi bound by this
+    region — and not a load or alloca destination, since those
+    masked-write their slot in place.  A diamond's join phis are in the
+    set when the trace is predicated (:func:`_predicate` rebinds them),
+    and out of it otherwise: the vector executor's arms masked-write
+    them in place each traversal, which would corrupt the alias.
     """
     safe = {slot for op in ops for slot, _dt in op.stored}
     safe |= {dst for op in ops for dst, _src, _dt in op.moves}
     safe -= {slot for op in ops for slot in op.load_ids}
-    for op in ops:
-        if op.kind == R_DIAMOND:
-            # Diamond join phis are masked-written in place each
-            # traversal — aliasing them would corrupt the alias.
-            for arm in (op.arm_t, op.arm_f):
-                safe -= {dst for dst, _src, _snap in arm.term.moves}
+    joins = {dst for op in ops if op.kind == R_DIAMOND
+             for dst in _join_phis(op)}
+    return safe | joins if predicated else safe - joins
+
+
+def _predicate(ops: List[RegionOp], safe: set,
+               fuse_ctx: FuseContext) -> None:
+    """Compile every diamond of a memory-free trace into one call.
+
+    The diamond's ``pred`` computes its arms on every lane and rebinds
+    the join phis (``fuser.compile_diamond``), which it therefore counts
+    among the slots it stores; when the join is the next
+    op (not the loop head), its leading fusible chain rides in the same
+    call and leaves that op's scalar steps (``vsteps``), but not its
+    vector ones (``steps``) or its charges.
+    """
+    for i, op in enumerate(ops):
+        if op.kind != R_DIAMOND:
+            continue
+        op.stored += tuple((dst, fuse_ctx.frame.dtype(dst))
+                           for dst in _join_phis(op))
+        join = op.arm_t.term.target
+        chain = chain_length(join) if op.next_i > i else 0
+        op.pred = fuse_ctx.compile_diamond(op, op.arm_t, op.arm_f, safe,
+                                           join, chain)
+        if chain:
+            jop = ops[op.next_i]
+            fused = jop.fuse_plan and jop.fuse_plan[0][0] == 0
+            jop.vsteps = jop.vsteps[1 if fused else chain:]
+
+
+def _finalize_moves(ops: List[RegionOp], safe: set) -> None:
+    """Resolve each phi move's copy-vs-alias decision.
+
+    A phi bind may alias its source array (skip ``broadcast_to/astype``)
+    only when the source slot is in ``safe`` (:func:`_safe_slots`).
+    Everything else (constants, arguments, geometry, slots owned by the
+    interpreter, load results) is copied at bind time, exactly as the
+    interpreter's masked phi write would.
+    Exit-time normalization breaks any surviving alias between two
+    region slots before the interpreter regains masked-write access.
+    """
     for op in ops:
         if op.moves:
             op.moves = tuple((dst, src, dt, src in safe)

@@ -20,6 +20,7 @@ from repro.frontend.lower import lower_kernels
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
 from repro.gpu import Memory, SimtMachine, batched, fuser, jit, regions
+from repro.gpu import machine as machine_mod
 from repro.gpu.machine import resolve_engine
 from repro.gpu.regions import R_GUARD
 from repro.ir.parser import parse_module
@@ -463,6 +464,202 @@ def test_unalike_divergent_diamond_hands_over_to_the_vector_executor(
     assert compiled["default"] > 0
     assert handed, "no scalar run handed over"
     assert not splits
+
+
+def count_masked_writes_in(monkeypatch, owner, name):
+    """Calls of ``write_masked``, by any module, made inside
+    ``owner.name``."""
+    inside, writes = [0], []
+    real = getattr(owner, name)
+
+    def executor(*args):
+        inside[0] += 1
+        try:
+            return real(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(owner, name, executor)
+    for module in (machine_mod, batched, jit):
+        write = getattr(module, "write_masked", None)
+        if write is None:
+            continue
+
+        def counted(*args, _write=write):
+            if inside[0]:
+                writes.append(args[1])
+            return _write(*args)
+
+        monkeypatch.setattr(module, "write_masked", counted)
+    return writes
+
+
+@pytest.mark.parametrize("kernel", ["divergent", "chaindia"])
+def test_alike_divergent_diamonds_are_predicated(kernel, monkeypatch):
+    """Catches the scalar executor masked-writing an arm step by step:
+    at 16 warps, whose arms run on every lane and whose join phis are
+    one select, not one masked write per step and per phi.  Every entry
+    still lands in the scalar executor, and the run equals ``warp``'s
+    in outputs, cycles and every counter."""
+    text = (KERNEL_DIR / f"{kernel}.ir").read_text()
+    reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
+                              [LATTICE_TRIPS])
+    entries = spy(monkeypatch, jit, "_run_region")
+    writes = count_masked_writes_in(monkeypatch, jit, "_region_scalar")
+    got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
+                        [LATTICE_TRIPS])
+    assert got == reference
+    assert entries
+    assert writes == []
+
+
+def test_a_selected_join_phi_is_aliased_by_the_back_edge():
+    """Catches the loop-carried ``acc <- acc.next`` of ``divergent``
+    copying on every trip: its join phi is rebound by a select, never
+    written in place on the scalar path, so the back edge may bind it
+    by reference."""
+    machine = launch_perf_kernel("divergent", "jit")
+    (region_map,) = machine._regions.values()
+    moves = [move for region in region_map.values()
+             for op in region.ops for move in op.moves]
+    assert moves
+    assert all(nocopy for _dst, _src, _dt, nocopy in moves), moves
+
+
+# The join phi %m is the loop-carried %acc's next value, and the join
+# reads the old %acc after it: a masked write of %m into an array %acc
+# still shares would zero %d.  Every warp splits on lane 16 for the first
+# 40 trips, then warp w on lane w + 1 — so a scalar run that bound %acc
+# to %m's array hands over to the vector executor mid-run.
+ALIAS_IR = """
+define i64 @alias(i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %lane = and i64 %tid, 31
+  %warp = lshr i64 %tid, 5
+  %warp1 = add i64 %warp, 1
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %join ]
+  %acc = phi i64 [ %tid, %entry ], [ %m, %join ]
+  %s = phi i64 [ 0, %entry ], [ %s.next, %join ]
+  %late = icmp sge i64 %i, 40
+  %cut = select i1 %late, i64 %warp1, i64 16
+  %low = icmp slt i64 %lane, %cut
+  br i1 %low, label %a, label %b
+a:
+  %x0 = mul i64 %acc, 3
+  %x = and i64 %x0, 1048575
+  br label %join
+b:
+  %y = add i64 %acc, 7
+  br label %join
+join:
+  %m = phi i64 [ %x, %a ], [ %y, %b ]
+  %d = sub i64 %m, %acc
+  %s.next = add i64 %s, %d
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  %r = xor i64 %s.next, %m
+  ret i64 %r
+}
+"""
+
+
+def test_a_hand_over_after_an_aliased_bind_equals_warp(monkeypatch):
+    """Catches the vector executor masked-writing a join phi that a
+    scalar trip's back edge left aliased: alike trips bind ``%acc`` to
+    ``%m``'s array, then the warps split unalike and the arms run
+    through the interpreter.  Equal to ``warp`` at every threshold."""
+    handed = []
+    real = jit._region_vector
+
+    def region_vector(*args):
+        if len(args) > 9:           # Called with a start op.
+            handed.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(jit, "_region_vector", region_vector)
+    scalar = spy(monkeypatch, jit, "_region_scalar")
+    compiled = assert_same_at_every_threshold(
+        monkeypatch, ALIAS_IR, "alias", 1, LATTICE_THREADS,
+        args=[LATTICE_TRIPS])
+    assert compiled["default"] > 0
+    assert scalar and handed
+
+
+# Every lane takes the empty arm %a while %i < %n, in the compiled loop,
+# so %m is bound to %v — a slot the interpreter owns.  Lanes whose
+# %lim lies past %n then go round under partial masks, where the
+# interpreter masked-writes %m in arm %b, and read %v at the exit.
+LONE_IR = """
+define i64 @lone(i64 %n) {
+entry:
+  %tid = call i64 @tid.x()
+  %lane = and i64 %tid, 3
+  %v = mul i64 %tid, 5
+  %lim = add i64 %n, %lane
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %join ]
+  %acc = phi i64 [ 0, %entry ], [ %acc.next, %join ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %a, label %b
+a:
+  br label %join
+b:
+  %y = add i64 %acc, %i
+  br label %join
+join:
+  %m = phi i64 [ %v, %a ], [ %y, %b ]
+  %acc.next = add i64 %acc, %m
+  %i.next = add i64 %i, 1
+  %stop = icmp sge i64 %i.next, %lim
+  br i1 %stop, label %exit, label %loop
+exit:
+  %r = add i64 %acc.next, %v
+  ret i64 %r
+}
+"""
+
+
+def test_a_lone_arm_copies_a_slot_the_interpreter_owns(monkeypatch):
+    """Catches a join phi selected from one arm aliasing an incoming
+    value the interpreter owns: exit normalization cannot see that
+    alias, and the interpreter's next masked write of the phi would
+    overwrite ``%v``.  Equal to ``warp`` at every threshold."""
+    compiled = assert_same_at_every_threshold(
+        monkeypatch, LONE_IR, "lone", 1, LATTICE_THREADS, args=[40])
+    assert compiled["default"] > 0
+
+
+@pytest.mark.parametrize("kernel", ["divergent", "chaindia", "unequal",
+                                    "alias"])
+def test_profiled_diamonds_equal_unprofiled_and_warp(kernel, monkeypatch):
+    """A live profile sends every region to the vector executor, whose
+    diamond arms masked-write join phis that the compiled back edges may
+    alias: profiled, the run must equal the unprofiled one and
+    ``warp``'s at every threshold."""
+    texts = {"unequal": UNEQUAL_IR, "alias": ALIAS_IR}
+    text = texts.get(kernel) or (KERNEL_DIR / f"{kernel}.ir").read_text()
+    reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
+                              [LATTICE_TRIPS])
+    scalar = spy(monkeypatch, jit, "_region_scalar")
+    vector = spy(monkeypatch, jit, "_region_vector")
+    for label, threshold in THRESHOLDS.items():
+        monkeypatch.setattr(jit, "TIER_UP_DISPATCHES", threshold)
+        plain, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
+                              [LATTICE_TRIPS])
+        assert plain == reference, f"{kernel}: unprofiled, {label}"
+        del scalar[:], vector[:]
+        with obs_session.capture():
+            got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
+                                [LATTICE_TRIPS])
+        assert got == reference, f"{kernel}: profiled, {label}"
+        assert not scalar
+        assert bool(vector) == (threshold > 0)
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "chain"])
