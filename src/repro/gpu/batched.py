@@ -354,7 +354,6 @@ def _run_state(machine, func, state: _BatchState, total, results: _Results,
         _demote_row(machine, func, state, total, results)
         return
     from .jit import enter_region  # Deferred: jit builds on this module.
-    profile = machine.profile
     while state.groups:
         if float(state.cycles.max()) > machine.max_cycles:
             raise SimulationError(
@@ -370,38 +369,32 @@ def _run_state(machine, func, state: _BatchState, total, results: _Results,
                                state, total, actives, lanes)
         if pending is INTERPRET:
             pending = interpret_block(machine, func, db, epoch, mask, state,
-                                      total, actives, lanes, profile)
+                                      total, actives, lanes)
         if pending is not None:
-            if profile is not None:
-                cls = pending[-1]
-                profile.note_split(db.name, len(set(cls.tolist())),
-                                   int(cls.size))
-            _split_state(state, pending, total, worklist)
+            _split_state(machine, state, pending, total, worklist)
             return
     _finish_state(state, results)
 
 
 def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
                     state: _BatchState, total: Counters,
-                    actives: np.ndarray, lanes: int, profile):
-    """One interpreted dispatch — fetch, execute, sample — of a pop the
+                    actives: np.ndarray, lanes: int):
+    """One interpreted dispatch — fetch, execute, profile — of a pop the
     trace tier declined or of a diamond arm the vector executor runs
     inside a compiled region (``jit._exec_arm``).  Returns
     :func:`_exec_block`'s outcome.
     """
     state.cycles += state.icache.access(db.block_id, db.size)
+    profile = machine.profile
     if profile is None:
         return _exec_block(machine, func, db, epoch, mask, state, total,
                            actives, lanes)
-    # One sample per batched block execution: active lanes summed over
-    # all rows against the whole lattice's lane capacity, timestamped by
-    # the representative row's cycles.
-    start_ts = float(state.cycles[0])
+    # One warp-block execution per row, as the per-warp engine counts.
     before = float(state.cycles.sum())
     pending = _exec_block(machine, func, db, epoch, mask, state, total,
                           actives, lanes)
-    profile.note_block(db.name, float(state.cycles.sum()) - before, lanes,
-                       mask.size, start_ts)
+    profile.note_block(db.name, mask.shape[0],
+                       float(state.cycles.sum()) - before, lanes, mask.size)
     return pending
 
 
@@ -527,22 +520,26 @@ def _follow_batch(edge, epoch: int, mask: np.ndarray, actives: np.ndarray,
     state.groups.append((epoch + edge.bump_epoch, edge.target, mask, actives))
 
 
-def _split_state(state: _BatchState, pending, total: Counters,
+def _split_state(machine, state: _BatchState, pending, total: Counters,
                  worklist: List[_BatchState]) -> None:
     """Partition a diverged batch by branch class and keep going.
 
     Every class continues as a sliced sub-batch (fancy-indexed copies of
     every lattice, cloned icache) with the pending branch resolved on
     it; whether a singleton then demotes to the per-warp engine is
-    decided when its turn comes (``_run_state``), not here.
+    decided when its turn comes (``_run_state``), not here.  The
+    profile charges the edges' phi moves to the block that branched, as
+    the per-warp engine's ``_follow`` does.
     """
     (true_edge, false_edge, epoch, t_mask, f_mask, t_actives, f_actives,
      cls) = pending
+    moved = 0.0
     for value in (_CLS_DIVERGENT, _CLS_TAKEN, _CLS_NOT_TAKEN):
         idx = np.flatnonzero(cls == value)
         if idx.size == 0:
             continue
         sub = _slice_state(state, idx)
+        before = float(sub.cycles.sum())
         if value == _CLS_DIVERGENT:
             total.divergent_branches += int(idx.size)
         if value != _CLS_NOT_TAKEN:
@@ -551,7 +548,13 @@ def _split_state(state: _BatchState, pending, total: Counters,
         if value != _CLS_TAKEN:
             _follow_batch(false_edge, epoch, f_mask[idx], f_actives[idx],
                           sub, total)
+        moved += float(sub.cycles.sum()) - before
         worklist.append(sub)
+    profile = machine.profile
+    if profile is not None:
+        profile.note_split(true_edge.source, len(set(cls.tolist())),
+                           int(cls.size))
+        profile.note_block(true_edge.source, 0, moved, 0, 0)
 
 
 def _slice_state(state: _BatchState, idx: np.ndarray) -> _BatchState:

@@ -57,7 +57,7 @@ from .batched import (INTERPRET, ROW_RUNNERS, _BatchState, _classify,
 from ..obs import metrics as obs_metrics
 from .counters import Counters
 from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
-                      evaluate)
+                      _PHI_CHARGES, evaluate)
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
                       RegionMap, compile_region, select_regions)
@@ -103,24 +103,25 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
         return INTERPRET
     region.entries += 1
     return _run_region(machine, func, region, epoch, mask, state, total,
-                       machine.profile, actives)
+                       actives)
 
 
 def _run_region(machine, func, region: CompiledRegion, epoch: int,
-                mask: np.ndarray, state: _BatchState, total, profile,
+                mask: np.ndarray, state: _BatchState, total,
                 actives: np.ndarray):
     """Execute one compiled superblock; returns None or a pending split.
 
     ``mask`` is full, so ``actives`` — its per-row lane counts, which the
     exits hand on with it — reads ``WARP_SIZE`` in every row.  The
     ``scalar_ok`` test matters: a load or store charges per-row
-    latencies that the scalar replay does not carry.
+    latencies that the scalar replay does not carry.  A live profile
+    chooses nothing: both executors record it.
     """
-    if region.scalar_ok and profile is None and _rows_uniform(state):
+    if region.scalar_ok and _rows_uniform(state):
         return _region_scalar(machine, func, region, epoch, mask, state,
                               total, actives)
     return _region_vector(machine, func, region, epoch, mask, state, total,
-                          profile, actives)
+                          actives)
 
 
 def _rows_uniform(state: _BatchState) -> bool:
@@ -170,12 +171,17 @@ def _flush_ints(total: Counters, issues: int, branches: int,
     total.branches += branches * n
 
 
-def _tally(ops, runs, crossed):
-    """A scalar run's full-mask counts in :func:`_flush_ints`'s form.
+def _fold_scalar(machine, total: Counters, ops, runs, crossed, arm_runs,
+                 n: int) -> None:
+    """Fold a scalar run's counts into ``total`` and a live profile.
 
     Op ``i`` ran ``runs[i]`` times and took its internal edge — one
-    ``misc`` mov per phi move — ``crossed[i]`` times.
+    ``misc`` mov per phi move — ``crossed[i]`` times; ``arm_runs`` counts
+    the diamond arms (:func:`_flush_ints`).  Per op and arm run, the
+    profile gets ``n`` warp-block executions and the charges replayed.
     """
+    profile = machine.profile
+    lanes = n * WARP_SIZE
     issues = 0
     branches = 0
     cat_acc: Dict[str, int] = {}
@@ -189,7 +195,17 @@ def _tally(ops, runs, crossed):
             cat_acc[attr] = cat_acc.get(attr, 0) + count * ran
         if moved:
             cat_acc["inst_misc"] = cat_acc.get("inst_misc", 0) + moved
-    return issues, branches, cat_acc
+        if profile is not None:
+            cycles = sum(c for c, _ci in op.acct) * ran + op.phi_c * moved
+            profile.note_block(op.name, ran * n, cycles * n, ran * lanes,
+                               ran * lanes)
+    if profile is not None:
+        for (arm, active), ran in arm_runs.items():
+            cycles = (sum(arm.charges(active))
+                      + _PHI_CHARGES[active] * len(arm.term.moves))
+            profile.note_block(arm.name, ran * n, cycles * ran * n,
+                               active * ran * n, ran * lanes)
+    _flush_ints(total, issues, branches, cat_acc, n, arm_runs)
 
 
 def _bind_phis(values, moves, shape) -> None:
@@ -265,11 +281,10 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
     join's leading chain — no masked write.  Rows that split unalike
     hand the rest of the run to :func:`_region_vector`, after breaking
     the aliases its arms' masked writes must not see.
-    Integer counters are counted per op and folded once at exit
-    (:func:`_flush_ints`).  The single-block self-loop — the hottest
-    shape — spins with every per-iteration attribute load hoisted.
-    Runs only with profiling off; the vector executor keeps the
-    per-block ``note_block`` stream otherwise.
+    Integer counters — and a live profile's per-block sums — are counted
+    per op and folded once at exit (:func:`_fold_scalar`).  The
+    single-block self-loop — the hottest shape — spins with every
+    per-iteration attribute load hoisted.
     """
     ctx = state.ctx
     values = ctx.values
@@ -364,19 +379,18 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                     # and the arms masked-write slots a phi may alias.
                     state.cycles[:] = cy
                     state.cat_cycles[:] = cats
-                    _flush_ints(total, *_tally(ops, runs, crossed), n,
-                                arm_runs)
+                    _fold_scalar(machine, total, ops, runs, crossed,
+                                 arm_runs, n)
                     _normalize_slots(values, region.norm, shape)
                     epoch, pending = _diamond(machine, func, op, epoch,
-                                              mask, state, total, None,
-                                              actives)
+                                              mask, state, total, actives)
                     if pending is not None:
                         return pending
                     if (op.next_i <= i
                             and float(state.cycles.max()) > max_cycles):
                         raise _runaway(func, max_cycles)
                     return _region_vector(machine, func, region, epoch,
-                                          mask, state, total, None, actives,
+                                          mask, state, total, actives,
                                           op.next_i)
                 if a == WARP_SIZE:
                     arms = ((op.arm_t, a),)
@@ -428,19 +442,18 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
     # A failed guard or an exit: flush floats and integers, deoptimize.
     state.cycles[:] = cy
     state.cat_cycles[:] = cats
-    _flush_ints(total, *_tally(ops, runs, crossed), n, arm_runs)
+    _fold_scalar(machine, total, ops, runs, crossed, arm_runs, n)
     _normalize_slots(values, region.norm, shape)
     if op.kind == R_GUARD:
         obs_metrics.inc("repro_jit_guard_failures_total",
                         kind="loop" if region.self_loop is not None
                         else "lattice")
         obs_metrics.inc("repro_jit_deopts_total")
-    return _leave(func, op, epoch, mask, actives, state, total)
+    return _leave(machine, func, op, epoch, mask, actives, state, total)
 
 
 def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
-              epoch: int, state: _BatchState, total: Counters,
-              profile) -> int:
+              epoch: int, state: _BatchState, total: Counters) -> int:
     """Execute one diamond arm: an interpreter pop, without the scheduler.
 
     The arm (a decoded block ending in a ``br`` to the join) runs under
@@ -449,12 +462,12 @@ def _exec_arm(machine, func, arm, mask_a: np.ndarray, actives: np.ndarray,
     merges in-region.
     """
     interpret_block(machine, func, arm, epoch, mask_a, state, total, actives,
-                    int(actives.sum()), profile)
+                    int(actives.sum()))
     return state.groups.pop()[0]
 
 
 def _diamond(machine, func, op, epoch: int, mask: np.ndarray,
-             state: _BatchState, total: Counters, profile, actives):
+             state: _BatchState, total: Counters, actives):
     """An in-region diamond the vector way: arms through the interpreter.
 
     Classifies rows exactly as the interpreter's condbr would, then runs
@@ -475,18 +488,18 @@ def _diamond(machine, func, op, epoch: int, mask: np.ndarray,
                 (op.arm_f, mask & ~t_mask, f_actives))
         if not op.arms_t_first:
             arms = (arms[1], arms[0])
-        e1 = _exec_arm(machine, func, *arms[0], epoch, state, total, profile)
-        e2 = _exec_arm(machine, func, *arms[1], epoch, state, total, profile)
+        e1 = _exec_arm(machine, func, *arms[0], epoch, state, total)
+        e2 = _exec_arm(machine, func, *arms[1], epoch, state, total)
         # The join group merges at the max parked epoch.
         return max(e1, e2), None
     arm = op.arm_t if first == _CLS_TAKEN else op.arm_f
-    return _exec_arm(machine, func, arm, mask, actives, epoch, state, total,
-                     profile), None
+    return _exec_arm(machine, func, arm, mask, actives, epoch, state,
+                     total), None
 
 
 def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                    mask: np.ndarray, state: _BatchState, total: Counters,
-                   profile, actives, start: int = 0):
+                   actives, start: int = 0):
     """Vector-accounting region execution (general case).
 
     Keeps the per-row ``(n,)``/``(n, 7)`` accumulators (memory latency
@@ -496,6 +509,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     same IEEE value the lattice's per-row factor yields at a full mask.
     ``start`` is the op a run the scalar executor handed over resumes at.
     """
+    profile = machine.profile
     ctx = state.ctx
     values = ctx.values
     n = ctx.n
@@ -515,7 +529,6 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
         op = ops[i]
         cycles += iaccess(op.block_id, op.size)
         if profile is not None:
-            start_ts = float(cycles[0])
             before = float(cycles.sum())
         acc_issues += op.issues
         acc_branches += op.branch_inc
@@ -568,13 +581,13 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 break
         elif kind == R_DIAMOND:
             if profile is not None:
-                profile.note_block(op.name, float(cycles.sum()) - before,
-                                   lanes, lanes, start_ts)
+                profile.note_block(op.name, n, float(cycles.sum()) - before,
+                                   lanes, lanes)
             if op.pred is not None:
                 # The arms masked-write join phis a back edge may alias.
                 _normalize_slots(values, region.norm, shape)
             epoch, pending = _diamond(machine, func, op, epoch, mask, state,
-                                      total, profile, actives)
+                                      total, actives)
             if pending is not None:
                 _flush_ints(total, acc_issues, acc_branches, acc_cats, n)
                 _normalize_slots(values, region.norm, shape)
@@ -597,8 +610,8 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 cycles += pc
                 cat[:, _CAT_MISC] += pc
         if profile is not None:
-            profile.note_block(op.name, float(cycles.sum()) - before,
-                               lanes, lanes, start_ts)
+            profile.note_block(op.name, n, float(cycles.sum()) - before,
+                               lanes, lanes)
         epoch += op.bump
         ni = op.next_i
         if ni <= i and float(cycles.max()) > max_cycles:
@@ -609,28 +622,35 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     _flush_ints(total, acc_issues, acc_branches, acc_cats, n)
     _normalize_slots(values, region.norm, shape)
     if profile is not None:
-        profile.note_block(op.name, float(cycles.sum()) - before, lanes,
-                           lanes, start_ts)
-    return _leave(func, op, epoch, mask, actives, state, total)
+        profile.note_block(op.name, n, float(cycles.sum()) - before, lanes,
+                           lanes)
+    return _leave(machine, func, op, epoch, mask, actives, state, total)
 
 
-def _leave(func, op, epoch: int, mask: np.ndarray, actives,
+def _leave(machine, func, op, epoch: int, mask: np.ndarray, actives,
            state: _BatchState, total: Counters):
     """Hand control back to the interpreter at the region's last op.
 
     A failed guard resolves its branch as an exit condbr does: park the
-    sub-groups, or return the pending cross-warp split.
+    sub-groups, or return the pending cross-warp split.  The profile
+    charges the exit edge's phi moves to the op's block, as the per-warp
+    engine's ``_follow`` does.
     """
     kind = op.kind
+    before = float(state.cycles.sum())
+    pending = None
     if kind == R_EXIT_BR:
         _follow_batch(op.exit_edge, epoch, mask, actives, state, total)
-        return None
-    if kind in (R_GUARD, R_EXIT_CONDBR):
-        return _resolve_condbr(state.ctx.values[op.cond], mask, actives,
-                               op.true_edge, op.false_edge, epoch, state,
-                               total)
-    if kind == R_RET:
+    elif kind in (R_GUARD, R_EXIT_CONDBR):
+        pending = _resolve_condbr(state.ctx.values[op.cond], mask, actives,
+                                  op.true_edge, op.false_edge, epoch, state,
+                                  total)
+    elif kind == R_RET:
         _write_ret(state.ctx, op.ret, mask)
-        return None
-    raise SimulationError(
-        f"@{func.name}: executed unreachable in {op.name}")
+    else:
+        raise SimulationError(
+            f"@{func.name}: executed unreachable in {op.name}")
+    if machine.profile is not None:
+        machine.profile.note_block(op.name, 0,
+                                   float(state.cycles.sum()) - before, 0, 0)
+    return pending

@@ -358,12 +358,15 @@ _RUNNERS = {_K_ALLOCA: _run_alloca, _K_LOAD: _run_load,
 
 
 class _Edge:
-    """A decoded CFG edge: target block, epoch bump, and phi moves."""
+    """A decoded CFG edge: source block's name, target block, epoch bump,
+    and phi moves."""
 
-    __slots__ = ("target", "bump_epoch", "moves", "issues")
+    __slots__ = ("source", "target", "bump_epoch", "moves", "issues")
 
-    def __init__(self, target: "_DecodedBlock", bump_epoch: int,
+    def __init__(self, source: str, target: "_DecodedBlock",
+                 bump_epoch: int,
                  moves: Tuple[Tuple[int, int, bool], ...]) -> None:
+        self.source = source
         self.target = target
         self.bump_epoch = bump_epoch
         #: The moves' integer issue counts (one ``misc`` mov per phi),
@@ -452,10 +455,11 @@ class SimtMachine:
         self.max_cycles = max_cycles
         self.engine = resolve_engine(engine)
         #: Live execution profile, or None — resolved once here so the
-        #: hot loops pay a plain attribute test, not a session lookup.
+        #: recorders pay a plain attribute test, not a session lookup.
         #: Strictly observational: recording never feeds back into
-        #: scheduling, cycles, or outputs (the engine-equivalence suite
-        #: pins runs bit-identical with profiling on vs. off).
+        #: scheduling, executor choice, cycles, or outputs (the
+        #: engine-equivalence suite pins runs bit-identical with
+        #: profiling on vs. off, ``tests/test_tier_up.py`` the executors).
         self.profile = obs_session.profile()
         self._global_addrs: Dict[str, int] = {}
         #: Constant / undef / global-address operand -> its shared
@@ -689,7 +693,7 @@ class SimtMachine:
             incoming = phi.incoming_for(src)
             moves.append((slots[id(phi)], slots[id(incoming)],
                           id(incoming) in siblings))
-        return _Edge(target, bump, tuple(moves))
+        return _Edge(src_db.name, target, bump, tuple(moves))
 
     @staticmethod
     def _decode_step(inst: Instruction, slots: Dict[int, int],
@@ -775,12 +779,9 @@ class SimtMachine:
                 start_cycles = counters.cycles
                 self._exec_decoded(func, db, epoch, mask, active, ctx,
                                    counters, groups)
-                # Timestamps are warp-local cycle counts: samples from
-                # concurrent warps interleave on the timeline, which is
-                # exactly the resident-warp overlap picture an SM sees.
-                profile.note_block(db.name,
+                profile.note_block(db.name, 1,
                                    counters.cycles - start_cycles,
-                                   active, WARP_SIZE, start_cycles)
+                                   active, WARP_SIZE)
 
     def _exec_decoded(self, func: Function, db: _DecodedBlock, epoch: int,
                       mask: np.ndarray, active: int, ctx: _WarpContext,

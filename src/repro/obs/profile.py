@@ -1,46 +1,38 @@
 """Execution profiling for the SIMT engines.
 
 An :class:`ExecutionProfile` rides alongside the architectural
-:class:`repro.gpu.counters.Counters` and records *where* cycles went
-rather than how many there were:
+:class:`repro.gpu.counters.Counters` and records *where* cycles went —
+per block, summed at warp granularity like nvprof's per-warp counters:
 
-* per-block hit and cycle counters (which basic blocks dominate runtime);
-* an active-mask occupancy timeline — ``(cycle, active_lanes)`` samples
-  taken at every block execution, the SIMT-efficiency-over-time view
-  DARM-style divergence analyses start from;
-* lattice-dispatcher structural events: lattice splits (cross-warp control
-  disagreement) and row demotions to the per-warp path.
+* ``block_hits`` — warp-block executions (a lattice dispatch of ``n``
+  rows is ``n``);
+* ``block_cycles`` — what they charged, the phi moves of the edges the
+  block took included (fetch stalls are no block's);
+* ``block_lanes`` — ``[active, possible]`` lanes: SIMT efficiency;
+* lattice splits (cross-warp disagreement) and row demotions.
 
-The profile is strictly observational: engines consult it only through a
-``profile is not None`` check, and the equivalence suite pins outputs and
-cycle counts bit-identical with profiling on vs. off.
-
-Occupancy sampling is capped (:data:`OCCUPANCY_CAP`) so pathological
-kernels cannot balloon the session; the number of *dropped* samples is
-recorded so a truncated timeline is never mistaken for a complete one.
+The warp engine records per group pop, the lattice per dispatch, the
+scalar region executor from the counts it keeps anyway — so the profile
+does not depend on the engine, and it selects nothing: an observed run
+takes the executors an unobserved one takes, bit-identically.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-#: Maximum retained occupancy samples per profile; excess is counted in
-#: ``occupancy_dropped`` rather than silently discarded.
-OCCUPANCY_CAP = 65536
-
 
 class ExecutionProfile:
     """Per-run engine telemetry; mergeable across warps and processes."""
 
-    __slots__ = ("block_hits", "block_cycles", "occupancy",
-                 "occupancy_dropped", "splits", "demotions", "request")
+    __slots__ = ("block_hits", "block_cycles", "block_lanes", "splits",
+                 "demotions", "request")
 
     def __init__(self) -> None:
         self.block_hits: Dict[str, int] = {}
         self.block_cycles: Dict[str, float] = {}
-        #: ``[cycle_ts, active_lanes, lanes_possible]`` triples.
-        self.occupancy: List[List[float]] = []
-        self.occupancy_dropped = 0
+        #: ``[active, possible]`` lanes per block.
+        self.block_lanes: Dict[str, List[int]] = {}
         self.splits: List[Dict[str, object]] = []
         self.demotions: List[Dict[str, object]] = []
         #: Service request id (content hash) this stream belongs to, set
@@ -48,15 +40,16 @@ class ExecutionProfile:
         #: service.  Merging keeps the tag only while unambiguous.
         self.request: Optional[str] = None
 
-    # -- recording (hot paths; keep branch-light) ----------------------------
-    def note_block(self, name: str, cycles: float, active: int,
-                   lanes: int, cycle_ts: float) -> None:
-        self.block_hits[name] = self.block_hits.get(name, 0) + 1
+    # -- recording -----------------------------------------------------------
+    def note_block(self, name: str, hits: int, cycles: float, active: int,
+                   possible: int) -> None:
+        """``hits`` warp-block executions of ``name`` that charged
+        ``cycles`` on ``active`` of ``possible`` lanes (all summed)."""
+        self.block_hits[name] = self.block_hits.get(name, 0) + hits
         self.block_cycles[name] = self.block_cycles.get(name, 0.0) + cycles
-        if len(self.occupancy) < OCCUPANCY_CAP:
-            self.occupancy.append([cycle_ts, active, lanes])
-        else:
-            self.occupancy_dropped += 1
+        lanes = self.block_lanes.setdefault(name, [0, 0])
+        lanes[0] += active
+        lanes[1] += possible
 
     def note_split(self, block: str, classes: int, rows: int) -> None:
         self.splits.append({"block": block, "classes": classes,
@@ -72,14 +65,8 @@ class ExecutionProfile:
         elif not other.is_empty() and self.request != other.request:
             self.request = None      # mixed streams: tag no longer holds
         for name, n in other.block_hits.items():
-            self.block_hits[name] = self.block_hits.get(name, 0) + n
-        for name, c in other.block_cycles.items():
-            self.block_cycles[name] = self.block_cycles.get(name, 0.0) + c
-        room = OCCUPANCY_CAP - len(self.occupancy)
-        take = other.occupancy[:room] if room > 0 else []
-        self.occupancy.extend(take)
-        self.occupancy_dropped += (other.occupancy_dropped
-                                   + len(other.occupancy) - len(take))
+            self.note_block(name, n, other.block_cycles.get(name, 0.0),
+                            *other.block_lanes.get(name, (0, 0)))
         self.splits.extend(other.splits)
         self.demotions.extend(other.demotions)
 
@@ -91,8 +78,7 @@ class ExecutionProfile:
         data: Dict[str, object] = {
             "block_hits": dict(self.block_hits),
             "block_cycles": dict(self.block_cycles),
-            "occupancy": [list(s) for s in self.occupancy],
-            "occupancy_dropped": self.occupancy_dropped,
+            "block_lanes": {k: list(v) for k, v in self.block_lanes.items()},
             "splits": list(self.splits),
             "demotions": list(self.demotions),
         }
@@ -107,8 +93,8 @@ class ExecutionProfile:
                            for k, v in data.get("block_hits", {}).items()}
         prof.block_cycles = {k: float(v)
                              for k, v in data.get("block_cycles", {}).items()}
-        prof.occupancy = [list(s) for s in data.get("occupancy", [])]
-        prof.occupancy_dropped = int(data.get("occupancy_dropped", 0))
+        prof.block_lanes = {k: list(v)
+                            for k, v in data.get("block_lanes", {}).items()}
         prof.splits = list(data.get("splits", []))
         prof.demotions = list(data.get("demotions", []))
         prof.request = data.get("request")
@@ -116,12 +102,11 @@ class ExecutionProfile:
 
     # -- reporting -----------------------------------------------------------
     def mean_occupancy(self) -> Optional[float]:
-        """Mean active-lane fraction over the sampled timeline."""
-        if not self.occupancy:
+        """Active lanes over possible lanes, every block execution summed."""
+        den = sum(p for _a, p in self.block_lanes.values())
+        if not den:
             return None
-        num = sum(s[1] for s in self.occupancy)
-        den = sum(s[2] for s in self.occupancy)
-        return num / den if den else None
+        return sum(a for a, _p in self.block_lanes.values()) / den
 
     def format(self, top: int = 10) -> str:
         lines = ["Execution profile"]
@@ -137,10 +122,9 @@ class ExecutionProfile:
             lines.append(f"  ... {len(ranked) - top} more blocks")
         occ = self.mean_occupancy()
         if occ is not None:
-            dropped = (f" ({self.occupancy_dropped} samples dropped)"
-                       if self.occupancy_dropped else "")
             lines.append(f"  occupancy: {100.0 * occ:.1f}% mean active lanes "
-                         f"over {len(self.occupancy)} samples{dropped}")
+                         f"over {sum(self.block_hits.values())} warp-block "
+                         "executions")
         if self.splits or self.demotions:
             lines.append(f"  lattice: {len(self.splits)} splits, "
                          f"{len(self.demotions)} demotions")

@@ -3,9 +3,8 @@
 Spans collected by the pass managers and the harness are stored as
 trace-event dicts in the format Perfetto / ``chrome://tracing`` load
 natively: a top-level ``{"traceEvents": [...]}`` object whose events use
-``ph: "X"`` (complete events with ``ts``/``dur`` in microseconds),
-``ph: "C"`` (counters, used for the occupancy timeline), and ``ph: "M"``
-(process/thread metadata).  See
+``ph: "X"`` (complete events with ``ts``/``dur`` in microseconds) and
+``ph: "M"`` (process/thread metadata).  See
 https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 Events from parallel workers are re-homed under the worker's own ``pid``
@@ -55,15 +54,6 @@ class Tracer:
         if args:
             event["args"] = args
         self.events.append(event)
-
-    def counter(self, name: str, ts: float, values: Dict[str, float],
-                tid: int = 0) -> None:
-        """A ``ph:"C"`` counter sample; ``ts`` in epoch-relative seconds."""
-        self.events.append({
-            "name": name, "cat": "counter", "ph": "C",
-            "ts": round(ts * 1e6, 3),
-            "pid": self.pid, "tid": tid, "args": dict(values),
-        })
 
     def metadata(self, name: str, args: Dict[str, object],
                  pid: Optional[int] = None, tid: int = 0) -> None:

@@ -55,7 +55,10 @@ from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 #: v3: requests may ask for the ``predicted`` config (similarity-index
 #: tuning transfer) and grow ``refine`` — opt-in background empirical
 #: refinement of a predicted app at low priority.
-SERVE_SCHEMA_VERSION = 3
+#: v4: a result's ``profile`` drops ``occupancy`` / ``occupancy_dropped``
+#: (the timeline) and grows ``block_lanes`` (per-block active / possible
+#: lanes, summed per warp like ``block_hits``).
+SERVE_SCHEMA_VERSION = 4
 
 
 class ProtocolError(ValueError):
@@ -155,7 +158,7 @@ class OptimizeRequest:
     #: Include the printed optimized IR in the result.
     include_ir: bool = True
     #: Include the request-tagged execution profile in the result
-    #: (ir/kernel subjects only; occupancy timelines can be large).
+    #: (ir/kernel subjects only; per-block sums, one entry per block).
     include_profile: bool = False
     #: Larger runs first; ties FIFO.
     priority: int = 0

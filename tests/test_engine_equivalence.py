@@ -44,6 +44,7 @@ from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
 from repro.gpu import Counters, Memory, SimtMachine, fuser, jit
+from repro.gpu.regions import RegionOp
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs import metrics as obs_metrics
@@ -305,7 +306,10 @@ def test_guard_storm_exercises_every_deopt_kind(monkeypatch):
     assert obs_session.active() is None, "a test leaked a live session"
     session = obs_session.install()
     registry = obs_metrics.install()
+    # An arm runs in-region on either executor: the vector one through
+    # ``_exec_arm``, the scalar one charged by ``RegionOp.arm_acct``.
     arms = spy(monkeypatch, jit, "_exec_arm")
+    predicated = spy(monkeypatch, RegionOp, "arm_acct")
     try:
         launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
     finally:
@@ -315,7 +319,7 @@ def test_guard_storm_exercises_every_deopt_kind(monkeypatch):
     assert jit_remarks, "jit engine emitted no region remarks"
     diamonds = sum(int(r.args.get("diamonds", 0)) for r in jit_remarks)
     assert diamonds > 0, "no diamond was compiled — kernel shape drifted?"
-    assert arms, "no diamond arm ran in-region"
+    assert arms or predicated, "no diamond arm ran in-region"
     failures = registry.counter("repro_jit_guard_failures_total",
                                 kind="lattice").value
     assert failures >= 8, (

@@ -391,3 +391,12 @@ class TestRequestCorrelation:
         assert with_profile.profile is not None
         assert with_profile.profile.get("request") == \
             content_hash(ir_request(lanes=2, include_profile=True))
+        # Per-block sums at warp granularity; no occupancy timeline.
+        profile = with_profile.profile
+        assert set(profile) == {"block_hits", "block_cycles",
+                                "block_lanes", "splits", "demotions",
+                                "request"}
+        assert profile["block_hits"]
+        assert set(profile["block_lanes"]) == set(profile["block_hits"])
+        for block, (active, possible) in profile["block_lanes"].items():
+            assert 0 < active <= possible, block

@@ -99,7 +99,6 @@ class TestChromeTrace:
         start = tracer.now()
         tracer.complete("gvn", "pass", start, 0.002,
                         args={"insts_before": 10, "insts_after": 8})
-        tracer.counter("occupancy", start, {"active": 24.0})
         tracer.absorb([{"name": "uu", "cat": "pass", "ph": "X",
                         "ts": 1.0, "dur": 2.0, "pid": 0, "tid": 0}],
                       pid=200)
@@ -137,16 +136,18 @@ class TestChromeTrace:
 class TestExecutionProfile:
     def test_record_merge_and_occupancy(self):
         a = ExecutionProfile()
-        a.note_block("entry", 10.0, 32, 32, 0.0)
-        a.note_block("loop", 20.0, 16, 32, 10.0)
+        a.note_block("entry", 1, 10.0, 32, 32)
+        a.note_block("loop", 2, 20.0, 16, 64)
         b = ExecutionProfile()
-        b.note_block("loop", 5.0, 8, 32, 0.0)
+        b.note_block("loop", 1, 5.0, 8, 32)
+        b.note_block("loop", 0, 1.5, 0, 0)      # a split's phi moves
         b.note_split("loop", classes=2, rows=4)
         b.note_demotion("tail", warp=3)
         a.merge(b)
-        assert a.block_hits == {"entry": 1, "loop": 2}
-        assert a.block_cycles["loop"] == 25.0
-        assert a.mean_occupancy() == pytest.approx((32 + 16 + 8) / 96)
+        assert a.block_hits == {"entry": 1, "loop": 3}
+        assert a.block_cycles["loop"] == 26.5
+        assert a.block_lanes == {"entry": [32, 32], "loop": [24, 96]}
+        assert a.mean_occupancy() == pytest.approx((32 + 16 + 8) / 128)
         assert a.splits == [{"block": "loop", "classes": 2, "rows": 4}]
         assert a.demotions == [{"block": "tail", "warp": 3}]
         back = ExecutionProfile.from_json(
@@ -154,23 +155,6 @@ class TestExecutionProfile:
         assert back.to_json() == a.to_json()
         text = a.format()
         assert "loop" in text and "occupancy" in text and "splits" in text
-
-    def test_occupancy_cap_counts_drops(self, monkeypatch):
-        # ``repro.obs.profile`` the *attribute* is the session hook, which
-        # shadows the module of the same name; patch the module itself.
-        import importlib
-        profile_mod = importlib.import_module("repro.obs.profile")
-        monkeypatch.setattr(profile_mod, "OCCUPANCY_CAP", 3)
-        prof = ExecutionProfile()
-        for i in range(5):
-            prof.note_block("b", 1.0, 32, 32, float(i))
-        assert len(prof.occupancy) == 3
-        assert prof.occupancy_dropped == 2
-        other = ExecutionProfile()
-        other.note_block("b", 1.0, 32, 32, 9.0)
-        prof.merge(other)
-        assert len(prof.occupancy) == 3
-        assert prof.occupancy_dropped == 3
 
 
 # -- session mechanics -------------------------------------------------------

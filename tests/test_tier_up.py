@@ -16,6 +16,7 @@ import pathlib
 
 import pytest
 
+from repro.bench import benchmark_by_name
 from repro.frontend.lower import lower_kernels
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
@@ -452,7 +453,7 @@ def test_unalike_divergent_diamond_hands_over_to_the_vector_executor(
     real = jit._region_vector
 
     def region_vector(*args):
-        if len(args) > 9:           # Called with a start op.
+        if len(args) > 8:           # Called with a start op.
             handed.append(args[-1])
         return real(*args)
 
@@ -577,7 +578,7 @@ def test_a_hand_over_after_an_aliased_bind_equals_warp(monkeypatch):
     real = jit._region_vector
 
     def region_vector(*args):
-        if len(args) > 9:           # Called with a start op.
+        if len(args) > 8:           # Called with a start op.
             handed.append(args[-1])
         return real(*args)
 
@@ -638,10 +639,9 @@ def test_a_lone_arm_copies_a_slot_the_interpreter_owns(monkeypatch):
 @pytest.mark.parametrize("kernel", ["divergent", "chaindia", "unequal",
                                     "alias"])
 def test_profiled_diamonds_equal_unprofiled_and_warp(kernel, monkeypatch):
-    """A live profile sends every region to the vector executor, whose
-    diamond arms masked-write join phis that the compiled back edges may
-    alias: profiled, the run must equal the unprofiled one and
-    ``warp``'s at every threshold."""
+    """Diamonds whose warps split alike, unalike, and after an aliased
+    bind: profiled, the run must equal the unprofiled one and
+    ``warp``'s at every threshold, through the same executors."""
     texts = {"unequal": UNEQUAL_IR, "alias": ALIAS_IR}
     text = texts.get(kernel) or (KERNEL_DIR / f"{kernel}.ir").read_text()
     reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
@@ -650,16 +650,18 @@ def test_profiled_diamonds_equal_unprofiled_and_warp(kernel, monkeypatch):
     vector = spy(monkeypatch, jit, "_region_vector")
     for label, threshold in THRESHOLDS.items():
         monkeypatch.setattr(jit, "TIER_UP_DISPATCHES", threshold)
+        del scalar[:], vector[:]
         plain, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
                               [LATTICE_TRIPS])
         assert plain == reference, f"{kernel}: unprofiled, {label}"
+        ran = len(scalar), len(vector)
         del scalar[:], vector[:]
         with obs_session.capture():
             got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
                                 [LATTICE_TRIPS])
         assert got == reference, f"{kernel}: profiled, {label}"
-        assert not scalar
-        assert bool(vector) == (threshold > 0)
+        assert (len(scalar), len(vector)) == ran, label
+        assert bool(sum(ran)) == (threshold > 0)
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "chain"])
@@ -690,20 +692,94 @@ def test_every_region_entry_lands_in_one_of_two_executors(kernel,
     assert entries and len(entries) == sum(len(calls) for calls in ran)
 
 
-def test_a_profiled_self_loop_takes_the_vector_executor(monkeypatch):
-    """The scalar spin keeps no per-iteration ``note_block`` stream, so a
-    live profile sends the self-loop down the general executor — and
-    observing must not change what is computed."""
+def test_a_profiled_self_loop_takes_the_scalar_executor(monkeypatch):
+    """Catches a live profile choosing the executor: the scalar spin
+    folds its trip count into the profile at exit, so a profiled
+    self-loop spins as an unprofiled one does, and the profile counts
+    every trip of both warps."""
     reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
     scalar = spy(monkeypatch, jit, "_region_scalar")
     vector = spy(monkeypatch, jit, "_region_vector")
     with obs_session.capture() as session:
         got, _ = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
     assert got == reference
-    assert not scalar
-    assert [region.head_name for _machine, _func, region, *_ in vector] == \
+    assert not vector
+    assert [region.head_name for _machine, _func, region, *_ in scalar] == \
         ["loop"]
-    assert session.profile.block_hits["loop"] == TRIPS
+    assert session.profile.block_hits["loop"] == 2 * TRIPS
+
+
+#: The executors a region entry, a diamond arm or a lattice dispatch can
+#: land in — what observing a run must not change.
+EXECUTORS = ((jit, "_region_scalar"), (jit, "_region_vector"),
+             (jit, "_exec_arm"), (batched, "_exec_block"))
+
+OBSERVERS = {
+    "unobserved": contextlib.nullcontext,
+    "session": obs_session.capture,
+    "request": lambda: obs_session.request_capture("r"),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_observing_a_run_changes_no_executor(kernel, monkeypatch):
+    """Catches an executor choice that depends on whether anyone is
+    watching — a traced CLI run or a served request
+    (``request_capture``) taking another path than the unobserved one:
+    every executor is called as often under each observer, and the run
+    equals ``warp``'s."""
+    text = (KERNEL_DIR / f"{kernel}.ir").read_text()
+    reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
+                              [LATTICE_TRIPS])
+    calls = [spy(monkeypatch, owner, name) for owner, name in EXECUTORS]
+    counts = {}
+    for label, observe in OBSERVERS.items():
+        for seen in calls:
+            del seen[:]
+        with observe():
+            got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
+                                [LATTICE_TRIPS])
+        assert got == reference, label
+        counts[label] = [len(seen) for seen in calls]
+    assert counts["session"] == counts["unobserved"]
+    assert counts["request"] == counts["unobserved"]
+
+
+@pytest.mark.parametrize("case", KERNELS + ["unequal", "complex"])
+def test_the_profile_is_the_same_on_both_engines(case, monkeypatch):
+    """Catches a profile that depends on the engine or the executor: a
+    lattice dispatch counted once instead of once per warp, a scalar
+    run's blocks left out, or the phi moves of a split or a region exit
+    charged to no block.  ``unequal`` hands scalar runs over to the
+    vector executor.  Hits and lanes are exact; cycles are float sums
+    over warps, added in another order."""
+    if case == "complex":
+        bench = benchmark_by_name(case)
+
+        def run(engine):
+            bench.run(bench.build_module(), engine=engine)
+    else:
+        text = (UNEQUAL_IR if case == "unequal"
+                else (KERNEL_DIR / f"{case}.ir").read_text())
+
+        def run(engine):
+            launch_all(text, case, engine, 1, LATTICE_THREADS,
+                       [LATTICE_TRIPS])
+
+    def profile(engine):
+        with obs_session.capture() as session:
+            run(engine)
+        return session.profile
+
+    want = profile("warp")
+    assert want.block_hits
+    for label, threshold in THRESHOLDS.items():
+        monkeypatch.setattr(jit, "TIER_UP_DISPATCHES", threshold)
+        got = profile("jit")
+        assert got.block_hits == want.block_hits, label
+        assert got.block_lanes == want.block_lanes, label
+        assert got.block_cycles == pytest.approx(want.block_cycles,
+                                                 rel=1e-12), label
 
 
 def test_a_briefly_divergent_warp_stays_on_the_compiled_path(monkeypatch):
