@@ -112,11 +112,8 @@ class Benchmark:
         """Lower all kernels into a fresh module."""
         return lower_kernels(self.kernels(), self.name)
 
-    def run(self, module: Module,
-            icache_capacity: Optional[int] = None,
-            engine: Optional[str] = None,
-            scale: int = 1
-            ) -> Tuple[Dict[str, np.ndarray], Counters]:
+    def run(self, module: Module, engine: Optional[str] = None,
+            scale: int = 1) -> Tuple[Dict[str, np.ndarray], Counters]:
         """Execute the workload on a fresh memory; returns outputs+counters.
 
         ``scale > 1`` runs a reduced launch geometry (see
@@ -126,8 +123,7 @@ class Benchmark:
         rng = np.random.default_rng(self.seed)
         mem = Memory()
         buffers = self.setup(mem, rng)
-        machine = SimtMachine(module, mem, icache_capacity=icache_capacity,
-                              engine=engine)
+        machine = SimtMachine(module, mem, engine=engine)
         total = Counters()
         for launch in self.launches():
             args = [buffers[a[1]] if isinstance(a, tuple) and a[0] == "buf"

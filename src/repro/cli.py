@@ -36,11 +36,11 @@ provides the same operations:
 
 Sweeps fan out over worker processes (``--jobs/-j``, default all cores)
 and reuse cells from the persistent cache under ``results/.cellcache/``
-(``--no-cache`` bypasses it).  ``--engine {warp,jit}`` (or
-``REPRO_ENGINE``) selects the SIMT execution engine — ``jit`` by default:
-the lattice interpreter that compiles a superblock where a launch gets
-hot; ``warp`` is the per-warp reference.  The engines are bit-identical,
-so this only affects wall-clock.
+(``--no-cache`` bypasses it).  Every simulation runs on the ``jit``
+engine: the lattice interpreter that compiles a superblock where a
+launch gets hot.  The per-warp reference engine is a
+:class:`~repro.gpu.machine.SimtMachine` argument only, for the tests
+that pin the two bit-identical (``tests/test_engine_equivalence.py``).
 
 Observability (see :mod:`repro.obs`): every sweep command accepts
 ``--trace-out run.trace.json`` (Chrome trace-event JSON, load in Perfetto
@@ -58,7 +58,6 @@ import argparse
 import collections
 import contextlib
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -66,7 +65,6 @@ from typing import List, Optional
 
 from . import obs
 from .bench import all_benchmarks, benchmark_by_name
-from .gpu.machine import ENGINES
 from .harness import fig6, fig7, fig8, indepth, table1
 from .harness.cache import CellCache
 from .harness.experiment import ExperimentRunner, resolve_jobs
@@ -142,8 +140,7 @@ def _finish_sweep(runner: ExperimentRunner) -> None:
     Two lines can print: the cell-cache line (always, for cache-enabled
     runners) and the jit line, read from the command's registry (only
     when some launch of the sweep got hot enough to select regions — for
-    the other engines, and for a jit sweep that never tiered up, it is
-    empty).  A pool worker ships only what its own task counted and the
+    a sweep that never tiered up, it is empty).  A pool worker ships only what its own task counted and the
     runner folds that in, so ``-j1`` and ``-jN`` print the same totals.
     """
     if runner.cache is not None:
@@ -157,7 +154,7 @@ def _finish_sweep(runner: ExperimentRunner) -> None:
 def _runner(args) -> ExperimentRunner:
     cache = None if getattr(args, "no_cache", False) else CellCache()
     return ExperimentRunner(jobs=resolve_jobs(getattr(args, "jobs", None)),
-                            cache=cache, engine=getattr(args, "engine", None))
+                            cache=cache)
 
 
 def _benches(args) -> List:
@@ -222,7 +219,7 @@ def cmd_run_heuristic(args) -> int:
         print(f"{bench.name:<16} {cell.speedup_over(base):>7.3f}x "
               f"{cell.size_ratio_over(base):>6.2f}x "
               f"{cell.compile_ratio_over(base):>7.2f}x {ok:>4}")
-        if args.verbose or args.report:
+        if args.report:
             # The report *is* the remark stream: the very same
             # decision_remarks() that feeds --remarks-out renders each
             # LoopDecision here, so the two can never drift apart.
@@ -450,7 +447,7 @@ def cmd_run_tuned(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from .tune import (BUDGET_ENV, TuneParams, render_tuned, tune_benchmark)
+    from .tune import TuneParams, render_tuned, tune_benchmark
 
     out = Path(args.out) if args.out else None
     if args.target == "show":
@@ -468,21 +465,12 @@ def cmd_tune(args) -> int:
         print("repro tune: name a benchmark, pass --all, or use "
               "`repro tune show`", file=sys.stderr)
         return 2
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV)
-        if env:
-            try:
-                budget = max(0, int(env))
-            except ValueError:
-                pass
-    params = TuneParams(u_max=args.u_max, budget=budget)
+    params = TuneParams(u_max=args.u_max, budget=args.budget)
     rc = 0
     for bench in benches:
         result = tune_benchmark(
             bench, params=params,
             jobs=getattr(args, "jobs", None),
-            engine=getattr(args, "engine", None),
             use_cache=not getattr(args, "no_cache", False),
             tuned_dir=out)
         c = result.config
@@ -594,16 +582,6 @@ def _traced_sweep(args) -> None:
     runner.prefetch(_benches(args), configs=("baseline", args.config))
 
 
-def _load_remarks(path: str):
-    from .obs.remarks import Remark
-    remarks = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            remarks.append(Remark.from_json(json.loads(line)))
-    return remarks
-
-
 def _load_trace_events(path: str) -> List[dict]:
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
@@ -615,7 +593,7 @@ def cmd_remarks(args) -> int:
     """Print a remark stream: a fresh traced run, or a saved JSONL."""
     src = getattr(args, "in_path", None)
     if src:
-        remarks = _load_remarks(src)
+        remarks = obs.read_jsonl(src)
     else:
         with _obs_session() as session:
             _traced_sweep(args)
@@ -731,7 +709,7 @@ def _submit_request(args):
               else Path(args.ir).read_text())
     return OptimizeRequest(
         app=args.app, ir=ir, config=args.config, loop_id=args.loop_id,
-        factor=args.factor, engine=getattr(args, "engine", None),
+        factor=args.factor,
         lanes=args.lanes, include_ir=not args.no_ir,
         priority=args.priority, refine=getattr(args, "refine", False),
         directives=tuple(args.directive or ())).validate()
@@ -806,7 +784,7 @@ def cmd_serve_status(args) -> int:
               f"{cache['bytes']} bytes{cap}; this session "
               f"{cache['session_hits']} hits, {cache['session_misses']} "
               f"misses, {cache['session_evictions']} evictions")
-    jit = obs_metrics.jit_summary(stats["region_cache"]["session"])
+    jit = obs_metrics.jit_summary(stats["jit"])
     print(f"  jit:       {jit or 'no region selected'}")
     similarity = stats.get("similarity")
     if similarity:
@@ -833,13 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_JOBS or all cores)")
     common.add_argument("--no-cache", action="store_true",
                         help="ignore the persistent cell cache")
-    common.add_argument("--engine", choices=list(ENGINES), default=None,
-                        help="SIMT execution engine (default: REPRO_ENGINE "
-                             "or 'jit', which compiles superblocks where a "
-                             "launch gets hot; 'warp' is the per-warp "
-                             "reference); engines "
-                             "are bit-identical, this only affects "
-                             "wall-clock")
     common.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome trace-event JSON of this run "
                              "(open in Perfetto); also writes "
@@ -873,11 +844,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-heuristic", parents=[common],
                        help="heuristic u&u per app")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-loop heuristic decisions")
     p.add_argument("--report", action="store_true",
-                   help="like --verbose, and flag selected loops whose "
-                        "transform was skipped (header not re-found)")
+                   help="print per-loop heuristic decisions, and flag "
+                        "selected loops whose transform was skipped "
+                        "(header not re-found)")
     p.set_defaults(fn=cmd_run_heuristic)
 
     sub.add_parser("table1", parents=[common],
@@ -956,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tune every benchmark")
     p.add_argument("--budget", type=int, default=None,
                    help="max per-loop candidates measured per benchmark "
-                        "(default: REPRO_TUNE_BUDGET or unlimited)")
+                        "(default: unlimited)")
     p.add_argument("--u-max", type=int, default=8,
                    help="largest unroll factor searched (default 8)")
     p.add_argument("--out", metavar="DIR", default=None,
@@ -1086,7 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop-id", default=None,
                    help="loop id for per-loop configs (uu/unroll/unmerge)")
     p.add_argument("--factor", type=int, default=2)
-    p.add_argument("--engine", choices=list(ENGINES), default=None)
     p.add_argument("--lanes", type=int, default=32,
                    help="warp width for ir submissions (default 32)")
     p.add_argument("--priority", type=int, default=0,

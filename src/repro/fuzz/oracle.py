@@ -244,8 +244,8 @@ def config_specs(module: Module) -> List[ConfigSpec]:
 
 def run_config(subject: Subject, spec: ConfigSpec,
                reference: Dict[str, np.ndarray], lanes: int = LANES,
-               max_instructions: int = BARE_MAX_INSTRUCTIONS,
-               engine: Optional[str] = None) -> ConfigOutcome:
+               max_instructions: int = BARE_MAX_INSTRUCTIONS
+               ) -> ConfigOutcome:
     """Compile one configuration and compare its outputs to the reference."""
     module = subject.build()
     try:
@@ -259,7 +259,7 @@ def run_config(subject: Subject, spec: ConfigSpec,
         return ConfigOutcome(spec, False, "crash",
                              f"{type(exc).__name__}: {exc}")
     try:
-        outputs = execute(module, lanes, engine=engine)
+        outputs = execute(module, lanes)
     except Exception as exc:  # noqa: BLE001
         return ConfigOutcome(spec, False, "crash",
                              f"interpreting optimized IR: "
@@ -271,15 +271,14 @@ def run_config(subject: Subject, spec: ConfigSpec,
 
 
 def run_differential(subject: Subject, lanes: int = LANES,
-                     max_instructions: int = BARE_MAX_INSTRUCTIONS,
-                     engine: Optional[str] = None) -> KernelReport:
+                     max_instructions: int = BARE_MAX_INSTRUCTIONS
+                     ) -> KernelReport:
     """Check ``subject`` under every applicable configuration."""
     module = subject.build()
     verify_module(module)  # a broken *unoptimized* module is a subject bug
-    reference = execute(module, lanes, engine=engine)
+    reference = execute(module, lanes)
     report = KernelReport(subject.name, subject.seed)
     for spec in config_specs(module):
         report.outcomes.append(
-            run_config(subject, spec, reference, lanes, max_instructions,
-                       engine=engine))
+            run_config(subject, spec, reference, lanes, max_instructions))
     return report

@@ -2,14 +2,14 @@
 
 from .counters import CATEGORIES, Counters
 from .icache import InstructionCache
-from .machine import (ENGINE_ENV, ENGINES, LaunchResult, SimtMachine,
-                      SimulationError, WARP_SIZE, resolve_engine)
+from .machine import (ENGINES, LaunchResult, SimtMachine, SimulationError,
+                      WARP_SIZE, resolve_engine)
 from .memory import Memory, MemoryStats, SEGMENT_BYTES
 from .timing import CLOCK_HZ, cycles_to_ms
 
 __all__ = [
     "SimtMachine", "LaunchResult", "SimulationError", "WARP_SIZE",
-    "ENGINE_ENV", "ENGINES", "resolve_engine",
+    "ENGINES", "resolve_engine",
     "Memory", "MemoryStats", "SEGMENT_BYTES",
     "Counters", "CATEGORIES", "InstructionCache",
     "CLOCK_HZ", "cycles_to_ms",

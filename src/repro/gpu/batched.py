@@ -307,8 +307,7 @@ def run_launch_batched(machine, func, frame, grid_dim: int, block_dim: int,
     lane_ids = np.tile(warp_lanes, (grid_dim, 1))
     block_ids = np.repeat(np.arange(grid_dim, dtype=np.int64), warps)
     ctx = _BatchContext(frame, lane_ids, block_ids, np.arange(n), launch)
-    icache = InstructionCache(machine._icache_capacity) \
-        if machine._icache_capacity else InstructionCache()
+    icache = InstructionCache()
     active = lane_ids < block_dim
     state = _BatchState(ctx, np.zeros(n), np.zeros(n),
                         np.zeros((n, N_CATEGORIES)), icache,

@@ -53,8 +53,8 @@ contract), which the constant folder and the jit's fuser share;
 :meth:`SimtMachine.launch` holds the ``np.errstate`` those kernels are
 total under, once per launch.
 
-Two execution engines consume the decoded form (``REPRO_ENGINE``
-selects; see :func:`resolve_engine`):
+Two execution engines consume the decoded form (the ``engine`` argument
+of :class:`SimtMachine` selects; see :func:`resolve_engine`):
 
 * ``jit`` (default) — the lattice dispatcher of :mod:`repro.gpu.batched`
   with the trace tier of :mod:`repro.gpu.jit` on top.  All warps of a
@@ -78,7 +78,6 @@ this) — which is why the persistent cell cache does not key on the engine.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -104,18 +103,13 @@ WARP_SIZE = 32
 
 ArgValue = Union[int, float]
 
-#: Environment override for the default execution engine.
-ENGINE_ENV = "REPRO_ENGINE"
-
 #: Supported execution engines (see module docstring).
 ENGINES = ("warp", "jit")
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """Explicit value > ``REPRO_ENGINE`` > ``jit``."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV, "").strip() or "jit"
-    engine = engine.lower()
+    """The named engine, or ``jit`` when none is named."""
+    engine = "jit" if engine is None else engine.lower()
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -446,12 +440,10 @@ class SimtMachine:
     """Executes kernels from a module against a simulated memory."""
 
     def __init__(self, module: Module, memory: Optional[Memory] = None,
-                 icache_capacity: Optional[int] = None,
                  max_cycles: int = 2_000_000_000,
                  engine: Optional[str] = None) -> None:
         self.module = module
         self.memory = memory if memory is not None else Memory()
-        self._icache_capacity = icache_capacity
         self.max_cycles = max_cycles
         self.engine = resolve_engine(engine)
         #: Live execution profile, or None — resolved once here so the
@@ -522,8 +514,7 @@ class SimtMachine:
                         # Per-warp icache: warps spread across SMs, so each
                         # warp streams the kernel's code through its own
                         # front end.
-                        icache = InstructionCache(self._icache_capacity) \
-                            if self._icache_capacity else InstructionCache()
+                        icache = InstructionCache()
                         base = warp_idx * WARP_SIZE
                         lane_ids = np.arange(base, base + WARP_SIZE,
                                              dtype=np.int64)

@@ -76,11 +76,10 @@ from .experiment import Cell
 #: log (it was empty) and replayed rows say the directive's kind where
 #: they said "tuned".
 #:
-#: Note the execution engine (``REPRO_ENGINE``, ``jit`` by default) is
-#: deliberately *not* part of the key: the jit and per-warp engines
-#: are bit-identical by contract — whenever the jit tiers up —
-#: (tests/test_engine_equivalence.py, tests/test_tier_up.py), so a cell
-#: computed under any is valid for all.
+#: The key names no execution engine: every runner simulates on the
+#: default ``jit`` engine, which is bit-identical to the per-warp
+#: reference by contract — whenever it tiers up —
+#: (tests/test_engine_equivalence.py, tests/test_tier_up.py).
 SCHEMA_VERSION = 5
 
 #: Environment override for the cache directory.

@@ -220,7 +220,6 @@ class ExperimentRunner:
                  max_instructions: int = MAX_INSTRUCTIONS,
                  compile_timeout: Optional[float] = COMPILE_TIMEOUT,
                  verify_each: bool = False,
-                 engine: Optional[str] = None,
                  workload_scale: int = 1,
                  tuned_dir: Optional[Path] = None,
                  sim_index_dir: Optional[Path] = None, *,
@@ -230,11 +229,6 @@ class ExperimentRunner:
         self.max_instructions = max_instructions
         self.compile_timeout = compile_timeout
         self.verify_each = verify_each
-        #: Execution engine for every simulation this runner performs.
-        #: Engines are bit-identical (cycles, counters, outputs), so the
-        #: choice never affects results — only sweep wall-clock — and the
-        #: persistent cell cache deliberately does not key on it.
-        self.engine = engine
         #: ``> 1`` shrinks every launch geometry (autotuner screening
         #: rounds); scaled cells are internally consistent — baseline and
         #: candidates run the same reduced workload.
@@ -473,7 +467,7 @@ class ExperimentRunner:
         if config == "baseline" and bench.name not in self._raw_outputs:
             start = time.perf_counter()
             with obs.span("simulate-raw"):
-                raw_outputs, _ = bench.run(module, engine=self.engine,
+                raw_outputs, _ = bench.run(module,
                                            scale=self.workload_scale)
             self.phase_seconds["simulate"] += time.perf_counter() - start
             self._raw_outputs[bench.name] = raw_outputs
@@ -499,7 +493,7 @@ class ExperimentRunner:
                         timed_out=True)
         start = time.perf_counter()
         with obs.span("simulate"):
-            outputs, counters = bench.run(module, engine=self.engine,
+            outputs, counters = bench.run(module,
                                           scale=self.workload_scale)
         self.phase_seconds["simulate"] += time.perf_counter() - start
 

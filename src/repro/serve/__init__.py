@@ -2,8 +2,8 @@
 
 The batch harness turned into infrastructure: a persistent local daemon
 (``repro serve``) accepts kernel submissions — a registered benchmark, a
-textual-IR module, or a frontend-AST kernel — plus a pipeline config and
-execution engine, and returns the optimized IR, the applied decisions,
+textual-IR module, or a frontend-AST kernel — plus a pipeline config,
+and returns the optimized IR, the applied decisions,
 the typed optimization-remark stream, and simulated cycles/speedups.
 The CLI is just one client of the service.
 

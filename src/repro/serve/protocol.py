@@ -10,15 +10,14 @@ A submission names its kernel **source** one of three ways:
 * ``kernel`` — a frontend-AST kernel as JSON (see :func:`ast_to_json`),
   lowered and then measured like ``ir``.
 
-plus a pipeline ``config``, an optional per-loop coordinate
-(``loop_id``/``factor``), and the execution ``engine``.
+plus a pipeline ``config`` and an optional per-loop coordinate
+(``loop_id``/``factor``).  A request names no execution engine: the
+service simulates on the default ``jit`` engine, which is bit-identical
+to the per-warp reference by contract (tests/test_engine_equivalence.py).
 
 **Dedup** keys submissions by :func:`content_hash` — the SHA-256 of
-every request field that determines the result.  The engine is
-deliberately excluded: engines are bit-identical by contract
-(tests/test_engine_equivalence.py), so two submissions differing only in
-engine share one computation, exactly as the cell cache shares their
-cells.  Priority is excluded too (it affects scheduling, never results).
+every request field that determines the result.  Priority is excluded
+(it affects scheduling, never results).
 Hashing kernels by content rather than by name is also the hook for
 similarity-based tuning transfer ("A Similarity Measure for GPU Kernel
 Subgraph Matching"): the hash identifies the kernel, a future feature
@@ -45,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..directive import LoopDirective
 from ..frontend import ast as front
-from ..gpu.machine import ENGINES
 from ..gpu.timing import TIMING_MODEL_VERSION
 from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 
@@ -58,7 +56,11 @@ from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 #: v4: a result's ``profile`` drops ``occupancy`` / ``occupancy_dropped``
 #: (the timeline) and grows ``block_lanes`` (per-block active / possible
 #: lanes, summed per warp like ``block_hits``).
-SERVE_SCHEMA_VERSION = 4
+#: v5: requests and results drop ``engine`` (an old client that sends it
+#: fails closed on the unknown field), and ``/stats`` replaces
+#: ``region_cache`` (``session`` plus three zeros) with ``jit``, the jit
+#: counts alone.
+SERVE_SCHEMA_VERSION = 5
 
 
 class ProtocolError(ValueError):
@@ -152,7 +154,6 @@ class OptimizeRequest:
     kernel: Optional[Dict] = None
     loop_id: Optional[str] = None
     factor: int = 1
-    engine: Optional[str] = None
     #: Warp width for ir/kernel subjects (apps run their full workload).
     lanes: int = 32
     #: Include the printed optimized IR in the result.
@@ -184,11 +185,6 @@ class OptimizeRequest:
             raise ProtocolError(
                 f"config {self.config!r} addresses one loop at a time; "
                 "set loop_id")
-        if self.engine is not None and self.engine not in ENGINES:
-            # Checked here, not where the engine runs: the content hash
-            # excludes the engine, so a memoized duplicate never runs.
-            raise ProtocolError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.lanes < 1 or self.lanes > 32:
             raise ProtocolError(f"lanes must be in 1..32, got {self.lanes}")
         if self.directives and self.loop_id is not None:
@@ -230,8 +226,8 @@ def content_hash(request: OptimizeRequest) -> str:
     """SHA-256 over every request field that determines the result.
 
     Folds the serve schema and the timing-model version (a timing-model
-    bump must not serve stale memoized results), and excludes ``engine``
-    and ``priority`` (see module docstring).
+    bump must not serve stale memoized results), and excludes
+    ``priority`` (see module docstring).
     """
     payload = {
         "schema": SERVE_SCHEMA_VERSION,
@@ -266,7 +262,6 @@ class OptimizeResult:
     content_hash: str
     name: str = ""                 # app or kernel/module name
     config: str = ""
-    engine: Optional[str] = None
     error: Optional[str] = None
     baseline_cycles: float = 0.0
     cycles: float = 0.0

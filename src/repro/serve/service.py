@@ -80,8 +80,7 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
     base_module = build()
     compile_module(base_module, "baseline",
                    max_instructions=BARE_MAX_INSTRUCTIONS)
-    base_outputs, base_counters = run_one_warp(base_module, request.lanes,
-                                               request.engine)
+    base_outputs, base_counters = run_one_warp(base_module, request.lanes)
     result.baseline_cycles = base_counters.cycles
 
     with obs.request_capture(req_hash) as session:
@@ -95,8 +94,7 @@ def _execute_subject(request: OptimizeRequest, req_hash: str,
             compiled = compile_module(
                 module, request.config,
                 max_instructions=BARE_MAX_INSTRUCTIONS, plan=plan)
-            outputs, counters = run_one_warp(module, request.lanes,
-                                             request.engine)
+            outputs, counters = run_one_warp(module, request.lanes)
     result.remarks = [r.to_json() for r in session.remarks]
     result.trace_events = list(session.tracer.events)
     if request.include_profile and not session.profile.is_empty():
@@ -186,11 +184,11 @@ def execute_request(request: OptimizeRequest,
     """
     req_hash = content_hash(request)
     result = OptimizeResult(status="ok", content_hash=req_hash,
-                            config=request.config, engine=request.engine)
+                            config=request.config)
     try:
         request.validate()
         if runner is None:
-            runner = ExperimentRunner(engine=request.engine)
+            runner = ExperimentRunner()
         # An explicit plan when the request carries directives, else None
         # (the runner resolves ``config``).
         plan = parse_plan(request.directives) or None

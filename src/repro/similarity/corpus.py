@@ -68,15 +68,14 @@ class FuzzBenchmark:
             ids.extend(l.loop_id for l in LoopInfo.compute(func).loops)
         return ids
 
-    def run(self, module: Module, icache_capacity=None,
-            engine: Optional[str] = None, scale: int = 1):
+    def run(self, module: Module, scale: int = 1):
         """Oracle-style execution: per-lane return values of every function.
 
         ``scale`` is accepted for interface compatibility but ignored —
         a single warp is already the minimal geometry, and scaling would
         change intra-warp divergence behaviour.
         """
-        return run_one_warp(module, LANES, engine)
+        return run_one_warp(module, LANES)
 
     def __repr__(self) -> str:
         return f"<FuzzBenchmark {self.name}>"

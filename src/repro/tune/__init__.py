@@ -19,14 +19,14 @@ the ``tuned`` pipeline configuration everywhere a config name is accepted.
   static heuristic would have picked.
 """
 
-from .search import BUDGET_ENV, TuneResult, tune_benchmark
+from .search import TuneResult, tune_benchmark
 from .show import render_tuned
 from .space import TuneParams, enumerate_candidates, loop_facts
 from .store import (TUNE_SCHEMA_VERSION, TunedConfig, default_tuned_dir,
                     load_tuned, resolve_decisions, save_tuned, tuned_path)
 
 __all__ = [
-    "BUDGET_ENV", "TUNE_SCHEMA_VERSION", "TuneParams", "TuneResult",
+    "TUNE_SCHEMA_VERSION", "TuneParams", "TuneResult",
     "TunedConfig", "default_tuned_dir", "enumerate_candidates",
     "load_tuned", "loop_facts", "render_tuned", "resolve_decisions",
     "save_tuned", "tune_benchmark", "tuned_path",

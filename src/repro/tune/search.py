@@ -59,9 +59,6 @@ from ..transforms.unmerge import MAX_INSTRUCTIONS
 from .space import LoopFacts, TuneParams, enumerate_candidates, loop_facts
 from .store import TunedConfig, save_tuned
 
-#: Environment default for ``TuneParams.budget`` (the CLI reads it).
-BUDGET_ENV = "REPRO_TUNE_BUDGET"
-
 _PASS = "tune"
 
 
@@ -184,7 +181,6 @@ def tune_benchmark(bench: Benchmark, *,
                    max_instructions: int = MAX_INSTRUCTIONS,
                    compile_timeout: Optional[float] = COMPILE_TIMEOUT,
                    jobs: Optional[int] = None,
-                   engine: Optional[str] = None,
                    cache_root: Optional[Path] = None,
                    use_cache: bool = True,
                    tuned_dir: Optional[Path] = None,
@@ -213,7 +209,7 @@ def tune_benchmark(bench: Benchmark, *,
         runners.append(ExperimentRunner(
             heuristic=heuristic, max_instructions=max_instructions,
             compile_timeout=compile_timeout, verify_each=verify_each,
-            jobs=resolve_jobs(jobs), cache=cache, engine=engine,
+            jobs=resolve_jobs(jobs), cache=cache,
             workload_scale=scale))
         return runners[-1]
 

@@ -181,7 +181,7 @@ class TestSweepFold:
     def test_j1_and_jN_registries_render_identically(self):
         def render(jobs):
             registry = metrics.install()
-            runner = ExperimentRunner(jobs=jobs, engine="jit")
+            runner = ExperimentRunner(jobs=jobs)
             cells = runner.prefetch([benchmark_by_name(BENCH)],
                                     configs=("baseline", "uu_heuristic"))
             metrics.uninstall()
@@ -201,8 +201,8 @@ class TestSweepFold:
         neither writes the process environment nor leaks the registry."""
         from repro.cli import main
         environ = dict(os.environ)
-        assert main(["metrics", "--app", BENCH, "-j", "2", "--no-cache",
-                     "--engine", "jit"]) == 0
+        assert main(["metrics", "--app", BENCH, "-j", "2",
+                     "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "repro_sweep_cells_total 2" in out
         assert 'repro_jit_regions_total{result="compiled"} 1' in out
@@ -263,7 +263,7 @@ class TestDaemonMetrics:
         assert "repro_serve_execute_seconds_count 1" in text
 
     def test_served_job_counts_like_direct_execution(self):
-        req = ir_request(engine="jit")
+        req = ir_request()
         d = ServeDaemon(workers=2, use_cache=False)
         d.start()
         try:

@@ -174,8 +174,8 @@ def test_a_new_daemon_reports_no_earlier_jit_work(capsys):
         stats = ServeClient(daemon.url).stats()
     finally:
         daemon.shutdown()
-    session = stats["region_cache"]["session"]
-    assert session["selections"] == 0 and session["regions"] == 0, session
+    jit = stats["jit"]
+    assert jit["selections"] == 0 and jit["regions"] == 0, jit
 
 
 # -- one selection path -------------------------------------------------------

@@ -98,9 +98,10 @@ class TestProtocol:
             OptimizeRequest.from_json(dict(base, schema=999))
 
     def test_content_hash_excludes_engine_and_priority(self):
-        # Engines are bit-identical by contract; priority only schedules.
+        # A request names no engine at all; priority only schedules.
+        assert "engine" not in ir_request().to_json()
         assert content_hash(ir_request()) == \
-            content_hash(ir_request(engine="warp", priority=9))
+            content_hash(ir_request(priority=9))
         assert content_hash(ir_request()) != \
             content_hash(ir_request(config="baseline"))
         assert content_hash(ir_request()) != \
@@ -412,17 +413,21 @@ class TestDaemon:
         assert err.value.code == 400
 
     def test_retired_engine_value_fails_closed(self, daemon):
-        """``batched`` named an engine once.  The hash excludes the
-        engine, so the retired value arrives as a duplicate of a request
-        already memoized — and must still be refused, not served."""
+        """A request names no engine since schema v5.  An old client's
+        ``engine`` — any value, even the default — is an unknown field,
+        refused rather than ignored, also when the request it rides on
+        is already memoized."""
         client = ServeClient(daemon.url)
         client.submit_and_wait(ir_request(lanes=3), timeout=120)
-        with pytest.raises(ServeError) as err:
-            client.submit(ir_request(lanes=3, engine="batched"))
-        assert err.value.code == 400
-        assert "unknown engine 'batched'" in str(err.value)
-        with pytest.raises(ProtocolError, match="unknown engine"):
-            ir_request(engine="batched").validate()
+        for engine in ("jit", "warp", "batched"):
+            old = dict(ir_request(lanes=3).to_json(), engine=engine)
+            with pytest.raises(ServeError) as err:
+                client._call("/submit", old)
+            assert err.value.code == 400
+            assert "unknown request fields: ['engine']" in str(err.value)
+            with pytest.raises(ProtocolError,
+                               match="unknown request fields"):
+                OptimizeRequest.from_json(old)
 
     def test_shutdown_leaves_no_threads(self):
         before = {t.ident for t in threading.enumerate()}

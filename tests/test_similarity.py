@@ -27,6 +27,7 @@ from repro.similarity.features import (COMBINED_SCALES, FEATURE_SCHEMA_VERSION,
                                        distance, kernel_features)
 from repro.similarity.index import SimilarityIndex, build_index
 from repro.similarity.predict import Prediction, predict_bench
+from repro.transforms.pipeline import compile_module
 
 
 @pytest.fixture(autouse=True)
@@ -111,8 +112,9 @@ class TestFeatureVectors:
         # before and after bit-identical.
         bench = benchmark_by_name("haccmk")
         before = kernel_features(bench.build_module())
-        runner = ExperimentRunner(engine=engine)
-        runner.baseline(bench)
+        module = bench.build_module()
+        compile_module(module, "baseline")
+        bench.run(module, engine=engine)
         after = kernel_features(bench.build_module())
         assert before.vector == after.vector
         assert tuple(lf.vector for lf in before.loops) == \
@@ -124,7 +126,7 @@ class TestFeatureVectors:
         bench = benchmark_by_name("haccmk")
         vectors = []
         for _ in range(2):
-            runner = ExperimentRunner(engine="jit")
+            runner = ExperimentRunner()
             runner.baseline(bench)
             kf = kernel_features(bench.build_module())
             vectors.append((kf.vector,

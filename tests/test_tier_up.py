@@ -798,13 +798,36 @@ def test_a_briefly_divergent_warp_stays_on_the_compiled_path(monkeypatch):
 
 # -- the default ---------------------------------------------------------------
 
-def test_the_jit_is_the_default_engine(monkeypatch, capsys):
-    from repro.cli import build_parser
-
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_the_jit_is_the_default_engine():
+    """Only a machine argument names another engine; nothing in the
+    environment does, and a name that is no engine still fails."""
     assert resolve_engine(None) == "jit"
     assert SimtMachine(parse_module(SELF_LOOP_IR, "m")).engine == "jit"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig6", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "REPRO_ENGINE or 'jit'" in help_text
+    with pytest.raises(ValueError, match="unknown engine 'batched'"):
+        resolve_engine("batched")
+
+
+def test_only_the_machine_takes_an_engine():
+    """Nothing above ``SimtMachine`` selects an engine: the runner (and
+    so a pool worker's settings), the tuner, the fuzz differential and
+    the fuzz-corpus benchmark run the default.  The oracle's way in
+    stays ``SimtMachine`` / ``Benchmark.run`` / ``execute``.  Nor does
+    any of them size the icache: a capacity the cell key leaves out
+    would serve stale cells."""
+    import inspect
+
+    from repro.bench.base import Benchmark
+    from repro.fuzz import oracle
+    from repro.harness.experiment import ExperimentRunner
+    from repro.similarity.corpus import FuzzBenchmark
+    from repro.tune import tune_benchmark
+
+    assert "engine" not in ExperimentRunner().settings()
+    for fn in (ExperimentRunner.__init__, tune_benchmark, oracle.run_config,
+               oracle.run_differential, FuzzBenchmark.run):
+        assert "engine" not in inspect.signature(fn).parameters, fn
+    for fn in (SimtMachine.__init__, Benchmark.run, oracle.execute,
+               oracle.run_one_warp):
+        assert "engine" in inspect.signature(fn).parameters, fn
+    for fn in (SimtMachine.__init__, Benchmark.run, FuzzBenchmark.run):
+        assert "icache_capacity" not in inspect.signature(fn).parameters

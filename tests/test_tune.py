@@ -308,8 +308,10 @@ class TestSearch:
 # -- the tuned pipeline end-to-end -------------------------------------------
 
 class TestTunedPipeline:
-    def test_tuned_config_runs_bit_identically_on_both_engines(self,
-                                                               tmp_path):
+    def test_tuned_config_runs_bit_identically_on_both_engines(
+            self, tmp_path, monkeypatch):
+        # The runner simulates on the default engine only; the per-warp
+        # oracle re-runs the very module the runner compiled.
         for name in E2E_BENCHES:
             bench = benchmark_by_name(name)
             decisions = _heuristic_decisions(bench, HeuristicParams(),
@@ -320,16 +322,29 @@ class TestTunedPipeline:
                 app=name, decisions=decisions, source="per_loop",
                 baseline_cycles=1.0, heuristic_cycles=1.0,
                 tuned_cycles=1.0), tmp_path)
-            cells = {}
-            for engine in ("jit", "warp"):
-                runner = ExperimentRunner(max_instructions=20_000,
-                                          engine=engine, tuned_dir=tmp_path)
-                cell = runner.tuned_cell(bench)
-                assert cell.error is None, (name, engine, cell.error)
-                assert cell.outputs_match_baseline, (name, engine)
-                cells[engine] = cell
-            assert cells["jit"].cycles == cells["warp"].cycles, name
-            assert cells["jit"].counters == cells["warp"].counters, name
+            runs = []
+            real_run = bench.run
+
+            def spy(module, **kwargs):
+                runs.append((module, real_run(module, **kwargs)))
+                return runs[-1][1]
+
+            monkeypatch.setattr(bench, "run", spy)
+            runner = ExperimentRunner(max_instructions=20_000,
+                                      tuned_dir=tmp_path)
+            runner.baseline(bench)
+            runs.clear()
+            cell = runner.tuned_cell(bench)
+            monkeypatch.undo()
+            assert cell.error is None, (name, cell.error)
+            assert cell.outputs_match_baseline, name
+            ((module, (jit_outputs, jit_counters)),) = runs
+            assert jit_counters == cell.counters, name
+            outputs, counters = bench.run(module, engine="warp")
+            assert counters.cycles == cell.cycles, name
+            assert counters == cell.counters, name
+            assert {k: v.tobytes() for k, v in outputs.items()} == \
+                {k: v.tobytes() for k, v in jit_outputs.items()}, name
 
     def test_tuned_decisions_are_replayed_not_recomputed(self, tmp_path):
         # A deliberately non-heuristic decision (plain unroll by 2, no
