@@ -8,10 +8,11 @@ prefix — ``build_pipeline(...).passes`` up to, not including, the pass named
 (``repro.transforms.unmerge.MAX_INSTRUCTIONS``) and record the sha256 of
 ``print_module`` plus the module's instruction count.  ``--full`` hashes
 the module after the *whole* ``compile_module`` at the same cap
-instead and adds code size and ``timed_out`` — the check for a change to an
-analysis or a cleanup / late-stage pass, which the prefix never runs.  Not a
-test and not part of tier-1: run it once on each of two checkouts and
-compare the files.
+instead, in ``print_canonical``'s renumbered form, and adds code size and
+``timed_out`` — the check for a change to an analysis, a cleanup /
+late-stage pass, or a transform that may leave different names and block
+layout but must leave the same code.  Not a test and not part of tier-1:
+run it once on each of two checkouts and compare the files.
 
     PYTHONPATH=<parent>/src python3 benchmarks/transform_identity.py [--full] --out A.json
     PYTHONPATH=src          python3 benchmarks/transform_identity.py [--full] --out B.json --compare A.json
@@ -27,7 +28,7 @@ import time
 
 from repro.bench import all_benchmarks
 from repro.harness.experiment import sweep_specs
-from repro.ir.printer import print_module
+from repro.ir.printer import print_canonical, print_module
 from repro.transforms.pipeline import build_pipeline, compile_module
 from repro.transforms.unmerge import MAX_INSTRUCTIONS
 from repro.tune.store import resolve_decisions
@@ -74,7 +75,8 @@ def main(argv=None) -> int:
                 module = transformed_module(bench, spec.config, spec.loop_id,
                                             spec.factor, plan)
             seconds += time.perf_counter() - start
-            digest = hashlib.sha256(print_module(module).encode()).hexdigest()
+            text = (print_canonical if args.full else print_module)(module)
+            digest = hashlib.sha256(text.encode()).hexdigest()
             key = f"{spec.app}/{spec.config}/{spec.loop_id}/{spec.factor}"
             cells[key] = [digest, module.instruction_count(), *extra]
     with open(args.out, "w") as fh:

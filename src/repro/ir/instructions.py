@@ -225,16 +225,19 @@ class Instruction(User):
             self.parent.remove_instruction(self)
         self.drop_all_operands()
 
-    def value_key(self) -> Optional[Tuple]:
+    def value_key(self, operands: Optional[Sequence[Value]] = None
+                  ) -> Optional[Tuple]:
         """Hashable key identifying this computation for value numbering.
 
         Returns ``None`` for instructions that must not be deduplicated
         (impure ops, phis, terminators).  Commutative operands are
         canonicalised by id order so ``a+b`` and ``b+a`` number identically.
+        ``operands``, when given, stand in for the instruction's own.
         """
         if not self.is_pure or isinstance(self, PhiInst):
             return None
-        ops = tuple(id(op) for op in self.operands)
+        ops = tuple(id(op) for op in (self.operands if operands is None
+                                      else operands))
         extra: Tuple = ()
         if isinstance(self, (ICmpInst, FCmpInst)):
             extra = (self.predicate,)

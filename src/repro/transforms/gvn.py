@@ -18,63 +18,13 @@ u&u than after plain unrolling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.dominators import DominatorTree
 from ..ir.block import BasicBlock
-from ..ir.constants import (Constant, ConstantInt, FALSE, TRUE, bool_const)
 from ..ir.function import Function
-from ..ir.instructions import (BinaryInst, CondBranchInst, FCmpInst, ICmpInst,
-                               Instruction, PhiInst, TerminatorInst)
-from ..ir.values import Value
 from ..obs import session as obs
-from .fold import fold_instruction
-from .instcombine import simplify_instruction
-
-
-class _Scopes:
-    """Scoped dictionaries with an undo log per dominator-tree level."""
-
-    def __init__(self) -> None:
-        self.available: Dict[Tuple, Value] = {}
-        self.replacements: Dict[int, Value] = {}
-        self._undo: List[List[Tuple[str, object, object]]] = []
-
-    def push(self) -> None:
-        self._undo.append([])
-
-    def pop(self) -> None:
-        for kind, key, old in reversed(self._undo.pop()):
-            table = self.available if kind == "avail" else self.replacements
-            if old is _MISSING:
-                del table[key]  # type: ignore[arg-type]
-            else:
-                table[key] = old  # type: ignore[assignment,index]
-
-    def set_available(self, key: Tuple, value: Value) -> None:
-        old = self.available.get(key, _MISSING)
-        self._undo[-1].append(("avail", key, old))
-        self.available[key] = value
-
-    def set_replacement(self, value: Value, replacement: Value) -> None:
-        key = id(value)
-        old = self.replacements.get(key, _MISSING)
-        self._undo[-1].append(("repl", key, old))
-        self.replacements[key] = replacement
-
-    def lookup(self, value: Value) -> Value:
-        seen = 0
-        while True:
-            repl = self.replacements.get(id(value))
-            if repl is None or repl is value:
-                return value
-            value = repl
-            seen += 1
-            if seen > 32:  # Defensive: replacement chains are tiny.
-                return value
-
-
-_MISSING = object()
+from .facts import FactScopes
 
 
 class GlobalValueNumbering:
@@ -94,7 +44,7 @@ class GlobalValueNumbering:
         from ..analysis.cfg_utils import predecessor_map
 
         domtree = DominatorTree.compute(func)
-        scopes = _Scopes()
+        scopes = FactScopes()
         self._changed = False
         self._rewrites = 0     # Operand substitutions via facts/leaders.
         self._simplified = 0   # Instructions folded away locally.
@@ -124,92 +74,29 @@ class GlobalValueNumbering:
 
     # -- branch facts -----------------------------------------------------
     def _enter_block(self, block: BasicBlock, preds: List[BasicBlock],
-                     scopes: _Scopes) -> None:
-        if not self.branch_facts:
-            return
-        if len(preds) != 1:
-            return
-        pred = preds[0]
-        term = pred.terminator
-        if not isinstance(term, CondBranchInst):
-            return
-        # The edge must be unambiguous: block reached only as true target or
-        # only as false target.
-        if term.true_target is block and term.false_target is block:
-            return
-        branch_value = term.true_target is block
-        cond = scopes.lookup(term.condition)
-        self._install_fact(cond, branch_value, scopes)
-
-    def _install_fact(self, cond: Value, truth: bool, scopes: _Scopes) -> None:
-        constant = bool_const(truth)
-        if isinstance(cond, Constant):
-            return
-        scopes.set_replacement(cond, constant)
-        if isinstance(cond, (ICmpInst, FCmpInst)):
-            key = cond.value_key()
-            if key is not None:
-                scopes.set_available(key, constant)
-                negated = self._negated_key(cond)
-                if negated is not None:
-                    scopes.set_available(negated, bool_const(not truth))
-            # Equality facts substitute constants for values on this path.
-            if isinstance(cond, ICmpInst):
-                if (cond.predicate == "eq" and truth) or \
-                        (cond.predicate == "ne" and not truth):
-                    self._install_equality(cond.lhs, cond.rhs, scopes)
-
-    @staticmethod
-    def _install_equality(lhs: Value, rhs: Value, scopes: _Scopes) -> None:
-        if isinstance(rhs, Constant) and not isinstance(lhs, Constant):
-            scopes.set_replacement(lhs, rhs)
-        elif isinstance(lhs, Constant) and not isinstance(rhs, Constant):
-            scopes.set_replacement(rhs, lhs)
-
-    @staticmethod
-    def _negated_key(cond) -> Optional[Tuple]:
-        ops = (id(cond.lhs), id(cond.rhs))
-        extra = (cond.negated_predicate(),)
-        return (cond.opcode, extra, ops)
+                     scopes: FactScopes) -> None:
+        if self.branch_facts and len(preds) == 1:
+            scopes.enter_edge(preds[0], block)
 
     # -- per-block numbering -----------------------------------------------
-    def _process_block(self, block: BasicBlock, scopes: _Scopes) -> None:
+    def _process_block(self, block: BasicBlock, scopes: FactScopes) -> None:
         for inst in list(block.instructions):
             if inst.parent is None:
                 continue
-            # Rewrite operands through the replacement map.  Phi operands
-            # flow along *edges*, not through this block, so facts valid
-            # here must not rewrite them.
-            if not isinstance(inst, PhiInst):
-                for i, op in enumerate(inst.operands):
-                    repl = scopes.lookup(op)
-                    if repl is not op:
-                        inst.set_operand(i, repl)
-                        self._changed = True
-                        self._rewrites += 1
-            if isinstance(inst, (PhiInst, TerminatorInst)):
-                continue
-            if not inst.is_pure:
-                continue
-            # Try local simplification first (constant folding, algebra).
-            simplified = simplify_instruction(inst)
-            if simplified is not None and simplified is not inst:
-                inst.replace_all_uses_with(simplified)
-                inst.erase_from_parent()
+            rewrites = scopes.rewrite_operands(inst)
+            if rewrites:
                 self._changed = True
-                self._simplified += 1
+                self._rewrites += rewrites
+            value, cse = scopes.number(inst)
+            if value is None:
                 continue
-            key = inst.value_key()
-            if key is None:
-                continue
-            leader = scopes.available.get(key)
-            if leader is not None:
-                inst.replace_all_uses_with(leader)
-                inst.erase_from_parent()
-                self._changed = True
+            inst.replace_all_uses_with(value)
+            inst.erase_from_parent()
+            self._changed = True
+            if cse:
                 self._cse += 1
             else:
-                scopes.set_available(key, inst)
+                self._simplified += 1
 
 
 def run_gvn(func: Function) -> bool:

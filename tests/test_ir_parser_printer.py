@@ -4,6 +4,7 @@ import pytest
 
 from repro.ir import (ParseError, parse_function, parse_module,
                       print_function, print_module, verify_module)
+from repro.ir.printer import print_canonical
 
 LOOP_FUNC = """
 define i64 @binsearch(f64* %A, i64 %n, f64 %q) {
@@ -95,6 +96,52 @@ entry:
         t = print_module(m)
         m2 = parse_module(t, "m")
         assert print_module(m2) == t
+
+
+#: ``LOOP_FUNC`` renamed throughout, its blocks laid out in another order
+#: and the phi entries of ``%header`` swapped: the same code.
+LOOP_FUNC_RELAID = """
+define i64 @binsearch(f64* %A, i64 %n, f64 %q) {
+entry:
+  br label %h
+exit:
+  ret i64 %lo
+join:
+  %nlo = phi i64 [ %lo, %t ], [ %md, %e ]
+  %nln = sub i64 %hf, %nlo
+  br label %h
+e:
+  br label %join
+h:
+  %ln = phi i64 [ %nln, %join ], [ %n, %entry ]
+  %lo = phi i64 [ %nlo, %join ], [ 0, %entry ]
+  %c = icmp sgt i64 %ln, 1
+  br i1 %c, label %b, label %exit
+t:
+  br label %join
+b:
+  %hf = sdiv i64 %ln, 2
+  %md = add i64 %lo, %hf
+  %p = gep f64* %A, i64 %md
+  %v = load f64, f64* %p
+  %gt = fcmp ogt f64 %v, %q
+  br i1 %gt, label %t, label %e
+}
+"""
+
+
+class TestCanonicalPrint:
+    def test_names_layout_and_phi_order_do_not_show(self):
+        ours = parse_module(LOOP_FUNC, "m")
+        theirs = parse_module(LOOP_FUNC_RELAID, "m")
+        assert print_module(ours) != print_module(theirs)
+        assert print_canonical(ours) == print_canonical(theirs)
+
+    def test_a_changed_instruction_shows(self):
+        changed = LOOP_FUNC.replace("icmp sgt i64 %length, 1",
+                                    "icmp sge i64 %length, 1")
+        assert (print_canonical(parse_module(LOOP_FUNC, "m"))
+                != print_canonical(parse_module(changed, "m")))
 
 
 class TestParseErrors:

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import LoopInfo, predecessor_map
+from repro.bench import all_benchmarks, benchmark_by_name
+from repro.fuzz.generator import generate_kernel
+from repro.fuzz.oracle import BARE_MAX_INSTRUCTIONS, Subject, config_specs
 from repro.gpu import SimtMachine
+from repro.harness.experiment import sweep_specs
 from repro.ir import Module, parse_function, verify_function
+from repro.ir.printer import print_canonical
 from repro.transforms import UnmergeBudgetExceeded, unmerge_loop, unroll_loop
+from repro.transforms import unmerge as unmerge_mod
+from repro.transforms.pipeline import compile_module
 
 DIAMOND_LOOP = """
 define i64 @f(i64 %n) {
@@ -228,3 +235,192 @@ exit:
 def interpret_nm(mod, n, m):
     ret, _ = SimtMachine(mod).run_function("f", [n, m], lanes=1)
     return int(ret[0])
+
+
+# --------------------------------------------------------------------------
+# Clone and prune: a copy holds only what the facts on its path leave live.
+# --------------------------------------------------------------------------
+
+#: ``%inv`` is loop-invariant: once unrolled, every copy of the diamond
+#: branches the way the first one did.
+INVARIANT_DIAMOND = """
+define i64 @f(i64 %n, i64 %k) {
+entry:
+  %inv = icmp sgt i64 %k, 0
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %next, %m ]
+  %acc = phi i64 [ 0, %entry ], [ %nacc, %m ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  br i1 %inv, label %a, label %b
+a:
+  %x3 = mul i64 %i, 3
+  br label %m
+b:
+  %x5 = mul i64 %i, 5
+  br label %m
+m:
+  %v = phi i64 [ %x3, %a ], [ %x5, %b ]
+  %nacc = add i64 %acc, %v
+  %next = add i64 %i, 1
+  br label %header
+exit:
+  ret i64 %acc
+}
+"""
+
+#: The second diamond tests the negation of the first one's condition.
+NEGATED_COMPARE = """
+define i64 @f(i64 %n, i64 %k) {
+entry:
+  br label %header
+header:
+  %i = phi i64 [ 0, %entry ], [ %next, %m2 ]
+  %acc = phi i64 [ 0, %entry ], [ %nacc2, %m2 ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exit
+body:
+  %lo = icmp slt i64 %i, %k
+  br i1 %lo, label %a1, label %b1
+a1:
+  br label %m1
+b1:
+  br label %m1
+m1:
+  %v1 = phi i64 [ 3, %a1 ], [ 5, %b1 ]
+  %nacc = add i64 %acc, %v1
+  %hi = icmp sge i64 %i, %k
+  br i1 %hi, label %a2, label %b2
+a2:
+  br label %m2
+b2:
+  br label %m2
+m2:
+  %v2 = phi i64 [ 7, %a2 ], [ 11, %b2 ]
+  %nacc2 = add i64 %nacc, %v2
+  %next = add i64 %i, 1
+  br label %header
+exit:
+  ret i64 %acc
+}
+"""
+
+
+@pytest.fixture
+def unpruned(monkeypatch):
+    """Unmerging as it was before pruning: no copy learns any fact."""
+    monkeypatch.setattr(unmerge_mod, "_path_facts", lambda *args: None)
+
+
+def unroll_and_unmerge(text, factor, budget=60_000):
+    mod = Module("t")
+    f = parse_function(text, mod)
+    loop = LoopInfo.compute(f).loops[0]
+    if factor > 1:
+        unroll_loop(f, loop, factor)
+        loop = [l for l in LoopInfo.compute(f).loops
+                if l.header.name == "header"][0]
+    unmerge_loop(f, loop, budget)
+    verify_function(f)
+    return mod, f
+
+
+def interpret_nk(mod, n, k):
+    ret, _ = SimtMachine(mod).run_function("f", [n, k], lanes=1)
+    return int(ret[0])
+
+
+class TestPruning:
+    @pytest.mark.parametrize("n,k", [(0, 1), (5, 1), (7, -1), (9, 0)])
+    def test_invariant_diamond_unrolled_x4_keeps_two_paths(self, n, k):
+        mod, f = unroll_and_unmerge(INVARIANT_DIAMOND, 4)
+        assert len(LoopInfo.compute(f).loops[0].latches()) == 2
+        mod0 = Module("t0")
+        parse_function(INVARIANT_DIAMOND, mod0)
+        assert interpret_nk(mod, n, k) == interpret_nk(mod0, n, k)
+
+    def test_unpruned_the_same_loop_has_sixteen(self, unpruned):
+        mod, f = unroll_and_unmerge(INVARIANT_DIAMOND, 4)
+        assert len(LoopInfo.compute(f).loops[0].latches()) == 16
+
+    @pytest.mark.parametrize("n,k", [(0, 2), (6, 3), (6, 9), (4, -1)])
+    def test_negated_compare_is_folded(self, n, k):
+        mod, f = unroll_and_unmerge(NEGATED_COMPARE, 1)
+        assert len(LoopInfo.compute(f).loops[0].latches()) == 2
+        assert not [inst for inst in f.instructions()
+                    if getattr(inst, "predicate", None) == "sge"]
+        mod0 = Module("t0")
+        parse_function(NEGATED_COMPARE, mod0)
+        assert interpret_nk(mod, n, k) == interpret_nk(mod0, n, k)
+
+    def test_region_over_the_cap_trips_it_at_the_unpruned_count(self):
+        mod = Module("t")
+        f = parse_function(TWO_DIAMONDS, mod)
+        unroll_loop(f, LoopInfo.compute(f).loops[0], 8)
+        loop = [l for l in LoopInfo.compute(f).loops
+                if l.header.name == "header"][0]
+        with pytest.raises(UnmergeBudgetExceeded):
+            unmerge_loop(f, loop, max_instructions=200)
+        # The count unmerging reached before pruning existed.
+        assert f.instruction_count() == 268
+        verify_function(f)
+
+
+def _canonical_pair(monkeypatch, compile_once):
+    """``compile_once()``'s module, canonically printed, pruned and not."""
+    texts = []
+    for pruned in (True, False):
+        with monkeypatch.context() as patch:
+            if not pruned:
+                patch.setattr(unmerge_mod, "_path_facts", lambda *args: None)
+            texts.append(print_canonical(compile_once()))
+    return texts
+
+
+#: The two cells of the set below that take 0.3 s or more to compile.
+SLOW_CELLS = {("mandelbrot", "uu", "mandelbrot_escape:0", 4),
+              ("rainflow", "uu", "rainflow_count:0", 4)}
+
+
+class TestPruningKeepsTheCompiledCode:
+    """Pruning only leaves out what the cleanup would delete: after the
+    whole pipeline, the code is the unpruned code up to renumbering."""
+
+    @pytest.mark.parametrize("app", [b.name for b in all_benchmarks()])
+    def test_every_cell_of_the_app(self, monkeypatch, app):
+        bench = benchmark_by_name(app)
+        specs = [s for s in sweep_specs(bench, factors=(2, 4),
+                                        configs=("uu", "unmerge",
+                                                 "uu_heuristic"))[1:]
+                 if (s.app, s.config, s.loop_id, s.factor) not in SLOW_CELLS]
+        assert specs
+        for spec in specs:
+
+            def compile_once():
+                module = bench.build_module()
+                compile_module(module, spec.config, loop_id=spec.loop_id,
+                               factor=spec.factor)
+                return module
+            pruned, unpruned = _canonical_pair(monkeypatch, compile_once)
+            assert pruned == unpruned, spec
+
+    def test_fuzz_seeds(self, monkeypatch):
+        # The app cells' configurations, plus the fuzzer's own list-shaped
+        # plan (every loop unmerged, outermost first).
+        for seed in range(50):
+            subject = Subject(kernel=generate_kernel(seed), seed=seed)
+            for spec in config_specs(subject.build()):
+                if spec.config in ("baseline", "unroll") or spec.factor > 4:
+                    continue
+
+                def compile_once():
+                    module = subject.build()
+                    compile_module(module, spec.config, loop_id=spec.loop_id,
+                                   factor=spec.factor, plan=spec.plan,
+                                   max_instructions=BARE_MAX_INSTRUCTIONS)
+                    return module
+                pruned, unpruned = _canonical_pair(monkeypatch,
+                                                   compile_once)
+                assert pruned == unpruned, (seed, spec)
