@@ -527,17 +527,14 @@ def _condition_cone(region: _Region) -> Set[int]:
     return cone
 
 
-def _reads_from_outside(inst: Instruction, blocks: Set[int]) -> bool:
-    """Whether ``inst`` reads a value that is neither a constant nor
-    computed in ``blocks`` (ids), or reads constants only: unless it does,
-    neither folding nor a leader on the path can replace it."""
-    reads_inside = False
+def _reads_only_outside(inst: Instruction, blocks: Set[int]) -> bool:
+    """Whether ``inst`` reads nothing computed in ``blocks`` (ids): a value
+    computed there is in no fact and no leader's key, so neither folding
+    nor a leader on the path can replace an instruction that reads one."""
     for op in inst.operands:
         if isinstance(op, Instruction) and id(op.parent) in blocks:
-            reads_inside = True
-        elif not isinstance(op, Constant):
-            return True
-    return not reads_inside
+            return False
+    return True
 
 
 def _decided(term: TerminatorInst, cond: Value) -> Optional[BasicBlock]:
@@ -598,7 +595,7 @@ def _clone_pruned(func: Function, region: _Region, tail: List[BasicBlock],
             else:
                 new = clone_instruction(inst, vmap)
                 if id(inst) in cone:
-                    if _reads_from_outside(new, made):
+                    if _reads_only_outside(new, made):
                         facts.rewrite_operands(new)
                         value, _ = facts.number(new, lead=block is merge)
                         if value is not None:
@@ -679,7 +676,7 @@ def _prune_in_place(func: Function, region: _Region, merge: BasicBlock,
                         region.instruction_count -= 1
         for inst in list(block.instructions):
             if id(inst) not in region.cone or \
-                    not _reads_from_outside(inst, tail_ids):
+                    not _reads_only_outside(inst, tail_ids):
                 continue
             facts.rewrite_operands(inst)
             value, _ = facts.number(inst, lead=block is merge)
