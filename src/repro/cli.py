@@ -15,7 +15,7 @@ provides the same operations:
     python -m repro indepth                   # Section V counter analyses
     python -m repro ptx --app XSBench --kernel grid_search [--config uu ...]
     python -m repro cache stats|clear         # persistent cell cache
-    python -m repro summary [--profile]       # headline geomeans (+profile)
+    python -m repro summary                   # headline geomeans
     python -m repro tune bspline-vgh          # empirical per-loop autotuning
     python -m repro tune --all --budget 16    # tune every benchmark, capped
     python -m repro tune show                 # tuned vs heuristic decisions
@@ -297,7 +297,7 @@ def cmd_cache(args) -> int:
     print(f"  size:    {stats['bytes'] / 1024:.1f} KiB")
     if stats["max_bytes"] is not None:
         print(f"  cap:     {stats['max_bytes'] / 1024:.1f} KiB (LRU; set "
-              f"via --cache-cap or REPRO_CACHE_MAX_BYTES)")
+              f"via repro serve --cache-cap or REPRO_CACHE_MAX_BYTES)")
     if stats["tmp_files"]:
         print(f"  orphans: {stats['tmp_files']} tmp file(s) "
               f"({stats['tmp_bytes'] / 1024:.1f} KiB) from writers that "
@@ -417,22 +417,12 @@ def cmd_fuzz_corpus(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    from .harness.summary import (format_profile, heuristic_summary,
-                                  tuned_summary)
+    from .harness.summary import heuristic_summary, tuned_summary
 
-    if args.profile:
-        # --profile disables the cache (a cache hit skips compilation, so
-        # its cell would contribute nothing to the timing breakdown) but
-        # keeps the parallel fan-out: workers ship their pass statistics
-        # and phase timings home with every result.
-        args.no_cache = True
     runner = _runner(args)
     print(heuristic_summary(runner, _benches(args)).format())
     print()
     print(tuned_summary(runner, _benches(args)).format())
-    if args.profile:
-        print()
-        print(format_profile(runner))
     _finish_sweep(runner)
     return 0
 
@@ -863,15 +853,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Section V counter analyses") \
         .set_defaults(fn=cmd_indepth)
 
-    p = sub.add_parser("summary", parents=[common],
-                       help="headline heuristic geomeans (paper Section IV)")
-    p.add_argument("--profile", action="store_true",
-                   help="also print phase/per-pass timing and the simulated "
-                        "cycle breakdown by opcode category; implies "
-                        "--no-cache, and with more than one job (-j) the "
-                        "times are CPU seconds summed across workers — "
-                        "pass -j 1 for wall clock")
-    p.set_defaults(fn=cmd_summary)
+    sub.add_parser("summary", parents=[common],
+                   help="headline heuristic geomeans (paper Section IV)") \
+        .set_defaults(fn=cmd_summary)
 
     p = sub.add_parser("remarks", parents=[common],
                        help="run one config under tracing and print the "

@@ -80,13 +80,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .counters import Counters, N_CATEGORIES
+from .counters import Counters
 from .icache import InstructionCache
 from .memory import Memory
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
-from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_LOAD,
-                      _CAT_MISC, _CAT_STORE, _PHI_COST, _K_ALLOCA, _K_LOAD,
-                      _K_STORE, _K_TERNARY, _K_VOID, _T_BR, _T_CONDBR,
+from .machine import (WARP_SIZE, SimulationError, _PHI_COST, _K_ALLOCA,
+                      _K_LOAD, _K_STORE, _K_TERNARY, _K_VOID, _T_BR, _T_CONDBR,
                       _T_UNREACHABLE, _WarpContext, _bad_terminator,
                       _geometry_vec, _merge_groups, _run_alloca, charge,
                       evaluate, load_latency, store_cost, write_masked)
@@ -205,7 +204,6 @@ def _load_rows(memory, ctx, step, mask, actives, state) -> None:
     latencies = np.array(latencies)
     state.cycles += latencies
     state.memory_stall += latencies
-    state.cat_cycles[:, _CAT_LOAD] += latencies
     write_masked(ctx.values, step.dst, out, mask)
 
 
@@ -223,9 +221,7 @@ def _store_rows(memory, ctx, step, mask, actives, state) -> None:
             transactions = memory.store(addrs[w], values[w], mask[w],
                                         step.aux)
             costs[w] = charge(store_cost(transactions), active)
-    costs = np.array(costs)
-    state.cycles += costs
-    state.cat_cycles[:, _CAT_STORE] += costs
+    state.cycles += np.array(costs)
 
 
 #: The lattice's runners, by step kind (the interpreter's and the jit's).
@@ -236,17 +232,16 @@ ROW_RUNNERS = {_K_ALLOCA: _run_alloca, _K_LOAD: _load_rows,
 class _BatchState:
     """One batch mid-execution: context, accumulators, schedule, icache."""
 
-    __slots__ = ("ctx", "cycles", "memory_stall", "cat_cycles", "icache",
-                 "groups", "splits")
+    __slots__ = ("ctx", "cycles", "memory_stall", "icache", "groups",
+                 "splits")
 
     def __init__(self, ctx: _BatchContext, cycles: np.ndarray,
-                 memory_stall: np.ndarray, cat_cycles: np.ndarray,
-                 icache: InstructionCache, groups: List,
+                 memory_stall: np.ndarray, icache: InstructionCache,
+                 groups: List,
                  splits: Optional[np.ndarray] = None) -> None:
         self.ctx = ctx
         self.cycles = cycles              # (n,) float64 per-warp cycles.
         self.memory_stall = memory_stall  # (n,) float64 memory stalls.
-        self.cat_cycles = cat_cycles      # (n, N_CATEGORIES) float64.
         self.icache = icache              # Representative for all rows.
         #: [(epoch, db, (n, 32) mask, (n,) active lanes per row)].
         self.groups = groups
@@ -258,12 +253,11 @@ class _BatchState:
 class _Results:
     """Per-original-warp outcome sinks, reduced in warp order at the end."""
 
-    __slots__ = ("cycles", "memory_stall", "cat", "fetch", "ret")
+    __slots__ = ("cycles", "memory_stall", "fetch", "ret")
 
     def __init__(self, n: int) -> None:
         self.cycles = [0.0] * n
         self.memory_stall = [0.0] * n
-        self.cat = [[0.0] * N_CATEGORIES for _ in range(n)]
         self.fetch = [0] * n
         self.ret: List[Optional[np.ndarray]] = [None] * n
 
@@ -271,7 +265,7 @@ class _Results:
 def _merge_ints(total: Counters, counters: Counters) -> None:
     """Fold a demoted warp's integer counters into the launch total.
 
-    Float fields (cycles, stalls, category cycles) go through the ordered
+    Float fields (cycles, stalls) go through the ordered
     per-warp reduction instead, to match serial summation order.
     """
     for name in ("inst_executed", "thread_inst_executed", "active_lane_sum",
@@ -309,8 +303,7 @@ def run_launch_batched(machine, func, frame, grid_dim: int, block_dim: int,
     ctx = _BatchContext(frame, lane_ids, block_ids, np.arange(n), launch)
     icache = InstructionCache()
     active = lane_ids < block_dim
-    state = _BatchState(ctx, np.zeros(n), np.zeros(n),
-                        np.zeros((n, N_CATEGORIES)), icache,
+    state = _BatchState(ctx, np.zeros(n), np.zeros(n), icache,
                         [(0, frame.entry, active, active.sum(axis=1))])
     results = _Results(n)
     worklist = [state]
@@ -325,9 +318,6 @@ def run_launch_batched(machine, func, frame, grid_dim: int, block_dim: int,
     for w in range(n):
         total.cycles += results.cycles[w]
         total.memory_stall_cycles += results.memory_stall[w]
-        cat = results.cat[w]
-        for i in range(N_CATEGORIES):
-            total.cat_cycles[i] += cat[i]
         fetch_stalls += results.fetch[w]
         if results.ret[w] is not None:
             ret_all.append(results.ret[w])
@@ -414,12 +404,10 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
     # ``cost * factor``, the last row the terminator's.
     charges = db.cost_column * _issue_factor(actives)
     cycles = state.cycles
-    cat = state.cat_cycles
     values = ctx.values
     for step, c in zip(db.steps, charges):
-        cat_idx, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
+        _cat, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
         cycles += c
-        cat[:, cat_idx] += c
         if kind <= _K_TERNARY:
             write_masked(values, dst, evaluate(values, kind, srcs, kernel),
                          mask)
@@ -429,9 +417,7 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
     term_kind = db.term_kind
     if term_kind >= _T_UNREACHABLE:
         raise _bad_terminator(func, db)
-    c = charges[-1]
-    cycles += c
-    cat[:, _CAT_CONTROL] += c
+    cycles += charges[-1]
     if term_kind == _T_BR:
         total.branches += n
         _follow_batch(db.term, epoch, mask, actives, state, total)
@@ -514,7 +500,6 @@ def _follow_batch(edge, epoch: int, mask: np.ndarray, actives: np.ndarray,
                   for _dst, src, snapshot in moves]
         for (dst, _src, _snapshot), value in zip(moves, staged):
             state.cycles += c
-            state.cat_cycles[:, _CAT_MISC] += c
             write_masked(values, dst, value, mask)
     state.groups.append((epoch + edge.bump_epoch, edge.target, mask, actives))
 
@@ -567,7 +552,7 @@ def _slice_state(state: _BatchState, idx: np.ndarray) -> _BatchState:
     if octx.ret_values is not None:
         ctx.ret_values = octx.ret_values[idx]
     return _BatchState(ctx, state.cycles[idx], state.memory_stall[idx],
-                       state.cat_cycles[idx], state.icache.clone(),
+                       state.icache.clone(),
                        [(e, db, m[idx], a[idx])
                         for e, db, m, a in state.groups],
                        state.splits[idx] + 1)
@@ -597,12 +582,10 @@ def _demote_row(machine, func, state: _BatchState, total: Counters,
     counters = Counters()
     counters.cycles = float(state.cycles[0])
     counters.memory_stall_cycles = float(state.memory_stall[0])
-    counters.cat_cycles = [float(x) for x in state.cat_cycles[0]]
     groups = [(e, db, m[0], int(a[0])) for e, db, m, a in state.groups]
     machine._warp_loop(func, wctx, groups, counters, state.icache)
     results.cycles[orig] = counters.cycles
     results.memory_stall[orig] = counters.memory_stall_cycles
-    results.cat[orig] = list(counters.cat_cycles)
     results.fetch[orig] = state.icache.stall_cycles
     results.ret[orig] = wctx.ret_values
     _merge_ints(total, counters)
@@ -617,6 +600,5 @@ def _finish_state(state: _BatchState, results: _Results) -> None:
         orig = int(octx.rows[pos])
         results.cycles[orig] = float(state.cycles[pos])
         results.memory_stall[orig] = float(state.memory_stall[pos])
-        results.cat[orig] = [float(x) for x in state.cat_cycles[pos]]
         results.fetch[orig] = fetch
         results.ret[orig] = ret[pos].copy() if ret is not None else None

@@ -8,19 +8,17 @@ IPC, global-load throughput and the instruction-fetch stall fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from .timing import CLOCK_HZ
 
-#: Opcode categories with per-category cycle accounting.  The first six are
-#: the breakdown ``repro summary --profile`` reports; ``special`` covers the
-#: tid/ctaid-style launch-geometry intrinsics.  Fetch stalls are charged by
-#: the icache model and tracked separately (``fetch_stall_cycles``), so
-#: ``sum(cat_cycles) + fetch_stall_cycles == cycles`` for one launch.
+#: Opcode categories: a decoded step keeps its category's index, from
+#: which the integer ``inst_*`` counters are sealed (:func:`seal_issues`)
+#: and the similarity features bin instructions.  ``special`` covers the
+#: tid/ctaid-style launch-geometry intrinsics.
 CATEGORIES = ("int", "fp", "load", "store", "control", "misc", "special")
 CAT_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
-N_CATEGORIES = len(CATEGORIES)
 
 
 def cat_index(category: str) -> int:
@@ -71,11 +69,6 @@ class Counters:
     divergent_branches: int = 0
     branches: int = 0
     warp_size: int = 32
-    #: Cycle charges split by opcode category (indexed by :data:`CATEGORIES`).
-    #: Load entries include the exposed memory latency; fetch stalls live in
-    #: ``fetch_stall_cycles``, so the categories plus stalls sum to ``cycles``.
-    cat_cycles: List[float] = field(
-        default_factory=lambda: [0.0] * N_CATEGORIES)
 
     def note_issue(self, sealed: SealedIssues, lanes: int,
                    warps: int = 1) -> None:
@@ -138,8 +131,6 @@ class Counters:
                      "bytes_loaded", "bytes_stored", "load_transactions",
                      "store_transactions", "divergent_branches", "branches"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for i, value in enumerate(other.cat_cycles):
-            self.cat_cycles[i] += value
 
     def summary(self) -> Dict[str, float]:
         return {

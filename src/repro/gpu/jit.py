@@ -56,8 +56,7 @@ from .batched import (INTERPRET, ROW_RUNNERS, _BatchState, _classify,
                       interpret_block, _CLS_DIVERGENT, _CLS_TAKEN)
 from ..obs import metrics as obs_metrics
 from .counters import Counters
-from .machine import (WARP_SIZE, SimulationError, _CAT_CONTROL, _CAT_MISC,
-                      _PHI_CHARGES, evaluate)
+from .machine import WARP_SIZE, SimulationError, _PHI_CHARGES, evaluate
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, S_FUSED, S_MEM, S_VALUE,
                       RegionMap, compile_region, select_regions)
@@ -125,12 +124,9 @@ def _run_region(machine, func, region: CompiledRegion, epoch: int,
 
 
 def _rows_uniform(state: _BatchState) -> bool:
-    """True when every row's float accumulators agree (scalar replay OK)."""
+    """True when every row's cycles agree (scalar replay OK)."""
     cy = state.cycles
-    if not bool((cy == cy[0]).all()):
-        return False
-    cc = state.cat_cycles
-    return bool((cc == cc[0]).all())
+    return bool((cy == cy[0]).all())
 
 
 def _runaway(func, max_cycles) -> SimulationError:
@@ -196,7 +192,7 @@ def _fold_scalar(machine, total: Counters, ops, runs, crossed, arm_runs,
         if moved:
             cat_acc["inst_misc"] = cat_acc.get("inst_misc", 0) + moved
         if profile is not None:
-            cycles = sum(c for c, _ci in op.acct) * ran + op.phi_c * moved
+            cycles = sum(op.acct) * ran + op.phi_c * moved
             profile.note_block(op.name, ran * n, cycles * n, ran * lanes,
                                ran * lanes)
     if profile is not None:
@@ -266,15 +262,15 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                    actives):
     """Scalar executor for memory-free regions, diamonds included.
 
-    Every row starts with equal float accumulators and every charge is
-    row-uniform, so the accumulation runs on Python scalars (``cy`` /
-    ``cats``) in the exact operation order the lattice would use, and
-    broadcasting the final scalars back is bit-identical to the
-    elementwise updates.  Full-mask ops charge ``cost * _FULL_FACTOR``.
-    An in-region diamond whose rows all take their true side on the same
-    number of lanes ``a`` runs its arm or arms here: each charges, in
-    rpo order, the per-warp engine's ``charge(cost, a)``
-    (``op.arm_acct``: ``arm.charges``, ``_PHI_CHARGES``), which every
+    Every row starts with equal cycles and every charge is row-uniform,
+    so the accumulation runs on a Python scalar (``cy``) in the exact
+    operation order the lattice would use, and broadcasting the final
+    scalar back is bit-identical to the elementwise updates.  Full-mask
+    ops charge ``cost * _FULL_FACTOR``.  An in-region diamond whose rows
+    all take their true side on the same number of lanes ``a`` runs its
+    arm or arms here: each charges, in rpo order, the per-warp engine's
+    ``charge(cost, a)`` (``op.arm_acct``: ``arm.charges``,
+    ``_PHI_CHARGES``), which every
     row's ``cost_column * _issue_factor(actives)`` equals, and one call
     of ``op.pred`` computes the arms on every lane, rebinds each join
     phi to a select of the two (or to the lone arm's value) and runs the
@@ -294,8 +290,6 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
     max_cycles = machine.max_cycles
     ops = region.ops
     cy = float(state.cycles[0])
-    cats = [float(x) for x in state.cat_cycles[0]]
-    cmisc = _CAT_MISC
     runs = [0] * len(ops)       # Times op i ran ...
     crossed = [0] * len(ops)    # ... and took its internal edge.
     arm_runs: Dict = {}         # (arm block, lanes per row) -> runs.
@@ -314,9 +308,8 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
         cy += icache.access(op.block_id, op.size)
         iters = 0
         while True:
-            for c, ci in acct:
+            for c in acct:
                 cy += c
-                cats[ci] += c
             for kind, dst, srcs, kernel, dt in vsteps:
                 if kind is None:  # Fused segment: one call for a chain.
                     kernel(values)
@@ -336,7 +329,6 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 _bind_phis(values, moves, shape)
                 for _ in range(k):
                     cy += phi_c
-                    cats[cmisc] += phi_c
             iters += 1
             if cy > max_cycles:
                 raise _runaway(func, max_cycles)
@@ -350,9 +342,8 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
             op = ops[i]
             cy += icache.access(op.block_id, op.size)
             runs[i] += 1
-            for c, ci in op.acct:
+            for c in op.acct:
                 cy += c
-                cats[ci] += c
             for kind, dst, srcs, kernel, dt in op.vsteps:
                 if kind is None:
                     kernel(values)
@@ -378,7 +369,6 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                     # Rows split unalike: per-row accounting from here on,
                     # and the arms masked-write slots a phi may alias.
                     state.cycles[:] = cy
-                    state.cat_cycles[:] = cats
                     _fold_scalar(machine, total, ops, runs, crossed,
                                  arm_runs, n)
                     _normalize_slots(values, region.norm, shape)
@@ -408,9 +398,8 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                     # The arm's charges as the interpreter dispatches it
                     # (fetch, steps, br, the join edge's phi moves).
                     cy += icache.access(arm.block_id, arm.size)
-                    for c, ci in op.arm_acct(arm, active):
+                    for c in op.arm_acct(arm, active):
                         cy += c
-                        cats[ci] += c
                     key = (arm, active)
                     arm_runs[key] = arm_runs.get(key, 0) + 1
                     # The join group merges at the max parked epoch.
@@ -432,7 +421,6 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 pc = op.phi_c
                 for _ in op.moves:
                     cy += pc
-                    cats[cmisc] += pc
             epoch += op.bump
             ni = op.next_i
             if ni <= i and cy > max_cycles:
@@ -441,7 +429,6 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
 
     # A failed guard or an exit: flush floats and integers, deoptimize.
     state.cycles[:] = cy
-    state.cat_cycles[:] = cats
     _fold_scalar(machine, total, ops, runs, crossed, arm_runs, n)
     _normalize_slots(values, region.norm, shape)
     if op.kind == R_GUARD:
@@ -502,7 +489,7 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                    actives, start: int = 0):
     """Vector-accounting region execution (general case).
 
-    Keeps the per-row ``(n,)``/``(n, 7)`` accumulators (memory latency
+    Keeps the per-row ``(n,)`` accumulators (memory latency
     differs per row) but still skips the scheduler, folds integer
     counters, and rebinds slots instead of masked-writing them.  Charges
     are the scalar ``cost * _FULL_FACTOR`` broadcast over rows — the
@@ -520,7 +507,6 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
     max_cycles = machine.max_cycles
     ops = region.ops
     cycles = state.cycles
-    cat = state.cat_cycles
     acc_issues = 0
     acc_branches = 0
     acc_cats: Dict[str, int] = {}
@@ -537,9 +523,8 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
         for entry in op.steps:
             tag = entry[0]
             if tag == S_VALUE:
-                _t, c, ci, kind, dst, srcs, kernel, dt = entry
+                _t, c, kind, dst, srcs, kernel, dt = entry
                 cycles += c
-                cat[:, ci] += c
                 arr = evaluate(values, kind, srcs, kernel)
                 if arr.dtype != dt:
                     arr = arr.astype(dt)
@@ -549,24 +534,20 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
                 # (float accumulation is order-sensitive), then compute
                 # the whole chain in one generated call.
                 _t, charges, fused = entry
-                for c, ci in charges:
+                for c in charges:
                     cycles += c
-                    cat[:, ci] += c
                 fused(values)
             elif tag == S_MEM:
-                _t, c, ci, step = entry
+                _t, c, step = entry
                 cycles += c
-                cat[:, ci] += c
                 ROW_RUNNERS[step.kind](memory, ctx, step, mask, actives,
                                        state)
             else:
-                _t, c, ci = entry
+                _t, c = entry
                 cycles += c
-                cat[:, ci] += c
         tc = op.term_c
         if tc is not None:
             cycles += tc
-            cat[:, _CAT_CONTROL] += tc
         kind = op.kind
         if kind == R_GUARD:
             cond = values[op.cond]
@@ -608,7 +589,6 @@ def _region_vector(machine, func, region: CompiledRegion, epoch: int,
             pc = op.phi_c
             for _ in range(k):
                 cycles += pc
-                cat[:, _CAT_MISC] += pc
         if profile is not None:
             profile.note_block(op.name, n, float(cycles.sum()) - before,
                                lanes, lanes)

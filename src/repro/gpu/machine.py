@@ -128,12 +128,6 @@ _RET_COST = issue_cost("control", "ret")
 _PHI_CHARGES = tuple(charge(_PHI_COST, active)
                      for active in range(WARP_SIZE + 1))
 
-#: Pre-resolved category indices for the per-category cycle breakdown.
-_CAT_CONTROL = cat_index("control")
-_CAT_MISC = cat_index("misc")
-_CAT_LOAD = cat_index("load")
-_CAT_STORE = cat_index("store")
-
 # Step kinds.  Kinds up to _K_TERNARY compute a value from their source
 # slots (see evaluate): a kernel step's kind is its operand count.
 _K_MOVE = 0      # The source slot itself (a launch-geometry read).
@@ -333,7 +327,6 @@ def _run_load(memory, ctx, step, mask, active, counters) -> None:
     latency = charge(load_latency(transactions), active)
     counters.cycles += latency
     counters.memory_stall_cycles += latency
-    counters.cat_cycles[_CAT_LOAD] += latency
     write_masked(values, step.dst, raw, mask)
 
 
@@ -341,9 +334,7 @@ def _run_store(memory, ctx, step, mask, active, counters) -> None:
     values = ctx.values
     ptr, value = step.srcs
     transactions = memory.store(values[ptr], values[value], mask, step.aux)
-    c = charge(store_cost(transactions), active)
-    counters.cycles += c
-    counters.cat_cycles[_CAT_STORE] += c
+    counters.cycles += charge(store_cost(transactions), active)
 
 
 #: The per-warp engine's runners, by step kind.
@@ -780,12 +771,10 @@ class SimtMachine:
         """Execute one decoded block for one group of ``active`` lanes."""
         counters.note_issue(db.issues, active)
         charges = db.charges(active)
-        cat_cycles = counters.cat_cycles
         values = ctx.values
         for step, c in zip(db.steps, charges):
-            cat, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
+            _cat, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
             counters.cycles += c
-            cat_cycles[cat] += c
             if kind <= _K_TERNARY:
                 write_masked(values, dst, evaluate(values, kind, srcs, kernel),
                              mask)
@@ -795,9 +784,7 @@ class SimtMachine:
         term_kind = db.term_kind
         if term_kind >= _T_UNREACHABLE:
             raise _bad_terminator(func, db)
-        c = charges[-1]
-        counters.cycles += c
-        cat_cycles[_CAT_CONTROL] += c
+        counters.cycles += charges[-1]
         if term_kind == _T_BR:
             counters.branches += 1
             self._follow(db.term, epoch, mask, active, ctx, counters, groups)
@@ -835,7 +822,6 @@ class SimtMachine:
         moves = edge.moves
         if moves:
             c = _PHI_CHARGES[active]
-            cat_cycles = counters.cat_cycles
             counters.note_issue(edge.issues, active)  # One mov per phi.
             values = ctx.values
             # Parallel-copy semantics: read all incomings before writing.
@@ -843,6 +829,5 @@ class SimtMachine:
                       for _dst, src, snapshot in moves]
             for (dst, _src, _snapshot), value in zip(moves, staged):
                 counters.cycles += c
-                cat_cycles[_CAT_MISC] += c
                 write_masked(values, dst, value, mask)
         groups.append((epoch + edge.bump_epoch, edge.target, mask, active))

@@ -79,9 +79,9 @@ from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
 from .fuser import FuseContext, chain_length
 from .machine import (_BR_COST, _CONDBR_COST, _PHI_CHARGES, _PHI_COST,
-                      _RET_COST, _CAT_CONTROL, _CAT_MISC, _K_STORE,
-                      _K_TERNARY, _K_VOID, _T_BR, _T_MISSING, _T_RET,
-                      _T_UNREACHABLE, WARP_SIZE, _DecodedBlock)
+                      _RET_COST, _K_STORE, _K_TERNARY, _K_VOID, _T_BR,
+                      _T_MISSING, _T_RET, _T_UNREACHABLE, WARP_SIZE,
+                      _DecodedBlock)
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
 
 #: Per-issue charge factor at a full 32-lane mask — the same IEEE-754
@@ -125,9 +125,9 @@ class RegionOp:
         self.block_id = db.block_id
         self.name = db.name
         self.size = db.size
-        self.steps: Tuple = ()       # ((tag, charge, cat_idx, ...), ...)
+        self.steps: Tuple = ()       # ((tag, charge, ...), ...)
         self.vsteps: Tuple = ()      # ((kind, dst, srcs, kernel, dtype), ...)
-        self.acct: Tuple = ()        # ((charge, cat_idx), ...) scalar replay
+        self.acct: Tuple = ()        # (charge, ...) scalar replay
         self.term_c: Optional[float] = None
         self.issues = 0              # note_issue count (steps + terminator)
         self.cat_counts: Tuple = ()  # ((Counters attr, count), ...)
@@ -156,17 +156,15 @@ class RegionOp:
         self._accts: Dict[Tuple[int, int], Tuple] = {}
 
     def arm_acct(self, arm: _DecodedBlock, active: int) -> Tuple:
-        """``((charge, cat_idx), ...)`` of one arm run on ``active`` lanes
-        per row: its steps, its ``br``, its join edge's phi moves — the
-        per-warp engine's ``charge(cost, active)`` in dispatch order."""
+        """The charges of one arm run on ``active`` lanes per row: its
+        steps, its ``br``, its join edge's phi moves — the per-warp
+        engine's ``charge(cost, active)`` in dispatch order."""
         key = (arm.block_id, active)
         acct = self._accts.get(key)
         if acct is None:
-            charges = arm.charges(active)
-            pairs = [(c, step.cat) for step, c in zip(arm.steps, charges)]
-            pairs.append((charges[-1], _CAT_CONTROL))
-            pairs += [(_PHI_CHARGES[active], _CAT_MISC)] * len(arm.term.moves)
-            acct = self._accts[key] = tuple(pairs)
+            acct = self._accts[key] = (
+                arm.charges(active)
+                + (_PHI_CHARGES[active],) * len(arm.term.moves))
         return acct
 
 
@@ -559,7 +557,7 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     op = RegionOp(db)
     steps: List[Tuple] = []
     vsteps: List[Tuple] = []
-    acct: List[Tuple[float, int]] = []
+    acct: List[float] = []
     load_ids: List[int] = []
     stored: List[Tuple[int, object]] = []
     fuse_plan: List[Tuple[int, int, Tuple[int, ...]]] = []
@@ -571,13 +569,11 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     while i < len(db_steps):
         if seg is not None and i == seg[0]:
             lo, hi, live = seg
-            charges: List[Tuple[float, int]] = []
-            for step in db_steps[lo:hi]:
-                c = step.cost * _FULL_FACTOR
-                acct.append((c, step.cat))
-                charges.append((c, step.cat))
+            charges = tuple(step.cost * _FULL_FACTOR
+                            for step in db_steps[lo:hi])
+            acct.extend(charges)
             fn, seg_stored = fuse_ctx.compile_segment(db, lo, hi, live)
-            steps.append((S_FUSED, tuple(charges), fn))
+            steps.append((S_FUSED, charges, fn))
             # The scalar executor tells a fused segment by kind None.
             vsteps.append((None, None, None, fn, None))
             stored.extend(seg_stored)
@@ -587,18 +583,18 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
             continue
         step = db_steps[i]
         i += 1
-        cat_idx, _cost, kind, dst, srcs, kernel, dt, _aux = step
+        _cat, _cost, kind, dst, srcs, kernel, dt, _aux = step
         c = step.cost * _FULL_FACTOR
-        acct.append((c, cat_idx))
+        acct.append(c)
         if kind <= _K_TERNARY:
-            steps.append((S_VALUE, c, cat_idx, kind, dst, srcs, kernel, dt))
+            steps.append((S_VALUE, c, kind, dst, srcs, kernel, dt))
             vsteps.append((kind, dst, srcs, kernel, dt))
             stored.append((dst, dt))
         elif kind == _K_VOID:
-            steps.append((S_VOID, c, cat_idx))
+            steps.append((S_VOID, c))
         else:   # Load, store, alloca: the lattice's own runners.
             op.has_mem = True
-            steps.append((S_MEM, c, cat_idx, step))
+            steps.append((S_MEM, c, step))
             if kind != _K_STORE:
                 load_ids.append(dst)
 
@@ -614,7 +610,7 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         op.term_c = _RET_COST * _FULL_FACTOR
         op.ret = db.term
     if op.term_c is not None:
-        acct.append((op.term_c, _CAT_CONTROL))
+        acct.append(op.term_c)
 
     if kind0 == R_NEXT:
         edge = decision[1]

@@ -75,12 +75,14 @@ from .experiment import Cell
 #: every configuration, so per-loop cells now carry their one-row decision
 #: log (it was empty) and replayed rows say the directive's kind where
 #: they said "tuned".
+#: v6: Counters drops the per-category ``cat_cycles`` breakdown again (no
+#: exhibit read it), so the stored ``counters`` lose that key.
 #:
 #: The key names no execution engine: every runner simulates on the
 #: default ``jit`` engine, which is bit-identical to the per-warp
 #: reference by contract — whenever it tiers up —
 #: (tests/test_engine_equivalence.py, tests/test_tier_up.py).
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

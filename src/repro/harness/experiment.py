@@ -43,7 +43,7 @@ constructor arguments say how, and neither changes a result:
   one *is* the switch).  :func:`_worker` resets both slots a fork
   inherits at task start and ships its telemetry home with the cell; the
   parent folds it in enumeration order, so ``-j1`` and ``-jN`` yield the
-  same remark stream, pass statistics, metric registry and jit line.
+  same remark stream, metric registry and jit line.
 
 The CLI picks the worker count with :func:`resolve_jobs` (``--jobs/-j`` >
 ``REPRO_JOBS`` > ``os.cpu_count()``).
@@ -73,7 +73,7 @@ from ..ir.printer import print_module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams
-from ..transforms.pass_manager import COMPILE_TIMEOUT, PassStatistics
+from ..transforms.pass_manager import COMPILE_TIMEOUT
 from ..transforms.pipeline import (CONFIGS, PER_LOOP_CONFIGS,
                                    WHOLE_FUNCTION_CONFIGS, CompileResult,
                                    compile_module, config_plan)
@@ -259,12 +259,10 @@ class ExperimentRunner:
         #: Cells this runner computed (in process or on the pool) instead
         #: of finding them in memory or in the persistent cache.
         self.computed = 0
-        #: Wall-clock per phase across every cell this runner computed
-        #: (``python -m repro summary --profile`` reports these).
+        #: Wall-clock per phase across the cells computed in this process
+        #: (a pool worker's cells are not counted here).
         self.phase_seconds: Dict[str, float] = {
             "compile": 0.0, "simulate": 0.0, "verify": 0.0}
-        #: Per-pass compile-time statistics aggregated over all cells.
-        self.pass_stats = PassStatistics()
 
     def settings(self) -> Dict[str, object]:
         """The constructor arguments, by name, that build a runner
@@ -480,7 +478,6 @@ class ExperimentRunner:
                 timeout_seconds=self.compile_timeout,
                 verify_each=self.verify_each, plan=plan)
         self.phase_seconds["compile"] += compiled.compile_seconds
-        self.pass_stats.merge(compiled.pass_stats)
         if compiled.timed_out:
             # The paper excluded compile-timeout points from its figures;
             # we do not simulate them either.
@@ -606,11 +603,10 @@ class ExperimentRunner:
         # Telemetry and persistent-cache writes are buffered per spec and
         # folded in *enumeration* order after the pool drains: futures
         # complete in nondeterministic order, and neither the merged
-        # remark stream / pass statistics (tests/test_obs.py pins jobs=1
-        # vs jobs=N streams equal) nor the cache's LRU recency order
-        # (which decides what an LRU-bounded cache evicts) may depend on
-        # pool scheduling.
-        extras_by_spec: Dict[CellSpec, Dict] = {}
+        # remark stream (tests/test_obs.py pins jobs=1 vs jobs=N streams
+        # equal) nor the cache's LRU recency order (which decides what an
+        # LRU-bounded cache evicts) may depend on pool scheduling.
+        telemetry: Dict[CellSpec, Dict] = {}
         computed: Dict[CellSpec, Cell] = {}
 
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -621,7 +617,7 @@ class ExperimentRunner:
                 futures[pool.submit(_worker, spec, task)] = spec
             self.computed += len(futures)
             for future, spec in futures.items():
-                status, payload, outputs, extras = future.result()
+                status, payload, outputs, shipped = future.result()
                 if status == "err":
                     obs_metrics.inc("repro_sweep_worker_failures_total")
                     failed_baselines[spec.app] = payload
@@ -630,7 +626,7 @@ class ExperimentRunner:
                     self._baseline_outputs[spec.app] = outputs
                 self._cache[spec.key] = payload
                 computed[spec] = payload
-                extras_by_spec[spec] = extras
+                telemetry[spec] = shipped
 
             for spec, cache_key in baseline_specs:
                 if spec.app in failed_baselines:
@@ -658,14 +654,14 @@ class ExperimentRunner:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     spec = futures[future]
-                    status, payload, _, extras = future.result()
+                    status, payload, _, shipped = future.result()
                     if status == "err":
                         obs_metrics.inc("repro_sweep_worker_failures_total")
                         self._cache[spec.key] = _failed_cell(spec, payload)
                     else:
                         self._cache[spec.key] = payload
                         computed[spec] = payload
-                        extras_by_spec[spec] = extras
+                        telemetry[spec] = shipped
 
         # Deterministic fold: the enumerated order of ``missing`` (what the
         # serial path would have computed in), then any stage-1 baselines
@@ -677,18 +673,18 @@ class ExperimentRunner:
             cell = computed.get(spec)
             if cell is not None:
                 self._persist(spec, cell, cache_key, by_name)
-            extras = extras_by_spec.pop(spec, None)
-            if extras:
-                self._absorb_extras(extras)
+            shipped = telemetry.pop(spec, None)
+            if shipped:
+                obs.absorb(shipped)
         in_missing = {spec for spec, _ in missing}
         for app in needed_apps:
             spec = CellSpec(app, "baseline", None, 1)
             cell = computed.get(spec)
             if cell is not None and spec not in in_missing:
                 self._persist(spec, cell, None, by_name)
-            extras = extras_by_spec.pop(spec, None)
-            if extras:
-                self._absorb_extras(extras)
+            shipped = telemetry.pop(spec, None)
+            if shipped:
+                obs.absorb(shipped)
 
     def _persist(self, spec: CellSpec, cell: Cell,
                  cache_key: Optional[str], by_name) -> None:
@@ -704,13 +700,6 @@ class ExperimentRunner:
         if cache_key is None:
             cache_key = self._cache_key(bench, spec)
         self._store(bench, cell, cache_key)
-
-    def _absorb_extras(self, extras: Dict) -> None:
-        """Fold one worker's telemetry into this runner and the slots."""
-        self.pass_stats.merge(extras["pass_stats"])
-        for phase, seconds in extras["phase_seconds"].items():
-            self.phase_seconds[phase] += seconds
-        obs.absorb(extras["obs"])
 
 
 def _spec_cost(spec: CellSpec, u_max: int) -> int:
@@ -748,21 +737,6 @@ class _Task:
     metrics: bool
 
 
-def _worker_extras(runner: ExperimentRunner) -> Dict:
-    """Telemetry a worker ships home alongside its cell.
-
-    ``pass_stats``/``phase_seconds`` let a parallel ``summary --profile``
-    report the same merged per-pass breakdown the serial runner shows;
-    ``obs`` is the one :func:`repro.obs.session.end_worker` payload — the
-    worker's remarks/trace/profile and its metric-registry snapshot, the
-    jit's counts among them (each part None when the task did not ask for
-    it).
-    """
-    return {"pass_stats": runner.pass_stats,
-            "phase_seconds": dict(runner.phase_seconds),
-            "obs": obs.end_worker()}
-
-
 def _worker(spec: CellSpec, task: _Task,
             reference: Optional[Dict[str, np.ndarray]] = None):
     """Compute one cell; a baseline also returns its reference outputs.
@@ -771,7 +745,9 @@ def _worker(spec: CellSpec, task: _Task,
     both holders a fork()ed child inherits from the parent — the obs
     session and the metrics registry — because shipping an inherited
     holder home would re-count everything the parent had already
-    collected; it ends with :func:`_worker_extras`.
+    collected; it ends with :func:`repro.obs.session.end_worker`, whose
+    payload — the worker's remarks/trace/profile and its metric-registry
+    snapshot, the jit's counts among them — travels home with the cell.
     """
     obs.begin_worker(task.trace, task.metrics)
     try:
@@ -783,6 +759,6 @@ def _worker(spec: CellSpec, task: _Task,
                            spec.plan)
         outputs = (runner._baseline_outputs.get(spec.app)
                    if spec.config == "baseline" else None)
-        return ("ok", cell, outputs, _worker_extras(runner))
+        return ("ok", cell, outputs, obs.end_worker())
     except Exception:
         return ("err", traceback.format_exc(), None, None)

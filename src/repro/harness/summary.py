@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..bench.base import Benchmark
-from ..gpu.counters import CATEGORIES, N_CATEGORIES
 from .experiment import ExperimentRunner
 from .stats import geomean
 
@@ -214,66 +213,3 @@ def transfer_summary(runner: ExperimentRunner,
         geomean_heuristic=geomean([r.heuristic_speedup for r in rows]),
         geomean_tuned=geomean([r.tuned_speedup for r in rows]),
         geomean_predicted=geomean([r.predicted_speedup for r in rows]))
-
-
-def format_profile(runner: ExperimentRunner) -> str:
-    """Phase and per-pass timing breakdown of this runner's cells.
-
-    Phase and pass statistics accumulate inside whichever process ran each
-    cell; pool workers ship them home with every result and the runner
-    merges them (``ExperimentRunner._absorb_extras``), so the breakdown is
-    complete for ``--jobs N`` sweeps too — the times are then summed
-    worker CPU seconds rather than wall clock, and are labelled as such.
-    """
-    if runner.jobs > 1:
-        lines = [f"Harness profile (CPU seconds summed across {runner.jobs} "
-                 "workers, this run's cells only):"]
-    else:
-        lines = ["Harness profile (wall-clock seconds, this run's cells "
-                 "only):"]
-    total = sum(runner.phase_seconds.values())
-    for phase in ("compile", "simulate", "verify"):
-        seconds = runner.phase_seconds[phase]
-        share = 100.0 * seconds / total if total else 0.0
-        lines.append(f"  {phase:<10} {seconds:>8.3f}s  {share:>5.1f}%")
-    lines.append(f"  {'total':<10} {total:>8.3f}s")
-    stats = runner.pass_stats
-    if stats.times:
-        lines.append("Per-pass compile time:")
-        for name in sorted(stats.times, key=stats.times.get, reverse=True):
-            lines.append(
-                f"  {name:<24} {stats.times[name]:>8.3f}s  "
-                f"{stats.runs.get(name, 0):>5} runs  "
-                f"{stats.changes.get(name, 0):>5} changed")
-    lines.extend(_format_category_cycles(runner))
-    return "\n".join(lines)
-
-
-def _format_category_cycles(runner: ExperimentRunner) -> List[str]:
-    """Simulated-cycle breakdown by opcode category over this run's cells.
-
-    Sourced from each cell's ``Counters.cat_cycles``, so interpreter (and
-    kernel) hot spots — int vs fp vs memory vs control time — are visible
-    without an external profiler.  Fetch stalls are charged by the icache
-    model, not an opcode category, and are reported as their own row.
-    """
-    totals = [0.0] * N_CATEGORIES
-    fetch = 0.0
-    cells = 0
-    for cell in runner._cache.values():
-        if cell.error is not None or cell.timed_out:
-            continue
-        for i, value in enumerate(cell.counters.cat_cycles):
-            totals[i] += value
-        fetch += cell.counters.fetch_stall_cycles
-        cells += 1
-    grand = sum(totals) + fetch
-    if cells == 0 or grand <= 0:
-        return []
-    lines = [f"Simulated cycles by opcode category ({cells} cells):"]
-    rows = sorted(zip(CATEGORIES, totals), key=lambda r: r[1], reverse=True)
-    for name, value in rows + [("fetch_stall", fetch)]:
-        share = 100.0 * value / grand
-        lines.append(f"  {name:<12} {value:>14.1f}  {share:>5.1f}%")
-    lines.append(f"  {'total':<12} {grand:>14.1f}")
-    return lines

@@ -60,7 +60,9 @@ from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 #: fails closed on the unknown field), and ``/stats`` replaces
 #: ``region_cache`` (``session`` plus three zeros) with ``jit``, the jit
 #: counts alone.
-SERVE_SCHEMA_VERSION = 5
+#: v6: a result's ``counters`` drop ``cat_cycles`` (the per-category
+#: cycle split is gone from ``Counters``).
+SERVE_SCHEMA_VERSION = 6
 
 
 class ProtocolError(ValueError):

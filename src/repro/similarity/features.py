@@ -87,9 +87,8 @@ def _log2p1(value: float) -> float:
 def _category_fractions(blocks) -> List[float]:
     """Cost-weighted opcode-category histogram, normalized to sum 1.
 
-    Mirrors how the timing model splits cycle charges by category
-    (``Counters.cat_cycles``), but statically: each instruction
-    contributes its cost-model weight to its ``category`` bucket.
+    Static: each instruction contributes its cost-model weight to its
+    ``category`` bucket.
     """
     totals = [0.0] * len(CATEGORIES)
     index = {name: i for i, name in enumerate(CATEGORIES)}

@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.paths import estimate_unmerged_size
 from ..directive import LoopDirective
 from ..ir.module import Module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
 from ..transforms.heuristic import HeuristicParams, choose_factor
-from ..tune.space import TuneParams
+from ..tune.space import TuneParams, predicted_size
 from .features import (KernelFeatures, LoopFeatures, combined_vector,
                        distance, kernel_features)
 
@@ -170,14 +169,6 @@ def _heuristic_decision(lf: LoopFeatures, params: HeuristicParams
     return factor, True
 
 
-def _feasible(lf: LoopFeatures, factor: int, unmerge: bool,
-              size_cap: int) -> bool:
-    if unmerge:
-        return estimate_unmerged_size(lf.paths, lf.size,
-                                      max(1, factor)) <= size_cap
-    return lf.size * max(1, factor) <= size_cap
-
-
 def predict_module(module: Module, entries: Sequence[Dict], *,
                    app: Optional[str] = None,
                    exclude_app: Optional[str] = None,
@@ -220,8 +211,9 @@ def predict_module(module: Module, entries: Sequence[Dict], *,
         else:
             factor, unmerge, confidence = _vote(neighbors)
             source = "transfer"
-            if (factor > 1 or unmerge) and \
-                    not _feasible(lf, factor, unmerge, size_cap):
+            if (factor > 1 or unmerge) and predicted_size(
+                    lf, LoopDirective(lf.loop_id, max(1, factor),
+                                      unmerge)) > size_cap:
                 factor, unmerge = _heuristic_decision(lf, params)
                 source = "infeasible"
         if lf.tid_branch and factor > 1:

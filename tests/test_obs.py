@@ -295,14 +295,12 @@ class TestTracedRuns:
                                     configs=("baseline", "uu_heuristic"))
             obs.uninstall()
             assert all(c.error is None for c in cells)
-            return session, runner, cells
+            return session, cells
 
-        s1, r1, c1 = stream(1)
-        s2, r2, c2 = stream(2)
+        s1, c1 = stream(1)
+        s2, c2 = stream(2)
         assert [r.to_json() for r in s1.remarks] == \
             [r.to_json() for r in s2.remarks]
-        assert r1.pass_stats.runs == r2.pass_stats.runs
-        assert r1.pass_stats.changes == r2.pass_stats.changes
         # Trace timestamps/pids differ across processes; the set of work
         # performed (span names per category) must not.
         def spans(session):

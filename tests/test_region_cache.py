@@ -2,8 +2,8 @@
 
 Region plans live and die with a ``SimtMachine``: every machine selects
 its own when a function gets hot.  This file pins the jit's counts in
-the metrics registry — what the sweep line, ``repro summary --profile``,
-serve ``/stats`` and ``repro serve-status`` render — that one command
+the metrics registry — what the sweep line, serve ``/stats`` and
+``repro serve-status`` render — that one command
 reports only what it did, and that a second machine selects what the
 first one did.  Regions are selected when a block gets hot, so the
 launching tests run with the tier-up threshold at 1 (``tier_up_at_once``).

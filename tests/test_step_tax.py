@@ -153,8 +153,7 @@ entry:
     mask = np.zeros((2, WARP_SIZE), dtype=bool)
     mask[0, :3] = True
     actives = mask.sum(axis=1)
-    state = batched._BatchState(ctx, np.zeros(2), np.zeros(2),
-                                np.zeros((2, len(CATEGORIES))), None, [])
+    state = batched._BatchState(ctx, np.zeros(2), np.zeros(2), None, [])
     loads = spy(monkeypatch, Memory, "load")
     stores = spy(monkeypatch, Memory, "store")
     for step in (load, store):
