@@ -37,8 +37,9 @@ provides the same operations:
 Sweeps fan out over worker processes (``--jobs/-j``, default all cores)
 and reuse cells from the persistent cache under ``results/.cellcache/``
 (``--no-cache`` bypasses it).  Every simulation runs on the ``jit``
-engine: the lattice interpreter that compiles a superblock where a
-launch gets hot.  The per-warp reference engine is a
+engine: the lattice interpreter that compiles a memory-free superblock
+where a launch gets hot and replays it on scalar accounts.  The
+per-warp reference engine is a
 :class:`~repro.gpu.machine.SimtMachine` argument only, for the tests
 that pin the two bit-identical (``tests/test_engine_equivalence.py``).
 

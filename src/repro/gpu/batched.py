@@ -3,12 +3,11 @@
 This module is the ``jit`` engine's dispatcher and its block
 interpreter: each scheduler pop is first offered to the trace tier
 (:func:`repro.gpu.jit.enter_region`), and whatever that leaves — every
-block until it gets hot, every group without a full mask, the arms of
-an in-region diamond on the vector executor's path (the scalar one
-predicates them) — runs through :func:`interpret_block`.  It
-executes *all* warps of a kernel launch
-as one ``(n_warps, 32)`` numpy value lattice instead of looping over
-warps in Python.  Most HeCBench-style kernels are control-uniform across
+block until it gets hot, every block whose trace holds a memory step,
+every group without a full mask or with rows whose cycles differ — runs
+through :func:`interpret_block`.  It executes *all* warps of a kernel
+launch as one ``(n_warps, 32)`` numpy value lattice instead of looping
+over warps in Python.  Most HeCBench-style kernels are control-uniform across
 warps — every warp runs the same decoded block schedule, only the lane
 data differs — so one vectorized pass over the dispatch list replaces
 ``n_warps`` serial interpreter passes.
@@ -224,7 +223,7 @@ def _store_rows(memory, ctx, step, mask, actives, state) -> None:
     state.cycles += np.array(costs)
 
 
-#: The lattice's runners, by step kind (the interpreter's and the jit's).
+#: The lattice's memory-step runners, by step kind.
 ROW_RUNNERS = {_K_ALLOCA: _run_alloca, _K_LOAD: _load_rows,
                _K_STORE: _store_rows}
 
@@ -369,9 +368,7 @@ def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
                     state: _BatchState, total: Counters,
                     actives: np.ndarray, lanes: int):
     """One interpreted dispatch — fetch, execute, profile — of a pop the
-    trace tier declined or of a diamond arm the vector executor runs
-    inside a compiled region (``jit._exec_arm``).  Returns
-    :func:`_exec_block`'s outcome.
+    trace tier declined.  Returns :func:`_exec_block`'s outcome.
     """
     state.cycles += state.icache.access(db.block_id, db.size)
     profile = machine.profile

@@ -31,9 +31,15 @@ slots are normalized to owned ``(n, 32)`` arrays, and the branch is
 resolved by the exact lattice-interpreter logic (park sub-groups, or
 report a pending cross-warp split).
 
+Only memory-free traces compile: a load, a store or an alloca in any
+block or diamond arm rejects the trace (reason ``memory step``), and
+its blocks stay with the interpreter — a load or store charges per-row
+transaction latencies that one scalar accumulator cannot carry.
+
 Bit-identicality argument (the contract of the engine family): a region
 executes only for a group whose mask is *full* — every lane of every
-warp active.  Then the lattice interpreter's per-issue charge factor
+warp active — and whose rows' cycles agree.  Then the lattice
+interpreter's per-issue charge factor
 ``ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * actives / 32`` is the same
 constant for every row, so per-row float accumulation degenerates to one
 scalar sequence that can be replayed on Python floats (same IEEE-754
@@ -46,8 +52,9 @@ An in-region diamond's arms run under partial masks, where the factor
 follows the arm's lane count: when every row takes the true side on the
 same number of lanes, each arm's charges are again one scalar per step
 — the per-warp engine's own ``timing.charge`` values — so the replay
-carries on through the arms; rows that split unalike need per-row
-accounting.  In a memory-free trace the arms' *values* are predicated
+carries on through the arms; rows that split unalike leave the region
+at the diamond's branch, which the interpreter resolves as it resolves
+a failed guard's.  The arms' *values* are predicated
 (:func:`_predicate`): one generated call computes the arm or arms on
 every lane and rebinds each join phi to ``np.where(t_mask, from_t,
 from_f)``, instead of masked-writing every step and phi.  That is exact
@@ -57,18 +64,13 @@ only through the join phis, and the lanes of an arm-local slot outside
 its mask are never read.
 
 Aliases: a phi bind may share its source's array only while nothing
-masked-writes either slot in place.  A predicated join phi is rebound,
-never written in place, on the scalar path, so back edges may alias it
-(``acc <- acc.next``); the vector executor's arms do masked-write it,
-so before it runs a predicated diamond's arms it normalizes every slot
-the trace rebinds (``jit._normalize_slots``), breaking those aliases.
-A lone arm's value is bound by reference only when it is an array the
-call made or a slot the trace only rebinds; anything the interpreter
-owns is copied.  Regions containing memory steps, in an op or in an
-arm, keep the per-row vector accumulators (transaction latencies differ
-per row), run their diamond arms masked through the interpreter, and
-never alias a join phi; they still skip scheduling and every other
-masked write.
+masked-writes either slot in place.  Inside a region nothing does —
+value steps and join phis are rebound — so a back edge may alias either
+(``acc <- acc.next``), and every region exit normalizes the slots the
+trace rebinds (``jit._normalize_slots``) before the interpreter's
+masked writes can see them.  A lone arm's value is bound by reference
+only when it is an array the call made or a slot the trace only
+rebinds; anything the interpreter owns is copied.
 """
 
 from __future__ import annotations
@@ -79,9 +81,8 @@ from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
 from .fuser import FuseContext, chain_length
 from .machine import (_BR_COST, _CONDBR_COST, _PHI_CHARGES, _PHI_COST,
-                      _RET_COST, _K_STORE, _K_TERNARY, _K_VOID, _T_BR,
-                      _T_MISSING, _T_RET, _T_UNREACHABLE, WARP_SIZE,
-                      _DecodedBlock)
+                      _RET_COST, _K_TERNARY, _K_VOID, _T_BR, _T_MISSING,
+                      _T_RET, _T_UNREACHABLE, WARP_SIZE, _DecodedBlock)
 from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
 
 #: Per-issue charge factor at a full 32-lane mask — the same IEEE-754
@@ -104,35 +105,25 @@ R_RET = 4
 R_UNREACHABLE = 5
 R_DIAMOND = 6       # If/else diamond: its arms execute in-region.
 
-# Step-entry tags in RegionOp.steps (vector-mode execution list).
-S_VALUE = 0
-S_MEM = 1
-S_VOID = 2
-S_FUSED = 3
-
 
 class RegionOp:
     """One trace block, compiled: fused steps + folded accounting."""
 
-    __slots__ = ("block_id", "name", "size", "steps", "vsteps", "acct",
-                 "term_c", "issues", "cat_counts", "branch_inc", "has_mem",
-                 "kind", "next_i", "bump", "moves", "phi_c", "cond",
-                 "expected", "true_edge", "false_edge", "exit_edge", "ret",
-                 "load_ids", "arm_t", "arm_f", "arms_t_first", "stored",
-                 "fuse_plan", "pred", "_accts")
+    __slots__ = ("block_id", "name", "size", "vsteps", "acct", "issues",
+                 "cat_counts", "branch_inc", "kind", "next_i", "bump",
+                 "moves", "phi_c", "cond", "expected", "true_edge",
+                 "false_edge", "exit_edge", "ret", "arm_t", "arm_f",
+                 "arms_t_first", "stored", "fuse_plan", "pred", "_accts")
 
     def __init__(self, db: _DecodedBlock) -> None:
         self.block_id = db.block_id
         self.name = db.name
         self.size = db.size
-        self.steps: Tuple = ()       # ((tag, charge, ...), ...)
         self.vsteps: Tuple = ()      # ((kind, dst, srcs, kernel, dtype), ...)
         self.acct: Tuple = ()        # (charge, ...) scalar replay
-        self.term_c: Optional[float] = None
         self.issues = 0              # note_issue count (steps + terminator)
         self.cat_counts: Tuple = ()  # ((Counters attr, count), ...)
         self.branch_inc = 0
-        self.has_mem = False
         self.kind = R_UNREACHABLE
         self.next_i = 0              # Internal successor op index.
         self.bump = 0                # Epoch bump of the internal edge.
@@ -144,14 +135,13 @@ class RegionOp:
         self.false_edge = None
         self.exit_edge = None
         self.ret = None
-        self.load_ids: Tuple = ()    # Slots loads and allocas write in place.
         self.arm_t = None            # R_DIAMOND arms: their decoded blocks.
         self.arm_f = None
         self.arms_t_first = True     # True arm has the lower rpo.
         self.stored = ()             # (slot, dtype) pairs this op rebinds.
         self.fuse_plan = ()          # ((lo, hi, liveouts), ...) fused spans.
-        #: A predicated diamond's generated ``fn(values, t)``
-        #: (``fuser.compile_diamond``); None on the vector-only path.
+        #: A diamond's generated ``fn(values, t)``
+        #: (``fuser.compile_diamond``).
         self.pred = None
         self._accts: Dict[Tuple[int, int], Tuple] = {}
 
@@ -171,7 +161,7 @@ class RegionOp:
 class CompiledRegion:
     """A compiled superblock: ops, entry id, and exit bookkeeping."""
 
-    __slots__ = ("head_id", "head_name", "ops", "scalar_ok", "norm",
+    __slots__ = ("head_id", "head_name", "ops", "norm",
                  "n_guards", "loopback", "self_loop", "entries",
                  "fused_segments", "fused_steps", "max_chain")
 
@@ -180,23 +170,18 @@ class CompiledRegion:
         self.head_id = head_id
         self.head_name = head_name
         self.ops = tuple(ops)
-        #: Scalar accumulator replay is valid only for memory-free regions
-        #: (a load or store charges per-row latencies), a diamond's arms
-        #: included: they run on the scalars whenever every row splits
-        #: alike (``jit._region_scalar``).
-        self.scalar_ok = _memory_free(ops)
         #: Slots rebound by value steps or phi binds; normalized to owned
         #: (n, 32) arrays at every region exit (``jit._normalize_slots``).
         self.norm = norm
         self.n_guards = n_guards
         self.loopback = loopback
         #: A single-block region whose guard loops straight back to
-        #: itself — the hot-loop shape the jit's scalar executor spins
+        #: itself — the hot-loop shape the jit's region executor spins
         #: with all per-iteration bookkeeping hoisted.
         op0 = self.ops[0] if len(self.ops) == 1 else None
         self.self_loop = op0 if (op0 is not None and op0.kind == R_GUARD
                                  and op0.next_i == 0 and loopback) else None
-        #: Full-mask entries (telemetry; nothing reads it to decide).
+        #: Runs of the region (telemetry; nothing reads it to decide).
         self.entries = 0
         #: Fusion telemetry (see gpu/fuser.py), counted in remarks and
         #: the ``repro_jit_fused_*`` / ``repro_jit_max_chain`` metrics.
@@ -278,10 +263,8 @@ def compile_region(regions: RegionMap,
     decisions, n_guards, loopback = plan
     fuse_ctx = regions.fuse_ctx
     ops = [_compile_op(db, decision, fuse_ctx) for db, decision in decisions]
-    predicated = _memory_free(ops)
-    safe = _safe_slots(ops, predicated)
-    if predicated:
-        _predicate(ops, safe, fuse_ctx)
+    safe = _safe_slots(ops)
+    _predicate(ops, safe, fuse_ctx)
     _finalize_moves(ops, safe)
     head = decisions[0][0]
     region = CompiledRegion(head_id, head.name, ops, _norm_of(ops),
@@ -299,9 +282,8 @@ def compile_region(regions: RegionMap,
         f"{len(region.ops)} blocks, {region.n_guards} guards",
         head=head.name, blocks=len(region.ops),
         guards=region.n_guards,
-        steps=sum(len(op.steps) for op in region.ops),
+        steps=sum(len(db.steps) for db, _decision in decisions),
         diamonds=sum(1 for op in region.ops if op.kind == R_DIAMOND),
-        mode="scalar" if region.scalar_ok else "vector",
         loopback=region.loopback,
         fused=region.fused_steps,
         fused_segments=region.fused_segments)
@@ -426,6 +408,11 @@ def _select_region(head: _DecodedBlock):
         # A bare jump/return stub: the interpreter's single dispatch is
         # already minimal, and compiling it would only add indirection.
         return None, succs, "trivial: single empty block, no loop"
+    if any(_has_mem(db) or (decision[0] == R_DIAMOND
+                            and (_has_mem(decision[4])
+                                 or _has_mem(decision[5])))
+           for db, decision in decisions):
+        return None, succs, "memory step"
     return (decisions, guards, loopback), succs, ""
 
 
@@ -461,47 +448,33 @@ def _has_mem(db: _DecodedBlock) -> bool:
     return any(_K_TERNARY < step.kind < _K_VOID for step in db.steps)
 
 
-def _memory_free(ops: List[RegionOp]) -> bool:
-    """No load, store or alloca in any op or diamond arm of a trace."""
-    return not any(
-        op.has_mem or (op.kind == R_DIAMOND
-                       and (_has_mem(op.arm_t) or _has_mem(op.arm_f)))
-        for op in ops)
-
-
 def _join_phis(op: RegionOp) -> List[int]:
     """The slots of a diamond's join phis."""
     return [dst for dst, _src, _snapshot in op.arm_t.term.moves]
 
 
-def _safe_slots(ops: List[RegionOp], predicated: bool) -> set:
+def _safe_slots(ops: List[RegionOp]) -> set:
     """Slots a phi may alias: *rebound, never mutated* while it can live.
 
-    That is a value-step result of this region or a phi bound by this
-    region — and not a load or alloca destination, since those
-    masked-write their slot in place.  A diamond's join phis are in the
-    set when the trace is predicated (:func:`_predicate` rebinds them),
-    and out of it otherwise: the vector executor's arms masked-write
-    them in place each traversal, which would corrupt the alias.
+    That is a value-step result of this region, a phi bound by this
+    region, or a diamond's join phi (:func:`_predicate` rebinds it).
     """
     safe = {slot for op in ops for slot, _dt in op.stored}
     safe |= {dst for op in ops for dst, _src, _dt in op.moves}
-    safe -= {slot for op in ops for slot in op.load_ids}
-    joins = {dst for op in ops if op.kind == R_DIAMOND
+    safe |= {dst for op in ops if op.kind == R_DIAMOND
              for dst in _join_phis(op)}
-    return safe | joins if predicated else safe - joins
+    return safe
 
 
 def _predicate(ops: List[RegionOp], safe: set,
                fuse_ctx: FuseContext) -> None:
-    """Compile every diamond of a memory-free trace into one call.
+    """Compile every diamond of a trace into one call.
 
     The diamond's ``pred`` computes its arms on every lane and rebinds
     the join phis (``fuser.compile_diamond``), which it therefore counts
     among the slots it stores; when the join is the next
     op (not the loop head), its leading fusible chain rides in the same
-    call and leaves that op's scalar steps (``vsteps``), but not its
-    vector ones (``steps``) or its charges.
+    call and leaves that op's steps (``vsteps``), but not its charges.
     """
     for i, op in enumerate(ops):
         if op.kind != R_DIAMOND:
@@ -546,19 +519,18 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
                 fuse_ctx: FuseContext) -> RegionOp:
     """Flatten one decoded block (plus its trace decision) into a RegionOp.
 
-    Maximal memory-free chains of fusible value steps (found by the
-    :class:`FuseContext`) collapse into single ``S_FUSED`` entries: one
+    Maximal chains of fusible value steps (found by the
+    :class:`FuseContext`) collapse into single entries of kind None: one
     generated function computes the whole chain, and the per-step cycle
-    charges —
-    folded here in original step order — are replayed by the executor
-    before the call, so ``Counters`` are bit-identical to the unfused
-    path (charge accumulation is independent of value computation).
+    charges — folded here in original step order — are replayed by the
+    executor before the call, so ``Counters`` are bit-identical to the
+    unfused path (charge accumulation is independent of value
+    computation).  The trace is memory-free, so a step is a value step
+    or a void one, which only charges.
     """
     op = RegionOp(db)
-    steps: List[Tuple] = []
     vsteps: List[Tuple] = []
     acct: List[float] = []
-    load_ids: List[int] = []
     stored: List[Tuple[int, object]] = []
     fuse_plan: List[Tuple[int, int, Tuple[int, ...]]] = []
     dtype_of = fuse_ctx.frame.dtype
@@ -569,12 +541,9 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     while i < len(db_steps):
         if seg is not None and i == seg[0]:
             lo, hi, live = seg
-            charges = tuple(step.cost * _FULL_FACTOR
-                            for step in db_steps[lo:hi])
-            acct.extend(charges)
+            acct.extend(step.cost * _FULL_FACTOR
+                        for step in db_steps[lo:hi])
             fn, seg_stored = fuse_ctx.compile_segment(db, lo, hi, live)
-            steps.append((S_FUSED, charges, fn))
-            # The scalar executor tells a fused segment by kind None.
             vsteps.append((None, None, None, fn, None))
             stored.extend(seg_stored)
             fuse_plan.append((lo, hi, tuple(live)))
@@ -584,33 +553,22 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         step = db_steps[i]
         i += 1
         _cat, _cost, kind, dst, srcs, kernel, dt, _aux = step
-        c = step.cost * _FULL_FACTOR
-        acct.append(c)
+        acct.append(step.cost * _FULL_FACTOR)
         if kind <= _K_TERNARY:
-            steps.append((S_VALUE, c, kind, dst, srcs, kernel, dt))
             vsteps.append((kind, dst, srcs, kernel, dt))
             stored.append((dst, dt))
-        elif kind == _K_VOID:
-            steps.append((S_VOID, c))
-        else:   # Load, store, alloca: the lattice's own runners.
-            op.has_mem = True
-            steps.append((S_MEM, c, step))
-            if kind != _K_STORE:
-                load_ids.append(dst)
 
     kind0 = decision[0]
     op.kind = kind0
     if kind0 in (R_NEXT, R_EXIT_BR):
-        op.term_c = _BR_COST * _FULL_FACTOR
+        acct.append(_BR_COST * _FULL_FACTOR)
         op.branch_inc = 1
     elif kind0 in (R_GUARD, R_EXIT_CONDBR, R_DIAMOND):
-        op.term_c = _CONDBR_COST * _FULL_FACTOR
+        acct.append(_CONDBR_COST * _FULL_FACTOR)
         op.branch_inc = 1
     elif kind0 == R_RET:
-        op.term_c = _RET_COST * _FULL_FACTOR
+        acct.append(_RET_COST * _FULL_FACTOR)
         op.ret = db.term
-    if op.term_c is not None:
-        acct.append(op.term_c)
 
     if kind0 == R_NEXT:
         edge = decision[1]
@@ -646,10 +604,8 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         op.arms_t_first = ta.rpo <= fa.rpo
 
     op.phi_c = _PHI_COST * _FULL_FACTOR
-    op.steps = tuple(steps)
     op.vsteps = tuple(vsteps)
     op.acct = tuple(acct)
-    op.load_ids = tuple(load_ids)
     op.stored = tuple(stored)
     op.fuse_plan = tuple(fuse_plan)
     # The integer counts decode sealed: fusion and the trace decision

@@ -38,7 +38,7 @@ from ..analysis.divergence import (DivergenceInfo, dataflow_tid_tainted,
 from ..analysis.loops import LoopInfo
 from ..analysis.paths import count_paths
 from ..analysis.tripcount import constant_trip_count
-from ..gpu.counters import CATEGORIES
+from ..gpu.counters import CATEGORIES, cat_index
 from ..ir.module import Module
 
 #: Bump when a feature definition, the dimension order, or a
@@ -91,11 +91,9 @@ def _category_fractions(blocks) -> List[float]:
     ``category`` bucket.
     """
     totals = [0.0] * len(CATEGORIES)
-    index = {name: i for i, name in enumerate(CATEGORIES)}
     for block in blocks:
         for inst in block.instructions:
-            slot = index.get(inst.category, index["misc"])
-            totals[slot] += float(instruction_cost(inst))
+            totals[cat_index(inst.category)] += float(instruction_cost(inst))
     grand = sum(totals)
     if grand <= 0:
         return totals

@@ -22,8 +22,8 @@ Coverage here is deliberately broad rather than deep:
 * a guard-storm kernel engineered so every jit deopt kind fires (diamond
   divergent arms, diamond mixed-class deopt, a guard failing on every
   traversal, loop-region exits, demotion splits),
-* a memory-carrying self-loop, the one shape whose executor choice the
-  fuzzer cannot reach,
+* a memory-carrying self-loop, the one shape whose rejection by region
+  selection the fuzzer cannot reach,
 * profiling on vs. off (the execution profile must be strictly
   observational).
 """
@@ -42,7 +42,7 @@ from repro.frontend.lower import lower_kernels
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generator import generate_kernel
 from repro.fuzz.oracle import default_args
-from repro.gpu import Counters, Memory, SimtMachine, fuser, jit
+from repro.gpu import Counters, Memory, SimtMachine, fuser
 from repro.gpu.regions import RegionOp
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
@@ -296,9 +296,7 @@ def test_guard_storm_exercises_every_deopt_kind(monkeypatch):
     assert obs_session.active() is None, "a test leaked a live session"
     session = obs_session.install()
     registry = obs_metrics.install()
-    # An arm runs in-region on either executor: the vector one through
-    # ``_exec_arm``, the scalar one charged by ``RegionOp.arm_acct``.
-    arms = spy(monkeypatch, jit, "_exec_arm")
+    # An arm that runs in-region is charged by ``RegionOp.arm_acct``.
     predicated = spy(monkeypatch, RegionOp, "arm_acct")
     try:
         launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
@@ -309,7 +307,7 @@ def test_guard_storm_exercises_every_deopt_kind(monkeypatch):
     assert jit_remarks, "jit engine emitted no region remarks"
     diamonds = sum(int(r.args.get("diamonds", 0)) for r in jit_remarks)
     assert diamonds > 0, "no diamond was compiled — kernel shape drifted?"
-    assert arms or predicated, "no diamond arm ran in-region"
+    assert predicated, "no diamond arm ran in-region"
     failures = registry.counter("repro_jit_guard_failures_total",
                                 kind="lattice").value
     assert failures >= 8, (
@@ -341,18 +339,27 @@ exit:
 
 
 def test_memory_self_loop_identical_at_every_threshold(monkeypatch):
-    """A single-block self-loop with a load and a store: the shape the
-    jit's scalar executor must refuse (``CompiledRegion.scalar_ok``) —
-    memory latencies are charged per row, which a replay on Python
-    scalars drops: 3 510.0 cycles where every engine says 13 030.0.
-    Nothing else notices a ``_run_region`` that forgets the test: the
-    perf kernels and the suite have no such loop, and the fuzzer cannot
-    find one because fuzz kernels have no buffers.  2 warps x 100 trips;
-    outputs, the buffer and every counter equal ``warp``'s, whenever
-    the loop compiles."""
-    compiled = assert_same_at_every_threshold(
-        monkeypatch, MEMORY_SELF_LOOP_IR, "memloop", 1, 64, args=[100])
-    assert compiled["default"] > 0
+    """A single-block self-loop with a load and a store: the shape region
+    selection must reject (``memory step``) — memory latencies are
+    charged per row, which a replay on Python scalars drops: 3 510.0
+    cycles where every engine says 13 030.0.  Nothing else notices a
+    selection that forgets the test: the perf kernels and the suite have
+    no such loop, and the fuzzer cannot find one because fuzz kernels
+    have no buffers.  2 warps x 100 trips; no region compiles at any
+    threshold, and outputs, the buffer and every counter equal
+    ``warp``'s."""
+    assert obs_session.active() is None, "a test leaked a live session"
+    session = obs_session.install()
+    try:
+        compiled = assert_same_at_every_threshold(
+            monkeypatch, MEMORY_SELF_LOOP_IR, "memloop", 1, 64, args=[100])
+    finally:
+        obs_session.uninstall()
+    assert set(compiled.values()) == {0}
+    rejected = {r.args["head"] for r in session.remarks
+                if r.pass_name == "jit"
+                and r.args.get("reason") == "memory step"}
+    assert "loop" in rejected
     (_ret, _bufs, counters), = launch_all(
         MEMORY_SELF_LOOP_IR, "memloop", "jit", 1, 64, [100])[0].values()
     assert (counters.cycles, counters.inst_executed) == (13030.0, 1408)

@@ -4,11 +4,12 @@ pipelines."""
 import itertools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.gpu import Memory, SimtMachine
+from repro.gpu import Memory, SimtMachine, fuser, jit
 from repro.obs import metrics
 from repro.ir import (Argument, BinaryInst, CallInst, CastInst,
                       ConstantFloat, ConstantInt, FCmpInst, GEPInst, ICmpInst,
@@ -343,9 +344,10 @@ def _memory_type(ty):
 def _kernel(key, tys, to):
     """IR text running ``key`` once per lane, plus its result type name.
 
-    Operands are loaded per lane (so nothing is constant), the entry
-    under test heads a chain of four memory-free steps (so the jit fuses
-    it), and the result is stored per lane.
+    Operands are loaded per lane (so nothing is constant); the entry
+    under test heads a chain of four memory-free steps in a one-trip
+    self-loop block holding no memory step (so the jit compiles it as a
+    region and fuses it), and the result is stored per lane after it.
     """
     params, prologue, loads, operands = [], [], [], []
     for n, ty in enumerate(tys):
@@ -372,9 +374,12 @@ def _kernel(key, tys, to):
     stored = "%r" if out == result else "%z"
     text = "\n".join(
         [f"define void @k({', '.join(params)}, {out}* %out) {{", "entry:",
-         "  %tid = call i64 @tid.x()"] + prologue + loads + body +
+         "  %tid = call i64 @tid.x()"] + prologue + loads +
+        ["  br label %body", "body:"] + body +
         ["  %t1 = add i64 %tid, 0", "  %t2 = add i64 %t1, 0",
          f"  %po = gep {out}* %out, i64 %t2",
+         "  %again = icmp slt i64 %t2, 0",
+         "  br i1 %again, label %body, label %done", "done:",
          f"  store {out} {stored}, {out}* %po", "  ret void", "}"])
     return text, result
 
@@ -417,14 +422,41 @@ def _bits_of(value, dtype):
 def assert_agreement(key, tys, rows, to=None):
     """Folder == warp lane == batched lane == fused-segment lane."""
     text, result = _kernel(key, tys, to)
+    # Count the calls of every fused segment made inside the region
+    # executor: the jit must not only fuse the entry but run it fused.
+    in_region, fused_runs = [False], [0]
+    real_region, real_segment = jit._region_scalar, fuser.compile_segment
+
+    def region_scalar(*args):
+        in_region[0] = True
+        try:
+            return real_region(*args)
+        finally:
+            in_region[0] = False
+
+    def compile_segment(*args):
+        fn, stored = real_segment(*args)
+
+        def counted(values):
+            fused_runs[0] += in_region[0]
+            return fn(values)
+        return counted, stored
+
     registry = metrics.install()
     try:
-        columns = {engine: _lanes(text, tys, result, rows, engine)
-                   for engine in ("warp", "batched", "jit")}
+        with mock.patch.object(jit, "_region_scalar", region_scalar), \
+                mock.patch.object(fuser, "compile_segment", compile_segment):
+            columns = {engine: _lanes(text, tys, result, rows, engine)
+                       for engine in ("warp", "batched", "jit")}
     finally:
         metrics.uninstall()
-    assert metrics.jit_counts(registry)["fused_steps"] >= 4, \
+    # The loop block's value steps — the entry, its conversion to the
+    # memory type if any, the four-step chain — all fuse.
+    block = 5 + (_memory_type(result) != result)
+    assert metrics.jit_counts(registry)["fused_steps"] == block, \
         f"{key} {tys}: the jit did not fuse the entry under test"
+    assert fused_runs[0], \
+        f"{key} {tys}: the region executor did not run the fused code"
     reference = columns["warp"]
     for engine in ("batched", "jit"):
         assert columns[engine].tobytes() == reference.tobytes(), \

@@ -159,8 +159,6 @@ def test_self_loop_region_selected():
     assert loop.self_loop is not None
     assert loop.ops[0].kind == R_GUARD
     assert loop.ops[0].next_i == 0
-    # Memory-free single-warp shape: the scalar replay mode is valid.
-    assert loop.scalar_ok
 
 
 def test_diamond_selected_and_scalar_replayable():
@@ -173,31 +171,27 @@ def test_diamond_selected_and_scalar_replayable():
     assert op.arm_t.name == "a" and op.arm_f.name == "b"
     issues, _cat_counts = op.arm_t.issues
     assert issues == len(op.arm_t.steps) + 1    # steps + the arm's br.
-    # Memory-free arms: rows that split alike replay on scalars.
-    assert loop.scalar_ok
+    # Rows that split alike compute the arms in one predicated call.
+    assert op.pred is not None
     # The loop back-edge was still followed past the join.
     assert loop.loopback
 
 
 def test_a_load_in_an_arm_rules_out_scalar_replay(monkeypatch):
-    """Only the arm touches memory — every op of the trace is
-    memory-free — yet its per-row load latency keeps the whole region on
-    the vector executor, and the run still equals ``warp``'s."""
+    """Only the arm touches memory — every other block of the trace is
+    memory-free — yet its per-row load latency rules the whole trace
+    out (``memory step``), and the run still equals ``warp``'s."""
     session = obs_session.install()
     try:
-        regions, entry = regions_of(LOAD_ARM_IR)
+        regions, _entry = regions_of(LOAD_ARM_IR)
     finally:
         obs_session.uninstall()
-    loop = region_at(regions, entry, "loop")
-    (dia,) = [op for op in loop.ops if op.kind == R_DIAMOND]
-    assert not any(op.has_mem for op in loop.ops)
-    assert not loop.scalar_ok
-    modes = {r.args["head"]: r.args["mode"] for r in session.remarks
-             if "compiled superblock" in r.message}
-    assert modes["loop"] == "vector"
-    compiled = assert_same_at_every_threshold(
+    assert "loop" not in {r.head_name for r in regions.values()}
+    reasons = {r.args["head"]: r.args.get("reason")
+               for r in session.remarks if r.pass_name == "jit"}
+    assert reasons["loop"] == "memory step"
+    assert_same_at_every_threshold(
         monkeypatch, LOAD_ARM_IR, "loadarm", 1, 64, args=[40])
-    assert compiled["default"] > 0
 
 
 def test_asymmetric_arms_fall_back_to_guard():
@@ -217,7 +211,6 @@ def test_region_remarks_document_selection():
     assert remarks and all(r.kind == "analysis" for r in remarks)
     compiled = [r for r in remarks if "compiled superblock" in r.message]
     assert any(r.args.get("diamonds", 0) > 0 for r in compiled)
-    assert any(r.args.get("mode") == "scalar" for r in compiled)
     # Every remark names its head block so streams are greppable.
     assert all(r.args.get("head") for r in remarks)
 

@@ -115,7 +115,9 @@ def test_successive_fanouts_fold_like_a_serial_run():
     them home again: after each of three successive fan-outs of one
     runner the registry reads at ``jobs=2`` what it reads at ``jobs=1``
     (a worker that keeps the counts it inherited by fork reads
-    4 / 10 / 13 / 55 after the third)."""
+    4 / 4 / 4 / 16 after the third: bezier-surface selects once and
+    compiles nothing, each of its traces holding a memory step, and
+    complex compiles 4 regions, 16 steps fused in 4 segments)."""
     from repro.harness.experiment import ExperimentRunner
 
     def snapshots(jobs):
@@ -132,9 +134,9 @@ def test_successive_fanouts_fold_like_a_serial_run():
         return seen
 
     serial = snapshots(1)
-    assert serial[-1] == {"selections": 2, "regions": 6,
-                          "fused_segments": 7, "fused_steps": 29,
-                          "max_chain": 5}
+    assert serial[-1] == {"selections": 2, "regions": 4,
+                          "fused_segments": 4, "fused_steps": 16,
+                          "max_chain": 4}
     assert snapshots(2) == serial
 
 

@@ -86,13 +86,12 @@ def test_errstate_is_entered_once_per_launch(workload, monkeypatch):
 def test_integer_counters_are_bumped_per_block_not_per_step(workload,
                                                             monkeypatch):
     """Catches ``note_issue`` going back inside the step loops: it may run
-    once per dispatched block (interpreted — diamond arms included — or
-    the flush of a region run) and once per traversed edge that carries
-    phi moves."""
+    once per dispatched block (interpreted, or the fold of a region run)
+    and once per traversed edge that carries phi moves."""
     noted = spy(monkeypatch, Counters, "note_issue")
     blocks = [spy(monkeypatch, SimtMachine, "_exec_decoded"),
               spy(monkeypatch, batched, "_exec_block"),
-              spy(monkeypatch, jit, "_flush_ints")]
+              spy(monkeypatch, jit, "_fold_scalar")]
     edges = [spy(monkeypatch, SimtMachine, "_follow"),
              spy(monkeypatch, batched, "_follow_batch"),
              spy(monkeypatch, jit, "_follow_batch")]
@@ -302,7 +301,7 @@ def test_decode_holds_slots_not_closures(blocks, monkeypatch):
         for head in list(regions.plans):
             compile_region(regions, head)
         for op in (op for region in regions.values() for op in region.ops):
-            for x in leaves((op.steps, op.vsteps, op.moves, op.stored)):
+            for x in leaves((op.vsteps, op.moves, op.stored)):
                 assert plain(x) or id(x) in kernels or \
                     x.__code__.co_filename.startswith("<fused:"), (kernel, x)
 

@@ -23,7 +23,7 @@ from repro.fuzz.oracle import default_args
 from repro.gpu import Memory, SimtMachine, batched, fuser, jit, regions
 from repro.gpu import machine as machine_mod
 from repro.gpu.machine import resolve_engine
-from repro.gpu.regions import R_GUARD
+from repro.gpu.regions import R_DIAMOND, R_GUARD
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs import metrics as obs_metrics
@@ -405,24 +405,45 @@ def count_declined(monkeypatch):
     return declined
 
 
-def test_diamond_arms_run_through_the_block_interpreter(monkeypatch):
-    """Catches a second copy of the block interpreter for the arms of an
-    in-region diamond on the vector path: every ``_exec_block`` call is a
-    pop the trace tier declined or an arm run, and every arm run is one.
-    Warps that split unalike keep the vector path."""
+def diamond_exits(monkeypatch):
+    """One entry per region run that left at a diamond (``jit._leave``
+    with an ``R_DIAMOND`` op): warps that split on unalike lane counts."""
+    left = []
+    real = jit._leave
+
+    def leave(machine, func, op, *args):
+        if op.kind == R_DIAMOND:
+            left.append(op.name)
+        return real(machine, func, op, *args)
+
+    monkeypatch.setattr(jit, "_leave", leave)
+    return left
+
+
+def test_diamond_arms_run_through_the_block_interpreter(monkeypatch,
+                                                       tier_up_at_once):
+    """Catches a second copy of the block interpreter for the arms of a
+    diamond whose warps split unalike: the region leaves at the
+    diamond's branch, and every ``_exec_block`` call — those arms
+    included — is a pop the trace tier declined.  The region runs once,
+    compiled at the first dispatch: the arms charge rows unalike, whose
+    cycles then differ, which leaves every later trip to the
+    interpreter."""
     declined = count_declined(monkeypatch)
-    arms = spy(monkeypatch, jit, "_exec_arm")
+    left = diamond_exits(monkeypatch)
     blocks = spy(monkeypatch, batched, "_exec_block")
     launch_all(UNEQUAL_IR, "m", "jit", 1, LATTICE_THREADS, [LATTICE_TRIPS])
-    assert arms, "no diamond arm ran in-region"
-    assert len(blocks) == sum(declined) + len(arms)
+    assert left, "no region left at its diamond"
+    names = [db.name for _machine, _func, db, *_ in blocks]
+    assert "a" in names and "b" in names
+    assert len(blocks) == sum(declined)
 
 
 @pytest.mark.parametrize("kernel", ["divergent", "chaindia"])
 def test_alike_divergent_diamonds_replay_on_scalars(kernel, monkeypatch):
     """Catches the arms of a hot in-loop diamond going back through the
     block interpreter when every warp splits alike: at 16 warps every
-    region entry lands in the scalar executor and no block runs from
+    region entry lands in the region executor and no block runs from
     inside a region.  Outputs, cycles and every counter equal
     ``warp``'s."""
     text = (KERNEL_DIR / f"{kernel}.ir").read_text()
@@ -431,40 +452,39 @@ def test_alike_divergent_diamonds_replay_on_scalars(kernel, monkeypatch):
     declined = count_declined(monkeypatch)
     entries = spy(monkeypatch, jit, "_run_region")
     scalar = spy(monkeypatch, jit, "_region_scalar")
-    vector = spy(monkeypatch, jit, "_region_vector")
-    arms = spy(monkeypatch, jit, "_exec_arm")
+    left = diamond_exits(monkeypatch)
     blocks = spy(monkeypatch, batched, "_exec_block")
     got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
                         [LATTICE_TRIPS])
     assert got == reference
     assert entries and len(scalar) == len(entries)
-    assert not vector and not arms
+    assert not left
     assert len(blocks) == sum(declined)
 
 
-def test_unalike_divergent_diamond_hands_over_to_the_vector_executor(
-        monkeypatch):
+def test_unalike_divergent_diamond_exits_to_the_interpreter(monkeypatch):
     """Warps that diverge at an in-region diamond on different lane
-    counts: the scalar executor flushes and hands the run to the vector
-    one at that diamond (a ``_region_vector`` call with a start op) —
-    never a deopt, never a batch split — and the result equals
-    ``warp``'s at every threshold."""
-    handed = []
-    real = jit._region_vector
-
-    def region_vector(*args):
-        if len(args) > 8:           # Called with a start op.
-            handed.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(jit, "_region_vector", region_vector)
+    counts: the region executor flushes and leaves at that diamond's
+    branch, as a failed guard does (``jit._leave``), and counts the exit
+    as a deopt — never a batch split, since every warp diverges — and
+    the result equals ``warp``'s at every threshold."""
+    left = diamond_exits(monkeypatch)
     splits = spy(monkeypatch, batched, "_split_state")
-    compiled = assert_same_at_every_threshold(
-        monkeypatch, UNEQUAL_IR, "unequal", 1, LATTICE_THREADS,
-        args=[LATTICE_TRIPS])
+    registry = obs_metrics.install()
+    try:
+        compiled = assert_same_at_every_threshold(
+            monkeypatch, UNEQUAL_IR, "unequal", 1, LATTICE_THREADS,
+            args=[LATTICE_TRIPS])
+    finally:
+        obs_metrics.uninstall()
     assert compiled["default"] > 0
-    assert handed, "no scalar run handed over"
+    assert left, "no region left at its diamond"
     assert not splits
+    failures = sum(registry.counter("repro_jit_guard_failures_total",
+                                    kind=kind).value
+                   for kind in ("loop", "lattice"))
+    assert registry.counter("repro_jit_deopts_total").value == \
+        failures + len(left)
 
 
 def count_masked_writes_in(monkeypatch, owner, name):
@@ -497,10 +517,10 @@ def count_masked_writes_in(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("kernel", ["divergent", "chaindia"])
 def test_alike_divergent_diamonds_are_predicated(kernel, monkeypatch):
-    """Catches the scalar executor masked-writing an arm step by step:
+    """Catches the region executor masked-writing an arm step by step:
     at 16 warps, whose arms run on every lane and whose join phis are
     one select, not one masked write per step and per phi.  Every entry
-    still lands in the scalar executor, and the run equals ``warp``'s
+    still lands in the region executor, and the run equals ``warp``'s
     in outputs, cycles and every counter."""
     text = (KERNEL_DIR / f"{kernel}.ir").read_text()
     reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
@@ -530,8 +550,9 @@ def test_a_selected_join_phi_is_aliased_by_the_back_edge():
 # The join phi %m is the loop-carried %acc's next value, and the join
 # reads the old %acc after it: a masked write of %m into an array %acc
 # still shares would zero %d.  Every warp splits on lane 16 for the first
-# 40 trips, then warp w on lane w + 1 — so a scalar run that bound %acc
-# to %m's array hands over to the vector executor mid-run.
+# 40 trips, then warp w on lane w + 1 — so a region run that bound %acc
+# to %m's array leaves at the diamond mid-run, and the interpreter's
+# arms masked-write %m.
 ALIAS_IR = """
 define i64 @alias(i64 %n) {
 entry:
@@ -569,26 +590,19 @@ exit:
 """
 
 
-def test_a_hand_over_after_an_aliased_bind_equals_warp(monkeypatch):
-    """Catches the vector executor masked-writing a join phi that a
-    scalar trip's back edge left aliased: alike trips bind ``%acc`` to
-    ``%m``'s array, then the warps split unalike and the arms run
-    through the interpreter.  Equal to ``warp`` at every threshold."""
-    handed = []
-    real = jit._region_vector
-
-    def region_vector(*args):
-        if len(args) > 8:           # Called with a start op.
-            handed.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(jit, "_region_vector", region_vector)
+def test_an_exit_after_an_aliased_bind_equals_warp(monkeypatch):
+    """Catches the interpreter masked-writing a join phi that a region
+    trip's back edge left aliased: alike trips bind ``%acc`` to ``%m``'s
+    array, then the warps split unalike, the region leaves at the
+    diamond, and the arms run through the interpreter.  Equal to
+    ``warp`` at every threshold."""
+    left = diamond_exits(monkeypatch)
     scalar = spy(monkeypatch, jit, "_region_scalar")
     compiled = assert_same_at_every_threshold(
         monkeypatch, ALIAS_IR, "alias", 1, LATTICE_THREADS,
         args=[LATTICE_TRIPS])
     assert compiled["default"] > 0
-    assert scalar and handed
+    assert scalar and left
 
 
 # Every lane takes the empty arm %a while %i < %n, in the compiled loop,
@@ -641,27 +655,36 @@ def test_a_lone_arm_copies_a_slot_the_interpreter_owns(monkeypatch):
 def test_profiled_diamonds_equal_unprofiled_and_warp(kernel, monkeypatch):
     """Diamonds whose warps split alike, unalike, and after an aliased
     bind: profiled, the run must equal the unprofiled one and
-    ``warp``'s at every threshold, through the same executors."""
+    ``warp``'s at every threshold, through the same executors and the
+    same diamond exits."""
     texts = {"unequal": UNEQUAL_IR, "alias": ALIAS_IR}
     text = texts.get(kernel) or (KERNEL_DIR / f"{kernel}.ir").read_text()
     reference, _ = launch_all(text, kernel, "warp", 1, LATTICE_THREADS,
                               [LATTICE_TRIPS])
-    scalar = spy(monkeypatch, jit, "_region_scalar")
-    vector = spy(monkeypatch, jit, "_region_vector")
+    calls = (spy(monkeypatch, jit, "_region_scalar"),
+             spy(monkeypatch, batched, "_exec_block"),
+             diamond_exits(monkeypatch))
     for label, threshold in THRESHOLDS.items():
         monkeypatch.setattr(jit, "TIER_UP_DISPATCHES", threshold)
-        del scalar[:], vector[:]
+        for seen in calls:
+            del seen[:]
         plain, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
                               [LATTICE_TRIPS])
         assert plain == reference, f"{kernel}: unprofiled, {label}"
-        ran = len(scalar), len(vector)
-        del scalar[:], vector[:]
+        ran = [len(seen) for seen in calls]
+        for seen in calls:
+            del seen[:]
         with obs_session.capture():
             got, _ = launch_all(text, kernel, "jit", 1, LATTICE_THREADS,
                                 [LATTICE_TRIPS])
         assert got == reference, f"{kernel}: profiled, {label}"
-        assert (len(scalar), len(vector)) == ran, label
-        assert bool(sum(ran)) == (threshold > 0)
+        assert [len(seen) for seen in calls] == ran, label
+        # ``unequal``'s arms charge its rows unalike from the first trip
+        # on, so its region runs only if it compiles at the first
+        # dispatch; its and ``alias``'s runs leave at the diamond.
+        runs = threshold == 1 if kernel == "unequal" else threshold > 0
+        assert bool(ran[0]) == runs, label
+        assert bool(ran[2]) == (runs and kernel in texts), label
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "chain"])
@@ -683,13 +706,23 @@ def test_icache_statistics_equal_a_warps(kernel, monkeypatch):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_every_region_entry_lands_in_one_of_two_executors(kernel,
                                                           monkeypatch):
+    """A region entry runs in the one region executor or, when its rows'
+    cycles differ, goes back to the interpreter."""
     executors = sorted(name for name in vars(jit)
                        if name.startswith("_region_"))
-    assert executors == ["_region_scalar", "_region_vector"]
-    ran = [spy(monkeypatch, jit, name) for name in executors]
-    entries = spy(monkeypatch, jit, "_run_region")
+    assert executors == ["_region_scalar"]
+    scalar = spy(monkeypatch, jit, "_region_scalar")
+    declined = []
+    real = jit._run_region
+
+    def run_region(*args):
+        outcome = real(*args)
+        declined.append(outcome is batched.INTERPRET)
+        return outcome
+
+    monkeypatch.setattr(jit, "_run_region", run_region)
     launch_perf_kernel(kernel, "jit")
-    assert entries and len(entries) == sum(len(calls) for calls in ran)
+    assert declined and len(declined) == len(scalar) + sum(declined)
 
 
 def test_a_profiled_self_loop_takes_the_scalar_executor(monkeypatch):
@@ -699,20 +732,17 @@ def test_a_profiled_self_loop_takes_the_scalar_executor(monkeypatch):
     every trip of both warps."""
     reference, _ = launch_all(SELF_LOOP_IR, "m", "warp", 1, 64, [TRIPS])
     scalar = spy(monkeypatch, jit, "_region_scalar")
-    vector = spy(monkeypatch, jit, "_region_vector")
     with obs_session.capture() as session:
         got, _ = launch_all(SELF_LOOP_IR, "m", "jit", 1, 64, [TRIPS])
     assert got == reference
-    assert not vector
     assert [region.head_name for _machine, _func, region, *_ in scalar] == \
         ["loop"]
     assert session.profile.block_hits["loop"] == 2 * TRIPS
 
 
-#: The executors a region entry, a diamond arm or a lattice dispatch can
-#: land in — what observing a run must not change.
-EXECUTORS = ((jit, "_region_scalar"), (jit, "_region_vector"),
-             (jit, "_exec_arm"), (batched, "_exec_block"))
+#: The executors a region entry or a lattice dispatch can land in — what
+#: observing a run must not change.
+EXECUTORS = ((jit, "_region_scalar"), (batched, "_exec_block"))
 
 OBSERVERS = {
     "unobserved": contextlib.nullcontext,
@@ -750,8 +780,8 @@ def test_the_profile_is_the_same_on_both_engines(case, monkeypatch):
     """Catches a profile that depends on the engine or the executor: a
     lattice dispatch counted once instead of once per warp, a scalar
     run's blocks left out, or the phi moves of a split or a region exit
-    charged to no block.  ``unequal`` hands scalar runs over to the
-    vector executor.  Hits and lanes are exact; cycles are float sums
+    charged to no block.  ``unequal`` leaves its region at the diamond.
+    Hits and lanes are exact; cycles are float sums
     over warps, added in another order."""
     if case == "complex":
         bench = benchmark_by_name(case)
