@@ -4,13 +4,13 @@ This module is the ``jit`` engine's dispatcher and its block
 interpreter: each scheduler pop is first offered to the trace tier
 (:func:`repro.gpu.jit.enter_region`), and whatever that leaves — every
 block until it gets hot, every block whose trace holds a memory step,
-every group without a full mask or with rows whose cycles differ — runs
-through :func:`interpret_block`.  It executes *all* warps of a kernel
-launch as one ``(n_warps, 32)`` numpy value lattice instead of looping
-over warps in Python.  Most HeCBench-style kernels are control-uniform across
-warps — every warp runs the same decoded block schedule, only the lane
-data differs — so one vectorized pass over the dispatch list replaces
-``n_warps`` serial interpreter passes.
+every group without a full mask — runs through :func:`interpret_block`.
+It executes *all* warps of a kernel launch as one ``(n_warps, 32)``
+numpy value lattice instead of looping over warps in Python.  Most
+HeCBench-style kernels are control-uniform across warps — every warp
+runs the same decoded block schedule, only the lane data differs — so
+one vectorized pass over the dispatch list replaces ``n_warps`` serial
+interpreter passes.
 
 Batching invariant
 ------------------
@@ -38,29 +38,15 @@ counts (their lanes are disjoint), the charge factor, the full-mask test
 for region entry and the per-row branch classification all read the
 counts, and no live row is ever empty, so nothing asks a mask ``.any()``.
 
-Bit-identicality contract
--------------------------
 Return values, counters, and cycle totals equal the per-warp engine
 *exactly* (``tests/test_engine_equivalence.py``), which is what lets the
 persistent cell cache omit the engine from its keys and the fuzz oracle
-treat engines as interchangeable.  Accounting splits in two:
-
-* **integers, once per block** — ``inst_executed``,
-  ``thread_inst_executed``, ``active_lane_sum`` and the six ``inst_*``
-  counters commute, so decode seals each block's issue counts
-  (:meth:`_DecodedBlock.seal <repro.gpu.machine._DecodedBlock.seal>`) and
-  a dispatch applies them in one ``Counters.note_issue`` (an edge's phi
-  moves in one more), wherever in the block the steps sat;
-* **floats, once per step** — float addition does not associate, so the
-  per-warp cycle/stall accumulators are ``(n,)`` float64 vectors updated
-  elementwise in the *same step order* as the serial engine.  The charges
-  themselves are formed once per dispatch (``cost_column * factor``: each
-  element the same :func:`~repro.gpu.timing.charge` product as before —
-  IEEE doubles make the per-row sums bit-identical); only their *adds*
-  stay one per step, memory latencies interleaved where they occur.
-
-The final reduction into the launch :class:`~repro.gpu.counters.Counters`
-runs in original warp order (block-major), for the same reason.
+treat engines as interchangeable.  Every count is an integer, cycles
+included (ticks, :func:`repro.gpu.timing.tick_unit`), so a dispatch
+applies a block's sealed issue counts in one ``Counters.note_issue`` and
+its charge as one ``(n,)`` int64 add, ``cost * (FIXED_T + ACT_T *
+actives)``, and a finished batch adds its rows' ticks to the launch
+total in whatever order it finishes.
 
 Memory transaction counting stays per-warp: loads/stores loop over the
 rows of the lattice calling :meth:`Memory.load`/:meth:`Memory.store` once
@@ -82,12 +68,12 @@ import numpy as np
 from .counters import Counters
 from .icache import InstructionCache
 from .memory import Memory
-from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
-from .machine import (WARP_SIZE, SimulationError, _PHI_COST, _K_ALLOCA,
-                      _K_LOAD, _K_STORE, _K_TERNARY, _K_VOID, _T_BR, _T_CONDBR,
+from .timing import ACT_T, FIXED_T, TICKS_PER_CYCLE, ticks
+from .machine import (WARP_SIZE, SimulationError, _K_ALLOCA, _K_LOAD,
+                      _K_STORE, _K_TERNARY, _K_VOID, _T_BR, _T_CONDBR,
                       _T_UNREACHABLE, _WarpContext, _bad_terminator,
-                      _geometry_vec, _merge_groups, _run_alloca, charge,
-                      evaluate, load_latency, store_cost, write_masked)
+                      _geometry_vec, _merge_groups, _run_alloca, evaluate,
+                      load_latency, store_cost, write_masked)
 from .regions import RegionMap
 
 # Per-row conditional-branch classification (bit 1: any lane taken,
@@ -125,7 +111,7 @@ class _BatchContext:
     warp holds vectors: ``tid`` and ``ctaid`` are ``(n, 32)``, the launch
     values ``ntid``/``nctaid``/arguments ``(32,)`` vectors that broadcast
     up.  ``rows`` maps each lattice row back to its original
-    (block-major) warp index for the final ordered reduction.
+    (block-major) warp index, where its return values go.
     """
 
     __slots__ = ("frame", "values", "block_ids", "rows", "n", "allocas",
@@ -193,14 +179,12 @@ def _load_rows(memory, ctx, step, mask, actives, state) -> None:
         addrs = np.broadcast_to(addrs, mask.shape)
     out = np.zeros(mask.shape, dtype=step.dtype)
     elem = step.aux
-    latencies = [0.0] * mask.shape[0]
+    latencies = [0] * mask.shape[0]
     for w, active in enumerate(actives.tolist()):
         if active:
             out[w], transactions = memory.load(addrs[w], mask[w], elem)
-            latencies[w] = charge(load_latency(transactions), active)
-    # One elementwise add per accumulator: per row the same double added
-    # to the same double as row by row.
-    latencies = np.array(latencies)
+            latencies[w] = ticks(load_latency(transactions), active)
+    latencies = np.array(latencies, dtype=np.int64)
     state.cycles += latencies
     state.memory_stall += latencies
     write_masked(ctx.values, step.dst, out, mask)
@@ -214,13 +198,13 @@ def _store_rows(memory, ctx, step, mask, actives, state) -> None:
         addrs = np.broadcast_to(addrs, mask.shape)
     if values.shape != mask.shape:
         values = np.broadcast_to(values, mask.shape)
-    costs = [0.0] * mask.shape[0]
+    costs = [0] * mask.shape[0]
     for w, active in enumerate(actives.tolist()):
         if active:
             transactions = memory.store(addrs[w], values[w], mask[w],
                                         step.aux)
-            costs[w] = charge(store_cost(transactions), active)
-    state.cycles += np.array(costs)
+            costs[w] = ticks(store_cost(transactions), active)
+    state.cycles += np.array(costs, dtype=np.int64)
 
 
 #: The lattice's memory-step runners, by step kind.
@@ -239,8 +223,8 @@ class _BatchState:
                  groups: List,
                  splits: Optional[np.ndarray] = None) -> None:
         self.ctx = ctx
-        self.cycles = cycles              # (n,) float64 per-warp cycles.
-        self.memory_stall = memory_stall  # (n,) float64 memory stalls.
+        self.cycles = cycles              # (n,) int64 per-warp ticks.
+        self.memory_stall = memory_stall  # (n,) int64 memory-stall ticks.
         self.icache = icache              # Representative for all rows.
         #: [(epoch, db, (n, 32) mask, (n,) active lanes per row)].
         self.groups = groups
@@ -250,45 +234,25 @@ class _BatchState:
 
 
 class _Results:
-    """Per-original-warp outcome sinks, reduced in warp order at the end."""
+    """Where a launch's finished rows go: its total, and each original
+    warp's return values."""
 
-    __slots__ = ("cycles", "memory_stall", "fetch", "ret")
+    __slots__ = ("total", "ret")
 
-    def __init__(self, n: int) -> None:
-        self.cycles = [0.0] * n
-        self.memory_stall = [0.0] * n
-        self.fetch = [0] * n
+    def __init__(self, total: Counters, n: int) -> None:
+        self.total = total
         self.ret: List[Optional[np.ndarray]] = [None] * n
 
 
-def _merge_ints(total: Counters, counters: Counters) -> None:
-    """Fold a demoted warp's integer counters into the launch total.
-
-    Float fields (cycles, stalls) go through the ordered
-    per-warp reduction instead, to match serial summation order.
-    """
-    for name in ("inst_executed", "thread_inst_executed", "active_lane_sum",
-                 "inst_misc", "inst_control", "inst_int", "inst_fp",
-                 "inst_load", "inst_store", "divergent_branches", "branches"):
-        setattr(total, name, getattr(total, name) + getattr(counters, name))
-
-
-def _issue_factor(actives: np.ndarray) -> np.ndarray:
-    """Vectorized ``charge`` factor, same expression shape as the scalar."""
-    return ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * actives / WARP_SIZE
-
-
 def run_launch_batched(machine, func, frame, grid_dim: int, block_dim: int,
-                       launch: List, total: Counters
-                       ) -> Tuple[List[np.ndarray], int]:
+                       launch: List, total: Counters) -> List[np.ndarray]:
     """Run one launch on the lattice dispatcher (the ``jit`` engine).
 
     The function's :class:`RegionMap` rides along: blocks tier up into
-    compiled regions as they get hot.  Fills ``total``'s integer
-    counters as it goes, then reduces the float accumulators in
-    original warp order.  ``launch`` holds the values every context of
-    the launch shares (``_Frame.values``).  Returns ``(ret_all,
-    fetch_stalls)`` exactly as the serial loop in ``launch()`` would.
+    compiled regions as they get hot.  Fills ``total`` — fetch stalls
+    included — as it goes.  ``launch`` holds the values every context of
+    the launch shares (``_Frame.values``).  Returns the warps' return
+    values in warp order, as the serial loop in ``launch()`` does.
     """
     regions = machine._regions.get(id(func))
     if regions is None:
@@ -302,25 +266,15 @@ def run_launch_batched(machine, func, frame, grid_dim: int, block_dim: int,
     ctx = _BatchContext(frame, lane_ids, block_ids, np.arange(n), launch)
     icache = InstructionCache()
     active = lane_ids < block_dim
-    state = _BatchState(ctx, np.zeros(n), np.zeros(n), icache,
+    state = _BatchState(ctx, np.zeros(n, dtype=np.int64),
+                        np.zeros(n, dtype=np.int64), icache,
                         [(0, frame.entry, active, active.sum(axis=1))])
-    results = _Results(n)
+    results = _Results(total, n)
     worklist = [state]
     while worklist:
         _run_state(machine, func, worklist.pop(), total, results, worklist,
                    regions)
-
-    # Ordered float reduction: serial `total.merge(per_warp_counters)` adds
-    # warp totals block-major; match that order bit-for-bit.
-    ret_all: List[np.ndarray] = []
-    fetch_stalls = 0
-    for w in range(n):
-        total.cycles += results.cycles[w]
-        total.memory_stall_cycles += results.memory_stall[w]
-        fetch_stalls += results.fetch[w]
-        if results.ret[w] is not None:
-            ret_all.append(results.ret[w])
-    return ret_all, fetch_stalls
+    return [ret for ret in results.ret if ret is not None]
 
 
 def _run_state(machine, func, state: _BatchState, total, results: _Results,
@@ -342,8 +296,9 @@ def _run_state(machine, func, state: _BatchState, total, results: _Results,
         _demote_row(machine, func, state, total, results)
         return
     from .jit import enter_region  # Deferred: jit builds on this module.
+    max_ticks = machine.max_cycles * TICKS_PER_CYCLE
     while state.groups:
-        if float(state.cycles.max()) > machine.max_cycles:
+        if state.cycles.max() > max_ticks:
             raise SimulationError(
                 f"@{func.name}: exceeded {machine.max_cycles} cycles "
                 "(runaway kernel?)")
@@ -370,17 +325,18 @@ def interpret_block(machine, func, db, epoch: int, mask: np.ndarray,
     """One interpreted dispatch — fetch, execute, profile — of a pop the
     trace tier declined.  Returns :func:`_exec_block`'s outcome.
     """
-    state.cycles += state.icache.access(db.block_id, db.size)
+    state.cycles += state.icache.access(db.block_id, db.size) \
+        * TICKS_PER_CYCLE
     profile = machine.profile
     if profile is None:
         return _exec_block(machine, func, db, epoch, mask, state, total,
                            actives, lanes)
     # One warp-block execution per row, as the per-warp engine counts.
-    before = float(state.cycles.sum())
+    before = int(state.cycles.sum())
     pending = _exec_block(machine, func, db, epoch, mask, state, total,
                           actives, lanes)
     profile.note_block(db.name, mask.shape[0],
-                       float(state.cycles.sum()) - before, lanes, mask.size)
+                       int(state.cycles.sum()) - before, lanes, mask.size)
     return pending
 
 
@@ -397,14 +353,10 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
     ctx = state.ctx
     n = mask.shape[0]
     total.note_issue(db.issues, lanes, n)
-    # Every charge of the dispatch in one product: row k is step k's
-    # ``cost * factor``, the last row the terminator's.
-    charges = db.cost_column * _issue_factor(actives)
-    cycles = state.cycles
+    state.cycles += db.cost * (FIXED_T + ACT_T * actives)
     values = ctx.values
-    for step, c in zip(db.steps, charges):
+    for step in db.steps:
         _cat, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
-        cycles += c
         if kind <= _K_TERNARY:
             write_masked(values, dst, evaluate(values, kind, srcs, kernel),
                          mask)
@@ -414,7 +366,6 @@ def _exec_block(machine, func, db, epoch: int, mask: np.ndarray,
     term_kind = db.term_kind
     if term_kind >= _T_UNREACHABLE:
         raise _bad_terminator(func, db)
-    cycles += charges[-1]
     if term_kind == _T_BR:
         total.branches += n
         _follow_batch(db.term, epoch, mask, actives, state, total)
@@ -489,14 +440,13 @@ def _follow_batch(edge, epoch: int, mask: np.ndarray, actives: np.ndarray,
     moves = edge.moves
     if moves:
         values = state.ctx.values
-        c = _PHI_COST * _issue_factor(actives)
         total.note_issue(edge.issues, int(actives.sum()),
                          mask.shape[0])  # One mov per phi.
+        state.cycles += edge.cost * (FIXED_T + ACT_T * actives)
         # Parallel-copy semantics: read all incomings before writing.
         staged = [values[src].copy() if snapshot else values[src]
                   for _dst, src, snapshot in moves]
         for (dst, _src, _snapshot), value in zip(moves, staged):
-            state.cycles += c
             write_masked(values, dst, value, mask)
     state.groups.append((epoch + edge.bump_epoch, edge.target, mask, actives))
 
@@ -514,13 +464,13 @@ def _split_state(machine, state: _BatchState, pending, total: Counters,
     """
     (true_edge, false_edge, epoch, t_mask, f_mask, t_actives, f_actives,
      cls) = pending
-    moved = 0.0
+    moved = 0
     for value in (_CLS_DIVERGENT, _CLS_TAKEN, _CLS_NOT_TAKEN):
         idx = np.flatnonzero(cls == value)
         if idx.size == 0:
             continue
         sub = _slice_state(state, idx)
-        before = float(sub.cycles.sum())
+        before = int(sub.cycles.sum())
         if value == _CLS_DIVERGENT:
             total.divergent_branches += int(idx.size)
         if value != _CLS_NOT_TAKEN:
@@ -529,7 +479,7 @@ def _split_state(machine, state: _BatchState, pending, total: Counters,
         if value != _CLS_TAKEN:
             _follow_batch(false_edge, epoch, f_mask[idx], f_actives[idx],
                           sub, total)
-        moved += float(sub.cycles.sum()) - before
+        moved += int(sub.cycles.sum()) - before
         worklist.append(sub)
     profile = machine.profile
     if profile is not None:
@@ -560,9 +510,9 @@ def _demote_row(machine, func, state: _BatchState, total: Counters,
     """Hand a one-row batch to the per-warp engine, mid-flight.
 
     Rebuilds a ``_WarpContext`` over the row's lattices (the sliced
-    state owns them), seeds a ``Counters`` with its float accumulators
-    so far, and resumes the serial scheduler loop on the parked groups
-    and the state's icache.
+    state owns them), seeds a ``Counters`` with its ticks so far, and
+    resumes the serial scheduler loop on the parked groups and the
+    state's icache.
     """
     octx = state.ctx
     orig = int(octx.rows[0])
@@ -576,26 +526,24 @@ def _demote_row(machine, func, state: _BatchState, total: Counters,
                     for iid, bases in octx.allocas.items()}
     if octx.ret_values is not None:
         wctx.ret_values = octx.ret_values[0]
-    counters = Counters()
-    counters.cycles = float(state.cycles[0])
-    counters.memory_stall_cycles = float(state.memory_stall[0])
+    counters = Counters(ticks=int(state.cycles[0]),
+                        memory_stall_ticks=int(state.memory_stall[0]))
     groups = [(e, db, m[0], int(a[0])) for e, db, m, a in state.groups]
     machine._warp_loop(func, wctx, groups, counters, state.icache)
-    results.cycles[orig] = counters.cycles
-    results.memory_stall[orig] = counters.memory_stall_cycles
-    results.fetch[orig] = state.icache.stall_cycles
+    counters.fetch_stall_cycles = state.icache.stall_cycles
+    total.merge(counters)
     results.ret[orig] = wctx.ret_values
-    _merge_ints(total, counters)
 
 
 def _finish_state(state: _BatchState, results: _Results) -> None:
-    """Record a drained batch's per-row outcomes into the result sinks."""
+    """Add a drained batch's rows to the launch total; keep their return
+    values."""
     octx = state.ctx
-    fetch = state.icache.stall_cycles
+    total = results.total
+    total.ticks += int(state.cycles.sum())
+    total.memory_stall_ticks += int(state.memory_stall.sum())
+    total.fetch_stall_cycles += state.icache.stall_cycles * octx.n
     ret = octx.ret_values
-    for pos in range(octx.n):
-        orig = int(octx.rows[pos])
-        results.cycles[orig] = float(state.cycles[pos])
-        results.memory_stall[orig] = float(state.memory_stall[pos])
-        results.fetch[orig] = fetch
-        results.ret[orig] = ret[pos].copy() if ret is not None else None
+    if ret is not None:
+        for pos, orig in enumerate(octx.rows.tolist()):
+            results.ret[orig] = ret[pos].copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .timing import CLOCK_HZ
+from .timing import CLOCK_HZ, TICKS_PER_CYCLE
 
 #: Opcode categories: a decoded step keeps its category's index, from
 #: which the integer ``inst_*`` counters are sealed (:func:`seal_issues`)
@@ -48,9 +48,14 @@ def seal_issues(categories: Sequence[str]) -> SealedIssues:
 
 @dataclass
 class Counters:
-    """Counters for one kernel launch."""
+    """Counters for one kernel launch.
 
-    cycles: float = 0.0
+    Cycles are summed as integer ticks (:data:`TICKS_PER_CYCLE` to the
+    cycle, see :func:`repro.gpu.timing.tick_unit`); ``cycles`` and
+    ``memory_stall_cycles`` are those sums reported in cycles.
+    """
+
+    ticks: int = 0
     inst_executed: int = 0          # Warp instructions issued.
     thread_inst_executed: int = 0   # Sum of active lanes over issues.
     active_lane_sum: int = 0        # For warp_execution_efficiency.
@@ -60,8 +65,8 @@ class Counters:
     inst_fp: int = 0
     inst_load: int = 0
     inst_store: int = 0
-    fetch_stall_cycles: float = 0.0
-    memory_stall_cycles: float = 0.0
+    fetch_stall_cycles: int = 0
+    memory_stall_ticks: int = 0
     bytes_loaded: int = 0
     bytes_stored: int = 0
     load_transactions: int = 0
@@ -87,6 +92,14 @@ class Counters:
 
     # -- derived metrics -----------------------------------------------------
     @property
+    def cycles(self) -> float:
+        return self.ticks / TICKS_PER_CYCLE
+
+    @property
+    def memory_stall_cycles(self) -> float:
+        return self.memory_stall_ticks / TICKS_PER_CYCLE
+
+    @property
     def warp_execution_efficiency(self) -> float:
         """Average active threads per issue / warp size (percent)."""
         if self.inst_executed == 0:
@@ -97,21 +110,21 @@ class Counters:
     @property
     def ipc(self) -> float:
         """Warp instructions issued per cycle."""
-        if self.cycles == 0:
+        if self.ticks == 0:
             return 0.0
         return self.inst_executed / self.cycles
 
     @property
     def stall_inst_fetch(self) -> float:
         """Percentage of cycles stalled on instruction fetch."""
-        if self.cycles == 0:
+        if self.ticks == 0:
             return 0.0
         return 100.0 * self.fetch_stall_cycles / self.cycles
 
     @property
     def gld_throughput_gbps(self) -> float:
         """Global load throughput in GB/s at the simulated clock."""
-        if self.cycles == 0:
+        if self.ticks == 0:
             return 0.0
         seconds = self.cycles / CLOCK_HZ
         return self.bytes_loaded / seconds / 1e9
@@ -124,17 +137,17 @@ class Counters:
 
     def merge(self, other: "Counters") -> None:
         """Accumulate another launch/warp into this counter set."""
-        for name in ("cycles", "inst_executed", "thread_inst_executed",
+        for name in ("ticks", "inst_executed", "thread_inst_executed",
                      "active_lane_sum", "inst_misc", "inst_control",
                      "inst_int", "inst_fp", "inst_load", "inst_store",
-                     "fetch_stall_cycles", "memory_stall_cycles",
+                     "fetch_stall_cycles", "memory_stall_ticks",
                      "bytes_loaded", "bytes_stored", "load_transactions",
                      "store_transactions", "divergent_branches", "branches"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> Dict[str, float]:
         return {
-            "cycles": float(self.cycles),
+            "cycles": self.cycles,
             "inst_executed": float(self.inst_executed),
             "thread_inst_executed": float(self.thread_inst_executed),
             "inst_misc": float(self.inst_misc),

@@ -31,8 +31,8 @@ binop / icmp / fcmp / select / cast / gep and intrinsic-call
 instructions, never loads/stores (per-warp transaction accounting),
 never allocas (context-dependent addresses), never across block
 boundaries (deopt must see every liveout slot populated).  Accounting
-is *folded, not changed*: the region compiler charges the same per-step
-cycle sequence in the same order, so ``Counters`` stay bit-identical.
+does not move: a region op charges its block's sealed tick cost whether
+or not its steps fuse, so ``Counters`` stay bit-identical.
 
 The one generator that spans blocks is :func:`compile_diamond`: a
 memory-free if/else diamond inside a region, predicated — both arms'

@@ -12,28 +12,26 @@ one fused sequence — no per-block scheduling, integer counters folded
 per block, and no masked writes.  A function that never gets hot is
 never selected or compiled, and a compiled region never changes shape.
 
-One executor runs a region, :func:`_region_scalar`, and only when every
-row's cycles agree (:func:`_run_region`; anything else is the
-interpreter's).  A compiled region holds no load, store or alloca, so
-its float accounting replays on one Python scalar instead of an
-``(n,)`` lattice — the arms of an in-region diamond included, as long as
-every warp splits on the same number of lanes: it charges them as the
-interpreter would and computes them *predicated*, on every lane in one
-generated call that joins with a select.  Warps that split unalike at a
-diamond leave the region there, through the same exit as a failed
-guard.  EXPERIMENTS.md "Trace-tier traffic" has the counts and timings
-behind one executor.
+One executor runs a region, :func:`_region_scalar`.  A compiled region
+holds no load, store or alloca, so what it charges is one integer tick
+delta for every row instead of an ``(n,)`` lattice — the arms of an
+in-region diamond included, as long as every warp splits on the same
+number of lanes: it charges them as the interpreter would and computes
+them *predicated*, on every lane in one generated call that joins with
+a select.  Warps that split unalike at a diamond leave the region
+there, through the same exit as a failed guard.  EXPERIMENTS.md
+"Trace-tier traffic" has the counts and timings behind one executor.
 
 Guards and deoptimization: each conditional branch crossed by a trace
 checks that every lane takes the compile-time expected side (one lattice
-reduction).  On disagreement the op *deoptimizes*: the scalar
-accumulators are flushed back to the per-row vectors, every slot the
+reduction).  On disagreement the op *deoptimizes*: the delta and the
+counts are added to the rows and the total, every slot the
 trace rebound is normalized to an owned ``(n, 32)`` array, and the
 branch is resolved by the exact interpreter logic — parking sub-groups
 for intra-warp divergence, or returning the pending cross-warp split
 that ``_split_state`` partitions (singletons may then demote to the
 per-warp engine).  Runaway loops are caught at every region back edge
-against ``machine.max_cycles``.
+against ``machine.max_cycles``, for the row that started furthest on.
 
 Bit-identicality: see the :mod:`repro.gpu.regions` module docstring for
 the argument; ``tests/test_engine_equivalence.py`` pins this engine
@@ -53,7 +51,8 @@ from .batched import (INTERPRET, _BatchState, _follow_batch,
                       _resolve_condbr, _write_ret)
 from ..obs import metrics as obs_metrics
 from .counters import Counters
-from .machine import WARP_SIZE, SimulationError, _PHI_CHARGES, evaluate
+from .machine import WARP_SIZE, SimulationError, evaluate
+from .timing import TICKS_PER_CYCLE
 from .regions import (CompiledRegion, R_DIAMOND, R_EXIT_BR, R_EXIT_CONDBR,
                       R_GUARD, R_NEXT, R_RET, RegionMap, compile_region,
                       select_regions)
@@ -74,13 +73,12 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
 
     Returns ``INTERPRET`` when the block is the interpreter's — no
     region yet (its dispatch is counted; crossing
-    ``TIER_UP_DISPATCHES`` compiles one on the spot), no full mask, or
-    rows whose cycles differ — else the region run's outcome (None or a
-    pending split).
+    ``TIER_UP_DISPATCHES`` compiles one on the spot), or no full mask —
+    else the region run's outcome (None or a pending split).
 
     A region fires only for a group with a *full* mask (``lanes``, the
-    group's active-lane count, covers the lattice): then the charge
-    factor is uniform, and — since live masks partition lanes — the
+    group's active-lane count, covers the lattice): then every row's
+    charge is the same, and — since live masks partition lanes — the
     group is provably the only one in the state, so running the whole
     trace without re-entering the scheduler replays the interpreter's
     pop order exactly.
@@ -105,25 +103,15 @@ def enter_region(machine, func, regions: RegionMap, db, epoch: int,
 def _run_region(machine, func, region: CompiledRegion, epoch: int,
                 mask: np.ndarray, state: _BatchState, total,
                 actives: np.ndarray):
-    """Execute one compiled superblock; returns None, a pending split, or
-    ``INTERPRET`` when the rows' cycles differ.
+    """Execute one compiled superblock; returns None or a pending split.
 
     ``mask`` is full, so ``actives`` — its per-row lane counts, which the
-    exits hand on with it — reads ``WARP_SIZE`` in every row.  Unequal
-    rows go back to the interpreter, as a partial mask does: one scalar
-    cannot carry them.  A live profile chooses nothing.
+    exits hand on with it — reads ``WARP_SIZE`` in every row.  A live
+    profile chooses nothing.
     """
-    if not _rows_uniform(state):
-        return INTERPRET
     region.entries += 1
     return _region_scalar(machine, func, region, epoch, mask, state, total,
                           actives)
-
-
-def _rows_uniform(state: _BatchState) -> bool:
-    """True when every row's cycles agree (scalar replay OK)."""
-    cy = state.cycles
-    return bool((cy == cy[0]).all())
 
 
 def _runaway(func, max_cycles) -> SimulationError:
@@ -138,14 +126,13 @@ def _fold_scalar(machine, total: Counters, ops, runs, crossed, arm_runs,
 
     Op ``i`` ran ``runs[i]`` times and took its internal edge — one
     ``misc`` mov per phi move — ``crossed[i]`` times.  Integer counters
-    are exact and commutative, so they add up here once per exit —
-    identical totals to the interpreter's ``note_issue`` per dispatched
-    block.  An op counts per warp at a full mask; ``arm_runs`` —
-    ``{(arm block, lanes per row): runs}`` of the diamond arms — adds
-    each arm and its join edge's phi moves at the lanes it ran with, so
-    its thread-level counts scale by ``lanes per row * n``.  Per op and
-    arm run, the profile gets ``n`` warp-block executions and the
-    charges replayed.
+    commute, so they add up here once per exit — identical totals to
+    the interpreter's ``note_issue`` per dispatched block.  An op counts
+    per warp at a full mask; ``arm_runs`` — ``{(diamond op, arm block,
+    lanes per row): runs}`` — adds each arm and its join edge's phi
+    moves at the lanes it ran with, so its thread-level counts scale by
+    ``lanes per row * n``.  Per op and arm run, the profile gets ``n``
+    warp-block executions and their ticks.
     """
     profile = machine.profile
     lanes = n * WARP_SIZE
@@ -163,11 +150,11 @@ def _fold_scalar(machine, total: Counters, ops, runs, crossed, arm_runs,
         if moved:
             cats["inst_misc"] = cats.get("inst_misc", 0) + moved * lanes
         if profile is not None:
-            cycles = sum(op.acct) * ran + op.phi_c * moved
-            profile.note_block(op.name, ran * n, cycles * n, ran * lanes,
+            ticks = op.ticks * ran + op.phi_ticks * took
+            profile.note_block(op.name, ran * n, ticks * n, ran * lanes,
                                ran * lanes)
     thread = issues * lanes
-    for (arm, active), ran in arm_runs.items():
+    for (op, arm, active), ran in arm_runs.items():
         for count, cat_counts in (arm.issues, arm.term.issues):
             issues += count * ran
             thread += count * ran * active * n
@@ -175,9 +162,8 @@ def _fold_scalar(machine, total: Counters, ops, runs, crossed, arm_runs,
                 cats[attr] = cats.get(attr, 0) + c * ran * active * n
         branches += ran
         if profile is not None:
-            cycles = (sum(arm.charges(active))
-                      + _PHI_CHARGES[active] * len(arm.term.moves))
-            profile.note_block(arm.name, ran * n, cycles * ran * n,
+            profile.note_block(arm.name, ran * n,
+                               op.arm_ticks(arm, active) * ran * n,
                                active * ran * n, ran * lanes)
     total.inst_executed += issues * n
     total.thread_inst_executed += thread
@@ -243,55 +229,51 @@ def _normalize_slots(values, norm, shape) -> None:
 def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                    mask: np.ndarray, state: _BatchState, total: Counters,
                    actives):
-    """The region executor: one scalar accumulator, diamonds included.
+    """The region executor: one tick delta for every row, diamonds included.
 
-    Every row starts with equal cycles and every charge is row-uniform,
-    so the accumulation runs on a Python scalar (``cy``) in the exact
-    operation order the lattice would use, and broadcasting the final
-    scalar back is bit-identical to the elementwise updates.  Full-mask
-    ops charge ``cost * _FULL_FACTOR``.  An in-region diamond whose rows
-    all take their true side on the same number of lanes ``a`` runs its
-    arm or arms here: each charges, in rpo order, the per-warp engine's
-    ``charge(cost, a)`` (``op.arm_acct``: ``arm.charges``,
-    ``_PHI_CHARGES``), which every
-    row's ``cost_column * _issue_factor(actives)`` equals, and one call
-    of ``op.pred`` computes the arms on every lane, rebinds each join
-    phi to a select of the two (or to the lone arm's value) and runs the
-    join's leading chain — no masked write.  Rows that split unalike
-    leave the region at the diamond's branch (:func:`_leave`).
-    Integer counters — and a live profile's per-block sums — are counted
-    per op and folded once at exit (:func:`_fold_scalar`).  The
-    single-block self-loop — the hottest shape — spins with every
-    per-iteration attribute load hoisted.
+    Every charge is row-uniform, so the run adds them up in one Python
+    int (``d``) and adds it to every row at exit — what the interpreter
+    adds row by row, whatever the rows held before.  Full-mask ops
+    charge ``op.ticks``, and their internal edges ``op.phi_ticks``.  An
+    in-region diamond whose rows all take their true side on the same
+    number of lanes ``a`` runs its arm or arms here: each charges what
+    the interpreter's dispatch of it would (``op.arm_ticks``), and one
+    call of ``op.pred`` computes the arms on every lane, rebinds each
+    join phi to a select of the two (or to the lone arm's value) and
+    runs the join's leading chain — no masked write.  Rows that split
+    unalike leave the region at the diamond's branch (:func:`_leave`).
+    Counters — and a live profile's per-block sums — are counted per op
+    and folded once at exit (:func:`_fold_scalar`).  The single-block
+    self-loop — the hottest shape — spins with every per-iteration
+    attribute load hoisted.
     """
     ctx = state.ctx
     values = ctx.values
     n = ctx.n
     shape = mask.shape
     icache = state.icache
-    max_cycles = machine.max_cycles
+    # A back edge past this delta takes the furthest row past max_cycles.
+    limit = machine.max_cycles * TICKS_PER_CYCLE - int(state.cycles.max())
     ops = region.ops
-    cy = float(state.cycles[0])
+    d = 0
     runs = [0] * len(ops)       # Times op i ran ...
     crossed = [0] * len(ops)    # ... and took its internal edge.
-    arm_runs: Dict = {}         # (arm block, lanes per row) -> runs.
+    arm_runs: Dict = {}         # (op, arm block, lanes per row) -> runs.
     op = region.self_loop
     if op is not None:
-        acct = op.acct
+        ticks = op.ticks
         vsteps = op.vsteps
         cond_slot = op.cond
         expected = op.expected
         moves = op.moves
-        phi_c = op.phi_c
-        k = len(moves)
+        phi_ticks = op.phi_ticks
         # The first fetch may miss; every later one re-touches the block
         # just accessed — a guaranteed hit with zero stall and a no-op
         # LRU reorder — so the loop skips the call and counts the hits.
-        cy += icache.access(op.block_id, op.size)
+        d += icache.access(op.block_id, op.size) * TICKS_PER_CYCLE
         iters = 0
         while True:
-            for c in acct:
-                cy += c
+            d += ticks
             for kind, dst, srcs, kernel, dt in vsteps:
                 if kind is None:  # Fused segment: one call for a chain.
                     kernel(values)
@@ -307,13 +289,12 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 ok = not bool(cond.any())
             if not ok:
                 break
-            if k:
+            if moves:
                 _bind_phis(values, moves, shape)
-                for _ in range(k):
-                    cy += phi_c
+                d += phi_ticks
             iters += 1
-            if cy > max_cycles:
-                raise _runaway(func, max_cycles)
+            if d > limit:
+                raise _runaway(func, machine.max_cycles)
         icache.hits += iters
         runs[0] = iters + 1
         crossed[0] = iters
@@ -322,10 +303,9 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
         i = 0
         while True:
             op = ops[i]
-            cy += icache.access(op.block_id, op.size)
+            d += icache.access(op.block_id, op.size) * TICKS_PER_CYCLE
+            d += op.ticks
             runs[i] += 1
-            for c in op.acct:
-                cy += c
             for kind, dst, srcs, kernel, dt in op.vsteps:
                 if kind is None:
                     kernel(values)
@@ -364,10 +344,10 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 for arm, active in arms:
                     # The arm's charges as the interpreter dispatches it
                     # (fetch, steps, br, the join edge's phi moves).
-                    cy += icache.access(arm.block_id, arm.size)
-                    for c in op.arm_acct(arm, active):
-                        cy += c
-                    key = (arm, active)
+                    d += icache.access(arm.block_id, arm.size) \
+                        * TICKS_PER_CYCLE
+                    d += op.arm_ticks(arm, active)
+                    key = (op, arm, active)
                     arm_runs[key] = arm_runs.get(key, 0) + 1
                     # The join group merges at the max parked epoch.
                     join = max(join, epoch + arm.term.bump_epoch)
@@ -376,8 +356,8 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
                 op.pred(values, t_mask)
                 epoch = join
                 ni = op.next_i
-                if ni <= i and cy > max_cycles:
-                    raise _runaway(func, max_cycles)
+                if ni <= i and d > limit:
+                    raise _runaway(func, machine.max_cycles)
                 i = ni
                 continue
             elif kind != R_NEXT:
@@ -385,18 +365,15 @@ def _region_scalar(machine, func, region: CompiledRegion, epoch: int,
             if op.moves:
                 _bind_phis(values, op.moves, shape)
                 crossed[i] += 1
-                pc = op.phi_c
-                for _ in op.moves:
-                    cy += pc
+                d += op.phi_ticks
             epoch += op.bump
             ni = op.next_i
-            if ni <= i and cy > max_cycles:
-                raise _runaway(func, max_cycles)
+            if ni <= i and d > limit:
+                raise _runaway(func, machine.max_cycles)
             i = ni
 
-    # A failed guard, an unalike diamond or an exit: flush floats and
-    # integers, deoptimize.
-    state.cycles[:] = cy
+    # A failed guard, an unalike diamond or an exit: add up, deoptimize.
+    state.cycles += d
     _fold_scalar(machine, total, ops, runs, crossed, arm_runs, n)
     _normalize_slots(values, region.norm, shape)
     if op.kind == R_GUARD:
@@ -418,7 +395,7 @@ def _leave(machine, func, op, epoch: int, mask: np.ndarray, actives,
     moves to the op's block, as the per-warp engine's ``_follow`` does.
     """
     kind = op.kind
-    before = float(state.cycles.sum())
+    before = int(state.cycles.sum())
     pending = None
     if kind == R_EXIT_BR:
         _follow_batch(op.exit_edge, epoch, mask, actives, state, total)
@@ -433,5 +410,5 @@ def _leave(machine, func, op, epoch: int, mask: np.ndarray, actives,
             f"@{func.name}: executed unreachable in {op.name}")
     if machine.profile is not None:
         machine.profile.note_block(op.name, 0,
-                                   float(state.cycles.sum()) - before, 0, 0)
+                                   int(state.cycles.sum()) - before, 0, 0)
     return pending

@@ -38,17 +38,16 @@ resolution or cost-table lookups.  Reading a slot no definition wrote is
 what the verifier's dominance check rules out; every entry point that
 takes IR from outside verifies it first.
 
-The decoded form charges cycles through the exact same
-:func:`repro.gpu.timing.charge`/``issue_cost`` calls as the original
-tree-walking interpreter, so counters and cycle counts are bit-identical —
-only the Python interpreter overhead is removed.  Decode also *seals*
-each block's integer issue counts and cost vector (:class:`_DecodedBlock`),
-so one dispatch bumps the integer counters once and reads its charges
-from a memo, while the float adds stay one per step in program order.
-Decoding assumes the module's IR is not mutated between launches of the
-same machine (fresh machines are built per compile in the harness).  What
-a value instruction *computes* is not decided here: every engine calls
-the kernel of the op-semantics table (:mod:`repro.semantics`, the written
+Cycles are integer ticks (:func:`repro.gpu.timing.tick_unit`), and
+decode *seals* each block's issue counts and issue cost
+(:class:`_DecodedBlock`), so one dispatch bumps the counters once and
+adds one tick charge, ``cost * (FIXED_T + ACT_T * active)``; loads and
+stores add theirs as they run.  Integers add in any order, so every
+engine's totals equal this one's by construction.  Decoding assumes the
+module's IR is not mutated between launches of the same machine (fresh
+machines are built per compile in the harness).  What a value
+instruction *computes* is not decided here: every engine calls the
+kernel of the op-semantics table (:mod:`repro.semantics`, the written
 contract), which the constant folder and the jit's fuser share;
 :meth:`SimtMachine.launch` holds the ``np.errstate`` those kernels are
 total under, once per launch.
@@ -97,9 +96,8 @@ from ..semantics import op_for, storage_dtype
 from .counters import CATEGORIES, Counters, cat_index, seal_issues
 from .icache import InstructionCache
 from .memory import Memory
-from .timing import charge, issue_cost, load_latency, store_cost
-
-WARP_SIZE = 32
+from .timing import (ACT_T, FIXED_T, TICKS_PER_CYCLE, WARP_SIZE, issue_cost,
+                     load_latency, store_cost, ticks)
 
 ArgValue = Union[int, float]
 
@@ -123,10 +121,6 @@ _PHI_COST = issue_cost("misc", "phi")
 _BR_COST = issue_cost("control", "br")
 _CONDBR_COST = issue_cost("control", "condbr")
 _RET_COST = issue_cost("control", "ret")
-
-#: ``charge(_PHI_COST, active)`` for every possible lane count.
-_PHI_CHARGES = tuple(charge(_PHI_COST, active)
-                     for active in range(WARP_SIZE + 1))
 
 # Step kinds.  Kinds up to _K_TERNARY compute a value from their source
 # slots (see evaluate): a kernel step's kind is its operand count.
@@ -324,9 +318,9 @@ def _run_alloca(memory, ctx, step, mask, _active, _accounts) -> None:
 def _run_load(memory, ctx, step, mask, active, counters) -> None:
     values = ctx.values
     raw, transactions = memory.load(values[step.srcs[0]], mask, step.aux)
-    latency = charge(load_latency(transactions), active)
-    counters.cycles += latency
-    counters.memory_stall_cycles += latency
+    latency = ticks(load_latency(transactions), active)
+    counters.ticks += latency
+    counters.memory_stall_ticks += latency
     write_masked(values, step.dst, raw, mask)
 
 
@@ -334,7 +328,7 @@ def _run_store(memory, ctx, step, mask, active, counters) -> None:
     values = ctx.values
     ptr, value = step.srcs
     transactions = memory.store(values[ptr], values[value], mask, step.aux)
-    counters.cycles += charge(store_cost(transactions), active)
+    counters.ticks += ticks(store_cost(transactions), active)
 
 
 #: The per-warp engine's runners, by step kind.
@@ -346,7 +340,7 @@ class _Edge:
     """A decoded CFG edge: source block's name, target block, epoch bump,
     and phi moves."""
 
-    __slots__ = ("source", "target", "bump_epoch", "moves", "issues")
+    __slots__ = ("source", "target", "bump_epoch", "moves", "issues", "cost")
 
     def __init__(self, source: str, target: "_DecodedBlock",
                  bump_epoch: int,
@@ -357,6 +351,8 @@ class _Edge:
         #: The moves' integer issue counts (one ``misc`` mov per phi),
         #: sealed for one ``note_issue`` per traversal.
         self.issues = seal_issues(["misc"] * len(moves))
+        #: Their issue cycles, charged like a block's.
+        self.cost = _PHI_COST * len(moves)
         #: ``(dst, src, snapshot)`` per phi: the phi's slot, its incoming
         #: value's slot, and whether that incoming value is a sibling phi
         #: of the target — then the staged read must copy the slot, or
@@ -380,21 +376,15 @@ class _DecodedBlock:
     * ``issues`` — the integer issue counts of the steps plus the
       terminator (``counters.seal_issues``), applied by one
       ``Counters.note_issue`` per dispatch;
-    * ``costs`` — the issue cost of every step, then the terminator's
-      (absent for ``unreachable`` and a missing terminator, which raise
-      before charging): :meth:`charges` memoises the per-warp engine's
-      ``charge(cost, active)`` row per ``active``, ``cost_column`` is
-      the same vector as a ``(k, 1)`` float64 column the lattice
-      multiplies by its per-row factor once per dispatch.
-
-    Only the integers are applied per block.  The float charges are
-    still *added* one per step, in step order — float addition does not
-    associate, and that order is what keeps the engines bit-identical.
+    * ``cost`` — the issue cycles of the steps plus the terminator (none
+      for ``unreachable`` and a missing terminator, which raise), charged
+      as one tick amount per dispatch: ``cost * (FIXED_T + ACT_T *
+      active)``, with ``active`` an int per warp or an ``(n,)`` vector on
+      the lattice.
     """
 
     __slots__ = ("block_id", "name", "size", "rpo", "steps", "insts",
-                 "term_kind", "term", "issues", "costs", "cost_column",
-                 "_charges")
+                 "term_kind", "term", "issues", "cost")
 
     def __init__(self, block: BasicBlock, rpo: int) -> None:
         self.block_id = id(block)
@@ -409,22 +399,11 @@ class _DecodedBlock:
     def seal(self, term_cost: Optional[int]) -> None:
         """Fix the per-dispatch accounting of ``steps`` + terminator."""
         categories = [CATEGORIES[step.cat] for step in self.steps]
-        costs = [step.cost for step in self.steps]
+        self.cost = sum(step.cost for step in self.steps)
         if term_cost is not None:
             categories.append("control")
-            costs.append(term_cost)
+            self.cost += term_cost
         self.issues = seal_issues(categories)
-        self.costs = tuple(costs)
-        self.cost_column = np.array(costs, dtype=np.float64)[:, None]
-        self._charges: Dict[int, Tuple[float, ...]] = {}
-
-    def charges(self, active: int) -> Tuple[float, ...]:
-        """``timing.charge(cost, active)`` per entry of ``costs``."""
-        row = self._charges.get(active)
-        if row is None:
-            row = self._charges[active] = tuple(
-                charge(cost, active) for cost in self.costs)
-        return row
 
 
 class SimtMachine:
@@ -493,11 +472,10 @@ class SimtMachine:
                 # collapse the scheduler loop, so a single-warp launch
                 # goes this way too.
                 from .batched import run_launch_batched
-                ret_all, fetch_stalls = run_launch_batched(
-                    self, func, frame, grid_dim, block_dim, launch, total)
+                ret_all = run_launch_batched(self, func, frame, grid_dim,
+                                             block_dim, launch, total)
             else:
                 ret_all = []
-                fetch_stalls = 0
                 warps = (block_dim + WARP_SIZE - 1) // WARP_SIZE
                 for block_idx in range(grid_dim):
                     ctaid = _geometry_vec(block_idx)
@@ -515,12 +493,11 @@ class SimtMachine:
                         counters = self._run_warp(func, entry, ctx, active,
                                                   icache)
                         total.merge(counters)
-                        fetch_stalls += icache.stall_cycles
+                        # Charged into the warp's ticks as they occurred;
+                        # summed again for the stall_inst_fetch metric.
+                        total.fetch_stall_cycles += icache.stall_cycles
                         if ctx.ret_values is not None:
                             ret_all.append(ctx.ret_values)
-        # Fetch stalls were charged into per-warp cycles as they occurred;
-        # record the aggregate for the stall_inst_fetch metric.
-        total.fetch_stall_cycles = fetch_stalls
         total.bytes_loaded = self.memory.stats.bytes_loaded
         total.bytes_stored = self.memory.stats.bytes_stored
         total.load_transactions = self.memory.stats.load_transactions
@@ -743,8 +720,9 @@ class SimtMachine:
         the divergence point and resumes here.
         """
         profile = self.profile
+        max_ticks = self.max_cycles * TICKS_PER_CYCLE
         while groups:
-            if counters.cycles > self.max_cycles:
+            if counters.ticks > max_ticks:
                 raise SimulationError(
                     f"@{func.name}: exceeded {self.max_cycles} cycles "
                     "(runaway kernel?)")
@@ -753,16 +731,16 @@ class SimtMachine:
             epoch, db, mask, active = groups.pop()
             if not active:
                 continue
-            counters.cycles += icache.access(db.block_id, db.size)
+            counters.ticks += (icache.access(db.block_id, db.size)
+                               * TICKS_PER_CYCLE)
             if profile is None:
                 self._exec_decoded(func, db, epoch, mask, active, ctx,
                                    counters, groups)
             else:
-                start_cycles = counters.cycles
+                start = counters.ticks
                 self._exec_decoded(func, db, epoch, mask, active, ctx,
                                    counters, groups)
-                profile.note_block(db.name, 1,
-                                   counters.cycles - start_cycles,
+                profile.note_block(db.name, 1, counters.ticks - start,
                                    active, WARP_SIZE)
 
     def _exec_decoded(self, func: Function, db: _DecodedBlock, epoch: int,
@@ -770,11 +748,10 @@ class SimtMachine:
                       counters: Counters, groups: List) -> None:
         """Execute one decoded block for one group of ``active`` lanes."""
         counters.note_issue(db.issues, active)
-        charges = db.charges(active)
+        counters.ticks += db.cost * (FIXED_T + ACT_T * active)
         values = ctx.values
-        for step, c in zip(db.steps, charges):
+        for step in db.steps:
             _cat, _cost, kind, dst, srcs, kernel, _dtype, _aux = step
-            counters.cycles += c
             if kind <= _K_TERNARY:
                 write_masked(values, dst, evaluate(values, kind, srcs, kernel),
                              mask)
@@ -784,7 +761,6 @@ class SimtMachine:
         term_kind = db.term_kind
         if term_kind >= _T_UNREACHABLE:
             raise _bad_terminator(func, db)
-        counters.cycles += charges[-1]
         if term_kind == _T_BR:
             counters.branches += 1
             self._follow(db.term, epoch, mask, active, ctx, counters, groups)
@@ -821,13 +797,12 @@ class SimtMachine:
         """Run the edge's phi moves and park the group at the target."""
         moves = edge.moves
         if moves:
-            c = _PHI_CHARGES[active]
             counters.note_issue(edge.issues, active)  # One mov per phi.
+            counters.ticks += edge.cost * (FIXED_T + ACT_T * active)
             values = ctx.values
             # Parallel-copy semantics: read all incomings before writing.
             staged = [values[src].copy() if snapshot else values[src]
                       for _dst, src, snapshot in moves]
             for (dst, _src, _snapshot), value in zip(moves, staged):
-                counters.cycles += c
                 write_masked(values, dst, value, mask)
         groups.append((epoch + edge.bump_epoch, edge.target, mask, active))

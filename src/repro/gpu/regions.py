@@ -21,12 +21,12 @@ list of :class:`RegionOp` records the jit engine executes without the
 per-block scheduler: value steps become direct rebinds of their value
 table slots (a full-mask masked write is a rebind), phi parallel-copies
 on internal edges become
-staged copy-and-rebind sequences resolved at compile time, and all
-integer instruction counters of an op fold into a handful of
-precomputed increments.  Every conditional branch crossed becomes a
+staged copy-and-rebind sequences resolved at compile time, and an op's
+counters fold into a handful of precomputed increments, its cycles into
+one integer tick sum.  Every conditional branch crossed becomes a
 *guard*: at run time the expected side must be taken by every lane of
 every warp (one lattice reduction); otherwise the op deoptimizes — the
-scalar accumulators are flushed back to the per-row vectors, rebound
+run's tick delta and counts are added to the rows and the total, rebound
 slots are normalized to owned ``(n, 32)`` arrays, and the branch is
 resolved by the exact lattice-interpreter logic (park sub-groups, or
 report a pending cross-warp split).
@@ -34,27 +34,24 @@ report a pending cross-warp split).
 Only memory-free traces compile: a load, a store or an alloca in any
 block or diamond arm rejects the trace (reason ``memory step``), and
 its blocks stay with the interpreter — a load or store charges per-row
-transaction latencies that one scalar accumulator cannot carry.
+transaction latencies that one scalar delta cannot carry.
 
-Bit-identicality argument (the contract of the engine family): a region
-executes only for a group whose mask is *full* — every lane of every
-warp active — and whose rows' cycles agree.  Then the lattice
-interpreter's per-issue charge factor
-``ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * actives / 32`` is the same
-constant for every row, so per-row float accumulation degenerates to one
-scalar sequence that can be replayed on Python floats (same IEEE-754
-doubles, same operation order) and broadcast back.  A full mask also
-implies the group is the *only* live group of its batch (masks partition
-lanes), so running the whole trace without re-entering the scheduler
-reproduces the interpreter's merge/sort/pop order exactly.
+Why a region equals the interpreter (the contract of the engine
+family): a region executes only for a group whose mask is *full* —
+every lane of every warp active.  Then every row's tick charge
+``cost * (FIXED_T + ACT_T * 32)`` is the same integer, so one scalar
+delta, added to every row at exit, is what the interpreter adds row by
+row, whatever the rows held before.  A full mask also implies the group
+is the *only* live group of its batch (masks partition lanes), so
+running the whole trace without re-entering the scheduler reproduces
+the interpreter's merge/sort/pop order exactly.
 
-An in-region diamond's arms run under partial masks, where the factor
+An in-region diamond's arms run under partial masks, where the charge
 follows the arm's lane count: when every row takes the true side on the
-same number of lanes, each arm's charges are again one scalar per step
-— the per-warp engine's own ``timing.charge`` values — so the replay
-carries on through the arms; rows that split unalike leave the region
-at the diamond's branch, which the interpreter resolves as it resolves
-a failed guard's.  The arms' *values* are predicated
+same number of lanes, each arm's charge is again one integer for every
+row, so the delta carries on through the arms; rows that split unalike
+leave the region at the diamond's branch, which the interpreter
+resolves as it resolves a failed guard's.  The arms' *values* are predicated
 (:func:`_predicate`): one generated call computes the arm or arms on
 every lane and rebinds each join phi to ``np.where(t_mask, from_t,
 from_f)``, instead of masked-writing every step and phi.  That is exact
@@ -80,16 +77,9 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs_session
 from .fuser import FuseContext, chain_length
-from .machine import (_BR_COST, _CONDBR_COST, _PHI_CHARGES, _PHI_COST,
-                      _RET_COST, _K_TERNARY, _K_VOID, _T_BR, _T_MISSING,
-                      _T_RET, _T_UNREACHABLE, WARP_SIZE, _DecodedBlock)
-from .timing import ACTIVITY_FRACTION, ISSUE_FIXED_FRACTION
-
-#: Per-issue charge factor at a full 32-lane mask — the same IEEE-754
-#: expression shape as ``batched._issue_factor`` evaluates per row, so
-#: scalar replay of ``cost * _FULL_FACTOR`` is bit-identical to the
-#: lattice's elementwise ``cost * factor``.
-_FULL_FACTOR = ISSUE_FIXED_FRACTION + ACTIVITY_FRACTION * WARP_SIZE / WARP_SIZE
+from .machine import (_K_TERNARY, _K_VOID, _T_BR, _T_MISSING, _T_RET,
+                      _T_UNREACHABLE, WARP_SIZE, _DecodedBlock)
+from .timing import ticks
 
 #: Trace growth limits: blocks per region and guards (crossed conditional
 #: branches) per region.
@@ -109,18 +99,19 @@ R_DIAMOND = 6       # If/else diamond: its arms execute in-region.
 class RegionOp:
     """One trace block, compiled: fused steps + folded accounting."""
 
-    __slots__ = ("block_id", "name", "size", "vsteps", "acct", "issues",
+    __slots__ = ("block_id", "name", "size", "vsteps", "ticks", "issues",
                  "cat_counts", "branch_inc", "kind", "next_i", "bump",
-                 "moves", "phi_c", "cond", "expected", "true_edge",
+                 "moves", "phi_ticks", "cond", "expected", "true_edge",
                  "false_edge", "exit_edge", "ret", "arm_t", "arm_f",
-                 "arms_t_first", "stored", "fuse_plan", "pred", "_accts")
+                 "arms_t_first", "stored", "fuse_plan", "pred")
 
     def __init__(self, db: _DecodedBlock) -> None:
         self.block_id = db.block_id
         self.name = db.name
         self.size = db.size
         self.vsteps: Tuple = ()      # ((kind, dst, srcs, kernel, dtype), ...)
-        self.acct: Tuple = ()        # (charge, ...) scalar replay
+        #: Its steps' and terminator's charge at a full mask.
+        self.ticks = ticks(db.cost, WARP_SIZE)
         self.issues = 0              # note_issue count (steps + terminator)
         self.cat_counts: Tuple = ()  # ((Counters attr, count), ...)
         self.branch_inc = 0
@@ -128,7 +119,7 @@ class RegionOp:
         self.next_i = 0              # Internal successor op index.
         self.bump = 0                # Epoch bump of the internal edge.
         self.moves: Tuple = ()       # ((dst, src, dtype, nocopy), ...)
-        self.phi_c = 0.0             # Charge per phi move on that edge.
+        self.phi_ticks = 0           # Those moves' charge at a full mask.
         self.cond: Optional[int] = None   # The branch condition's slot.
         self.expected = True
         self.true_edge = None
@@ -143,19 +134,11 @@ class RegionOp:
         #: A diamond's generated ``fn(values, t)``
         #: (``fuser.compile_diamond``).
         self.pred = None
-        self._accts: Dict[Tuple[int, int], Tuple] = {}
 
-    def arm_acct(self, arm: _DecodedBlock, active: int) -> Tuple:
-        """The charges of one arm run on ``active`` lanes per row: its
-        steps, its ``br``, its join edge's phi moves — the per-warp
-        engine's ``charge(cost, active)`` in dispatch order."""
-        key = (arm.block_id, active)
-        acct = self._accts.get(key)
-        if acct is None:
-            acct = self._accts[key] = (
-                arm.charges(active)
-                + (_PHI_CHARGES[active],) * len(arm.term.moves))
-        return acct
+    def arm_ticks(self, arm: _DecodedBlock, active: int) -> int:
+        """The charge of one of this diamond's arms run on ``active`` lanes
+        per row: its steps, its ``br`` and its join edge's phi moves."""
+        return ticks(arm.cost + arm.term.cost, active)
 
 
 class CompiledRegion:
@@ -521,16 +504,13 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
 
     Maximal chains of fusible value steps (found by the
     :class:`FuseContext`) collapse into single entries of kind None: one
-    generated function computes the whole chain, and the per-step cycle
-    charges — folded here in original step order — are replayed by the
-    executor before the call, so ``Counters`` are bit-identical to the
-    unfused path (charge accumulation is independent of value
-    computation).  The trace is memory-free, so a step is a value step
-    or a void one, which only charges.
+    generated function computes the whole chain.  What the op charges is
+    the block's sealed cost whether or not it fuses.  The trace is
+    memory-free, so a step is a value step or a void one, which only
+    charges.
     """
     op = RegionOp(db)
     vsteps: List[Tuple] = []
-    acct: List[float] = []
     stored: List[Tuple[int, object]] = []
     fuse_plan: List[Tuple[int, int, Tuple[int, ...]]] = []
     dtype_of = fuse_ctx.frame.dtype
@@ -541,8 +521,6 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
     while i < len(db_steps):
         if seg is not None and i == seg[0]:
             lo, hi, live = seg
-            acct.extend(step.cost * _FULL_FACTOR
-                        for step in db_steps[lo:hi])
             fn, seg_stored = fuse_ctx.compile_segment(db, lo, hi, live)
             vsteps.append((None, None, None, fn, None))
             stored.extend(seg_stored)
@@ -553,29 +531,19 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         step = db_steps[i]
         i += 1
         _cat, _cost, kind, dst, srcs, kernel, dt, _aux = step
-        acct.append(step.cost * _FULL_FACTOR)
         if kind <= _K_TERNARY:
             vsteps.append((kind, dst, srcs, kernel, dt))
             stored.append((dst, dt))
 
     kind0 = decision[0]
     op.kind = kind0
-    if kind0 in (R_NEXT, R_EXIT_BR):
-        acct.append(_BR_COST * _FULL_FACTOR)
-        op.branch_inc = 1
-    elif kind0 in (R_GUARD, R_EXIT_CONDBR, R_DIAMOND):
-        acct.append(_CONDBR_COST * _FULL_FACTOR)
-        op.branch_inc = 1
-    elif kind0 == R_RET:
-        acct.append(_RET_COST * _FULL_FACTOR)
+    op.branch_inc = int(kind0 not in (R_RET, R_UNREACHABLE))
+    edge = None
+    if kind0 == R_RET:
         op.ret = db.term
-
-    if kind0 == R_NEXT:
+    elif kind0 == R_NEXT:
         edge = decision[1]
         op.next_i = decision[2]
-        op.bump = edge.bump_epoch
-        op.moves = tuple((dst, src, dtype_of(dst))
-                         for dst, src, _snapshot in edge.moves)
     elif kind0 == R_EXIT_BR:
         op.exit_edge = decision[1]
     elif kind0 == R_GUARD:
@@ -585,9 +553,7 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         op.true_edge = t_edge
         op.false_edge = f_edge
         op.next_i = next_i
-        op.bump = chosen.bump_epoch
-        op.moves = tuple((dst, src, dtype_of(dst))
-                         for dst, src, _snapshot in chosen.moves)
+        edge = chosen
     elif kind0 == R_EXIT_CONDBR:
         _k, cond, t_edge, f_edge = decision
         op.cond = cond
@@ -602,10 +568,13 @@ def _compile_op(db: _DecodedBlock, decision: Tuple,
         op.arm_t = ta
         op.arm_f = fa
         op.arms_t_first = ta.rpo <= fa.rpo
+    if edge is not None:        # The internal edge of R_NEXT or R_GUARD.
+        op.bump = edge.bump_epoch
+        op.moves = tuple((dst, src, dtype_of(dst))
+                         for dst, src, _snapshot in edge.moves)
+        op.phi_ticks = ticks(edge.cost, WARP_SIZE)
 
-    op.phi_c = _PHI_COST * _FULL_FACTOR
     op.vsteps = tuple(vsteps)
-    op.acct = tuple(acct)
     op.stored = tuple(stored)
     op.fuse_plan = tuple(fuse_plan)
     # The integer counts decode sealed: fusion and the trace decision

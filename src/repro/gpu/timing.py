@@ -10,13 +10,19 @@ fetch stalls are charged by the icache model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from typing import Tuple
 
 #: Version tag of the whole timing model.  Any change to the constants or
 #: formulas in this module (or to the icache/memory latency models built on
 #: them) must bump this tag: it is folded into the persistent cell-cache key
 #: (:mod:`repro.harness.cache`) so stale cached measurements self-invalidate.
-TIMING_MODEL_VERSION = "timing-v1"
+#: v2: cycles are summed as exact integer ticks (see :func:`tick_unit`).
+TIMING_MODEL_VERSION = "timing-v2"
+
+#: Lanes per warp.
+WARP_SIZE = 32
 
 #: Simulated SM clock (V100 boost clock, Hz) used to convert cycles to ms.
 CLOCK_HZ = 1.38e9
@@ -78,6 +84,31 @@ ISSUE_FIXED_FRACTION = 0.06
 ACTIVITY_FRACTION = 0.94
 
 
+def tick_unit(fixed: float, activity: float) -> Tuple[int, int, int]:
+    """``(ticks per cycle, fixed ticks, ticks per active lane)``.
+
+    Cycles are counted in *ticks*, the least common denominator of the
+    charge factor ``fixed + activity * active / WARP_SIZE`` read as the
+    decimals the constants spell (``0.06`` is 3/50, ``0.94 / 32`` is
+    47/1600: 1 600 ticks per cycle).  An issue of ``cost`` cycles at
+    ``active`` lanes is then the whole number ``cost * (fixed ticks +
+    ticks per lane * active)``, and so is every latency and stall, so the
+    engines add integers, in any order, and agree exactly.
+    """
+    fixed_q = Fraction(repr(fixed))
+    lane_q = Fraction(repr(activity)) / WARP_SIZE
+    per_cycle = lcm(fixed_q.denominator, lane_q.denominator)
+    # Ticks live in int64 lattices: 2**31 cycles must fit.
+    if per_cycle >= 1 << 32:
+        raise ValueError(f"timing constants {fixed!r}, {activity!r} need "
+                         f"{per_cycle} ticks per cycle")
+    return (per_cycle, int(fixed_q * per_cycle), int(lane_q * per_cycle))
+
+
+TICKS_PER_CYCLE, FIXED_T, ACT_T = tick_unit(ISSUE_FIXED_FRACTION,
+                                            ACTIVITY_FRACTION)
+
+
 def issue_cost(category: str, opcode: str, intrinsic: str = "") -> int:
     """Issue cycles for one warp instruction (full warp)."""
     cost = ISSUE_CYCLES.get(category, 1)
@@ -87,10 +118,14 @@ def issue_cost(category: str, opcode: str, intrinsic: str = "") -> int:
     return cost
 
 
-def charge(cost: float, active: int, warp_size: int = 32) -> float:
-    """Cycle charge for issuing at ``active`` lanes out of ``warp_size``."""
-    return cost * (ISSUE_FIXED_FRACTION +
-                   ACTIVITY_FRACTION * active / warp_size)
+def ticks(cost: int, active: int) -> int:
+    """Tick charge for issuing ``cost`` cycles at ``active`` lanes."""
+    return cost * (FIXED_T + ACT_T * active)
+
+
+def charge(cost: int, active: int) -> float:
+    """The same charge in cycles: for reports, never for sums."""
+    return ticks(cost, active) / TICKS_PER_CYCLE
 
 
 def load_latency(transactions: int) -> int:

@@ -77,12 +77,14 @@ from .experiment import Cell
 #: they said "tuned".
 #: v6: Counters drops the per-category ``cat_cycles`` breakdown again (no
 #: exhibit read it), so the stored ``counters`` lose that key.
+#: v7: Counters sum cycles as integer ticks: the stored ``counters`` hold
+#: ``ticks`` and ``memory_stall_ticks`` where they held float cycles.
 #:
 #: The key names no execution engine: every runner simulates on the
 #: default ``jit`` engine, which is bit-identical to the per-warp
 #: reference by contract — whenever it tiers up —
 #: (tests/test_engine_equivalence.py, tests/test_tier_up.py).
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -6,8 +6,9 @@ per block, summed at warp granularity like nvprof's per-warp counters:
 
 * ``block_hits`` — warp-block executions (a lattice dispatch of ``n``
   rows is ``n``);
-* ``block_cycles`` — what they charged, the phi moves of the edges the
-  block took included (fetch stalls are no block's);
+* ``block_ticks`` — what they charged, in the engines' integer cycle
+  ticks, the phi moves of the edges the block took included (fetch
+  stalls are no block's); ``block_cycles`` reports them in cycles;
 * ``block_lanes`` — ``[active, possible]`` lanes: SIMT efficiency;
 * lattice splits (cross-warp disagreement) and row demotions.
 
@@ -25,12 +26,12 @@ from typing import Dict, List, Optional
 class ExecutionProfile:
     """Per-run engine telemetry; mergeable across warps and processes."""
 
-    __slots__ = ("block_hits", "block_cycles", "block_lanes", "splits",
+    __slots__ = ("block_hits", "block_ticks", "block_lanes", "splits",
                  "demotions", "request")
 
     def __init__(self) -> None:
         self.block_hits: Dict[str, int] = {}
-        self.block_cycles: Dict[str, float] = {}
+        self.block_ticks: Dict[str, int] = {}
         #: ``[active, possible]`` lanes per block.
         self.block_lanes: Dict[str, List[int]] = {}
         self.splits: List[Dict[str, object]] = []
@@ -41,12 +42,12 @@ class ExecutionProfile:
         self.request: Optional[str] = None
 
     # -- recording -----------------------------------------------------------
-    def note_block(self, name: str, hits: int, cycles: float, active: int,
+    def note_block(self, name: str, hits: int, ticks: int, active: int,
                    possible: int) -> None:
         """``hits`` warp-block executions of ``name`` that charged
-        ``cycles`` on ``active`` of ``possible`` lanes (all summed)."""
+        ``ticks`` on ``active`` of ``possible`` lanes (all summed)."""
         self.block_hits[name] = self.block_hits.get(name, 0) + hits
-        self.block_cycles[name] = self.block_cycles.get(name, 0.0) + cycles
+        self.block_ticks[name] = self.block_ticks.get(name, 0) + ticks
         lanes = self.block_lanes.setdefault(name, [0, 0])
         lanes[0] += active
         lanes[1] += possible
@@ -65,7 +66,7 @@ class ExecutionProfile:
         elif not other.is_empty() and self.request != other.request:
             self.request = None      # mixed streams: tag no longer holds
         for name, n in other.block_hits.items():
-            self.note_block(name, n, other.block_cycles.get(name, 0.0),
+            self.note_block(name, n, other.block_ticks.get(name, 0),
                             *other.block_lanes.get(name, (0, 0)))
         self.splits.extend(other.splits)
         self.demotions.extend(other.demotions)
@@ -77,7 +78,7 @@ class ExecutionProfile:
     def to_json(self) -> Dict[str, object]:
         data: Dict[str, object] = {
             "block_hits": dict(self.block_hits),
-            "block_cycles": dict(self.block_cycles),
+            "block_ticks": dict(self.block_ticks),
             "block_lanes": {k: list(v) for k, v in self.block_lanes.items()},
             "splits": list(self.splits),
             "demotions": list(self.demotions),
@@ -91,8 +92,8 @@ class ExecutionProfile:
         prof = ExecutionProfile()
         prof.block_hits = {k: int(v)
                            for k, v in data.get("block_hits", {}).items()}
-        prof.block_cycles = {k: float(v)
-                             for k, v in data.get("block_cycles", {}).items()}
+        prof.block_ticks = {k: int(v)
+                            for k, v in data.get("block_ticks", {}).items()}
         prof.block_lanes = {k: list(v)
                             for k, v in data.get("block_lanes", {}).items()}
         prof.splits = list(data.get("splits", []))
@@ -101,6 +102,13 @@ class ExecutionProfile:
         return prof
 
     # -- reporting -----------------------------------------------------------
+    @property
+    def block_cycles(self) -> Dict[str, float]:
+        """``block_ticks`` in cycles."""
+        from ..gpu.timing import TICKS_PER_CYCLE  # Deferred: gpu imports obs.
+        return {name: ticks / TICKS_PER_CYCLE
+                for name, ticks in self.block_ticks.items()}
+
     def mean_occupancy(self) -> Optional[float]:
         """Active lanes over possible lanes, every block execution summed."""
         den = sum(p for _a, p in self.block_lanes.values())
@@ -110,8 +118,9 @@ class ExecutionProfile:
 
     def format(self, top: int = 10) -> str:
         lines = ["Execution profile"]
-        total = sum(self.block_cycles.values())
-        ranked = sorted(self.block_cycles.items(),
+        cycles = self.block_cycles
+        total = sum(cycles.values())
+        ranked = sorted(cycles.items(),
                         key=lambda kv: (-kv[1], kv[0]))
         lines.append(f"  {'block':<28} {'hits':>8} {'cycles':>12} {'%':>6}")
         for name, cycles in ranked[:top]:

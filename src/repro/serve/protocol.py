@@ -62,7 +62,10 @@ from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 #: counts alone.
 #: v6: a result's ``counters`` drop ``cat_cycles`` (the per-category
 #: cycle split is gone from ``Counters``).
-SERVE_SCHEMA_VERSION = 6
+#: v7: a result's ``counters`` carry integer ``ticks`` and
+#: ``memory_stall_ticks`` for float cycles, and its ``profile`` carries
+#: ``block_ticks`` for ``block_cycles``.
+SERVE_SCHEMA_VERSION = 7
 
 
 class ProtocolError(ValueError):

@@ -63,6 +63,7 @@ class TestCommands:
         to one prefetch of the CLI's runner (a spy: nothing compiles),
         then prints the sweep's cache line."""
         from repro.gpu.counters import Counters
+        from repro.gpu.timing import TICKS_PER_CYCLE
         from repro.harness.experiment import Cell, ExperimentRunner
 
         calls = []
@@ -73,7 +74,7 @@ class TestCommands:
                 runner._cache[spec.key] = Cell(
                     spec.app, spec.config, spec.loop_id, spec.factor,
                     cycles=100.0, code_size=1, compile_seconds=0.0,
-                    counters=Counters(cycles=100.0),
+                    counters=Counters(ticks=100 * TICKS_PER_CYCLE),
                     outputs_match_baseline=True)
 
         monkeypatch.setattr(ExperimentRunner, "prefetch", spy)

@@ -86,7 +86,7 @@ def fusion(enabled: bool):
 
 def assert_counters_identical(batched: Counters, warp: Counters,
                               label: str) -> None:
-    """Every field — float cycle accumulators included — must be equal."""
+    """Every field — the cycle ticks included — must be equal."""
     for f in dataclasses.fields(Counters):
         b, w = getattr(batched, f.name), getattr(warp, f.name)
         assert b == w, (f"{label}: Counters.{f.name} differs between "
@@ -296,8 +296,8 @@ def test_guard_storm_exercises_every_deopt_kind(monkeypatch):
     assert obs_session.active() is None, "a test leaked a live session"
     session = obs_session.install()
     registry = obs_metrics.install()
-    # An arm that runs in-region is charged by ``RegionOp.arm_acct``.
-    predicated = spy(monkeypatch, RegionOp, "arm_acct")
+    # An arm that runs in-region is charged by ``RegionOp.arm_ticks``.
+    predicated = spy(monkeypatch, RegionOp, "arm_ticks")
     try:
         launch_engine(STORM_IR, "storm", "jit", args=[STORM_TRIPS])
     finally:

@@ -1,6 +1,7 @@
 """Memory subsystem and instruction-cache model tests."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.gpu.icache import InstructionCache
 from repro.gpu.memory import Memory, MemoryStats, SEGMENT_BYTES
+from repro.gpu import timing
 from repro.gpu.timing import charge, cycles_to_ms, issue_cost, load_latency
 
 
@@ -295,3 +297,46 @@ class TestTiming:
 
     def test_full_warp_charge_is_cost(self):
         assert charge(10, 32) == pytest.approx(10.0)
+
+    def test_every_charge_is_a_whole_number_of_ticks(self):
+        """Every issue cost, load latency and store cost charged at every
+        lane count, and every icache stall, is a whole number of ticks:
+        the exact rational the constants spell, times ``TICKS_PER_CYCLE``.
+        And the derivation stays exact on the sensitivity grid — each
+        charge constant scaled by 0.5, 0.75, 1.33 and 2."""
+        def exact(value):
+            return Fraction(repr(value))
+
+        issue = {issue_cost(cat, op, intrinsic)
+                 for cat in timing.ISSUE_CYCLES
+                 for op in list(timing.OPCODE_EXTRA) + ["add"]
+                 for intrinsic in list(timing.INTRINSIC_EXTRA) + [""]}
+        costs = sorted(issue | {load_latency(t) for t in range(33)}
+                       | {timing.store_cost(t) for t in range(33)})
+        unit = timing.TICKS_PER_CYCLE
+        for active in range(timing.WARP_SIZE + 1):
+            factor = (exact(timing.ISSUE_FIXED_FRACTION)
+                      + exact(timing.ACTIVITY_FRACTION) * active
+                      / timing.WARP_SIZE)
+            for cost in costs:
+                want = cost * factor * unit
+                assert want.denominator == 1, (cost, active)
+                assert timing.ticks(cost, active) == want
+        ic = InstructionCache()
+        for block, size in enumerate((1, 3, 4, 5, 64, 2048)):
+            stall = ic.access(block, size)
+            assert isinstance(stall, int) and stall > 0
+
+        grid = (0.5, 0.75, 1.33, 2)
+        base = (timing.ISSUE_FIXED_FRACTION, timing.ACTIVITY_FRACTION)
+        scaled = [(base[0] * s, base[1]) for s in grid] + \
+            [(base[0], base[1] * s) for s in grid]
+        for fixed, activity in scaled:
+            per_cycle, fixed_t, lane_t = timing.tick_unit(fixed, activity)
+            for active in range(timing.WARP_SIZE + 1):
+                factor = (exact(fixed) + exact(activity) * active
+                          / timing.WARP_SIZE)
+                assert factor * per_cycle == fixed_t + lane_t * active
+                assert (fixed_t + lane_t * active) / per_cycle == \
+                    pytest.approx(fixed + activity * active
+                                  / timing.WARP_SIZE)

@@ -393,7 +393,7 @@ class TestRequestCorrelation:
             content_hash(ir_request(lanes=2, include_profile=True))
         # Per-block sums at warp granularity; no occupancy timeline.
         profile = with_profile.profile
-        assert set(profile) == {"block_hits", "block_cycles",
+        assert set(profile) == {"block_hits", "block_ticks",
                                 "block_lanes", "splits", "demotions",
                                 "request"}
         assert profile["block_hits"]

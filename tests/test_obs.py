@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.bench import benchmark_by_name
 from repro.gpu.counters import Counters
+from repro.gpu.timing import TICKS_PER_CYCLE
 from repro.harness.cache import CellCache
 from repro.harness.experiment import Cell, ExperimentRunner
 from repro.obs import ExecutionProfile, Remark, Tracer
@@ -136,16 +137,17 @@ class TestChromeTrace:
 class TestExecutionProfile:
     def test_record_merge_and_occupancy(self):
         a = ExecutionProfile()
-        a.note_block("entry", 1, 10.0, 32, 32)
-        a.note_block("loop", 2, 20.0, 16, 64)
+        a.note_block("entry", 1, 10, 32, 32)
+        a.note_block("loop", 2, 20, 16, 64)
         b = ExecutionProfile()
-        b.note_block("loop", 1, 5.0, 8, 32)
-        b.note_block("loop", 0, 1.5, 0, 0)      # a split's phi moves
+        b.note_block("loop", 1, 5, 8, 32)
+        b.note_block("loop", 0, 3, 0, 0)        # a split's phi moves
         b.note_split("loop", classes=2, rows=4)
         b.note_demotion("tail", warp=3)
         a.merge(b)
         assert a.block_hits == {"entry": 1, "loop": 3}
-        assert a.block_cycles["loop"] == 26.5
+        assert a.block_ticks["loop"] == 28
+        assert a.block_cycles["loop"] == 28 / TICKS_PER_CYCLE
         assert a.block_lanes == {"entry": [32, 32], "loop": [24, 96]}
         assert a.mean_occupancy() == pytest.approx((32 + 16 + 8) / 128)
         assert a.splits == [{"block": "loop", "classes": 2, "rows": 4}]

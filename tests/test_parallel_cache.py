@@ -18,7 +18,7 @@ from repro.transforms.heuristic import HeuristicParams
 def make_cell(**overrides):
     kwargs = dict(app="demo", config="uu", loop_id="k/L0", factor=2,
                   cycles=1234.5, code_size=77, compile_seconds=0.25,
-                  counters=Counters(cycles=1234.5, inst_executed=42),
+                  counters=Counters(ticks=1975200, inst_executed=42),
                   outputs_match_baseline=True)
     kwargs.update(overrides)
     return Cell(**kwargs)

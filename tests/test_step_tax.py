@@ -25,7 +25,8 @@ from repro.gpu import machine as machine_mod
 from repro.gpu.counters import CATEGORIES, Counters
 from repro.gpu.machine import WARP_SIZE, _PHI_COST, _geometry_vec
 from repro.gpu.regions import RegionMap, compile_region, select_regions
-from repro.gpu.timing import charge
+from repro.gpu import timing
+from repro.gpu.timing import ACT_T, FIXED_T
 from repro.ir.constants import ConstantFloat, ConstantInt
 from repro.ir.parser import parse_module
 from repro.ir.types import F32, F64, I1, I64
@@ -235,25 +236,25 @@ def test_sealed_issue_counts_equal_a_step_by_step_replay(blocks):
 
 
 def test_charge_memo_is_bit_identical_to_timing_charge(blocks):
-    for active in range(1, WARP_SIZE + 1):
-        assert machine_mod._PHI_CHARGES[active].hex() == \
-            charge(_PHI_COST, active).hex()
-        factor = batched._issue_factor(np.array([active, WARP_SIZE]))
-        for db, _edges in blocks:
+    """A block's one tick charge per dispatch — an int per warp, an
+    ``(n,)`` int64 vector on the lattice — is ``timing.ticks`` of each of
+    its steps and its terminator, added up; an edge's, of each phi move."""
+    for active in range(WARP_SIZE + 1):
+        actives = np.array([active, WARP_SIZE])
+        for db, edges in blocks:
             costs = [step.cost for step in db.steps]
             if db.term_kind <= machine_mod._T_RET:
                 costs.append(1)     # Every control terminator issues in 1.
-            assert list(db.costs) == costs
-            want = [charge(cost, active) for cost in costs]
-            assert [c.hex() for c in db.charges(active)] == \
-                [c.hex() for c in want]
-            assert db.charges(active) is db.charges(active)
-            # The lattice's one product holds the per-step products.
-            column = db.cost_column * factor
-            assert column.shape == (len(costs), 2)
-            for row, cost in zip(column, costs):
-                assert row.tobytes() == (cost * factor).tobytes()
-                assert float(row[0]).hex() == charge(cost, active).hex()
+            assert db.cost == sum(costs)
+            want = [sum(timing.ticks(cost, a) for cost in costs)
+                    for a in (active, WARP_SIZE)]
+            assert db.cost * (FIXED_T + ACT_T * active) == want[0]
+            lattice = db.cost * (FIXED_T + ACT_T * actives)
+            assert lattice.dtype == np.int64
+            assert lattice.tolist() == want
+            for edge in edges:
+                assert edge.cost * (FIXED_T + ACT_T * active) == \
+                    len(edge.moves) * timing.ticks(_PHI_COST, active)
 
 
 def test_decode_holds_slots_not_closures(blocks, monkeypatch):
