@@ -43,7 +43,15 @@ constructor arguments say how, and neither changes a result:
   one *is* the switch).  :func:`_worker` resets both slots a fork
   inherits at task start and ships its telemetry home with the cell; the
   parent folds it in enumeration order, so ``-j1`` and ``-jN`` yield the
-  same remark stream, metric registry and jit line.
+  same remark stream, metric registry and jit line — all but the
+  hit/miss split of ``repro_compile_memo_total``, which counts each
+  process's own memo (its sum is the same).
+
+A runner compiles each function once per sweep: a cell with an explicit
+plan recompiles only the functions the plan names and reuses the rest
+from the runner's memo of baseline-compiled functions (see
+:meth:`ExperimentRunner._compile`).  A pool worker keeps one runner, and
+so one memo, for the life of its pool.
 
 The CLI picks the worker count with :func:`resolve_jobs` (``--jobs/-j`` >
 ``REPRO_JOBS`` > ``os.cpu_count()``).
@@ -51,6 +59,7 @@ The CLI picks the worker count with :func:`resolve_jobs` (``--jobs/-j`` >
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import math
@@ -69,14 +78,18 @@ from ..bench import benchmark_by_name
 from ..bench.base import Benchmark
 from ..directive import LoopDirective, fingerprint
 from ..gpu.counters import Counters
+from ..ir.function import Function
+from ..ir.module import Module
 from ..ir.printer import print_module
 from ..obs import metrics as obs_metrics
 from ..obs import session as obs
+from ..obs.remarks import Remark
 from ..transforms.heuristic import HeuristicParams
 from ..transforms.pass_manager import COMPILE_TIMEOUT
 from ..transforms.pipeline import (CONFIGS, PER_LOOP_CONFIGS,
-                                   WHOLE_FUNCTION_CONFIGS, CompileResult,
-                                   compile_module, config_plan)
+                                   WHOLE_FUNCTION_CONFIGS, compile_module,
+                                   config_plan)
+from ..transforms.plan import directives_for
 from ..transforms.unmerge import MAX_INSTRUCTIONS
 
 if TYPE_CHECKING:
@@ -193,6 +206,46 @@ def sweep_specs(bench: Benchmark,
     return specs
 
 
+#: What compiling one function emitted: its remarks (as JSON) and its
+#: pass spans (trace events timed from the start of the compile).
+_Record = Tuple[Tuple[Dict, ...], Tuple[Dict, ...]]
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """One function as the baseline pipeline compiles it: a memo entry,
+    shared read-only by every cell that reuses it."""
+
+    function: Function
+    #: Its pipeline seconds, measured when it was compiled.
+    seconds: float
+    #: What the compile emitted, for a reuse to re-emit; None when it ran
+    #: with no obs session installed (such an entry serves no observed
+    #: cell: it has nothing to re-emit).
+    record: Optional[_Record]
+
+
+def _replay(record: Optional[_Record], start: Optional[float] = None
+            ) -> None:
+    """Emit ``record`` into the installed session under its current
+    context: its remarks, and its pass spans laid out from ``start``
+    (the tracer's clock; None: now)."""
+    session = obs.active()
+    if session is None or record is None:
+        return
+    remarks, events = record
+    for data in remarks:
+        session.emit(Remark.from_json(data))
+    tracer = session.tracer
+    if start is None:
+        start = tracer.now()
+    for event in events:
+        args = event.get("args")
+        tracer.complete(event["name"], event["cat"],
+                        start + event["ts"] / 1e6, event["dur"] / 1e6,
+                        args=dict(args) if args else None)
+
+
 def workload_fingerprint(bench: Benchmark) -> str:
     """Stable description of the benchmark's measured workload.
 
@@ -256,6 +309,10 @@ class ExperimentRunner:
         #: Per app: (printed baseline IR, workload fingerprint), the inputs
         #: of every cache key.
         self._fingerprints: Dict[str, Tuple[str, str]] = {}
+        #: Functions compiled by the baseline pipeline, keyed by (printed
+        #: baseline IR of the app, function name, max_instructions,
+        #: verify_each): see :meth:`_compile`.
+        self._functions: Dict[Tuple, _Compiled] = {}
         #: Cells this runner computed (in process or on the pool) instead
         #: of finding them in memory or in the persistent cache.
         self.computed = 0
@@ -312,12 +369,15 @@ class ExperimentRunner:
         return cell
 
     # -- persistent cache ------------------------------------------------
-    def _fingerprint(self, bench: Benchmark) -> Tuple[str, str]:
-        """(printed baseline IR, workload fingerprint), computed once."""
+    def _fingerprint(self, bench: Benchmark,
+                     module: Optional[Module] = None) -> Tuple[str, str]:
+        """(printed baseline IR, workload fingerprint), computed once;
+        ``module``, when given, is a fresh uncompiled build to print."""
         cached = self._fingerprints.get(bench.name)
         if cached is None:
-            cached = (print_module(bench.build_module()),
-                      workload_fingerprint(bench))
+            if module is None:
+                module = bench.build_module()
+            cached = (print_module(module), workload_fingerprint(bench))
             self._fingerprints[bench.name] = cached
         return cached
 
@@ -472,22 +532,17 @@ class ExperimentRunner:
         if plan is None:
             plan = self.resolve_plan(bench, config, loop_id, factor)
         with obs.span("compile"):
-            compiled: CompileResult = compile_module(
-                module, config, heuristic=self.heuristic,
-                max_instructions=self.max_instructions,
-                timeout_seconds=self.compile_timeout,
-                verify_each=self.verify_each, plan=plan)
-        self.phase_seconds["compile"] += compiled.compile_seconds
-        if compiled.timed_out:
+            seconds, decisions, timed_out = self._compile(
+                bench, module, config, plan)
+        if timed_out:
             # The paper excluded compile-timeout points from its figures;
             # we do not simulate them either.
             return Cell(app=bench.name, config=config, loop_id=loop_id,
                         factor=factor, cycles=float("inf"),
-                        code_size=compiled.code_size,
-                        compile_seconds=compiled.compile_seconds,
+                        code_size=module.code_size(),
+                        compile_seconds=seconds,
                         counters=Counters(), outputs_match_baseline=True,
-                        heuristic_decisions=compiled.heuristic_decisions,
-                        timed_out=True)
+                        heuristic_decisions=decisions, timed_out=True)
         start = time.perf_counter()
         with obs.span("simulate"):
             outputs, counters = bench.run(module,
@@ -519,12 +574,99 @@ class ExperimentRunner:
             loop_id=loop_id,
             factor=factor,
             cycles=counters.cycles,
-            code_size=compiled.code_size,
-            compile_seconds=compiled.compile_seconds,
+            code_size=module.code_size(),
+            compile_seconds=seconds,
             counters=counters,
             outputs_match_baseline=matches,
-            heuristic_decisions=compiled.heuristic_decisions,
+            heuristic_decisions=decisions,
         )
+
+    def _compile(self, bench: Benchmark, module: Module, config: str,
+                 plan) -> Tuple[float, list, bool]:
+        """Compile a fresh build ``module`` of ``bench`` for one cell:
+        (its compile seconds, the plan's decision rows, timed out).
+
+        A plan the heuristic resolves at pass time (``None``) compiles
+        every function.  An explicit plan runs the whole pipeline only on
+        the functions its directives name.  On any other function the
+        transform stage returns before any analysis, so the function
+        compiles to what the baseline pipeline makes of it: it comes from
+        this runner's memo of such functions, compiled and stored there on
+        a miss.  The cell's seconds sum its functions' pipeline seconds, a
+        reused one's as measured when it was compiled, so Figure 6c still
+        divides whole-configuration times; the compile budget of each
+        function is what the ones before it left.  ``phase_seconds``
+        counts only the time spent here.
+        """
+        options = dict(heuristic=self.heuristic,
+                       max_instructions=self.max_instructions,
+                       verify_each=self.verify_each)
+        if plan is None:
+            compiled = compile_module(module, config,
+                                      timeout_seconds=self.compile_timeout,
+                                      **options)
+            self.phase_seconds["compile"] += compiled.compile_seconds
+            return (compiled.compile_seconds, compiled.heuristic_decisions,
+                    compiled.timed_out)
+        ir = self._fingerprint(bench, module)[0]
+        seconds, decisions, timed_out = 0.0, [], False
+        for name in list(module.functions):
+            budget = (None if self.compile_timeout is None
+                      else self.compile_timeout - seconds)
+            if directives_for(plan, name):
+                compiled = compile_module(module, config, plan=plan,
+                                          functions=(name,),
+                                          timeout_seconds=budget, **options)
+                decisions += compiled.heuristic_decisions
+                took = compiled.function_seconds[name]
+                spent, timed_out = compiled.compile_seconds, compiled.timed_out
+            else:
+                took, spent, timed_out = self._reuse(
+                    module, name, (ir, name, self.max_instructions,
+                                   self.verify_each), budget, options)
+            seconds += took
+            self.phase_seconds["compile"] += spent
+            if timed_out:
+                break
+        return seconds, decisions, timed_out
+
+    def _reuse(self, module: Module, name: str, key: Tuple,
+               budget: Optional[float], options) -> Tuple[float, float, bool]:
+        """Put function ``name`` of ``module`` as the baseline pipeline
+        compiles it in place: from the memo under ``key``, or compiled now
+        and stored unless it timed out.  Returns (its pipeline seconds,
+        the seconds spent now, timed out).
+
+        Either way its remarks and pass spans reach the installed obs
+        session, so the stream is the same whichever cells reuse.
+        """
+        entry = self._functions.get(key)
+        session = obs.active()
+        if entry is not None and (session is None
+                                  or entry.record is not None):
+            obs_metrics.inc("repro_compile_memo_total", result="hit")
+            _replay(entry.record)
+            module.functions[name] = entry.function
+            return entry.seconds, 0.0, False
+        obs_metrics.inc("repro_compile_memo_total", result="miss")
+        start = session.tracer.now() if session is not None else None
+        with (obs.capture() if session is not None
+              else contextlib.nullcontext()) as scratch:
+            compiled = compile_module(module, "baseline", functions=(name,),
+                                      timeout_seconds=budget, **options)
+        record = None
+        if scratch is not None:
+            record = (tuple(r.to_json() for r in scratch.remarks),
+                      tuple(scratch.tracer.events))
+            _replay(record, start)
+        took = compiled.function_seconds[name]
+        if not compiled.timed_out:
+            function = module.functions[name]
+            # The entry is the function alone: it must not keep this
+            # cell's module (and its transformed functions) alive.
+            function.parent = None
+            self._functions[key] = _Compiled(function, took, record)
+        return took, compiled.compile_seconds, compiled.timed_out
 
     # -- sweeps -----------------------------------------------------------
     def prefetch(self, benches: Sequence[Benchmark],
@@ -587,8 +729,7 @@ class ExperimentRunner:
 
     # -- the pool ---------------------------------------------------------
     def _compute_parallel(self, missing, by_name) -> None:
-        task = _Task(settings=self.settings(),
-                     trace=obs.active() is not None,
+        task = _Task(trace=obs.active() is not None,
                      metrics=obs_metrics.active() is not None)
         baseline_specs = [(s, k) for s, k in missing
                           if s.config == "baseline"]
@@ -609,7 +750,9 @@ class ExperimentRunner:
         telemetry: Dict[CellSpec, Dict] = {}
         computed: Dict[CellSpec, Cell] = {}
 
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=self.jobs,
+                                 initializer=_start_worker,
+                                 initargs=(self.settings(),)) as pool:
             # Stage 1: baselines (reference outputs feed every other cell).
             futures = {}
             for app in needed_apps:
@@ -723,14 +866,25 @@ def _failed_cell(spec: CellSpec, message: str) -> Cell:
 # same ``ExperimentRunner._run``; everything crossing the process boundary
 # (names, settings, Cell, numpy outputs) pickles cleanly.
 
+#: This worker process's runner, built when the pool starts it
+#: (:func:`_start_worker`) and kept for the pool's life, so its memo of
+#: compiled functions serves every cell the process computes.
+_pool_runner: Optional[ExperimentRunner] = None
+
+
+def _start_worker(settings: Dict[str, object]) -> None:
+    """Pool initializer: ``ExperimentRunner(**settings)``
+    (:meth:`ExperimentRunner.settings`) becomes this process's runner."""
+    global _pool_runner
+    _pool_runner = ExperimentRunner(**settings)
+
+
 @dataclass(frozen=True)
 class _Task:
-    """What one fan-out tells every worker: how to build the runner, and
-    what to collect.  Built once per fan-out from the parent's own state —
-    a worker consults neither the environment nor what it inherited."""
+    """What one fan-out tells every worker to collect.  Built once per
+    fan-out from the parent's own state — a worker consults neither the
+    environment nor what it inherited."""
 
-    #: ``ExperimentRunner(**settings)`` (:meth:`ExperimentRunner.settings`).
-    settings: Dict[str, object]
     #: The parent has an obs session installed: ship remarks/spans/profile.
     trace: bool
     #: The parent has a metrics registry installed: ship a snapshot.
@@ -752,7 +906,7 @@ def _worker(spec: CellSpec, task: _Task,
     obs.begin_worker(task.trace, task.metrics)
     try:
         bench = benchmark_by_name(spec.app)
-        runner = ExperimentRunner(**task.settings)
+        runner = _pool_runner
         if reference is not None:
             runner._baseline_outputs[spec.app] = reference
         cell = runner._run(bench, spec.config, spec.loop_id, spec.factor,

@@ -21,7 +21,9 @@ contracts keep it aligned with the rest of the observability layer:
   payloads with :func:`repro.obs.session.absorb` in task-enumeration
   order.  Folds are order-independent (counters and histograms sum,
   gauges fold by max), so ``-j1`` and ``-jN`` sweeps of the same cells
-  render the same bytes.
+  render the same bytes — except ``repro_compile_memo_total``, whose
+  hit/miss split depends on which process computed which cell (each
+  keeps its own memo; the sum does not).
 
 The slot is process-global (not thread-local like the trace slot): the
 daemon's queue workers must aggregate into one registry, and every
@@ -80,6 +82,9 @@ HELP: Dict[str, str] = {
         "Experiment cells a runner's prefetch computed (cache misses only).",
     "repro_sweep_worker_failures_total":
         "Pool worker tasks that raised instead of returning a cell.",
+    "repro_compile_memo_total":
+        "Functions a cell took from its runner's memo of baseline-compiled "
+        "functions, or compiled and stored there (result=hit|miss).",
     "repro_jit_selections_total":
         "Functions whose JIT regions were selected (first block got hot).",
     "repro_jit_regions_total":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from ..directive import KINDS, LoopDirective
 from ..ir.module import Module
@@ -77,6 +77,8 @@ class CompileResult:
     #: True when the pipeline hit its compile budget (the paper's ccs
     #: timeouts); the module is valid but only partially optimized.
     timed_out: bool = False
+    #: Pipeline seconds of each function compiled, in module order.
+    function_seconds: Dict[str, float] = field(default_factory=dict)
 
 
 def cleanup_passes(branch_facts: bool = True) -> List:
@@ -113,6 +115,7 @@ def transform_passes(config: str, *, loop_id: Optional[str] = None,
                      factor: int = 1,
                      heuristic: Optional[HeuristicParams] = None,
                      max_instructions: int = MAX_INSTRUCTIONS,
+                     branch_facts: bool = True,
                      plan: Optional[Sequence[LoopDirective]] = None) -> List:
     """The experimental transform stage (possibly empty): an explicit
     ``plan`` as given, else :func:`config_plan` of the other arguments."""
@@ -120,7 +123,7 @@ def transform_passes(config: str, *, loop_id: Optional[str] = None,
         plan = config_plan(config, loop_id, factor)
     if plan is not None and not plan:
         return []
-    return [ApplyPlan(plan, heuristic, max_instructions)]
+    return [ApplyPlan(plan, heuristic, max_instructions, branch_facts)]
 
 
 def late_passes() -> List:
@@ -159,13 +162,15 @@ def build_pipeline(config: str, *, loop_id: Optional[str] = None,
     ``loop_id``/``factor`` select the target loop for the per-loop configs
     (``unroll``, ``unmerge``, ``uu``); ``heuristic`` parameterises
     ``uu_heuristic``; ``plan`` is an explicit plan (see
-    :func:`transform_passes`).  ``branch_facts=False`` ablates GVN's
-    provenance-fact machinery (for the ablation benchmarks).
+    :func:`transform_passes`).  ``branch_facts=False`` ablates the
+    provenance-fact machinery (for the ablation benchmarks): GVN's edge
+    facts, and the pruning unmerging does with the same facts.
     """
     # The experimental transform, placed early (paper Section IV-B).
     transform = transform_passes(config, loop_id=loop_id, factor=factor,
                                  heuristic=heuristic,
-                                 max_instructions=max_instructions, plan=plan)
+                                 max_instructions=max_instructions,
+                                 branch_facts=branch_facts, plan=plan)
     # Mid-pipeline cleanup to a fixed point.
     cleanup = FixpointPassManager(cleanup_passes(branch_facts),
                                   verify_each=verify_each)
@@ -192,7 +197,8 @@ def compile_module(module: Module, config: str, *,
                    timeout_seconds: Optional[float] = None,
                    branch_facts: bool = True,
                    verify_each: bool = False,
-                   plan: Optional[Sequence[LoopDirective]] = None
+                   plan: Optional[Sequence[LoopDirective]] = None,
+                   functions: Optional[Collection[str]] = None
                    ) -> CompileResult:
     """Run the configured pipeline over ``module`` and measure it.
 
@@ -200,6 +206,9 @@ def compile_module(module: Module, config: str, *,
     the quantity Figure 6c reports relative to baseline.  When
     ``timeout_seconds`` elapses mid-pipeline the compilation is abandoned
     (``timed_out=True``), mirroring the paper's per-loop compile timeouts.
+    ``functions`` names the functions to compile (``None``: all of them);
+    the others are left as they are.  The pipeline runs one function at a
+    time, so ``function_seconds`` holds each compiled function's share.
     """
     pipeline = build_pipeline(config, loop_id=loop_id, factor=factor,
                               heuristic=heuristic,
@@ -215,8 +224,15 @@ def compile_module(module: Module, config: str, *,
         for p in pipeline.passes:
             if isinstance(p, _NestedManager):
                 p.manager.deadline = deadline
+    seconds: Dict[str, float] = {}
     try:
-        pipeline.run(module)
+        for func in module.functions.values():
+            if functions is None or func.name in functions:
+                began = time.perf_counter()
+                try:
+                    pipeline.run_function(func)
+                finally:
+                    seconds[func.name] = time.perf_counter() - began
     except CompileTimeout:
         timed_out = True
     elapsed = time.perf_counter() - start
@@ -234,4 +250,5 @@ def compile_module(module: Module, config: str, *,
         pass_stats=pipeline.stats,
         heuristic_decisions=decisions,
         timed_out=timed_out,
+        function_seconds=seconds,
     )

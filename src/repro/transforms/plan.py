@@ -39,13 +39,22 @@ from .unroll import can_unroll, unroll_loop
 from .uu import apply_uu, claim_loop, loop_by_header, uu_applicable
 
 
+def directives_for(plan: Sequence[LoopDirective],
+                   function: str) -> List[LoopDirective]:
+    """The directives of ``plan`` that name a loop of ``function``."""
+    return [d for d in plan if d.loop_id.startswith(f"{function}:")]
+
+
 def apply_directive(func: Function, loop: Loop, directive: LoopDirective,
-                    max_instructions: int = MAX_INSTRUCTIONS) -> bool:
-    """Apply ``directive`` to ``loop``; returns True if the IR changed."""
+                    max_instructions: int = MAX_INSTRUCTIONS,
+                    branch_facts: bool = True) -> bool:
+    """Apply ``directive`` to ``loop``; returns True if the IR changed
+    (``branch_facts=False``: unmerge without pruning)."""
     kind = directive.kind
     if kind == "uu":
         return apply_uu(func, loop, directive.factor,
-                        max_instructions=max_instructions)
+                        max_instructions=max_instructions,
+                        branch_facts=branch_facts)
     if kind == "unroll":
         if not can_unroll(loop):
             return False
@@ -59,7 +68,8 @@ def apply_directive(func: Function, loop: Loop, directive: LoopDirective,
         return False
     claim_loop(func, loop)
     try:
-        return unmerge_loop(func, loop, max_instructions)
+        return unmerge_loop(func, loop, max_instructions,
+                            branch_facts=branch_facts)
     except UnmergeBudgetExceeded:
         return True
 
@@ -69,10 +79,12 @@ class ApplyPlan:
 
     def __init__(self, plan: Optional[Sequence[LoopDirective]] = None,
                  heuristic: Optional[HeuristicParams] = None,
-                 max_instructions: int = MAX_INSTRUCTIONS) -> None:
+                 max_instructions: int = MAX_INSTRUCTIONS,
+                 branch_facts: bool = True) -> None:
         self.plan = None if plan is None else list(plan)
         self.params = heuristic or HeuristicParams()
         self.max_instructions = max_instructions
+        self.branch_facts = branch_facts
         # The pass reports under the name of what it applies:
         # ``PassStatistics``, Figure 6c's breakdown and the perf benchmark's
         # ``transforms.<pass>.*`` metrics are keyed by it.
@@ -91,8 +103,7 @@ class ApplyPlan:
         if self.plan is not None:
             # Directives naming loops of other functions are not this
             # function's business (and cost it no analysis).
-            mine = [d for d in self.plan
-                    if d.loop_id.startswith(f"{func.name}:")]
+            mine = directives_for(self.plan, func.name)
             if not mine:
                 return False
         loop_info = LoopInfo.compute(func)
@@ -113,7 +124,8 @@ class ApplyPlan:
                 # after the first is re-found by its (stable) header.
                 loop = loop_by_header(LoopInfo.compute(func), loop.header)
             row.applied = loop is not None and apply_directive(
-                func, loop, directive, self.max_instructions)
+                func, loop, directive, self.max_instructions,
+                self.branch_facts)
             changed |= row.applied
         self.decisions.extend(rows)
         if obs.active() is not None:

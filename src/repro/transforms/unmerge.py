@@ -94,7 +94,7 @@ class UnmergeBudgetExceeded(Exception):
 
 def unmerge_loop(func: Function, loop: Loop,
                  max_instructions: int = MAX_INSTRUCTIONS,
-                 selective: bool = False) -> bool:
+                 selective: bool = False, branch_facts: bool = True) -> bool:
     """Unmerge all control-flow merges in ``loop``'s body.
 
     ``loop`` must come from a :class:`LoopInfo` of the function as it is
@@ -108,10 +108,14 @@ def unmerge_loop(func: Function, loop: Loop,
     ``selective=True`` enables the paper's *partial unmerging* extension
     (Section VI): only merge blocks whose duplication can feed the cleanup
     passes are duplicated (see :mod:`repro.transforms.profitability`).
+
+    ``branch_facts=False`` duplicates without pruning: a copy keeps every
+    block of its tail, whatever the facts on its path rule out (the
+    branch-facts ablation).
     """
     form_lcssa(func, loop)
     region = _Region(func, loop)
-    if _unpruned_size(region) <= max_instructions:
+    if branch_facts and _unpruned_size(region) <= max_instructions:
         region.prune = True
         region.cone = _condition_cone(region)
     walk = _MergeWalk(region)

@@ -29,11 +29,12 @@ from .unroll import can_unroll, unroll_loop
 
 def apply_uu(func: Function, loop: Loop, factor: int,
              max_instructions: int = MAX_INSTRUCTIONS,
-             selective: bool = False) -> bool:
+             selective: bool = False, branch_facts: bool = True) -> bool:
     """Run u&u on ``loop``; returns True if the IR changed.
 
     ``selective=True`` enables partial unmerging (the paper's Section VI
     extension): only profitably-unmergeable merge blocks are duplicated.
+    ``branch_facts`` is :func:`unmerge_loop`'s.
     """
     if not uu_applicable(func, loop):
         obs.remark("missed", "uu", func.name, "convergent or pragma",
@@ -63,7 +64,7 @@ def apply_uu(func: Function, loop: Loop, factor: int,
             stale = False
         try:
             if unmerge_loop(func, target, max_instructions,
-                            selective=selective):
+                            selective=selective, branch_facts=branch_facts):
                 changed = stale = True
         except UnmergeBudgetExceeded:
             changed = True

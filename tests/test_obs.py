@@ -289,12 +289,12 @@ class TestTracedRuns:
             assert session.profile.block_hits, engine
             assert session.profile.mean_occupancy() is not None, engine
 
-    def test_parallel_aggregation_is_deterministic(self):
+    @staticmethod
+    def _assert_jobs_agree(app, **sweep):
         def stream(jobs):
             session = obs.install()
             runner = ExperimentRunner(jobs=jobs)
-            cells = runner.prefetch([benchmark_by_name(BENCH)],
-                                    configs=("baseline", "uu_heuristic"))
+            cells = runner.prefetch([benchmark_by_name(app)], **sweep)
             obs.uninstall()
             assert all(c.error is None for c in cells)
             return session, cells
@@ -312,6 +312,19 @@ class TestTracedRuns:
         assert spans(s1) == spans(s2)
         assert [(c.cycles, c.code_size) for c in c1] == \
             [(c.cycles, c.code_size) for c in c2]
+
+    def test_parallel_aggregation_is_deterministic(self):
+        self._assert_jobs_agree(BENCH, configs=("baseline", "uu_heuristic"))
+
+    def test_parallel_aggregation_covers_per_loop_cells(self):
+        """Per-loop cells reuse the functions their plan does not name
+        from their process's memo, and which cell compiles a function
+        first differs between one process and a pool: a reuse re-emits
+        the remarks and pass spans the compile emitted, so the stream is
+        the same either way."""
+        self._assert_jobs_agree("bezier-surface",
+                                configs=("baseline", "unroll", "uu"),
+                                factors=(2, 4))
 
 
 class TestCliExport:
