@@ -72,8 +72,9 @@ class ComplexBench(Benchmark):
         }
 
     def launches(self) -> List[Launch]:
-        # Several launches amortise the icache warm-up, as the real
-        # benchmark's 1000 repetitions do.
+        # The real benchmark repeats its kernel 1000 times.  Repeating it
+        # amortises nothing here: every warp of every launch starts with
+        # a fresh instruction cache.
         return [Launch("complex_pow", 1, THREADS,
                        [buf("a_re"), buf("out"), THREADS])
                 for _ in range(4)]

@@ -457,6 +457,11 @@ class SimtMachine:
             raise SimulationError(
                 f"@{func.name} expects {len(func.args)} args, got {len(args)}")
         total = Counters()
+        # ``memory.stats`` accumulates over every launch on the memory;
+        # the launch reports its own traffic, the difference.
+        stats = self.memory.stats
+        before = (stats.bytes_loaded, stats.bytes_stored,
+                  stats.load_transactions, stats.store_transactions)
         entry = self._decode(func)
         frame = self._decoded[id(func)]
         launch = [_geometry_vec(block_dim), _geometry_vec(grid_dim)] \
@@ -498,10 +503,10 @@ class SimtMachine:
                         total.fetch_stall_cycles += icache.stall_cycles
                         if ctx.ret_values is not None:
                             ret_all.append(ctx.ret_values)
-        total.bytes_loaded = self.memory.stats.bytes_loaded
-        total.bytes_stored = self.memory.stats.bytes_stored
-        total.load_transactions = self.memory.stats.load_transactions
-        total.store_transactions = self.memory.stats.store_transactions
+        total.bytes_loaded = stats.bytes_loaded - before[0]
+        total.bytes_stored = stats.bytes_stored - before[1]
+        total.load_transactions = stats.load_transactions - before[2]
+        total.store_transactions = stats.store_transactions - before[3]
         ret = np.concatenate(ret_all) if ret_all else None
         return LaunchResult(counters=total, return_values=ret)
 

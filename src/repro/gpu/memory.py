@@ -8,9 +8,10 @@ which feed the memory-latency model in :mod:`repro.gpu.timing`.
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +42,19 @@ class Buffer:
         self.end = self.start + self.data.size * self.elem_size
 
 
+#: Everything a launch can read of a memory: the buffer layout — (name,
+#: start, dtype, count) per buffer — and a copy of each buffer's bytes.
+MemoryImage = Tuple[Tuple[Tuple[str, int, str, int], ...], Tuple[bytes, ...]]
+
+#: What a launch wrote: (buffer index, its bytes afterwards) per buffer
+#: that changed.
+MemoryChanges = Tuple[Tuple[int, bytes], ...]
+
+
 @dataclass
 class MemoryStats:
-    """Aggregated traffic counters for one launch."""
+    """Traffic counters, summed over every access to the memory (a
+    launch reports the difference across it)."""
 
     load_requests: int = 0
     store_requests: int = 0
@@ -92,6 +103,51 @@ class Memory:
     def read_back(self, name: str) -> np.ndarray:
         """Copy of a buffer's current contents (host-side view)."""
         return self._by_name[name].data.copy()
+
+    # -- images --------------------------------------------------------------
+    def layout(self) -> Tuple[Tuple[str, int, str, int], ...]:
+        """(name, start, dtype, count) per buffer, in address order."""
+        return tuple((buf.name, buf.start, buf.data.dtype.str, buf.data.size)
+                     for buf in self._buffers)
+
+    def image(self) -> MemoryImage:
+        """The layout and a copy of every buffer's bytes."""
+        return (self.layout(),
+                tuple(buf.data.tobytes() for buf in self._buffers))
+
+    def digest(self) -> int:
+        """A checksum of :meth:`image`, taken without copying it.  Equal
+        images check equal; a caller that acts on an equal digest still
+        compares the images (:meth:`matches`), so a CRC — several times
+        cheaper than a cryptographic hash — is enough."""
+        crc = zlib.crc32(repr(self.layout()).encode())
+        for buf in self._buffers:
+            crc = zlib.crc32(buf.data, crc)
+        return crc
+
+    def matches(self, image: MemoryImage) -> bool:
+        """The memory holds ``image``, layout and every byte."""
+        return self.image() == image
+
+    def changes_since(self, image: MemoryImage) -> Optional[MemoryChanges]:
+        """The buffers whose bytes differ from ``image``; None when the
+        layout changed (a buffer was allocated since)."""
+        layout, before = image
+        if self.layout() != layout:
+            return None
+        changed = []
+        for index, (buf, old) in enumerate(zip(self._buffers, before)):
+            now = buf.data.tobytes()
+            if now != old:
+                changed.append((index, now))
+        return tuple(changed)
+
+    def restore(self, changes: Sequence[Tuple[int, bytes]]) -> None:
+        """Write back what :meth:`changes_since` returned, on a memory
+        of the same layout."""
+        for index, data in changes:
+            buf = self._buffers[index]
+            buf.data[:] = np.frombuffer(data, dtype=buf.data.dtype)
 
     # -- access --------------------------------------------------------------
     def _find(self, addr: int) -> Buffer:

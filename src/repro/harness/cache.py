@@ -79,12 +79,16 @@ from .experiment import Cell
 #: exhibit read it), so the stored ``counters`` lose that key.
 #: v7: Counters sum cycles as integer ticks: the stored ``counters`` hold
 #: ``ticks`` and ``memory_stall_ticks`` where they held float cycles.
+#: v8: a launch counts its own memory traffic (it counted every launch's
+#: on the machine so far), so the stored ``bytes_loaded``,
+#: ``bytes_stored``, ``load_transactions`` and ``store_transactions`` of
+#: a multi-launch app shrink.
 #:
 #: The key names no execution engine: every runner simulates on the
 #: default ``jit`` engine, which is bit-identical to the per-warp
 #: reference by contract — whenever it tiers up —
 #: (tests/test_engine_equivalence.py, tests/test_tier_up.py).
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

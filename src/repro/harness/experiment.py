@@ -44,14 +44,18 @@ constructor arguments say how, and neither changes a result:
   inherits at task start and ships its telemetry home with the cell; the
   parent folds it in enumeration order, so ``-j1`` and ``-jN`` yield the
   same remark stream, metric registry and jit line — all but the
-  hit/miss split of ``repro_compile_memo_total``, which counts each
-  process's own memo (its sum is the same).
+  hit/miss splits of ``repro_compile_memo_total`` and
+  ``repro_launch_replay_total``, which count each process's own memos
+  (their sums are the same).
 
 A runner compiles each function once per sweep: a cell with an explicit
 plan recompiles only the functions the plan names and reuses the rest
 from the runner's memo of baseline-compiled functions (see
-:meth:`ExperimentRunner._compile`).  A pool worker keeps one runner, and
-so one memo, for the life of its pool.
+:meth:`ExperimentRunner._compile`).  It also simulates each launch once:
+the runs it measures replay a launch it already ran on the same memory
+image (:class:`~repro.bench.base.LaunchTable`; a reused function's table
+is shared by every cell that reuses it).  A pool worker keeps one runner,
+and so one memo, for the life of its pool.
 
 The CLI picks the worker count with :func:`resolve_jobs` (``--jobs/-j`` >
 ``REPRO_JOBS`` > ``os.cpu_count()``).
@@ -75,7 +79,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bench import benchmark_by_name
-from ..bench.base import Benchmark
+from ..bench.base import Benchmark, LaunchTable
 from ..directive import LoopDirective, fingerprint
 from ..gpu.counters import Counters
 from ..ir.function import Function
@@ -223,6 +227,10 @@ class _Compiled:
     #: with no obs session installed (such an entry serves no observed
     #: cell: it has nothing to re-emit).
     record: Optional[_Record]
+    #: The measured launches of the function as a kernel, replayed by the
+    #: cells that reuse it (:class:`~repro.bench.base.LaunchTable`); the
+    #: function never changes, so no record outlives its code.
+    launches: LaunchTable = field(default_factory=LaunchTable)
 
 
 def _replay(record: Optional[_Record], start: Optional[float] = None
@@ -532,7 +540,7 @@ class ExperimentRunner:
         if plan is None:
             plan = self.resolve_plan(bench, config, loop_id, factor)
         with obs.span("compile"):
-            seconds, decisions, timed_out = self._compile(
+            seconds, decisions, timed_out, launches = self._compile(
                 bench, module, config, plan)
         if timed_out:
             # The paper excluded compile-timeout points from its figures;
@@ -545,8 +553,8 @@ class ExperimentRunner:
                         heuristic_decisions=decisions, timed_out=True)
         start = time.perf_counter()
         with obs.span("simulate"):
-            outputs, counters = bench.run(module,
-                                          scale=self.workload_scale)
+            outputs, counters = bench.run(module, scale=self.workload_scale,
+                                          memo=launches)
         self.phase_seconds["simulate"] += time.perf_counter() - start
 
         start = time.perf_counter()
@@ -582,9 +590,10 @@ class ExperimentRunner:
         )
 
     def _compile(self, bench: Benchmark, module: Module, config: str,
-                 plan) -> Tuple[float, list, bool]:
+                 plan) -> Tuple[float, list, bool, Dict[str, LaunchTable]]:
         """Compile a fresh build ``module`` of ``bench`` for one cell:
-        (its compile seconds, the plan's decision rows, timed out).
+        (its compile seconds, the plan's decision rows, timed out, the
+        launch tables of the functions it took from the memo).
 
         A plan the heuristic resolves at pass time (``None``) compiles
         every function.  An explicit plan runs the whole pipeline only on
@@ -596,7 +605,9 @@ class ExperimentRunner:
         reused one's as measured when it was compiled, so Figure 6c still
         divides whole-configuration times; the compile budget of each
         function is what the ones before it left.  ``phase_seconds``
-        counts only the time spent here.
+        counts only the time spent here.  A function from the memo brings
+        its launch table, so the cell's run replays the launches that
+        other cells already ran of it (:meth:`Benchmark.run`).
         """
         options = dict(heuristic=self.heuristic,
                        max_instructions=self.max_instructions,
@@ -607,9 +618,10 @@ class ExperimentRunner:
                                       **options)
             self.phase_seconds["compile"] += compiled.compile_seconds
             return (compiled.compile_seconds, compiled.heuristic_decisions,
-                    compiled.timed_out)
+                    compiled.timed_out, {})
         ir = self._fingerprint(bench, module)[0]
         seconds, decisions, timed_out = 0.0, [], False
+        launches: Dict[str, LaunchTable] = {}
         for name in list(module.functions):
             budget = (None if self.compile_timeout is None
                       else self.compile_timeout - seconds)
@@ -621,21 +633,25 @@ class ExperimentRunner:
                 took = compiled.function_seconds[name]
                 spent, timed_out = compiled.compile_seconds, compiled.timed_out
             else:
-                took, spent, timed_out = self._reuse(
+                took, spent, entry = self._reuse(
                     module, name, (ir, name, self.max_instructions,
                                    self.verify_each), budget, options)
+                timed_out = entry is None
+                if entry is not None:
+                    launches[name] = entry.launches
             seconds += took
             self.phase_seconds["compile"] += spent
             if timed_out:
                 break
-        return seconds, decisions, timed_out
+        return seconds, decisions, timed_out, launches
 
     def _reuse(self, module: Module, name: str, key: Tuple,
-               budget: Optional[float], options) -> Tuple[float, float, bool]:
+               budget: Optional[float], options
+               ) -> Tuple[float, float, Optional[_Compiled]]:
         """Put function ``name`` of ``module`` as the baseline pipeline
         compiles it in place: from the memo under ``key``, or compiled now
         and stored unless it timed out.  Returns (its pipeline seconds,
-        the seconds spent now, timed out).
+        the seconds spent now, its memo entry — None: timed out).
 
         Either way its remarks and pass spans reach the installed obs
         session, so the stream is the same whichever cells reuse.
@@ -647,7 +663,7 @@ class ExperimentRunner:
             obs_metrics.inc("repro_compile_memo_total", result="hit")
             _replay(entry.record)
             module.functions[name] = entry.function
-            return entry.seconds, 0.0, False
+            return entry.seconds, 0.0, entry
         obs_metrics.inc("repro_compile_memo_total", result="miss")
         start = session.tracer.now() if session is not None else None
         with (obs.capture() if session is not None
@@ -660,13 +676,14 @@ class ExperimentRunner:
                       tuple(scratch.tracer.events))
             _replay(record, start)
         took = compiled.function_seconds[name]
+        entry = None
         if not compiled.timed_out:
             function = module.functions[name]
             # The entry is the function alone: it must not keep this
             # cell's module (and its transformed functions) alive.
             function.parent = None
-            self._functions[key] = _Compiled(function, took, record)
-        return took, compiled.compile_seconds, compiled.timed_out
+            entry = self._functions[key] = _Compiled(function, took, record)
+        return took, compiled.compile_seconds, entry
 
     # -- sweeps -----------------------------------------------------------
     def prefetch(self, benches: Sequence[Benchmark],

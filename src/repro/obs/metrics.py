@@ -21,9 +21,12 @@ contracts keep it aligned with the rest of the observability layer:
   payloads with :func:`repro.obs.session.absorb` in task-enumeration
   order.  Folds are order-independent (counters and histograms sum,
   gauges fold by max), so ``-j1`` and ``-jN`` sweeps of the same cells
-  render the same bytes — except ``repro_compile_memo_total``, whose
-  hit/miss split depends on which process computed which cell (each
-  keeps its own memo; the sum does not).
+  render the same bytes — except ``repro_compile_memo_total`` and
+  ``repro_launch_replay_total``, whose hit/miss splits depend on which
+  process computed which cell (each keeps its own memos; the sums do
+  not).  A replayed launch re-counts what its recording counted
+  (:func:`capture`, :func:`fold`), so the jit's counts fold the same
+  whichever process ran a launch first.
 
 The slot is process-global (not thread-local like the trace slot): the
 daemon's queue workers must aggregate into one registry, and every
@@ -38,6 +41,7 @@ process environment.  The jit's counts live here and nowhere else:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,6 +89,10 @@ HELP: Dict[str, str] = {
     "repro_compile_memo_total":
         "Functions a cell took from its runner's memo of baseline-compiled "
         "functions, or compiled and stored there (result=hit|miss).",
+    "repro_launch_replay_total":
+        "Launches of a measured run replayed from a launch its runner "
+        "already ran on the same memory image, or executed and recorded "
+        "(result=hit|miss).",
     "repro_jit_selections_total":
         "Functions whose JIT regions were selected (first block got hot).",
     "repro_jit_regions_total":
@@ -403,9 +411,45 @@ def preregister(registry: MetricsRegistry) -> None:
 
 _registry: Optional[MetricsRegistry] = None
 
+#: Per thread: the registry a :func:`capture` block counts into.
+_local = threading.local()
+
 
 def active() -> Optional[MetricsRegistry]:
     return _registry
+
+
+def _target(registry: MetricsRegistry) -> MetricsRegistry:
+    """Where this thread counts while ``registry`` is installed."""
+    scratch = getattr(_local, "scratch", None)
+    return registry if scratch is None else scratch
+
+
+@contextlib.contextmanager
+def capture():
+    """Count this thread's metrics into a fresh registry for the block and
+    hand it back — None, redirecting nothing, when no registry is
+    installed.  A replayed launch folds back what its recording counted
+    (:class:`repro.bench.base.LaunchTable`), like a session
+    :func:`repro.obs.session.capture` does for remarks."""
+    if _registry is None:
+        yield None
+        return
+    saved = getattr(_local, "scratch", None)
+    scratch = _local.scratch = MetricsRegistry()
+    try:
+        yield scratch
+    finally:
+        _local.scratch = saved
+
+
+def fold(snap: Optional[Dict[str, object]]) -> None:
+    """Absorb a :meth:`MetricsRegistry.snapshot` where this thread counts
+    now (nothing when no registry is installed)."""
+    registry = _registry
+    if registry is None:
+        return
+    _target(registry).absorb(snap)
 
 
 def install(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -428,21 +472,21 @@ def inc(name: str, n: float = 1.0, **labels) -> None:
     registry = _registry
     if registry is None:
         return
-    registry.inc(name, n, **labels)
+    _target(registry).inc(name, n, **labels)
 
 
 def set_gauge(name: str, value: float, **labels) -> None:
     registry = _registry
     if registry is None:
         return
-    registry.set(name, value, **labels)
+    _target(registry).set(name, value, **labels)
 
 
 def raise_gauge(name: str, value: float, **labels) -> None:
     registry = _registry
     if registry is None:
         return
-    registry.raise_gauge(name, value, **labels)
+    _target(registry).raise_gauge(name, value, **labels)
 
 
 def observe(name: str, value: float,
@@ -450,7 +494,7 @@ def observe(name: str, value: float,
     registry = _registry
     if registry is None:
         return
-    registry.observe(name, value, buckets, **labels)
+    _target(registry).observe(name, value, buckets, **labels)
 
 
 # -- the jit's counts as one row ----------------------------------------------

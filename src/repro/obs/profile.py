@@ -65,6 +65,11 @@ class ExecutionProfile:
             self.request = other.request
         elif not other.is_empty() and self.request != other.request:
             self.request = None      # mixed streams: tag no longer holds
+        self.add(other)
+
+    def add(self, other: "ExecutionProfile") -> None:
+        """Accumulate ``other``'s records; this profile's tag stays (a
+        replayed launch adds what it recorded to the run it serves)."""
         for name, n in other.block_hits.items():
             self.note_block(name, n, other.block_ticks.get(name, 0),
                             *other.block_lanes.get(name, (0, 0)))

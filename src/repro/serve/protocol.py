@@ -65,7 +65,10 @@ from ..transforms.pipeline import CONFIGS, PER_LOOP_CONFIGS
 #: v7: a result's ``counters`` carry integer ``ticks`` and
 #: ``memory_stall_ticks`` for float cycles, and its ``profile`` carries
 #: ``block_ticks`` for ``block_cycles``.
-SERVE_SCHEMA_VERSION = 7
+#: v8: a result's ``counters`` count each launch's own memory traffic,
+#: so a module of several functions reports smaller ``bytes_*`` and
+#: ``*_transactions``.
+SERVE_SCHEMA_VERSION = 8
 
 
 class ProtocolError(ValueError):

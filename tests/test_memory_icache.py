@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import benchmark_by_name
+from repro.gpu import SimtMachine
 from repro.gpu.icache import InstructionCache
 from repro.gpu.memory import Memory, MemoryStats, SEGMENT_BYTES
 from repro.gpu import timing
@@ -74,6 +76,21 @@ class TestLoadStore:
         assert mem.stats.bytes_loaded == 32 * 8
         assert mem.stats.bytes_stored == 32 * 8
 
+    def test_a_launch_counts_its_own_traffic(self):
+        """bspline-vgh launches one kernel four times on one memory: each
+        launch reports the same traffic on both engines, and the run
+        total is their sum (not a sum of running totals)."""
+        bench = benchmark_by_name("bspline-vgh")
+        module = bench.build_module()
+        rows = {engine: _launch_traffic(bench, module, engine)
+                for engine in ("warp", "jit")}
+        assert rows["warp"] == rows["jit"]
+        assert len(rows["jit"]) == 4 and len(set(rows["jit"])) == 1
+        assert rows["jit"][0][0] > 0
+        _, total = bench.run(module)
+        assert tuple(getattr(total, name) for name in TRAFFIC) == \
+            tuple(map(sum, zip(*rows["jit"])))
+
     def test_empty_mask_is_free(self):
         mem = Memory()
         base = mem.alloc("a", "f64", 4)
@@ -100,6 +117,25 @@ class TestLoadStore:
         nowhere, tx = mem.load(np.zeros(32, dtype=np.int64),
                                np.zeros(32, dtype=bool), elem)
         assert nowhere.shape == (32,) and tx == 0 and not nowhere.any()
+
+
+TRAFFIC = ("bytes_loaded", "bytes_stored", "load_transactions",
+           "store_transactions")
+
+
+def _launch_traffic(bench, module, engine):
+    """Each launch's :data:`TRAFFIC` counters, in launch order."""
+    mem = Memory()
+    buffers = bench.setup(mem, np.random.default_rng(bench.seed))
+    machine = SimtMachine(module, mem, engine=engine)
+    rows = []
+    for launch in bench.launches():
+        args = [buffers[a[1]] if isinstance(a, tuple) else a
+                for a in launch.args]
+        counters = machine.launch(launch.kernel, launch.grid_dim,
+                                  launch.block_dim, args).counters
+        rows.append(tuple(getattr(counters, name) for name in TRAFFIC))
+    return rows
 
 
 class TestUnmapped:
